@@ -48,7 +48,7 @@ from ...logic.tautology import covers_cube
 from ...netlist.gates import GateType
 from ...netlist.library import DEFAULT_LIBRARY, Library
 from ...obs import get_metrics, trace_span
-from ...sg.regions import Region, trigger_regions
+from ...sg.regions import Region
 from ...sim.mhs import MhsParams
 from .obligations import PROVED, REFUTED, UNKNOWN, Certificate, Obligation
 
@@ -118,65 +118,48 @@ def trigger_obligations(spec: "SopSpec", cover: Cover) -> list[Obligation]:
             bit = 1 << o
             col = [c for c in cover.cubes if c.outputs & bit]
             direction = 1 if kind == "set" else -1
-            for er in spec.regions[signal].excitation:
+            sr = spec.regions[signal]
+            for er, trs in zip(sr.excitation, sr.triggers):
                 if er.direction != direction:
                     continue
-                for tr in trigger_regions(sg, er):
-                    subject = f"trigger region {tr.label(sg)} held by one cube"
-                    witness_cube = next(
+                for tr in trs:
+                    witness = {
+                        "region": tr.label(sg),
+                        "states": _states(tr)[:_WITNESS_CUBES],
+                    }
+                    cube = next(
                         (
                             c
                             for c in col
-                            if all(
-                                c.contains_minterm(sg.code(s))
-                                for s in tr.states
-                            )
+                            if all(c.contains_minterm(sg.code(s)) for s in tr.states)
                         ),
                         None,
                     )
-                    if witness_cube is not None:
-                        out.append(
-                            Obligation(
-                                rule="HZ001",
-                                signal=sig_name,
-                                kind=kind,
-                                subject=subject,
-                                verdict=PROVED,
-                                witness={
-                                    "region": tr.label(sg),
-                                    "states": _states(tr)[:_WITNESS_CUBES],
-                                    "cube": witness_cube.input_string(),
-                                },
-                            )
-                        )
+                    verdict, detail = PROVED, ""
+                    if cube is not None:
+                        witness["cube"] = cube.input_string()
                     else:
-                        uncovered = [
+                        witness["uncovered_states"] = sorted(
                             str(s)
                             for s in tr.states
-                            if not any(
-                                c.contains_minterm(sg.code(s)) for c in col
-                            )
-                        ]
-                        out.append(
-                            Obligation(
-                                rule="HZ001",
-                                signal=sig_name,
-                                kind=kind,
-                                subject=subject,
-                                verdict=REFUTED,
-                                witness={
-                                    "region": tr.label(sg),
-                                    "states": _states(tr)[:_WITNESS_CUBES],
-                                    "uncovered_states": sorted(uncovered)[
-                                        :_WITNESS_CUBES
-                                    ],
-                                },
-                                detail=(
-                                    "no single cube of the column covers the "
-                                    "region; the trigger pulse may fragment"
-                                ),
-                            )
+                            if not any(c.contains_minterm(sg.code(s)) for c in col)
+                        )[:_WITNESS_CUBES]
+                        verdict = REFUTED
+                        detail = (
+                            "no single cube of the column covers the "
+                            "region; the trigger pulse may fragment"
                         )
+                    out.append(
+                        Obligation(
+                            rule="HZ001",
+                            signal=sig_name,
+                            kind=kind,
+                            subject=f"trigger region {tr.label(sg)} held by one cube",
+                            verdict=verdict,
+                            witness=witness,
+                            detail=detail,
+                        )
+                    )
     return out
 
 

@@ -21,7 +21,7 @@ from ..sg.properties import (
     consistency_witnesses,
     semimodularity_violations,
 )
-from ..sg.regions import check_output_trapping, excitation_regions
+from ..sg.regions import check_output_trapping, signal_regions
 from .context import LintContext
 from .diagnostics import Diagnostic, Severity
 from .registry import RuleMeta, Scope, rule
@@ -192,7 +192,7 @@ def check_output_trapping_rule(
     but localized to the region here)."""
     sg = ctx.require_sg()
     for a in sg.non_inputs:
-        for er in excitation_regions(sg, a):
+        for er in signal_regions(sg, a).excitation:
             for state, escaped_to in check_output_trapping(sg, er):
                 yield meta.diagnostic(
                     f"{er.label(sg)} can be left from state {state!r} to "

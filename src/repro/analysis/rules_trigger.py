@@ -24,12 +24,7 @@ from typing import Iterator
 
 from ..core.trigger import check_trigger_cubes, trigger_infeasibilities
 from ..logic.cover import Cover
-from ..sg.regions import (
-    Region,
-    excitation_regions,
-    is_single_traversal_for,
-    trigger_regions,
-)
+from ..sg.regions import Region, signal_regions
 from .context import LintContext
 from .diagnostics import Diagnostic, Severity
 from .registry import RuleMeta, Scope, rule
@@ -85,13 +80,10 @@ def check_single_traversal(
     pass does not apply and synthesis may add trigger cubes."""
     sg = ctx.require_sg()
     for a in sg.non_inputs:
-        if is_single_traversal_for(sg, a):
+        sr = signal_regions(sg, a)
+        if sr.single_traversal:
             continue
-        widest = max(
-            len(tr.states)
-            for er in excitation_regions(sg, a)
-            for tr in trigger_regions(sg, er)
-        )
+        widest = max(len(tr) for trs in sr.triggers for tr in trs)
         yield meta.diagnostic(
             f"signal {sg.signals[a]} is not single-traversal (widest "
             f"trigger region has {widest} states); trigger-cube "

@@ -86,8 +86,8 @@ def derive_sop_spec(
 
     Follows Section IV-A exactly; the unreachable binary codes join
     every function's don't-care set (step 3).  ``regions`` may supply
-    precomputed per-signal region decompositions (the pipeline's
-    ``regions`` stage artifact); missing signals are derived here.
+    the per-signal region analyses (the pipeline's ``regions`` stage
+    artifact); by default they are read from ``sg``'s memo.
     """
     non_inputs = sg.non_inputs
     m = 2 * len(non_inputs)
@@ -98,8 +98,11 @@ def derive_sop_spec(
     spec = SopSpec(sg, on, dc, off)
 
     with trace_span("sop-derivation", signals=len(non_inputs), outputs=m) as _sp:
+        if regions is None:
+            regions = {a: signal_regions(sg, a) for a in non_inputs}
+        spec.regions = regions
         unreachable = unreachable_cover(sg)
-        _derive_functions(sg, spec, unreachable, regions or {})
+        _derive_functions(sg, spec, unreachable)
         _sp.set(on_cubes=len(on), dc_cubes=len(dc), off_cubes=len(off))
     return spec
 
@@ -108,14 +111,12 @@ def _derive_functions(
     sg: StateGraph,
     spec: SopSpec,
     unreachable: Cover,
-    regions: dict[int, SignalRegions],
 ) -> None:
     non_inputs = sg.non_inputs
     n = sg.num_signals
     on, dc, off = spec.on, spec.dc, spec.off
     for signal in non_inputs:
-        sr = regions.get(signal) or signal_regions(sg, signal)
-        spec.regions[signal] = sr
+        sr = spec.regions[signal]
         up_er = sr.union_states("ER", 1)
         up_qr = sr.union_states("QR", 1)
         dn_er = sr.union_states("ER", -1)

@@ -25,7 +25,6 @@ from ..logic import Cover, minimize, verify_cover
 from ..netlist import DEFAULT_LIBRARY, Library, Netlist, NetlistStats
 from ..obs import trace_span
 from ..sg.graph import StateGraph
-from ..sg.regions import is_single_traversal
 from .architecture import ArchitectureResult, build_nshot_netlist
 from .delays import DelayRequirement, compute_delay_requirement
 from .initialization import InitDecision, analyze_initialization
@@ -160,7 +159,7 @@ def apply_trigger_requirement(
 ) -> tuple[Cover, bool, int]:
     """Step 4 (Theorem 1): returns ``(cover, single_traversal, added)``."""
     with trace_span("trigger-enforcement") as sp_t:
-        single = is_single_traversal(sg)
+        single = all(sr.single_traversal for sr in spec.regions.values())
         added = 0
         if not single:
             cover, added = enforce_trigger_cubes(spec, cover)

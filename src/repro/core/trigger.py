@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from ..logic import Cover, Cube, supercube_of
 from ..logic.espresso import expand as espresso_expand
 from ..sg.graph import StateGraph
-from ..sg.regions import Region, trigger_regions
+from ..sg.regions import Region
 from .sop_derivation import SopSpec
 
 __all__ = [
@@ -90,10 +90,10 @@ def check_trigger_cubes(
             col = [c for c in cover.cubes if c.outputs & bit]
             chk = TriggerCheck(signal, kind)
             direction = 1 if kind == "set" else -1
-            for er in sr.excitation:
+            for er, trs in zip(sr.excitation, sr.triggers):
                 if er.direction != direction:
                     continue
-                for tr in trigger_regions(sg, er):
+                for tr in trs:
                     chk.regions_checked += 1
                     if not any(_cube_covers_region(sg, c, tr) for c in col):
                         chk.uncovered.append(tr)
@@ -114,12 +114,13 @@ def trigger_infeasibilities(spec: SopSpec) -> list[tuple[int, str, Region]]:
     sg = spec.sg
     out: list[tuple[int, str, Region]] = []
     for signal in sg.non_inputs:
-        for er in spec.regions[signal].excitation:
+        sr = spec.regions[signal]
+        for er, trs in zip(sr.excitation, sr.triggers):
             kind = "set" if er.rising else "reset"
             o = spec.output_index(signal, kind)
             bit = 1 << o
             off_col = spec.off.restrict_outputs(bit)
-            for tr in trigger_regions(sg, er):
+            for tr in trs:
                 sc = _region_supercube(sg, tr).with_outputs(bit)
                 if off_col.intersects_cube(sc):
                     out.append((signal, kind, tr))

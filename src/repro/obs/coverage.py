@@ -198,12 +198,7 @@ class CoverageMap:
         self.region_cov: list[RegionCoverage] = []
         membership: dict = {s: [] for s in self.universe}
         for a in sg.non_inputs:
-            sr = circuit.spec.regions.get(a)
-            if sr is None:  # pragma: no cover - spec always carries them
-                from ..sg.regions import signal_regions
-
-                sr = signal_regions(sg, a)
-            for er in sr.excitation:
+            for er in circuit.spec.regions[a].excitation:
                 idx = len(self._regions)
                 self._regions.append(er)
                 self.region_cov.append(

@@ -38,7 +38,7 @@ from ..core.sop_derivation import derive_sop_spec
 from ..core.verify import verify_hazard_freeness
 from ..netlist import Library
 from ..sg.graph import StateGraph
-from ..sg.regions import SignalRegions, is_single_traversal, signal_regions
+from ..sg.regions import SignalRegions, signal_regions
 from ..sg.sgformat import parse_sg
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,9 +61,9 @@ __all__ = [
 STAGE_VERSIONS: dict[str, int] = {
     "parse": 1,
     "sg-build": 1,
-    "classify": 1,
-    "regions": 1,
-    "sop-derivation": 1,
+    "classify": 2,
+    "regions": 2,
+    "sop-derivation": 2,
     "covers": 1,
     "netlist": 1,
     "delays": 1,
@@ -81,7 +81,6 @@ class Classification:
     message: str
     diagnostics: "list[Diagnostic]" = field(default_factory=list)
     num_states: int = 0
-    single_traversal: bool = True
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,6 @@ def _stage_classify(run: "PipelineRun") -> Classification:
         message=message,
         diagnostics=list(preflight.diagnostics),
         num_states=sg.num_states,
-        single_traversal=is_single_traversal(sg),
     )
 
 

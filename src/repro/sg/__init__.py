@@ -35,7 +35,6 @@ from .regions import (
     trigger_regions,
     check_output_trapping,
     trigger_region_reachable_from_all,
-    is_single_traversal_for,
     is_single_traversal,
 )
 from .encoding import (
@@ -77,7 +76,6 @@ __all__ = [
     "trigger_regions",
     "check_output_trapping",
     "trigger_region_reachable_from_all",
-    "is_single_traversal_for",
     "is_single_traversal",
     "state_cube",
     "states_to_cover",

@@ -16,7 +16,10 @@ transition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .regions import SignalRegions
 
 __all__ = ["Transition", "StateGraph", "SGError"]
 
@@ -80,8 +83,13 @@ class StateGraph:
     :meth:`add_arc`; the class enforces the consistent state assignment
     rules of Section III-A at insertion time (a ``+x`` arc must go from
     a state with ``x = 0`` to an identically-coded state with ``x = 1``,
-    and so on).
+    and so on).  Those two and :meth:`set_initial` are the only
+    mutators; each drops the region analysis memoized on the graph by
+    :func:`repro.sg.regions.signal_regions`.
     """
+
+    #: per-signal region analyses (see :func:`repro.sg.regions.signal_regions`)
+    _regions: "dict[int, SignalRegions] | None" = None
 
     def __init__(self, signals: Sequence[str], inputs: Iterable[str | int]) -> None:
         if len(set(signals)) != len(signals):
@@ -131,6 +139,7 @@ class StateGraph:
             if self._code[state] != code:
                 raise SGError(f"state {state!r} re-added with a different code")
             return state
+        self._regions = None
         self._code[state] = code
         self._succ[state] = {}
         self._pred[state] = []
@@ -142,6 +151,7 @@ class StateGraph:
         """Designate the initial state ``s0``."""
         if state not in self._code:
             raise SGError(f"unknown state {state!r}")
+        self._regions = None
         self.initial = state
 
     def add_arc(self, src: StateId, t: Transition, dst: StateId) -> None:
@@ -170,6 +180,7 @@ class StateGraph:
         if existing is not None and existing != dst:
             raise SGError(f"transition {t.label(self.signals)} not deterministic at {src!r}")
         if existing is None:
+            self._regions = None
             self._succ[src][t] = dst
             self._pred[dst].append((src, t))
 

@@ -11,9 +11,11 @@ the set/reset SOP logic of the N-SHOT architecture:
   excludes the region's own signal transitions; Theorem 1 requires a
   single cube of the SOP to cover each of them.
 
-Properties 1 (output trapping) and 2 (trigger-region reachability) get
-explicit checkers here, used by tests and by the synthesizer's
-diagnostics.
+:func:`signal_regions` is the one place these are computed for a
+graph: it memoizes each signal's :class:`SignalRegions` on the
+:class:`~repro.sg.graph.StateGraph`, and synthesis, lint, the certifier
+and the baselines all read that memo.  Properties 1 (output trapping)
+and 2 (trigger-region reachability) get explicit checkers here.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "trigger_regions",
     "check_output_trapping",
     "trigger_region_reachable_from_all",
-    "is_single_traversal_for",
     "is_single_traversal",
 ]
 
@@ -267,11 +268,13 @@ def trigger_region_reachable_from_all(sg: StateGraph, er: Region) -> bool:
 
 @dataclass
 class SignalRegions:
-    """All regions of one non-input signal, paired ER→QR."""
+    """The region analysis of one non-input signal: ER→QR pairs and the
+    trigger regions of every ER, computed once per state graph."""
 
     signal: int
     excitation: list[Region] = field(default_factory=list)
     quiescent: list[Region] = field(default_factory=list)  # parallel to excitation
+    triggers: list[list[Region]] = field(default_factory=list)  # parallel to excitation
 
     @property
     def up_excitation(self) -> list[Region]:
@@ -280,6 +283,11 @@ class SignalRegions:
     @property
     def down_excitation(self) -> list[Region]:
         return [r for r in self.excitation if not r.rising]
+
+    @property
+    def single_traversal(self) -> bool:
+        """Definition 9 for this signal: every trigger region is one state."""
+        return all(len(tr) == 1 for trs in self.triggers for tr in trs)
 
     def quiescent_after(self, er: Region) -> Region:
         return self.quiescent[self.excitation.index(er)]
@@ -295,27 +303,28 @@ class SignalRegions:
 
 
 def signal_regions(sg: StateGraph, signal: int) -> SignalRegions:
-    """Compute all ER/QR pairs of a non-input signal."""
+    """The region analysis of a non-input signal, memoized on ``sg``.
+
+    Computed on first request and shared by every later consumer until
+    the graph is mutated (see :class:`~repro.sg.graph.StateGraph`).
+    """
+    if sg._regions is None:
+        sg._regions = {}
+    sr = sg._regions.get(signal)
+    if sr is not None:
+        return sr
     with trace_span("regions", signal=sg.signals[signal]) as sp:
-        ers = excitation_regions(sg, signal)
         sr = SignalRegions(signal)
-        for er in ers:
+        for er in excitation_regions(sg, signal):
             sr.excitation.append(er)
             sr.quiescent.append(quiescent_region_of(sg, er))
+            sr.triggers.append(trigger_regions(sg, er))
         sp.set(excitation=len(sr.excitation))
     get_metrics().counter("regions.computed").add(len(sr.excitation))
+    sg._regions[signal] = sr
     return sr
-
-
-def is_single_traversal_for(sg: StateGraph, signal: int) -> bool:
-    """Single-traversal check for one signal (Definition 9)."""
-    for er in excitation_regions(sg, signal):
-        for tr in trigger_regions(sg, er):
-            if len(tr.states) != 1:
-                return False
-    return True
 
 
 def is_single_traversal(sg: StateGraph) -> bool:
     """Definition 9: every trigger region of every non-input is a singleton."""
-    return all(is_single_traversal_for(sg, a) for a in sg.non_inputs)
+    return all(signal_regions(sg, a).single_traversal for a in sg.non_inputs)

@@ -166,6 +166,23 @@ class TestInvalidation:
                       "sop-derivation"):
             assert stage not in warm.executed
 
+    def test_regions_bump_reruns_exactly_downstream_cone(
+        self, store, monkeypatch
+    ):
+        # an entry written by the previous regions stage (no trigger
+        # regions in its SignalRegions) must never be unpickled again
+        with monkeypatch.context() as old:
+            old.setitem(STAGE_VERSIONS, "regions", STAGE_VERSIONS["regions"] - 1)
+            run_all(store)
+        warm = run_all(store)
+        assert warm.executed == [
+            "regions", "sop-derivation", "covers", "netlist", "delays", "verify",
+        ]
+        assert all(
+            len(sr.triggers) == len(sr.excitation)
+            for sr in warm.regions().values()
+        )
+
     def test_leaf_stage_bump_reruns_only_itself(self, store, monkeypatch):
         run_all(store)
         monkeypatch.setitem(STAGE_VERSIONS, "verify", 2)

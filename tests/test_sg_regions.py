@@ -1,16 +1,35 @@
 """Tests for excitation/quiescent/trigger regions (Definitions 5-9)."""
 
-from repro.bench.circuits import figure2_sg, figure7a_sg, figure7b_sg
+import pytest
+
+import repro.sg.regions as regions_mod
+from repro.analysis.certify import certify_circuit
+from repro.baselines import (
+    NotDistributiveError,
+    StateSignalsRequiredError,
+    synthesize_beerel,
+    synthesize_lavagno,
+)
+from repro.bench.circuits import (
+    DISTRIBUTIVE_BENCHMARKS,
+    NONDISTRIBUTIVE_BENCHMARKS,
+    figure2_sg,
+    figure7a_sg,
+    figure7b_sg,
+)
+from repro.core import synthesize
+from repro.obs import MetricsRegistry, Tracer, get_metrics, set_metrics, tracing
 from repro.sg import (
+    StateGraph,
     check_output_trapping,
     excitation_regions,
     is_single_traversal,
-    is_single_traversal_for,
     quiescent_region_of,
     signal_regions,
     trigger_region_reachable_from_all,
     trigger_regions,
 )
+from repro.stg import elaborate
 
 
 def labels(sg, states):
@@ -143,4 +162,94 @@ class TestSingleTraversal:
 
     def test_per_signal(self):
         sg = figure7b_sg()
-        assert not is_single_traversal_for(sg, sg.signal_index("y"))
+        assert not signal_regions(sg, sg.signal_index("y")).single_traversal
+
+
+class TestAnalysedOnce:
+    """Synthesis, certification and both baselines share one analysis."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: elaborate(DISTRIBUTIVE_BENCHMARKS["hybridf"][0]()),
+            NONDISTRIBUTIVE_BENCHMARKS["pmcm1"][0],
+        ],
+        ids=["hybridf", "pmcm1"],
+    )
+    def test_regions_once_per_signal(self, build, monkeypatch):
+        sg = build()
+        entered = []
+        real = regions_mod.trigger_regions
+
+        def counting(g, er):
+            entered.append(er)
+            return real(g, er)
+
+        monkeypatch.setattr(regions_mod, "trigger_regions", counting)
+        previous = get_metrics()
+        metrics = set_metrics(MetricsRegistry())
+        try:
+            with tracing(Tracer()) as tracer:
+                certify_circuit(synthesize(sg, name="once"))
+                for flow in (synthesize_lavagno, synthesize_beerel):
+                    try:
+                        flow(sg, name="once")
+                    except (NotDistributiveError, StateSignalsRequiredError):
+                        pass
+        finally:
+            set_metrics(previous)
+        fired = [sp.attrs["signal"] for sp in tracer.spans() if sp.name == "regions"]
+        assert sorted(fired) == sorted(sg.non_input_names)
+        ers = sum(len(signal_regions(sg, a).excitation) for a in sg.non_inputs)
+        assert metrics.counter("regions.computed").value == ers
+        assert len(entered) == ers
+
+
+def rebuilt(sg):
+    """A fresh graph with the same states, arcs and initial state."""
+    out = StateGraph(sg.signals, sg.input_names)
+    for s in sg.states():
+        out.add_state(s, sg.code(s))
+    for s in sg.states():
+        for t, d in sg.successors(s):
+            out.add_arc(s, t, d)
+    out.set_initial(sg.initial)
+    return out
+
+
+class TestMemoInvalidation:
+    def assert_fresh(self, sg):
+        fresh = rebuilt(sg)
+        for a in sg.non_inputs:
+            assert signal_regions(sg, a) == signal_regions(fresh, a)
+        assert is_single_traversal(sg) == is_single_traversal(fresh)
+
+    def test_mutators_drop_the_analysis(self):
+        full = figure7b_sg()
+        y = full.signal_index("y")
+        clk = full.signal_index("clk")
+        # a clock arc inside ER(+y): without it the trigger region shrinks
+        er = signal_regions(full, y).up_excitation[0]
+        src, t, dst = next(
+            (s, t, d) for s in er.states for t, d in full.successors(s)
+            if t.signal == clk and d in er.states
+        )
+        sg = full.without_arc(src, t)
+        self.assert_fresh(sg)
+        before = signal_regions(sg, y)
+
+        sg.add_arc(src, t, dst)
+        self.assert_fresh(sg)
+        assert signal_regions(sg, y) != before
+        assert not is_single_traversal(sg)
+
+        # a new state from which +y fires opens a new ER(+y)
+        target = next(s for s in sg.states() if sg.value(s, y) == 1)
+        extra = sg.add_state("extra", sg.code(target) & ~(1 << y))
+        self.assert_fresh(sg)
+        sg.add_arc(extra, sg.transition("y", "+"), target)
+        self.assert_fresh(sg)
+        assert any(er.states == {extra} for er in signal_regions(sg, y).excitation)
+
+        sg.set_initial(extra)
+        self.assert_fresh(sg)
