@@ -3,9 +3,10 @@
 A :class:`LintContext` wraps the specification (state graph) and/or a
 netlist plus the derived products the deeper rule scopes need — the
 SOP spec, the minimized cover, and the mapped N-SHOT circuit.  All
-derivations are lazy and cached so an SG-scope-only run (the
-synthesizer pre-flight) never pays for minimization, and tests can
-inject a hand-built cover or netlist to seed violations.
+derivations are lazy pulls through one pipeline run, so an SG-scope-only
+run (the synthesizer pre-flight) never builds one or pays for
+minimization, and tests can inject a hand-built cover or netlist to
+seed violations.
 """
 
 from __future__ import annotations
@@ -42,16 +43,17 @@ class LintContext:
         Path of the spec file the SG came from (drives SARIF physical
         locations); None for programmatic graphs.
     spread / method / mhs_tau:
-        Synthesis knobs forwarded to the on-demand pipeline (Equation
-        (1) is evaluated at ``spread``).
+        Synthesis knobs of the on-demand pipeline (Equation (1) is
+        evaluated at ``spread``).
     cover:
         Optional pre-minimized cover (tests seed fragmented covers
         here); when None the context minimizes on demand.
     pipeline:
-        Optional content-addressed :class:`~repro.pipeline.dag.PipelineRun`
-        (constructed with matching knobs); when given, the lazy
-        derivations pull stage artifacts through it so a warm cache
-        serves lint without re-minimizing or re-mapping anything.
+        The :class:`~repro.pipeline.dag.PipelineRun` the lazy
+        derivations pull stage artifacts through (constructed with
+        matching knobs; a store-backed one lets a warm cache serve lint
+        without re-minimizing or re-mapping anything).  When None, a
+        storeless run over ``sg`` is built on first use.
     """
 
     def __init__(
@@ -77,17 +79,28 @@ class LintContext:
         self.method = method
         self.mhs_tau = mhs_tau
         self.fanout_limit = fanout_limit
-        self.pipeline = pipeline
+        self._pipeline = pipeline
         self._netlist = netlist
-        self._spec: "SopSpec | None" = None
         self._cover: "Cover | None" = cover
         self._injected_cover = cover is not None
-        self._circuit: "NShotCircuit | None" = None
-        self._certificate: "Certificate | None" = None
 
     # ------------------------------------------------------------------
     # lazy derived products
     # ------------------------------------------------------------------
+    @property
+    def pipeline(self) -> "PipelineRun":
+        if self._pipeline is None:
+            from ..pipeline import PipelineRun
+
+            self._pipeline = PipelineRun.from_sg(
+                self.require_sg(),
+                name=self.name,
+                method=self.method,
+                mhs_tau=self.mhs_tau,
+                delay_spread=self.spread,
+            )
+        return self._pipeline
+
     def require_sg(self) -> StateGraph:
         if self.sg is None:
             raise ValueError("rule needs a state graph but none was provided")
@@ -95,65 +108,26 @@ class LintContext:
 
     def require_spec(self) -> "SopSpec":
         """The derived multi-output (F, D, R) problem (Section IV-A)."""
-        if self._spec is None:
-            if self.pipeline is not None:
-                self._spec = self.pipeline.sop()
-            else:
-                from ..core.sop_derivation import derive_sop_spec
-
-                self._spec = derive_sop_spec(self.require_sg())
-        return self._spec
+        return self.pipeline.sop()
 
     def require_cover(self) -> "Cover":
-        """A minimized cover for the spec (unconstrained by hazards)."""
+        """A minimized cover for the spec (unconstrained by hazards):
+        the raw minimizer output, before Theorem 1 enforcement."""
         if self._cover is None:
-            if self.pipeline is not None:
-                # the raw minimizer output, before Theorem 1 enforcement
-                self._cover = self.pipeline.covers().minimized
-            else:
-                from ..logic import minimize
-
-                spec = self.require_spec()
-                self._cover = minimize(
-                    spec.on, spec.dc, spec.off, method=self.method
-                )
+            self._cover = self.pipeline.covers().minimized
         return self._cover
 
     def require_circuit(self) -> "NShotCircuit":
         """The fully synthesized N-SHOT circuit (validation skipped —
         the engine has already run the pre-flight rules by the time a
         netlist-scope rule asks for this)."""
-        if self._circuit is None:
-            if self.pipeline is not None:
-                self._circuit = self.pipeline.circuit()
-            else:
-                from ..core.synthesizer import synthesize
-
-                self._circuit = synthesize(
-                    self.require_sg(),
-                    name=self.name,
-                    method=self.method,
-                    mhs_tau=self.mhs_tau,
-                    delay_spread=self.spread,
-                    validate=False,
-                )
-        return self._circuit
+        return self.pipeline.circuit()
 
     def require_certificate(self) -> "Certificate":
         """The circuit's hazard certificate (the HZ rules' substrate),
-        discharged once and shared across all five rule bodies.  When
-        the run has a pipeline, the content-addressed ``certify`` stage
-        serves it from the artifact store."""
-        if self._certificate is None:
-            if self.pipeline is not None:
-                self._certificate = self.pipeline.certify()
-            else:
-                from .certify import certify_circuit
-
-                self._certificate = certify_circuit(
-                    self.require_circuit(), name=self.name
-                )
-        return self._certificate
+        discharged once by the ``certify`` stage and shared across all
+        five rule bodies."""
+        return self.pipeline.certify()
 
     def require_netlist(self) -> Netlist:
         if self._netlist is None:

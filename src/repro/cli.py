@@ -34,7 +34,7 @@ from .baselines import (
     synthesize_lavagno,
     synthesize_qmodule,
 )
-from .core import synthesize, verify_hazard_freeness
+from .core import verify_hazard_freeness
 from .core.report import format_results_table
 from .logic import write_pla
 from .sg import (
@@ -83,6 +83,34 @@ def _pipeline_run(args: argparse.Namespace, path: str):
         method=getattr(args, "method", "espresso"),
         delay_spread=getattr(args, "spread", 0.0),
     )
+
+
+def _target_run(args: argparse.Namespace, store, name: str, source: str | None):
+    """The :class:`~repro.pipeline.dag.PipelineRun` of one lint/certify
+    target — a spec file, or a suite circuit when ``source`` is None —
+    with its SG built; None after printing the error when it will not
+    load."""
+    from .pipeline import PipelineRun
+
+    kw = dict(
+        name=name, store=store, method=args.method, delay_spread=args.spread
+    )
+    try:
+        if source is not None:
+            run = PipelineRun.from_file(source, **kw)
+        else:
+            from .bench import sg_of
+
+            run = PipelineRun.from_sg(sg_of(name), **kw)
+        run.sg()
+    except FileNotFoundError:
+        raise
+    except Exception as exc:
+        # a spec the front-end cannot even elaborate is an internal
+        # failure of the run, not a finding
+        print(f"error: failed to load {source or name}: {exc}", file=sys.stderr)
+        return None
+    return run
 
 
 class _SgSpec:
@@ -388,56 +416,19 @@ def _lint_body(args: argparse.Namespace) -> int:
     store = _store_from(args)
     results = []
     for name, source in targets:
-        pipeline = None
-        try:
-            if source is not None:
-                if store is not None:
-                    from .pipeline import PipelineRun
-
-                    pipeline = PipelineRun.from_file(
-                        source,
-                        name=name,
-                        store=store,
-                        method=args.method,
-                        delay_spread=args.spread,
-                    )
-                    sg = pipeline.sg()
-                else:
-                    sg = _load_sg(source)[1]
-            else:
-                from .bench import sg_of
-
-                sg = sg_of(name)
-                if store is not None:
-                    from .pipeline import PipelineRun
-
-                    pipeline = PipelineRun.from_sg(
-                        sg,
-                        name=name,
-                        store=store,
-                        method=args.method,
-                        delay_spread=args.spread,
-                    )
-        except FileNotFoundError:
-            raise
-        except Exception as exc:
-            # a spec the front-end cannot even elaborate is an internal
-            # failure of the lint run, not a rule finding
-            print(
-                f"error: failed to load {source or name}: {exc}",
-                file=sys.stderr,
-            )
+        run = _target_run(args, store, name, source)
+        if run is None:
             return 2
         results.append(
             analyze(
-                sg,
+                run.sg(),
                 name=name,
                 source=source,
                 spread=args.spread,
                 method=args.method,
                 select=select,
                 ignore=ignore,
-                pipeline=pipeline,
+                pipeline=run,
             )
         )
 
@@ -523,18 +514,18 @@ def _certify_body(args: argparse.Namespace) -> int:
         hz_ids = {r for r in default_registry().ids() if r.startswith("HZ")}
         results = []
         for name, source in targets:
-            sg, pipeline = _certify_load(args, name, source, store)
-            if sg is None:
+            run = _target_run(args, store, name, source)
+            if run is None:
                 return 2
             results.append(
                 analyze(
-                    sg,
+                    run.sg(),
                     name=name,
                     source=source,
                     spread=args.spread,
                     method=args.method,
                     select=hz_ids,
-                    pipeline=pipeline,
+                    pipeline=run,
                 )
             )
         rendered = render_sarif(results)
@@ -542,18 +533,12 @@ def _certify_body(args: argparse.Namespace) -> int:
     else:
         certs = []
         for name, source in targets:
-            sg, pipeline = _certify_load(args, name, source, store)
-            if sg is None:
+            run = _target_run(args, store, name, source)
+            if run is None:
                 return 2
             try:
-                if pipeline is not None:
-                    cert = pipeline.certify()
-                else:
-                    from .analysis.certify import certify_circuit
-
-                    cert = certify_circuit(
-                        synthesize(sg, name=name), name=name
-                    )
+                run.ensure_valid()
+                cert = run.certify()
             except Exception as exc:
                 print(
                     f"error: failed to certify {source or name}: {exc}",
@@ -597,47 +582,6 @@ def _certify_body(args: argparse.Namespace) -> int:
     else:
         print(rendered)
     return code
-
-
-def _certify_load(args: argparse.Namespace, name: str, source: str | None, store):
-    """Load one certify target; returns ``(sg, pipeline-or-None)`` or
-    ``(None, None)`` after printing the error."""
-    pipeline = None
-    try:
-        if source is not None:
-            if store is not None:
-                from .pipeline import PipelineRun
-
-                pipeline = PipelineRun.from_file(
-                    source,
-                    name=name,
-                    store=store,
-                    method=args.method,
-                    delay_spread=args.spread,
-                )
-                sg = pipeline.sg()
-            else:
-                sg = _load_sg(source)[1]
-        else:
-            from .bench import sg_of
-
-            sg = sg_of(name)
-            if store is not None:
-                from .pipeline import PipelineRun
-
-                pipeline = PipelineRun.from_sg(
-                    sg,
-                    name=name,
-                    store=store,
-                    method=args.method,
-                    delay_spread=args.spread,
-                )
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        print(f"error: failed to load {source or name}: {exc}", file=sys.stderr)
-        return None, None
-    return sg, pipeline
 
 
 def _certify_differential(args: argparse.Namespace) -> int:
@@ -2227,7 +2171,7 @@ def _add_cache_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--no-cache",
         action="store_true",
-        help="run hermetically, ignoring --cache-dir and REPRO_CACHE_DIR",
+        help="run without an artifact store, ignoring --cache-dir and REPRO_CACHE_DIR",
     )
 
 

@@ -1,6 +1,8 @@
 """Top-level N-SHOT synthesis — the ASSASSIN flow of the paper.
 
-:func:`synthesize` runs the full Section IV-E procedure:
+:func:`synthesize` runs the full Section IV-E procedure as one
+:class:`~repro.pipeline.dag.PipelineRun`, whose stages
+(:mod:`repro.pipeline.stages`) call the step functions defined here:
 
 1. validate the SG (consistency, CSC, semi-modularity with input
    choices) — the Theorem 2 preconditions;
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..analysis.engine import run_preflight
 from ..logic import Cover, minimize, verify_cover
 from ..netlist import DEFAULT_LIBRARY, Library, Netlist, NetlistStats
 from ..obs import trace_span
@@ -28,7 +29,7 @@ from ..sg.graph import StateGraph
 from .architecture import ArchitectureResult, build_nshot_netlist
 from .delays import DelayRequirement, compute_delay_requirement
 from .initialization import InitDecision, analyze_initialization
-from .sop_derivation import SopSpec, derive_sop_spec
+from .sop_derivation import SopSpec
 from .trigger import check_trigger_cubes, enforce_trigger_cubes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -42,7 +43,6 @@ __all__ = [
     "build_architecture",
     "finalize_circuit",
     "minimize_cover",
-    "preflight_or_raise",
     "synthesize",
 ]
 
@@ -105,22 +105,6 @@ class NShotCircuit:
         for d in self.initialization.values():
             lines.append("  init: " + d.describe())
         return "\n".join(lines)
-
-
-def preflight_or_raise(sg: StateGraph, name: str = "nshot") -> None:
-    """Run the Theorem-2 precondition rules; raise :class:`SynthesisError`
-    carrying the engine's structured diagnostics on any violation."""
-    with trace_span("validate"):
-        preflight = run_preflight(sg, name=name)
-    if not preflight.ok:
-        detail = "; ".join(
-            f"[{rid}] {len(ds)} finding(s), e.g. {ds[0].message}"
-            for rid, ds in preflight.by_rule().items()
-        )
-        raise SynthesisError(
-            f"SG fails the Theorem 2 preconditions: {detail}",
-            diagnostics=preflight.diagnostics,
-        )
 
 
 def minimize_cover(
@@ -271,10 +255,10 @@ def synthesize(
         AND gates can be shared between functions; False minimizes each
         function separately (the ablation knob).
     cache:
-        An optional :class:`~repro.pipeline.store.ArtifactStore`; when
-        given, the flow is pulled through the content-addressed
-        pipeline DAG so previously computed stage artifacts are reused.
-        ``None`` (the default) runs the hermetic in-process flow.
+        An optional :class:`~repro.pipeline.store.ArtifactStore` that
+        serves and records the stage artifacts.  With or without one
+        the flow is the same :class:`~repro.pipeline.dag.PipelineRun`;
+        ``None`` (the default) keeps every artifact in memory only.
 
     Raises
     ------
@@ -283,51 +267,15 @@ def synthesize(
     TriggerRequirementError
         When a non-single-traversal SG cannot satisfy Theorem 1.
     """
-    if cache is not None:
-        from ..pipeline import PipelineRun
+    from ..pipeline import PipelineRun
 
-        run = PipelineRun.from_sg(
-            sg,
-            name=name,
-            store=cache,
-            method=method,
-            library=library,
-            mhs_tau=mhs_tau,
-            delay_spread=delay_spread,
-            share_products=share_products,
-        )
-        return run.synthesize(validate=validate)
-
-    with trace_span("synthesize", circuit=name, method=method) as sp:
-        if validate:
-            # pre-flight: the Theorem-2 precondition rules of the
-            # static-analysis engine (consistency, CSC, semi-modularity)
-            # — the same registry `repro lint` runs
-            preflight_or_raise(sg, name=name)
-
-        spec = derive_sop_spec(sg)
-        cover = minimize_cover(
-            spec, method=method, share_products=share_products, name=name
-        )
-        cover, single, added = apply_trigger_requirement(sg, spec, cover)
-        # first pass netlist to get plane structure, then Equation (1)
-        arch = build_architecture(spec, cover, name=name)
-        circuit = finalize_circuit(
-            sg,
-            spec,
-            cover,
-            arch,
-            name=name,
-            method=method,
-            library=library,
-            mhs_tau=mhs_tau,
-            delay_spread=delay_spread,
-            single_traversal=single,
-            trigger_cubes_added=added,
-        )
-        sp.set(
-            states=sg.num_states,
-            cubes=len(circuit.cover),
-            gates=len(circuit.netlist.gates),
-        )
-    return circuit
+    return PipelineRun.from_sg(
+        sg,
+        name=name,
+        store=cache,
+        method=method,
+        library=library,
+        mhs_tau=mhs_tau,
+        delay_spread=delay_spread,
+        share_products=share_products,
+    ).synthesize(validate=validate)

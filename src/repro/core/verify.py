@@ -53,7 +53,6 @@ __all__ = [
     "VerificationSummary",
     "run_oracle",
     "verify_hazard_freeness",
-    "verify_static_first",
 ]
 
 
@@ -436,33 +435,4 @@ def verify_hazard_freeness(
         summary.coverage = coverage.summary()
     if sims:
         summary.traces = sims[-1].traces
-    return summary
-
-
-def verify_static_first(
-    circuit: NShotCircuit, **kwargs: object
-) -> VerificationSummary:
-    """Static certification first, Monte-Carlo only as the fallback.
-
-    Discharges the symbolic hazard certificate
-    (:func:`repro.analysis.certify.certify_circuit`); when every
-    obligation is ``proved`` the Monte-Carlo sweep is skipped entirely
-    and the summary carries the certificate instead of runs.  Any
-    ``refuted``/``unknown`` obligation falls back to the full
-    :func:`verify_hazard_freeness` sweep (same keyword arguments), with
-    the certificate still attached for reporting.
-
-    Soundness: skipping is only licensed by ``fully_proved``, and the
-    differential harness (certifier vs oracle over the suite + fuzz
-    corpus) enforces that ``proved`` never contradicts the oracle.
-    """
-    from ..analysis.certify import certify_circuit
-
-    cert = certify_circuit(circuit)
-    if cert.fully_proved:
-        return VerificationSummary(
-            certificate=cert.to_json(), static_skip=True
-        )
-    summary = verify_hazard_freeness(circuit, **kwargs)  # type: ignore[arg-type]
-    summary.certificate = cert.to_json()
     return summary

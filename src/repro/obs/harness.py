@@ -133,10 +133,11 @@ def bench_circuit(
     *untimed* verification sweep so the probes' watcher overhead never
     contaminates the wall-clock numbers.
 
-    With ``store`` (a :class:`~repro.pipeline.store.ArtifactStore`) the
-    synthesize+verify chain is pulled through the content-addressed
-    pipeline DAG and the entry gains a ``cache`` block with per-stage
-    hit/miss counts, so warm and cold documents are distinguishable.
+    The synthesize+verify chain is pulled through the pipeline DAG.
+    With ``store`` (a :class:`~repro.pipeline.store.ArtifactStore`) its
+    artifacts are content-addressed and the entry gains a ``cache``
+    block with per-stage hit/miss counts, so warm and cold documents
+    are distinguishable.
 
     With ``static_first`` the verification phase runs the symbolic
     hazard certifier first and skips the Monte-Carlo sweep on a
@@ -145,8 +146,7 @@ def bench_circuit(
     disappears from ``phases`` — the measurable win).
     """
     from ..bench.runner import sg_of
-    from ..core import synthesize, verify_hazard_freeness
-    from ..core.verify import verify_static_first
+    from ..pipeline import PipelineRun
 
     phase_runs: dict[str, list[float]] = {}
     phase_calls: dict[str, int] = {}
@@ -165,30 +165,14 @@ def bench_circuit(
         try:
             with tracing(tracer), tracer.span("bench-run", circuit=name, run=k):
                 sg = sg_of(name)
-                if store is None:
-                    circuit = synthesize(sg, name=name)
-                    verifier = (
-                        verify_static_first
-                        if static_first
-                        else verify_hazard_freeness
-                    )
-                    summary = verifier(
-                        circuit,
-                        runs=verify_runs,
-                        max_transitions=verify_transitions,
-                        base_seed=seed,
-                    )
-                else:
-                    from ..pipeline import PipelineRun
-
-                    prun = PipelineRun.from_sg(sg, name=name, store=store)
-                    circuit = prun.synthesize()
-                    summary = prun.verify(
-                        runs=verify_runs,
-                        max_transitions=verify_transitions,
-                        base_seed=seed,
-                        static_first=static_first,
-                    )
+                prun = PipelineRun.from_sg(sg, name=name, store=store)
+                circuit = prun.synthesize()
+                summary = prun.verify(
+                    runs=verify_runs,
+                    max_transitions=verify_transitions,
+                    base_seed=seed,
+                    static_first=static_first,
+                )
         finally:
             set_metrics(prev_metrics)
         totals.append(time.perf_counter() - t0)

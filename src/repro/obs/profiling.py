@@ -134,6 +134,9 @@ def _union_length(intervals: list[tuple[float, float]]) -> float:
 def stage_totals_from_spans(spans: list[Span]) -> dict[str, dict]:
     """Aggregate completed spans into ``{stage: wall/self/calls}``.
 
+    A ``pipeline.stage`` span folds onto its stage name unless a direct
+    child already carries that name, so each label counts its work once.
+
     ``self_s`` is the span's duration minus the *union* of its direct
     children's intervals clipped to the span — not their sum.  Adopted
     cross-process spans (fault-campaign / fuzz pools) run concurrently
@@ -144,15 +147,23 @@ def stage_totals_from_spans(spans: list[Span]) -> dict[str, dict]:
     more than the parent's own elapsed time.
     """
     done = [s for s in spans if s.end is not None]
-    ids = {s.span_id for s in done}
+    by_id = {s.span_id: s for s in done}
     children: dict[int, list[Span]] = {}
     for s in done:
-        if s.parent_id in ids:
+        if s.parent_id in by_id:
             children.setdefault(s.parent_id, []).append(s)
     out: dict[str, dict] = {}
     for s in done:
+        label = _stage_label(s)
+        if label != s.name and any(
+            c.name == label for c in children.get(s.span_id, ())
+        ):
+            # the stage's own code opened spans of that name (regions,
+            # sop-derivation, verify, certify): they are the work, the
+            # wrapper is pipeline bookkeeping around it
+            label = s.name
         agg = out.setdefault(
-            _stage_label(s), {"wall_s": 0.0, "self_s": 0.0, "calls": 0}
+            label, {"wall_s": 0.0, "self_s": 0.0, "calls": 0}
         )
         agg["calls"] += 1
         agg["wall_s"] += s.duration

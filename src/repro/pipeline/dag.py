@@ -1,16 +1,19 @@
 """Content-addressed execution of the stage DAG.
 
 A :class:`PipelineRun` is one specification's session with the
-pipeline: it canonicalizes the spec text into a root digest
-(:func:`repro.sg.sgformat.spec_digest`), derives one sha256 cache key
-per stage by hashing ::
+pipeline, and the only way the synthesis flow runs.  With a store
+attached it canonicalizes the spec text into a root digest
+(:func:`repro.sg.sgformat.spec_digest`) and derives one sha256 cache
+key per stage by hashing ::
 
     {schema, stage, STAGE_VERSIONS[stage], root digest,
      env fingerprint digest, stage params, upstream stage keys}
 
-and pulls artifacts demand-driven: memoized in-process, then the
+It pulls artifacts demand-driven: memoized in-process, then the
 :class:`~repro.pipeline.store.ArtifactStore` (when one is attached),
-then a real computation whose result is written back.  Because every
+then a real computation whose result is written back.  Without a store
+no key is computed, and a run rooted at an in-memory SG never renders
+or hashes it.  Because every
 key chains the keys of its dependencies, editing the spec, bumping a
 stage version or moving to a different machine invalidates exactly the
 downstream cone and nothing upstream.
@@ -33,6 +36,7 @@ import json
 import os
 import threading
 from contextlib import contextmanager
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Iterator
 
 from ..netlist import DEFAULT_LIBRARY, Library
@@ -40,11 +44,12 @@ from ..obs import trace_span
 from ..obs.registry import fingerprint_digest
 from ..sg.graph import StateGraph
 from ..sg.sgformat import canonicalize_spec, write_sg
-from .stages import STAGES, STAGE_VERSIONS
+from .stages import STAGES, STAGE_VERSIONS, Classification, CoverBundle
 from .store import ArtifactStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.certify import Certificate
+    from ..core.sop_derivation import SopSpec
     from ..core.synthesizer import NShotCircuit
     from ..core.verify import VerificationSummary
 
@@ -127,7 +132,7 @@ class PipelineRun:
 
     def __init__(
         self,
-        text: str,
+        text: str | None,
         *,
         name: str = "nshot",
         store: ArtifactStore | None = None,
@@ -140,11 +145,7 @@ class PipelineRun:
         share_products: bool = True,
         env_digest: str | None = None,
     ) -> None:
-        self.root_text = text
-        self.canonical_text = canonicalize_spec(text)
-        self.root_digest = hashlib.sha256(
-            self.canonical_text.encode()
-        ).hexdigest()
+        self._text = text
         self.dialect = dialect or (
             "sg" if ".state graph" in text else "g"
         )
@@ -163,7 +164,8 @@ class PipelineRun:
                 "pair_area": library.pair_area,
             },
         }
-        self.env_digest = env_digest or default_env_digest()
+        if env_digest:
+            self.env_digest = env_digest
         self.verify_params: dict[str, Any] | None = None
         self._memo: dict[str, Any] = {}
         self._outcomes: dict[str, str] = {}  # memo key -> "hit" | "miss"
@@ -206,21 +208,34 @@ class PipelineRun:
     def from_sg(cls, sg: StateGraph, *, name: str = "nshot", **kw: Any) -> "PipelineRun":
         """Root a run at an already-built in-memory SG.
 
-        The SG's ``.sg`` serialization is the content address; the
-        in-memory object itself is what a cold ``sg-build`` returns, so
-        no parse round-trip perturbs the artifacts.
+        The SG's ``.sg`` serialization is the content address (rendered
+        only when a store needs a key); the in-memory object itself is
+        what a cold ``sg-build`` returns, so no parse round-trip
+        perturbs the artifacts.
         """
-        return cls(
-            write_sg(sg, name),
-            name=name,
-            dialect="sg",
-            source_sg=sg,
-            **kw,
-        )
+        return cls(None, name=name, dialect="sg", source_sg=sg, **kw)
 
     # ------------------------------------------------------------------
-    # keys
+    # keys — computed on first use (a store key, or the parse stage)
     # ------------------------------------------------------------------
+    @property
+    def root_text(self) -> str:
+        if self._text is None:
+            self._text = write_sg(self.source_sg, self.name)
+        return self._text
+
+    @cached_property
+    def canonical_text(self) -> str:
+        return canonicalize_spec(self.root_text)
+
+    @cached_property
+    def root_digest(self) -> str:
+        return hashlib.sha256(self.canonical_text.encode()).hexdigest()
+
+    @cached_property
+    def env_digest(self) -> str:
+        return default_env_digest()
+
     def key_of(self, stage: str, extra: dict[str, Any] | None = None) -> str:
         """The content-addressed cache key of one stage's artifact."""
         sdef = STAGES[stage]
@@ -282,16 +297,16 @@ class PipelineRun:
     def sg(self) -> StateGraph:
         return self.artifact("sg-build")
 
-    def classification(self):
+    def classification(self) -> Classification:
         return self.artifact("classify")
 
     def regions(self):
         return self.artifact("regions")
 
-    def sop(self):
+    def sop(self) -> "SopSpec":
         return self.artifact("sop-derivation")
 
-    def covers(self):
+    def covers(self) -> CoverBundle:
         return self.artifact("covers")
 
     def architecture(self):
@@ -302,7 +317,8 @@ class PipelineRun:
         return self.artifact("certify")
 
     def ensure_valid(self) -> None:
-        """Raise the same :class:`SynthesisError` ``synthesize`` would."""
+        """Raise :class:`SynthesisError` when the SG fails the Theorem 2
+        preconditions (the ``classify`` stage verdict)."""
         cls = self.classification()
         if not cls.ok:
             from ..core.synthesizer import SynthesisError
@@ -311,11 +327,20 @@ class PipelineRun:
 
     def circuit(self) -> "NShotCircuit":
         """The final :class:`NShotCircuit` (no Theorem-2 gate)."""
+        return self.synthesize(validate=False)
+
+    def synthesize(self, validate: bool = True) -> "NShotCircuit":
+        """The N-SHOT circuit, gated on :meth:`ensure_valid` unless
+        ``validate=False``; one ``synthesize`` span covers both."""
         if "delays" in self._memo:
+            if validate:
+                self.ensure_valid()
             return self._memo["delays"]
         with trace_span(
             "synthesize", circuit=self.name, method=self.params["method"]
         ) as sp:
+            if validate:
+                self.ensure_valid()
             c = self.artifact("delays")
             sp.set(
                 states=c.sg.num_states,
@@ -323,11 +348,6 @@ class PipelineRun:
                 gates=len(c.netlist.gates),
             )
         return c
-
-    def synthesize(self, validate: bool = True) -> "NShotCircuit":
-        if validate:
-            self.ensure_valid()
-        return self.circuit()
 
     def verify(
         self,

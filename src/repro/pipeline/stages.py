@@ -37,6 +37,7 @@ from ..core.synthesizer import (
 from ..core.sop_derivation import derive_sop_spec
 from ..core.verify import verify_hazard_freeness
 from ..netlist import Library
+from ..obs import trace_span
 from ..sg.graph import StateGraph
 from ..sg.regions import SignalRegions, signal_regions
 from ..sg.sgformat import parse_sg
@@ -77,7 +78,7 @@ class Classification:
     """The ``classify`` stage artifact: the Theorem-2 preflight verdict."""
 
     ok: bool
-    #: the exact message :func:`repro.core.synthesizer.synthesize` raises
+    #: the :class:`~repro.core.synthesizer.SynthesisError` message
     message: str
     diagnostics: "list[Diagnostic]" = field(default_factory=list)
     num_states: int = 0
@@ -130,7 +131,8 @@ def _stage_sg_build(run: "PipelineRun") -> StateGraph:
 
 def _stage_classify(run: "PipelineRun") -> Classification:
     sg = run.artifact("sg-build")
-    preflight = run_preflight(sg, name=run.name)
+    with trace_span("validate"):
+        preflight = run_preflight(sg, name=run.name)
     message = ""
     if not preflight.ok:
         detail = "; ".join(

@@ -1,10 +1,14 @@
-"""A deliberately naive reference for the paper's regions (Definitions 5-7, 9).
+"""A deliberately naive reference for the paper's SG definitions.
 
-Written straight from the definitions as brute-force set comprehensions
-over explicit state and arc lists, sharing no code with
-:mod:`repro.sg.regions`, so the differential tests in
-``test_sg_reference.py`` check the real analysis against an independent
-reading of the paper rather than against itself.
+Covers the consistent state assignment (Section III-A), CSC
+(Definition 1), semi-modularity with input choices (Definition 2),
+detonant states and distributivity (Definitions 3-4) and the regions
+(Definitions 5-7, 9).  Written straight from the definitions as
+brute-force set comprehensions over explicit state and arc lists,
+sharing no code with :mod:`repro.sg`, so the differential tests in
+``test_sg_reference.py`` check the real classifiers and analysis
+against an independent reading of the paper rather than against
+themselves.
 
 Every function takes an :class:`Explicit` snapshot of a state graph:
 its state list, its codes and, per state, its outgoing arcs
@@ -43,6 +47,84 @@ class Explicit:
 
     def excited(self, s, a: int, direction: int | None = None) -> bool:
         return any(sig == a and direction in (None, d) for sig, d, _ in self.succ[s])
+
+
+def consistency_violations(g: Explicit) -> set[tuple]:
+    """Section III-A: an arc ``+a`` goes from a code with ``a = 0`` to one
+    with ``a = 1`` (``-a`` the reverse) and changes no other signal.
+    Returns the offending arcs as ``(src, signal, direction, dst)``."""
+    return {
+        (s, a, d, t)
+        for s in g.states
+        for a, d, t in g.succ[s]
+        if (g.value(s, a), g.value(t, a)) != ((0, 1) if d == 1 else (1, 0))
+        or (g.code[s] ^ g.code[t]) & ~(1 << a)
+    }
+
+
+def csc_violations(g: Explicit) -> set[frozenset]:
+    """Definition 1: unordered pairs of states with the same binary code
+    but different sets of excited non-input signals."""
+    excited = {
+        s: frozenset(a for a in g.non_inputs if g.excited(s, a)) for s in g.states
+    }
+    by_code: dict = {}
+    for s in g.states:
+        by_code.setdefault(g.code[s], []).append(s)
+    return {
+        frozenset((s, t))
+        for same in by_code.values()
+        for s in same
+        for t in same
+        if s != t and excited[s] != excited[t]
+    }
+
+
+def semimodularity_violations(g: Explicit) -> set[tuple]:
+    """Definition 2: for every state ``s``, non-input ``t1`` enabled in
+    ``s`` and other ``t2`` enabled in ``s``, ``t1`` stays enabled after
+    ``t2`` and ``s t1 t2`` and ``s t2 t1`` reach the same state (inputs
+    may disable each other: input choice).  Returns
+    ``(s, t1, t2, kind)`` with transitions as ``(signal, direction)``
+    and ``kind`` ``"disabled"`` or ``"no-diamond"``."""
+
+    def fire(s, t):
+        return next((d for a, dr, d in g.succ[s] if (a, dr) == t), None)
+
+    out = set()
+    for s in g.states:
+        enabled = [(a, d) for a, d, _ in g.succ[s]]
+        for t1 in enabled:
+            if t1[0] not in g.non_inputs:
+                continue
+            for t2 in enabled:
+                if t2 == t1:
+                    continue
+                after_t2 = fire(fire(s, t2), t1)
+                if after_t2 is None:
+                    out.add((s, t1, t2, "disabled"))
+                elif fire(fire(s, t1), t2) != after_t2:
+                    out.add((s, t1, t2, "no-diamond"))
+    return out
+
+
+def detonant_states(g: Explicit, a: int) -> set[tuple]:
+    """Definition 3: ``(w, {u, v})`` where ``a`` is stable in ``w`` but
+    excited in two distinct direct successors ``u`` and ``v``."""
+    hot = {s for s in g.states if g.excited(s, a)}
+    return {
+        (w, frozenset((u, v)))
+        for w in g.states
+        if w not in hot
+        for _, _, u in g.succ[w]
+        for _, _, v in g.succ[w]
+        if u != v and u in hot and v in hot
+    }
+
+
+def distributive(g: Explicit) -> bool:
+    """Definition 4: no non-input signal has a detonant state."""
+    return not any(detonant_states(g, a) for a in g.non_inputs)
 
 
 def _closure(seeds: set, step) -> frozenset:

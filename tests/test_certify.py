@@ -395,10 +395,11 @@ class TestStaticFirst:
         assert warm.report()["misses"] == 0
         assert warm.report()["stages"]["certify"] == "hit"
 
-    def test_verify_static_first_helper(self, celem_circuit):
-        from repro.core.verify import verify_static_first
+    def test_verify_static_first_helper(self, celem_sg):
+        from repro.pipeline import PipelineRun
 
-        summary = verify_static_first(celem_circuit, runs=1)
+        run = PipelineRun.from_sg(celem_sg, name="celem")
+        summary = run.verify(runs=1, static_first=True)
         assert summary.static_skip and summary.ok
 
     def test_bench_entry_records_skip(self):
@@ -445,6 +446,25 @@ class TestCertifyCli:
             r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]
         }
         assert {"HZ001", "HZ002", "HZ003", "HZ004", "HZ005"} <= rules
+
+    def test_spread_and_method_reach_every_run(
+        self, gfile, tmp_path, capsys, monkeypatch
+    ):
+        """``--spread``/``--method`` shape the certificate with and
+        without a store: both documents are equal and record them."""
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        argv = [
+            "certify", str(gfile), "--spread", "0.4", "--method", "exact",
+            "--format", "json",
+        ]
+        docs = []
+        for extra in ([], ["--cache-dir", str(tmp_path / "cache")]):
+            assert main(argv + extra) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0] == docs[1]
+        (cert,) = docs[0]["certificates"]
+        assert cert["spread"] == 0.4
+        assert cert["method"] == "exact"
 
     def test_no_targets_exits_two(self, capsys):
         assert main(["certify"]) == 2

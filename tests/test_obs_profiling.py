@@ -37,7 +37,7 @@ from repro.obs.profiling import (
     to_speedscope,
     validate_profile,
 )
-from repro.obs.trace import Span, Tracer, trace_span
+from repro.obs.trace import Span, Tracer, trace_span, tracing
 
 # repro.logic re-exports the minimize *function*, shadowing the
 # submodule attribute; resolve the module itself for monkeypatching
@@ -105,6 +105,29 @@ class TestStageTotals:
         ]
         totals = stage_totals_from_spans(spans)
         assert "espresso" in totals and "pipeline.stage" not in totals
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_pipeline_stage_wrapper_counts_once(self, cached, tmp_path):
+        """A stage whose code opens a span of its own name (regions,
+        sop-derivation) is counted once per span of work, not once more
+        for its ``pipeline.stage`` wrapper."""
+        from repro.bench.runner import sg_of
+        from repro.core import synthesize
+        from repro.pipeline import ArtifactStore
+
+        sg = sg_of("hybridf")
+        store = ArtifactStore(str(tmp_path / "cache")) if cached else None
+        tracer = Tracer()
+        with tracing(tracer):
+            synthesize(sg, name="hybridf", cache=store)
+        spans = tracer.spans()
+        totals = stage_totals_from_spans(spans)
+        assert len(sg.non_inputs) == 4
+        assert totals["regions"]["calls"] == 4
+        assert totals["sop-derivation"]["calls"] == 1
+        for label in ("regions", "sop-derivation"):
+            work = sum(s.duration for s in spans if s.name == label)
+            assert totals[label]["wall_s"] == pytest.approx(work)
 
     def test_adopted_worker_fanout_does_not_double_count(self):
         """The real merge path: a parent span waits while two overlapping

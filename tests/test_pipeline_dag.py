@@ -90,6 +90,24 @@ class TestKeys:
         by_text = PipelineRun.from_text(write_sg(sg, "celem"), name="celem")
         assert by_sg.root_digest == by_text.root_digest
 
+    def test_storeless_from_sg_never_renders_the_spec(self, monkeypatch):
+        """Without a store nothing needs a key, so the SG is never
+        serialized, canonicalized or hashed."""
+        import repro.pipeline.dag as dag
+
+        def refuse(*_a, **_kw):
+            raise AssertionError("spec rendered without a store")
+
+        sg = _celem_sg()
+        monkeypatch.setattr(dag, "write_sg", refuse)
+        monkeypatch.setattr(dag, "canonicalize_spec", refuse)
+        monkeypatch.setattr(dag, "default_env_digest", refuse)
+        run = PipelineRun.from_sg(sg, name="celem")
+        run.synthesize()
+        run.certify()
+        run.verify(runs=1)
+        assert run.executed[0] == "sg-build"
+
 
 def _celem_sg():
     from repro.stg import elaborate, parse_g

@@ -1,10 +1,13 @@
-"""Differential test: the region analysis against the naive reference.
+"""Differential test: the SG classifiers and region analysis against
+the naive reference.
 
-:mod:`tests.sg_reference` reads Definitions 5-7 and 9 independently of
-:mod:`repro.sg.regions`; any disagreement on the excitation, quiescent
-or trigger regions, or on single traversal, fails.  Regions are
-compared as sets of frozensets, so only membership matters, not the
-order the analysis lists them in.
+:mod:`tests.sg_reference` reads the consistent state assignment and
+Definitions 1-7 and 9 independently of :mod:`repro.sg`; any
+disagreement on consistency, CSC, semi-modularity with input choices,
+detonant states, distributivity, the excitation, quiescent or trigger
+regions, or single traversal fails.  Violations and regions are
+compared as sets, so only membership matters, not the order the code
+lists them in.
 """
 
 from __future__ import annotations
@@ -13,8 +16,25 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.circuits import DISTRIBUTIVE_BENCHMARKS, NONDISTRIBUTIVE_BENCHMARKS
+from repro.bench.circuits import (
+    DISTRIBUTIVE_BENCHMARKS,
+    NONDISTRIBUTIVE_BENCHMARKS,
+    figure1_csc_sg,
+    figure1_sg,
+    figure2_sg,
+    figure7a_sg,
+    figure7b_sg,
+)
 from repro.fuzz.generator import derive_seed, generate_spec, knob_combinations
+from repro.sg.distributivity import detonant_states, is_distributive
+from repro.sg.properties import (
+    check_consistency,
+    consistency_witnesses,
+    csc_violations,
+    is_semimodular_with_input_choices,
+    satisfies_csc,
+    semimodularity_violations,
+)
 from repro.sg.regions import is_single_traversal, signal_regions
 from repro.sg.sgformat import parse_sg
 from repro.stg import elaborate
@@ -62,25 +82,152 @@ def assert_agrees(sg) -> None:
     assert is_single_traversal(sg) == ref.single_traversal(triggers)
 
 
+def verdicts(sg) -> dict[str, bool]:
+    """The reference's verdict on each of Definitions 1-4 (plus consistency)."""
+    g = ref.Explicit.of(sg)
+    return {
+        "consistent": not ref.consistency_violations(g),
+        "csc": not ref.csc_violations(g),
+        "semimodular": not ref.semimodularity_violations(g),
+        "distributive": ref.distributive(g),
+    }
+
+
+def assert_properties_agree(sg) -> None:
+    """Definitions 1-4 and consistency: verdicts and violation sets."""
+    g = ref.Explicit.of(sg)
+    want = ref.consistency_violations(g)
+    got = {
+        (w.state, w.transition.signal, w.transition.direction, w.dest)
+        for w in consistency_witnesses(sg)
+    }
+    assert got == want
+    assert (check_consistency(sg) == []) == (not want)
+
+    want = ref.csc_violations(g)
+    assert {frozenset(p) for p in csc_violations(sg)} == want
+    assert satisfies_csc(sg) == (not want)
+
+    want = ref.semimodularity_violations(g)
+    got = {
+        (v.state, (v.t1.signal, v.t1.direction), (v.t2.signal, v.t2.direction), v.kind)
+        for v in semimodularity_violations(sg)
+    }
+    assert got == want
+    assert is_semimodular_with_input_choices(sg) == (not want)
+
+    for a in sg.non_inputs:
+        got = {(d.state, frozenset((d.u, d.v))) for d in detonant_states(sg, a)}
+        assert got == ref.detonant_states(g, a)
+    assert is_distributive(sg) == ref.distributive(g)
+
+
+def _drop_commuting_arc(sg):
+    """A copy where one non-input ``t1`` concurrent with some ``t2`` is
+    disabled by it (Definition 2 broken), or None without concurrency."""
+    for s in sorted(sg.states(), key=repr):
+        enabled = sg.enabled(s)
+        for t1 in enabled:
+            for t2 in enabled:
+                s2 = sg.succ(s, t2)
+                if t1 != t2 and not sg.is_input(t1.signal) and sg.succ(s2, t1) is not None:
+                    return sg.without_arc(s2, t1)
+    return None
+
+
+def _split_diamond(sg):
+    """A copy where the two interleavings of one non-input ``t1`` and a
+    concurrent ``t2`` end in different states of the same code
+    (Definition 2's no-diamond case), or None without concurrency."""
+    for s in sorted(sg.states(), key=repr):
+        enabled = sg.enabled(s)
+        for t1 in enabled:
+            for t2 in enabled:
+                if t1 == t2 or sg.is_input(t1.signal):
+                    continue
+                s1 = sg.succ(s, t1)
+                s3 = sg.succ(s1, t2)
+                if s3 is not None and sg.succ(sg.succ(s, t2), t1) == s3:
+                    bad = sg.without_arc(s1, t2)
+                    bad.add_state(("twin", s3), sg.code(s3))
+                    bad.add_arc(s1, t2, ("twin", s3))
+                    return bad
+    return None
+
+
+def _recode(sg):
+    """A copy with one state's code flipped, so the arcs touching it are
+    inconsistent.  ``StateGraph`` refuses such arcs, so the copy's codes
+    are rewritten after construction."""
+    bad = sg.subgraph(sg.states())
+    s = min(bad.states(), key=repr)
+    bad._code[s] ^= 1
+    return bad
+
+
+def assert_all_agree(sg) -> None:
+    """Regions and properties agree on ``sg``; on graphs of up to 1024
+    states, the properties also agree on its broken copies."""
+    assert_agrees(sg)
+    assert_properties_agree(sg)
+    if sg.num_states <= 1024:
+        for broken in _broken_copies(sg):
+            assert_properties_agree(broken)
+
+
+def _broken_copies(sg) -> list:
+    copies = (_drop_commuting_arc(sg), _split_diamond(sg), _recode(sg))
+    return [c for c in copies if c is not None]
+
+
 SUITE = [(n, lambda b=b: elaborate(b())) for n, (b, *_r) in DISTRIBUTIVE_BENCHMARKS.items()]
 SUITE += [(n, b) for n, (b, *_r) in NONDISTRIBUTIVE_BENCHMARKS.items()]
+PAPER = [figure1_sg, figure1_csc_sg, figure2_sg, figure7a_sg, figure7b_sg]
 
 
 @pytest.mark.parametrize("build", [b for _, b in SUITE], ids=[n for n, _ in SUITE])
 def test_table2_suite(build):
-    assert_agrees(build())
+    assert_all_agree(build())
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.g")), ids=lambda p: p.stem)
 def test_fuzz_corpus(path):
-    assert_agrees(parse_sg(path.read_text()))
+    assert_all_agree(parse_sg(path.read_text()))
+
+
+@pytest.mark.parametrize("build", PAPER, ids=lambda b: b.__name__)
+def test_paper_examples(build):
+    assert_all_agree(build())
 
 
 @pytest.mark.parametrize("knobs", knob_combinations(signals=6), ids=lambda k: k.short())
 def test_generated_specs(knobs):
     for i in range(40):
         spec = generate_spec(derive_seed(7, i), knobs)
-        assert_agrees(spec.sg)
+        assert_all_agree(spec.sg)
+        # the generator's labels agree with the independent reading
+        want = verdicts(spec.sg)
+        assert want["csc"] == knobs.csc
+        assert want["distributive"] == knobs.distributive
+
+
+def test_every_property_seen_both_ways():
+    """Guard against a vacuous pass: across the inputs above, each
+    property holds on some graph and fails on another."""
+    knobs = {k.short(): k for k in knob_combinations(signals=6)}
+    generated = [generate_spec(derive_seed(7, 0), knobs[k]).sg for k in ("cds", "nos")]
+    chu150 = elaborate(DISTRIBUTIVE_BENCHMARKS["chu150"][0]())
+    broken = _broken_copies(chu150)
+    assert len(broken) == 3
+    seen = [verdicts(sg) for sg in (*generated, figure1_sg(), *broken)]
+    for prop in seen[0]:
+        assert {v[prop] for v in seen} == {True, False}, prop
+    kinds = {
+        kind
+        for sg in broken
+        for *_w, kind in ref.semimodularity_violations(ref.Explicit.of(sg))
+    }
+    assert kinds == {"disabled", "no-diamond"}
 
 
 def test_reference_sees_multi_state_trigger_regions():
