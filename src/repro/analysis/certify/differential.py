@@ -123,16 +123,10 @@ def differential_suite(
     max_transitions: int = 60,
 ) -> list[DifferentialOutcome]:
     """Cross-check the paper suite (all 25 circuits by default)."""
-    from ...bench import (
-        DISTRIBUTIVE_BENCHMARKS,
-        NONDISTRIBUTIVE_BENCHMARKS,
-        sg_of,
-    )
+    from ...bench import TABLE2_CIRCUITS, sg_of
     from ...core.synthesizer import synthesize
 
-    suite = names or (
-        list(DISTRIBUTIVE_BENCHMARKS) + list(NONDISTRIBUTIVE_BENCHMARKS)
-    )
+    suite = names or TABLE2_CIRCUITS
     out: list[DifferentialOutcome] = []
     with trace_span("certify.differential", targets=len(suite)):
         for cname in suite:

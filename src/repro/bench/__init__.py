@@ -3,6 +3,7 @@
 from .circuits import (
     DISTRIBUTIVE_BENCHMARKS,
     NONDISTRIBUTIVE_BENCHMARKS,
+    TABLE2_CIRCUITS,
     build_distributive,
     build_nondistributive,
 )
@@ -15,6 +16,7 @@ __all__ = [
     "fault_circuit_names",
     "DISTRIBUTIVE_BENCHMARKS",
     "NONDISTRIBUTIVE_BENCHMARKS",
+    "TABLE2_CIRCUITS",
     "build_distributive",
     "build_nondistributive",
     "BenchmarkRow",

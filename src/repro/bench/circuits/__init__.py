@@ -26,6 +26,9 @@ from .nondistributive import (
     or_element,
 )
 
+#: every paper-suite circuit in Table 2 order (distributive part first)
+TABLE2_CIRCUITS = (*DISTRIBUTIVE_BENCHMARKS, *NONDISTRIBUTIVE_BENCHMARKS)
+
 __all__ = [
     "ring",
     "fork_join",
@@ -44,4 +47,5 @@ __all__ = [
     "NONDISTRIBUTIVE_BENCHMARKS",
     "build_nondistributive",
     "or_element",
+    "TABLE2_CIRCUITS",
 ]

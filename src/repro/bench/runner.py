@@ -21,7 +21,11 @@ from ..baselines import (
 from ..core import synthesize
 from ..sg.graph import StateGraph
 from ..stg import elaborate
-from .circuits import DISTRIBUTIVE_BENCHMARKS, NONDISTRIBUTIVE_BENCHMARKS
+from .circuits import (
+    DISTRIBUTIVE_BENCHMARKS,
+    NONDISTRIBUTIVE_BENCHMARKS,
+    TABLE2_CIRCUITS,
+)
 
 __all__ = ["BenchmarkRow", "run_benchmark", "run_table2", "sg_of"]
 
@@ -117,7 +121,7 @@ def run_table2(
 ) -> list[BenchmarkRow]:
     """Regenerate Table 2 (both parts, or a subset of rows)."""
     if names is None:
-        names = list(DISTRIBUTIVE_BENCHMARKS) + list(NONDISTRIBUTIVE_BENCHMARKS)
+        names = TABLE2_CIRCUITS
     return [
         run_benchmark(n, run_baselines=run_baselines, cache=cache)
         for n in names

@@ -389,12 +389,9 @@ def _lint_body(args: argparse.Namespace) -> int:
         (os.path.splitext(os.path.basename(p))[0], p) for p in args.files
     ]
     if args.suite:
-        from .bench import DISTRIBUTIVE_BENCHMARKS, NONDISTRIBUTIVE_BENCHMARKS
+        from .bench import TABLE2_CIRCUITS
 
-        targets.extend(
-            (bname, None)
-            for bname in (*DISTRIBUTIVE_BENCHMARKS, *NONDISTRIBUTIVE_BENCHMARKS)
-        )
+        targets.extend((bname, None) for bname in TABLE2_CIRCUITS)
     if not targets:
         print(
             "error: no lint targets (pass .g/.sg files and/or --suite)",
@@ -476,12 +473,9 @@ def _certify_targets(args: argparse.Namespace) -> list[tuple[str, str | None]]:
         (os.path.splitext(os.path.basename(p))[0], p) for p in args.files
     ]
     if args.suite:
-        from .bench import DISTRIBUTIVE_BENCHMARKS, NONDISTRIBUTIVE_BENCHMARKS
+        from .bench import TABLE2_CIRCUITS
 
-        targets.extend(
-            (bname, None)
-            for bname in (*DISTRIBUTIVE_BENCHMARKS, *NONDISTRIBUTIVE_BENCHMARKS)
-        )
+        targets.extend((bname, None) for bname in TABLE2_CIRCUITS)
     return targets
 
 
@@ -936,9 +930,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             circuits=args.circuits or None,
             quick=quick,
             runs=args.runs,
-            engine=args.engine,
             interval=args.interval,
-            memory=args.memory,
             top=args.top,
             progress=progress,
         )
@@ -1423,17 +1415,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump the verification run's waveforms (internal SOP nets "
         "included) as VCD",
     )
-    p_synth.add_argument(
-        "--profile",
-        action="store_true",
-        help="print the per-phase span tree (timings + metrics) to stderr",
-    )
-    p_synth.add_argument(
-        "--profile-out",
-        metavar="PATH",
-        help="persist the span tree as a repro-trace/1 JSON artifact "
-        "(implies tracing; combine with --profile for the stderr table)",
-    )
+    _add_profile_args(p_synth, out=True)
     p_synth.add_argument(
         "--lint",
         action=argparse.BooleanOptionalAction,
@@ -1452,17 +1434,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="dump an N-SHOT verification run's waveforms as VCD",
     )
-    p_cmp.add_argument(
-        "--profile",
-        action="store_true",
-        help="print the per-phase span tree (timings + metrics) to stderr",
-    )
-    p_cmp.add_argument(
-        "--profile-out",
-        metavar="PATH",
-        help="persist the span tree as a repro-trace/1 JSON artifact "
-        "(implies tracing; combine with --profile for the stderr table)",
-    )
+    _add_profile_args(p_cmp, out=True)
     p_cmp.add_argument(
         "--lint",
         action=argparse.BooleanOptionalAction,
@@ -1527,11 +1499,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the registered rule catalog and exit",
     )
-    p_lint.add_argument(
-        "--profile",
-        action="store_true",
-        help="print the per-phase span tree (timings + metrics) to stderr",
-    )
+    _add_profile_args(p_lint)
     _add_cache_args(p_lint)
     p_lint.set_defaults(func=cmd_lint)
 
@@ -1581,11 +1549,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --differential: list sound outcomes too",
     )
-    p_cert.add_argument(
-        "--profile",
-        action="store_true",
-        help="print the per-phase span tree (timings + metrics) to stderr",
-    )
+    _add_profile_args(p_cert)
     _add_cache_args(p_cert)
     p_cert.set_defaults(func=cmd_certify)
 
@@ -1761,11 +1725,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (json = repro-causality/1)",
     )
     p_x.add_argument("-o", "--output", help="write the chain to a file")
-    p_x.add_argument(
-        "--profile",
-        action="store_true",
-        help="print the per-phase span tree (timings + metrics) to stderr",
-    )
+    _add_profile_args(p_x)
     p_x.set_defaults(func=cmd_explain)
 
     p_b = sub.add_parser(
@@ -1851,23 +1811,11 @@ def build_parser() -> argparse.ArgumentParser:
         "on small circuits)",
     )
     p_p.add_argument(
-        "--engine",
-        choices=["sampler", "cprofile"],
-        default="sampler",
-        help="sampler = low-overhead wall-clock sampling (default); "
-        "cprofile = deterministic per-stage cProfile with call counts",
-    )
-    p_p.add_argument(
         "--interval",
         type=float,
         default=0.002,
         metavar="SECONDS",
         help="sampling interval for the sampler engine (default 0.002)",
-    )
-    p_p.add_argument(
-        "--memory",
-        action="store_true",
-        help="also track per-stage tracemalloc allocation deltas",
     )
     p_p.add_argument(
         "--top",
@@ -2173,6 +2121,23 @@ def _add_cache_args(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="run without an artifact store, ignoring --cache-dir and REPRO_CACHE_DIR",
     )
+
+
+def _add_profile_args(p: argparse.ArgumentParser, out: bool = False) -> None:
+    """``--profile`` (span tree to stderr), plus ``--profile-out`` on
+    the subcommands that persist the tree (``out``)."""
+    p.add_argument(
+        "--profile",
+        action="store_true",
+        help="print the per-phase span tree (timings + metrics) to stderr",
+    )
+    if out:
+        p.add_argument(
+            "--profile-out",
+            metavar="PATH",
+            help="persist the span tree as a repro-trace/1 JSON artifact "
+            "(implies tracing; combine with --profile for the stderr table)",
+        )
 
 
 def _add_coverage_args(p: argparse.ArgumentParser) -> None:

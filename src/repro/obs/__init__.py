@@ -1,45 +1,10 @@
 """Observability: structured tracing, metrics, and the bench harness.
 
-Dependency-free (stdlib only) so every pipeline layer can import the
-instrumentation hooks without cycles:
-
-* :mod:`repro.obs.trace` — span tracer (no-op by default, enable with
-  :func:`set_tracer`/:class:`tracing`); exports ``repro-trace/1`` JSON
-  and Chrome ``trace_event`` files;
-* :mod:`repro.obs.metrics` — counters / gauges / histograms with
-  percentile summaries;
-* :mod:`repro.obs.harness` — the machine-readable benchmark harness
-  behind ``repro bench`` (imported lazily: it depends on the synthesis
-  stack);
-* :mod:`repro.obs.telemetry` — circuit-physics hazard telemetry
-  (ω-margins, Equation (1) delay slack; imported lazily: it depends on
-  the simulator, which imports this package);
-* :mod:`repro.obs.registry` — append-only run-history store under
-  ``benchmarks/history/``;
-* :mod:`repro.obs.regress` — the noise-aware baseline comparison
-  behind ``repro regress`` (imported lazily, like the harness);
-* :mod:`repro.obs.causality` — the causal flight recorder behind
-  ``repro explain``: cause-DAG recording of simulator events and
-  ``repro-causality/1`` chain explanations (imported lazily);
-* :mod:`repro.obs.coverage` — SG state-space coverage maps
-  (states / excitation-region traversals / trigger cubes fired,
-  ``repro-coverage/1``; imported lazily);
-* :mod:`repro.obs.profiling` — stage-scoped hotspot profiler behind
-  ``repro profile``: sampling/cProfile engines folded through the span
-  tracer's contexts, ``repro-profile/1`` documents, collapsed-stack /
-  speedscope flamegraph exports, and differential profiles
-  (``repro-profile-diff/1``);
-* :mod:`repro.obs.analytics` — cross-run analytics over the run-history
-  ledger behind ``repro report``: per-phase/per-circuit time series,
-  median/MAD noise floors, the changepoint detector that attributes
-  sustained shifts to a commit range (``repro-analytics/1``), and the
-  auto-ratchet engine that derives tightened regress thresholds from
-  measured noise (``repro-ratchet/1``; imported lazily);
-* :mod:`repro.obs.report` — renderers for the analytics document,
-  including the self-contained HTML observatory dashboard (inline
-  CSS/SVG sparklines, zero external fetches).
-
-See docs/OBSERVABILITY.md for schemas and instrumentation guidance.
+The package root re-exports only the hooks every pipeline layer
+imports — the span tracer (:mod:`repro.obs.trace`) and the metrics
+registry (:mod:`repro.obs.metrics`), both stdlib-only.  Every other
+module (harness, profiling, regress, analytics, …) is imported by name
+where it is used; docs/OBSERVABILITY.md describes them all.
 """
 
 from .metrics import (
@@ -50,14 +15,6 @@ from .metrics import (
     get_metrics,
     percentile,
     set_metrics,
-)
-from .profiling import (
-    PROFILE_DIFF_SCHEMA,
-    PROFILE_SCHEMA,
-    ProfileSession,
-    diff_profiles,
-    profile_suite,
-    stage_totals_from_spans,
 )
 from .trace import (
     TRACE_SCHEMA,
@@ -71,12 +28,6 @@ from .trace import (
 )
 
 __all__ = [
-    "PROFILE_DIFF_SCHEMA",
-    "PROFILE_SCHEMA",
-    "ProfileSession",
-    "diff_profiles",
-    "profile_suite",
-    "stage_totals_from_spans",
     "Counter",
     "Gauge",
     "Histogram",

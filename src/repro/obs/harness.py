@@ -25,7 +25,7 @@ import sys
 import time
 
 from .metrics import MetricsRegistry, get_metrics, percentile, set_metrics
-from .trace import Tracer, tracing
+from .trace import Tracer, trace_span, tracing
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -35,6 +35,7 @@ __all__ = [
     "environment_fingerprint",
     "quick_circuits",
     "run_bench",
+    "run_circuit",
     "validate_bench",
     "write_bench",
 ]
@@ -109,6 +110,37 @@ def default_bench_path(directory: str = ".", tag: str | None = None) -> str:
 # ----------------------------------------------------------------------
 # measurement
 # ----------------------------------------------------------------------
+def run_circuit(
+    name: str,
+    run: int = 0,
+    verify_runs: int = 3,
+    verify_transitions: int = 40,
+    seed: int = 0,
+    store=None,
+    static_first: bool = False,
+):
+    """One synthesize+verify pass of a suite circuit under the current
+    tracer, inside a ``bench-run`` span.
+
+    This is the one suite runner: the bench times it and the profiler
+    samples it (its frame is where folded stacks start).  Returns the
+    :class:`~repro.pipeline.PipelineRun` and its verification summary.
+    """
+    from ..bench.runner import sg_of
+    from ..pipeline import PipelineRun
+
+    with trace_span("bench-run", circuit=name, run=run):
+        prun = PipelineRun.from_sg(sg_of(name), name=name, store=store)
+        prun.synthesize()
+        summary = prun.verify(
+            runs=verify_runs,
+            max_transitions=verify_transitions,
+            base_seed=seed,
+            static_first=static_first,
+        )
+    return prun, summary
+
+
 def bench_circuit(
     name: str,
     runs: int = 3,
@@ -145,9 +177,6 @@ def bench_circuit(
     recording whether the skip happened (the ``oracle`` phase then
     disappears from ``phases`` — the measurable win).
     """
-    from ..bench.runner import sg_of
-    from ..pipeline import PipelineRun
-
     phase_runs: dict[str, list[float]] = {}
     phase_calls: dict[str, int] = {}
     totals: list[float] = []
@@ -163,14 +192,14 @@ def bench_circuit(
         registry = set_metrics(MetricsRegistry())
         t0 = time.perf_counter()
         try:
-            with tracing(tracer), tracer.span("bench-run", circuit=name, run=k):
-                sg = sg_of(name)
-                prun = PipelineRun.from_sg(sg, name=name, store=store)
-                circuit = prun.synthesize()
-                summary = prun.verify(
-                    runs=verify_runs,
-                    max_transitions=verify_transitions,
-                    base_seed=seed,
+            with tracing(tracer):
+                prun, summary = run_circuit(
+                    name,
+                    run=k,
+                    verify_runs=verify_runs,
+                    verify_transitions=verify_transitions,
+                    seed=seed,
+                    store=store,
                     static_first=static_first,
                 )
         finally:
@@ -183,7 +212,7 @@ def bench_circuit(
             for stage, outcome in rep["stages"].items():
                 tally = cache_stages.setdefault(stage, {"hit": 0, "miss": 0})
                 tally[outcome] += 1
-        states = sg.num_states
+        states = prun.sg().num_states
         for phase, agg in tracer.phase_totals().items():
             phase_runs.setdefault(phase, []).append(agg["total_s"])
             phase_calls[phase] = agg["calls"]
@@ -256,6 +285,7 @@ def bench_circuit(
             from .coverage import CoverageMap
             from .telemetry import HazardTelemetry
 
+            circuit = prun.synthesize()  # memoized by the last run
             tele = HazardTelemetry.for_circuit(circuit)
             cov = CoverageMap.for_circuit(circuit)
             # keep probe runs out of caller metrics
@@ -319,14 +349,10 @@ def run_bench(
     (top hotspot functions per phase) plus a document-level summary —
     so the timed medians stay uncontaminated by the sampler.
     """
-    from ..bench.circuits import DISTRIBUTIVE_BENCHMARKS, NONDISTRIBUTIVE_BENCHMARKS
+    from ..bench.circuits import TABLE2_CIRCUITS
 
     if circuits is None:
-        circuits = (
-            quick_circuits()
-            if quick
-            else list(DISTRIBUTIVE_BENCHMARKS) + list(NONDISTRIBUTIVE_BENCHMARKS)
-        )
+        circuits = quick_circuits() if quick else list(TABLE2_CIRCUITS)
     if runs is None:
         runs = 1 if quick else 3
     if verify_runs is None:

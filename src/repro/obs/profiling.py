@@ -7,21 +7,15 @@ span tracer's contexts, so every sample folds to
 reads in the pipeline's own vocabulary (``espresso``, ``oracle``,
 ``reachability`` …), not as one undifferentiated Python blob.
 
-Two engines, both stdlib-only:
-
-* ``sampler`` (default) — a daemon thread snapshots the workload
-  thread's Python stack via ``sys._current_frames()`` on a fixed
-  interval and asks the tracer (:meth:`Tracer.stack_of`) which span is
-  open at that instant.  Weights are the measured inter-sample delta,
-  so the profile is wall-time-faithful and the overhead stays in the
-  low single digits (the <10% contract ``tests/test_obs_profiling.py``
-  enforces).
-* ``cprofile`` — deterministic per-stage :mod:`cProfile` segments,
-  swapped at span boundaries through the tracer's listener hooks.
-  Exact call counts, higher overhead; for zooming into one circuit.
-
-``memory=True`` adds :mod:`tracemalloc` net-allocation deltas per
-stage plus the top allocating source lines.
+One stdlib-only engine, the sampler: a daemon thread snapshots the
+workload thread's Python stack via ``sys._current_frames()`` on a fixed
+interval and asks the tracer (:meth:`Tracer.stack_of`) which span is
+open at that instant.  Weights are the measured inter-sample delta, so
+the profile is wall-time-faithful and the overhead stays in the low
+single digits (the <10% contract ``tests/test_obs_profiling.py``
+enforces).  The workload is the bench's own per-circuit pass,
+:func:`repro.obs.harness.run_circuit`, so hotspots attribute exactly
+the pipeline the bench numbers measure.
 
 Everything exports through one stable document, ``repro-profile/1``
 (see docs/OBSERVABILITY.md): per-stage wall/self/sampled seconds and
@@ -56,13 +50,10 @@ __all__ = [
     "PROFILE_DIFF_SCHEMA",
     "UNATTRIBUTED",
     "RATE_METRICS",
-    "CProfileEngine",
     "ProfileSession",
     "StackSampler",
     "diff_profiles",
     "hotspot_summary",
-    "profile_circuit",
-    "profile_circuit_run",
     "profile_suite",
     "render_diff_text",
     "render_profile_text",
@@ -92,8 +83,8 @@ RATE_METRICS = {
     "reachability.states": "reachability_states_per_s",
 }
 
-#: folded stacks are trimmed to start at this harness boundary frame
-_BOUNDARY_FUNC = "profile_circuit_run"
+#: folded stacks are trimmed to start at the bench's per-circuit runner
+_BOUNDARY_FUNC = "run_circuit"
 
 
 def _stage_label(span: Span) -> str:
@@ -105,9 +96,7 @@ def _stage_label(span: Span) -> str:
 
 
 def _frame_label(code) -> str:
-    """``file.py:function`` label of a code object (or builtin name)."""
-    if isinstance(code, str):  # builtin reported by cProfile
-        return f"<{code}>"
+    """``file.py:function`` label of a code object."""
     base = os.path.basename(code.co_filename)
     if base == "__init__.py":
         parent = os.path.basename(os.path.dirname(code.co_filename))
@@ -179,7 +168,7 @@ def stage_totals_from_spans(spans: list[Span]) -> dict[str, dict]:
 
 
 # ----------------------------------------------------------------------
-# engines
+# engine
 # ----------------------------------------------------------------------
 class StackSampler:
     """Wall-clock sampling profiler for one workload thread.
@@ -267,125 +256,6 @@ class StackSampler:
             self.count += 1
 
 
-class CProfileEngine:
-    """Deterministic per-stage profiling through the tracer's listeners.
-
-    One :class:`cProfile.Profile` segment runs between consecutive span
-    boundaries on the workload thread; at every boundary the finished
-    segment is harvested into the stage that was innermost while it
-    ran.  Function self-time is attributed per ``caller → callee`` edge
-    (two-deep folded stacks) with the residual self-time of root
-    functions folded as single-frame stacks, so segment totals are
-    preserved exactly.
-    """
-
-    def __init__(self) -> None:
-        self.tid = threading.get_ident()
-        #: ``{(circuit, stage, frames-tuple): seconds}``
-        self.weights: dict[tuple, float] = {}
-        #: ``{(circuit, stage, func): calls}``
-        self.calls: dict[tuple, int] = {}
-        self.sampled_s = 0.0
-        self.count = 0
-        self._prof = None
-        self._context: tuple[str, str] = ("", UNATTRIBUTED)
-        self._spans: list[tuple[int, str, str]] = []
-
-    def start(self) -> None:
-        self._begin("", UNATTRIBUTED)
-
-    def stop(self) -> None:
-        self._harvest()
-
-    # -- tracer listener protocol --------------------------------------
-    def span_started(self, span: Span) -> None:
-        if threading.get_ident() != self.tid:
-            return
-        self._harvest()
-        stage = _stage_label(span)
-        circuit = str(
-            span.attrs.get("circuit")
-            or (self._spans[-1][2] if self._spans else "")
-        )
-        self._spans.append((span.span_id, stage, circuit))
-        self._begin(circuit, stage)
-
-    def span_finished(self, span: Span) -> None:
-        if threading.get_ident() != self.tid:
-            return
-        self._harvest()
-        if self._spans and self._spans[-1][0] == span.span_id:
-            self._spans.pop()
-        if self._spans:
-            _, stage, circuit = self._spans[-1]
-            self._begin(circuit, stage)
-        else:
-            self._begin("", UNATTRIBUTED)
-
-    # -- segment management --------------------------------------------
-    def _begin(self, circuit: str, stage: str) -> None:
-        import cProfile
-
-        self._context = (circuit, stage)
-        self._prof = cProfile.Profile()
-        self._prof.enable()
-
-    def _harvest(self) -> None:
-        prof, self._prof = self._prof, None
-        if prof is None:
-            return
-        prof.disable()
-        circuit, stage = self._context
-        entries = prof.getstats()
-        callee_attr: dict[str, float] = {}
-        for e in entries:
-            caller = _frame_label(e.code)
-            for sub in e.calls or ():
-                callee = _frame_label(sub.code)
-                callee_attr[callee] = (
-                    callee_attr.get(callee, 0.0) + sub.inlinetime
-                )
-                key = (circuit, stage, (caller, callee))
-                self.weights[key] = self.weights.get(key, 0.0) + sub.inlinetime
-                self.sampled_s += sub.inlinetime
-        for e in entries:
-            func = _frame_label(e.code)
-            ckey = (circuit, stage, func)
-            self.calls[ckey] = self.calls.get(ckey, 0) + e.callcount
-            residual = e.inlinetime - callee_attr.get(func, 0.0)
-            if residual > 1e-9:
-                key = (circuit, stage, (func,))
-                self.weights[key] = self.weights.get(key, 0.0) + residual
-                self.sampled_s += residual
-        self.count += len(entries)
-
-
-class _MemoryWatch:
-    """Per-stage tracemalloc net-allocation deltas (tracer listener)."""
-
-    def __init__(self) -> None:
-        self._starts: dict[int, int] = {}
-        self.stages: dict[str, dict] = {}
-
-    def span_started(self, span: Span) -> None:
-        import tracemalloc
-
-        self._starts[span.span_id] = tracemalloc.get_traced_memory()[0]
-
-    def span_finished(self, span: Span) -> None:
-        import tracemalloc
-
-        start = self._starts.pop(span.span_id, None)
-        if start is None:
-            return
-        delta = tracemalloc.get_traced_memory()[0] - start
-        agg = self.stages.setdefault(
-            _stage_label(span), {"net_kb": 0.0, "spans": 0}
-        )
-        agg["net_kb"] += delta / 1024.0
-        agg["spans"] += 1
-
-
 # ----------------------------------------------------------------------
 # session
 # ----------------------------------------------------------------------
@@ -393,90 +263,44 @@ class ProfileSession:
     """Profile one block of pipeline work with stage attribution.
 
     Installs a fresh tracer + metrics registry globally (restored on
-    exit), arms the chosen engine, and afterwards renders everything
-    into one ``repro-profile/1`` document::
+    exit), arms the sampler, and afterwards renders everything into one
+    ``repro-profile/1`` document::
 
         with ProfileSession() as sess:
-            profile_circuit_run("chu150")
+            run_circuit("chu150")
         doc = sess.document(circuits=["chu150"])
     """
 
     def __init__(
         self,
-        engine: str = "sampler",
         interval: float = DEFAULT_INTERVAL,
-        memory: bool = False,
         tracer: Tracer | None = None,
     ) -> None:
-        if engine not in ("sampler", "cprofile"):
-            raise ValueError(f"unknown profile engine {engine!r}")
-        self.engine_name = engine
         self.interval = interval
-        self.memory = memory
         self.tracer = tracer or Tracer()
         self.wall_s: float | None = None
         self.metrics_snapshot: dict = {"counters": {}, "gauges": {}}
-        self._engine: StackSampler | CProfileEngine | None = None
-        self._memwatch: _MemoryWatch | None = None
-        self._mem_top: list[dict] = []
-        self._mem_peak_kb = 0.0
 
     def __enter__(self) -> "ProfileSession":
         self._prev_metrics = get_metrics()
         self.metrics = set_metrics(MetricsRegistry())
         self._ctx = tracing(self.tracer)
         self._ctx.__enter__()
-        if self.memory:
-            import tracemalloc
-
-            self._mem_started = not tracemalloc.is_tracing()
-            if self._mem_started:
-                tracemalloc.start()
-            tracemalloc.reset_peak()
-            self._memwatch = _MemoryWatch()
-            self.tracer.add_listener(self._memwatch)
+        # a CPU-bound workload thread only yields the GIL every switch
+        # interval (5ms default), which would starve the sampler below
+        # its nominal rate; halve it under the requested interval for
+        # the session
         self._prev_switch = sys.getswitchinterval()
-        if self.engine_name == "sampler":
-            # a CPU-bound workload thread only yields the GIL every
-            # switch interval (5ms default), which would starve the
-            # sampler below its nominal rate; halve it under the
-            # requested interval for the session
-            sys.setswitchinterval(min(self._prev_switch, self.interval / 2))
-            self._engine = StackSampler(self.tracer, interval=self.interval)
-            self._engine.start()
-        else:
-            self._engine = CProfileEngine()
-            self.tracer.add_listener(self._engine)
-            self._engine.start()
+        sys.setswitchinterval(min(self._prev_switch, self.interval / 2))
+        self._sampler = StackSampler(self.tracer, interval=self.interval)
+        self._sampler.start()
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> bool:
         self.wall_s = time.perf_counter() - self._t0
         sys.setswitchinterval(self._prev_switch)
-        if isinstance(self._engine, StackSampler):
-            self._engine.stop()
-        elif self._engine is not None:
-            self._engine.stop()
-            self.tracer.remove_listener(self._engine)
-        if self._memwatch is not None:
-            import tracemalloc
-
-            self.tracer.remove_listener(self._memwatch)
-            self._mem_peak_kb = tracemalloc.get_traced_memory()[1] / 1024.0
-            stats = tracemalloc.take_snapshot().statistics("lineno")[:10]
-            self._mem_top = [
-                {
-                    "site": "{}:{}".format(
-                        os.path.basename(st.traceback[0].filename),
-                        st.traceback[0].lineno,
-                    ),
-                    "kb": round(st.size / 1024.0, 1),
-                }
-                for st in stats
-            ]
-            if self._mem_started:
-                tracemalloc.stop()
+        self._sampler.stop()
         self.metrics_snapshot = self.metrics.snapshot()
         set_metrics(self._prev_metrics)
         self._ctx.__exit__(None, None, None)
@@ -495,7 +319,7 @@ class ProfileSession:
             raise RuntimeError("ProfileSession still open: exit it first")
         from .harness import environment_fingerprint
 
-        weights = self._engine.weights if self._engine else {}
+        weights = self._sampler.weights
         span_totals = stage_totals_from_spans(self.tracer.spans())
         stage_sampled: dict[str, float] = {}
         stage_funcs: dict[tuple[str, str], float] = {}
@@ -525,8 +349,6 @@ class ProfileSession:
             ps["sampled_s"] += w
             ps["funcs"][leaf] = ps["funcs"].get(leaf, 0.0) + w
 
-        calls = getattr(self._engine, "calls", None)
-
         def _func_rows(stage: str, limit: int) -> list[dict]:
             rows = sorted(
                 (
@@ -537,23 +359,14 @@ class ProfileSession:
                 key=lambda kv: (-kv[1], kv[0]),
             )
             denom = stage_sampled.get(stage, 0.0) or 1e-12
-            out = []
-            for f, w in rows[:limit]:
-                row = {
+            return [
+                {
                     "func": f,
                     "self_s": round(w, 6),
                     "pct": round(100.0 * w / denom, 2),
                 }
-                if calls is not None:
-                    n = sum(
-                        c
-                        for (circ, s, fn), c in calls.items()
-                        if s == stage and fn == f
-                    )
-                    if n:
-                        row["calls"] = n
-                out.append(row)
-            return out
+                for f, w in rows[:limit]
+            ]
 
         stages_doc = {}
         order = sorted(
@@ -592,11 +405,11 @@ class ProfileSession:
             "created_utc": datetime.datetime.now(datetime.timezone.utc).strftime(
                 "%Y-%m-%dT%H:%M:%SZ"
             ),
-            "engine": self.engine_name,
-            "interval_s": self.interval if self.engine_name == "sampler" else None,
+            "engine": "sampler",
+            "interval_s": self.interval,
             "wall_s": round(self.wall_s, 6),
             "sampled_s": round(total_w, 6),
-            "samples": self._engine.count if self._engine else 0,
+            "samples": self._sampler.count,
             "attributed_s": round(attributed_w, 6),
             "attributed_pct": round(100.0 * attributed_w / total_w, 2)
             if total_w
@@ -615,18 +428,6 @@ class ProfileSession:
             "metrics": {k: flat[k] for k in sorted(flat)},
             "rates": rates,
         }
-        if self._memwatch is not None:
-            doc["memory"] = {
-                "peak_kb": round(self._mem_peak_kb, 1),
-                "stages": {
-                    stage: {
-                        "net_kb": round(agg["net_kb"], 1),
-                        "spans": agg["spans"],
-                    }
-                    for stage, agg in sorted(self._memwatch.stages.items())
-                },
-                "top": self._mem_top,
-            }
         if per_circuit:
             doc["per_circuit"] = {
                 circ: {
@@ -666,92 +467,43 @@ class ProfileSession:
 # ----------------------------------------------------------------------
 # suite drivers
 # ----------------------------------------------------------------------
-def profile_circuit_run(
-    name: str,
-    verify_runs: int = 1,
-    verify_transitions: int = 40,
-    seed: int = 0,
-) -> None:
-    """One synthesize+verify pass of a suite circuit under the current
-    (profiled) tracer.  This function is the folded-stack boundary:
-    sampled stacks are trimmed to start here."""
-    from ..bench.runner import sg_of
-    from ..core import synthesize, verify_hazard_freeness
-    from .trace import trace_span
-
-    with trace_span("bench-run", circuit=name):
-        sg = sg_of(name)
-        circuit = synthesize(sg, name=name)
-        verify_hazard_freeness(
-            circuit,
-            runs=verify_runs,
-            max_transitions=verify_transitions,
-            base_seed=seed,
-        )
-
-
 def profile_suite(
     circuits: list[str] | None = None,
     quick: bool = False,
     runs: int = 1,
     verify_runs: int | None = None,
-    engine: str = "sampler",
     interval: float = DEFAULT_INTERVAL,
-    memory: bool = False,
     top: int = 25,
     progress=None,
 ) -> dict:
     """Profile the benchmark suite and return the profile document.
 
     ``circuits`` defaults to the whole paper suite, or the quick subset
-    with ``quick``.  The workload matches ``repro bench`` (synthesize +
-    Monte-Carlo verify per circuit) so hotspots attribute the same
+    with ``quick``.  Each pass is the bench's own
+    :func:`~repro.obs.harness.run_circuit` (synthesize + Monte-Carlo
+    verify through the pipeline), so hotspots attribute the same
     pipeline the bench numbers measure.
     """
-    from ..bench.circuits import DISTRIBUTIVE_BENCHMARKS, NONDISTRIBUTIVE_BENCHMARKS
-    from .harness import quick_circuits
+    from ..bench.circuits import TABLE2_CIRCUITS
+    from .harness import quick_circuits, run_circuit
 
     if circuits is None:
-        circuits = (
-            quick_circuits()
-            if quick
-            else list(DISTRIBUTIVE_BENCHMARKS) + list(NONDISTRIBUTIVE_BENCHMARKS)
-        )
+        circuits = quick_circuits() if quick else list(TABLE2_CIRCUITS)
     if verify_runs is None:
         verify_runs = 1 if quick else 3
     # warm the workload's lazy imports outside the session: first-use
     # module import otherwise lands as unattributed sample weight
     from ..bench import runner as _runner  # noqa: F401
-    from ..core import synthesize, verify_hazard_freeness  # noqa: F401
+    from ..core import verify_hazard_freeness  # noqa: F401
+    from ..pipeline import PipelineRun  # noqa: F401
 
-    with ProfileSession(engine=engine, interval=interval, memory=memory) as sess:
+    with ProfileSession(interval=interval) as sess:
         for name in circuits:
-            for _ in range(max(1, runs)):
-                profile_circuit_run(name, verify_runs=verify_runs)
+            for k in range(max(1, runs)):
+                run_circuit(name, run=k, verify_runs=verify_runs)
             if progress is not None:
                 progress(name)
     return sess.document(circuits=list(circuits), quick=quick, runs=runs, top=top)
-
-
-def profile_circuit(
-    name: str,
-    runs: int = 1,
-    verify_runs: int = 1,
-    engine: str = "sampler",
-    interval: float = DEFAULT_INTERVAL,
-    memory: bool = False,
-    top: int = 25,
-) -> dict:
-    """Profile a single suite circuit (regress hotspot attribution)."""
-    return profile_suite(
-        circuits=[name],
-        runs=runs,
-        verify_runs=verify_runs,
-        engine=engine,
-        interval=interval,
-        memory=memory,
-        top=top,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -512,14 +512,10 @@ def run_regress(
     # a baseline may list circuits the suite has since renamed or
     # removed; benchmarking one would crash the fresh run, so they are
     # skipped structurally and reported
-    from ..bench.circuits import (
-        DISTRIBUTIVE_BENCHMARKS,
-        NONDISTRIBUTIVE_BENCHMARKS,
-    )
+    from ..bench.circuits import TABLE2_CIRCUITS
 
-    known = set(DISTRIBUTIVE_BENCHMARKS) | set(NONDISTRIBUTIVE_BENCHMARKS)
-    skipped_unknown = [n for n in targets if n not in known]
-    targets = [n for n in targets if n in known]
+    skipped_unknown = [n for n in targets if n not in TABLE2_CIRCUITS]
+    targets = [n for n in targets if n in TABLE2_CIRCUITS]
     if not targets:
         raise ValueError(
             "no baseline circuit is known to the current benchmark suite"
@@ -621,7 +617,7 @@ def _attribute_hotspots(
     times are matched per (stage, function) against the per-circuit
     block of the committed profile document when one exists.
     """
-    from .profiling import hotspot_summary, profile_circuit
+    from .profiling import hotspot_summary, profile_suite
 
     base_doc, base_file = _baseline_profile(history_dir)
     report.profile_baseline = base_file
@@ -643,7 +639,7 @@ def _attribute_hotspots(
     for d in report.regressions:
         convicted.setdefault(d.circuit, set()).add(d.phase)
     for circuit in sorted(convicted):
-        doc = profile_circuit(circuit, runs=1, verify_runs=verify_runs)
+        doc = profile_suite(circuits=[circuit], verify_runs=verify_runs)
         # 'total' is not a span name; a total-only conviction means the
         # slowdown is smeared, so attribute across every sampled stage
         stages = convicted[circuit] - {"total"}

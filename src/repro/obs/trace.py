@@ -160,10 +160,6 @@ class Tracer:
         self._stacks: dict[int, list[Span]] = {}
         self._spans: list[Span] = []
         self._next_id = 1
-        #: objects with span_started(span)/span_finished(span) methods,
-        #: called synchronously on the recording thread (profilers hook
-        #: here to swap per-stage collectors)
-        self.listeners: list = []
         # absolute time base: epoch + perf_counter() is wall-clock with
         # monotonic high-resolution deltas
         self._epoch = time.time() - time.perf_counter()
@@ -212,8 +208,6 @@ class Tracer:
 
     def _push(self, span: Span) -> None:
         self._stack().append(span)
-        for listener in self.listeners:
-            listener.span_started(span)
 
     def _pop(self, span: Span) -> None:
         span.end = self._now()
@@ -227,19 +221,6 @@ class Tracer:
                 pass
         with self._lock:
             self._spans.append(span)
-        for listener in self.listeners:
-            listener.span_finished(span)
-
-    def add_listener(self, listener) -> None:
-        """Register a span_started/span_finished observer."""
-        if listener not in self.listeners:
-            self.listeners.append(listener)
-
-    def remove_listener(self, listener) -> None:
-        try:
-            self.listeners.remove(listener)
-        except ValueError:
-            pass
 
     def current_span_id(self) -> int | None:
         """Id of the innermost open span on this thread (None outside)."""

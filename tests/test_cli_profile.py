@@ -95,13 +95,6 @@ class TestProfileCommand:
         assert "engine=sampler" in printed
         assert "top" in printed  # the function table rendered
 
-    def test_cprofile_engine(self, capsys):
-        rc = main(
-            ["profile", "converta", "--engine", "cprofile", "--no-history"]
-        )
-        assert rc == 0
-        assert "engine=cprofile" in capsys.readouterr().out
-
     def test_unknown_circuit(self, capsys):
         rc = main(["profile", "no-such-circuit", "--no-history"])
         assert rc == 1

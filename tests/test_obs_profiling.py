@@ -230,45 +230,6 @@ class TestStackSampler:
         assert "espresso" in doc["per_circuit"]["demo"]["stages"]
 
 
-class TestCProfileEngine:
-    def test_deterministic_per_stage_attribution(self):
-        with ProfileSession(engine="cprofile") as sess:
-            with trace_span("espresso"):
-                _busy(0.02)
-        doc = sess.document()
-        assert doc["engine"] == "cprofile"
-        assert doc["interval_s"] is None
-        esp = doc["stages"]["espresso"]
-        assert esp["sampled_s"] > 0.0
-        assert any("_busy" in f["func"] for f in esp["functions"])
-
-    def test_call_counts_present(self):
-        with ProfileSession(engine="cprofile") as sess:
-            with trace_span("espresso"):
-                _busy(0.01)
-        doc = sess.document()
-        rows = doc["stages"]["espresso"]["functions"]
-        assert any("calls" in r and r["calls"] >= 1 for r in rows)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            ProfileSession(engine="perf")
-
-
-class TestMemoryWatch:
-    def test_per_stage_net_allocations(self):
-        with ProfileSession(interval=0.001, memory=True) as sess:
-            with trace_span("alloc"):
-                keep = list(range(200_000))
-            del keep
-        doc = sess.document()
-        mem = doc["memory"]
-        assert mem["peak_kb"] > 100
-        assert "alloc" in mem["stages"]
-        assert mem["stages"]["alloc"]["spans"] == 1
-        assert isinstance(mem["top"], list) and mem["top"]
-
-
 # ----------------------------------------------------------------------
 # the suite document
 # ----------------------------------------------------------------------
@@ -332,11 +293,11 @@ class TestSuiteDocument:
         """Profiling the workload costs < 10% wall time (plus a small
         absolute slack so scheduler noise cannot flake a ~50ms
         measurement)."""
-        from repro.obs.profiling import profile_circuit_run
+        from repro.obs.harness import run_circuit
         from repro.obs.trace import tracing
 
         def workload():
-            profile_circuit_run("converta", verify_runs=1)
+            run_circuit("converta", verify_runs=1)
 
         workload()  # warm imports/caches outside both measurements
 
@@ -602,7 +563,6 @@ class TestRegressHotspots:
     ):
         """With a committed profile in the run history, hotspot rows of
         matching (stage, function) carry base/delta columns."""
-        from repro.obs.profiling import profile_circuit
         from repro.obs.registry import RunHistory
         from repro.obs.regress import Thresholds, run_regress
 
@@ -615,7 +575,7 @@ class TestRegressHotspots:
         # commit a baseline profile *with the sleep already seeded* so
         # the hotspot function is guaranteed to match a baseline row
         monkeypatch.setattr(minimize_mod, "espresso", slow_espresso)
-        base_prof = profile_circuit("converta", runs=1, verify_runs=1)
+        base_prof = profile_suite(circuits=["converta"], runs=1, verify_runs=1)
         RunHistory(str(tmp_path)).append("profile", base_prof)
 
         report = run_regress(
@@ -658,30 +618,3 @@ class TestTracerSupport:
         assert [s.name for s in seen["stack"]] == ["inner"]
         # snapshot is a copy: the live stack has since been popped
         assert tracer.stack_of(t.ident) == []
-
-    def test_listener_hooks_fire_in_order(self):
-        events = []
-
-        class Listener:
-            def span_started(self, span):
-                events.append(("start", span.name))
-
-            def span_finished(self, span):
-                events.append(("finish", span.name))
-
-        tracer = Tracer()
-        listener = Listener()
-        tracer.add_listener(listener)
-        tracer.add_listener(listener)  # idempotent
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        tracer.remove_listener(listener)
-        with tracer.span("ignored"):
-            pass
-        assert events == [
-            ("start", "outer"),
-            ("start", "inner"),
-            ("finish", "inner"),
-            ("finish", "outer"),
-        ]
