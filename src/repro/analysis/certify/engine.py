@@ -48,6 +48,7 @@ from ...logic.tautology import covers_cube
 from ...netlist.gates import GateType
 from ...netlist.library import DEFAULT_LIBRARY, Library
 from ...obs import get_metrics, trace_span
+from ...sg.graph import render_state
 from ...sg.regions import Region
 from ...sim.mhs import MhsParams
 from .obligations import PROVED, REFUTED, UNKNOWN, Certificate, Obligation
@@ -74,7 +75,7 @@ _TOL = 1e-9
 
 
 def _states(region: Region) -> list[str]:
-    return sorted(str(s) for s in region.states)
+    return sorted(map(render_state, region.states))
 
 
 def _guarded(
@@ -140,7 +141,7 @@ def trigger_obligations(spec: "SopSpec", cover: Cover) -> list[Obligation]:
                         witness["cube"] = cube.input_string()
                     else:
                         witness["uncovered_states"] = sorted(
-                            str(s)
+                            render_state(s)
                             for s in tr.states
                             if not any(c.contains_minterm(sg.code(s)) for c in col)
                         )[:_WITNESS_CUBES]

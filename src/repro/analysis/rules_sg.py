@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from ..sg.graph import render_state
 from ..sg.properties import (
     code_conflicts,
     consistency_witnesses,
@@ -51,7 +52,7 @@ def check_consistency_rule(
     for w in consistency_witnesses(sg):
         yield meta.diagnostic(
             w.message,
-            ctx.location("state", repr(w.state)),
+            ctx.location("state", render_state(w.state)),
             hint=(
                 "the state codes disagree with the arc label; graphs built "
                 "through StateGraph.add_arc cannot reach this — re-derive "
@@ -78,11 +79,13 @@ def check_csc_rule(ctx: LintContext, meta: RuleMeta) -> Iterator[Diagnostic]:
         if not c.csc:
             continue
         yield meta.diagnostic(
-            f"states {c.state_a!r} and {c.state_b!r} share code "
+            f"states {render_state(c.state_a)} and {render_state(c.state_b)} share code "
             f"{c.code:0{sg.num_signals}b} but excite "
             f"{_signal_names(ctx, c.excited_a)} vs "
             f"{_signal_names(ctx, c.excited_b)}",
-            ctx.location("state-pair", f"{c.state_a!r} / {c.state_b!r}"),
+            ctx.location(
+                "state-pair", f"{render_state(c.state_a)} / {render_state(c.state_b)}"
+            ),
             hint=(
                 "insert an internal state signal separating the regions "
                 "(repro.sg.insert_state_signal), the classic CSC repair"
@@ -109,9 +112,11 @@ def check_usc_rule(ctx: LintContext, meta: RuleMeta) -> Iterator[Diagnostic]:
         if c.csc:
             continue  # already an SG002 error
         yield meta.diagnostic(
-            f"states {c.state_a!r} and {c.state_b!r} share code "
+            f"states {render_state(c.state_a)} and {render_state(c.state_b)} share code "
             f"{c.code:0{sg.num_signals}b} (identical excitation — CSC holds)",
-            ctx.location("state-pair", f"{c.state_a!r} / {c.state_b!r}"),
+            ctx.location(
+                "state-pair", f"{render_state(c.state_a)} / {render_state(c.state_b)}"
+            ),
             pair=(c.state_a, c.state_b),
         )
 
@@ -137,9 +142,9 @@ def check_semimodularity_rule(
             else "does not commute (no diamond) with"
         )
         yield meta.diagnostic(
-            f"at state {v.state!r}, non-input transition "
+            f"at state {render_state(v.state)}, non-input transition "
             f"{v.t1.label(sg.signals)} {what} {v.t2.label(sg.signals)}",
-            ctx.location("state", repr(v.state)),
+            ctx.location("state", render_state(v.state)),
             hint=(
                 "only input transitions may disable each other (input "
                 "choice); restructure the specification so the output "
@@ -165,12 +170,12 @@ def check_reachability_rule(
     reachable = sg.reachable()
     dead = [s for s in sg.states() if s not in reachable]
     if dead:
-        shown = ", ".join(sorted(repr(s) for s in dead)[:4])
+        shown = ", ".join(sorted(render_state(s) for s in dead)[:4])
         if len(dead) > 4:
             shown += ", …"
         yield meta.diagnostic(
             f"{len(dead)} of {sg.num_states} states unreachable from "
-            f"initial {sg.initial!r}: {shown}",
+            f"initial {render_state(sg.initial)}: {shown}",
             ctx.graph_location(),
             hint="drop them with StateGraph.restrict_to_reachable()",
             states=tuple(dead),
@@ -195,8 +200,8 @@ def check_output_trapping_rule(
         for er in signal_regions(sg, a).excitation:
             for state, escaped_to in check_output_trapping(sg, er):
                 yield meta.diagnostic(
-                    f"{er.label(sg)} can be left from state {state!r} to "
-                    f"{escaped_to!r} without firing "
+                    f"{er.label(sg)} can be left from state {render_state(state)} to "
+                    f"{render_state(escaped_to)} without firing "
                     f"{'+' if er.rising else '-'}{sg.signals[a]}",
                     ctx.location("region", er.label(sg)),
                     escape=(state, escaped_to),

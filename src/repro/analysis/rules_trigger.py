@@ -24,6 +24,7 @@ from typing import Iterator
 
 from ..core.trigger import check_trigger_cubes, trigger_infeasibilities
 from ..logic.cover import Cover
+from ..sg.graph import render_state
 from ..sg.regions import Region, signal_regions
 from .context import LintContext
 from .diagnostics import Diagnostic, Severity
@@ -33,7 +34,7 @@ __all__: list[str] = []
 
 
 def _region_states(region: Region) -> str:
-    shown = sorted(repr(s) for s in region.states)
+    shown = sorted(map(render_state, region.states))
     return "{" + ", ".join(shown[:4]) + (", …}" if len(shown) > 4 else "}")
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from ..logic import Cover, Cube, supercube_of
 from ..logic.espresso import expand as espresso_expand
-from ..sg.graph import StateGraph
+from ..sg.graph import StateGraph, render_state
 from ..sg.regions import Region
 from .sop_derivation import SopSpec
 
@@ -149,7 +149,7 @@ def enforce_trigger_cubes(spec: SopSpec, cover: Cover) -> tuple[Cover, int]:
                 raise TriggerRequirementError(
                     f"trigger region of {chk.kind}({sg.signals[chk.signal]}) "
                     f"spans OFF-set points; no trigger cube exists "
-                    f"(states {sorted(map(str, tr.states))[:4]}…)"
+                    f"(states {sorted(map(render_state, tr.states))[:4]}…)"
                 )
             # expand the supercube into a prime against the OFF-set so
             # the repair costs as few literals as possible

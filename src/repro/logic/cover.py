@@ -14,6 +14,7 @@ cover onto that output covers the cube's input part.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -308,53 +309,43 @@ def compact_minterm_cover(minterms: set[int], num_inputs: int,
     fast — used to keep region covers small before minimization when
     state graphs have thousands of states.
     """
-    cubes: list[Cube] = []
-
-    def rec(prefix_mask: int, var: int, members: set[int]) -> None:
-        """Split on variable ``var`` downward (MSB first, which aligns
-        with how state codes cluster) with remaining free variables
-        ``0..var``."""
-        if not members:
-            return
-        space = 1 << (var + 1)
-        if len(members) == space:
+    masks: list[int] = []
+    # Split on variables downward (MSB first, which aligns with how
+    # state codes cluster).  A sub-space is (prefix mask, variable,
+    # the minterm bits above it, slice of the sorted minterms); its
+    # minterms are one slice, halved by a bisection on the variable.
+    ms = sorted(set(minterms))
+    stack = [(0, num_inputs - 1, 0, 0, len(ms))] if ms else []
+    while stack:
+        prefix_mask, var, base, lo, hi = stack.pop()
+        if hi - lo == 1 << (var + 1):
             # full subcube: variables 0..var are don't care
-            mask = prefix_mask
-            for v in range(var + 1):
-                mask |= LIT_DC << (2 * v)
-            cubes.append(Cube(num_inputs, mask, outputs))
-            return
+            masks.append(prefix_mask | ((1 << (2 * var + 2)) - 1))
+            continue
         bit = 1 << var
-        lo = {m for m in members if not m & bit}
-        hi = {m & ~bit for m in members if m & bit}
-        rec(prefix_mask | (LIT_ZERO << (2 * var)), var - 1, lo)
-        rec(prefix_mask | (LIT_ONE << (2 * var)), var - 1, hi)
-
-    rec(0, num_inputs - 1, set(minterms))
+        mid = bisect_left(ms, base | bit, lo, hi)
+        if mid < hi:
+            stack.append((prefix_mask | (LIT_ONE << (2 * var)), var - 1, base | bit, mid, hi))
+        if lo < mid:
+            stack.append((prefix_mask | (LIT_ZERO << (2 * var)), var - 1, base, lo, mid))
 
     # Quine–McCluskey style merge pass: cubes identical except for one
     # variable held in complementary phases fuse into one cube with the
     # variable raised.  Repairs patterns misaligned with the recursion
     # order (e.g. parity-like sets aligned on low-order variables).
-    work = {c.inputs for c in cubes}
+    work = set(masks)
     changed = True
     while changed:
         changed = False
         for var in range(num_inputs):
             shift = 2 * var
-            by_rest: dict[int, int] = {}
-            for mask in work:
-                rest = mask & ~(0b11 << shift)
-                by_rest[rest] = by_rest.get(rest, 0) | ((mask >> shift) & 0b11)
-            for rest, phases in by_rest.items():
-                if phases == 0b11:
-                    lo = rest | (LIT_ZERO << shift)
-                    hi = rest | (LIT_ONE << shift)
-                    if lo in work and hi in work:
-                        work.discard(lo)
-                        work.discard(hi)
-                        work.add(rest | (LIT_DC << shift))
-                        changed = True
+            for lo in [m for m in work if (m >> shift) & 0b11 == LIT_ZERO]:
+                hi = lo ^ (0b11 << shift)  # the same cube with the variable at 1
+                if hi in work:
+                    work.discard(lo)
+                    work.discard(hi)
+                    work.add(lo | (LIT_DC << shift))
+                    changed = True
     return Cover(
         num_inputs, num_outputs, [Cube(num_inputs, m, outputs) for m in sorted(work)]
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import SGError, StateGraph, StateId, Transition
+from .graph import SGError, StateGraph, StateId, Transition, render_state
 from .properties import code_conflicts
 
 __all__ = ["CscConflict", "csc_report", "insert_state_signal"]
@@ -40,7 +40,7 @@ class CscConflict:
         names_a = ", ".join(sg.signals[i] for i in sorted(self.excited_a)) or "∅"
         names_b = ", ".join(sg.signals[i] for i in sorted(self.excited_b)) or "∅"
         return (
-            f"states {self.state_a!r} and {self.state_b!r} share code "
+            f"states {render_state(self.state_a)} and {render_state(self.state_b)} share code "
             f"{self.code:0{sg.num_signals}b} but excite {{{names_a}}} vs {{{names_b}}}"
         )
 

@@ -26,10 +26,6 @@ _REGION_COLORS = {
 }
 
 
-def _state_id(state: object) -> str:
-    return "s" + str(abs(hash(state)))
-
-
 def sg_to_dot(
     sg: StateGraph,
     regions: Iterable[Region] = (),
@@ -47,6 +43,9 @@ def sg_to_dot(
         for s in r.states:
             fill[s] = color
 
+    # node names by insertion order, not by hash, so the text is the same
+    # for every hash seed
+    node = {s: f"s{i}" for i, s in enumerate(sg.states())}
     lines = ["digraph sg {", '  rankdir=TB;', '  node [shape=ellipse, fontname="monospace"];']
     if title:
         lines.append(f'  label="{title}"; labelloc=t;')
@@ -56,12 +55,12 @@ def sg_to_dot(
             attrs.append(f'style=filled, fillcolor="{fill[s]}"')
         if s == sg.initial:
             attrs.append("penwidth=2")
-        lines.append(f'  {_state_id(s)} [{", ".join(attrs)}];')
+        lines.append(f'  {node[s]} [{", ".join(attrs)}];')
     for s in sg.states():
         for t, d in sg.successors(s):
             style = "" if sg.is_input(t.signal) else ", style=bold"
             lines.append(
-                f'  {_state_id(s)} -> {_state_id(d)} '
+                f'  {node[s]} -> {node[d]} '
                 f'[label="{t.label(sg.signals)}"{style}];'
             )
     lines.append("}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import StateGraph, StateId, Transition
+from .graph import StateGraph, StateId, Transition, render_state
 
 __all__ = [
     "ConsistencyWitness",
@@ -58,11 +58,17 @@ def consistency_witnesses(sg: StateGraph) -> list[ConsistencyWitness]:
     deserialized or constructed by other front-ends and as the oracle
     for property-based tests.)
     """
+    view = sg.dense()
+    codes = view.codes
     problems = []
-    for s in sg.states():
-        for t, d in sg.successors(s):
-            sv = sg.value(s, t.signal)
-            dv = sg.value(d, t.signal)
+    for i, arcs in enumerate(view.succ):
+        s, cs = view.ids[i], codes[i]
+        for a, direction, j in arcs:
+            cd = codes[j]
+            if cs ^ cd == 1 << a and (cs >> a & 1) == (direction == -1):
+                continue  # flips exactly its own bit, the right way
+            t, d = Transition(a, direction), view.ids[j]
+            sv, dv = (cs >> a) & 1, (cd >> a) & 1
             expect = (0, 1) if t.rising else (1, 0)
             if (sv, dv) != expect:
                 problems.append(
@@ -70,16 +76,16 @@ def consistency_witnesses(sg: StateGraph) -> list[ConsistencyWitness]:
                         s,
                         t,
                         d,
-                        f"arc {t.label(sg.signals)} at {s!r} has values {sv}->{dv}",
+                        f"arc {t.label(sg.signals)} at {render_state(s)} has values {sv}->{dv}",
                     )
                 )
-            if (sg.code(s) ^ sg.code(d)) != (1 << t.signal):
+            if (cs ^ cd) != (1 << a):
                 problems.append(
                     ConsistencyWitness(
                         s,
                         t,
                         d,
-                        f"arc {t.label(sg.signals)} at {s!r} changes other signals",
+                        f"arc {t.label(sg.signals)} at {render_state(s)} changes other signals",
                     )
                 )
     return problems
@@ -119,8 +125,9 @@ def code_conflicts(sg: StateGraph) -> list[CodeConflict]:
     emit every pair with its excitation sets attached.
     """
     by_code: dict[int, list[StateId]] = {}
-    for s in sg.states():
-        by_code.setdefault(sg.code(s), []).append(s)
+    view = sg.dense()
+    for s, code in zip(view.ids, view.codes):
+        by_code.setdefault(code, []).append(s)
     out: list[CodeConflict] = []
     for code, states in by_code.items():
         if len(states) < 2:
@@ -176,27 +183,37 @@ def semimodularity_violations(sg: StateGraph) -> list[SemimodularityViolation]:
     after firing ``t2``, ``t1`` must still be enabled and
     ``s -t1 t2-> s'`` and ``s -t2 t1-> s'`` must meet at the same
     state.  Input transitions may disable each other (input choice).
+
+    Runs on the dense view: excitation is a per-state mask and the
+    successor of ``s`` by signal ``a`` is ``nxt[s * n + a]``.
     """
+    view = sg.dense()
+    n = view.num_signals
+    nxt = view.nxt
+    excited = {1: view.up, -1: view.down}
+    non_inputs = sum(1 << a for a in sg.non_inputs)
     out: list[SemimodularityViolation] = []
-    for s in sg.states():
-        enabled = sg.enabled(s)
-        for t1 in enabled:
-            if sg.is_input(t1.signal):
+    for s, arcs in enumerate(view.succ):
+        if len(arcs) < 2 or not (view.up[s] | view.down[s]) & non_inputs:
+            continue
+        for a, da, s1 in arcs:
+            if not non_inputs >> a & 1:
                 continue
-            for t2 in enabled:
-                if t1 == t2:
+            still = excited[da]
+            for b, db, s2 in arcs:
+                if b == a:
                     continue
-                s2 = sg.succ(s, t2)
-                assert s2 is not None
-                if sg.succ(s2, t1) is None:
-                    out.append(SemimodularityViolation(s, t1, t2, "disabled"))
+                if not still[s2] >> a & 1:
+                    kind = "disabled"
+                elif excited[db][s1] >> b & 1 and nxt[s1 * n + b] == nxt[s2 * n + a]:
                     continue
-                s1 = sg.succ(s, t1)
-                assert s1 is not None
-                via_t1 = sg.succ(s1, t2)
-                via_t2 = sg.succ(s2, t1)
-                if via_t1 is None or via_t1 != via_t2:
-                    out.append(SemimodularityViolation(s, t1, t2, "no-diamond"))
+                else:
+                    kind = "no-diamond"
+                out.append(
+                    SemimodularityViolation(
+                        view.ids[s], Transition(a, da), Transition(b, db), kind
+                    )
+                )
     return out
 
 

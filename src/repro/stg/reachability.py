@@ -14,58 +14,113 @@ another ``x-``) is reported as an inconsistency.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from ..obs import get_metrics, trace_span
-from ..sg.graph import StateGraph, Transition
-from .petrinet import Stg, StgError
+from ..sg.graph import StateGraph, Transition, bit_flags
+from .petrinet import Stg, StgError, StgTransition
 
 __all__ = ["infer_initial_values", "elaborate", "ElaborationError"]
+
+#: default (marking, fired-signals) budget of initial-value inference
+_MAX_MARKINGS = 200000
 
 
 class ElaborationError(StgError):
     """Raised when the STG has no consistent state-graph semantics."""
 
 
-def infer_initial_values(stg: Stg, max_markings: int = 200000) -> dict[str, int]:
+class _Net:
+    """An STG compiled once per call: places become bit positions (in
+    :meth:`Stg.places` order) and each transition a pair of pre/post
+    masks, so enabling is ``pre & ~m == 0``, firing ``m & ~pre | post``
+    and a double-marked place (an unsafe net) ``post & (m & ~pre)``.
+    """
+
+    def __init__(self, stg: Stg) -> None:
+        self.places = list(stg.places())
+        place_bit = {p: 1 << i for i, p in enumerate(self.places)}
+        self.initial = sum(place_bit[p] for p in stg.initial_marking)
+        sig_index = {s: i for i, s in enumerate(stg.signals)}
+        one = {
+            (s, d): Transition(i, d) for s, i in sig_index.items() for d in (1, -1)
+        }
+        #: per transition, in ``stg.transitions`` order: (pre mask, post
+        #: mask, signal bit, the signal bit if rising else 0, the STG
+        #: transition, its SG transition — one object per signal and
+        #: direction)
+        self.transitions = [
+            (
+                sum(place_bit[p] for p in stg.pre[t]),
+                sum(place_bit[p] for p in stg.post[t]),
+                1 << sig_index[t.signal],
+                1 << sig_index[t.signal] if t.rising else 0,
+                t,
+                one[t.signal, t.direction],
+            )
+            for t in stg.transitions
+        ]
+
+    def unsafe(self, t: StgTransition, twice: int) -> StgError:
+        """The error :meth:`Stg.fire` raises when ``t`` double-marks places."""
+        names = sorted(p for i, p in enumerate(self.places) if twice >> i & 1)
+        return StgError(f"net not safe: firing {t} double-marks {names}")
+
+    def marking(self, m: int) -> frozenset[str]:
+        return frozenset(compress(self.places, bit_flags(m)))
+
+
+def infer_initial_values(stg: Stg, max_markings: int = _MAX_MARKINGS) -> dict[str, int]:
     """Infer each signal's initial value from first-transition polarity.
 
     Explores markings (ignoring signal values) recording, per signal,
     which polarity can occur first.  Mixed first polarities mean the
     STG has no consistent coding from any initial vector.
     """
+    return _infer(stg, _Net(stg), max_markings)
+
+
+def _infer(stg: Stg, net: _Net, max_markings: int) -> dict[str, int]:
     values = dict(stg.initial_values)
-    # first polarity seen per signal along each path
-    first: dict[str, set[int]] = {s: set() for s in stg.signals}
-    m0 = frozenset(stg.initial_marking)
-    # state: (marking, frozenset of signals already transitioned)
-    seen: set[tuple[frozenset[str], frozenset[str]]] = set()
-    stack: list[tuple[frozenset[str], frozenset[str]]] = [(m0, frozenset())]
-    seen.add((m0, frozenset()))
+    # signals whose first transition along some path is rising / falling
+    first_up = first_down = 0
+    # state: (mask of signals already transitioned) << places | marking
+    shift = len(net.places)
+    places = (1 << shift) - 1
+    seen = {net.initial}
+    stack = [net.initial]
     while stack:
-        marking, done = stack.pop()
+        state = stack.pop()
         if len(seen) > max_markings:
             raise ElaborationError("initial-value inference exceeded marking budget")
-        for t in stg.enabled(marking):
-            if t.signal not in done:
-                first[t.signal].add(t.direction)
-            nxt = (stg.fire(marking, t), done | {t.signal})
+        marking = state & places
+        done = state >> shift
+        for pre, post, bit, rising, t, _sg_t in net.transitions:
+            if marking & pre != pre:
+                continue
+            if not done & bit:
+                if rising:
+                    first_up |= bit
+                else:
+                    first_down |= bit
+            after = marking & ~pre
+            if post & after:
+                raise net.unsafe(t, post & after)
+            nxt = (done | bit) << shift | after | post
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    for s in stg.signals:
+    for i, s in enumerate(stg.signals):
         if s in values:
             continue
-        pol = first[s]
-        if not pol:
-            values[s] = 0  # signal never transitions: constant 0
-        elif pol == {1}:
-            values[s] = 0
-        elif pol == {-1}:
-            values[s] = 1
-        else:
+        up, down = first_up >> i & 1, first_down >> i & 1
+        if up and down:
             raise ElaborationError(
                 f"signal {s!r} has mixed first-transition polarity; "
                 "declare its initial value explicitly"
             )
+        # never transitions: constant 0
+        values[s] = 1 if down else 0
     return values
 
 
@@ -82,50 +137,45 @@ def elaborate(stg: Stg, max_states: int = 200000) -> StateGraph:
 
 
 def _elaborate_traced(stg: Stg, max_states: int, sp) -> StateGraph:
+    net = _Net(stg)
     with trace_span("initial-values"):
-        values = infer_initial_values(stg)
+        values = _infer(stg, net, _MAX_MARKINGS)
     signals = stg.signals
-    sig_index = {s: i for i, s in enumerate(signals)}
     sg = StateGraph(signals, stg.input_signals)
 
-    def vector_code(vec: dict[str, int]) -> int:
-        code = 0
-        for s, v in vec.items():
-            code |= v << sig_index[s]
-        return code
-
-    m0 = frozenset(stg.initial_marking)
-    init_code = vector_code(values)
-    start = (m0, init_code)
+    init_code = 0
+    for i, s in enumerate(signals):
+        init_code |= values[s] << i
+    start = (frozenset(stg.initial_marking), init_code)
     sg.add_state(start, init_code)
     sg.set_initial(start)
-    stack = [start]
-    visited = {start}
+    # marking << signals | code  ->  state id
+    shift = len(signals)
+    visited = {net.initial << shift | init_code: start}
+    stack = [(net.initial, init_code, start)]
     arcs = 0
     while stack:
-        marking, code = state = stack.pop()
-        for t in stg.enabled(marking):
-            idx = sig_index[t.signal]
-            cur = (code >> idx) & 1
-            if t.rising and cur == 1:
+        marking, code, state = stack.pop()
+        for pre, post, bit, rising, t, sg_t in net.transitions:
+            if marking & pre != pre:
+                continue
+            if code & bit == rising:
                 raise ElaborationError(
-                    f"inconsistent STG: {t} enabled while {t.signal}=1"
+                    f"inconsistent STG: {t} enabled while {t.signal}={1 if rising else 0}"
                 )
-            if not t.rising and cur == 0:
-                raise ElaborationError(
-                    f"inconsistent STG: {t} enabled while {t.signal}=0"
-                )
-            new_code = code ^ (1 << idx)
-            nxt = (stg.fire(marking, t), new_code)
-            if nxt not in visited:
+            after = marking & ~pre
+            if post & after:
+                raise net.unsafe(t, post & after)
+            new_marking, new_code = after | post, code ^ bit
+            key = new_marking << shift | new_code
+            nxt = visited.get(key)
+            if nxt is None:
                 if len(visited) >= max_states:
                     raise ElaborationError("state graph exceeded max_states")
-                visited.add(nxt)
+                nxt = visited[key] = (net.marking(new_marking), new_code)
                 sg.add_state(nxt, new_code)
-                stack.append(nxt)
-            else:
-                sg.add_state(nxt, new_code)
-            sg.add_arc(state, Transition(idx, t.direction), nxt)
+                stack.append((new_marking, new_code, nxt))
+            sg.add_arc(state, sg_t, nxt)
             arcs += 1
     sp.set(states=len(visited), arcs=arcs)
     get_metrics().gauge("reachability.states").set(len(visited))

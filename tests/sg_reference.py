@@ -12,7 +12,10 @@ themselves.
 
 Every function takes an :class:`Explicit` snapshot of a state graph:
 its state list, its codes and, per state, its outgoing arcs
-``(signal, direction, dst)``.
+``(signal, direction, dst)``.  :func:`elaborate` is the exception: it
+plays the token game of an STG (Section III-A's SG semantics) on
+frozenset markings, sharing no code with :mod:`repro.stg`, and is
+compared with ``repro.stg.elaborate`` in ``test_elaborate_reference.py``.
 """
 
 from __future__ import annotations
@@ -189,3 +192,84 @@ def trigger_regions(g: Explicit, a: int, er: frozenset) -> set[frozenset]:
 def single_traversal(trigger_regions) -> bool:
     """Definition 9: every trigger region (of every non-input) is one state."""
     return all(len(tr) == 1 for tr in trigger_regions)
+
+
+class Unelaboratable(Exception):
+    """The STG has no state graph; ``kind`` says why: ``"unsafe"``,
+    ``"mixed-polarity"``, ``"inconsistent"``, ``"nondeterministic"`` or
+    ``"max-states"``."""
+
+    def __init__(self, kind: str) -> None:
+        super().__init__(kind)
+        self.kind = kind
+
+
+def elaborate(stg, max_states: int = 200000) -> tuple[list, dict, list]:
+    """The state graph of an STG by token flow.
+
+    A state is ``(marking, code)``; states are listed in the order a
+    depth-first token game (last in, first out; transitions tried in
+    the STG's order) discovers them, and arcs ``(src, signal index,
+    direction, dst)`` in the order it fires them.  Undeclared initial
+    values come from the first polarity of each signal over all firing
+    paths: ``x+`` first means 0, ``x-`` first means 1, never fired
+    means 0, both mean no consistent coding.  Returns
+    ``(states, code per state, arcs)``.
+    """
+    signals = list(stg.signals)
+
+    def enabled(marking):
+        return [t for t in stg.transitions if stg.pre[t] <= marking]
+
+    def fire(marking, t):
+        kept = marking - stg.pre[t]
+        if kept & stg.post[t]:
+            raise Unelaboratable("unsafe")
+        return frozenset(kept | stg.post[t])
+
+    # first polarities, over (marking, signals fired so far) pairs
+    first = {s: set() for s in signals}
+    start = (frozenset(stg.initial_marking), frozenset())
+    seen, todo = {start}, [start]
+    while todo:
+        marking, fired = todo.pop()
+        for t in enabled(marking):
+            if t.signal not in fired:
+                first[t.signal].add(t.direction)
+            after = (fire(marking, t), fired | {t.signal})
+            if after not in seen:
+                seen.add(after)
+                todo.append(after)
+    values = {}
+    for s in signals:
+        if s in stg.initial_values:
+            values[s] = stg.initial_values[s]
+        elif first[s] == {1, -1}:
+            raise Unelaboratable("mixed-polarity")
+        else:
+            values[s] = 1 if first[s] == {-1} else 0
+
+    s0 = (frozenset(stg.initial_marking), sum(values[s] << i for i, s in enumerate(signals)))
+    states, code, arcs, target = [s0], {s0: s0[1]}, [], {}
+    todo = [s0]
+    while todo:
+        state = todo.pop()
+        marking, c = state
+        for t in enabled(marking):
+            i = signals.index(t.signal)
+            if (c >> i) & 1 != (0 if t.direction == 1 else 1):
+                raise Unelaboratable("inconsistent")
+            after = (fire(marking, t), c ^ (1 << i))
+            if after not in code:
+                if len(code) >= max_states:
+                    raise Unelaboratable("max-states")
+                code[after] = after[1]
+                states.append(after)
+                todo.append(after)
+            label = (state, i, t.direction)
+            if label not in target:
+                target[label] = after
+                arcs.append((state, i, t.direction, after))
+            elif target[label] != after:
+                raise Unelaboratable("nondeterministic")
+    return states, code, arcs

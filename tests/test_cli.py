@@ -229,7 +229,18 @@ class TestRegressCli:
         assert "Hazard telemetry" in md.read_text()
         assert (tmp_path / "hist" / "index.jsonl").exists()
 
-    def test_json_format(self, baseline_file, capsys):
+    def test_json_format(self, baseline_file, capsys, monkeypatch):
+        # output format under test, not timing: the fresh bench reads the
+        # baseline back verbatim
+        import copy
+        import json
+
+        import repro.obs.regress as regress_mod
+
+        baseline = json.loads(baseline_file.read_text())
+        monkeypatch.setattr(
+            regress_mod, "run_bench", lambda **_kw: copy.deepcopy(baseline)
+        )
         code = main(
             [
                 "regress",
@@ -240,8 +251,6 @@ class TestRegressCli:
             ]
         )
         assert code == 0
-        import json
-
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == "repro-regress/1"
         assert doc["ok"] is True

@@ -1,0 +1,131 @@
+"""Differential test: ``repro.stg.elaborate`` against the reference token game.
+
+:func:`tests.sg_reference.elaborate` fires STG transitions on frozenset
+markings and infers initial values from first polarities, sharing no
+code with :mod:`repro.stg` (which compiles the net to place bitmasks).
+Both must produce the same state ids ``(marking, code)`` in the same
+order, the same codes and the same arcs, and must reject the same
+broken nets with the matching exception type.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from repro.bench.circuits import DISTRIBUTIVE_BENCHMARKS, muller_pipeline
+from repro.fuzz.generator import derive_seed, generate_spec, knob_combinations
+from repro.sg.graph import SGError
+from repro.sg.sgformat import parse_sg
+from repro.stg import ElaborationError, Stg, StgError, StgTransition, elaborate
+
+from tests import sg_reference as ref
+
+CORPUS = Path(__file__).resolve().parent.parent / "examples" / "fuzz-corpus"
+
+
+def state_machine_stg(sg) -> Stg:
+    """An STG whose token game walks ``sg``: one place per state, one
+    transition instance per arc, one token on the initial state."""
+    stg = Stg(
+        [sg.signals[i] for i in sorted(sg.inputs)],
+        [sg.signals[i] for i in sg.non_inputs],
+        name="state-machine",
+    )
+    place = {s: stg.add_place(f"s{i}") for i, s in enumerate(sg.states())}
+    count: dict = {}
+    for s in sg.states():
+        for t, d in sg.successors(s):
+            count[t] = count.get(t, 0) + 1
+            label = StgTransition(sg.signals[t.signal], t.direction, count[t])
+            stg.arc_pt(place[s], label)
+            stg.arc_tp(label, place[d])
+    stg.mark(place[sg.initial])
+    return stg
+
+
+def assert_same_graph(stg: Stg) -> None:
+    states, code, arcs = ref.elaborate(stg)
+    sg = elaborate(stg)
+    assert list(sg.states()) == states
+    assert sg.initial == states[0]
+    assert {s: sg.code(s) for s in sg.states()} == code
+    want: dict = {s: [] for s in states}
+    for src, signal, direction, dst in arcs:
+        want[src].append((signal, direction, dst))
+    got = {s: [(t.signal, t.direction, d) for t, d in sg.successors(s)] for s in sg.states()}
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "build", [b for b, *_r in DISTRIBUTIVE_BENCHMARKS.values()], ids=list(DISTRIBUTIVE_BENCHMARKS)
+)
+def test_table2_suite(build):
+    assert_same_graph(build())
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_muller_pipelines(n):
+    assert_same_graph(muller_pipeline(n))
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.g")), ids=lambda p: p.stem)
+def test_fuzz_corpus(path):
+    assert_same_graph(state_machine_stg(parse_sg(path.read_text())))
+
+
+@pytest.mark.parametrize("knobs", knob_combinations(signals=6), ids=lambda k: k.short())
+def test_generated_specs(knobs):
+    for i in range(10):
+        assert_same_graph(state_machine_stg(generate_spec(derive_seed(11, i), knobs).sg))
+
+
+def _net(arcs: list[tuple[str, str, str]], marked: list[str]) -> Stg:
+    """A net over input ``a`` and output ``b`` from (place, transition,
+    place) triples."""
+    stg = Stg(["a"], ["b"])
+    for pre, t, post in arcs:
+        stg.arc_pt(pre, t)
+        stg.arc_tp(t, post)
+    stg.mark(*marked)
+    return stg
+
+
+BROKEN = {
+    # a+ first on one branch of a choice, a- first on the other
+    "mixed-polarity": (_net([("p0", "a+", "p1"), ("p0", "a-", "p2")], ["p0"]), ElaborationError),
+    # a+ puts a token on the already marked p1
+    "unsafe": (_net([("p0", "a+", "p1"), ("p1", "b+", "p2")], ["p0", "p1"]), StgError),
+    # a+ twice in a row
+    "inconsistent": (_net([("p0", "a+/1", "p1"), ("p1", "a+/2", "p0")], ["p0"]), ElaborationError),
+    # two instances of a+ from one state reach different states
+    "nondeterministic": (
+        _net([("p0", "a+/1", "p1"), ("p0", "a+/2", "p2"), ("p1", "a-/1", "p0"), ("p2", "a-/2", "p0")], ["p0"]),
+        SGError,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(BROKEN))
+def test_broken_nets_rejected_alike(kind):
+    stg, error = BROKEN[kind]
+    with pytest.raises(ref.Unelaboratable) as want:
+        ref.elaborate(stg)
+    assert want.value.kind == kind
+    with pytest.raises(error) as got:
+        elaborate(stg)
+    assert type(got.value) is error
+
+
+def test_max_states_rejected_alike():
+    with pytest.raises(ref.Unelaboratable) as want:
+        ref.elaborate(muller_pipeline(4), max_states=10)
+    assert want.value.kind == "max-states"
+    with pytest.raises(ElaborationError, match="max_states"):
+        elaborate(muller_pipeline(4), max_states=10)
+    # the bound is exact in both
+    n = len(ref.elaborate(muller_pipeline(4))[0])
+    assert elaborate(muller_pipeline(4), max_states=n).num_states == n
+    with pytest.raises(ElaborationError):
+        elaborate(muller_pipeline(4), max_states=n - 1)
