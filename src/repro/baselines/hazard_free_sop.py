@@ -34,8 +34,8 @@ from ..logic import Cover, Cube, minimize
 from ..logic.espresso import expand as espresso_expand
 from ..netlist import Gate, GateType, Netlist, Pin
 from ..netlist.trees import build_gate_tree
-from ..sg.encoding import states_to_cover, unreachable_cover
-from ..sg.graph import StateGraph, StateId
+from ..sg.encoding import bits_to_cover, unreachable_cover
+from ..sg.graph import StateGraph, StateId, render_state
 from ..sg.regions import signal_regions
 from .errors import BaselineRefusal, refusal_diagnostic, require_valid_spec
 
@@ -83,14 +83,18 @@ def next_state_function(sg: StateGraph, signal: int) -> NextStateSpec:
     unreachable codes are don't care.
     """
     sr = signal_regions(sg, signal)
+    view = sg.dense()
     on_states = sr.union_states("ER", 1) | sr.union_states("QR", 1)
     off_states = sr.union_states("ER", -1) | sr.union_states("QR", -1)
-    n = sg.num_signals
     return NextStateSpec(
         signal=signal,
-        on=states_to_cover(sg, on_states),
+        on=bits_to_cover(
+            sg, sr.union_bits(view, "ER", 1) | sr.union_bits(view, "QR", 1)
+        ),
         dc=unreachable_cover(sg),
-        off=states_to_cover(sg, off_states),
+        off=bits_to_cover(
+            sg, sr.union_bits(view, "ER", -1) | sr.union_bits(view, "QR", -1)
+        ),
         on_states=on_states,
         off_states=off_states,
     )
@@ -220,7 +224,7 @@ def synthesize_hazard_free_sop(
         exposed = function_hazard_states(sg, spec)
         if exposed:
             sig = sg.signals[a]
-            states = ", ".join(str(s) for s in exposed[:4])
+            states = ", ".join(map(render_state, exposed[:4]))
             more = "" if len(exposed) <= 4 else f" (+{len(exposed) - 4} more)"
             raise UnmaskableHazardError(
                 f"(fh) function hazard on {sig}: combinational SOP cannot "

@@ -201,6 +201,42 @@ class TestInvalidation:
             for sr in warm.regions().values()
         )
 
+    def test_sg_build_entry_carrying_a_region_memo(self, store, monkeypatch):
+        # synthesizing a graph whose regions were already analysed (as
+        # ``repro table2`` does after its baselines) pickles the region
+        # memo into the sg-build entry, in the Region layout of the time
+        # (no bitsets).  An entry of the previous sg-build version is
+        # never read again, and a graph loaded from one still
+        # synthesizes the same circuit.
+        from repro.sg.regions import signal_regions
+
+        def analysed():
+            sg = _celem_sg()
+            for a in sg.non_inputs:
+                signal_regions(sg, a)
+            return sg
+
+        with monkeypatch.context() as old:
+            old.setitem(STAGE_VERSIONS, "sg-build", STAGE_VERSIONS["sg-build"] - 1)
+            old_sg = analysed()
+            stale_key = PipelineRun.from_sg(old_sg, name="celem", store=store).key_of(
+                "sg-build"
+            )
+            synthesize(old_sg, name="celem", cache=store)
+        found, stale = store.get(stale_key)
+        assert found and stale._regions
+        assert all(
+            set(r.__dict__) == {"signal", "direction", "kind", "states"}
+            for sr in stale._regions.values()
+            for r in sr.excitation + sr.quiescent
+        )
+        want = synthesize(_celem_sg(), name="celem").describe()
+        assert synthesize(stale, name="celem").describe() == want
+
+        run = PipelineRun.from_sg(analysed(), name="celem", store=store)
+        assert run.synthesize().describe() == want
+        assert "sg-build" in run.executed
+
     def test_leaf_stage_bump_reruns_only_itself(self, store, monkeypatch):
         run_all(store)
         monkeypatch.setitem(STAGE_VERSIONS, "verify", 2)
@@ -209,7 +245,9 @@ class TestInvalidation:
 
     def test_root_stage_bump_reruns_everything(self, store, monkeypatch):
         run_all(store)
-        monkeypatch.setitem(STAGE_VERSIONS, "sg-build", 2)
+        monkeypatch.setitem(
+            STAGE_VERSIONS, "sg-build", STAGE_VERSIONS["sg-build"] + 1
+        )
         warm = run_all(store)
         assert warm.executed == FULL_CONE[1:]  # parse's key is unchanged
 
