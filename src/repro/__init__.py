@@ -33,90 +33,35 @@ Package map:
 * :mod:`repro.bench` — Table 2 benchmark reconstructions and runner.
 """
 
-from .logic import Cover, Cube, espresso, exact_minimize, minimize
-from .sg import (
-    SGBuilder,
-    StateGraph,
-    Transition,
-    is_distributive,
-    is_semimodular_with_input_choices,
-    is_single_traversal,
-    satisfies_csc,
-    signal_regions,
-    validate_for_synthesis,
-)
-from .stg import Stg, elaborate, parse_g, write_g
-from .netlist import Netlist, write_verilog
-from .sim import SGEnvironment, SimConfig, Simulator, analyze_hazards, mhs_response
-from .core import (
-    NShotCircuit,
-    SynthesisError,
-    TriggerRequirementError,
-    synthesize,
-    verify_hazard_freeness,
-)
-from .baselines import (
-    NotDistributiveError,
-    StateSignalsRequiredError,
-    synthesize_beerel,
-    synthesize_complex_gate,
-    synthesize_lavagno,
-)
-from .bench import run_benchmark, run_table2
-from .analysis import (
-    AnalysisResult,
-    Diagnostic,
-    Severity,
-    analyze,
-    render_sarif,
-    run_preflight,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Cover",
-    "Cube",
-    "espresso",
-    "exact_minimize",
-    "minimize",
-    "SGBuilder",
-    "StateGraph",
-    "Transition",
-    "is_distributive",
-    "is_semimodular_with_input_choices",
-    "is_single_traversal",
-    "satisfies_csc",
-    "signal_regions",
-    "validate_for_synthesis",
-    "Stg",
-    "elaborate",
-    "parse_g",
-    "write_g",
-    "Netlist",
-    "write_verilog",
-    "SGEnvironment",
-    "SimConfig",
-    "Simulator",
-    "analyze_hazards",
-    "mhs_response",
-    "NShotCircuit",
-    "SynthesisError",
-    "TriggerRequirementError",
-    "synthesize",
-    "verify_hazard_freeness",
-    "NotDistributiveError",
-    "StateSignalsRequiredError",
-    "synthesize_beerel",
-    "synthesize_complex_gate",
-    "synthesize_lavagno",
-    "run_benchmark",
-    "run_table2",
-    "AnalysisResult",
-    "Diagnostic",
-    "Severity",
-    "analyze",
-    "render_sarif",
-    "run_preflight",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".logic": "Cover Cube espresso exact_minimize minimize",
+        ".sg": (
+            "SGBuilder StateGraph Transition is_distributive "
+            "is_semimodular_with_input_choices is_single_traversal "
+            "satisfies_csc signal_regions validate_for_synthesis"
+        ),
+        ".stg": "Stg elaborate parse_g write_g",
+        ".netlist": "Netlist write_verilog",
+        ".sim": "SGEnvironment SimConfig Simulator analyze_hazards mhs_response",
+        ".core": (
+            "NShotCircuit SynthesisError TriggerRequirementError synthesize "
+            "verify_hazard_freeness"
+        ),
+        ".baselines": (
+            "NotDistributiveError StateSignalsRequiredError synthesize_beerel "
+            "synthesize_complex_gate synthesize_lavagno"
+        ),
+        ".bench": "run_benchmark run_table2",
+        ".analysis": (
+            "AnalysisResult Diagnostic Severity analyze render_sarif "
+            "run_preflight"
+        ),
+    },
+)
+__all__.append("__version__")

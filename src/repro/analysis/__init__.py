@@ -26,45 +26,18 @@ The synthesizer's pre-flight validation and the ``repro lint`` CLI
 both consume this engine — there is no second validation path.
 """
 
-from .baseline import (
-    BASELINE_SCHEMA,
-    apply_baseline,
-    build_baseline,
-    load_baseline,
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".diagnostics": "Diagnostic Location Severity",
+        ".registry": "Rule RuleMeta RuleRegistry Scope rule default_registry",
+        ".context": "LintContext",
+        ".engine": "AnalysisResult analyze run_rules run_preflight",
+        ".export": "LINT_SCHEMA render_text render_json render_sarif",
+        ".baseline": (
+            "BASELINE_SCHEMA build_baseline load_baseline apply_baseline"
+        ),
+    },
 )
-from .context import LintContext
-from .diagnostics import Diagnostic, Location, Severity
-from .engine import AnalysisResult, analyze, run_preflight, run_rules
-from .export import LINT_SCHEMA, render_json, render_sarif, render_text
-from .registry import Rule, RuleMeta, RuleRegistry, Scope, default_registry, rule
-
-# importing the rule modules registers the built-in catalog
-from . import rules_sg as _rules_sg  # noqa: F401  (registration side effect)
-from . import rules_trigger as _rules_trigger  # noqa: F401
-from . import rules_netlist as _rules_netlist  # noqa: F401
-from . import rules_hazard as _rules_hazard  # noqa: F401
-
-__all__ = [
-    "Diagnostic",
-    "Location",
-    "Severity",
-    "Rule",
-    "RuleMeta",
-    "RuleRegistry",
-    "Scope",
-    "rule",
-    "default_registry",
-    "LintContext",
-    "AnalysisResult",
-    "analyze",
-    "run_rules",
-    "run_preflight",
-    "LINT_SCHEMA",
-    "render_text",
-    "render_json",
-    "render_sarif",
-    "BASELINE_SCHEMA",
-    "build_baseline",
-    "load_baseline",
-    "apply_baseline",
-]

@@ -10,50 +10,22 @@ Public surface:
   :func:`differential_suite`, :func:`differential_corpus`).
 """
 
-from .differential import (
-    DifferentialOutcome,
-    SoundnessError,
-    archive_soundness_failure,
-    cross_check,
-    differential_corpus,
-    differential_suite,
-)
-from .engine import (
-    certify_circuit,
-    certify_cover,
-    coverage_obligations,
-    delay_obligations,
-    disjointness_obligations,
-    omega_obligations,
-    trigger_obligations,
-)
-from .obligations import (
-    CERT_SCHEMA,
-    PROVED,
-    REFUTED,
-    UNKNOWN,
-    Certificate,
-    Obligation,
-)
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "CERT_SCHEMA",
-    "PROVED",
-    "REFUTED",
-    "UNKNOWN",
-    "Certificate",
-    "DifferentialOutcome",
-    "Obligation",
-    "SoundnessError",
-    "archive_soundness_failure",
-    "certify_circuit",
-    "certify_cover",
-    "coverage_obligations",
-    "cross_check",
-    "delay_obligations",
-    "differential_corpus",
-    "differential_suite",
-    "disjointness_obligations",
-    "omega_obligations",
-    "trigger_obligations",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".obligations": (
+            "CERT_SCHEMA PROVED REFUTED UNKNOWN Certificate Obligation"
+        ),
+        ".differential": (
+            "DifferentialOutcome SoundnessError archive_soundness_failure "
+            "cross_check differential_corpus differential_suite"
+        ),
+        ".engine": (
+            "certify_circuit certify_cover coverage_obligations "
+            "delay_obligations disjointness_obligations omega_obligations "
+            "trigger_obligations"
+        ),
+    },
+)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from importlib import import_module
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .diagnostics import Diagnostic, Location, Severity
@@ -139,10 +140,18 @@ class RuleRegistry:
 
 
 _DEFAULT = RuleRegistry()
+#: the modules whose ``@rule`` bodies make up the built-in catalog
+_BUILTIN_RULES = ("rules_sg", "rules_trigger", "rules_netlist", "rules_hazard")
 
 
 def default_registry() -> RuleRegistry:
-    """The process-wide registry the built-in rules register into."""
+    """The process-wide registry the built-in rules register into.
+
+    The built-in rule modules register when first imported, here, so
+    the catalog costs nothing to a process that never lints.
+    """
+    for name in _BUILTIN_RULES:
+        import_module(f"{__package__}.{name}")
     return _DEFAULT
 
 

@@ -23,41 +23,21 @@ fuzzer (and callers generally) can tell a principled refusal from a
 crash.
 """
 
-from .errors import BaselineRefusal, require_valid_spec
-from .hazard_free_sop import (
-    NextStateSpec,
-    next_state_function,
-    static_one_hazard_pairs,
-    add_hazard_cover_cubes,
-    function_hazard_states,
-    HazardFreeSopResult,
-    UnmaskableHazardError,
-    synthesize_hazard_free_sop,
-)
-from .lavagno import LavagnoResult, NotDistributiveError, synthesize_lavagno
-from .beerel import BeerelResult, StateSignalsRequiredError, synthesize_beerel
-from .complex_gate import ComplexGateResult, synthesize_complex_gate
-from .qflop import QModuleResult, synthesize_qmodule
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BaselineRefusal",
-    "require_valid_spec",
-    "NextStateSpec",
-    "next_state_function",
-    "static_one_hazard_pairs",
-    "add_hazard_cover_cubes",
-    "function_hazard_states",
-    "HazardFreeSopResult",
-    "UnmaskableHazardError",
-    "synthesize_hazard_free_sop",
-    "LavagnoResult",
-    "NotDistributiveError",
-    "synthesize_lavagno",
-    "BeerelResult",
-    "StateSignalsRequiredError",
-    "synthesize_beerel",
-    "ComplexGateResult",
-    "synthesize_complex_gate",
-    "QModuleResult",
-    "synthesize_qmodule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".errors": "BaselineRefusal require_valid_spec",
+        ".hazard_free_sop": (
+            "NextStateSpec next_state_function static_one_hazard_pairs "
+            "add_hazard_cover_cubes function_hazard_states "
+            "HazardFreeSopResult UnmaskableHazardError "
+            "synthesize_hazard_free_sop"
+        ),
+        ".lavagno": "LavagnoResult NotDistributiveError synthesize_lavagno",
+        ".beerel": "BeerelResult StateSignalsRequiredError synthesize_beerel",
+        ".complex_gate": "ComplexGateResult synthesize_complex_gate",
+        ".qflop": "QModuleResult synthesize_qmodule",
+    },
+)

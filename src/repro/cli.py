@@ -27,25 +27,6 @@ import argparse
 import os
 import sys
 
-from .baselines import (
-    NotDistributiveError,
-    StateSignalsRequiredError,
-    synthesize_beerel,
-    synthesize_lavagno,
-    synthesize_qmodule,
-)
-from .core import verify_hazard_freeness
-from .core.report import format_results_table
-from .logic import write_pla
-from .sg import (
-    is_distributive,
-    is_single_traversal,
-    non_distributive_signals,
-    signal_regions,
-    validate_for_synthesis,
-)
-from .stg import elaborate, parse_g
-
 __all__ = ["main"]
 
 
@@ -58,6 +39,8 @@ def _load_sg(path: str):
 
         sg = parse_sg(text)
         return _SgSpec(path, sg), sg
+    from .stg import elaborate, parse_g
+
     stg = parse_g(text)
     return stg, elaborate(stg)
 
@@ -117,8 +100,6 @@ class _SgSpec:
     """Adapter so .sg files share the STG code paths in the CLI."""
 
     def __init__(self, path: str, sg) -> None:
-        import os
-
         self.name = os.path.splitext(os.path.basename(path))[0]
         self._sg = sg
 
@@ -127,6 +108,14 @@ class _SgSpec:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
+    from .sg import (
+        is_distributive,
+        is_single_traversal,
+        non_distributive_signals,
+        signal_regions,
+        validate_for_synthesis,
+    )
+
     stg, sg = _load_sg(args.file)
     print(stg.describe())
     print()
@@ -227,6 +216,8 @@ def _synth_body(args: argparse.Namespace) -> int:
     circuit = run.circuit()
     print(circuit.describe())
     if args.pla:
+        from .logic.pla import write_pla
+
         spec = circuit.spec
         names = [spec.output_name(o) for o in range(spec.num_outputs)]
         with open(args.pla, "w") as f:
@@ -253,6 +244,7 @@ def _synth_body(args: argparse.Namespace) -> int:
             )
         return 0 if summary.ok else 2
     if args.verify or args.vcd or args.coverage:
+        from .core.verify import verify_hazard_freeness
         from .obs.telemetry import HazardTelemetry
 
         # telemetry and coverage ride the verify sweep; a bare --vcd
@@ -310,6 +302,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _compare_body(args: argparse.Namespace) -> int:
+    from .baselines import (
+        NotDistributiveError,
+        StateSignalsRequiredError,
+        synthesize_beerel,
+        synthesize_lavagno,
+        synthesize_qmodule,
+    )
+
     # one PipelineRun serves every flow: the spec is parsed and the SG
     # built exactly once (one `pipeline.stage` span for sg-build),
     # where each flow used to re-derive it
@@ -336,6 +336,8 @@ def _compare_body(args: argparse.Namespace) -> int:
     for label, cell in rows:
         print(f"{label:<{width}}  {cell}")
     if args.vcd or args.coverage:
+        from .core.verify import verify_hazard_freeness
+
         cov = None
         if args.coverage:
             from .obs.coverage import CoverageMap
@@ -626,6 +628,7 @@ def _certify_differential(args: argparse.Namespace) -> int:
 
 def cmd_table2(args: argparse.Namespace) -> int:
     from .bench import run_table2
+    from .core.report import format_results_table
 
     rows = run_table2(args.circuits or None, cache=_store_from(args))
     print(format_results_table([r.cells() for r in rows]))
@@ -1375,17 +1378,13 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 2  # pragma: no cover
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="N-SHOT asynchronous synthesis (DAC'95 reproduction)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _parser_info(sub: "argparse._SubParsersAction") -> None:
     p_info = sub.add_parser("info", help="analyze an STG file")
     p_info.add_argument("file", help=".g STG file")
     p_info.set_defaults(func=cmd_info)
 
+
+def _parser_synth(sub: "argparse._SubParsersAction") -> None:
     p_synth = sub.add_parser("synth", help="synthesize an STG into N-SHOT")
     p_synth.add_argument("file", help=".g STG file")
     p_synth.add_argument("-o", "--output", help="write structural Verilog here")
@@ -1427,6 +1426,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(p_synth)
     p_synth.set_defaults(func=cmd_synth)
 
+
+def _parser_compare(sub: "argparse._SubParsersAction") -> None:
     p_cmp = sub.add_parser("compare", help="run every flow on one STG")
     p_cmp.add_argument("file", help=".g STG file")
     p_cmp.add_argument(
@@ -1446,6 +1447,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
+
+def _parser_lint(sub: "argparse._SubParsersAction") -> None:
     p_lint = sub.add_parser(
         "lint", help="run the static-analysis rule catalog over specs"
     )
@@ -1457,13 +1460,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also lint every paper benchmark circuit",
     )
-    p_lint.add_argument(
-        "--format",
-        choices=["text", "json", "sarif"],
-        default="text",
-        help="report format (json = repro-lint/1, sarif = SARIF 2.1.0)",
+    _add_report_args(
+        p_lint,
+        ("text", "json", "sarif"),
+        "report format (json = repro-lint/1, sarif = SARIF 2.1.0)",
     )
-    p_lint.add_argument("-o", "--output", help="write the report to a file")
     p_lint.add_argument(
         "--baseline", help="suppress findings recorded in this baseline file"
     )
@@ -1503,6 +1504,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(p_lint)
     p_lint.set_defaults(func=cmd_lint)
 
+
+def _parser_certify(sub: "argparse._SubParsersAction") -> None:
     p_cert = sub.add_parser(
         "certify",
         help="statically certify external hazard-freeness (no simulation)",
@@ -1515,14 +1518,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also certify every paper benchmark circuit",
     )
-    p_cert.add_argument(
-        "--format",
-        choices=["text", "json", "sarif"],
-        default="text",
-        help="report format (json = repro-certificate/1, "
+    _add_report_args(
+        p_cert,
+        ("text", "json", "sarif"),
+        "report format (json = repro-certificate/1, "
         "sarif = SARIF 2.1.0 over the HZ rules)",
     )
-    p_cert.add_argument("-o", "--output", help="write the report to a file")
     p_cert.add_argument(
         "--strict",
         action="store_true",
@@ -1553,11 +1554,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(p_cert)
     p_cert.set_defaults(func=cmd_certify)
 
+
+def _parser_table2(sub: "argparse._SubParsersAction") -> None:
     p_t2 = sub.add_parser("table2", help="regenerate Table 2")
     p_t2.add_argument("circuits", nargs="*", help="subset of benchmark names")
     _add_cache_args(p_t2)
     p_t2.set_defaults(func=cmd_table2)
 
+
+def _parser_faults(sub: "argparse._SubParsersAction") -> None:
     p_f = sub.add_parser(
         "faults", help="run a fault-injection campaign (JSON report)"
     )
@@ -1610,6 +1615,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_f.set_defaults(func=cmd_faults)
 
+
+def _parser_fuzz(sub: "argparse._SubParsersAction") -> None:
     p_fz = sub.add_parser(
         "fuzz",
         help="differential fuzz campaign over every synthesis flow",
@@ -1684,13 +1691,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.path.join("examples", "fuzz-corpus"),
         help="reproducer corpus directory (with --archive)",
     )
-    p_fz.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="text summary or the repro-fuzz/1 JSON document",
+    _add_report_args(
+        p_fz, ("text", "json"), "text summary or the repro-fuzz/1 JSON document"
     )
-    p_fz.add_argument("-o", "--output", help="write the report to a file")
     p_fz.add_argument(
         "--profile",
         action="store_true",
@@ -1698,6 +1701,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fz.set_defaults(func=cmd_fuzz)
 
+
+def _parser_explain(sub: "argparse._SubParsersAction") -> None:
     p_x = sub.add_parser(
         "explain",
         help="causal chain of an ω-filtered pulse (flight recorder)",
@@ -1718,16 +1723,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="fall back to a causally-anchored runt injection when no "
         "organic hazard pulse forms (--no-probe for organic only)",
     )
-    p_x.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="output format (json = repro-causality/1)",
+    _add_report_args(
+        p_x,
+        ("text", "json"),
+        "output format (json = repro-causality/1)",
+        output="write the chain to a file",
     )
-    p_x.add_argument("-o", "--output", help="write the chain to a file")
     _add_profile_args(p_x)
     p_x.set_defaults(func=cmd_explain)
 
+
+def _parser_bench(sub: "argparse._SubParsersAction") -> None:
     p_b = sub.add_parser(
         "bench",
         help="run the benchmark harness, write BENCH_<UTC-date>.json",
@@ -1784,6 +1790,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(p_b)
     p_b.set_defaults(func=cmd_bench)
 
+
+def _parser_profile(sub: "argparse._SubParsersAction") -> None:
     p_p = sub.add_parser(
         "profile",
         help="stage-scoped hotspot profile of the benchmark pipeline",
@@ -1823,16 +1831,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=15,
         help="functions listed per table (default 15)",
     )
-    p_p.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="--diff report format (json = repro-profile-diff/1)",
-    )
-    p_p.add_argument(
-        "-o",
-        "--output",
-        help="write the full repro-profile/1 JSON document here "
+    _add_report_args(
+        p_p,
+        ("text", "json"),
+        "--diff report format (json = repro-profile-diff/1)",
+        output="write the full repro-profile/1 JSON document here "
         "(with --diff: the diff report)",
     )
     p_p.add_argument(
@@ -1856,6 +1859,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_history_args(p_p)
     p_p.set_defaults(func=cmd_profile)
 
+
+def _parser_regress(sub: "argparse._SubParsersAction") -> None:
     p_r = sub.add_parser(
         "regress",
         help="benchmark now and compare against a committed baseline",
@@ -1941,13 +1946,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-measure suspects and judge on the minimum "
         "(--no-remeasure convicts on the first reading)",
     )
-    p_r.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="report format (json = repro-regress/1)",
+    _add_report_args(
+        p_r, ("text", "json"), "report format (json = repro-regress/1)"
     )
-    p_r.add_argument("-o", "--output", help="write the report to a file")
     p_r.add_argument(
         "--markdown",
         metavar="FILE",
@@ -1971,6 +1972,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_history_args(p_r)
     p_r.set_defaults(func=cmd_regress)
 
+
+def _parser_report(sub: "argparse._SubParsersAction") -> None:
     from .obs.registry import DEFAULT_HISTORY_DIR
 
     p_rep = sub.add_parser(
@@ -1989,13 +1992,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the self-contained HTML observatory dashboard "
         "(inline CSS/SVG, no external fetches)",
     )
-    p_rep.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="report format (json = the full repro-analytics/1 document)",
+    _add_report_args(
+        p_rep,
+        ("text", "json"),
+        "report format (json = the full repro-analytics/1 document)",
     )
-    p_rep.add_argument("-o", "--output", help="write the report to a file")
     p_rep.add_argument(
         "--window",
         type=int,
@@ -2022,6 +2023,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="hotspot functions tracked across profile documents (default 10)",
     )
     p_rep.set_defaults(func=cmd_report)
+
+
+def _parser_history(sub: "argparse._SubParsersAction") -> None:
+    from .obs.registry import DEFAULT_HISTORY_DIR
 
     p_h = sub.add_parser(
         "history", help="inspect and compact the run-history ledger"
@@ -2074,6 +2079,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_h.set_defaults(func=cmd_history)
 
+
+def _parser_cache(sub: "argparse._SubParsersAction") -> None:
     p_c = sub.add_parser(
         "cache", help="inspect and maintain the pipeline artifact cache"
     )
@@ -2106,6 +2113,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_sub.add_parser("clear", help="remove every entry")
     p_c.set_defaults(func=cmd_cache)
+
+
+#: subcommand → parser builder, in `repro --help` order
+_SUBCOMMANDS = {
+    "info": _parser_info,
+    "synth": _parser_synth,
+    "compare": _parser_compare,
+    "lint": _parser_lint,
+    "certify": _parser_certify,
+    "table2": _parser_table2,
+    "faults": _parser_faults,
+    "fuzz": _parser_fuzz,
+    "explain": _parser_explain,
+    "bench": _parser_bench,
+    "profile": _parser_profile,
+    "regress": _parser_regress,
+    "report": _parser_report,
+    "history": _parser_history,
+    "cache": _parser_cache,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser; given ``command``, only that subcommand is
+    declared (``main`` builds one parser instead of all of them)."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="N-SHOT asynchronous synthesis (DAC'95 reproduction)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add in _SUBCOMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
@@ -2121,6 +2161,17 @@ def _add_cache_args(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="run without an artifact store, ignoring --cache-dir and REPRO_CACHE_DIR",
     )
+
+
+def _add_report_args(
+    p: argparse.ArgumentParser,
+    choices: tuple[str, ...],
+    help: str,
+    output: str = "write the report to a file",
+) -> None:
+    """``--format`` (default ``text``) and ``-o/--output``."""
+    p.add_argument("--format", choices=choices, default="text", help=help)
+    p.add_argument("-o", "--output", help=output)
 
 
 def _add_profile_args(p: argparse.ArgumentParser, out: bool = False) -> None:
@@ -2172,8 +2223,9 @@ def _add_history_args(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as e:

@@ -8,57 +8,27 @@ flip-flops, and Section IV-F initialization analysis.
 ``verify_hazard_freeness()`` closes the loop in simulation.
 """
 
-from .sop_derivation import (
-    FunctionSpec,
-    SopSpec,
-    derive_sop_spec,
-    region_mode_table,
-    ModeRow,
-)
-from .trigger import (
-    TriggerCheck,
-    check_trigger_cubes,
-    enforce_trigger_cubes,
-    TriggerRequirementError,
-)
-from .delays import PlaneTiming, DelayRequirement, compute_delay_requirement
-from .architecture import ArchitectureResult, build_nshot_netlist
-from .initialization import InitDecision, analyze_initialization
-from .synthesizer import NShotCircuit, SynthesisError, synthesize
-from .verify import (
-    OracleVerdict,
-    VerificationRun,
-    VerificationSummary,
-    run_oracle,
-    verify_hazard_freeness,
-)
-from .report import format_mode_table, format_results_table
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FunctionSpec",
-    "SopSpec",
-    "derive_sop_spec",
-    "region_mode_table",
-    "ModeRow",
-    "TriggerCheck",
-    "check_trigger_cubes",
-    "enforce_trigger_cubes",
-    "TriggerRequirementError",
-    "PlaneTiming",
-    "DelayRequirement",
-    "compute_delay_requirement",
-    "ArchitectureResult",
-    "build_nshot_netlist",
-    "InitDecision",
-    "analyze_initialization",
-    "NShotCircuit",
-    "SynthesisError",
-    "synthesize",
-    "OracleVerdict",
-    "VerificationRun",
-    "VerificationSummary",
-    "run_oracle",
-    "verify_hazard_freeness",
-    "format_mode_table",
-    "format_results_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".sop_derivation": (
+            "FunctionSpec SopSpec derive_sop_spec region_mode_table "
+            "ModeRow"
+        ),
+        ".trigger": (
+            "TriggerCheck check_trigger_cubes enforce_trigger_cubes "
+            "TriggerRequirementError"
+        ),
+        ".delays": "PlaneTiming DelayRequirement compute_delay_requirement",
+        ".architecture": "ArchitectureResult build_nshot_netlist",
+        ".initialization": "InitDecision analyze_initialization",
+        ".synthesizer": "NShotCircuit SynthesisError synthesize",
+        ".verify": (
+            "OracleVerdict VerificationRun VerificationSummary run_oracle "
+            "verify_hazard_freeness"
+        ),
+        ".report": "format_mode_table format_results_table",
+    },
+)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..logic import Cover, minimize, verify_cover
+from ..logic import Cover
 from ..netlist import DEFAULT_LIBRARY, Library, Netlist, NetlistStats
 from ..obs import trace_span
 from ..sg.graph import StateGraph
@@ -30,7 +30,6 @@ from .architecture import ArchitectureResult, build_nshot_netlist
 from .delays import DelayRequirement, compute_delay_requirement
 from .initialization import InitDecision, analyze_initialization
 from .sop_derivation import SopSpec
-from .trigger import check_trigger_cubes, enforce_trigger_cubes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.diagnostics import Diagnostic
@@ -115,6 +114,8 @@ def minimize_cover(
 ) -> Cover:
     """Step 3: unconstrained two-level minimization of (F, D, R), plus
     the soundness audit of the result."""
+    from ..logic.minimize import minimize, verify_cover
+
     if share_products:
         cover = minimize(spec.on, spec.dc, spec.off, method=method)
     else:
@@ -142,6 +143,8 @@ def apply_trigger_requirement(
     sg: StateGraph, spec: SopSpec, cover: Cover
 ) -> tuple[Cover, bool, int]:
     """Step 4 (Theorem 1): returns ``(cover, single_traversal, added)``."""
+    from .trigger import check_trigger_cubes, enforce_trigger_cubes
+
     with trace_span("trigger-enforcement") as sp_t:
         single = all(sr.single_traversal for sr in spec.regions.values())
         added = 0

@@ -8,46 +8,21 @@ The oracle's hazard-freeness verdicts are only meaningful because the
 campaign shows they flip on broken circuits.
 """
 
-from .models import (
-    DeletedAckGateFault,
-    DelayViolationFault,
-    FaultModel,
-    InvertedLiteralFault,
-    OmegaMarginFault,
-    StuckAtFault,
-    SwappedSetResetFault,
-    TransientPulseFault,
-    enumerate_faults,
-    rebuild_netlist,
-)
-from .campaign import FaultCampaign, WatchdogLimits, run_campaign
-from .report import (
-    CAMPAIGN_SCHEMA,
-    CAMPAIGN_SCHEMAS,
-    CampaignResult,
-    FaultOutcome,
-    PointRecord,
-    parse_campaign_json,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FaultModel",
-    "StuckAtFault",
-    "InvertedLiteralFault",
-    "SwappedSetResetFault",
-    "DeletedAckGateFault",
-    "TransientPulseFault",
-    "DelayViolationFault",
-    "OmegaMarginFault",
-    "enumerate_faults",
-    "rebuild_netlist",
-    "FaultCampaign",
-    "WatchdogLimits",
-    "run_campaign",
-    "CampaignResult",
-    "FaultOutcome",
-    "PointRecord",
-    "CAMPAIGN_SCHEMA",
-    "CAMPAIGN_SCHEMAS",
-    "parse_campaign_json",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".models": (
+            "FaultModel StuckAtFault InvertedLiteralFault "
+            "SwappedSetResetFault DeletedAckGateFault TransientPulseFault "
+            "DelayViolationFault OmegaMarginFault enumerate_faults "
+            "rebuild_netlist"
+        ),
+        ".campaign": "FaultCampaign WatchdogLimits run_campaign",
+        ".report": (
+            "CampaignResult FaultOutcome PointRecord CAMPAIGN_SCHEMA "
+            "CAMPAIGN_SCHEMAS parse_campaign_json"
+        ),
+    },
+)

@@ -8,70 +8,25 @@ reproducer corpus (:mod:`~repro.fuzz.corpus`).  Entry point:
 :func:`run_fuzz` / the ``repro fuzz`` CLI.
 """
 
-from .corpus import CorpusEntry, archive_reproducer, load_corpus, replay_entry
-from .differential import (
-    DISAGREEMENT_KINDS,
-    FLOW_NAMES,
-    Disagreement,
-    FlowOutcome,
-    FuzzConfig,
-    SpecResult,
-    judge,
-    run_flow,
-    run_fuzz,
-)
-from .executor import (
-    ExecutorPolicy,
-    ExecutorReport,
-    TaskResult,
-    WallClockTimeout,
-    run_tasks,
-    wall_clock_guard,
-)
-from .generator import (
-    GeneratedSpec,
-    GenerationError,
-    SpecKnobs,
-    SpecLabels,
-    classify,
-    derive_seed,
-    generate_spec,
-    knob_combinations,
-)
-from .report import SCHEMA, FuzzReport
-from .shrink import disagreement_predicate, shrink_disagreement, shrink_sg
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CorpusEntry",
-    "archive_reproducer",
-    "load_corpus",
-    "replay_entry",
-    "DISAGREEMENT_KINDS",
-    "FLOW_NAMES",
-    "Disagreement",
-    "FlowOutcome",
-    "FuzzConfig",
-    "SpecResult",
-    "judge",
-    "run_flow",
-    "run_fuzz",
-    "ExecutorPolicy",
-    "ExecutorReport",
-    "TaskResult",
-    "WallClockTimeout",
-    "run_tasks",
-    "wall_clock_guard",
-    "GeneratedSpec",
-    "GenerationError",
-    "SpecKnobs",
-    "SpecLabels",
-    "classify",
-    "derive_seed",
-    "generate_spec",
-    "knob_combinations",
-    "SCHEMA",
-    "FuzzReport",
-    "disagreement_predicate",
-    "shrink_disagreement",
-    "shrink_sg",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".corpus": "CorpusEntry archive_reproducer load_corpus replay_entry",
+        ".differential": (
+            "DISAGREEMENT_KINDS FLOW_NAMES Disagreement FlowOutcome "
+            "FuzzConfig SpecResult judge run_flow run_fuzz"
+        ),
+        ".executor": (
+            "ExecutorPolicy ExecutorReport TaskResult WallClockTimeout "
+            "run_tasks wall_clock_guard"
+        ),
+        ".generator": (
+            "GeneratedSpec GenerationError SpecKnobs SpecLabels classify "
+            "derive_seed generate_spec knob_combinations"
+        ),
+        ".report": "SCHEMA FuzzReport",
+        ".shrink": "disagreement_predicate shrink_disagreement shrink_sg",
+    },
+)

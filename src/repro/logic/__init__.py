@@ -8,38 +8,21 @@ multi-output term sharing, an exact Quine–McCluskey + unate-covering
 minimizer (footnote 6 of the paper), and PLA text I/O.
 """
 
-from .cube import Cube, supercube_of
-from .cover import Cover
-from .tautology import is_tautology, covers_cube, cover_covers_cube_multi, covers_cover
-from .complement import complement, complement_cube, cube_sharp
-from .espresso import espresso, expand, irredundant, reduce_cover, make_offset
-from .exact import exact_minimize, generate_primes, unate_cover
-from .minimize import minimize, verify_cover, MinimizationError
-from .pla import Pla, parse_pla, write_pla
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Cube",
-    "Cover",
-    "supercube_of",
-    "is_tautology",
-    "covers_cube",
-    "cover_covers_cube_multi",
-    "covers_cover",
-    "complement",
-    "complement_cube",
-    "cube_sharp",
-    "espresso",
-    "expand",
-    "irredundant",
-    "reduce_cover",
-    "make_offset",
-    "exact_minimize",
-    "generate_primes",
-    "unate_cover",
-    "minimize",
-    "verify_cover",
-    "MinimizationError",
-    "Pla",
-    "parse_pla",
-    "write_pla",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".cube": "Cube supercube_of",
+        ".cover": "Cover",
+        ".tautology": (
+            "is_tautology covers_cube cover_covers_cube_multi "
+            "covers_cover"
+        ),
+        ".complement": "complement complement_cube cube_sharp",
+        ".espresso": "espresso expand irredundant reduce_cover make_offset",
+        ".exact": "exact_minimize generate_primes unate_cover",
+        ".minimize": "minimize verify_cover MinimizationError",
+        ".pla": "Pla parse_pla write_pla",
+    },
+)

@@ -1,27 +1,15 @@
 """Gate-level netlist substrate: cells, library, container, writers."""
 
-from .gates import Gate, GateType, Pin, and_gate, or_gate
-from .library import Library, DEFAULT_LIBRARY, LEVEL_DELAY_NS
-from .netlist import Netlist, NetlistError, NetlistStats
-from .verilog import write_verilog
-from .mhs_cell import build_mhs_cell, MHS_STAGE_NAMES
-from .trees import build_gate_tree, MAX_FANIN
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Gate",
-    "GateType",
-    "Pin",
-    "and_gate",
-    "or_gate",
-    "Library",
-    "DEFAULT_LIBRARY",
-    "LEVEL_DELAY_NS",
-    "Netlist",
-    "NetlistError",
-    "NetlistStats",
-    "write_verilog",
-    "build_mhs_cell",
-    "MHS_STAGE_NAMES",
-    "build_gate_tree",
-    "MAX_FANIN",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".gates": "Gate GateType Pin and_gate or_gate",
+        ".library": "Library DEFAULT_LIBRARY LEVEL_DELAY_NS",
+        ".netlist": "Netlist NetlistError NetlistStats",
+        ".verilog": "write_verilog",
+        ".mhs_cell": "build_mhs_cell MHS_STAGE_NAMES",
+        ".trees": "build_gate_tree MAX_FANIN",
+    },
+)

@@ -7,40 +7,18 @@ module (harness, profiling, regress, analytics, …) is imported by name
 where it is used; docs/OBSERVABILITY.md describes them all.
 """
 
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_metrics,
-    percentile,
-    set_metrics,
-)
-from .trace import (
-    TRACE_SCHEMA,
-    Span,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    trace_span,
-    traced,
-    tracing,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_metrics",
-    "set_metrics",
-    "percentile",
-    "TRACE_SCHEMA",
-    "Span",
-    "Tracer",
-    "get_tracer",
-    "set_tracer",
-    "trace_span",
-    "traced",
-    "tracing",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".metrics": (
+            "Counter Gauge Histogram MetricsRegistry get_metrics "
+            "set_metrics percentile"
+        ),
+        ".trace": (
+            "TRACE_SCHEMA Span Tracer get_tracer set_tracer trace_span "
+            "traced tracing"
+        ),
+    },
+)

@@ -141,6 +141,23 @@ def run_circuit(
     return prun, summary
 
 
+def warm_up(name: str, static_first: bool = False) -> None:
+    """One untimed, storeless :func:`run_circuit` pass of ``name``.
+
+    The engines load on first use (docs/ARCHITECTURE.md, "Package
+    surface"), so measuring without this would time their imports in
+    the first circuit's first run.  Spans and metrics of the pass go
+    to throwaway sinks.
+    """
+    prev_metrics = get_metrics()
+    set_metrics(MetricsRegistry())
+    try:
+        with tracing(Tracer()):
+            run_circuit(name, verify_runs=1, static_first=static_first)
+    finally:
+        set_metrics(prev_metrics)
+
+
 def bench_circuit(
     name: str,
     runs: int = 3,
@@ -357,6 +374,8 @@ def run_bench(
         runs = 1 if quick else 3
     if verify_runs is None:
         verify_runs = 1 if quick else 3
+    if circuits:
+        warm_up(circuits[0], static_first=static_first)
     t0 = time.perf_counter()
     entries = []
     last_tracer: Tracer | None = None

@@ -485,18 +485,16 @@ def profile_suite(
     pipeline the bench numbers measure.
     """
     from ..bench.circuits import TABLE2_CIRCUITS
-    from .harness import quick_circuits, run_circuit
+    from .harness import quick_circuits, run_circuit, warm_up
 
     if circuits is None:
         circuits = quick_circuits() if quick else list(TABLE2_CIRCUITS)
     if verify_runs is None:
         verify_runs = 1 if quick else 3
-    # warm the workload's lazy imports outside the session: first-use
-    # module import otherwise lands as unattributed sample weight
-    from ..bench import runner as _runner  # noqa: F401
-    from ..core import verify_hazard_freeness  # noqa: F401
-    from ..pipeline import PipelineRun  # noqa: F401
-
+    # outside the session: first-use module import would otherwise
+    # land as unattributed sample weight
+    if circuits:
+        warm_up(circuits[0])
     with ProfileSession(interval=interval) as sess:
         for name in circuits:
             for k in range(max(1, runs)):

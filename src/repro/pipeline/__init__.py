@@ -12,36 +12,16 @@ See ``docs/PIPELINE.md`` for the model, key derivation, cache layout
 and the ``repro cache`` CLI.
 """
 
-from .dag import (
-    KEY_SCHEMA,
-    PipelineRun,
-    cache_bypass,
-    cache_bypassed,
-    resolve_store,
-)
-from .stages import STAGES, STAGE_VERSIONS, Classification, CoverBundle, StageDef
-from .store import (
-    ArtifactStore,
-    CacheEntry,
-    GcReport,
-    parse_age,
-    parse_size,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArtifactStore",
-    "CacheEntry",
-    "Classification",
-    "CoverBundle",
-    "GcReport",
-    "KEY_SCHEMA",
-    "PipelineRun",
-    "STAGES",
-    "STAGE_VERSIONS",
-    "StageDef",
-    "cache_bypass",
-    "cache_bypassed",
-    "parse_age",
-    "parse_size",
-    "resolve_store",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".store": "ArtifactStore CacheEntry GcReport parse_age parse_size",
+        ".stages": "Classification CoverBundle STAGES STAGE_VERSIONS StageDef",
+        ".dag": (
+            "KEY_SCHEMA PipelineRun cache_bypass cache_bypassed "
+            "resolve_store"
+        ),
+    },
+)

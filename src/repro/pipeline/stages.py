@@ -27,24 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..analysis.engine import run_preflight
-from ..core.synthesizer import (
-    apply_trigger_requirement,
-    build_architecture,
-    finalize_circuit,
-    minimize_cover,
-)
-from ..core.sop_derivation import derive_sop_spec
-from ..core.verify import verify_hazard_freeness
 from ..netlist import Library
 from ..obs import trace_span
-from ..sg.graph import StateGraph
-from ..sg.regions import SignalRegions, signal_regions
-from ..sg.sgformat import parse_sg
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.diagnostics import Diagnostic
     from ..logic import Cover
+    from ..sg.graph import StateGraph
+    from ..sg.regions import SignalRegions
     from .dag import PipelineRun
 
 __all__ = [
@@ -118,11 +108,13 @@ def _stage_parse(run: "PipelineRun") -> dict:
     }
 
 
-def _stage_sg_build(run: "PipelineRun") -> StateGraph:
+def _stage_sg_build(run: "PipelineRun") -> "StateGraph":
     if run.source_sg is not None:
         return run.source_sg
     run.artifact("parse")
     if run.dialect == "sg":
+        from ..sg.sgformat import parse_sg
+
         return parse_sg(run.root_text)
     from ..stg import elaborate, parse_g
 
@@ -130,6 +122,8 @@ def _stage_sg_build(run: "PipelineRun") -> StateGraph:
 
 
 def _stage_classify(run: "PipelineRun") -> Classification:
+    from ..analysis.engine import run_preflight
+
     sg = run.artifact("sg-build")
     with trace_span("validate"):
         preflight = run_preflight(sg, name=run.name)
@@ -148,17 +142,23 @@ def _stage_classify(run: "PipelineRun") -> Classification:
     )
 
 
-def _stage_regions(run: "PipelineRun") -> dict[int, SignalRegions]:
+def _stage_regions(run: "PipelineRun") -> "dict[int, SignalRegions]":
+    from ..sg.regions import signal_regions
+
     sg = run.artifact("sg-build")
     return {a: signal_regions(sg, a) for a in sg.non_inputs}
 
 
 def _stage_sop(run: "PipelineRun"):
+    from ..core.sop_derivation import derive_sop_spec
+
     sg = run.artifact("sg-build")
     return derive_sop_spec(sg, regions=run.artifact("regions"))
 
 
 def _stage_covers(run: "PipelineRun") -> CoverBundle:
+    from ..core.synthesizer import apply_trigger_requirement, minimize_cover
+
     sg = run.artifact("sg-build")
     spec = run.artifact("sop-derivation")
     minimized = minimize_cover(
@@ -177,12 +177,16 @@ def _stage_covers(run: "PipelineRun") -> CoverBundle:
 
 
 def _stage_netlist(run: "PipelineRun"):
+    from ..core.synthesizer import build_architecture
+
     spec = run.artifact("sop-derivation")
     bundle: CoverBundle = run.artifact("covers")
     return build_architecture(spec, bundle.cover, name=run.name)
 
 
 def _stage_delays(run: "PipelineRun"):
+    from ..core.synthesizer import finalize_circuit
+
     sg = run.artifact("sg-build")
     spec = run.artifact("sop-derivation")
     bundle: CoverBundle = run.artifact("covers")
@@ -206,6 +210,8 @@ def _stage_delays(run: "PipelineRun"):
 
 
 def _stage_verify(run: "PipelineRun"):
+    from ..core.verify import verify_hazard_freeness
+
     circuit = run.artifact("delays")
     params = dict(run.verify_params or {})
     params["input_delay"] = tuple(params.get("input_delay", (0.1, 6.0)))

@@ -6,31 +6,19 @@ flip-flop with ω/τ electrical parameters, and an SG-driven environment
 with conformance checking for closed-loop hazard-freeness runs.
 """
 
-from .waveform import Waveform, Pulse, TraceSet
-from .mhs import MhsParams, MhsState, mhs_response, celement_response
-from .simulator import Simulator, SimConfig, SimulationError, SimulationLimitError
-from .environment import SGEnvironment, ConformanceReport
-from .hazards import HazardReport, analyze_hazards
-from .vcd import write_vcd
-from .performance import PerformanceReport, measure_performance
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Waveform",
-    "Pulse",
-    "TraceSet",
-    "MhsParams",
-    "MhsState",
-    "mhs_response",
-    "celement_response",
-    "Simulator",
-    "SimConfig",
-    "SimulationError",
-    "SimulationLimitError",
-    "SGEnvironment",
-    "ConformanceReport",
-    "HazardReport",
-    "analyze_hazards",
-    "write_vcd",
-    "PerformanceReport",
-    "measure_performance",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".waveform": "Waveform Pulse TraceSet",
+        ".mhs": "MhsParams MhsState mhs_response celement_response",
+        ".simulator": (
+            "Simulator SimConfig SimulationError SimulationLimitError"
+        ),
+        ".environment": "SGEnvironment ConformanceReport",
+        ".hazards": "HazardReport analyze_hazards",
+        ".vcd": "write_vcd",
+        ".performance": "PerformanceReport measure_performance",
+    },
+)

@@ -5,23 +5,16 @@ benchmark circuits are specified in; token-flow reachability produces
 the state graphs the N-SHOT synthesizer consumes.
 """
 
-from .petrinet import Stg, StgTransition, StgError
-from .parser import parse_g, write_g
-from .reachability import elaborate, infer_initial_values, ElaborationError
-from .analysis import StgReport, is_live, is_safe, free_choice_conflicts, classify
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Stg",
-    "StgTransition",
-    "StgError",
-    "parse_g",
-    "write_g",
-    "elaborate",
-    "infer_initial_values",
-    "ElaborationError",
-    "StgReport",
-    "is_live",
-    "is_safe",
-    "free_choice_conflicts",
-    "classify",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".petrinet": "Stg StgTransition StgError",
+        ".parser": "parse_g write_g",
+        ".reachability": "elaborate infer_initial_values ElaborationError",
+        ".analysis": (
+            "StgReport is_live is_safe free_choice_conflicts classify"
+        ),
+    },
+)

@@ -13,7 +13,7 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.obs import get_metrics, get_tracer
+from repro.obs import Tracer, get_metrics, get_tracer, tracing
 from repro.obs.harness import (
     BENCH_SCHEMA,
     WORK_METRICS,
@@ -23,6 +23,7 @@ from repro.obs.harness import (
     quick_circuits,
     run_bench,
     validate_bench,
+    warm_up,
     write_bench,
 )
 
@@ -103,6 +104,13 @@ class TestBenchCircuit:
             get_metrics().snapshot()["counters"].get("sim.runs", 0)
             == runs_before
         )
+
+    def test_warm_up_leaves_no_spans_or_metrics(self):
+        metrics_before = get_metrics().snapshot()
+        with tracing(Tracer()) as outer:
+            warm_up("chu172")
+        assert outer.spans() == []
+        assert get_metrics().snapshot() == metrics_before
 
 
 class TestRunBench:

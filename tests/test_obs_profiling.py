@@ -289,6 +289,8 @@ class TestSuiteDocument:
         assert diff["new"] == [] and diff["vanished"] == []
         assert diff["stages"] == []
 
+    # a real-timing contract: runs under `-m slow`, not in tier-1
+    @pytest.mark.slow
     def test_overhead_under_ten_percent(self):
         """Profiling the workload costs < 10% wall time (plus a small
         absolute slack so scheduler noise cannot flake a ~50ms

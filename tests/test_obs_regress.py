@@ -51,6 +51,8 @@ class TestSameShaStability:
     """Back-to-back runs at the same SHA must not page (twice, per the
     acceptance criterion)."""
 
+    # times real bench runs, so it runs under `-m slow`, not in tier-1
+    @pytest.mark.slow
     def test_no_false_positives_twice(self, baseline):
         for _ in range(2):
             report = run_regress(baseline, telemetry=False)
@@ -58,7 +60,12 @@ class TestSameShaStability:
             assert report.exit_code() == 0
             assert report.env_match
 
-    def test_json_document(self, baseline):
+    def test_json_document(self, baseline, monkeypatch):
+        # document shape under test, not timing: the fresh bench reads
+        # the baseline back verbatim
+        monkeypatch.setattr(
+            regress_mod, "run_bench", lambda **_kw: copy.deepcopy(baseline)
+        )
         report = run_regress(baseline, telemetry=False, remeasure=False)
         doc = report.to_json_doc()
         assert doc["schema"] == REGRESS_SCHEMA
@@ -116,7 +123,12 @@ class TestSlowdownConviction:
 
 
 class TestReporting:
-    def test_markdown_tables(self, baseline):
+    def test_markdown_tables(self, baseline, monkeypatch):
+        # rendering under test, not timing: the fresh bench reads the
+        # baseline back verbatim
+        monkeypatch.setattr(
+            regress_mod, "run_bench", lambda **_kw: copy.deepcopy(baseline)
+        )
         report = run_regress(baseline, remeasure=False)
         md = report.render_markdown()
         assert "# repro regress report" in md

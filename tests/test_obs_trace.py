@@ -320,6 +320,8 @@ class TestCampaignTraceMerge:
 # no-op overhead
 # ----------------------------------------------------------------------
 class TestNoopOverhead:
+    # a real-timing contract: runs under `-m slow`, not in tier-1
+    @pytest.mark.slow
     def test_disabled_tracer_overhead_below_5_percent(self):
         """The untraced hot path must stay within noise.
 
