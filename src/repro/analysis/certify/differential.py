@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ...obs import trace_span
+from ...obs.trace import trace_span
 from .engine import certify_circuit
 from .obligations import Certificate
 
@@ -123,7 +123,8 @@ def differential_suite(
     max_transitions: int = 60,
 ) -> list[DifferentialOutcome]:
     """Cross-check the paper suite (all 25 circuits by default)."""
-    from ...bench import TABLE2_CIRCUITS, sg_of
+    from ...bench.circuits import TABLE2_CIRCUITS
+    from ...bench.runner import sg_of
     from ...core.synthesizer import synthesize
 
     suite = names or TABLE2_CIRCUITS

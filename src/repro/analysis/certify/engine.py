@@ -47,7 +47,8 @@ from ...logic.cover import Cover
 from ...logic.tautology import covers_cube
 from ...netlist.gates import GateType
 from ...netlist.library import DEFAULT_LIBRARY, Library
-from ...obs import get_metrics, trace_span
+from ...obs.metrics import get_metrics
+from ...obs.trace import trace_span
 from ...sg.graph import render_state
 from ...sg.regions import Region
 from ...sim.mhs import MhsParams

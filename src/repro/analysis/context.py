@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
     from ..core.synthesizer import NShotCircuit
     from ..logic.cover import Cover
     from ..pipeline.dag import PipelineRun
-    from .certify import Certificate
+    from .certify.obligations import Certificate
 
 __all__ = ["LintContext"]
 
@@ -90,7 +90,7 @@ class LintContext:
     @property
     def pipeline(self) -> "PipelineRun":
         if self._pipeline is None:
-            from ..pipeline import PipelineRun
+            from ..pipeline.dag import PipelineRun
 
             self._pipeline = PipelineRun.from_sg(
                 self.require_sg(),

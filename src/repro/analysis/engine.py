@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..netlist.netlist import Netlist
-from ..obs import get_metrics, trace_span
+from ..obs.metrics import get_metrics
+from ..obs.trace import trace_span
 from ..sg.graph import StateGraph
 from .context import LintContext
 from .diagnostics import Diagnostic, Location, Severity
