@@ -2142,7 +2142,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="repro",
         description="N-SHOT asynchronous synthesis (DAC'95 reproduction)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        # the usage line of a one-command build still lists every command
+        metavar=None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}",
+    )
     for name, add in _SUBCOMMANDS.items():
         if command in (None, name):
             add(sub)

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 CELEM_G = """
 .model celem
@@ -80,6 +80,18 @@ class TestSynth:
         assert main(["synth", str(gfile), "--spread", "0.4"]) == 0
         out = capsys.readouterr().out
         assert "delay req" in out
+
+    def test_one_command_parser_keeps_the_full_usage(self, gfile, capsys):
+        """``main`` declares only the invoked subcommand, yet an error
+        the top-level parser reports shows the usage of the full one."""
+        argv = ["synth", str(gfile), "--bogus"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        full = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert capsys.readouterr().err == full
+        assert "{info,synth,compare," in full
 
 
 class TestCompare:
