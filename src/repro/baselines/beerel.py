@@ -26,14 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..logic import Cover, Cube, supercube_of
+from ..logic import Cover, Cube
+from ..logic.cube import spread_bits
 from ..netlist import Gate, GateType, Netlist, Pin
 from ..netlist.trees import build_gate_tree
-from ..sg.distributivity import is_distributive, non_distributive_signals
-from ..sg.encoding import unreachable_cover
+from ..sg.distributivity import non_distributive_signals
 from ..sg.graph import StateGraph
 from ..sg.regions import signal_regions
 from .errors import BaselineRefusal, refusal_diagnostic, require_valid_spec
+from .hazard_free_sop import product_nets
 from .lavagno import NotDistributiveError
 
 __all__ = ["BeerelResult", "StateSignalsRequiredError", "synthesize_beerel"]
@@ -59,9 +60,7 @@ class BeerelResult:
         return self.netlist.stats()
 
 
-def _monotonous_cube(
-    sg: StateGraph, er_states: set, allowed: set[int], name: str
-) -> Cube:
+def _monotonous_cube(n: int, er_codes: set[int], allowed: set[int], name: str) -> Cube:
     """A single cube covering an ER, confined to its allowed codes.
 
     ``allowed`` is the set of binary codes the cube may touch (the ER,
@@ -70,9 +69,14 @@ def _monotonous_cube(
     inside ``allowed``.  Raises when even the supercube leaves the
     allowed set.
     """
-    n = sg.num_signals
-    sc = supercube_of(Cube.from_minterm(sg.code(s), n) for s in er_states)
-    assert sc is not None
+    # the ER's supercube: a variable keeps its 1 (0) literal where the
+    # AND of the codes (of their complements) has it, else don't care
+    full = (1 << n) - 1
+    ones = zeros = full
+    for c in er_codes:
+        ones &= c
+        zeros &= ~c
+    sc = Cube(n, spread_bits(full & ~zeros) << 1 | spread_bits(full & ~ones))
 
     def inside(cube: Cube) -> bool:
         return all(m in allowed for m in cube.minterms())
@@ -101,8 +105,9 @@ def synthesize_beerel(
     """Run the standard-C monotonous-cover flow on a distributive SG."""
     if validate:
         require_valid_spec(sg, name)
-    if not is_distributive(sg):
-        bad = ", ".join(sg.signals[a] for a in non_distributive_signals(sg))
+    detonant = non_distributive_signals(sg)
+    if detonant:
+        bad = ", ".join(sg.signals[a] for a in detonant)
         raise NotDistributiveError(
             "(1) non-distributive SG: SYN/Beerel flow not applicable",
             diagnostics=refusal_diagnostic(
@@ -120,9 +125,10 @@ def synthesize_beerel(
     for a in sg.non_inputs:
         nl.add_output(sg.signals[a])
 
-    unreachable = {
-        m for c in unreachable_cover(sg).cubes for m in c.minterms()
-    } if sg.num_signals <= 16 else set()
+    view = sg.dense()
+    unreachable = (
+        set(range(1 << sg.num_signals)) - set(view.codes) if sg.num_signals <= 16 else set()
+    )
 
     covers: dict[tuple[int, str], Cover] = {}
     ack_gates = 0
@@ -139,15 +145,15 @@ def synthesize_beerel(
                 if er.direction != direction:
                     continue
                 qr = sr.quiescent_after(er)
-                er_codes = {sg.code(s) for s in er.states}
-                qr_codes = {sg.code(s) for s in qr.states}
+                er_codes = view.codes_of(er.bits(view))
+                qr_codes = view.codes_of(qr.bits(view))
                 tag = f"{'+' if direction == 1 else '-'}{sig}"
                 try:
                     # preferred: the cube stays inside the excitation
                     # region (plus unreachable codes) — its turn-off is
                     # acknowledged by the output's own firing
                     cube = _monotonous_cube(
-                        sg, set(er.states), er_codes | unreachable, tag
+                        sg.num_signals, er_codes, er_codes | unreachable, tag
                     )
                 except StateSignalsRequiredError:
                     # the ER's supercube spills into its quiescent
@@ -155,7 +161,7 @@ def synthesize_beerel(
                     # cube's turn-off is no longer acknowledged by the
                     # output transition — extra completion hardware
                     cube = _monotonous_cube(
-                        sg, set(er.states), er_codes | qr_codes | unreachable, tag
+                        sg.num_signals, er_codes, er_codes | qr_codes | unreachable, tag
                     )
                     net_ok = f"ackh_{kind}_{sig}_{len(cubes)}"
                     local_unack.append(net_ok)
@@ -169,13 +175,6 @@ def synthesize_beerel(
             enable = Pin(sig, inverted=(kind == "set"))
             gate_out = nl.fresh_net(f"{kind}_{sig}_g")
 
-            def cube_pins(cube) -> list[Pin]:
-                pins = []
-                for var in cube.fixed_vars():
-                    positive = cube.literal(var) == 0b10
-                    pins.append(Pin(sg.signals[var], inverted=not positive))
-                return pins
-
             if not cubes:
                 nl.add(
                     Gate(
@@ -187,32 +186,7 @@ def synthesize_beerel(
                     )
                 )
             else:
-                cube_nets: list[str] = []
-                for k, cube in enumerate(cubes):
-                    pins = cube_pins(cube)
-                    if not pins:
-                        # tautology cube (monotonous cover of an
-                        # everywhere-excited region): constant 1
-                        net = nl.fresh_net(f"p_{kind}_{sig}_")
-                        nl.add(
-                            Gate(
-                                f"c1_{kind}_{sig}{k}",
-                                GateType.CONST,
-                                [],
-                                net,
-                                attrs={"value": 1},
-                            )
-                        )
-                        cube_nets.append(net)
-                        continue
-                    if len(pins) == 1 and not pins[0].inverted:
-                        cube_nets.append(pins[0].net)
-                        continue
-                    net = nl.fresh_net(f"p_{kind}_{sig}_")
-                    build_gate_tree(
-                        nl, GateType.AND, pins, net, f"and_{kind}_{sig}{k}"
-                    )
-                    cube_nets.append(net)
+                cube_nets = product_nets(nl, cubes, sg.signals, f"{kind}_{sig}")
                 if len(cube_nets) == 1:
                     plane = cube_nets[0]
                 else:

@@ -23,14 +23,22 @@ architecture removes.  This module provides the shared machinery:
   storage, no delay padding).  It refuses any spec with function
   hazards (:class:`UnmaskableHazardError`) — the strictest baseline in
   the differential bench, exhibiting exactly the failure mode the
-  bounded-delay and N-SHOT methods exist to remove.
+  bounded-delay and N-SHOT methods exist to remove;
+* :func:`sop_plane` / :func:`product_nets` — a cover's AND-OR plane,
+  or its product nets alone, for every baseline netlist builder.
+
+The predicates walk the graph's dense view (state numbers, the ``nxt``
+table, the spec's on/off bitsets), so what they list and the order they
+list it in do not depend on the hash seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from ..logic import Cover, Cube, minimize
+from ..logic.cube import LIT_DC, LIT_ONE, minterm_mask
 from ..logic.espresso import expand as espresso_expand
 from ..netlist import Gate, GateType, Netlist, Pin
 from ..netlist.trees import build_gate_tree
@@ -65,7 +73,11 @@ class UnmaskableHazardError(BaselineRefusal):
 
 @dataclass
 class NextStateSpec:
-    """(F, D, R) of one signal's next-state function (single output)."""
+    """(F, D, R) of one signal's next-state function (single output).
+
+    ``on_bits``/``off_bits`` are ``on_states``/``off_states`` as
+    bitsets over the graph's dense state numbers.
+    """
 
     signal: int
     on: Cover
@@ -73,6 +85,8 @@ class NextStateSpec:
     off: Cover
     on_states: set[StateId]
     off_states: set[StateId]
+    on_bits: int
+    off_bits: int
 
 
 def next_state_function(sg: StateGraph, signal: int) -> NextStateSpec:
@@ -84,20 +98,31 @@ def next_state_function(sg: StateGraph, signal: int) -> NextStateSpec:
     """
     sr = signal_regions(sg, signal)
     view = sg.dense()
-    on_states = sr.union_states("ER", 1) | sr.union_states("QR", 1)
-    off_states = sr.union_states("ER", -1) | sr.union_states("QR", -1)
+    on_bits = sr.union_bits(view, "ER", 1) | sr.union_bits(view, "QR", 1)
+    off_bits = sr.union_bits(view, "ER", -1) | sr.union_bits(view, "QR", -1)
     return NextStateSpec(
         signal=signal,
-        on=bits_to_cover(
-            sg, sr.union_bits(view, "ER", 1) | sr.union_bits(view, "QR", 1)
-        ),
+        on=bits_to_cover(sg, on_bits),
         dc=unreachable_cover(sg),
-        off=bits_to_cover(
-            sg, sr.union_bits(view, "ER", -1) | sr.union_bits(view, "QR", -1)
-        ),
-        on_states=on_states,
-        off_states=off_states,
+        off=bits_to_cover(sg, off_bits),
+        on_states=set(view.states_of(on_bits)),
+        off_states=set(view.states_of(off_bits)),
+        on_bits=on_bits,
+        off_bits=off_bits,
     )
+
+
+def _static_one_arcs(
+    sg: StateGraph, spec: NextStateSpec
+) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """Per ON state ``s`` with static-1 arcs, in ascending dense state
+    number: ``s`` and its arcs ``(signal, d)`` in insertion order."""
+    view = sg.dense()
+    on = view.flags(spec.on_bits)
+    for s in view.numbers(spec.on_bits):
+        arcs = [(a, d) for a, _dir, d in view.succ[s] if a != spec.signal and on[d]]
+        if arcs:
+            yield s, arcs
 
 
 def static_one_hazard_pairs(
@@ -109,15 +134,11 @@ def static_one_hazard_pairs(
     ON minterms glitches unless one cube covers both (static-1 hazard).
     0-1-0 static hazards do not occur in AND-OR SOP with input
     inversions (the paper makes the same observation in Section IV-A).
+    Listed by ascending dense state number of the source, so the order
+    does not depend on the hash seed.
     """
-    out = []
-    for s in spec.on_states:
-        for t, d in sg.successors(s):
-            if t.signal == spec.signal:
-                continue
-            if d in spec.on_states:
-                out.append((s, d))
-    return out
+    ids = sg.dense().ids
+    return [(ids[s], ids[d]) for s, arcs in _static_one_arcs(sg, spec) for _a, d in arcs]
 
 
 def add_hazard_cover_cubes(
@@ -131,22 +152,54 @@ def add_hazard_cover_cubes(
     number of cubes added — the area overhead that hazard-freedom
     costs the baseline flows.
     """
+    n = sg.num_signals
+    codes = sg.dense().codes
     added = 0
     work = cover.copy()
-    for s, d in static_one_hazard_pairs(sg, spec):
-        cs = Cube.from_minterm(sg.code(s), sg.num_signals)
-        cd = Cube.from_minterm(sg.code(d), sg.num_signals)
-        pair = cs.supercube(cd)
-        if any(c.contains(pair) for c in work.cubes):
-            continue
-        prime = espresso_expand(
-            Cover(sg.num_signals, 1, [pair]), spec.off
-        ).cubes[0]
-        work.add(prime)
-        added += 1
+    masks = [c.inputs for c in work.cubes]
+    tried: set[int] = set()
+    for s, arcs in _static_one_arcs(sg, spec):
+        minterm = minterm_mask(codes[s], n)
+        for a, _d in arcs:
+            # the pair's supercube: s's minterm with the arc's signal raised
+            m = minterm | LIT_DC << (2 * a)
+            if m in tried:
+                continue  # covered since: by a cube or by the prime grown from it
+            tried.add(m)
+            # single-output covers: containment is on the input parts alone
+            for c in masks:
+                if c & m == m:
+                    break
+            else:
+                prime = espresso_expand(Cover(n, 1, [Cube(n, m)]), spec.off).cubes[0]
+                work.add(prime)
+                masks.append(prime.inputs)
+                added += 1
     if added:
         work = work.single_cube_containment()
     return work, added
+
+
+def _function_hazards(sg: StateGraph, spec: NextStateSpec) -> Iterator[int]:
+    """Dense numbers of the states exposing a function hazard, ascending."""
+    view = sg.dense()
+    n, nxt, signal = view.num_signals, view.nxt, spec.signal
+    # per state: bit 0 = f is 1 there, bit 1 = f is 0 there
+    f = bytearray(view.flags(spec.on_bits))
+    for x in view.numbers(spec.off_bits):
+        f[x] |= 2
+    for s, arcs in enumerate(view.succ):
+        enabled = [(a, d) for a, _dir, d in arcs if a != signal]
+        # the function changes across a multi-input change: under the
+        # bounded-delay model the AND-OR plane can glitch during the
+        # transition however it is covered
+        if any(
+            f[s] | f[s1] | f[s2] | (f[s12] if (s12 := nxt[s1 * n + a2]) >= 0 else 0)
+            == 3
+            for i, (_a1, s1) in enumerate(enabled)
+            for a2, s2 in enabled[i + 1 :]
+        ):
+            yield s
 
 
 def function_hazard_states(sg: StateGraph, spec: NextStateSpec) -> list[StateId]:
@@ -158,33 +211,56 @@ def function_hazard_states(sg: StateGraph, spec: NextStateSpec) -> list[StateId]
     glitch-free across it, whatever the cover.  The bounded-delay flow
     must mask such hazards with delay lines.
     """
-    out: list[StateId] = []
+    ids = sg.dense().ids
+    return [ids[s] for s in _function_hazards(sg, spec)]
 
-    def f(state: StateId) -> int | None:
-        if state in spec.on_states:
-            return 1
-        if state in spec.off_states:
-            return 0
-        return None
 
-    for s in sg.states():
-        enabled = [t for t in sg.enabled(s) if t.signal != spec.signal]
-        exposed = False
-        for i in range(len(enabled)):
-            for j in range(i + 1, len(enabled)):
-                t1, t2 = enabled[i], enabled[j]
-                s1, s2 = sg.succ(s, t1), sg.succ(s, t2)
-                s12 = sg.succ(s1, t2) if s1 is not None else None
-                corners = [f(x) for x in (s, s1, s2, s12) if x is not None]
-                vals = [v for v in corners if v is not None]
-                if len(set(vals)) > 1:
-                    # the function changes across a multi-input change:
-                    # under the bounded-delay model the AND-OR plane can
-                    # glitch during the transition however it is covered
-                    exposed = True
-        if exposed:
-            out.append(s)
-    return out
+def sop_plane(nl: Netlist, cover: Cover, names: Sequence[str], tag: str) -> str:
+    """The AND-OR plane of a cover; returns the net it drives.
+
+    One product net per cube (see :func:`product_nets`), ORed into a
+    fresh ``f_<tag>_`` net: a buffer for one cube, constant 0 for an
+    empty cover (the signal never rises).
+    """
+    cube_nets = product_nets(nl, cover.cubes, names, tag)
+    plane = nl.fresh_net(f"f_{tag}_")
+    if not cube_nets:
+        nl.add(Gate(f"c0_{tag}", GateType.CONST, [], plane, attrs={"value": 0}))
+    elif len(cube_nets) == 1:
+        nl.add(Gate(f"buf_{tag}", GateType.BUF, [Pin(cube_nets[0])], plane))
+    else:
+        build_gate_tree(
+            nl, GateType.OR, [Pin(c) for c in cube_nets], plane, f"or_{tag}"
+        )
+    return plane
+
+
+def product_nets(
+    nl: Netlist, cubes: Sequence[Cube], names: Sequence[str], tag: str
+) -> list[str]:
+    """One net per cube, reading variable ``i`` from net ``names[i]``.
+
+    A tautology cube becomes a constant 1 (fuzz corpus:
+    ``flow_crash_*_valueerror``), a single positive literal is its own
+    net, and any other cube an AND tree ``and_<tag><k>`` into a fresh
+    ``p_<tag>_`` net.  The function may read its own output (feedback).
+    """
+    nets: list[str] = []
+    for k, cube in enumerate(cubes):
+        pins = [
+            Pin(names[var], inverted=cube.literal(var) != LIT_ONE)
+            for var in cube.fixed_vars()
+        ]
+        if len(pins) == 1 and not pins[0].inverted:
+            nets.append(pins[0].net)
+            continue
+        net = nl.fresh_net(f"p_{tag}_")
+        if pins:
+            build_gate_tree(nl, GateType.AND, pins, net, f"and_{tag}{k}")
+        else:
+            nl.add(Gate(f"c1_{tag}{k}", GateType.CONST, [], net, attrs={"value": 1}))
+        nets.append(net)
+    return nets
 
 
 @dataclass
@@ -219,8 +295,8 @@ def synthesize_hazard_free_sop(
     if validate:
         require_valid_spec(sg, name)
 
-    for a in sg.non_inputs:
-        spec = next_state_function(sg, a)
+    specs = {a: next_state_function(sg, a) for a in sg.non_inputs}
+    for a, spec in specs.items():
         exposed = function_hazard_states(sg, spec)
         if exposed:
             sig = sg.signals[a]
@@ -248,46 +324,13 @@ def synthesize_hazard_free_sop(
     covers: dict[int, Cover] = {}
     hazard_added = 0
 
-    for a in sg.non_inputs:
-        spec = next_state_function(sg, a)
+    for a, spec in specs.items():
         cover = minimize(spec.on, spec.dc, spec.off, method=method)
         cover, added = add_hazard_cover_cubes(sg, spec, cover)
         hazard_added += added
         covers[a] = cover
         sig = sg.signals[a]
-
-        cube_nets: list[str] = []
-        for k, cube in enumerate(cover.cubes):
-            pins = []
-            for var in cube.fixed_vars():
-                positive = cube.literal(var) == 0b10
-                pins.append(Pin(sg.signals[var], inverted=not positive))
-            if not pins:
-                # tautology cube: constant-1 next-state function
-                # (fuzz corpus: flow_crash_hazard_free_sop_valueerror)
-                net = nl.fresh_net(f"p_{sig}_")
-                nl.add(
-                    Gate(f"c1_{sig}{k}", GateType.CONST, [], net, attrs={"value": 1})
-                )
-                cube_nets.append(net)
-                continue
-            if len(pins) == 1 and not pins[0].inverted:
-                cube_nets.append(pins[0].net)
-                continue
-            net = nl.fresh_net(f"p_{sig}_")
-            build_gate_tree(nl, GateType.AND, pins, net, f"and_{sig}{k}")
-            cube_nets.append(net)
-        plane = nl.fresh_net(f"f_{sig}_")
-        if not cube_nets:
-            nl.add(
-                Gate(f"c0_{sig}", GateType.CONST, [], plane, attrs={"value": 0})
-            )
-        elif len(cube_nets) == 1:
-            nl.add(Gate(f"buf_{sig}", GateType.BUF, [Pin(cube_nets[0])], plane))
-        else:
-            build_gate_tree(
-                nl, GateType.OR, [Pin(c) for c in cube_nets], plane, f"or_{sig}"
-            )
+        plane = sop_plane(nl, cover, sg.signals, sig)
         nl.add(
             Gate(
                 f"out_{sig}",

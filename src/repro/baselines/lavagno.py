@@ -27,14 +27,14 @@ from dataclasses import dataclass, field
 
 from ..logic import Cover, minimize
 from ..netlist import Gate, GateType, Netlist, Pin
-from ..netlist.trees import build_gate_tree
-from ..sg.distributivity import is_distributive, non_distributive_signals
+from ..sg.distributivity import non_distributive_signals
 from ..sg.graph import StateGraph
 from .errors import BaselineRefusal, refusal_diagnostic, require_valid_spec
 from .hazard_free_sop import (
+    _function_hazards,
     add_hazard_cover_cubes,
-    function_hazard_states,
     next_state_function,
+    sop_plane,
 )
 
 __all__ = ["LavagnoResult", "NotDistributiveError", "synthesize_lavagno"]
@@ -77,8 +77,9 @@ def synthesize_lavagno(
     """
     if validate:
         require_valid_spec(sg, name)
-    if not is_distributive(sg):
-        bad = ", ".join(sg.signals[a] for a in non_distributive_signals(sg))
+    detonant = non_distributive_signals(sg)
+    if detonant:
+        bad = ", ".join(sg.signals[a] for a in detonant)
         raise NotDistributiveError(
             "(1) non-distributive SG: SIS/Lavagno flow not applicable",
             diagnostics=refusal_diagnostic(
@@ -109,45 +110,9 @@ def synthesize_lavagno(
         covers[a] = cover
         sig = sg.signals[a]
 
-        # literal pins: the function may read its own output (feedback)
-        def pins_of(cube) -> list[Pin]:
-            pins = []
-            for var in cube.fixed_vars():
-                positive = cube.literal(var) == 0b10
-                pins.append(Pin(sg.signals[var], inverted=not positive))
-            return pins
+        plane = sop_plane(nl, cover, sg.signals, sig)
 
-        cube_nets = []
-        for k, cube in enumerate(cover.cubes):
-            pins = pins_of(cube)
-            if not pins:
-                # tautology cube: the next-state function is constant 1
-                # (fuzz corpus: flow_crash_lavagno_valueerror)
-                net = nl.fresh_net(f"p_{sig}_")
-                nl.add(
-                    Gate(f"c1_{sig}{k}", GateType.CONST, [], net, attrs={"value": 1})
-                )
-                cube_nets.append(net)
-                continue
-            if len(pins) == 1 and not pins[0].inverted:
-                cube_nets.append(pins[0].net)
-                continue
-            net = nl.fresh_net(f"p_{sig}_")
-            build_gate_tree(nl, GateType.AND, pins, net, f"and_{sig}{k}")
-            cube_nets.append(net)
-        plane = nl.fresh_net(f"f_{sig}_")
-        if not cube_nets:
-            # empty cover: the signal never rises — constant 0
-            nl.add(Gate(f"c0_{sig}", GateType.CONST, [], plane, attrs={"value": 0}))
-        elif len(cube_nets) == 1:
-            nl.add(Gate(f"buf_{sig}", GateType.BUF, [Pin(cube_nets[0])], plane))
-        else:
-            build_gate_tree(
-                nl, GateType.OR, [Pin(c) for c in cube_nets], plane, f"or_{sig}"
-            )
-
-        exposed = function_hazard_states(sg, spec)
-        if exposed:
+        if next(_function_hazards(sg, spec), None) is not None:
             # mask function hazards with a delay line in the output path
             delay_lines += 1
             padded.append(sig)

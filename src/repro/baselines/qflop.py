@@ -33,7 +33,7 @@ from ..netlist import DEFAULT_LIBRARY, Gate, GateType, Netlist, Pin
 from ..netlist.trees import build_gate_tree
 from ..sg.graph import StateGraph
 from .errors import require_valid_spec
-from .hazard_free_sop import next_state_function
+from .hazard_free_sop import next_state_function, product_nets
 
 __all__ = ["QModuleResult", "synthesize_qmodule"]
 
@@ -71,7 +71,7 @@ def synthesize_qmodule(
 
     # 1. Q-flop synchronizers on every input and every feedback signal
     clock = "lclk"
-    sampled: dict[int, str] = {}
+    sampled: list[str] = []
     qflops = 0
     for idx in range(sg.num_signals):
         src = sg.signals[idx] if sg.is_input(idx) else sg.signals[idx] + "_fb"
@@ -86,7 +86,7 @@ def synthesize_qmodule(
                 attrs={"sync": True},
             )
         )
-        sampled[idx] = out
+        sampled.append(out)
         qflops += 1
 
     # 2. the combinational next-state core over the sampled values
@@ -97,27 +97,7 @@ def synthesize_qmodule(
         cover = minimize(spec.on, spec.dc, spec.off, method=method)
         covers[a] = cover
         sig = sg.signals[a]
-        cube_nets: list[str] = []
-        for k, cube in enumerate(cover.cubes):
-            pins = []
-            for var in cube.fixed_vars():
-                positive = cube.literal(var) == 0b10
-                pins.append(Pin(sampled[var], inverted=not positive))
-            if not pins:
-                # tautology cube: constant-1 next-state function
-                # (fuzz corpus: flow_crash_qflop_valueerror)
-                net = nl.fresh_net(f"p_{sig}_")
-                nl.add(
-                    Gate(f"c1_{sig}{k}", GateType.CONST, [], net, attrs={"value": 1})
-                )
-                cube_nets.append(net)
-                continue
-            if len(pins) == 1 and not pins[0].inverted:
-                cube_nets.append(pins[0].net)
-                continue
-            net = nl.fresh_net(f"p_{sig}_")
-            build_gate_tree(nl, GateType.AND, pins, net, f"and_{sig}{k}")
-            cube_nets.append(net)
+        cube_nets = product_nets(nl, cover.cubes, sampled, sig)
         if not cube_nets:
             z = nl.fresh_net(f"z_{sig}_")
             nl.add(Gate(f"c0_{sig}", GateType.CONST, [], z, attrs={"value": 0}))
@@ -144,9 +124,8 @@ def synthesize_qmodule(
 
     # 3. the N-way rendezvous: a tree of C-elements over the Q-flop
     #    completion signals generates the local clock
-    completion = [sampled[idx] for idx in range(sg.num_signals)]
     rendezvous_cells = 0
-    level = completion
+    level = sampled
     while len(level) > 1:
         nxt: list[str] = []
         for k in range(0, len(level) - 1, 2):

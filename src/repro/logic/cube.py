@@ -38,6 +38,8 @@ __all__ = [
     "Cube",
     "full_input_mask",
     "input_field",
+    "minterm_mask",
+    "spread_bits",
     "LIT_ZERO",
     "LIT_ONE",
     "LIT_DC",
@@ -62,6 +64,19 @@ def full_input_mask(num_inputs: int) -> int:
 def input_field(mask: int, var: int) -> int:
     """Extract the 2-bit field of variable ``var`` from ``mask``."""
     return (mask >> (2 * var)) & 0b11
+
+
+def spread_bits(bits: int) -> int:
+    """Move bit ``i`` of ``bits`` to bit ``2i``, the low bit of variable
+    ``i``'s field (the binary digits read as base-4 digits)."""
+    return int(format(bits, "b"), 4)
+
+
+def minterm_mask(minterm: int, num_inputs: int) -> int:
+    """Positional mask of a minterm: field ``10`` where bit ``i`` of
+    ``minterm`` is 1 and ``01`` where it is 0."""
+    full = (1 << num_inputs) - 1
+    return spread_bits(minterm & full) << 1 | spread_bits(~minterm & full)
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,11 +146,7 @@ class Cube:
 
         Bit ``i`` of ``minterm`` is the value of variable ``i``.
         """
-        mask = 0
-        for var in range(num_inputs):
-            field = LIT_ONE if (minterm >> var) & 1 else LIT_ZERO
-            mask |= field << (2 * var)
-        return Cube(num_inputs, mask, outputs)
+        return Cube(num_inputs, minterm_mask(minterm, num_inputs), outputs)
 
     # ------------------------------------------------------------------
     # inspection

@@ -12,11 +12,15 @@ section: the SIS/Lavagno and SYN/Beerel baselines handle only
 distributive specifications, whereas the N-SHOT architecture also
 covers the non-distributive industrial designs of Table 2's second
 half.
+
+The walk reads the graph's dense view: states in insertion order and
+the up/down excited-signal masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graph import StateGraph, StateId
 
@@ -43,24 +47,34 @@ class DetonantState:
     v: StateId
 
 
-def detonant_states(sg: StateGraph, signal: int) -> list[DetonantState]:
-    """All detonant states w.r.t. one non-input signal (Definition 3)."""
-    out: list[DetonantState] = []
-    for w in sg.states():
-        if sg.is_excited(w, signal):
+def _detonant(sg: StateGraph, signal: int) -> Iterator[tuple[int, int, int]]:
+    """Detonant states w.r.t. ``signal`` as ``(w, u, v)`` dense state
+    numbers, in state order and, per state, in arc order."""
+    view = sg.dense()
+    bit = 1 << signal
+    hot = [(up | down) & bit for up, down in zip(view.up, view.down)]
+    for w, arcs in enumerate(view.succ):
+        if hot[w]:
             continue  # a must be stable in w
-        succs = [d for _, d in sg.successors(w)]
-        excited = [d for d in succs if sg.is_excited(d, signal)]
+        excited = [d for _a, _d, d in arcs if hot[d]]
         # all pairs of distinct successors in which `signal` is excited
         for i in range(len(excited)):
             for j in range(i + 1, len(excited)):
-                out.append(DetonantState(w, signal, excited[i], excited[j]))
-    return out
+                yield w, excited[i], excited[j]
+
+
+def detonant_states(sg: StateGraph, signal: int) -> list[DetonantState]:
+    """All detonant states w.r.t. one non-input signal (Definition 3)."""
+    ids = sg.dense().ids
+    return [
+        DetonantState(ids[w], signal, ids[u], ids[v])
+        for w, u, v in _detonant(sg, signal)
+    ]
 
 
 def is_distributive_for(sg: StateGraph, signal: int) -> bool:
     """Distributivity w.r.t. one non-input signal (Definition 4)."""
-    return not detonant_states(sg, signal)
+    return next(_detonant(sg, signal), None) is None
 
 
 def non_distributive_signals(sg: StateGraph) -> list[int]:

@@ -2,10 +2,12 @@
 
 Covers the consistent state assignment (Section III-A), CSC
 (Definition 1), semi-modularity with input choices (Definition 2),
-detonant states and distributivity (Definitions 3-4) and the regions
-(Definitions 5-7, 9).  Written straight from the definitions as
-brute-force set comprehensions over explicit state and arc lists,
-sharing no code with :mod:`repro.sg`, so the differential tests in
+detonant states and distributivity (Definitions 3-4), the regions
+(Definitions 5-7, 9) and the implied next-state function with the
+static-1 and function hazards the baseline flows must handle.  Written
+straight from the definitions as brute-force set comprehensions over
+explicit state and arc lists, sharing no code with :mod:`repro.sg` or
+:mod:`repro.baselines`, so the differential tests in
 ``test_sg_reference.py`` check the real classifiers and analysis
 against an independent reading of the paper rather than against
 themselves.
@@ -128,6 +130,44 @@ def detonant_states(g: Explicit, a: int) -> set[tuple]:
 def distributive(g: Explicit) -> bool:
     """Definition 4: no non-input signal has a detonant state."""
     return not any(detonant_states(g, a) for a in g.non_inputs)
+
+
+def next_state(g: Explicit, s, a: int) -> int:
+    """The implied next-state value of ``a`` in ``s``: its value,
+    flipped when ``a`` is excited there."""
+    return g.value(s, a) ^ g.excited(s, a)
+
+
+def static_one_pairs(g: Explicit, a: int) -> set[tuple]:
+    """Arcs ``(s, d)`` by signals other than ``a`` between two states
+    whose implied next-state value of ``a`` is 1: a two-level cover
+    must hold both in one cube or glitch 1-0-1 (static-1 hazard)."""
+    f = {s: next_state(g, s, a) for s in g.states}
+    return {
+        (s, d) for s in g.states for sig, _, d in g.succ[s] if sig != a and f[s] == 1 == f[d]
+    }
+
+
+def function_hazard_states(g: Explicit, a: int) -> set:
+    """States ``s`` with two enabled arcs of signals other than ``a``,
+    ``t1`` listed before ``t2``, such that the implied next-state value
+    of ``a`` takes both 0 and 1 over ``s``, ``s·t1``, ``s·t2`` and, when
+    ``t2`` is still enabled after ``t1``, ``s·t1·t2``: a function
+    hazard, which no cover can make glitch-free."""
+
+    def fire(s, t):
+        return next((d for sig, dr, d in g.succ[s] if (sig, dr) == t), None)
+
+    f = {s: next_state(g, s, a) for s in g.states}
+    out = set()
+    for s in g.states:
+        arcs = [(sig, dr, d) for sig, dr, d in g.succ[s] if sig != a]
+        for i, (_, _, s1) in enumerate(arcs):
+            for sig2, dr2, s2 in arcs[i + 1 :]:
+                corners = {s, s1, s2, fire(s1, (sig2, dr2))} - {None}
+                if len({f[x] for x in corners}) > 1:
+                    out.add(s)
+    return out
 
 
 def _closure(seeds: set, step) -> frozenset:

@@ -9,7 +9,7 @@ are listed by dense state number, so the suite certificate must be
 byte-identical across hash seeds and between a storeless run and a run
 against a store that ``repro table2`` filled.  The graph's own text
 forms, ``StateGraph.describe`` and the DOT export, are seed-independent
-too.
+too, and so are the baselines' static-1 pairs and covers.
 """
 
 import os
@@ -70,6 +70,39 @@ def test_sg_exports_are_byte_identical_across_seeds(tmp_path):
         )
         texts.add(out.stdout)
     assert len(texts) == 1
+
+
+def test_baseline_pairs_and_covers_are_identical_across_seeds(tmp_path):
+    """Lavagno's static-1 pairs are listed, and tried, by dense state
+    number, so neither their order nor the covers the repair builds
+    from them depend on the hash seed."""
+    code = (
+        "from repro.baselines import next_state_function, static_one_hazard_pairs\n"
+        "from repro.baselines import synthesize_lavagno\n"
+        "from repro.bench.circuits import DISTRIBUTIVE_BENCHMARKS\n"
+        "from repro.bench.circuits.handshakes import muller_pipeline\n"
+        "from repro.sg.graph import render_state\n"
+        "from repro.stg import elaborate\n"
+        "for stg in (muller_pipeline(3), DISTRIBUTIVE_BENCHMARKS['chu133'][0]()):\n"
+        "    sg = elaborate(stg)\n"
+        "    for a in sg.non_inputs:\n"
+        "        pairs = static_one_hazard_pairs(sg, next_state_function(sg, a))\n"
+        "        print(a, [(render_state(s), render_state(d)) for s, d in pairs])\n"
+        "    for a, cover in synthesize_lavagno(sg).covers.items():\n"
+        "        print(a, [c.input_string() for c in cover.cubes])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    texts = set()
+    for seed in (0, 1):
+        env["PYTHONHASHSEED"] = str(seed)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, cwd=str(tmp_path), check=True,
+        )
+        texts.add(out.stdout)
+    assert len(texts) == 1
+    assert "frozenset" in texts.pop()
 
 
 class TestRenderState:

@@ -25,6 +25,12 @@ from repro.bench.circuits import (
     figure7a_sg,
     figure7b_sg,
 )
+from repro.baselines.hazard_free_sop import (
+    function_hazard_states,
+    next_state_function,
+    static_one_hazard_pairs,
+)
+from repro.bench.circuits.handshakes import muller_pipeline
 from repro.fuzz.generator import derive_seed, generate_spec, knob_combinations
 from repro.sg.distributivity import detonant_states, is_distributive
 from repro.sg.properties import (
@@ -122,6 +128,28 @@ def assert_properties_agree(sg) -> None:
     assert is_distributive(sg) == ref.distributive(g)
 
 
+def assert_baseline_predicates_agree(sg) -> None:
+    """The next-state partition, static-1 pairs and function-hazard
+    states of the baseline flows, against the reference, as sets."""
+    g = ref.Explicit.of(sg)
+    for a in sg.non_inputs:
+        spec = next_state_function(sg, a)
+        want = {v: {s for s in g.states if ref.next_state(g, s, a) == v} for v in (0, 1)}
+        assert spec.on_states == want[1]
+        if any(g.excited(s, a) for s in g.states):
+            assert spec.off_states == want[0]
+        else:
+            # ``a`` never fires, so it has no ER or QR and the spec
+            # assigns no state (the one-state corpus reproducer)
+            assert spec.off_states == set()
+        pairs = static_one_hazard_pairs(sg, spec)
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == ref.static_one_pairs(g, a)
+        exposed = function_hazard_states(sg, spec)
+        assert len(exposed) == len(set(exposed))
+        assert set(exposed) == ref.function_hazard_states(g, a)
+
+
 def _drop_commuting_arc(sg):
     """A copy where one non-input ``t1`` concurrent with some ``t2`` is
     disabled by it (Definition 2 broken), or None without concurrency."""
@@ -198,6 +226,28 @@ def test_fuzz_corpus(path):
 @pytest.mark.parametrize("build", PAPER, ids=lambda b: b.__name__)
 def test_paper_examples(build):
     assert_all_agree(build())
+
+
+BASELINE_INPUTS = SUITE + [(b.__name__, b) for b in PAPER]
+BASELINE_INPUTS += [(p.stem, lambda p=p: parse_sg(p.read_text())) for p in sorted(CORPUS.glob("*.g"))]
+BASELINE_INPUTS += [(f"muller{k}", lambda k=k: elaborate(muller_pipeline(k))) for k in range(3, 7)]
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in BASELINE_INPUTS], ids=[n for n, _ in BASELINE_INPUTS]
+)
+def test_baseline_predicates(build):
+    assert_baseline_predicates_agree(build())
+
+
+def test_reference_sees_baseline_hazards():
+    """Guard against a vacuous pass: the inputs above include static-1
+    pairs and function hazards, and a signal without function hazards."""
+    g = ref.Explicit.of(elaborate(muller_pipeline(3)))
+    assert all(ref.static_one_pairs(g, a) for a in g.non_inputs)
+    assert any(ref.function_hazard_states(g, a) for a in g.non_inputs)
+    g = ref.Explicit.of(figure2_sg())
+    assert not any(ref.function_hazard_states(g, a) for a in g.non_inputs)
 
 
 @pytest.mark.parametrize("knobs", knob_combinations(signals=6), ids=lambda k: k.short())
