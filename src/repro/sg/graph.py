@@ -15,8 +15,9 @@ transition.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, islice
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -95,12 +96,15 @@ def bit_flags(bits: int) -> bytes:
 
 
 class DenseGraph:
-    """The state graph renumbered to ``0..N-1`` for the hot passes.
+    """The storage of a :class:`StateGraph`: its states numbered
+    ``0..N-1`` and its arcs as integers.
 
-    State ``i`` is the ``i``-th state in insertion order, so the
-    numbering survives a pickle round trip of the graph.  Built in one
-    pass over the graph by :meth:`StateGraph.dense` and dropped by the
-    same mutators as the region memo.
+    State ``i`` is the ``i``-th state added.  The mutators only append,
+    so a state's number never changes, and insertion order survives a
+    pickle round trip, so the numbering does too.  The per-state arcs
+    are the primary data; ``number``, ``pred``, ``up``, ``down`` and
+    ``nxt`` index them and are kept up to date by :meth:`add_state` and
+    :meth:`add_arc`.
 
     Attributes
     ----------
@@ -112,7 +116,8 @@ class DenseGraph:
         Per state, its arcs ``(signal, direction, dst)`` in insertion
         order.
     pred:
-        Per state, the numbers of its predecessors, one per arc.
+        Per state, the numbers of its predecessors, one per arc, in arc
+        insertion order.
     up, down:
         Per state, the mask of signals with an enabled rising / falling
         transition.
@@ -126,34 +131,65 @@ class DenseGraph:
         "ids", "codes", "number", "succ", "pred", "up", "down", "nxt", "num_signals"
     )
 
-    def __init__(self, sg: "StateGraph") -> None:
-        ns = sg.num_signals
-        self.num_signals = ns
-        self.ids: list[StateId] = list(sg._code)
-        self.codes: list[int] = list(sg._code.values())
-        self.number: dict[StateId, int] = {s: i for i, s in enumerate(self.ids)}
-        number = self.number
-        self.succ: list[tuple[tuple[int, int, int], ...]] = []
-        self.pred: list[list[int]] = [[] for _ in self.ids]
-        self.up: list[int] = []
-        self.down: list[int] = []
-        self.nxt: list[int] = [-1] * (len(self.ids) * ns)
-        nxt = self.nxt
-        for i, s in enumerate(self.ids):
-            arcs = tuple(
-                (t.signal, t.direction, number[d]) for t, d in sg._succ[s].items()
-            )
-            up = down = 0
+    def __init__(
+        self,
+        num_signals: int,
+        ids: list[StateId],
+        codes: list[int],
+        succ: list[list[tuple[int, int, int]]],
+        pred_order: Sequence[int],
+    ) -> None:
+        """Index the states ``ids``/``codes`` and their arcs ``succ``.
+
+        ``pred_order`` is the concatenation of the per-state ``pred``
+        lists in state order: the arcs' order by destination cannot be
+        recovered from ``succ`` alone.
+        """
+        ns = self.num_signals = num_signals
+        self.ids = ids
+        self.codes = codes
+        self.succ = succ
+        self.number: dict[StateId, int] = {s: i for i, s in enumerate(ids)}
+        up = self.up = [0] * len(ids)
+        down = self.down = [0] * len(ids)
+        nxt = self.nxt = [-1] * (len(ids) * ns)
+        indegree = [0] * len(ids)
+        for i, arcs in enumerate(succ):
             for a, direction, d in arcs:
                 if direction == 1:
-                    up |= 1 << a
+                    up[i] |= 1 << a
                 else:
-                    down |= 1 << a
+                    down[i] |= 1 << a
                 nxt[i * ns + a] = d
-                self.pred[d].append(i)
-            self.succ.append(arcs)
-            self.up.append(up)
-            self.down.append(down)
+                indegree[d] += 1
+        if len(pred_order) != sum(indegree):
+            raise SGError("predecessor order does not match the arcs")
+        order = iter(pred_order)
+        self.pred: list[list[int]] = [list(islice(order, k)) for k in indegree]
+
+    def add_state(self, state: StateId, code: int) -> int:
+        """Append a state without checks; returns its number."""
+        i = len(self.ids)
+        self.ids.append(state)
+        self.codes.append(code)
+        self.number[state] = i
+        self.succ.append([])
+        self.pred.append([])
+        self.up.append(0)
+        self.down.append(0)
+        self.nxt.extend([-1] * self.num_signals)
+        return i
+
+    def add_arc(self, src: int, signal: int, direction: int, dst: int) -> None:
+        """Append the arc ``src --(signal, direction)--> dst`` without
+        checks."""
+        self.succ[src].append((signal, direction, dst))
+        self.pred[dst].append(src)
+        if direction == 1:
+            self.up[src] |= 1 << signal
+        else:
+            self.down[src] |= 1 << signal
+        self.nxt[src * self.num_signals + signal] = dst
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -187,6 +223,11 @@ class DenseGraph:
         return frozenset(compress(self.ids, bit_flags(bits)))
 
 
+#: attributes a pickle leaves out: derived from the signals, or the
+#: storage, which travels as ``storage = (ids, codes, succ, pred order)``
+_DERIVED = ("_index", "_transitions", "_dense", "_packed")
+
+
 class StateGraph:
     """A state graph with consistent binary state coding.
 
@@ -201,20 +242,24 @@ class StateGraph:
 
     Notes
     -----
+    The graph is stored as a :class:`DenseGraph` (see :meth:`dense`);
+    the id-keyed methods below translate ids to state numbers and back.
     States are added with :meth:`add_state` and arcs with
     :meth:`add_arc`; the class enforces the consistent state assignment
     rules of Section III-A at insertion time (a ``+x`` arc must go from
     a state with ``x = 0`` to an identically-coded state with ``x = 1``,
     and so on).  Those two and :meth:`set_initial` are the only
-    mutators; each drops the region analysis memoized on the graph by
-    :func:`repro.sg.regions.signal_regions` and the :class:`DenseGraph`
-    memoized by :meth:`dense`.
+    mutators; they extend the storage in place and drop the region
+    analysis memoized on the graph by
+    :func:`repro.sg.regions.signal_regions`.
+
+    A pickle carries the ids, codes and arcs; the index tables are
+    rebuilt by the first :meth:`dense` call after loading, so a graph
+    that is loaded but never walked never builds them.
     """
 
     #: per-signal region analyses (see :func:`repro.sg.regions.signal_regions`)
     _regions: "dict[int, SignalRegions] | None" = None
-    #: the dense view (see :meth:`dense`); never pickled
-    _dense: DenseGraph | None = None
 
     def __init__(self, signals: Sequence[str], inputs: Iterable[str | int]) -> None:
         if len(set(signals)) != len(signals):
@@ -227,9 +272,11 @@ class StateGraph:
         for i in self.inputs:
             if not 0 <= i < len(self.signals):
                 raise SGError(f"input index {i} out of range")
-        self._code: dict[StateId, int] = {}
-        self._succ: dict[StateId, dict[Transition, StateId]] = {}
-        self._pred: dict[StateId, list[tuple[StateId, Transition]]] = {}
+        #: one :class:`Transition` per (signal, direction)
+        self._transitions: dict[tuple[int, int], Transition] = {
+            (a, d): Transition(a, d) for a in range(len(self.signals)) for d in (1, -1)
+        }
+        self._dense: DenseGraph | None = DenseGraph(len(self.signals), [], [], [], ())
         self.initial: StateId | None = None
 
     # ------------------------------------------------------------------
@@ -260,31 +307,33 @@ class StateGraph:
             code = mask
         if code >> len(self.signals):
             raise SGError("state code wider than the signal set")
-        if state in self._code:
-            if self._code[state] != code:
+        g = self.dense()
+        i = g.number.get(state)
+        if i is not None:
+            if g.codes[i] != code:
                 raise SGError(f"state {render_state(state)} re-added with a different code")
             return state
-        self._regions = self._dense = None
-        self._code[state] = code
-        self._succ[state] = {}
-        self._pred[state] = []
+        self._regions = None
+        g.add_state(state, code)
         if self.initial is None:
             self.initial = state
         return state
 
     def set_initial(self, state: StateId) -> None:
         """Designate the initial state ``s0``."""
-        if state not in self._code:
+        if state not in self.dense().number:
             raise SGError(f"unknown state {render_state(state)}")
-        self._regions = self._dense = None
+        self._regions = None
         self.initial = state
 
     def add_arc(self, src: StateId, t: Transition, dst: StateId) -> None:
         """Add the arc ``src --t--> dst``, enforcing coding consistency."""
-        sc = self._code.get(src)
-        dc = self._code.get(dst)
-        if sc is None or dc is None:
+        g = self.dense()
+        i = g.number.get(src)
+        j = g.number.get(dst)
+        if i is None or j is None:
             raise SGError("arc endpoints must be added first")
+        sc, dc = g.codes[i], g.codes[j]
         sv = (sc >> t.signal) & 1
         dv = (dc >> t.signal) & 1
         if t.direction == 1 and not (sv == 0 and dv == 1):
@@ -302,31 +351,49 @@ class StateGraph:
                 f"arc {t.label(self.signals)} changes more than its own signal "
                 f"({render_state(src)} → {render_state(dst)})"
             )
-        arcs = self._succ[src]
-        existing = arcs.get(t)
-        if existing is None:
-            self._regions = self._dense = None
-            arcs[t] = dst
-            self._pred[dst].append((src, t))
-        elif existing != dst:
+        # the code checks fix the direction of t at src, so a taken slot
+        # holds an arc of t itself
+        existing = g.nxt[i * g.num_signals + t.signal]
+        if existing < 0:
+            self._regions = None
+            g.add_arc(i, t.signal, t.direction, j)
+        elif existing != j:
             raise SGError(
                 f"transition {t.label(self.signals)} not deterministic at "
                 f"{render_state(src)}"
             )
 
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_dense", None)
+        state = {k: v for k, v in self.__dict__.items() if k not in _DERIVED}
+        g = self._dense
+        state["storage"] = self._packed if g is None else (
+            g.ids, g.codes, g.succ, array("i", chain.from_iterable(g.pred))
+        )
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        if "storage" not in state:
+            raise SGError("state graph pickled in an older layout")
+        self.__init__(state["signals"], state["inputs"])
+        self.__dict__.update(state)
+        self._packed = self.__dict__.pop("storage")
+        self._dense = None
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
     def dense(self) -> DenseGraph:
-        """The :class:`DenseGraph` of this graph, built on first use."""
-        if self._dense is None:
-            self._dense = DenseGraph(self)
-        return self._dense
+        """The :class:`DenseGraph` this graph is stored in (its index
+        tables are rebuilt here on first use after unpickling)."""
+        g = self._dense
+        if g is None:
+            g = self._dense = DenseGraph(self.num_signals, *self._packed)
+            del self._packed
+        return g
+
+    def _at(self, state: StateId) -> tuple[DenseGraph, int]:
+        g = self.dense()
+        return g, g.number[state]
 
     @property
     def num_signals(self) -> int:
@@ -348,92 +415,107 @@ class StateGraph:
     def is_input(self, signal: int) -> bool:
         return signal in self.inputs
 
+    def _ids(self) -> list[StateId]:
+        # read without building the index tables of a loaded graph
+        return self._packed[0] if self._dense is None else self._dense.ids
+
     def states(self) -> Iterator[StateId]:
-        return iter(self._code)
+        return iter(self._ids())
 
     @property
     def num_states(self) -> int:
-        return len(self._code)
+        return len(self._ids())
 
     def code(self, state: StateId) -> int:
         """Binary code (bitmask) of a state."""
-        return self._code[state]
+        g, i = self._at(state)
+        return g.codes[i]
 
     def code_vector(self, state: StateId) -> tuple[int, ...]:
         """Binary code as a tuple indexed by signal."""
-        c = self._code[state]
+        c = self.code(state)
         return tuple((c >> i) & 1 for i in range(len(self.signals)))
 
     def value(self, state: StateId, signal: int) -> int:
         """Value of one signal in a state."""
-        return (self._code[state] >> signal) & 1
+        return (self.code(state) >> signal) & 1
 
     def enabled(self, state: StateId) -> list[Transition]:
         """Transitions enabled in a state."""
-        return list(self._succ[state])
+        g, i = self._at(state)
+        return [self._transitions[a, d] for a, d, _j in g.succ[i]]
 
     def succ(self, state: StateId, t: Transition) -> StateId | None:
         """Successor by one transition, or ``None`` if not enabled."""
-        return self._succ[state].get(t)
+        g, i = self._at(state)
+        if not (g.up[i] if t.direction == 1 else g.down[i]) >> t.signal & 1:
+            return None
+        return g.ids[g.nxt[i * g.num_signals + t.signal]]
 
     def successors(self, state: StateId) -> list[tuple[Transition, StateId]]:
         """All (transition, successor) pairs of a state."""
-        return list(self._succ[state].items())
+        g, i = self._at(state)
+        return [(self._transitions[a, d], g.ids[j]) for a, d, j in g.succ[i]]
 
     def predecessors(self, state: StateId) -> list[tuple[StateId, Transition]]:
-        """All (predecessor, transition) pairs leading to a state."""
-        return list(self._pred[state])
+        """All (predecessor, transition) pairs leading to a state, in arc
+        insertion order."""
+        g, j = self._at(state)
+        # the code checks let at most one arc join two states
+        return [
+            (g.ids[p], next(self._transitions[a, d] for a, d, k in g.succ[p] if k == j))
+            for p in g.pred[j]
+        ]
 
     def is_excited(self, state: StateId, signal: int) -> bool:
         """True when some transition of ``signal`` is enabled in ``state``."""
-        return any(t.signal == signal for t in self._succ[state])
+        g, i = self._at(state)
+        return bool((g.up[i] | g.down[i]) >> signal & 1)
 
     def excitation(self, state: StateId, signal: int) -> Transition | None:
         """The enabled transition of ``signal`` in ``state``, if any."""
-        for t in self._succ[state]:
-            if t.signal == signal:
-                return t
+        g, i = self._at(state)
+        if g.up[i] >> signal & 1:
+            return self._transitions[signal, 1]
+        if g.down[i] >> signal & 1:
+            return self._transitions[signal, -1]
         return None
 
     def excited_non_inputs(self, state: StateId) -> frozenset[int]:
         """Set of excited non-input signals (used by the CSC check)."""
+        g, i = self._at(state)
+        hot = g.up[i] | g.down[i]
         return frozenset(
-            t.signal for t in self._succ[state] if t.signal not in self.inputs
+            a for a in range(len(self.signals)) if hot >> a & 1 and a not in self.inputs
         )
 
     # ------------------------------------------------------------------
     # reachability
     # ------------------------------------------------------------------
+    def _reach(self, start: StateId | None) -> bytearray:
+        """One 0/1 byte per state number: reachable from ``start``."""
+        g = self.dense()
+        seen = bytearray(len(g))
+        if start is None:
+            return seen
+        stack = [g.number[start]]
+        seen[stack[0]] = 1
+        while stack:
+            for _a, _d, d in g.succ[stack.pop()]:
+                if not seen[d]:
+                    seen[d] = 1
+                    stack.append(d)
+        return seen
+
     def reachable(self, start: StateId | None = None) -> set[StateId]:
         """States reachable from ``start`` (default: the initial state)."""
         if start is None:
             start = self.initial
-        if start is None:
-            return set()
-        seen = {start}
-        stack = [start]
-        while stack:
-            s = stack.pop()
-            for dst in self._succ[s].values():
-                if dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
-        return seen
+        return set(compress(self.dense().ids, self._reach(start)))
 
     def restrict_to_reachable(self) -> "StateGraph":
         """A copy containing only states reachable from the initial state."""
-        keep = self.reachable()
-        out = StateGraph(self.signals, [self.signals[i] for i in sorted(self.inputs)])
-        for s in self._code:
-            if s in keep:
-                out.add_state(s, self._code[s])
-        for s in keep:
-            for t, d in self._succ[s].items():
-                if d in keep:
-                    out.add_arc(s, t, d)
-        if self.initial is not None:
-            out.set_initial(self.initial)
-        return out
+        return self._copy(self._reach(self.initial))
 
     def subgraph(self, keep: Iterable[StateId]) -> "StateGraph":
         """A copy containing only ``keep`` states and the arcs between
@@ -441,30 +523,42 @@ class StateGraph:
         be unreachable or inconsistent — shrinkers deliberately produce
         such candidates and let the classifiers reject them."""
         keep = set(keep)
-        out = StateGraph(self.signals, [self.signals[i] for i in sorted(self.inputs)])
-        for s in self._code:
-            if s in keep:
-                out.add_state(s, self._code[s])
-        for s in keep:
-            for t, d in self._succ[s].items():
-                if d in keep:
-                    out.add_arc(s, t, d)
-        if self.initial is not None and self.initial in keep:
-            out.set_initial(self.initial)
-        return out
+        return self._copy(bytes(s in keep for s in self.dense().ids))
 
     def without_arc(self, src: StateId, t: Transition) -> "StateGraph":
         """A copy with one arc removed (states untouched)."""
-        out = StateGraph(self.signals, [self.signals[i] for i in sorted(self.inputs)])
-        for s, c in self._code.items():
-            out.add_state(s, c)
-        for s in self._code:
-            for tt, d in self._succ[s].items():
-                if s == src and tt == t:
-                    continue
-                out.add_arc(s, tt, d)
-        if self.initial is not None:
-            out.set_initial(self.initial)
+        number = self.dense().number
+        dst = self.succ(src, t) if src in number else None
+        return self._copy(cut=None if dst is None else (number[src], number[dst]))
+
+    def _copy(
+        self, keep: bytes | None = None, cut: tuple[int, int] | None = None
+    ) -> "StateGraph":
+        """A copy of the states flagged in ``keep`` (default: all) and
+        the arcs among them, less the arc between the state numbers
+        ``cut``.  States, each state's arcs and each state's
+        predecessors keep their order, so the copy does not depend on
+        the hash seed."""
+        g = self.dense()
+        kept = range(len(g)) if keep is None else list(compress(range(len(g)), keep))
+        new = [-1] * len(g)
+        for k, i in enumerate(kept):
+            new[i] = k
+        out = StateGraph(self.signals, self.inputs)
+        out._dense = DenseGraph(
+            self.num_signals,
+            [g.ids[i] for i in kept],
+            [g.codes[i] for i in kept],
+            [
+                [(a, e, new[d]) for a, e, d in g.succ[i] if new[d] >= 0 and (i, d) != cut]
+                for i in kept
+            ],
+            [new[p] for d in kept for p in g.pred[d] if new[p] >= 0 and (p, d) != cut],
+        )
+        if self.initial is not None and new[g.number[self.initial]] >= 0:
+            out.initial = self.initial
+        elif kept:
+            out.initial = g.ids[kept[0]]
         return out
 
     # ------------------------------------------------------------------
@@ -476,12 +570,12 @@ class StateGraph:
         Renders like the paper's Figure 1: e.g. ``0*0*0`` for a state
         coded 000 where the first two signals are excited.
         """
-        parts = []
-        for i in range(len(self.signals)):
-            parts.append(str(self.value(state, i)))
-            if self.is_excited(state, i):
-                parts.append("*")
-        return "".join(parts)
+        g, i = self._at(state)
+        code, hot = g.codes[i], g.up[i] | g.down[i]
+        return "".join(
+            str(code >> a & 1) + ("*" if hot >> a & 1 else "")
+            for a in range(len(self.signals))
+        )
 
     def describe(self) -> str:
         """Multi-line human-readable dump of the state graph."""
@@ -490,10 +584,11 @@ class StateGraph:
             f"inputs:  {', '.join(self.input_names)}",
             f"states:  {self.num_states} (initial {render_state(self.initial)})",
         ]
-        for s in self._code:
+        g = self.dense()
+        for i, s in enumerate(g.ids):
             arcs = ", ".join(
-                f"{t.label(self.signals)}→{render_state(d)}"
-                for t, d in self._succ[s].items()
+                f"{self._transitions[a, d].label(self.signals)}→{render_state(g.ids[j])}"
+                for a, d, j in g.succ[i]
             )
             lines.append(f"  {render_state(s)} [{self.state_label(s)}]  {arcs}")
         return "\n".join(lines)

@@ -17,14 +17,14 @@ graph: it memoizes each signal's :class:`SignalRegions` on the
 and the baselines all read that memo.  Properties 1 (output trapping)
 and 2 (trigger-region reachability) get explicit checkers here.
 
-Every walk runs on the graph's dense view
-(:class:`~repro.sg.graph.DenseGraph`): states are the integers
-``0..N-1``.  A :class:`Region` holds its state set as external ids and
-keeps the bitset over those integers for the view that built it; read
-against any other view (another graph, or the same graph rebuilt with
-a different numbering) the bitset is recomputed from the ids.  Regions
-are listed in order of their lowest state number, so the order does
-not depend on the hash seed.
+Every walk runs on the graph's storage
+(:class:`~repro.sg.graph.DenseGraph`, see :meth:`StateGraph.dense`):
+states are the integers ``0..N-1``.  A :class:`Region` holds its state
+set as external ids and keeps the bitset over those integers for the
+storage that built it; read against any other (another graph, or the
+same graph rebuilt with a different numbering) the bitset is
+recomputed from the ids.  Regions are listed in order of their lowest
+state number, so the order does not depend on the hash seed.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class Region:
     for a falling one.  For an ER the signal's value inside is
     ``0`` if rising; for a QR it is the post-transition value
     (``1`` if rising).  ``states`` holds the external state ids;
-    :meth:`bits` gives the same set over a dense view's state numbers.
+    :meth:`bits` gives the same set over a graph's state numbers.
     """
 
     signal: int
@@ -72,10 +72,12 @@ class Region:
         """The states as a bitset over ``view``'s state numbers (bit
         ``i`` = state ``i``).
 
-        Kept for the view it was last computed on and recomputed from
-        :attr:`states` for any other, so a region read against another
-        graph, or against a graph rebuilt with a different numbering,
-        still names the right states.
+        Kept for the graph storage it was last computed on (still
+        valid as that graph grows: its mutators only append, so state
+        numbers never change) and recomputed from :attr:`states` for
+        any other, so a region read against another graph, or against
+        a graph rebuilt with a different numbering, still names the
+        right states.
         """
         cached = self._bits_in
         if cached is None or cached[0] is not view:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import compress
 
 from ..obs import get_metrics, trace_span
-from ..sg.graph import StateGraph, Transition, bit_flags
+from ..sg.graph import SGError, StateGraph, Transition, bit_flags, render_state
 from .petrinet import Stg, StgError, StgTransition
 
 __all__ = ["infer_initial_values", "elaborate", "ElaborationError"]
@@ -42,13 +42,9 @@ class _Net:
         place_bit = {p: 1 << i for i, p in enumerate(self.places)}
         self.initial = sum(place_bit[p] for p in stg.initial_marking)
         sig_index = {s: i for i, s in enumerate(stg.signals)}
-        one = {
-            (s, d): Transition(i, d) for s, i in sig_index.items() for d in (1, -1)
-        }
         #: per transition, in ``stg.transitions`` order: (pre mask, post
         #: mask, signal bit, the signal bit if rising else 0, the STG
-        #: transition, its SG transition — one object per signal and
-        #: direction)
+        #: transition, signal index, direction)
         self.transitions = [
             (
                 sum(place_bit[p] for p in stg.pre[t]),
@@ -56,7 +52,8 @@ class _Net:
                 1 << sig_index[t.signal],
                 1 << sig_index[t.signal] if t.rising else 0,
                 t,
-                one[t.signal, t.direction],
+                sig_index[t.signal],
+                t.direction,
             )
             for t in stg.transitions
         ]
@@ -95,7 +92,7 @@ def _infer(stg: Stg, net: _Net, max_markings: int) -> dict[str, int]:
             raise ElaborationError("initial-value inference exceeded marking budget")
         marking = state & places
         done = state >> shift
-        for pre, post, bit, rising, t, _sg_t in net.transitions:
+        for pre, post, bit, rising, t, _a, _d in net.transitions:
             if marking & pre != pre:
                 continue
             if not done & bit:
@@ -146,17 +143,19 @@ def _elaborate_traced(stg: Stg, max_states: int, sp) -> StateGraph:
     init_code = 0
     for i, s in enumerate(signals):
         init_code |= values[s] << i
-    start = (frozenset(stg.initial_marking), init_code)
-    sg.add_state(start, init_code)
-    sg.set_initial(start)
-    # marking << signals | code  ->  state id
+    sg.add_state((frozenset(stg.initial_marking), init_code), init_code)
+    # states and arcs go straight into the graph's storage, by number
+    g = sg.dense()
+    nxt = g.nxt
+    # marking << signals | code  ->  state number
     shift = len(signals)
-    visited = {net.initial << shift | init_code: start}
-    stack = [(net.initial, init_code, start)]
+    visited = {net.initial << shift | init_code: 0}
+    stack = [(net.initial, init_code, 0)]
     arcs = 0
     while stack:
-        marking, code, state = stack.pop()
-        for pre, post, bit, rising, t, sg_t in net.transitions:
+        marking, code, i = stack.pop()
+        row = i * shift
+        for pre, post, bit, rising, t, a, direction in net.transitions:
             if marking & pre != pre:
                 continue
             if code & bit == rising:
@@ -168,14 +167,25 @@ def _elaborate_traced(stg: Stg, max_states: int, sp) -> StateGraph:
                 raise net.unsafe(t, post & after)
             new_marking, new_code = after | post, code ^ bit
             key = new_marking << shift | new_code
-            nxt = visited.get(key)
-            if nxt is None:
+            j = visited.get(key)
+            if j is None:
                 if len(visited) >= max_states:
                     raise ElaborationError("state graph exceeded max_states")
-                nxt = visited[key] = (net.marking(new_marking), new_code)
-                sg.add_state(nxt, new_code)
-                stack.append((new_marking, new_code, nxt))
-            sg.add_arc(state, sg_t, nxt)
+                j = visited[key] = g.add_state((net.marking(new_marking), new_code), new_code)
+                stack.append((new_marking, new_code, j))
+            # StateGraph.add_arc's code checks hold by construction: the
+            # check above puts the signal at its pre-transition value in
+            # ``code``, and ``new_code`` differs from it in that bit alone.
+            # A taken slot of ``nxt`` is therefore an arc of this signal
+            # and direction, as in add_arc's determinism check.
+            existing = nxt[row + a]
+            if existing < 0:
+                g.add_arc(i, a, direction, j)
+            elif existing != j:
+                raise SGError(
+                    f"transition {Transition(a, direction).label(signals)} "
+                    f"not deterministic at {render_state(g.ids[i])}"
+                )
             arcs += 1
     sp.set(states=len(visited), arcs=arcs)
     get_metrics().gauge("reachability.states").set(len(visited))

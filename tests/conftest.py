@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copyreg
+import io
+import pickle
+
 import pytest
 
 from repro.sg import SGBuilder, StateGraph
@@ -36,6 +40,40 @@ z- x+
 .marking { <z-,x+> }
 .end
 """
+
+
+def sabotage_code(sg: StateGraph, state, mask: int) -> None:
+    """Flip the bits ``mask`` of one state's code behind the builder's
+    back, so the arcs touching it become inconsistent (``StateGraph``
+    refuses such arcs at insertion)."""
+    g = sg.dense()
+    g.codes[g.number[state]] ^= mask
+
+
+def legacy_pickle(sg: StateGraph) -> bytes:
+    """``sg`` pickled in the layout of store entries written before the
+    graph was stored as a ``DenseGraph``: rebuilt by
+    ``copyreg.__newobj__`` from a state dict that holds the id-keyed
+    ``_code``/``_succ``/``_pred`` dicts."""
+    state = {
+        "signals": sg.signals,
+        "_index": {s: i for i, s in enumerate(sg.signals)},
+        "inputs": sg.inputs,
+        "_code": {s: sg.code(s) for s in sg.states()},
+        "_succ": {s: dict(sg.successors(s)) for s in sg.states()},
+        "_pred": {s: sg.predecessors(s) for s in sg.states()},
+        "initial": sg.initial,
+    }
+
+    class Pickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if obj is sg:
+                return copyreg.__newobj__, (StateGraph,), state
+            return NotImplemented
+
+    out = io.BytesIO()
+    Pickler(out, protocol=pickle.HIGHEST_PROTOCOL).dump(sg)
+    return out.getvalue()
 
 
 @pytest.fixture()

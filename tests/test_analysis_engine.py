@@ -23,6 +23,8 @@ from repro.analysis.registry import Scope
 from repro.bench.circuits import figure1_sg
 from repro.core.synthesizer import SynthesisError, synthesize
 
+from tests.conftest import sabotage_code
+
 
 class TestRegistry:
     def test_duplicate_id_rejected(self):
@@ -159,7 +161,7 @@ class TestBaseline:
     def test_new_findings_survive_baseline(self, celem_sg):
         # a baseline recorded on figure1 does not hide celem findings
         base = build_baseline([analyze(figure1_sg(), name="figure1")])
-        celem_sg._code[next(iter(celem_sg.states()))] ^= 0b111
+        sabotage_code(celem_sg, next(iter(celem_sg.states())), 0b111)
         fresh = [analyze(celem_sg, name="bad", select={"SG001"})]
         kept = apply_baseline(fresh, baseline_fingerprints(base))
         assert kept[0].errors == fresh[0].errors > 0

@@ -15,6 +15,8 @@ from repro.analysis import (
 from repro.analysis.export import LINT_SCHEMA, SARIF_VERSION
 from repro.bench.circuits import figure1_sg
 
+from tests.conftest import sabotage_code
+
 
 def _results(celem_sg):
     return [
@@ -92,7 +94,7 @@ class TestSarif:
             assert logical["fullyQualifiedName"].startswith("figure1::")
 
     def test_physical_location_for_file_targets(self, celem_sg):
-        celem_sg._code[next(iter(celem_sg.states()))] ^= 0b111
+        sabotage_code(celem_sg, next(iter(celem_sg.states())), 0b111)
         result = analyze(
             celem_sg, name="bad", source="specs/bad.g", select={"SG001"}
         )

@@ -29,6 +29,8 @@ from repro.netlist.gates import Gate, GateType, Pin
 from repro.netlist.netlist import Netlist
 from repro.sg import SGBuilder
 
+from tests.conftest import sabotage_code
+
 ALL_RULE_IDS = [
     "SG001",
     "SG002",
@@ -90,7 +92,7 @@ class TestCleanPass:
 class TestSgRules:
     def test_sg001_inconsistent_codes(self, celem_sg):
         s = next(iter(celem_sg.states()))
-        celem_sg._code[s] ^= 0b111  # sabotage behind the builder's back
+        sabotage_code(celem_sg, s, 0b111)
         result = analyze(celem_sg, name="bad", select={"SG001"})
         diags = result.by_rule()["SG001"]
         assert all(d.severity is Severity.ERROR for d in diags)

@@ -9,7 +9,8 @@ are listed by dense state number, so the suite certificate must be
 byte-identical across hash seeds and between a storeless run and a run
 against a store that ``repro table2`` filled.  The graph's own text
 forms, ``StateGraph.describe`` and the DOT export, are seed-independent
-too, and so are the baselines' static-1 pairs and covers.
+too, and so are the baselines' static-1 pairs and covers and the arc
+order of a graph's copies.
 """
 
 import os
@@ -90,6 +91,36 @@ def test_baseline_pairs_and_covers_are_identical_across_seeds(tmp_path):
         "        print(a, [(render_state(s), render_state(d)) for s, d in pairs])\n"
         "    for a, cover in synthesize_lavagno(sg).covers.items():\n"
         "        print(a, [c.input_string() for c in cover.cubes])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    texts = set()
+    for seed in (0, 1):
+        env["PYTHONHASHSEED"] = str(seed)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, cwd=str(tmp_path), check=True,
+        )
+        texts.add(out.stdout)
+    assert len(texts) == 1
+    assert "frozenset" in texts.pop()
+
+
+def test_graph_copies_are_identical_across_seeds(tmp_path):
+    """Copies list states, arcs and predecessors in insertion order, so
+    a copy's ``predecessors()`` order does not depend on the hash seed."""
+    code = (
+        "from repro.bench.circuits import DISTRIBUTIVE_BENCHMARKS, NONDISTRIBUTIVE_BENCHMARKS\n"
+        "from repro.sg.graph import render_state\n"
+        "from repro.stg import elaborate\n"
+        "sg = elaborate(DISTRIBUTIVE_BENCHMARKS['chu133'][0]())\n"
+        "first = next(sg.states())\n"
+        "copies = [sg.restrict_to_reachable(), sg.subgraph(list(sg.states())[:-2]),\n"
+        "          sg.without_arc(first, sg.enabled(first)[0]),\n"
+        "          NONDISTRIBUTIVE_BENCHMARKS['pmcm1'][0]()]\n"
+        "for copy in copies:\n"
+        "    for s in copy.states():\n"
+        "        print(render_state(s), [(render_state(p), str(t)) for p, t in copy.predecessors(s)])\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src")

@@ -5,18 +5,22 @@ markings and infers initial values from first polarities, sharing no
 code with :mod:`repro.stg` (which compiles the net to place bitmasks).
 Both must produce the same state ids ``(marking, code)`` in the same
 order, the same codes and the same arcs, and must reject the same
-broken nets with the matching exception type.
+broken nets with the matching exception type.  The whole id-keyed API
+(successors and predecessors in firing order, ``succ``, ``enabled``,
+the excitation queries) and the index tables are checked against the
+reference arcs, before and after a pickle round trip.
 """
 
 from __future__ import annotations
 
+import pickle
 from pathlib import Path
 
 import pytest
 
 from repro.bench.circuits import DISTRIBUTIVE_BENCHMARKS, muller_pipeline
 from repro.fuzz.generator import derive_seed, generate_spec, knob_combinations
-from repro.sg.graph import SGError
+from repro.sg.graph import SGError, Transition
 from repro.sg.sgformat import parse_sg
 from repro.stg import ElaborationError, Stg, StgError, StgTransition, elaborate
 
@@ -48,14 +52,46 @@ def state_machine_stg(sg) -> Stg:
 def assert_same_graph(stg: Stg) -> None:
     states, code, arcs = ref.elaborate(stg)
     sg = elaborate(stg)
+    assert_matches(sg, states, code, arcs)
+    assert_matches(pickle.loads(pickle.dumps(sg)), states, code, arcs)
+
+
+def assert_matches(sg, states: list, code: dict, arcs: list) -> None:
+    """``sg`` is the reference graph, through its whole id-keyed API
+    and its index tables."""
     assert list(sg.states()) == states
     assert sg.initial == states[0]
     assert {s: sg.code(s) for s in sg.states()} == code
-    want: dict = {s: [] for s in states}
+    want_succ: dict = {s: [] for s in states}
+    want_pred: dict = {s: [] for s in states}
     for src, signal, direction, dst in arcs:
-        want[src].append((signal, direction, dst))
+        want_succ[src].append((signal, direction, dst))
+        want_pred[dst].append((src, signal, direction))
     got = {s: [(t.signal, t.direction, d) for t, d in sg.successors(s)] for s in sg.states()}
-    assert got == want
+    assert got == want_succ
+    got = {s: [(p, t.signal, t.direction) for p, t in sg.predecessors(s)] for s in sg.states()}
+    assert got == want_pred
+    for s in states:
+        fired = {(a, d): dst for a, d, dst in want_succ[s]}
+        assert [(t.signal, t.direction) for t in sg.enabled(s)] == list(fired)
+        for a in range(len(sg.signals)):
+            for d in (1, -1):
+                assert sg.succ(s, Transition(a, d)) == fired.get((a, d))
+            (t,) = [Transition(a, d) for b, d in fired if b == a] or [None]
+            assert sg.excitation(s, a) == t
+            assert sg.is_excited(s, a) == (t is not None)
+        assert sg.excited_non_inputs(s) == {a for a, _d in fired if a not in sg.inputs}
+    # the index tables, recomputed from the reference arcs
+    view = sg.dense()
+    number = {s: i for i, s in enumerate(states)}
+    ns = len(sg.signals)
+    up, down, nxt = [0] * len(states), [0] * len(states), [-1] * (len(states) * ns)
+    for src, signal, direction, dst in arcs:
+        (up if direction == 1 else down)[number[src]] |= 1 << signal
+        nxt[number[src] * ns + signal] = number[dst]
+    assert view.number == number
+    assert view.pred == [[number[p] for p, _a, _d in want_pred[s]] for s in states]
+    assert (view.up, view.down, view.nxt) == (up, down, nxt)
 
 
 @pytest.mark.parametrize(
@@ -129,3 +165,11 @@ def test_max_states_rejected_alike():
     assert elaborate(muller_pipeline(4), max_states=n).num_states == n
     with pytest.raises(ElaborationError):
         elaborate(muller_pipeline(4), max_states=n - 1)
+
+
+def test_equal_instances_firing_alike_make_one_arc():
+    # a+/1 and a+/2 are both enabled in {p0} and both lead to {p1}
+    stg = _net([("p0", "a+/1", "p1"), ("p0", "a+/2", "p1"), ("p1", "a-", "p0")], ["p0"])
+    assert_same_graph(stg)
+    sg = elaborate(stg)
+    assert [len(sg.successors(s)) for s in sg.states()] == [1, 1]

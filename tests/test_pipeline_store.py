@@ -10,11 +10,15 @@ import json
 import multiprocessing
 import os
 import pickle
+from hashlib import sha256
 
 import pytest
 
 from repro.obs import get_metrics
 from repro.pipeline import ArtifactStore, GcReport, parse_age, parse_size
+from repro.stg import elaborate, parse_g
+
+from tests.conftest import C_ELEMENT_G, legacy_pickle
 
 KEY_A = "aa" + "0" * 62
 KEY_B = "bb" + "1" * 62
@@ -149,6 +153,22 @@ class TestQuarantine:
         json.dump(meta, open(meta_path, "w"))
         found, _ = store.get(KEY_A)
         assert not found
+
+    def test_state_graph_in_an_older_layout(self, store):
+        """A state graph pickled with the id-keyed dicts of an older
+        layout is refused, not returned half built."""
+        blob = legacy_pickle(elaborate(parse_g(C_ELEMENT_G)))
+        assert b"_succ" in blob and b"StateGraph" in blob
+        store.put(KEY_A, "payload")
+        with open(store._payload_path(KEY_A), "wb") as f:
+            f.write(blob)
+        meta_path = store._meta_path(KEY_A)
+        meta = json.load(open(meta_path))
+        meta["payload_sha256"] = sha256(blob).hexdigest()
+        json.dump(meta, open(meta_path, "w"))
+        assert store.get(KEY_A) == (False, None)
+        assert store.quarantined == 1
+        assert self._quarantine_count(store) == 2
 
 
 def _hammer(root: str, n: int, worker: int) -> None:

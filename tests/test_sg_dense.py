@@ -1,19 +1,23 @@
-"""The dense view of a state graph and its round trip through pickle.
+"""The storage of a state graph and its round trip through pickle.
 
-:meth:`StateGraph.dense` numbers states ``0..N-1`` in insertion order;
-a region's :meth:`~repro.sg.regions.Region.bits` are a bitset over
-those numbers, kept for the view that built them and recomputed for
-any other.  The view is memoized on the graph, dropped by every mutator
-and never pickled, so a graph loaded from the artifact store rebuilds
-it with the same numbering and equal region bitsets, and regions read
-against a differently numbered graph still name the right states.
+:meth:`StateGraph.dense` returns the :class:`DenseGraph` the graph is
+stored in: states numbered ``0..N-1`` in insertion order, which the
+mutators extend in place.  A region's :meth:`~repro.sg.regions.Region.bits`
+are a bitset over those numbers, kept for the storage that built them
+and recomputed for any other.  A pickle carries the ids, codes and
+arcs; the index tables are rebuilt by the first ``dense()`` after
+loading, with the same numbering, so the region bitsets are equal, and
+regions read against a differently numbered graph still name the
+right states.
 """
 
 import pickle
 
+import pytest
+
 from repro.bench.circuits import DISTRIBUTIVE_BENCHMARKS, muller_pipeline
 from repro.core.sop_derivation import derive_sop_spec
-from repro.sg.graph import DenseGraph, StateGraph, Transition
+from repro.sg.graph import SGError, StateGraph, Transition
 from repro.sg.regions import (
     check_output_trapping,
     quiescent_region_of,
@@ -22,6 +26,8 @@ from repro.sg.regions import (
     trigger_regions,
 )
 from repro.stg import elaborate
+
+from tests.conftest import legacy_pickle
 
 
 def _regions(sg) -> dict:
@@ -41,20 +47,33 @@ class TestDenseView:
                 assert (view.up if direction == 1 else view.down)[i] >> a & 1
                 assert i in view.pred[j]
 
-    def test_memoized_and_dropped_by_every_mutator(self, celem_sg):
+    def test_is_the_storage_and_mutators_extend_it_in_place(self, celem_sg):
         view = celem_sg.dense()
         assert celem_sg.dense() is view
-        celem_sg.set_initial(celem_sg.initial)
-        assert celem_sg.dense() is not view
-        view = celem_sg.dense()
-        celem_sg.add_state("extra", 0)
-        assert celem_sg.dense() is not view and len(celem_sg.dense()) == len(view) + 1
-        view = celem_sg.dense()
+        ns, n = celem_sg.num_signals, len(view)
         c = celem_sg.signal_index("c")
-        celem_sg.add_arc("extra", Transition(c, 1), next(
-            s for s in celem_sg.states() if celem_sg.code(s) == 1 << c
-        ))
-        assert celem_sg.dense() is not view
+        er = signal_regions(celem_sg, c).excitation[0]
+        bits = er.bits(view)
+        celem_sg.set_initial(celem_sg.initial)
+        assert celem_sg.dense() is view and celem_sg._regions is None
+        celem_sg.add_state("extra", 0)
+        assert celem_sg.dense() is view and len(view) == n + 1
+        assert (view.ids[n], view.codes[n], view.number["extra"]) == ("extra", 0, n)
+        assert view.succ[n] == [] and view.pred[n] == []
+        assert view.up[n] == view.down[n] == 0
+        assert view.nxt[n * ns:] == [-1] * ns
+        # numbers never change, so a region's bitset stays valid
+        assert er.bits(view) == bits == view.bitset_of(er.states)
+        signal_regions(celem_sg, c)
+        dst = next(s for s in celem_sg.states() if celem_sg.code(s) == 1 << c)
+        j = view.number[dst]
+        celem_sg.add_arc("extra", Transition(c, 1), dst)
+        assert celem_sg.dense() is view and celem_sg._regions is None
+        assert view.succ[n] == [(c, 1, j)] and view.pred[j][-1] == n
+        assert view.up[n] == 1 << c and view.nxt[n * ns + c] == j
+        # one Transition object per (signal, direction)
+        (t, _d), = celem_sg.successors("extra")
+        assert celem_sg.enabled("extra")[0] is t is celem_sg.excitation("extra", c)
 
     def test_bitset_round_trip(self, celem_sg):
         view = celem_sg.dense()
@@ -88,15 +107,22 @@ class TestDenseView:
 
 
 class TestPickle:
-    def test_dense_view_is_not_pickled_and_is_rebuilt(self):
+    def test_pickle_carries_ids_codes_and_arcs_and_rebuilds_the_tables(self):
         sg = elaborate(muller_pipeline(5))
         regions = _regions(sg)
-        assert isinstance(sg._dense, DenseGraph)
+        old = sg.dense()
+        state = sg.__getstate__()
+        assert set(state) == {"signals", "inputs", "initial", "_regions", "storage"}
+        ids, codes, succ, pred_order = state["storage"]
+        assert (ids, codes, succ) == (old.ids, old.codes, old.succ)
+        assert list(pred_order) == [p for ps in old.pred for p in ps]
         blob = pickle.dumps(sg)
         assert b"DenseGraph" not in blob
         loaded = pickle.loads(blob)
+        # loading builds no index table; pickling again needs none
         assert loaded._dense is None
-        assert "_dense" not in loaded.__dict__
+        again = pickle.loads(pickle.dumps(loaded))
+        assert loaded._dense is None
         # the region memo travels with the graph, without its bitsets ...
         assert loaded._regions == regions
         assert all(
@@ -104,15 +130,24 @@ class TestPickle:
             for sr in loaded._regions.values()
             for r in sr.excitation + sr.quiescent
         )
-        # ... and the rebuilt view numbers states as before, so the
-        # recomputed bitsets are equal
-        view, old = loaded.dense(), sg.dense()
-        assert view.ids == old.ids
-        assert view.succ == old.succ
+        # ... and the rebuilt tables equal the originals, predecessors
+        # in arc insertion order (which is not state order here), so
+        # the recomputed bitsets are equal
+        assert any(p != sorted(p) for p in old.pred)
+        for copy in (loaded, again):
+            view = copy.dense()
+            assert copy.dense() is view
+            for name in ("ids", "codes", "number", "succ", "pred", "up", "down", "nxt"):
+                assert getattr(view, name) == getattr(old, name), name
+        view = loaded.dense()
         for a, sr in regions.items():
             for r, q in zip(sr.excitation + sr.quiescent,
                             loaded._regions[a].excitation + loaded._regions[a].quiescent):
                 assert q.bits(view) == r.bits(old)
+
+    def test_older_layout_is_refused(self):
+        with pytest.raises(SGError, match="older layout"):
+            pickle.loads(legacy_pickle(elaborate(muller_pipeline(3))))
 
     def test_regions_recomputed_after_loading_are_equal(self):
         sg = elaborate(muller_pipeline(5))
@@ -176,3 +211,42 @@ class TestForeignNumbering:
             ]
 
         assert covers(derive_sop_spec(sg, regions=theirs)) == covers(derive_sop_spec(sg))
+
+
+class TestCopies:
+    """``restrict_to_reachable``, ``subgraph`` and ``without_arc`` keep
+    the states, each state's arcs and each state's predecessors in their
+    insertion order."""
+
+    def test_copies_keep_insertion_order(self):
+        sg = elaborate(DISTRIBUTIVE_BENCHMARKS["chu133"][0]())
+        states = list(sg.states())
+        for copy in (sg.restrict_to_reachable(), sg.subgraph(states)):
+            assert list(copy.states()) == states and copy.initial == sg.initial
+            for s in states:
+                assert copy.successors(s) == sg.successors(s)
+                assert copy.predecessors(s) == sg.predecessors(s)
+
+    def test_subgraph_keeps_the_arcs_among_kept_states(self):
+        sg = elaborate(DISTRIBUTIVE_BENCHMARKS["chu133"][0]())
+        kept = list(sg.states())[1:-2]
+        sub = sg.subgraph(reversed(kept))
+        assert list(sub.states()) == kept
+        # the initial state is dropped, so the first kept state is initial
+        assert sub.initial == kept[0]
+        for s in kept:
+            assert sub.successors(s) == [(t, d) for t, d in sg.successors(s) if d in kept]
+            assert sub.predecessors(s) == [(p, t) for p, t in sg.predecessors(s) if p in kept]
+
+    def test_without_arc_drops_one_arc(self):
+        sg = elaborate(muller_pipeline(4))
+        src = list(sg.states())[5]
+        (t, dst), *rest = sg.successors(src)
+        copy = sg.without_arc(src, t)
+        assert copy.successors(src) == rest and copy.succ(src, t) is None
+        assert copy.predecessors(dst) == [(p, u) for p, u in sg.predecessors(dst) if p != src]
+        assert sum(len(copy.successors(s)) for s in copy.states()) == sum(
+            len(sg.successors(s)) for s in sg.states()
+        ) - 1
+        # an arc that is not there leaves an equal copy
+        assert sg.without_arc(src, t.opposite()).describe() == sg.describe()

@@ -18,6 +18,8 @@ from repro.sg import (
     validate_for_synthesis,
 )
 
+from tests.conftest import sabotage_code
+
 
 class TestConsistency:
     def test_valid_graph_clean(self, celem_sg):
@@ -26,7 +28,7 @@ class TestConsistency:
     def test_checker_detects_corruption(self, celem_sg):
         # sabotage a state's code behind the builder's back
         s = next(iter(celem_sg.states()))
-        celem_sg._code[s] ^= 0b111
+        sabotage_code(celem_sg, s, 0b111)
         assert check_consistency(celem_sg)
 
 

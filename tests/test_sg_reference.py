@@ -46,6 +46,7 @@ from repro.sg.sgformat import parse_sg
 from repro.stg import elaborate
 
 from tests import sg_reference as ref
+from tests.conftest import sabotage_code
 
 CORPUS = Path(__file__).resolve().parent.parent / "examples" / "fuzz-corpus"
 
@@ -189,7 +190,7 @@ def _recode(sg):
     are rewritten after construction."""
     bad = sg.subgraph(sg.states())
     s = min(bad.states(), key=repr)
-    bad._code[s] ^= 1
+    sabotage_code(bad, s, 1)
     return bad
 
 
