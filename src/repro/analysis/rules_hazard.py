@@ -18,17 +18,14 @@ spec instead — the seam the seeded-violation tests use.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .certify.engine import (
-    coverage_obligations,
-    disjointness_obligations,
-    trigger_obligations,
-)
-from .certify.obligations import Obligation
 from .context import LintContext
 from .diagnostics import Diagnostic, Severity
 from .registry import RuleMeta, Scope, rule
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .certify.obligations import Obligation
 
 __all__: list[str] = []
 
@@ -40,6 +37,12 @@ def _cover_family(ctx: LintContext, rule_id: str) -> list[Obligation]:
     synthesized circuit's certificate is shared across all HZ rules.
     """
     if ctx.has_own_cover and ctx.sg is not None:
+        from .certify.engine import (
+            coverage_obligations,
+            disjointness_obligations,
+            trigger_obligations,
+        )
+
         spec = ctx.require_spec()
         cover = ctx.require_cover()
         fn = {

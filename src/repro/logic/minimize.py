@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from ..obs import get_metrics, trace_span
 from .cover import Cover
 from .espresso import espresso
-from .exact import exact_minimize
 from .tautology import cover_covers_cube_multi, covers_cover
 
 __all__ = ["minimize", "verify_cover", "MinimizationError"]
@@ -71,6 +70,8 @@ def _dispatch(
     if method == "espresso":
         return espresso(on, dc, off)
     if method == "exact":
+        from .exact import exact_minimize
+
         if on.num_outputs == 1:
             return exact_minimize(on, dc)
         merged = Cover.empty(on.num_inputs, on.num_outputs)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import threading
 from contextlib import contextmanager
 from functools import cached_property
@@ -41,7 +42,6 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from ..netlist import DEFAULT_LIBRARY, Library
 from ..obs import trace_span
-from ..obs.registry import fingerprint_digest
 from ..sg.graph import StateGraph
 from ..sg.sgformat import canonicalize_spec, write_sg
 from .stages import STAGES, STAGE_VERSIONS, Classification, CoverBundle
@@ -61,31 +61,30 @@ __all__ = [
     "resolve_store",
 ]
 
-KEY_SCHEMA = "repro-pipeline/1"
+KEY_SCHEMA = "repro-pipeline/2"
 
 _BYPASS = threading.local()
 
-#: the machine's fingerprint digest, computed once per process.
-#: ``fingerprint_digest`` keys on machine identity only, so the git
-#: sha (a subprocess) and argv of the full ``environment_fingerprint``
-#: are skipped — they are deliberately excluded from the digest anyway
+#: the machine's digest, computed once per process.  It hashes the same
+#: five machine-identity fields as the run-history fingerprint
+#: (``obs.registry.fingerprint_digest``), read from ``sys`` and
+#: ``os.uname()``: ``platform.platform()`` would fork ``uname -p``
 _ENV_DIGEST: str | None = None
 
 
 def default_env_digest() -> str:
     global _ENV_DIGEST
     if _ENV_DIGEST is None:
-        import platform
-
-        _ENV_DIGEST = fingerprint_digest(
-            {
-                "python": platform.python_version(),
-                "implementation": platform.python_implementation(),
-                "platform": platform.platform(),
-                "machine": platform.machine(),
-                "cpu_count": os.cpu_count() or 1,
-            }
-        )
+        u = os.uname()
+        env = {
+            "python": sys.version.split()[0],
+            "implementation": sys.implementation.name,
+            "platform": f"{u.sysname}-{u.release}-{u.machine}",
+            "machine": u.machine,
+            "cpu_count": os.cpu_count() or 1,
+        }
+        blob = json.dumps(env, sort_keys=True).encode()
+        _ENV_DIGEST = hashlib.sha1(blob).hexdigest()[:12]
     return _ENV_DIGEST
 
 

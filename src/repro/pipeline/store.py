@@ -36,7 +36,6 @@ import json
 import os
 import pickle
 import time
-import uuid
 from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Any, Iterator
@@ -149,7 +148,7 @@ class ArtifactStore:
     def _tmp_path(self) -> str:
         tmp_dir = os.path.join(self.root, "tmp")
         os.makedirs(tmp_dir, exist_ok=True)
-        return os.path.join(tmp_dir, uuid.uuid4().hex)
+        return os.path.join(tmp_dir, os.urandom(16).hex())
 
     # ------------------------------------------------------------------
     # read / write
@@ -228,7 +227,7 @@ class ArtifactStore:
         for path in (self._meta_path(key), self._payload_path(key)):
             if os.path.exists(path):
                 dest = os.path.join(
-                    qdir, f"{uuid.uuid4().hex[:8]}-{os.path.basename(path)}"
+                    qdir, f"{os.urandom(4).hex()}-{os.path.basename(path)}"
                 )
                 try:
                     os.replace(path, dest)

@@ -3,8 +3,10 @@
 * **lazy imports** — ``import repro`` loads no subpackage, and a warm
   ``repro synth --cache-dir`` loads only the modules its cached
   artifacts unpickle and its output needs: no simulator, baseline,
-  bench, STG front-end, fuzzer, fault campaign, lint engine, minimizer
-  or heavy observability module;
+  bench, STG front-end, fuzzer, fault campaign, lint engine, minimizer,
+  heavy observability module or other command's CLI module, and neither
+  ``subprocess``, ``platform`` nor ``uuid``; a cold synth loads no
+  certifier, simulator (MHS model) or exact minimizer;
 * **public surface** — every ``__all__`` name of ``repro`` and of each
   subpackage resolves, is listed by ``dir()`` and star-imports;
 * **rule catalogue** — the built-in lint rules register on the first
@@ -61,6 +63,10 @@ NOT_ON_WARM_SYNTH = (
     "repro.obs.coverage",
 )
 
+#: modules a cold synth must not load: the certifier, the MHS model and
+#: the rest of the simulator, and the exact minimizer
+NOT_ON_COLD_SYNTH = ("repro.analysis.certify.", "repro.sim.", "repro.logic.exact")
+
 #: `repro lint --list-rules`, the built-in catalogue
 RULE_IDS = [
     "DL001",
@@ -88,12 +94,18 @@ def _run(code: str) -> str:
     return out.stdout
 
 
-def _loaded_after(statements: str) -> set[str]:
+def _loaded_after(statements: str, prefix: str = "repro") -> set[str]:
     code = (
         f"import sys\n{statements}\n"
-        "print(' '.join(m for m in sys.modules if m.startswith('repro')))\n"
+        f"print(' '.join(m for m in sys.modules if m.startswith({prefix!r})))\n"
     )
     return set(_run(code).splitlines()[-1].split())
+
+
+def _banned(loaded: set[str], prefixes: tuple[str, ...]) -> list[str]:
+    """``loaded`` modules under ``prefixes`` (a trailing dot bans a
+    package)."""
+    return sorted(m for m in loaded if (m + ".").startswith(prefixes))
 
 
 def test_import_repro_loads_no_subpackage():
@@ -106,12 +118,18 @@ def test_warm_synth_loads_only_what_it_unpickles(tmp_path):
     call = f"from repro.cli import main\nassert main({argv!r}) == 0"
     _run(call)  # fills the store
     entries = sorted(p.name for p in store.rglob("*") if p.is_file())
-    loaded = _loaded_after(call)
-    banned = sorted(
-        m for m in loaded if (m + ".").startswith(NOT_ON_WARM_SYNTH)
-    )
-    assert banned == []
+    loaded = _loaded_after(call, prefix="")
+    assert _banned(loaded, NOT_ON_WARM_SYNTH) == []
+    assert {"subprocess", "platform", "uuid"}.isdisjoint(loaded)
+    assert _banned(loaded, ("repro.cli",)) == ["repro.cli", "repro.cli.synth"]
     assert sorted(p.name for p in store.rglob("*") if p.is_file()) == entries
+
+
+def test_cold_synth_loads_no_certifier_simulator_or_exact_minimizer(tmp_path):
+    argv = ["synth", CELEM, "--cache-dir", str(tmp_path / "store")]
+    loaded = _loaded_after(f"from repro.cli import main\nassert main({argv!r}) == 0")
+    assert "repro.analysis.rules_hazard" in loaded  # the catalogue did register
+    assert _banned(loaded, NOT_ON_COLD_SYNTH) == []
 
 
 @pytest.mark.parametrize("name", PACKAGES)

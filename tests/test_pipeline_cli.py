@@ -13,6 +13,8 @@ from repro.obs import get_tracer
 from repro.obs.trace import Tracer, set_tracer
 from repro.pipeline import ArtifactStore
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLE_SPECS = sorted((ROOT / "examples" / "specs").glob("*.g"))
 CELEM_G = """
 .model celem
 .inputs a b
@@ -82,6 +84,33 @@ class TestSynthCaching:
         assert capsys.readouterr().out == plain
 
 
+@pytest.mark.parametrize(
+    "spec", [*EXAMPLE_SPECS, "combuf1.sg"], ids=lambda p: pathlib.Path(p).name
+)
+def test_warm_synth_files_match_cold_and_storeless(spec, tmp_path, cache_dir,
+                                                   capsys):
+    """stdout, ``--pla`` and ``-o`` Verilog of a warm synth are the
+    bytes of the cold and the storeless run, for .g and .sg specs."""
+    if spec == "combuf1.sg":
+        from repro.bench import sg_of
+        from repro.sg.sgformat import write_sg
+
+        spec = tmp_path / "combuf1.sg"
+        spec.write_text(write_sg(sg_of("combuf1"), name="combuf1"))
+    pla, verilog = tmp_path / "out.pla", tmp_path / "out.v"
+
+    def synth(*store_args):
+        argv = ["synth", str(spec), "--pla", str(pla), "-o", str(verilog)]
+        assert main([*argv, *store_args]) == 0
+        return capsys.readouterr().out, pla.read_bytes(), verilog.read_bytes()
+
+    storeless = synth("--no-cache")
+    cold = synth("--cache-dir", cache_dir)
+    warm = synth("--cache-dir", cache_dir)
+    assert "N-SHOT circuit" in warm[0]
+    assert warm == cold == storeless
+
+
 class TestCompareSpans:
     def _spans(self, argv):
         """Run the CLI under an enabled ambient tracer; return spans."""
@@ -116,11 +145,13 @@ class TestCompareSpans:
         }
         assert outcomes and set(outcomes.values()) == {"miss"}
         warm = self._spans(["synth", str(gfile), "--cache-dir", cache_dir])
-        outcomes = {
-            s.attrs["stage"]: s.attrs["outcome"]
+        reads = [
+            (s.attrs["stage"], s.attrs["outcome"])
             for s in warm if s.name == "pipeline.stage"
-        }
-        assert outcomes and set(outcomes.values()) == {"hit"}
+        ]
+        # the circuit carries its SG: a warm synth reads no sg-build entry
+        assert sorted(reads) == [("classify", "hit"), ("delays", "hit")]
+        assert {s.name for s in warm} == {"pipeline.stage", "synthesize"}
 
 
 class TestCacheSubcommand:

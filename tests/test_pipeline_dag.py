@@ -108,6 +108,21 @@ class TestKeys:
         run.verify(runs=1)
         assert run.executed[0] == "sg-build"
 
+    def test_env_digest_is_stable_and_spawns_no_process(self, monkeypatch):
+        import subprocess
+
+        import repro.pipeline.dag as dag
+
+        def refuse(*_a, **_kw):
+            raise AssertionError("the env digest spawned a process")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        monkeypatch.setattr(dag, "_ENV_DIGEST", None)
+        first = dag.default_env_digest()
+        monkeypatch.setattr(dag, "_ENV_DIGEST", None)
+        assert dag.default_env_digest() == first
+        assert len(first) == 12 and int(first, 16) >= 0
+
 
 def _celem_sg():
     from repro.stg import elaborate, parse_g
