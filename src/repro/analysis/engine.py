@@ -28,7 +28,7 @@ from .registry import Rule, RuleRegistry, Scope, default_registry
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
     from ..pipeline.dag import PipelineRun
 
-__all__ = ["AnalysisResult", "run_rules", "analyze", "run_preflight"]
+__all__ = ["AnalysisResult", "run_rules", "analyze", "run_preflight", "preflight_failure"]
 
 #: scope execution order
 _SCOPE_ORDER = (Scope.SG, Scope.COVER, Scope.NETLIST)
@@ -228,6 +228,25 @@ def analyze(
 def run_preflight(sg: StateGraph, name: str = "spec") -> AnalysisResult:
     """The synthesizer's pre-flight pass: only the Theorem-2
     precondition rules (``preflight=True``), all SG-scope, so nothing
-    is minimized or mapped."""
+    is minimized or mapped.  The verdict is memoized on ``sg`` (see
+    :meth:`StateGraph.analysis`) for :func:`preflight_failure`."""
     ctx = LintContext(sg, name=name)
-    return run_rules(ctx, preflight_only=True)
+    result = run_rules(ctx, preflight_only=True)
+    sg.analysis().preflight_ok = result.ok
+    return result
+
+
+def preflight_failure(sg: StateGraph, name: str) -> tuple[str, list[Diagnostic]] | None:
+    """The refusal message and diagnostics of a graph that fails the
+    Theorem 2 preconditions, or ``None``.  A passing verdict memoized on
+    ``sg`` is reused; a failing one re-runs the preflight as ``name``."""
+    if sg.analysis().preflight_ok:
+        return None
+    report = run_preflight(sg, name=name)
+    if report.ok:
+        return None
+    detail = "; ".join(
+        f"[{rid}] {len(ds)} finding(s), e.g. {ds[0].message}"
+        for rid, ds in report.by_rule().items()
+    )
+    return f"SG fails the Theorem 2 preconditions: {detail}", report.diagnostics

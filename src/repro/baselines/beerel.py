@@ -30,12 +30,12 @@ from ..logic import Cover, Cube
 from ..logic.cube import spread_bits
 from ..netlist import Gate, GateType, Netlist, Pin
 from ..netlist.trees import build_gate_tree
-from ..sg.distributivity import non_distributive_signals
+from ..sg.encoding import reachable_codes
 from ..sg.graph import StateGraph
 from ..sg.regions import signal_regions
-from .errors import BaselineRefusal, refusal_diagnostic, require_valid_spec
+from .errors import BaselineRefusal, require_valid_spec
 from .hazard_free_sop import product_nets
-from .lavagno import NotDistributiveError
+from .lavagno import require_distributive
 
 __all__ = ["BeerelResult", "StateSignalsRequiredError", "synthesize_beerel"]
 
@@ -60,28 +60,39 @@ class BeerelResult:
         return self.netlist.stats()
 
 
-def _monotonous_cube(n: int, er_codes: set[int], allowed: set[int], name: str) -> Cube:
+def _monotonous_cube(
+    n: int, er_codes: set[int], allowed: set[int], used: "frozenset[int] | range", name: str
+) -> Cube:
     """A single cube covering an ER, confined to its allowed codes.
 
-    ``allowed`` is the set of binary codes the cube may touch (the ER,
-    its own QR, and unreachable codes).  The cube starts as the ER's
-    supercube and greedily expands one variable at a time while staying
-    inside ``allowed``.  Raises when even the supercube leaves the
-    allowed set.
+    The cube may touch the codes in ``allowed`` (the ER, or the ER and
+    its own QR) and any code not in ``used`` (an unreachable code).  It
+    starts as the ER's supercube and greedily expands one variable at
+    a time while it stays inside those codes.  Raises when even the
+    supercube leaves them.
     """
-    # the ER's supercube: a variable keeps its 1 (0) literal where the
-    # AND of the codes (of their complements) has it, else don't care
+    # the ER's supercube: the variables where the AND of the codes (of
+    # their complements) has a 1 keep their 1 (0) literal
     full = (1 << n) - 1
     ones = zeros = full
     for c in er_codes:
         ones &= c
         zeros &= ~c
-    sc = Cube(n, spread_bits(full & ~zeros) << 1 | spread_bits(full & ~ones))
 
-    def inside(cube: Cube) -> bool:
-        return all(m in allowed for m in cube.minterms())
+    def inside(care: int) -> bool:
+        # the cube's codes: its fixed bits plus each subset of its free bits
+        base = ones & care
+        free = sub = full & ~care
+        while True:
+            code = base | sub
+            if code in used and code not in allowed:
+                return False
+            if not sub:
+                return True
+            sub = (sub - 1) & free
 
-    if not inside(sc):
+    care = ones | zeros
+    if not inside(care):
         raise StateSignalsRequiredError(
             f"(2) excitation region of {name} has no monotonous cover cube; "
             "state signals required"
@@ -89,12 +100,11 @@ def _monotonous_cube(n: int, er_codes: set[int], allowed: set[int], name: str) -
     improved = True
     while improved:
         improved = False
-        for var in sc.fixed_vars():
-            raised = sc.raise_var(var)
-            if inside(raised):
-                sc = raised
+        for var in [v for v in range(n) if care >> v & 1]:
+            if inside(care & ~(1 << var)):
+                care &= ~(1 << var)
                 improved = True
-    return sc
+    return Cube(n, spread_bits(full & ~(zeros & care)) << 1 | spread_bits(full & ~(ones & care)))
 
 
 def synthesize_beerel(
@@ -105,19 +115,7 @@ def synthesize_beerel(
     """Run the standard-C monotonous-cover flow on a distributive SG."""
     if validate:
         require_valid_spec(sg, name)
-    detonant = non_distributive_signals(sg)
-    if detonant:
-        bad = ", ".join(sg.signals[a] for a in detonant)
-        raise NotDistributiveError(
-            "(1) non-distributive SG: SYN/Beerel flow not applicable",
-            diagnostics=refusal_diagnostic(
-                "BL001",
-                f"detonant (OR-caused) signals: {bad}",
-                name,
-                hint="only the N-SHOT/complex-gate/Q-module flows accept "
-                "non-distributive specifications",
-            ),
-        )
+    require_distributive(sg, name, "SYN/Beerel")
 
     nl = Netlist(name)
     for i in sorted(sg.inputs):
@@ -126,9 +124,9 @@ def synthesize_beerel(
         nl.add_output(sg.signals[a])
 
     view = sg.dense()
-    unreachable = (
-        set(range(1 << sg.num_signals)) - set(view.codes) if sg.num_signals <= 16 else set()
-    )
+    # past 16 signals every code counts as used, so cubes stay inside
+    # their allowed codes and never grow into the unreachable space
+    used = reachable_codes(sg) if sg.num_signals <= 16 else range(1 << sg.num_signals)
 
     covers: dict[tuple[int, str], Cover] = {}
     ack_gates = 0
@@ -152,16 +150,14 @@ def synthesize_beerel(
                     # preferred: the cube stays inside the excitation
                     # region (plus unreachable codes) — its turn-off is
                     # acknowledged by the output's own firing
-                    cube = _monotonous_cube(
-                        sg.num_signals, er_codes, er_codes | unreachable, tag
-                    )
+                    cube = _monotonous_cube(sg.num_signals, er_codes, er_codes, used, tag)
                 except StateSignalsRequiredError:
                     # the ER's supercube spills into its quiescent
                     # region: legal for a monotonous cover, but the
                     # cube's turn-off is no longer acknowledged by the
                     # output transition — extra completion hardware
                     cube = _monotonous_cube(
-                        sg.num_signals, er_codes, er_codes | qr_codes | unreachable, tag
+                        sg.num_signals, er_codes, er_codes | qr_codes, used, tag
                     )
                     net_ok = f"ackh_{kind}_{sig}_{len(cubes)}"
                     local_unack.append(net_ok)

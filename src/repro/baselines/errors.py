@@ -59,15 +59,8 @@ def require_valid_spec(sg: StateGraph, name: str) -> None:
     attached — the same structured surface the N-SHOT synthesizer
     presents, so campaign harnesses see one error shape everywhere.
     """
-    from ..analysis.engine import run_preflight
+    from ..analysis.engine import preflight_failure
 
-    report = run_preflight(sg, name=name)
-    if not report.ok:
-        detail = "; ".join(
-            f"[{rid}] {len(ds)} finding(s), e.g. {ds[0].message}"
-            for rid, ds in report.by_rule().items()
-        )
-        raise SynthesisError(
-            f"SG fails the Theorem 2 preconditions: {detail}",
-            diagnostics=report.diagnostics,
-        )
+    failure = preflight_failure(sg, name)
+    if failure is not None:
+        raise SynthesisError(failure[0], diagnostics=failure[1])

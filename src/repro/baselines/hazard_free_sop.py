@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from ..logic import Cover, Cube, minimize
-from ..logic.cube import LIT_DC, LIT_ONE, minterm_mask
+from ..logic.cube import LIT_DC, LIT_EMPTY, LIT_ONE, minterm_mask
 from ..logic.espresso import expand as espresso_expand
 from ..netlist import Gate, GateType, Netlist, Pin
 from ..netlist.trees import build_gate_tree
@@ -75,16 +75,14 @@ class UnmaskableHazardError(BaselineRefusal):
 class NextStateSpec:
     """(F, D, R) of one signal's next-state function (single output).
 
-    ``on_bits``/``off_bits`` are ``on_states``/``off_states`` as
-    bitsets over the graph's dense state numbers.
+    ``on_bits``/``off_bits`` are its ON and OFF states, as bitsets over
+    the graph's dense state numbers.
     """
 
     signal: int
     on: Cover
     dc: Cover
     off: Cover
-    on_states: set[StateId]
-    off_states: set[StateId]
     on_bits: int
     off_bits: int
 
@@ -105,24 +103,22 @@ def next_state_function(sg: StateGraph, signal: int) -> NextStateSpec:
         on=bits_to_cover(sg, on_bits),
         dc=unreachable_cover(sg),
         off=bits_to_cover(sg, off_bits),
-        on_states=set(view.states_of(on_bits)),
-        off_states=set(view.states_of(off_bits)),
         on_bits=on_bits,
         off_bits=off_bits,
     )
 
 
-def _static_one_arcs(
-    sg: StateGraph, spec: NextStateSpec
-) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """Per ON state ``s`` with static-1 arcs, in ascending dense state
-    number: ``s`` and its arcs ``(signal, d)`` in insertion order."""
+def _static_one_arcs(sg: StateGraph, spec: NextStateSpec) -> list[tuple[int, int, int]]:
+    """The static-1 arcs ``(s, signal, d)``: by ascending dense state
+    number of ``s``, and per ``s`` in insertion order."""
     view = sg.dense()
-    on = view.flags(spec.on_bits)
-    for s in view.numbers(spec.on_bits):
-        arcs = [(a, d) for a, _dir, d in view.succ[s] if a != spec.signal and on[d]]
-        if arcs:
-            yield s, arcs
+    on, succ, own = view.flags(spec.on_bits), view.succ, spec.signal
+    return [
+        (s, a, d)
+        for s in view.numbers(spec.on_bits)
+        for a, _dir, d in succ[s]
+        if a != own and on[d]
+    ]
 
 
 def static_one_hazard_pairs(
@@ -138,7 +134,7 @@ def static_one_hazard_pairs(
     does not depend on the hash seed.
     """
     ids = sg.dense().ids
-    return [(ids[s], ids[d]) for s, arcs in _static_one_arcs(sg, spec) for _a, d in arcs]
+    return [(ids[s], ids[d]) for s, _a, d in _static_one_arcs(sg, spec)]
 
 
 def add_hazard_cover_cubes(
@@ -152,29 +148,35 @@ def add_hazard_cover_cubes(
     number of cubes added — the area overhead that hazard-freedom
     costs the baseline flows.
     """
-    n = sg.num_signals
-    codes = sg.dense().codes
-    added = 0
+    n, codes = sg.num_signals, sg.dense().codes
+    arcs = _static_one_arcs(sg, spec)
+    sources = {s: codes[s] for s, _a, _d in arcs}.items()
+    # per signal a: the states s whose pair across a some cube covers,
+    # i.e. the ON states of the cubes where a is don't care (single-output
+    # covers: containment is on the input parts alone)
+    covered: list[set[int]] = [set() for _ in range(n)]
+
+    def account(cube: Cube) -> None:
+        fields = [cube.inputs >> (2 * v) & LIT_DC for v in range(n)]
+        if LIT_EMPTY not in fields:  # an empty cube covers nothing
+            care = sum(1 << v for v, f in enumerate(fields) if f != LIT_DC)
+            value = sum(1 << v for v, f in enumerate(fields) if f == LIT_ONE)
+            states = [s for s, code in sources if code & care == value]
+            for v in cube.free_vars():
+                covered[v].update(states)
+
     work = cover.copy()
-    masks = [c.inputs for c in work.cubes]
-    tried: set[int] = set()
-    for s, arcs in _static_one_arcs(sg, spec):
-        minterm = minterm_mask(codes[s], n)
-        for a, _d in arcs:
+    for cube in work.cubes:
+        account(cube)
+    added = 0
+    for s, a, _d in arcs:
+        if s not in covered[a]:
             # the pair's supercube: s's minterm with the arc's signal raised
-            m = minterm | LIT_DC << (2 * a)
-            if m in tried:
-                continue  # covered since: by a cube or by the prime grown from it
-            tried.add(m)
-            # single-output covers: containment is on the input parts alone
-            for c in masks:
-                if c & m == m:
-                    break
-            else:
-                prime = espresso_expand(Cover(n, 1, [Cube(n, m)]), spec.off).cubes[0]
-                work.add(prime)
-                masks.append(prime.inputs)
-                added += 1
+            m = minterm_mask(codes[s], n) | LIT_DC << (2 * a)
+            prime = espresso_expand(Cover(n, 1, [Cube(n, m)]), spec.off).cubes[0]
+            work.add(prime)
+            account(prime)
+            added += 1
     if added:
         work = work.single_cube_containment()
     return work, added

@@ -46,6 +46,23 @@ class NotDistributiveError(BaselineRefusal):
     code = "(1)"
 
 
+def require_distributive(sg: StateGraph, name: str, flow: str) -> None:
+    """Refuse a non-distributive SG with failure code (1)."""
+    detonant = non_distributive_signals(sg)
+    if detonant:
+        bad = ", ".join(sg.signals[a] for a in detonant)
+        raise NotDistributiveError(
+            f"(1) non-distributive SG: {flow} flow not applicable",
+            diagnostics=refusal_diagnostic(
+                "BL001",
+                f"detonant (OR-caused) signals: {bad}",
+                name,
+                hint="only the N-SHOT/complex-gate/Q-module flows accept "
+                "non-distributive specifications",
+            ),
+        )
+
+
 @dataclass
 class LavagnoResult:
     """Outcome of the SIS-style flow."""
@@ -77,19 +94,7 @@ def synthesize_lavagno(
     """
     if validate:
         require_valid_spec(sg, name)
-    detonant = non_distributive_signals(sg)
-    if detonant:
-        bad = ", ".join(sg.signals[a] for a in detonant)
-        raise NotDistributiveError(
-            "(1) non-distributive SG: SIS/Lavagno flow not applicable",
-            diagnostics=refusal_diagnostic(
-                "BL001",
-                f"detonant (OR-caused) signals: {bad}",
-                name,
-                hint="only the N-SHOT/complex-gate/Q-module flows accept "
-                "non-distributive specifications",
-            ),
-        )
+    require_distributive(sg, name, "SIS/Lavagno")
 
     nl = Netlist(name)
     for i in sorted(sg.inputs):

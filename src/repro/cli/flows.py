@@ -49,7 +49,6 @@ class _SgSpec:
 
 def cmd_info(args: argparse.Namespace) -> int:
     from ..sg import (
-        is_distributive,
         is_single_traversal,
         non_distributive_signals,
         signal_regions,
@@ -66,12 +65,9 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"state graph: {sg.num_states} states")
     report = validate_for_synthesis(sg)
     print(report.summary())
-    print(f"distributive: {is_distributive(sg)}", end="")
     nd = non_distributive_signals(sg)
-    if nd:
-        print(f" (detonant signals: {', '.join(sg.signals[a] for a in nd)})")
-    else:
-        print()
+    detail = f" (detonant signals: {', '.join(sg.signals[a] for a in nd)})" if nd else ""
+    print(f"distributive: {not nd}{detail}")
     print(f"single traversal: {is_single_traversal(sg)}")
     for a in sg.non_inputs:
         sr = signal_regions(sg, a)

@@ -47,11 +47,6 @@ class Cover:
         return Cover(num_inputs, num_outputs, [Cube.full(num_inputs, all_out)])
 
     @staticmethod
-    def from_cubes(cubes: Iterable[Cube], num_inputs: int, num_outputs: int = 1) -> "Cover":
-        """Build a cover from an iterable of cubes (shared signature)."""
-        return Cover(num_inputs, num_outputs, list(cubes))
-
-    @staticmethod
     def from_strings(rows: Iterable[str], num_outputs: int = 1) -> "Cover":
         """Build a cover from ESPRESSO-style rows.
 
@@ -198,16 +193,6 @@ class Cover:
             cf = c.cofactor(cube)
             if cf is not None:
                 out.append(cf)
-        return Cover(self.num_inputs, self.num_outputs, out)
-
-    def intersect_cube(self, cube: Cube) -> "Cover":
-        """Cover of the intersections of every cube with ``cube``."""
-        get_metrics().counter("cover.cube_ops").add(len(self.cubes))
-        out = []
-        for c in self.cubes:
-            i = c.intersect(cube)
-            if i is not None:
-                out.append(i)
         return Cover(self.num_inputs, self.num_outputs, out)
 
     def intersects_cube(self, cube: Cube) -> bool:

@@ -13,12 +13,13 @@ minimizer must satisfy.  Tests and the synthesis flow both lean on it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from ..obs import get_metrics, trace_span
 from .cover import Cover
+from .cube import LIT_DC, LIT_ONE, LIT_ZERO
 from .espresso import espresso
-from .tautology import cover_covers_cube_multi, covers_cover
 
 __all__ = ["minimize", "verify_cover", "MinimizationError"]
 
@@ -118,17 +119,45 @@ def verify_cover(
     * ``within_on_dc`` — every result cube lies inside ``F ∪ D``,
     * ``disjoint_from_off`` — no result cube intersects the OFF-set
       (trivially true when ``off`` is None).
+
+    Each cover is read, per output, as the set of codes its cubes
+    contain: an integer with bit ``x`` set for code ``x`` (``2**n`` bits
+    wide), so the conditions are bitwise operations, not tautology
+    checks (``tests/cover_reference.py`` keeps that reading).
     """
-    covers_on = covers_cover(result, on)
+    n = on.num_inputs
 
-    fd = Cover(
-        on.num_inputs,
-        on.num_outputs,
-        on.cubes + (dc.cubes if dc is not None else []),
+    def per_output(cover: Cover | None) -> defaultdict[int, int]:
+        feeds: defaultdict[int, int] = defaultdict(int)  # input part -> outputs fed
+        for c in cover.cubes if cover is not None else ():
+            feeds[c.inputs] |= c.outputs
+        out: defaultdict[int, int] = defaultdict(int)
+        for inputs, outputs in feeds.items():
+            bits = _cube_codes(inputs, n)
+            for o in range(outputs.bit_length()):
+                out[o] |= bits if outputs >> o & 1 else 0
+        return out
+
+    mine = [(_cube_codes(c.inputs, n), c.output_list()) for c in result.cubes]
+    f, d, r, covered = per_output(on), per_output(dc), per_output(off), per_output(result)
+    return CoverCheck(
+        covers_on=all(not bits & ~covered[o] for o, bits in f.items()),
+        within_on_dc=all(not bits & ~(f[o] | d[o]) for bits, outs in mine for o in outs),
+        disjoint_from_off=not any(bits & r[o] for bits, outs in mine for o in outs),
     )
-    within = all(cover_covers_cube_multi(fd, c) for c in result.cubes)
 
-    disjoint = True
-    if off is not None:
-        disjoint = not _overlaps(result, off)
-    return CoverCheck(covers_on, within, disjoint)
+
+def _cube_codes(inputs: int, n: int) -> int:
+    """The codes in a cube's input part, as a bitset over the ``2**n``
+    codes: built one variable at a time, doubling the set where the
+    variable is free and shifting it where the variable is 1."""
+    bits = 1
+    for v in range(n):
+        field = inputs >> (2 * v) & LIT_DC
+        if field == LIT_DC:
+            bits |= bits << (1 << v)
+        elif field == LIT_ONE:
+            bits <<= 1 << v
+        elif field != LIT_ZERO:
+            return 0  # an empty cube
+    return bits

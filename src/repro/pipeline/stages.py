@@ -122,22 +122,16 @@ def _stage_sg_build(run: "PipelineRun") -> "StateGraph":
 
 
 def _stage_classify(run: "PipelineRun") -> Classification:
-    from ..analysis.engine import run_preflight
+    from ..analysis.engine import preflight_failure
 
     sg = run.artifact("sg-build")
     with trace_span("validate"):
-        preflight = run_preflight(sg, name=run.name)
-    message = ""
-    if not preflight.ok:
-        detail = "; ".join(
-            f"[{rid}] {len(ds)} finding(s), e.g. {ds[0].message}"
-            for rid, ds in preflight.by_rule().items()
-        )
-        message = f"SG fails the Theorem 2 preconditions: {detail}"
+        failure = preflight_failure(sg, run.name)
+    message, diagnostics = failure or ("", [])
     return Classification(
-        ok=preflight.ok,
+        ok=failure is None,
         message=message,
-        diagnostics=list(preflight.diagnostics),
+        diagnostics=list(diagnostics),
         num_states=sg.num_states,
     )
 

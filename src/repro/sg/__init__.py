@@ -29,8 +29,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "trigger_region_reachable_from_all is_single_traversal"
         ),
         ".encoding": (
-            "state_cube states_to_cover reachable_codes unreachable_cover "
-            "code_partition_check"
+            "reachable_codes unreachable_cover"
         ),
         ".csc": "CscConflict csc_report insert_state_signal",
         ".dot": "sg_to_dot netlist_to_dot",

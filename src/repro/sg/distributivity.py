@@ -20,7 +20,6 @@ the up/down excited-signal masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .graph import StateGraph, StateId
 
@@ -47,39 +46,47 @@ class DetonantState:
     v: StateId
 
 
-def _detonant(sg: StateGraph, signal: int) -> Iterator[tuple[int, int, int]]:
-    """Detonant states w.r.t. ``signal`` as ``(w, u, v)`` dense state
-    numbers, in state order and, per state, in arc order."""
+def detonant_states(sg: StateGraph, signal: int) -> list[DetonantState]:
+    """All detonant states w.r.t. one non-input signal (Definition 3):
+    in state order and, per state, by pairs of successors in arc order."""
     view = sg.dense()
-    bit = 1 << signal
+    ids, bit = view.ids, 1 << signal
     hot = [(up | down) & bit for up, down in zip(view.up, view.down)]
+    out = []
     for w, arcs in enumerate(view.succ):
         if hot[w]:
-            continue  # a must be stable in w
+            continue  # the signal must be stable in w
         excited = [d for _a, _d, d in arcs if hot[d]]
-        # all pairs of distinct successors in which `signal` is excited
-        for i in range(len(excited)):
-            for j in range(i + 1, len(excited)):
-                yield w, excited[i], excited[j]
-
-
-def detonant_states(sg: StateGraph, signal: int) -> list[DetonantState]:
-    """All detonant states w.r.t. one non-input signal (Definition 3)."""
-    ids = sg.dense().ids
-    return [
-        DetonantState(ids[w], signal, ids[u], ids[v])
-        for w, u, v in _detonant(sg, signal)
-    ]
+        out += (
+            DetonantState(ids[w], signal, ids[u], ids[v])
+            for i, u in enumerate(excited)
+            for v in excited[i + 1 :]
+        )
+    return out
 
 
 def is_distributive_for(sg: StateGraph, signal: int) -> bool:
     """Distributivity w.r.t. one non-input signal (Definition 4)."""
-    return next(_detonant(sg, signal), None) is None
+    return signal not in non_distributive_signals(sg)
 
 
 def non_distributive_signals(sg: StateGraph) -> list[int]:
-    """Non-input signals with at least one detonant state."""
-    return [a for a in sg.non_inputs if not is_distributive_for(sg, a)]
+    """Non-input signals with at least one detonant state, memoized on
+    ``sg``.  One walk serves every signal: per state, the signals excited
+    in two of its successors, less those excited in the state."""
+    memo = sg.analysis()
+    if memo.non_distributive is None:
+        view = sg.dense()
+        hot = [up | down for up, down in zip(view.up, view.down)]
+        detonant = 0
+        for w, arcs in enumerate(view.succ):
+            once = twice = 0
+            for _a, _d, d in arcs:
+                twice |= once & hot[d]
+                once |= hot[d]
+            detonant |= twice & ~hot[w]
+        memo.non_distributive = tuple(a for a in sg.non_inputs if detonant >> a & 1)
+    return list(memo.non_distributive)
 
 
 def is_distributive(sg: StateGraph) -> bool:

@@ -16,11 +16,12 @@ transition.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress, islice
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..logic import Cover
     from .regions import SignalRegions
 
 __all__ = ["Transition", "StateGraph", "SGError", "DenseGraph", "render_state"]
@@ -223,9 +224,22 @@ class DenseGraph:
         return frozenset(compress(self.ids, bit_flags(bits)))
 
 
-#: attributes a pickle leaves out: derived from the signals, or the
-#: storage, which travels as ``storage = (ids, codes, succ, pred order)``
-_DERIVED = ("_index", "_transitions", "_dense", "_packed")
+@dataclass
+class SpecAnalysis:
+    """The whole-graph results the synthesis flows share, memoized on a
+    :class:`StateGraph` by :meth:`StateGraph.analysis`; each is filled
+    by the function named beside it, on first request."""
+
+    preflight_ok: bool | None = None  # repro.analysis.engine.run_preflight
+    non_distributive: tuple[int, ...] | None = None  # .distributivity
+    codes: frozenset[int] | None = None  # .encoding.reachable_codes
+    unreachable: "Cover | None" = None  # .encoding.unreachable_cover
+    covers: dict[int, list[int]] = field(default_factory=dict)  # .encoding.bits_to_cover
+
+
+#: attributes a pickle leaves out: derived from the signals, the spec analysis,
+#: or the storage, which travels as ``storage = (ids, codes, succ, pred order)``
+_DERIVED = ("_index", "_transitions", "_dense", "_packed", "_spec")
 
 
 class StateGraph:
@@ -249,9 +263,9 @@ class StateGraph:
     rules of Section III-A at insertion time (a ``+x`` arc must go from
     a state with ``x = 0`` to an identically-coded state with ``x = 1``,
     and so on).  Those two and :meth:`set_initial` are the only
-    mutators; they extend the storage in place and drop the region
-    analysis memoized on the graph by
-    :func:`repro.sg.regions.signal_regions`.
+    mutators; they extend the storage in place and drop the analyses
+    memoized on the graph: the regions of
+    :func:`repro.sg.regions.signal_regions` and the :meth:`analysis`.
 
     A pickle carries the ids, codes and arcs; the index tables are
     rebuilt by the first :meth:`dense` call after loading, so a graph
@@ -260,6 +274,7 @@ class StateGraph:
 
     #: per-signal region analyses (see :func:`repro.sg.regions.signal_regions`)
     _regions: "dict[int, SignalRegions] | None" = None
+    _spec: SpecAnalysis | None = None  # see analysis(); never pickled
 
     def __init__(self, signals: Sequence[str], inputs: Iterable[str | int]) -> None:
         if len(set(signals)) != len(signals):
@@ -313,7 +328,7 @@ class StateGraph:
             if g.codes[i] != code:
                 raise SGError(f"state {render_state(state)} re-added with a different code")
             return state
-        self._regions = None
+        self._regions = self._spec = None
         g.add_state(state, code)
         if self.initial is None:
             self.initial = state
@@ -323,7 +338,7 @@ class StateGraph:
         """Designate the initial state ``s0``."""
         if state not in self.dense().number:
             raise SGError(f"unknown state {render_state(state)}")
-        self._regions = None
+        self._regions = self._spec = None
         self.initial = state
 
     def add_arc(self, src: StateId, t: Transition, dst: StateId) -> None:
@@ -355,7 +370,7 @@ class StateGraph:
         # holds an arc of t itself
         existing = g.nxt[i * g.num_signals + t.signal]
         if existing < 0:
-            self._regions = None
+            self._regions = self._spec = None
             g.add_arc(i, t.signal, t.direction, j)
         elif existing != j:
             raise SGError(
@@ -390,6 +405,12 @@ class StateGraph:
             g = self._dense = DenseGraph(self.num_signals, *self._packed)
             del self._packed
         return g
+
+    def analysis(self) -> SpecAnalysis:
+        """The :class:`SpecAnalysis` memoized on this graph."""
+        if self._spec is None:
+            self._spec = SpecAnalysis()
+        return self._spec
 
     def _at(self, state: StateId) -> tuple[DenseGraph, int]:
         g = self.dense()

@@ -321,10 +321,6 @@ class SignalRegions:
         return [r for r in self.excitation if r.rising]
 
     @property
-    def down_excitation(self) -> list[Region]:
-        return [r for r in self.excitation if not r.rising]
-
-    @property
     def single_traversal(self) -> bool:
         """Definition 9 for this signal: every trigger region is one state."""
         return all(len(tr) == 1 for trs in self.triggers for tr in trs)

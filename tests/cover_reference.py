@@ -1,0 +1,41 @@
+"""Tautology readings of the covers the synthesis flow derives.
+
+:func:`verify_cover` is the reading :func:`repro.logic.verify_cover`
+replaced, kept as the reference it is tested against
+(``test_cover_check.py``): the same three soundness conditions of a
+minimized cover, decided by cover containment (a cofactor tautology per
+cube and output) and pairwise cube intersection.
+:func:`code_partition_check` is the oracle the SOP derivation tests use.
+"""
+
+from __future__ import annotations
+
+from repro.logic import Cover, is_tautology
+from repro.logic.minimize import CoverCheck
+from repro.logic.tautology import cover_covers_cube_multi, covers_cover
+
+
+def verify_cover(
+    result: Cover, on: Cover, dc: Cover | None = None, off: Cover | None = None
+) -> CoverCheck:
+    covers_on = covers_cover(result, on)
+    fd = Cover(on.num_inputs, on.num_outputs, on.cubes + (dc.cubes if dc else []))
+    within = all(cover_covers_cube_multi(fd, c) for c in result.cubes)
+    disjoint = off is None or not any(
+        c.intersects(d) for c in result.cubes for d in off.cubes
+    )
+    return CoverCheck(covers_on, within, disjoint)
+
+
+def code_partition_check(on: Cover, dc: Cover, off: Cover, num_signals: int) -> bool:
+    """True when (F, D, R) partitions the whole code space per output:
+    every code belongs to exactly one of the three covers, as the
+    region-derivation procedure must ensure."""
+    for o in range(max(on.num_outputs, 1)):
+        fo, do, ro = on.projection(o), dc.projection(o), off.projection(o)
+        if not is_tautology(Cover(num_signals, 1, fo.cubes + do.cubes + ro.cubes)):
+            return False
+        for a, b in ((fo, do), (fo, ro), (do, ro)):
+            if any(ca.intersects(cb) for ca in a.cubes for cb in b.cubes):
+                return False
+    return True

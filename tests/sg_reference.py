@@ -2,7 +2,8 @@
 
 Covers the consistent state assignment (Section III-A), CSC
 (Definition 1), semi-modularity with input choices (Definition 2),
-detonant states and distributivity (Definitions 3-4), the regions
+detonant states and distributivity (Definitions 3-4), Vlad's
+semi-modularity of the excitation function of the codes, the regions
 (Definitions 5-7, 9) and the implied next-state function with the
 static-1 and function hazards the baseline flows must handle.  Written
 straight from the definitions as brute-force set comprehensions over
@@ -313,3 +314,36 @@ def elaborate(stg, max_states: int = 200000) -> tuple[list, dict, list]:
             elif target[label] != after:
                 raise Unelaboratable("nondeterministic")
     return states, code, arcs
+
+
+def excitation_function(g: Explicit) -> dict[int, int]:
+    """Vlad's excitation function Φ: {0,1}ⁿ → {0,1}ⁿ (arXiv cs/0110062),
+    built from the codes alone: ``Φ(x)`` is ``x`` with every coordinate
+    flipped that some arc out of a state coded ``x`` flips.  Codes no
+    state carries are left out (stable: ``Φ(x) = x``)."""
+    flips: dict[int, int] = {}
+    for s in g.states:
+        x = g.code[s]
+        for _a, _d, t in g.succ[s]:
+            flips[x] = flips.get(x, 0) | (x ^ g.code[t])
+        flips.setdefault(x, 0)
+    return {x: x ^ f for x, f in flips.items()}
+
+
+def vlad_violations(g: Explicit) -> set[tuple[int, int, int]]:
+    """Vlad's discrete-time semi-modularity of Φ, with input choices:
+    at every code ``x``, an excited coordinate ``i`` stays excited after
+    any other excited coordinate ``j`` switches, unless both are
+    inputs.  Returns the failures as ``(x, i, j)``."""
+    phi = excitation_function(g)
+    out = set()
+    for x, fx in phi.items():
+        hot = [i for i in range((x ^ fx).bit_length()) if (x ^ fx) >> i & 1]
+        for i in hot:
+            for j in hot:
+                if i == j or (i not in g.non_inputs and j not in g.non_inputs):
+                    continue
+                y = x ^ (1 << j)
+                if not (phi.get(y, y) ^ y) >> i & 1:
+                    out.add((x, i, j))
+    return out

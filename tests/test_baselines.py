@@ -12,11 +12,15 @@ from repro.baselines import (
     synthesize_complex_gate,
     synthesize_lavagno,
 )
-from repro.bench.circuits import figure1_csc_sg, figure1_sg
-from repro.logic import covers_cube, minimize
+from repro.bench.circuits import TABLE2_CIRCUITS, figure1_csc_sg, figure1_sg
+from repro.bench.circuits.handshakes import fork_join, muller_pipeline
+from repro.bench.runner import sg_of
+from repro.fuzz.generator import derive_seed, generate_spec, knob_combinations
+from repro.logic import Cover, Cube, covers_cube, minimize
+from repro.logic.cube import LIT_DC, minterm_mask
+from repro.logic.espresso import expand as espresso_expand
 from repro.netlist import GateType
 from repro.stg import elaborate
-from repro.bench.circuits.handshakes import fork_join, muller_pipeline
 
 
 class TestNextStateFunction:
@@ -32,8 +36,10 @@ class TestNextStateFunction:
         for sg in (celem_sg, xyz_sg):
             for a in sg.non_inputs:
                 spec = next_state_function(sg, a)
-                assert not spec.on_states & spec.off_states
-                assert spec.on_states | spec.off_states == set(sg.states())
+                on = sg.dense().states_of(spec.on_bits)
+                off = sg.dense().states_of(spec.off_bits)
+                assert not on & off
+                assert on | off == set(sg.states())
 
 
 class TestHazardCovers:
@@ -158,3 +164,71 @@ class TestComplexGate:
         cg = synthesize_complex_gate(celem_sg).stats().area
         ours = synthesize(celem_sg).stats().area
         assert cg < ours
+
+
+def reference_hazard_cover(sg, spec, cover):
+    """The repair ``add_hazard_cover_cubes`` replaced: one mask test
+    per static-1 arc against every cube, in state-number order."""
+    n, view = sg.num_signals, sg.dense()
+    on = view.flags(spec.on_bits)
+    work, masks, tried, added = cover.copy(), [c.inputs for c in cover.cubes], set(), 0
+    for s in view.numbers(spec.on_bits):
+        for a, _dir, d in view.succ[s]:
+            m = minterm_mask(view.codes[s], n) | LIT_DC << (2 * a)
+            if a == spec.signal or not on[d] or m in tried:
+                continue
+            tried.add(m)
+            if not any(c & m == m for c in masks):
+                prime = espresso_expand(Cover(n, 1, [Cube(n, m)]), spec.off).cubes[0]
+                work.add(prime)
+                masks.append(prime.inputs)
+                added += 1
+    return (work.single_cube_containment() if added else work), added
+
+
+#: the Table 2 specs but the four of over 256 states (the per-arc loop
+#: is slow on those), and generated CSC specs
+LARGE = {"master-read", "read-write", "tsbmsi", "tsbmsiBRK"}
+HAZARD_INPUTS = [(n, lambda n=n: sg_of(n)) for n in TABLE2_CIRCUITS if n not in LARGE]
+HAZARD_INPUTS += [
+    (f"{k.short()}-{i}", lambda k=k, i=i: generate_spec(derive_seed(11, i), k).sg)
+    for k in knob_combinations(signals=6, csc="on")
+    for i in range(10)
+]
+
+
+def hazard_cases(sg):
+    """Per non-input: its next-state spec and three covers to repair,
+    the minimized one, the ON-set cover and one cube per ON code (so
+    nearly every static-1 pair needs a cube) plus an empty cube that is
+    free in all but one variable."""
+    n = sg.num_signals
+    empty = Cube(n, (1 << 2 * n) - 4)
+    for a in sg.non_inputs:
+        spec = next_state_function(sg, a)
+        minterms = Cover.from_minterms(sorted(sg.dense().codes_of(spec.on_bits)), n)
+        minterms.add(empty)
+        for cover in (minimize(spec.on, spec.dc, spec.off), spec.on, minterms):
+            yield spec, cover
+
+
+@pytest.mark.parametrize("build", [b for _, b in HAZARD_INPUTS], ids=[n for n, _ in HAZARD_INPUTS])
+def test_hazard_cover_matches_reference(build):
+    """Same cubes, in the same order, and the same count as the
+    per-arc loop."""
+    sg = build()
+    for spec, cover in hazard_cases(sg):
+        got, added = add_hazard_cover_cubes(sg, spec, cover)
+        want, want_added = reference_hazard_cover(sg, spec, cover)
+        assert (got.cubes, added) == (want.cubes, want_added)
+
+
+def test_hazard_cover_reference_adds_cubes():
+    """Guard against a vacuous pass: the cases above need many repairs,
+    on the minimized covers of some specs too."""
+    added = {}
+    for _name, build in HAZARD_INPUTS:
+        sg = build()
+        for k, (spec, cover) in enumerate(hazard_cases(sg)):
+            added[k % 3] = added.get(k % 3, 0) + reference_hazard_cover(sg, spec, cover)[1]
+    assert added[0] >= 1 and added[2] >= 100

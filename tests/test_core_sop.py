@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.bench.circuits import figure7a_sg
 from repro.core import derive_sop_spec, region_mode_table
 from repro.logic import minimize, verify_cover
-from repro.sg import code_partition_check
-from repro.bench.circuits import figure7a_sg
+
+from tests.cover_reference import code_partition_check
 
 
 class TestDeriveSopSpec:

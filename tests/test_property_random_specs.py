@@ -18,8 +18,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.circuits.handshakes import fork_join, muller_pipeline, phased_cycle, ring
 from repro.core import check_trigger_cubes, derive_sop_spec, synthesize
-from repro.sg import code_partition_check, is_single_traversal, validate_for_synthesis
+from repro.sg import is_single_traversal, validate_for_synthesis
 from repro.stg import elaborate
+
+from tests.cover_reference import code_partition_check
 
 SETTINGS = settings(
     max_examples=25,

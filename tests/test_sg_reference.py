@@ -33,6 +33,7 @@ from repro.baselines.hazard_free_sop import (
 from repro.bench.circuits.handshakes import muller_pipeline
 from repro.fuzz.generator import derive_seed, generate_spec, knob_combinations
 from repro.sg.distributivity import detonant_states, is_distributive
+from repro.sg.graph import render_state
 from repro.sg.properties import (
     check_consistency,
     consistency_witnesses,
@@ -135,14 +136,15 @@ def assert_baseline_predicates_agree(sg) -> None:
     g = ref.Explicit.of(sg)
     for a in sg.non_inputs:
         spec = next_state_function(sg, a)
+        on, off = (sg.dense().states_of(bits) for bits in (spec.on_bits, spec.off_bits))
         want = {v: {s for s in g.states if ref.next_state(g, s, a) == v} for v in (0, 1)}
-        assert spec.on_states == want[1]
+        assert on == want[1]
         if any(g.excited(s, a) for s in g.states):
-            assert spec.off_states == want[0]
+            assert off == want[0]
         else:
             # ``a`` never fires, so it has no ER or QR and the spec
             # assigns no state (the one-state corpus reproducer)
-            assert spec.off_states == set()
+            assert off == set()
         pairs = static_one_hazard_pairs(sg, spec)
         assert len(pairs) == len(set(pairs))
         assert set(pairs) == ref.static_one_pairs(g, a)
@@ -151,10 +153,11 @@ def assert_baseline_predicates_agree(sg) -> None:
         assert set(exposed) == ref.function_hazard_states(g, a)
 
 
-def _drop_commuting_arc(sg):
+def _drop_commuting_arc(sg, key=repr):
     """A copy where one non-input ``t1`` concurrent with some ``t2`` is
-    disabled by it (Definition 2 broken), or None without concurrency."""
-    for s in sorted(sg.states(), key=repr):
+    disabled by it (Definition 2 broken), or None without concurrency.
+    States are tried in ``key`` order."""
+    for s in sorted(sg.states(), key=key):
         enabled = sg.enabled(s)
         for t1 in enabled:
             for t2 in enabled:
@@ -164,11 +167,12 @@ def _drop_commuting_arc(sg):
     return None
 
 
-def _split_diamond(sg):
+def _split_diamond(sg, key=repr):
     """A copy where the two interleavings of one non-input ``t1`` and a
     concurrent ``t2`` end in different states of the same code
-    (Definition 2's no-diamond case), or None without concurrency."""
-    for s in sorted(sg.states(), key=repr):
+    (Definition 2's no-diamond case), or None without concurrency.
+    States are tried in ``key`` order."""
+    for s in sorted(sg.states(), key=key):
         enabled = sg.enabled(s)
         for t1 in enabled:
             for t2 in enabled:
@@ -194,14 +198,46 @@ def _recode(sg):
     return bad
 
 
+def hidden_from_codes(sg, v) -> bool:
+    """The interleavings of the violation ``v`` pass through a state
+    that shares its code with another state."""
+    by_code: dict = {}
+    for s in sg.states():
+        by_code.setdefault(sg.code(s), []).append(s)
+    s1, s2 = sg.succ(v.state, v.t1), sg.succ(v.state, v.t2)
+    ends = (sg.succ(s1, v.t2), sg.succ(s2, v.t1))
+    return any(len(by_code[sg.code(s)]) > 1 for s in (s1, s2, *ends) if s is not None)
+
+
+def assert_vlad_agrees(sg) -> bool | None:
+    """Vlad's semi-modularity of the code-level excitation function
+    against Definition 2, on a consistent CSC graph (elsewhere Φ is not
+    a function of the code: returns None).  Φ merges the states of one
+    code, so it may miss a failure but never invents one, and every
+    failure it misses runs through a state whose code another state
+    shares (see docs/ANALYSIS.md).  Returns whether the verdicts
+    agree."""
+    g = ref.Explicit.of(sg)
+    if ref.consistency_violations(g) or ref.csc_violations(g):
+        return None
+    violations = semimodularity_violations(sg)
+    if bool(ref.vlad_violations(g)) == bool(violations):
+        return True
+    assert violations
+    assert all(hidden_from_codes(sg, v) for v in violations)
+    return False
+
+
 def assert_all_agree(sg) -> None:
     """Regions and properties agree on ``sg``; on graphs of up to 1024
     states, the properties also agree on its broken copies."""
     assert_agrees(sg)
     assert_properties_agree(sg)
+    assert assert_vlad_agrees(sg) is not False
     if sg.num_states <= 1024:
         for broken in _broken_copies(sg):
             assert_properties_agree(broken)
+            assert_vlad_agrees(broken)
 
 
 def _broken_copies(sg) -> list:
@@ -288,3 +324,19 @@ def test_reference_sees_multi_state_trigger_regions():
     want = reference(spec.sg)
     assert any(len(tr) > 1 for _, _, pairs in want.values() for _, trs in pairs for tr in trs)
     assert not is_single_traversal(spec.sg)
+
+
+def test_vlad_misses_only_code_twins():
+    """Guard against a vacuous pass: on ebergen, Vlad's check and
+    Definition 2 both pass the spec and both fail the copy with a
+    disabled transition; the copy with a split diamond (its two
+    interleavings end in two states of one code) fails Definition 2
+    only."""
+    ebergen = elaborate(DISTRIBUTIVE_BENCHMARKS["ebergen"][0]())
+    dropped = _drop_commuting_arc(ebergen, key=render_state)
+    split = _split_diamond(ebergen, key=render_state)
+    for sg, vlad, def2 in ((ebergen, True, True), (dropped, False, False), (split, True, False)):
+        g = ref.Explicit.of(sg)
+        assert not ref.csc_violations(g)
+        assert (not ref.vlad_violations(g), is_semimodular_with_input_choices(sg)) == (vlad, def2)
+    assert assert_vlad_agrees(split) is False
