@@ -72,7 +72,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     for a in sg.non_inputs:
         sr = signal_regions(sg, a)
         parts = ", ".join(
-            f"{er.label(sg)}:{len(er.states)}" for er in sr.excitation
+            f"{er.label(sg)}:{len(er)}" for er in sr.excitation
         )
         print(f"  {sg.signals[a]}: {parts}")
     return 0 if report.ok else 1

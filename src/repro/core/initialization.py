@@ -50,23 +50,28 @@ def analyze_initialization(spec: SopSpec, cover: Cover) -> dict[int, InitDecisio
     cares may have been resolved either way).
     """
     sg = spec.sg
-    s0 = sg.initial
-    code0 = sg.code(s0)
+    view = sg.dense()
+    s0 = view.number[sg.initial]
+    code0 = view.codes[s0]
     out: dict[int, InitDecision] = {}
     for a in sg.non_inputs:
         name = sg.signals[a]
         sr = spec.regions[a]
-        init_val = sg.value(s0, a)
+        init_val = code0 >> a & 1
         set_o = spec.output_index(a, "set")
         reset_o = spec.output_index(a, "reset")
         set_val = int(cover.contains_minterm(code0, set_o))
         reset_val = int(cover.contains_minterm(code0, reset_o))
 
-        if s0 in sr.union_states("ER", 1):
+        up_er, dn_er, up_qr, dn_qr = (
+            sr.union_bits(view, kind, direction) >> s0 & 1
+            for kind, direction in (("ER", 1), ("ER", -1), ("QR", 1), ("QR", -1))
+        )
+        if up_er:
             region, required, why = "ER(+a)", False, "set plane drives 1 at power-up"
-        elif s0 in sr.union_states("ER", -1):
+        elif dn_er:
             region, required, why = "ER(-a)", False, "reset plane drives 0 at power-up"
-        elif s0 in sr.union_states("QR", 1):
+        elif up_qr:
             region = "QR(+a)"
             required = set_val == 0
             why = (
@@ -74,7 +79,7 @@ def analyze_initialization(spec: SopSpec, cover: Cover) -> dict[int, InitDecisio
                 if required
                 else "set(s0)=1 restores q=1 automatically"
             )
-        elif s0 in sr.union_states("QR", -1):
+        elif dn_qr:
             region = "QR(-a)"
             required = reset_val == 0
             why = (

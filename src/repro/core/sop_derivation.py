@@ -171,19 +171,20 @@ def region_mode_table(sg: StateGraph, signal: int) -> list[ModeRow]:
     """
     name = sg.signals[signal]
     sr = signal_regions(sg, signal)
-    up_er = sr.union_states("ER", 1)
-    up_qr = sr.union_states("QR", 1)
-    dn_er = sr.union_states("ER", -1)
-    dn_qr = sr.union_states("QR", -1)
+    view = sg.dense()
+    up_er, up_qr, dn_er, dn_qr = (
+        view.flags(sr.union_bits(view, kind, direction))
+        for kind, direction in (("ER", 1), ("QR", 1), ("ER", -1), ("QR", -1))
+    )
     rows: list[ModeRow] = []
-    for s in sg.states():
-        if s in up_er:
+    for i, s in enumerate(view.ids):
+        if up_er[i]:
             rows.append(ModeRow(s, f"ER(+{name})", "1", "0", f"+{name}"))
-        elif s in up_qr:
+        elif up_qr[i]:
             rows.append(ModeRow(s, f"QR(+{name})", "*", "0", f"{name} = 1"))
-        elif s in dn_er:
+        elif dn_er[i]:
             rows.append(ModeRow(s, f"ER(-{name})", "0", "1", f"-{name}"))
-        elif s in dn_qr:
+        elif dn_qr[i]:
             rows.append(ModeRow(s, f"QR(-{name})", "0", "*", f"{name} = 0"))
         else:
             rows.append(ModeRow(s, "unreachable", "*", "*", "memory"))

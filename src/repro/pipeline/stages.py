@@ -51,9 +51,9 @@ __all__ = [
 #: stage and its downstream cone in every cache.
 STAGE_VERSIONS: dict[str, int] = {
     "parse": 1,
-    "sg-build": 3,
+    "sg-build": 4,
     "classify": 3,
-    "regions": 3,
+    "regions": 4,
     "sop-derivation": 3,
     "covers": 1,
     "netlist": 1,

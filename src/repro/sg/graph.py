@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..logic import Cover
     from .regions import SignalRegions
 
-__all__ = ["Transition", "StateGraph", "SGError", "DenseGraph", "render_state"]
+__all__ = ["Transition", "StateGraph", "SGError", "DenseGraph", "Marking", "render_state"]
 
 StateId = Hashable
 
@@ -85,6 +85,25 @@ def render_state(state: StateId) -> str:
         parts = [render_state(x) for x in state]
         return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
     return repr(state)
+
+
+class Marking(frozenset):
+    """A frozenset of STG place names, the marking half of an elaborated
+    state id.
+
+    It equals, and hashes like, the plain frozenset of its places, but
+    pickles them in sorted order, so a pickled graph or region does not
+    depend on the hash seed (a plain frozenset pickles in the order of
+    its hash table).
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return (Marking, (tuple(sorted(self)),))
+
+    def __repr__(self) -> str:
+        return repr(frozenset(self))
 
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -167,6 +186,27 @@ class DenseGraph:
             raise SGError("predecessor order does not match the arcs")
         order = iter(pred_order)
         self.pred: list[list[int]] = [list(islice(order, k)) for k in indegree]
+
+    @classmethod
+    def of_tables(
+        cls,
+        num_signals: int,
+        ids: list[StateId],
+        codes: list[int],
+        succ: list[list[tuple[int, int, int]]],
+        pred: list[list[int]],
+        up: list[int],
+        down: list[int],
+        nxt: list[int],
+    ) -> "DenseGraph":
+        """A storage from ready-made tables, without checks: ``pred``,
+        ``up``, ``down`` and ``nxt`` must index ``succ`` as
+        :meth:`add_arc` would."""
+        g = cls.__new__(cls)
+        g.num_signals, g.ids, g.codes, g.succ = num_signals, ids, codes, succ
+        g.pred, g.up, g.down, g.nxt = pred, up, down, nxt
+        g.number = {s: i for i, s in enumerate(ids)}
+        return g
 
     def add_state(self, state: StateId, code: int) -> int:
         """Append a state without checks; returns its number."""
@@ -297,6 +337,17 @@ class StateGraph:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    @classmethod
+    def of_storage(
+        cls, signals: Sequence[str], inputs: Iterable[str | int], storage: DenseGraph
+    ) -> "StateGraph":
+        """A graph stored in ``storage`` as it is, with state 0 initial.
+        The coding rules :meth:`add_arc` enforces are not checked."""
+        sg = cls(signals, inputs)
+        sg._dense = storage
+        sg.initial = storage.ids[0] if storage.ids else None
+        return sg
+
     def signal_index(self, name: str) -> int:
         """Index of a signal by name."""
         return self._index[name]

@@ -10,6 +10,17 @@ otherwise inferred from the net: a signal whose first transition along
 every firing path is ``x+`` starts at 0, one whose first is ``x-``
 starts at 1.  Contradictory evidence (some path sees ``x+`` first,
 another ``x-``) is reported as an inconsistency.
+
+:func:`elaborate` explores the net once, over (marking, parity) pairs,
+where the parity is the code XOR the initial values, so the states
+and arcs do not depend on values not yet known.  The first polarities
+come from a forward mask fixed point over that graph, and the state ids
+and codes are built once the values are known.  Any error met on the
+way (an unsafe net, the ``max_states`` bound, a nondeterministic or
+inconsistent transition) is reported by the two passes the
+exploration stands for: :func:`infer_initial_values` over the whole
+net, then an exploration with the codes, so every broken net gets the
+error of the first pass that meets one.
 """
 
 from __future__ import annotations
@@ -17,7 +28,9 @@ from __future__ import annotations
 from itertools import compress
 
 from ..obs import get_metrics, trace_span
-from ..sg.graph import SGError, StateGraph, Transition, bit_flags, render_state
+from ..sg.graph import (
+    DenseGraph, Marking, SGError, StateGraph, Transition, bit_flags, render_state
+)
 from .petrinet import Stg, StgError, StgTransition
 
 __all__ = ["infer_initial_values", "elaborate", "ElaborationError"]
@@ -39,6 +52,7 @@ class _Net:
 
     def __init__(self, stg: Stg) -> None:
         self.places = list(stg.places())
+        self.signals = list(stg.signals)
         place_bit = {p: 1 << i for i, p in enumerate(self.places)}
         self.initial = sum(place_bit[p] for p in stg.initial_marking)
         sig_index = {s: i for i, s in enumerate(stg.signals)}
@@ -63,8 +77,8 @@ class _Net:
         names = sorted(p for i, p in enumerate(self.places) if twice >> i & 1)
         return StgError(f"net not safe: firing {t} double-marks {names}")
 
-    def marking(self, m: int) -> frozenset[str]:
-        return frozenset(compress(self.places, bit_flags(m)))
+    def marking(self, m: int) -> Marking:
+        return Marking(compress(self.places, bit_flags(m)))
 
 
 def infer_initial_values(stg: Stg, max_markings: int = _MAX_MARKINGS) -> dict[str, int]:
@@ -78,7 +92,6 @@ def infer_initial_values(stg: Stg, max_markings: int = _MAX_MARKINGS) -> dict[st
 
 
 def _infer(stg: Stg, net: _Net, max_markings: int) -> dict[str, int]:
-    values = dict(stg.initial_values)
     # signals whose first transition along some path is rising / falling
     first_up = first_down = 0
     # state: (mask of signals already transitioned) << places | marking
@@ -107,6 +120,127 @@ def _infer(stg: Stg, net: _Net, max_markings: int) -> dict[str, int]:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
+    return _values(stg, first_up, first_down)
+
+
+class _Retry(Exception):
+    """The parity exploration met an error; its report needs the
+    initial values, so it is made by the two-pass elaboration."""
+
+
+class _Parts:
+    """The states and arcs of one exploration from (initial marking,
+    ``start``), by state number: the markings, the codes (the parity
+    XOR ``start``) and the storage tables.  With ``check``, ``start``
+    is the initial code and every error is raised as
+    :func:`elaborate` reports it; without, the first error raises
+    :class:`_Retry`."""
+
+    def __init__(self, net: _Net, nsig: int, start: int, max_states: int, check: bool):
+        self.start, self.nsig = start, nsig
+        markings, codes = self.markings, self.codes = [net.initial], [start]
+        succ, pred = self.succ, self.pred = [[]], [[]]
+        up, down = self.up, self.down = [0], [0]
+        blank = [-1] * nsig
+        nxt = self.nxt = blank[:]
+        # marking << signals | code  ->  state number
+        visited = {net.initial << nsig | start: 0}
+        stack = [(net.initial, start, 0)]
+        arcs = 0
+        while stack:
+            marking, code, i = stack.pop()
+            row = i * nsig
+            for pre, post, bit, rising, t, a, direction in net.transitions:
+                if marking & pre != pre:
+                    continue
+                # with ``check``, ``code`` is the code: the signal must be
+                # at its pre-transition value; otherwise it is the parity
+                if check and code & bit == rising:
+                    raise ElaborationError(
+                        f"inconsistent STG: {t} enabled while {t.signal}={1 if rising else 0}"
+                    )
+                after = marking & ~pre
+                if post & after:
+                    if check:
+                        raise net.unsafe(t, post & after)
+                    raise _Retry
+                new_marking, new_code = after | post, code ^ bit
+                key = new_marking << nsig | new_code
+                j = visited.get(key)
+                if j is None:
+                    if len(visited) >= max_states:
+                        if check:
+                            raise ElaborationError("state graph exceeded max_states")
+                        raise _Retry
+                    j = visited[key] = len(markings)
+                    markings.append(new_marking)
+                    codes.append(new_code)
+                    succ.append([])
+                    pred.append([])
+                    up.append(0)
+                    down.append(0)
+                    nxt.extend(blank)
+                    stack.append((new_marking, new_code, j))
+                # StateGraph.add_arc's code checks hold by construction once
+                # the codes are consistent: ``new_code`` differs from ``code``
+                # in the signal's bit alone, so a taken slot of ``nxt`` is an
+                # arc of this signal, as in add_arc's determinism check.
+                existing = nxt[row + a]
+                if existing < 0:
+                    succ[i].append((a, direction, j))
+                    pred[j].append(i)
+                    if direction == 1:
+                        up[i] |= bit
+                    else:
+                        down[i] |= bit
+                    nxt[row + a] = j
+                elif existing != j or not (up[i] if direction == 1 else down[i]) & bit:
+                    if check:
+                        raise SGError(
+                            f"transition {Transition(a, direction).label(net.signals)} "
+                            f"not deterministic at "
+                            f"{render_state((net.marking(marking), code))}"
+                        )
+                    # both directions of one signal, or two successors
+                    raise _Retry
+                arcs += 1
+        self.arcs = arcs
+
+    def first_polarities(self) -> tuple[int, int]:
+        """The signals whose first transition along some firing path is
+        rising, and those where it is falling: a forward fixed point of
+        the signals not yet fired on some path to each state."""
+        succ = self.succ
+        fresh = [0] * len(succ)
+        fresh[0] = (1 << self.nsig) - 1
+        stack = [0]
+        while stack:
+            s = stack.pop()
+            f = fresh[s]
+            for a, _d, d in succ[s]:
+                add = f & ~(1 << a) & ~fresh[d]
+                if add:
+                    fresh[d] |= add
+                    stack.append(d)
+        first_up = first_down = 0
+        for f, u, d in zip(fresh, self.up, self.down):
+            first_up |= f & u
+            first_down |= f & d
+        return first_up, first_down
+
+    def consistent(self, shift: int) -> bool:
+        """Every arc leaves its signal's pre-transition value when the
+        codes are XORed with ``shift``."""
+        return not any(
+            u & (c ^ shift) or d & ~(c ^ shift)
+            for c, u, d in zip(self.codes, self.up, self.down)
+        )
+
+
+def _values(stg: Stg, first_up: int, first_down: int) -> dict[str, int]:
+    """Each signal's initial value: declared, else from its first
+    polarities (``x-`` first means 1; never fired means 0)."""
+    values = dict(stg.initial_values)
     for i, s in enumerate(stg.signals):
         if s in values:
             continue
@@ -135,59 +269,33 @@ def elaborate(stg: Stg, max_states: int = 200000) -> StateGraph:
 
 def _elaborate_traced(stg: Stg, max_states: int, sp) -> StateGraph:
     net = _Net(stg)
-    with trace_span("initial-values"):
-        values = _infer(stg, net, _MAX_MARKINGS)
     signals = stg.signals
-    sg = StateGraph(signals, stg.input_signals)
-
-    init_code = 0
-    for i, s in enumerate(signals):
-        init_code |= values[s] << i
-    sg.add_state((frozenset(stg.initial_marking), init_code), init_code)
-    # states and arcs go straight into the graph's storage, by number
-    g = sg.dense()
-    nxt = g.nxt
-    # marking << signals | code  ->  state number
-    shift = len(signals)
-    visited = {net.initial << shift | init_code: 0}
-    stack = [(net.initial, init_code, 0)]
-    arcs = 0
-    while stack:
-        marking, code, i = stack.pop()
-        row = i * shift
-        for pre, post, bit, rising, t, a, direction in net.transitions:
-            if marking & pre != pre:
-                continue
-            if code & bit == rising:
-                raise ElaborationError(
-                    f"inconsistent STG: {t} enabled while {t.signal}={1 if rising else 0}"
-                )
-            after = marking & ~pre
-            if post & after:
-                raise net.unsafe(t, post & after)
-            new_marking, new_code = after | post, code ^ bit
-            key = new_marking << shift | new_code
-            j = visited.get(key)
-            if j is None:
-                if len(visited) >= max_states:
-                    raise ElaborationError("state graph exceeded max_states")
-                j = visited[key] = g.add_state((net.marking(new_marking), new_code), new_code)
-                stack.append((new_marking, new_code, j))
-            # StateGraph.add_arc's code checks hold by construction: the
-            # check above puts the signal at its pre-transition value in
-            # ``code``, and ``new_code`` differs from it in that bit alone.
-            # A taken slot of ``nxt`` is therefore an arc of this signal
-            # and direction, as in add_arc's determinism check.
-            existing = nxt[row + a]
-            if existing < 0:
-                g.add_arc(i, a, direction, j)
-            elif existing != j:
-                raise SGError(
-                    f"transition {Transition(a, direction).label(signals)} "
-                    f"not deterministic at {render_state(g.ids[i])}"
-                )
-            arcs += 1
-    sp.set(states=len(visited), arcs=arcs)
-    get_metrics().gauge("reachability.states").set(len(visited))
-    get_metrics().counter("reachability.arcs").add(arcs)
-    return sg
+    nsig = len(signals)
+    try:
+        parts = _Parts(net, nsig, 0, max_states, check=False)
+        with trace_span("initial-values"):
+            values = _values(stg, *parts.first_polarities())
+        code0 = sum(values[s] << i for i, s in enumerate(signals))
+        if not parts.consistent(code0):
+            raise _Retry
+    except _Retry:
+        with trace_span("initial-values"):
+            values = _infer(stg, net, _MAX_MARKINGS)
+        code0 = sum(values[s] << i for i, s in enumerate(signals))
+        parts = _Parts(net, nsig, code0, max_states, check=True)
+    shift = code0 ^ parts.start
+    codes = [c ^ shift for c in parts.codes]
+    g = DenseGraph.of_tables(
+        nsig,
+        [(net.marking(m), c) for m, c in zip(parts.markings, codes)],
+        codes,
+        parts.succ,
+        parts.pred,
+        parts.up,
+        parts.down,
+        parts.nxt,
+    )
+    sp.set(states=len(g), arcs=parts.arcs)
+    get_metrics().gauge("reachability.states").set(len(g))
+    get_metrics().counter("reachability.arcs").add(parts.arcs)
+    return StateGraph.of_storage(signals, stg.input_signals, g)

@@ -10,14 +10,21 @@ byte-identical across hash seeds and between a storeless run and a run
 against a store that ``repro table2`` filled.  The graph's own text
 forms, ``StateGraph.describe`` and the DOT export, are seed-independent
 too, and so are the baselines' static-1 pairs and covers and the arc
-order of a graph's copies.
+order of a graph's copies.  Store entries are byte-identical across hash
+seeds as well: a pickled state id carries its place set sorted
+(:class:`repro.sg.graph.Marking`) and a pickled region its ids in
+state-number order.
 """
 
+import hashlib
+import json
 import os
+import pickle
 import subprocess
 import sys
+from pathlib import Path
 
-from repro.sg.graph import render_state
+from repro.sg.graph import Marking, render_state
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CERTIFY = ["certify", "--suite", "--format", "json", "--spread", "0.4"]
@@ -48,6 +55,40 @@ def test_certify_suite_is_byte_identical_across_seeds_and_stores(tmp_path):
     _repro(["table2", "--cache-dir", store], 1, str(tmp_path))
     cached = _repro([*CERTIFY, "--cache-dir", store], 2, str(tmp_path))
     assert cached == storeless[0]
+
+
+def _payload_digests(store: Path) -> dict[str, tuple[str, str]]:
+    """Per entry key: (stage, sha256 of the pickled payload)."""
+    out = {}
+    for meta in store.glob("objects/*/*.json"):
+        stage = json.loads(meta.read_text())["stage"]
+        out[meta.stem] = (stage, hashlib.sha256(meta.with_suffix(".pkl").read_bytes()).hexdigest())
+    return out
+
+
+def test_store_entries_are_byte_identical_across_seeds(tmp_path):
+    specs = ["chu133", "hybridf", "wrdatab"]
+    digests = []
+    for seed in (0, 1):
+        store = tmp_path / f"store{seed}"
+        _repro(["table2", *specs, "--cache-dir", str(store)], seed, str(tmp_path))
+        digests.append(_payload_digests(store))
+    assert digests[0].keys() == digests[1].keys()
+    stages = {"regions", "sop-derivation", "delays"}
+    checked = {key: entry for key, entry in digests[0].items() if entry[0] in stages}
+    assert len(checked) == len(stages) * len(specs)
+    for key, entry in checked.items():
+        assert digests[1][key] == entry, entry[0]
+
+
+def test_marking_pickles_sorted_and_equals_its_frozenset():
+    places = [f"p{i}" for i in range(40)]
+    m = Marking(places[::-1])
+    assert m == frozenset(places) and hash(m) == hash(frozenset(places))
+    assert repr(m) == repr(frozenset(m))
+    assert pickle.dumps(m) == pickle.dumps(Marking(places))
+    loaded = pickle.loads(pickle.dumps((m, 3)))
+    assert loaded == (frozenset(places), 3) and type(loaded[0]) is Marking
 
 
 def test_sg_exports_are_byte_identical_across_seeds(tmp_path):

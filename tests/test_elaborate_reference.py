@@ -130,40 +130,79 @@ def _net(arcs: list[tuple[str, str, str]], marked: list[str]) -> Stg:
 
 BROKEN = {
     # a+ first on one branch of a choice, a- first on the other
-    "mixed-polarity": (_net([("p0", "a+", "p1"), ("p0", "a-", "p2")], ["p0"]), ElaborationError),
+    "mixed-polarity": (
+        _net([("p0", "a+", "p1"), ("p0", "a-", "p2")], ["p0"]),
+        ElaborationError,
+        "signal 'a' has mixed first-transition polarity; declare its initial value explicitly",
+    ),
     # a+ puts a token on the already marked p1
-    "unsafe": (_net([("p0", "a+", "p1"), ("p1", "b+", "p2")], ["p0", "p1"]), StgError),
+    "unsafe": (
+        _net([("p0", "a+", "p1"), ("p1", "b+", "p2")], ["p0", "p1"]),
+        StgError,
+        "net not safe: firing a+ double-marks ['p1']",
+    ),
     # a+ twice in a row
-    "inconsistent": (_net([("p0", "a+/1", "p1"), ("p1", "a+/2", "p0")], ["p0"]), ElaborationError),
+    "inconsistent": (
+        _net([("p0", "a+/1", "p1"), ("p1", "a+/2", "p0")], ["p0"]),
+        ElaborationError,
+        "inconsistent STG: a+/2 enabled while a=1",
+    ),
     # two instances of a+ from one state reach different states
     "nondeterministic": (
         _net([("p0", "a+/1", "p1"), ("p0", "a+/2", "p2"), ("p1", "a-/1", "p0"), ("p2", "a-/2", "p0")], ["p0"]),
         SGError,
+        "transition +a not deterministic at (frozenset({'p0'}), 0)",
+    ),
+}
+
+#: nets broken in two ways at once: (net, reference kind, error, message).
+#: The unsafe firing wins over the mixed polarity of ``a``.
+DOUBLY_BROKEN = {
+    "unsafe-and-mixed-polarity": (
+        _net([("p0", "a+", "p1"), ("p0", "a-", "p2"), ("p2", "b+", "p3")], ["p0", "p3"]),
+        "unsafe",
+        StgError,
+        "net not safe: firing b+ double-marks ['p3']",
     ),
 }
 
 
 @pytest.mark.parametrize("kind", list(BROKEN))
 def test_broken_nets_rejected_alike(kind):
-    stg, error = BROKEN[kind]
+    stg, error, message = BROKEN[kind]
     with pytest.raises(ref.Unelaboratable) as want:
         ref.elaborate(stg)
     assert want.value.kind == kind
     with pytest.raises(error) as got:
         elaborate(stg)
     assert type(got.value) is error
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("name", list(DOUBLY_BROKEN))
+def test_error_precedence_pinned(name):
+    stg, kind, error, message = DOUBLY_BROKEN[name]
+    with pytest.raises(ref.Unelaboratable) as want:
+        ref.elaborate(stg)
+    assert want.value.kind == kind
+    with pytest.raises(error) as got:
+        elaborate(stg)
+    assert type(got.value) is error
+    assert str(got.value) == message
 
 
 def test_max_states_rejected_alike():
     with pytest.raises(ref.Unelaboratable) as want:
         ref.elaborate(muller_pipeline(4), max_states=10)
     assert want.value.kind == "max-states"
-    with pytest.raises(ElaborationError, match="max_states"):
+    with pytest.raises(ElaborationError) as got:
         elaborate(muller_pipeline(4), max_states=10)
+    assert type(got.value) is ElaborationError
+    assert str(got.value) == "state graph exceeded max_states"
     # the bound is exact in both
     n = len(ref.elaborate(muller_pipeline(4))[0])
     assert elaborate(muller_pipeline(4), max_states=n).num_states == n
-    with pytest.raises(ElaborationError):
+    with pytest.raises(ElaborationError, match="^state graph exceeded max_states$"):
         elaborate(muller_pipeline(4), max_states=n - 1)
 
 

@@ -220,7 +220,7 @@ class TestInvalidation:
         # synthesizing a graph whose regions were already analysed (as
         # ``repro table2`` does after its baselines) pickles the region
         # memo into the sg-build entry, in the Region layout of the time
-        # (no bitsets).  An entry of the previous sg-build version is
+        # (ids in state-number order, no bitsets).  An entry of the previous sg-build version is
         # never read again, and a graph loaded from one still
         # synthesizes the same circuit.
         from repro.sg.regions import signal_regions
@@ -241,7 +241,7 @@ class TestInvalidation:
         found, stale = store.get(stale_key)
         assert found and stale._regions
         assert all(
-            set(r.__dict__) == {"signal", "direction", "kind", "states"}
+            set(r.__dict__) == {"signal", "direction", "kind", "_ids"}
             for sr in stale._regions.values()
             for r in sr.excitation + sr.quiescent
         )

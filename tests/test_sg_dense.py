@@ -164,6 +164,12 @@ class TestPickle:
         sg = elaborate(muller_pipeline(4))
         regions = _regions(sg)
         assert pickle.loads(pickle.dumps(regions)) == regions
+        # a region pickles its ids in state-number order, not as a set
+        view = sg.dense()
+        for sr in regions.values():
+            for r in sr.excitation + sr.quiescent:
+                ids = r.__getstate__()["_ids"]
+                assert ids == tuple(view.ids[i] for i in view.numbers(r.bits(view)))
 
 
 class TestForeignNumbering:
