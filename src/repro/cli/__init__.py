@@ -7,7 +7,6 @@ Mirrors how the paper's compiler was driven::
     python -m repro synth ctrl.g --verify       # + Monte-Carlo check
     python -m repro compare ctrl.g              # all flows, one circuit
     python -m repro table2 [circuit ...]        # regenerate Table 2
-    python -m repro faults --circuit c_element  # fault-injection campaign
     python -m repro bench --quick               # machine-readable benchmark
     python -m repro regress --baseline BENCH_2026-08-07.json  # perf gate
     python -m repro synth ctrl.g --verify --vcd ctrl.vcd      # waveform dump
@@ -22,7 +21,7 @@ Mirrors how the paper's compiler was driven::
 
 Each command's parser and handler live in one submodule (``synth``;
 ``flows``: info/compare/table2/explain; ``static``: lint/certify;
-``campaigns``: faults/fuzz; ``measure``: bench/profile/regress/report/
+``campaigns``: fuzz; ``measure``: bench/profile/regress/report/
 history; ``cache``).  :func:`main` imports only the module of the
 invoked command, so a run compiles no other command's code.
 """
@@ -44,7 +43,6 @@ _SUBCOMMANDS = {
     "lint": "static",
     "certify": "static",
     "table2": "flows",
-    "faults": "campaigns",
     "fuzz": "campaigns",
     "explain": "flows",
     "bench": "measure",
@@ -297,5 +295,5 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except BrokenPipeError:  # e.g. `repro faults | head`
+    except BrokenPipeError:  # e.g. `repro fuzz | head`
         return 0

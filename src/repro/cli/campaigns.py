@@ -1,5 +1,4 @@
-"""``repro faults`` and ``repro fuzz``: fault-injection and
-differential-fuzzing campaigns."""
+"""``repro fuzz``: the differential-fuzzing campaign."""
 
 from __future__ import annotations
 
@@ -8,95 +7,6 @@ import os
 import sys
 
 from . import _add_report_args, _emit_report
-
-
-def cmd_faults(args: argparse.Namespace) -> int:
-    from ..bench import fault_circuit_names
-    from ..faults import FaultCampaign, WatchdogLimits
-
-    if args.list:
-        for name in fault_circuit_names():
-            print(name)
-        return 0
-    circuits = args.circuit or fault_circuit_names()
-    from ..bench import fault_circuit
-
-    try:
-        for name in circuits:
-            fault_circuit(name)
-    except KeyError as e:
-        print(f"error: {e.args[0]}", file=sys.stderr)
-        return 1
-    campaign = FaultCampaign(
-        circuits=circuits,
-        seeds=args.seeds,
-        jitter=args.jitter,
-        limits=WatchdogLimits(
-            max_events=args.max_events, max_time=args.max_time
-        ),
-        collect_telemetry=args.telemetry,
-        collect_coverage=args.coverage,
-    )
-    result = campaign.run(jobs=args.jobs)
-    rendered = result.render_text() if args.text else result.render_json()
-    _emit_report(args, rendered, args.text)
-    if not result.baseline_ok:
-        return 2  # golden runs flagged: the oracle itself is suspect
-    return 0
-
-
-def _parser_faults(sub: "argparse._SubParsersAction") -> None:
-    p_f = sub.add_parser(
-        "faults", help="run a fault-injection campaign (JSON report)"
-    )
-    p_f.add_argument(
-        "--circuit",
-        action="append",
-        help="fault-suite circuit name (repeatable; default: whole suite)",
-    )
-    p_f.add_argument(
-        "--seeds", type=int, default=8, help="Monte-Carlo seeds per fault"
-    )
-    p_f.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for the sweep"
-    )
-    p_f.add_argument(
-        "--jitter",
-        type=float,
-        default=0.3,
-        help="relative delay spread (circuits are synthesized for it)",
-    )
-    p_f.add_argument(
-        "--max-events",
-        type=int,
-        default=100_000,
-        help="per-point simulator event budget (livelock watchdog)",
-    )
-    p_f.add_argument(
-        "--max-time",
-        type=float,
-        default=1200.0,
-        help="per-point simulated-time budget in ns",
-    )
-    p_f.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="attach hazard telemetry (ω-margin, delay slack) per point",
-    )
-    p_f.add_argument(
-        "--coverage",
-        action="store_true",
-        help="attach SG coverage per point; faulty points carry "
-        "coverage_delta vs the golden exploration ceiling",
-    )
-    p_f.add_argument(
-        "--text", action="store_true", help="human-readable report instead of JSON"
-    )
-    p_f.add_argument("-o", "--output", help="write the report to a file")
-    p_f.add_argument(
-        "--list", action="store_true", help="list fault-suite circuit names"
-    )
-    p_f.set_defaults(func=cmd_faults)
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:

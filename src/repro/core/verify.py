@@ -15,11 +15,12 @@ Internal SOP nets are *expected* to glitch; the verification reports
 how much they did, demonstrating the paper's core claim: internal
 hazards, externally hazard-free.
 
-:func:`run_oracle` is the single-run core used by both the Monte-Carlo
-sweep and the fault campaign: it never raises — a crashing or
-livelocking simulation becomes a structured :class:`OracleVerdict`
-(``timeout`` / ``error``) instead of an exception, so a sweep over
-thousands of (circuit × fault × seed) points degrades gracefully.
+:func:`run_oracle` is the single-run core used by the Monte-Carlo
+sweep, the fuzz harness and the fault-injection tests: it never raises
+— a crashing or livelocking simulation becomes a structured
+:class:`OracleVerdict` (``timeout`` / ``error``) instead of an
+exception, so a sweep over many (circuit × fault × seed) points
+degrades gracefully.
 """
 
 from __future__ import annotations
@@ -88,12 +89,6 @@ class OracleVerdict:
     @property
     def ok(self) -> bool:
         return self.status == "clean"
-
-    @property
-    def anomalous(self) -> bool:
-        """True for any non-clean outcome (what a fault campaign counts
-        as a *detection* of the injected fault)."""
-        return self.status != "clean"
 
     def describe(self) -> str:
         head = f"seed {self.seed}: {self.status}"

@@ -1,11 +1,11 @@
-"""Fault-injection campaign subsystem.
+"""Fault models: the oracle-sensitivity test bed.
 
-Robustness evidence for the verification oracle: composable fault
-models (:mod:`~repro.faults.models`), a watchdog-guarded campaign
-runner with multiprocessing fan-out (:mod:`~repro.faults.campaign`),
-and structured JSON/text reporting (:mod:`~repro.faults.report`).
-The oracle's hazard-freeness verdicts are only meaningful because the
-campaign shows they flip on broken circuits.
+Composable, frozen-dataclass ways to break a synthesized circuit
+(:mod:`~repro.faults.models`): structural netlist transforms, MHS
+parameter changes and mid-traversal transient injections.  The
+oracle's hazard-freeness verdicts are only meaningful because these
+faults flip them on broken circuits (``tests/test_fault_injection.py``
+and the coverage sweep in ``tests/test_faults_campaign.py``).
 """
 
 from .._lazy import lazy_exports
@@ -18,11 +18,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "SwappedSetResetFault DeletedAckGateFault TransientPulseFault "
             "DelayViolationFault OmegaMarginFault enumerate_faults "
             "rebuild_netlist"
-        ),
-        ".campaign": "FaultCampaign WatchdogLimits run_campaign",
-        ".report": (
-            "CampaignResult FaultOutcome PointRecord CAMPAIGN_SCHEMA "
-            "CAMPAIGN_SCHEMAS parse_campaign_json"
         ),
     },
 )

@@ -1,4 +1,4 @@
-"""Composable fault models for the robustness campaign.
+"""Composable fault models for the oracle-sensitivity tests.
 
 The hazard-freeness oracle (:func:`repro.core.verify.run_oracle`) is
 only trustworthy if it demonstrably *fails* on broken circuits.  Each
@@ -6,8 +6,8 @@ class here is one way to break a circuit — structurally (a pure
 ``Netlist -> Netlist`` transform), electrically (a pure
 ``SimConfig -> SimConfig`` transform), or transiently (an ``arm`` hook
 that schedules mid-traversal injections on a fresh simulator).  All
-models are frozen dataclasses: hashable, picklable (so the campaign
-can fan them out over ``multiprocessing``), and self-describing.
+models are frozen dataclasses: hashable, picklable and
+self-describing.
 
 The catalogue:
 
@@ -30,7 +30,8 @@ The catalogue:
   shrunk, so runt pulses that a healthy flip-flop absorbs now commit.
 
 :func:`enumerate_faults` walks a netlist and instantiates every
-applicable model — the campaign's default fault universe.
+applicable model — the fault universe of the coverage sweep in
+``tests/test_faults_campaign.py``.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ def rebuild_netlist(
 
     Returning ``None`` drops the gate; returning a (possibly modified)
     gate keeps it.  The input netlist is never touched — fault
-    transforms are pure, so one golden circuit can seed an entire
-    campaign.
+    transforms are pure, so one golden circuit can seed every fault.
     """
     nl = Netlist(netlist.name + "_faulty")
     for n in netlist.primary_inputs:
@@ -94,7 +94,7 @@ def rebuild_netlist(
 class FaultModel:
     """Base class: the identity fault (a golden, unmodified run)."""
 
-    #: campaign-facing short class label
+    #: short class label
     kind = "golden"
 
     def apply_netlist(self, netlist: Netlist) -> Netlist:

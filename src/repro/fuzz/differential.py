@@ -441,8 +441,10 @@ def run_fuzz_unit(payload) -> tuple[SpecResult, dict | None, dict | None]:
     """Generate + cross-synthesize + judge one sample; never raises.
 
     ``payload`` is ``(seed, knobs, flow_timeout, oracle_runs, trace)``.
-    Returns ``(result, trace_export, metrics_export)`` with the same
-    ship-spans-home convention as the fault campaign's ``_run_unit``.
+    Returns ``(result, trace_export, metrics_export)``: the exports are
+    None when the unit ran in the parent process (its spans and
+    counters already landed there) and picklable snapshots when it ran
+    in a pool worker, so the parent can merge them into one trace.
     """
     seed, knobs, flow_timeout, oracle_runs, trace = payload
     tracer = get_tracer()

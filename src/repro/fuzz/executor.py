@@ -1,15 +1,13 @@
-"""Watchdog-guarded worker pool shared by the fuzz and fault campaigns.
+"""Watchdog-guarded worker pool of the differential fuzz campaign.
 
-Lifted out of :mod:`repro.faults.campaign` (which used a bare
-``multiprocessing.Pool.map``) and generalized: the pool here owns one
-pipe per worker process, so the parent can enforce **per-task wall
-clock deadlines** (a stuck worker is terminated and respawned, the task
-becomes a ``timeout`` result), survive **worker death** (segfault,
-``os._exit``, OOM-kill — the task becomes a ``crashed`` result), and
-apply **bounded retries with exponential backoff** for flaky tasks.
+The pool owns one pipe per worker process, so the parent can enforce
+**per-task wall clock deadlines** (a stuck worker is terminated and
+respawned, the task becomes a ``timeout`` result), survive **worker
+death** (segfault, ``os._exit``, OOM-kill — the task becomes a
+``crashed`` result), and apply **bounded retries with exponential
+backoff** for flaky tasks.
 
-Design rules, inherited from the fault campaign and now enforced for
-every client:
+Design rules, enforced for every client:
 
 * a task that raises, times out, or kills its worker is a *recorded*
   :class:`TaskResult`, never an exception that aborts the batch;
@@ -59,8 +57,7 @@ def wall_clock_guard(seconds: float | None):
 
     Usable only on the main thread of a process with ``SIGALRM`` (the
     no-op fallback keeps callers portable); nests by saving the old
-    handler.  This is the guard the fault campaign used per point, now
-    shared by every fuzz flow probe.
+    handler.  Every fuzz flow probe runs under it.
     """
     usable = (
         seconds

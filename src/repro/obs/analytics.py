@@ -31,6 +31,7 @@ from __future__ import annotations
 import datetime
 from dataclasses import dataclass, field
 
+from .metrics import mad, median
 from .registry import RunHistory
 
 __all__ = [
@@ -46,8 +47,6 @@ __all__ = [
     "detect_changepoints",
     "hotspot_series",
     "load_ledger",
-    "mad",
-    "median",
     "panel_series",
     "phase_series",
     "propose_ratchet",
@@ -281,32 +280,6 @@ def panel_series(ledger: Ledger) -> dict[str, list[SeriesPoint]]:
         if saw_static:
             panels.setdefault("certified", []).append(_point(run, certified))
     return panels
-
-
-# ----------------------------------------------------------------------
-# robust statistics
-# ----------------------------------------------------------------------
-def median(values: list[float]) -> float:
-    """Plain median (no interpolation surprises on tiny samples)."""
-    if not values:
-        raise ValueError("median of an empty series")
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def mad(values: list[float]) -> float:
-    """Median absolute deviation — the noise floor's spread statistic.
-
-    Robust where stddev is not: a single GC pause or scheduler stall
-    in the series barely moves the MAD, so thresholds ratcheted from
-    it do not inherit one bad run's jitter.
-    """
-    m = median(values)
-    return median([abs(v - m) for v in values])
 
 
 # ----------------------------------------------------------------------

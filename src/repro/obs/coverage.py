@@ -39,7 +39,6 @@ __all__ = [
     "RegionCoverage",
     "CoverageReport",
     "CoverageMap",
-    "coverage_delta",
 ]
 
 COVERAGE_SCHEMA = "repro-coverage/1"
@@ -140,7 +139,7 @@ class CoverageReport:
         }
 
     def totals(self) -> dict:
-        """Compact block for bench entries and campaign points."""
+        """Compact block for bench entries."""
         return {
             "states_pct": self.states_pct,
             "regions_pct": self.regions_pct,
@@ -292,17 +291,3 @@ class CoverageMap:
     def totals(self) -> dict:
         return self.report().totals()
 
-
-def coverage_delta(current: dict, base: dict) -> dict:
-    """Percentage-point deltas between two compact coverage blocks.
-
-    Used by the fault campaign to show how far a faulty run's state
-    exploration fell short of (or exceeded) the golden baseline's.
-    """
-    out = {}
-    for key in ("states_pct", "regions_pct", "cubes_pct"):
-        cur = current.get(key)
-        b = base.get(key)
-        if isinstance(cur, (int, float)) and isinstance(b, (int, float)):
-            out[key] = round(cur - b, 2)
-    return out

@@ -17,6 +17,11 @@ Registries snapshot to plain dicts (:meth:`MetricsRegistry.snapshot`)
 for reports, and :meth:`export`/:meth:`merge` round-trip raw samples
 across a ``multiprocessing`` pipe so campaign workers can account work
 into the parent's registry.
+
+The sample statistics every report shares live here too: the
+nearest-rank :func:`percentile` of bench documents and histograms, and
+the averaging :func:`median` and :func:`mad` of the analytics noise
+floors.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ __all__ = [
     "get_metrics",
     "set_metrics",
     "percentile",
+    "median",
+    "mad",
 ]
 
 
@@ -48,6 +55,30 @@ def percentile(values: list[float], q: float) -> float:
     ordered = sorted(values)
     rank = max(1, math.ceil(q * len(ordered)))
     return ordered[rank - 1]
+
+
+def median(values: list[float]) -> float:
+    """Plain median: the mean of the two middle samples on an even
+    count (unlike ``percentile(values, 0.5)``, which is nearest-rank)."""
+    if not values:
+        raise ValueError("median of an empty series")
+    ordered = sorted(values)
+    n = len(ordered)
+    mid = n // 2
+    if n % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
+def mad(values: list[float]) -> float:
+    """Median absolute deviation — the noise floor's spread statistic.
+
+    Robust where stddev is not: a single GC pause or scheduler stall
+    in the series barely moves the MAD, so thresholds ratcheted from
+    it do not inherit one bad run's jitter.
+    """
+    m = median(values)
+    return median([abs(v - m) for v in values])
 
 
 class Counter:

@@ -27,8 +27,7 @@ environment fingerprint.  :func:`diff_profiles` compares two documents
 vanished frames) so a regression arrives with attribution.
 
 Self-time subtraction uses the *union* of child-span intervals, not
-their sum — ``adopt``-merged spans from the fault-campaign / fuzz
-executor pools overlap each other and their waiting parent, and a sum
+their sum — ``adopt``-merged spans from the fuzz executor pool overlap each other and their waiting parent, and a sum
 would double-count worker wall time in the folded totals
 (:func:`stage_totals_from_spans`).
 """
@@ -128,7 +127,7 @@ def stage_totals_from_spans(spans: list[Span]) -> dict[str, dict]:
 
     ``self_s`` is the span's duration minus the *union* of its direct
     children's intervals clipped to the span — not their sum.  Adopted
-    cross-process spans (fault-campaign / fuzz pools) run concurrently
+    cross-process spans (fuzz pool workers) run concurrently
     with each other and with the waiting parent, so a sum would count
     worker wall time against both the worker span and the parent,
     driving the parent's self-time negative and inflating folded

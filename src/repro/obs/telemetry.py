@@ -30,7 +30,7 @@ Equation (1) reason about:
   internal hazards attributed to the region that produced them.
 
 Summaries serialize as the ``repro-telemetry/1`` block embedded in
-bench documents and campaign points (see docs/OBSERVABILITY.md).
+bench documents (see docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -404,7 +404,7 @@ class HazardTelemetry:
             st.mhs_filtered = totals[sig]
 
     def totals(self) -> dict:
-        """Compact cross-signal aggregate (campaign per-point block)."""
+        """Compact cross-signal aggregate (the bench entry block)."""
         self._fold_model_counts()
         margins = [
             st.min_omega_margin

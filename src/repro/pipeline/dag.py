@@ -92,9 +92,9 @@ def default_env_digest() -> str:
 def cache_bypass() -> Iterator[None]:
     """Suspend artifact-store reads *and* writes on this thread.
 
-    Used by crash-contained flows (differential fuzzing, fault
-    campaigns): computations that may be killed mid-flight must never
-    publish partial conclusions into a shared cache.
+    Used by crash-contained flows (differential fuzzing): computations
+    that may be killed mid-flight must never publish partial
+    conclusions into a shared cache.
     """
     prev = getattr(_BYPASS, "on", False)
     _BYPASS.on = True

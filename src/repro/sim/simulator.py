@@ -46,9 +46,9 @@ __all__ = ["Simulator", "SimConfig", "SimulationError", "SimulationLimitError"]
 class SimulationError(RuntimeError):
     """A structural/behavioural failure inside a simulation run.
 
-    Carries the offending gate/net and the simulation time so fault
-    campaigns can record actionable per-point diagnostics instead of a
-    bare assertion message.
+    Carries the offending gate/net and the simulation time so the oracle
+    can report actionable diagnostics instead of a bare assertion
+    message.
     """
 
     def __init__(
@@ -256,7 +256,7 @@ class Simulator:
         """Force a value onto *any* net at a given time (fault injection).
 
         Unlike :meth:`drive` this bypasses the primary-input check: it
-        is the single-event-upset hook used by the fault campaign to
+        is the single-event-upset hook transient fault models use to
         overdrive an internal net.  The driving gate does not fight
         back until one of its own inputs changes, so a pair of injects
         (flip at ``t``, restore at ``t + width``) models a transient

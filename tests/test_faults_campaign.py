@@ -1,41 +1,29 @@
-"""The fault-injection campaign subsystem, end to end.
+"""Fault models, and the oracle's fault coverage over the paper suite.
 
-Covers the fault-model transforms, the simulator watchdogs (an injected
-livelock must surface as a structured :class:`SimulationLimitError`,
-never a hang), graceful degradation in the campaign runner, the
-multiprocessing fan-out, the JSON report schema, and — the headline
-robustness claim — ≥90% fault coverage over the paper benchmark suite.
+Covers the fault-model transforms and the headline oracle-sensitivity
+claim: every fault :func:`enumerate_faults` lists for the paper-suite
+circuits goes through the closed-loop oracle, and ≥90% of them are
+detected while the golden circuits stay clean.
 """
 
-import json
 import pickle
-from dataclasses import dataclass
 
 import pytest
 
 from repro.core import run_oracle, synthesize
 from repro.faults import (
-    DeletedAckGateFault,
     DelayViolationFault,
-    FaultCampaign,
     FaultModel,
     InvertedLiteralFault,
     OmegaMarginFault,
     StuckAtFault,
     SwappedSetResetFault,
     TransientPulseFault,
-    WatchdogLimits,
     enumerate_faults,
     rebuild_netlist,
-    run_campaign,
 )
-from repro.netlist import Gate, GateType, Netlist, Pin
-from repro.sim import (
-    SimConfig,
-    SimulationError,
-    SimulationLimitError,
-    Simulator,
-)
+from repro.netlist import GateType, Pin
+from repro.sim import SimConfig
 from repro.stg import elaborate, parse_g
 from tests.conftest import C_ELEMENT_G
 
@@ -129,373 +117,125 @@ class TestFaultModels:
 
 
 # ----------------------------------------------------------------------
-# simulator watchdogs + structured errors (the livelock guard)
-# ----------------------------------------------------------------------
-def gated_oscillator() -> Netlist:
-    """Stable at ``en=0``; oscillates forever once ``en`` rises.
-
-    A single fast AND gate fed back through its own inverted output:
-    the canonical event-flood livelock the ``max_events`` watchdog
-    exists for.
-    """
-    nl = Netlist("osc")
-    nl.add_input("en")
-    nl.add_output("osc_out")
-    nl.add(
-        Gate(
-            "osc_and",
-            GateType.AND,
-            [Pin("en"), Pin("osc_out", inverted=True)],
-            "osc_out",
-            delay=0.05,
-        )
-    )
-    return nl
-
-
-class TestWatchdogs:
-    def test_livelock_hits_event_budget(self):
-        sim = Simulator(gated_oscillator(), SimConfig(max_events=5_000))
-        sim.initialize({"en": 0})
-        sim.drive("en", 1, 1.0)
-        with pytest.raises(SimulationLimitError) as exc:
-            sim.run(1e9)
-        assert exc.value.limit == "events"
-        assert exc.value.events >= 5_000
-        assert sim.events_processed >= 5_000
-
-    def test_livelock_hits_time_budget(self):
-        sim = Simulator(
-            gated_oscillator(),
-            SimConfig(max_events=10_000_000, max_sim_time=50.0),
-        )
-        sim.initialize({"en": 0})
-        sim.drive("en", 1, 1.0)
-        with pytest.raises(SimulationLimitError) as exc:
-            sim.run(1e9)
-        assert exc.value.limit == "time"
-        assert exc.value.time > 50.0
-
-    def test_limit_error_is_simulation_error(self):
-        assert issubclass(SimulationLimitError, SimulationError)
-        e = SimulationError("boom", gate="g1", net="n1", time=2.5)
-        assert (e.gate, e.net, e.time) == ("g1", "n1", 2.5)
-        assert "g1" in e.describe() and "t=2.5" in e.describe()
-
-    def test_unbudgeted_run_unaffected(self):
-        sim = Simulator(gated_oscillator(), SimConfig())
-        sim.initialize({"en": 0})
-        sim.run(100.0)  # stable: no budget, no events, no error
-        assert sim.value("osc_out") == 0
-
-    def test_inject_validates_net(self):
-        sim = Simulator(gated_oscillator(), SimConfig())
-        sim.initialize({"en": 0})
-        with pytest.raises(ValueError, match="is not a net"):
-            sim.inject("no_such_net", 1, 1.0)
-
-    def test_schedule_callback_fires_once(self):
-        sim = Simulator(gated_oscillator(), SimConfig())
-        sim.initialize({"en": 0})
-        seen = []
-        sim.schedule_callback(5.0, lambda s, t: seen.append(t))
-        sim.run(100.0)
-        assert seen == [5.0]
-
-
-# ----------------------------------------------------------------------
-# a fault that livelocks the circuit (for campaign-level tests)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LivelockFault(FaultModel):
-    """Grafts a self-latching ring oscillator armed by the output.
-
-    ``osc_en`` latches high the first time ``signal`` rises (a
-    self-looped OR), after which a fast feedback AND oscillates
-    forever — the circuit itself still conforms, but the event stream
-    never quiesces.  Only the ``max_events`` watchdog turns this into
-    a recorded outcome instead of a stuck campaign.
-    """
-
-    signal: str = "c"
-
-    kind = "livelock"
-
-    def apply_netlist(self, netlist):
-        nl = rebuild_netlist(netlist, lambda g: g)
-        nl.add(
-            Gate(
-                "osc_latch",
-                GateType.OR,
-                [Pin(self.signal), Pin("osc_en")],
-                "osc_en",
-            )
-        )
-        nl.add(
-            Gate(
-                "osc_and",
-                GateType.AND,
-                [Pin("osc_en"), Pin("osc_out", inverted=True)],
-                "osc_out",
-                delay=0.05,
-            )
-        )
-        return nl
-
-
-class TestGracefulDegradation:
-    def test_oracle_reports_timeout_not_hang(self, golden):
-        sg, circuit = golden
-        fault = LivelockFault("c")
-        faulty = fault.apply_netlist(circuit.netlist)
-        verdict = run_oracle(
-            faulty, sg, SimConfig(jitter=0.3, seed=0, max_events=20_000)
-        )
-        assert verdict.status == "timeout"
-        assert verdict.events >= 20_000
-        assert verdict.errors and "event" in verdict.errors[0]
-
-    def test_campaign_records_livelock_as_timeout(self):
-        res = FaultCampaign(
-            circuits=["c_element"],
-            seeds=2,
-            limits=WatchdogLimits(max_events=5_000),
-            faults={"c_element": [LivelockFault("c")]},
-        ).run()
-        (fo,) = res.fault_outcomes()
-        assert fo.outcome == "timeout"
-        assert fo.covered  # a livelock is a detection, not an escape
-
-    def test_inapplicable_fault_is_error_record(self):
-        res = FaultCampaign(
-            circuits=["c_element"],
-            seeds=2,
-            faults={"c_element": [InvertedLiteralFault("no_such_gate")]},
-        ).run()
-        (fo,) = res.fault_outcomes()
-        assert fo.outcome == "error"
-        assert "fault application failed" in fo.detail
-
-
-# ----------------------------------------------------------------------
-# campaign runner + report
-# ----------------------------------------------------------------------
-class TestCampaign:
-    def test_smoke_serial(self):
-        res = run_campaign(["c_element"], seeds=3)
-        assert res.baseline_ok
-        assert res.num_faults > 5
-        assert res.coverage >= 0.8
-        assert not any(r.outcome == "error" for r in res.records)
-
-    def test_smoke_parallel_matches_serial(self):
-        serial = run_campaign(["c_element"], seeds=3, jobs=1)
-        fanned = run_campaign(["c_element"], seeds=3, jobs=2)
-        as_map = lambda r: {
-            (f.circuit, f.fault): f.outcome for f in r.fault_outcomes()
-        }
-        assert as_map(serial) == as_map(fanned)
-
-    def test_json_report_schema(self):
-        res = run_campaign(["c_element"], seeds=2)
-        doc = json.loads(res.render_json())
-        assert doc["schema"] == "repro-fault-campaign/2"
-        assert doc["circuits"] == ["c_element"]
-        assert set(doc["outcomes"]) == {
-            "detected", "undetected", "timeout", "error",
-        }
-        assert doc["num_faults"] == len(doc["faults"])
-        assert 0.0 <= doc["coverage"] <= 1.0
-        assert doc["baseline_ok"] is True
-        for point in doc["points"]:
-            assert point["outcome"] in (
-                "detected", "undetected", "timeout", "error",
-            )
-            assert point["runtime"] >= 0.0
-
-    def test_runtime_accounting(self):
-        """/2 additions: per-fault runtime sums its points, and the
-        per-outcome totals account for every second the sweep spent."""
-        res = run_campaign(["c_element"], seeds=2)
-        doc = res.to_json()
-        by_outcome = doc["runtime_by_outcome"]
-        assert set(by_outcome) == {
-            "detected", "undetected", "timeout", "error", "golden",
-        }
-        assert all(v >= 0.0 for v in by_outcome.values())
-        # every executed point took measurable time
-        assert all(r.runtime > 0.0 for r in res.records if r.seed >= 0)
-        assert all(r.runtime > 0.0 for r in res.baselines)
-        # per-fault runtime is the sum over that fault's seeds
-        for fo in res.fault_outcomes():
-            expected = sum(
-                r.runtime for r in res.records if r.fault == fo.fault
-            )
-            assert fo.runtime == pytest.approx(expected, abs=1e-5)
-        # outcome totals tie back to the raw points
-        total_points = sum(r.runtime for r in res.records)
-        total_outcomes = sum(
-            v for k, v in by_outcome.items() if k != "golden"
-        )
-        assert total_outcomes == pytest.approx(total_points, abs=1e-3)
-        assert "runtime per outcome:" in res.render_text()
-
-    def test_parse_campaign_json_roundtrip(self):
-        from repro.faults import parse_campaign_json
-
-        res = run_campaign(["c_element"], seeds=2)
-        back = parse_campaign_json(res.render_json())
-        assert back.to_json() == res.to_json()
-
-    def test_parse_campaign_json_reads_v1(self):
-        """A /1 document (no runtime keys) still parses: the /2
-        aggregates are recomputed from its point records."""
-        from repro.faults import parse_campaign_json
-
-        res = run_campaign(["c_element"], seeds=2)
-        doc = res.to_json()
-        doc["schema"] = "repro-fault-campaign/1"
-        del doc["runtime_by_outcome"]
-        for rows in (doc["faults"], doc["points"], doc["baselines"]):
-            for row in rows:
-                row.pop("runtime", None)
-        back = parse_campaign_json(json.dumps(doc))
-        assert back.circuits == ["c_element"]
-        assert len(back.records) == len(res.records)
-        assert back.baseline_ok == res.baseline_ok
-        # runtimes were absent in /1 → zeros, but structure is intact
-        assert back.to_json()["schema"] == "repro-fault-campaign/2"
-        assert all(v == 0.0 for v in back.runtime_by_outcome().values())
-
-    def test_parse_campaign_json_rejects_unknown_schema(self):
-        from repro.faults import parse_campaign_json
-
-        with pytest.raises(ValueError, match="unknown campaign schema"):
-            parse_campaign_json({"schema": "repro-fault-campaign/99"})
-
-    def test_text_report_lists_escapes(self):
-        res = FaultCampaign(
-            circuits=["c_element"],
-            seeds=1,
-            faults={"c_element": []},
-        ).run()
-        text = res.render_text()
-        assert "fault campaign" in text
-        assert "baseline (golden) runs clean: True" in text
-
-    def test_unknown_circuit_raises_at_enumeration(self):
-        with pytest.raises(KeyError, match="unknown fault-suite circuit"):
-            FaultCampaign(circuits=["nonexistent"]).units()
-
-
-# ----------------------------------------------------------------------
 # the headline robustness claim
 # ----------------------------------------------------------------------
+def _c_element():
+    return elaborate(parse_g(C_ELEMENT_G))
+
+
+def _xyz_ring():
+    from repro.bench.circuits import ring
+
+    return elaborate(ring(["x", "y", "z"], ["x"], name="xyz"))
+
+
+def _handshake():
+    from repro.sg import SGBuilder
+
+    b = SGBuilder(["r", "y"], ["r"])
+    b.arc("00", "+r", "10")
+    b.arc("10", "+y", "11")
+    b.arc("11", "-r", "01")
+    b.arc("01", "-y", "00")
+    b.initial("00")
+    return b.build()
+
+
+def _fork_join():
+    from repro.bench.circuits import fork_join
+
+    return elaborate(fork_join("m", ["p", "q"], name="forkjoin"))
+
+
+def _chu150():
+    from repro.bench.circuits import build_distributive
+
+    return elaborate(build_distributive("chu150"))
+
+
+def _pmcm2():
+    from repro.bench.circuits import build_nondistributive
+
+    return build_nondistributive("pmcm2")
+
+
+#: the small paper-derived circuits whose closed-loop runs are fast
+#: enough for a per-fault Monte-Carlo sweep
+SUITE = {
+    "c_element": _c_element,
+    "xyz_ring": _xyz_ring,
+    "handshake": _handshake,
+    "fork_join": _fork_join,
+    "chu150": _chu150,
+    "pmcm2": _pmcm2,
+}
+JITTER = 0.3
+
+
+def _oracle(netlist, sg, fault, seed, internal_nets=None):
+    config = SimConfig(
+        jitter=JITTER, seed=seed, max_events=100_000, max_sim_time=2400.0
+    )
+    return run_oracle(
+        netlist,
+        sg,
+        fault.apply_config(config),
+        max_time=1200.0,
+        max_transitions=80,
+        internal_nets=internal_nets,
+        arm=fault.arm,
+    )
+
+
+def fault_coverage(names, seeds):
+    """``(coverage, escapes)`` of every enumerated fault over ``names``.
+
+    Circuits are synthesized for the jitter they run under.  Each
+    golden circuit must run clean on seeds 0–2.  A fault is detected on
+    its first seed whose run is not clean (a violation or a tripped
+    watchdog) or shows no observable transition at all (a dead circuit
+    does not conform); no run may end in a simulation ``error``.
+    """
+    detected = 0
+    escapes = []
+    for name in names:
+        sg = SUITE[name]()
+        circuit = synthesize(sg, name=name, delay_spread=JITTER)
+        for seed in range(3):
+            verdict = _oracle(
+                circuit.netlist, sg, FaultModel(), seed,
+                circuit.architecture.sop_nets,
+            )
+            assert verdict.ok, f"golden {name} flagged: {verdict.describe()}"
+        for fault in enumerate_faults(circuit.netlist):
+            faulty = fault.apply_netlist(circuit.netlist)
+            for seed in range(seeds):
+                verdict = _oracle(faulty, sg, fault, seed)
+                assert verdict.status != "error", (
+                    f"{name}/{fault.describe()}: {verdict.describe()}"
+                )
+                if not verdict.ok or verdict.transitions == 0:
+                    detected += 1
+                    break
+            else:
+                escapes.append(f"{name}/{fault.describe()}")
+    return detected / (detected + len(escapes)), escapes
+
+
 class TestBenchmarkCoverage:
     def test_paper_suite_coverage(self):
         """≥90% of injected faults are detected across the paper suite,
-        the golden baselines stay clean, and nothing crashes the sweep."""
-        res = run_campaign(
+        the golden baselines stay clean, and no run crashes."""
+        coverage, escapes = fault_coverage(
             ["c_element", "xyz_ring", "handshake", "fork_join", "chu150"],
             seeds=8,
-            jobs=2,
         )
-        assert res.baseline_ok, "golden circuits must verify clean"
-        assert res.coverage >= 0.90, (
-            f"fault coverage {res.coverage:.1%} below the 90% bar; "
-            f"escapes: {[(f.circuit, f.fault) for f in res.undetected()]}"
-        )
-        assert not any(r.outcome == "error" for r in res.records), (
-            "campaign-level crashes: "
-            f"{[r.detail for r in res.records if r.outcome == 'error']}"
+        assert coverage >= 0.90, (
+            f"fault coverage {coverage:.1%} below the 90% bar; escapes: {escapes}"
         )
 
     @pytest.mark.slow
     def test_full_suite_coverage_deep(self):
         """The full six-circuit sweep at higher seed count (opt-in)."""
-        res = run_campaign(
-            ["c_element", "xyz_ring", "handshake", "fork_join",
-             "chu150", "pmcm2"],
-            seeds=16,
-            jobs=2,
-        )
-        assert res.baseline_ok
-        assert res.coverage >= 0.90
-        assert not any(r.outcome == "error" for r in res.records)
-
-
-class TestPointTelemetry:
-    def test_campaign_points_carry_telemetry(self):
-        res = FaultCampaign(
-            circuits=["c_element"],
-            seeds=2,
-            include_seu=False,
-            include_omega=False,
-            collect_telemetry=True,
-        ).run()
-        assert res.records, "expected stuck-at points"
-        for rec in res.records:
-            assert isinstance(rec.telemetry, dict)
-            assert rec.telemetry["pulses"] >= 0
-        # golden baselines run healthy traversals: positive margins
-        golden = [r for r in res.baselines if r.telemetry]
-        assert golden
-        assert golden[0].telemetry["min_omega_margin"] > 0
-        assert golden[0].telemetry["min_delay_slack"] > 0
-        # the blocks survive the JSON round trip
-        doc = json.loads(res.render_json())
-        assert doc["points"][0]["telemetry"] is not None
-
-    def test_telemetry_off_by_default(self):
-        res = FaultCampaign(
-            circuits=["c_element"],
-            seeds=1,
-            include_seu=False,
-            include_omega=False,
-        ).run()
-        assert all(r.telemetry is None for r in res.records + res.baselines)
-
-
-class TestPointCoverage:
-    def test_campaign_points_carry_coverage_deltas(self):
-        res = FaultCampaign(
-            circuits=["c_element"],
-            seeds=2,
-            include_seu=False,
-            include_omega=False,
-            collect_coverage=True,
-        ).run()
-        assert res.records, "expected stuck-at points"
-        for rec in res.records:
-            assert isinstance(rec.coverage, dict)
-            assert set(rec.coverage) >= {
-                "states_pct", "regions_pct", "cubes_pct",
-            }
-            # faulty points diff against the golden exploration ceiling
-            assert isinstance(rec.coverage_delta, dict)
-            assert all(v <= 0.0 for v in rec.coverage_delta.values()), (
-                "a faulty run cannot out-explore the fault-free ceiling"
-            )
-        golden = [r for r in res.baselines if r.coverage]
-        assert golden
-        assert golden[0].coverage["regions_pct"] >= 95.0
-        # a stuck rail visibly collapses state exploration somewhere
-        assert any(
-            rec.coverage_delta.get("states_pct", 0.0) < 0.0
-            for rec in res.records
-        )
-        # the blocks survive the JSON round trip
-        doc = json.loads(res.render_json())
-        assert doc["points"][0]["coverage"] is not None
-
-    def test_coverage_off_by_default(self):
-        res = FaultCampaign(
-            circuits=["c_element"],
-            seeds=1,
-            include_seu=False,
-            include_omega=False,
-        ).run()
-        assert all(
-            r.coverage is None and r.coverage_delta is None
-            for r in res.records + res.baselines
-        )
+        coverage, _ = fault_coverage(list(SUITE), seeds=16)
+        assert coverage >= 0.90

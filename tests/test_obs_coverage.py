@@ -1,4 +1,4 @@
-"""SG state-space coverage maps and their verify/campaign wiring.
+"""SG state-space coverage maps and their verify wiring.
 
 The headline acceptance property: under the verification oracle the
 paper-suite circuits reach ≥95% excitation-region traversal coverage,
@@ -13,7 +13,6 @@ from repro.obs.coverage import (
     CoverageMap,
     CoverageReport,
     RegionCoverage,
-    coverage_delta,
     _pct,
 )
 
@@ -153,14 +152,6 @@ class TestReport:
         assert "(+16 more)" in text  # capped loudly, never silently
         # ...but the JSON document keeps every item
         assert len(r.to_json()["states"]["uncovered"]) == 20
-
-    def test_delta(self):
-        cur = {"states_pct": 40.0, "regions_pct": 100.0, "cubes_pct": 75.0}
-        base = {"states_pct": 100.0, "regions_pct": 100.0, "cubes_pct": 80.0}
-        assert coverage_delta(cur, base) == {
-            "states_pct": -60.0, "regions_pct": 0.0, "cubes_pct": -5.0,
-        }
-        assert coverage_delta({}, base) == {}  # tolerant of missing keys
 
 
 # ----------------------------------------------------------------------

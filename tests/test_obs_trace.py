@@ -242,23 +242,30 @@ class TestAdopt:
 
 
 # ----------------------------------------------------------------------
-# the fault campaign merges worker spans into one coherent trace
+# the fuzz campaign merges worker spans into one coherent trace
 # ----------------------------------------------------------------------
+def _fuzz(jobs):
+    from repro.fuzz import FuzzConfig, run_fuzz
+
+    return run_fuzz(
+        FuzzConfig(seed=0, budget=4, signals=6, jobs=jobs, minimize=False)
+    )
+
+
 class TestCampaignTraceMerge:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_campaign_spans_form_one_tree(self, jobs):
         """Worker spans ship home over the pool pipe and re-parent under
         the campaign root: every parent chain terminates at the single
-        ``fault-campaign`` span, ids stay unique, and each executed
-        point's oracle span survives (none lost, none duplicated)."""
-        from repro.faults import run_campaign
+        ``fuzz-campaign`` span, ids stay unique, and each oracle run's
+        span survives (none lost, none duplicated)."""
         from repro.obs import MetricsRegistry, get_metrics, set_metrics
 
         prev_metrics = get_metrics()
         set_metrics(MetricsRegistry())
         try:
             with tracing(Tracer()) as tr:
-                res = run_campaign(["c_element"], seeds=2, jobs=jobs)
+                report = _fuzz(jobs)
             registry = get_metrics()
         finally:
             set_metrics(prev_metrics)
@@ -267,12 +274,9 @@ class TestCampaignTraceMerge:
         ids = [s.span_id for s in spans]
         assert len(ids) == len(set(ids)), "duplicate span ids after merge"
 
-        (root,) = [s for s in spans if s.name == "fault-campaign"]
+        (root,) = [s for s in spans if s.name == "fuzz-campaign"]
         by_id = {s.span_id: s for s in spans}
-        campaign_names = {"campaign-unit", "oracle", "sim-initialize"}
         for s in spans:
-            if s.name not in campaign_names:
-                continue  # circuit-cache synthesis spans predate the root
             cur = s
             hops = 0
             while cur.parent_id is not None:
@@ -280,25 +284,29 @@ class TestCampaignTraceMerge:
                 cur = by_id[cur.parent_id]
                 hops += 1
                 assert hops < 100
-            assert cur is root, f"{s.name} not rooted in fault-campaign"
+            assert cur is root, f"{s.name} not rooted in fuzz-campaign"
 
-        # one campaign-unit per work unit (faults + the golden baseline)
-        units = [s for s in spans if s.name == "campaign-unit"]
-        assert len(units) == res.num_faults + 1
+        # one fuzz-unit per generated sample
+        units = [s for s in spans if s.name == "fuzz-unit"]
+        assert len(units) == len(report.samples) == 4
         assert all(u.parent_id == root.span_id for u in units)
 
-        # one oracle span per executed point, nested inside its unit
+        # one oracle span per oracle run, nested inside its unit
         unit_ids = {u.span_id for u in units}
         oracles = [s for s in spans if s.name == "oracle"]
-        executed = [
-            r for r in res.records + res.baselines if r.seed >= 0
-        ]
-        assert len(oracles) == len(executed)
+        runs = sum(
+            o.oracle["runs"]
+            for sample in report.samples
+            for o in sample.outcomes
+            if o.oracle
+        )
+        assert runs > 0
+        assert len(oracles) == runs
         assert all(o.parent_id in unit_ids for o in oracles)
 
-        # worker metrics merged too: one sim.runs tick per executed point
+        # worker metrics merged too: one sim.runs tick per oracle run
         counters = registry.snapshot()["counters"]
-        assert counters["sim.runs"] == len(executed)
+        assert counters["sim.runs"] == runs
         assert counters["sim.events"] > 0
 
     def test_serial_and_parallel_traces_agree(self):
@@ -306,11 +314,9 @@ class TestCampaignTraceMerge:
         neither drops nor fabricates work)."""
         from collections import Counter as C
 
-        from repro.faults import run_campaign
-
         def names(jobs):
             with tracing(Tracer()) as tr:
-                run_campaign(["c_element"], seeds=2, jobs=jobs)
+                _fuzz(jobs)
             return C(s.name for s in tr.spans())
 
         assert names(1) == names(2)
