@@ -8,7 +8,7 @@ Mirrors how the paper's compiler was driven::
     python -m repro compare ctrl.g              # all flows, one circuit
     python -m repro table2 [circuit ...]        # regenerate Table 2
     python -m repro bench --quick               # machine-readable benchmark
-    python -m repro regress --baseline BENCH_2026-08-07.json  # perf gate
+    python -m repro regress --baseline BENCH_2026-10-18.json  # perf gate
     python -m repro synth ctrl.g --verify --vcd ctrl.vcd      # waveform dump
     python -m repro synth ctrl.g --profile      # per-phase timing to stderr
     python -m repro lint ctrl.g --suite         # static-analysis rule catalog

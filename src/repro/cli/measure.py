@@ -33,12 +33,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             circuits=args.circuits or None,
             quick=args.quick,
             runs=args.runs,
-            chrome_trace=args.chrome_trace,
             telemetry=args.telemetry,
             progress=progress,
             store=store,
             static_first=args.static_first,
-            profile_doc=args.profile_doc,
         )
     except KeyError as e:
         print(f"error: unknown benchmark circuit {e.args[0]!r}", file=sys.stderr)
@@ -49,13 +47,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for p in problems:
             print(f"  {p}", file=sys.stderr)
         return 1
-    try:
-        path = write_bench(doc, args.output, tag=args.tag)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    if args.chrome_trace:
-        print(f"wrote {args.chrome_trace} (Chrome trace_event)")
+    path = write_bench(doc, args.output)
     print(
         f"wrote {path}: {doc['totals']['circuits']} circuits in "
         f"{doc['totals']['wall_s']:.1f}s ({doc['schema']})"
@@ -72,24 +64,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"static-first: Monte-Carlo skipped on "
             f"{s['mc_skipped']}/{s['circuits']} certified circuit(s)"
         )
-    if "profile" in doc:
-        p = doc["profile"]
-        print(
-            f"profile: wrote {args.profile_doc} ({p['schema']}, "
-            f"{p['attributed_pct']:.1f}% attributed)"
-        )
     if args.history:
         from ..obs.registry import RunHistory
 
-        history = RunHistory(args.history_dir)
-        entry = history.append("bench", doc)
+        entry = RunHistory(args.history_dir).append("bench", doc)
         print(f"history: {entry.describe()}")
-        if args.profile_doc:
-            import json as json_mod
-
-            with open(args.profile_doc) as f:
-                pentry = history.append("profile", json_mod.load(f))
-            print(f"history: {pentry.describe()}")
     return 0
 
 
@@ -113,18 +92,11 @@ def _parser_bench(sub: "argparse._SubParsersAction") -> None:
         help="measured runs per circuit (default 3, 1 with --quick)",
     )
     p_b.add_argument(
-        "-o", "--output", help="output path (default BENCH_<UTC-date>.json)"
-    )
-    p_b.add_argument(
-        "--tag",
-        metavar="NAME",
-        help="suffix the default filename (BENCH_<UTC-date>-NAME.json); "
-        "default-named documents never overwrite — same-day collisions "
-        "step to a deterministic -2/-3 suffix",
-    )
-    p_b.add_argument(
-        "--chrome-trace",
-        help="also write the last run's spans as Chrome trace_event JSON",
+        "-o",
+        "--output",
+        help="output path (default BENCH_<UTC-date>.json; default-named "
+        "documents never overwrite — same-day collisions step to a "
+        "deterministic -2/-3 suffix)",
     )
     p_b.add_argument(
         "--telemetry",
@@ -138,13 +110,6 @@ def _parser_bench(sub: "argparse._SubParsersAction") -> None:
         action="store_true",
         help="verify through the symbolic certifier, skipping Monte-Carlo "
         "on fully-proved certificates (adds per-entry `static` blocks)",
-    )
-    p_b.add_argument(
-        "--profile-doc",
-        metavar="PATH",
-        help="also run one untimed stage-scoped profiling sweep: write "
-        "the repro-profile/1 document here and embed per-phase hotspot "
-        "summaries into the bench entries",
     )
     _add_history_args(p_b)
     _add_cache_args(p_b)
@@ -168,12 +133,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
             print(f"error: {e}", file=sys.stderr)
             return 2
         diff = profiling.diff_profiles(a, b, top=args.top)
-        if args.format == "json":
-            rendered = json_mod.dumps(diff, indent=2)
-        else:
-            rendered = profiling.render_diff_text(diff, top=args.top).rstrip()
-        _emit_report(args, rendered, False, f" ({diff['schema']})")
-        return 0
+        rendered = profiling.render_diff_text(diff, top=args.top).rstrip()
+        _emit_report(args, rendered, False)
+        return 0 if diff["empty"] else 1
 
     def progress(name: str) -> None:
         print(f"  {name}", file=sys.stderr)
@@ -261,11 +223,10 @@ def _parser_profile(sub: "argparse._SubParsersAction") -> None:
         default=15,
         help="functions listed per table (default 15)",
     )
-    _add_report_args(
-        p_p,
-        ("text", "json"),
-        "--diff report format (json = repro-profile-diff/1)",
-        output="write the full repro-profile/1 JSON document here "
+    p_p.add_argument(
+        "-o",
+        "--output",
+        help="write the full repro-profile/1 JSON document here "
         "(with --diff: the diff report)",
     )
     p_p.add_argument(
@@ -284,18 +245,19 @@ def _parser_profile(sub: "argparse._SubParsersAction") -> None:
         metavar=("A", "B"),
         help="differential profile B − A between two repro-profile/1 "
         "files or run-history entries (per-function self-time deltas, "
-        "new/vanished frames)",
+        "new/vanished frames); exit 0 when nothing moved, 1 when "
+        "something did",
     )
     _add_history_args(p_p)
     p_p.set_defaults(func=cmd_profile)
 
 
 def _resolve_threshold_policy(args: argparse.Namespace):
-    """Committed config (when present) + explicit CLI flag overrides."""
+    """The ``--thresholds`` config, else the committed one when present,
+    else the built-in default band."""
     from ..obs.regress import (
         DEFAULT_THRESHOLDS_PATH,
         ThresholdPolicy,
-        Thresholds,
         load_threshold_config,
     )
 
@@ -303,18 +265,6 @@ def _resolve_threshold_policy(args: argparse.Namespace):
     if config_path is None and os.path.exists(DEFAULT_THRESHOLDS_PATH):
         config_path = DEFAULT_THRESHOLDS_PATH
     policy = load_threshold_config(config_path) if config_path else ThresholdPolicy()
-    if (args.rel, args.abs_s, args.confirm) != (None, None, None):
-        base = policy.default
-        policy = ThresholdPolicy(
-            default=Thresholds(
-                rel=args.rel if args.rel is not None else base.rel,
-                abs_s=args.abs_s if args.abs_s is not None else base.abs_s,
-                confirm_runs=args.confirm
-                if args.confirm is not None
-                else base.confirm_runs,
-            ),
-            phases=policy.phases,
-        )
     return policy, config_path
 
 
@@ -328,9 +278,7 @@ def _cmd_regress_ratchet(args: argparse.Namespace, policy, config_path) -> int:
         with open(args.apply_ratchet) as f:
             proposal = json_mod.load(f)
         try:
-            new_policy = analytics.apply_ratchet(
-                proposal, policy, allow_loosen=args.allow_loosen
-            )
+            new_policy = analytics.apply_ratchet(proposal, policy)
         except analytics.RatchetError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
@@ -342,9 +290,10 @@ def _cmd_regress_ratchet(args: argparse.Namespace, policy, config_path) -> int:
             new_policy,
             out,
             provenance={
-                "proposal_created_utc": proposal.get("created_utc"),
-                "proposal_git_sha": proposal.get("git_sha"),
-                "allow_loosen": bool(args.allow_loosen),
+                "proposal_created_utc": proposal.get("updated_utc"),
+                "proposal_git_sha": (proposal.get("provenance") or {}).get(
+                    "git_sha"
+                ),
             },
         )
         changed = {
@@ -364,28 +313,22 @@ def _cmd_regress_ratchet(args: argparse.Namespace, policy, config_path) -> int:
             )
         return 0
 
-    proposal = analytics.propose_ratchet(
-        args.history_dir,
-        policy,
-        k=args.ratchet_k,
-        last_n=args.ratchet_last_n,
-    )
+    proposal = analytics.propose_ratchet(args.history_dir, policy)
     rendered = json_mod.dumps(proposal, indent=2)
     _emit_report(args, rendered, False, f" ({proposal['schema']})")
-    summary = (
-        f"ratchet: {len(proposal['phases'])} phase(s) with evidence, "
-        f"{proposal['tightened']} tighten, "
-        f"{len(proposal['stale_phases'])} stale"
+    evidence = proposal["evidence"]
+    tightened = sum(1 for e in evidence.values() if e["action"] == "tighten")
+    print(
+        f"ratchet: {len(evidence)} phase(s) with evidence, "
+        f"{tightened} tighten, {len(proposal['stale'])} stale",
+        file=sys.stderr,
     )
-    print(summary, file=sys.stderr)
-    for row in proposal["phases"]:
-        if row["stale"]:
-            print(
-                f"  stale: {row['phase']} current rel "
-                f"{row['current']['rel']:g} vs measured floor "
-                f"{row['floor_rel']:g} (proposed {row['proposed']['rel']:g})",
-                file=sys.stderr,
-            )
+    for phase, row in proposal["stale"].items():
+        print(
+            f"  stale: {phase} current rel {row['rel']:g} vs measured floor "
+            f"{row['floor_rel']:g} (proposed {row['proposed_rel']:g})",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -425,8 +368,6 @@ def cmd_regress(args: argparse.Namespace) -> int:
             remeasure=args.remeasure,
             progress=progress,
             hotspots=args.hotspots,
-            hotspot_top=args.hotspot_top,
-            history_dir=args.history_dir,
         )
     except (KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -463,7 +404,7 @@ def _parser_regress(sub: "argparse._SubParsersAction") -> None:
     p_r.add_argument(
         "--baseline",
         metavar="FILE",
-        help="baseline bench document (e.g. BENCH_2026-08-07.json); "
+        help="baseline bench document (e.g. BENCH_2026-10-18.json); "
         "required except with --propose-ratchet / --apply-ratchet",
     )
     p_r.add_argument(
@@ -479,57 +420,18 @@ def _parser_regress(sub: "argparse._SubParsersAction") -> None:
         "benchmarks/regress-thresholds.json when present)",
     )
     p_r.add_argument(
-        "--rel",
-        type=float,
-        default=None,
-        help="relative slowdown band before a phase is suspect "
-        "(overrides the config default; built-in default 0.25)",
-    )
-    p_r.add_argument(
-        "--abs",
-        dest="abs_s",
-        type=float,
-        default=None,
-        help="absolute noise floor in seconds on top of the band "
-        "(overrides the config default; built-in default 0.005)",
-    )
-    p_r.add_argument(
-        "--confirm",
-        type=int,
-        default=None,
-        help="re-measure runs per suspect circuit before conviction "
-        "(overrides the config default; built-in default 3)",
-    )
-    p_r.add_argument(
         "--propose-ratchet",
         action="store_true",
-        help="derive tightened per-phase thresholds from the run-history "
-        "noise floor and emit a repro-ratchet/1 proposal (no benchmark "
-        "runs; -o writes the proposal JSON)",
+        help="derive tightened per-phase bands (5 x the MAD noise floor "
+        "over the last 10 clean runs per circuit) from the run history "
+        "and emit them as a repro-thresholds/1 document with evidence "
+        "and stale blocks (no benchmark runs; -o writes the document)",
     )
     p_r.add_argument(
         "--apply-ratchet",
         metavar="PROPOSAL",
-        help="fold a repro-ratchet/1 proposal into the committed "
-        "threshold config (refuses to loosen without --allow-loosen)",
-    )
-    p_r.add_argument(
-        "--allow-loosen",
-        action="store_true",
-        help="let --apply-ratchet accept rows that loosen a threshold",
-    )
-    p_r.add_argument(
-        "--ratchet-k",
-        type=float,
-        default=5.0,
-        help="proposed band = k x the measured MAD noise floor (default 5)",
-    )
-    p_r.add_argument(
-        "--ratchet-last-n",
-        type=int,
-        default=10,
-        metavar="N",
-        help="clean runs per circuit the floor is measured over (default 10)",
+        help="install a --propose-ratchet document as the threshold "
+        "config (refuses any band looser than the committed one)",
     )
     p_r.add_argument(
         "--remeasure",
@@ -552,14 +454,8 @@ def _parser_regress(sub: "argparse._SubParsersAction") -> None:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="re-profile convicted circuits under the stage-scoped "
-        "sampler and attach top-N hotspot functions to the report "
-        "(--no-hotspots to skip)",
-    )
-    p_r.add_argument(
-        "--hotspot-top",
-        type=int,
-        default=5,
-        help="hotspot functions reported per regressed phase (default 5)",
+        "sampler and attach the top 5 hotspot functions per regressed "
+        "phase to the report (--no-hotspots to skip)",
     )
     _add_history_args(p_r)
     p_r.set_defaults(func=cmd_regress)
@@ -572,13 +468,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     from ..obs.report import render_analytics_text, render_html
 
     try:
-        doc = analytics.analyze(
-            args.history_dir,
-            window=args.window,
-            k=args.k,
-            min_rel=args.min_rel,
-            hotspot_top=args.top,
-        )
+        doc = analytics.analyze(args.history_dir)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -596,7 +486,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.format == "json":
         rendered = json_mod.dumps(doc, indent=2)
     else:
-        rendered = render_analytics_text(doc, top=args.top)
+        rendered = render_analytics_text(doc)
     _emit_report(
         args, rendered, args.format == "text", f" ({doc['schema']})"
     )
@@ -626,31 +516,6 @@ def _parser_report(sub: "argparse._SubParsersAction") -> None:
         p_rep,
         ("text", "json"),
         "report format (json = the full repro-analytics/1 document)",
-    )
-    p_rep.add_argument(
-        "--window",
-        type=int,
-        default=3,
-        help="changepoint detector window, runs per side (default 3)",
-    )
-    p_rep.add_argument(
-        "--k",
-        type=float,
-        default=4.0,
-        help="changepoint sensitivity: shift > k x MAD (default 4)",
-    )
-    p_rep.add_argument(
-        "--min-rel",
-        type=float,
-        default=0.2,
-        dest="min_rel",
-        help="minimum relative shift a changepoint must clear (default 0.2)",
-    )
-    p_rep.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        help="hotspot functions tracked across profile documents (default 10)",
     )
     p_rep.set_defaults(func=cmd_report)
 
@@ -756,35 +621,13 @@ def cmd_history(args: argparse.Namespace) -> int:
             )
         return 0
 
-    if args.history_command == "show":
-        return _history_show(history, args)
-
-    if args.history_command == "prune":
-        try:
-            report = history.prune(
-                args.keep_last, kind=args.kind, dry_run=args.dry_run
-            )
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        print(report.describe())
-        verb = "would remove" if report.dry_run else "removed"
-        for name in report.removed:
-            print(f"  {verb} {name}")
-        for name in report.protected:
-            print(f"  protected {name} (referenced as a baseline)")
-        return 0
-
-    print("error: unknown history command", file=sys.stderr)  # pragma: no cover
-    return 2  # pragma: no cover
+    return _history_show(history, args)
 
 
 def _parser_history(sub: "argparse._SubParsersAction") -> None:
     from ..obs.registry import DEFAULT_HISTORY_DIR
 
-    p_h = sub.add_parser(
-        "history", help="inspect and compact the run-history ledger"
-    )
+    p_h = sub.add_parser("history", help="inspect the run-history ledger")
     p_h.add_argument(
         "--history-dir",
         default=DEFAULT_HISTORY_DIR,
@@ -812,23 +655,5 @@ def _parser_history(sub: "argparse._SubParsersAction") -> None:
     p_hs.add_argument("--kind", help="with 'latest': latest of this kind")
     p_hs.add_argument(
         "--json", action="store_true", help="dump the raw stored envelope"
-    )
-    p_hp = hist_sub.add_parser(
-        "prune",
-        help="compact to the last N runs per kind "
-        "(referenced baselines always survive)",
-    )
-    p_hp.add_argument(
-        "--keep-last",
-        type=int,
-        required=True,
-        metavar="N",
-        help="runs to keep per kind",
-    )
-    p_hp.add_argument("--kind", help="only prune this document kind")
-    p_hp.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="report what would be removed without touching the ledger",
     )
     p_h.set_defaults(func=cmd_history)

@@ -15,11 +15,12 @@ point measurement cannot give:
   each sustained level shift to the commit range between the adjacent
   ledger entries, so "it got slower" arrives with the two SHAs that
   bracket the cause;
-* **ratchet proposals** — tightened per-phase regress thresholds
-  derived as ``k·MAD / median`` over the last N clean runs, emitted as
-  a ``repro-ratchet/1`` document with per-phase evidence; applying one
-  rewrites the committed threshold config and *refuses to loosen*
-  unless explicitly allowed.
+* **ratchet proposals** — tightened per-phase regress bands derived
+  from ``k·MAD / median`` over the last N clean runs, emitted as a
+  ``repro-thresholds/1`` document (the committed policy with each
+  tightening applied, plus per-phase ``evidence`` and ``stale``
+  blocks); applying one rewrites the committed threshold config and
+  *refuses to loosen* — loosening is a reviewed hand edit.
 
 The companion :mod:`repro.obs.report` renders the resulting
 ``repro-analytics/1`` document as text or as the self-contained HTML
@@ -36,7 +37,11 @@ from .registry import RunHistory
 
 __all__ = [
     "ANALYTICS_SCHEMA",
-    "RATCHET_SCHEMA",
+    "CHANGEPOINT_K",
+    "CHANGEPOINT_MIN_REL",
+    "CHANGEPOINT_WINDOW",
+    "RATCHET_K",
+    "RATCHET_LAST_N",
     "Changepoint",
     "Ledger",
     "LedgerRun",
@@ -53,7 +58,21 @@ __all__ = [
 ]
 
 ANALYTICS_SCHEMA = "repro-analytics/1"
-RATCHET_SCHEMA = "repro-ratchet/1"
+
+#: the changepoint detector's one parameter set: runs per side, the
+#: MAD multiple and the relative shift a level change must clear (the
+#: report and the ratchet's clean tails share it)
+CHANGEPOINT_WINDOW = 3
+CHANGEPOINT_K = 4.0
+CHANGEPOINT_MIN_REL = 0.2
+
+#: hotspot functions traced across profile documents
+HOTSPOT_TOP = 10
+
+#: a ratchet band is ``RATCHET_K`` × the MAD noise floor measured over
+#: the last ``RATCHET_LAST_N`` clean runs per circuit
+RATCHET_K = 5.0
+RATCHET_LAST_N = 10
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +222,7 @@ def phase_series(
 
 
 def hotspot_series(
-    ledger: Ledger, top: int = 10, env_digest: str | None = None
+    ledger: Ledger, top: int = HOTSPOT_TOP, env_digest: str | None = None
 ) -> dict[str, list[SeriesPoint]]:
     """Self-time trends of the hottest functions across profile runs.
 
@@ -331,9 +350,9 @@ class Changepoint:
 
 def detect_changepoints(
     points: list[SeriesPoint],
-    window: int = 3,
-    k: float = 4.0,
-    min_rel: float = 0.2,
+    window: int = CHANGEPOINT_WINDOW,
+    k: float = CHANGEPOINT_K,
+    min_rel: float = CHANGEPOINT_MIN_REL,
     abs_floor_s: float = 0.0005,
 ) -> list[Changepoint]:
     """Windowed median-shift detection, one env stratum at a time.
@@ -417,13 +436,7 @@ def _utc_now() -> str:
     )
 
 
-def analyze(
-    history: RunHistory | str | Ledger,
-    window: int = 3,
-    k: float = 4.0,
-    min_rel: float = 0.2,
-    hotspot_top: int = 10,
-) -> dict:
+def analyze(history: RunHistory | str | Ledger) -> dict:
     """Build the full ``repro-analytics/1`` document from the ledger."""
     ledger = history if isinstance(history, Ledger) else load_ledger(history)
     stratum = ledger.current_stratum()
@@ -432,7 +445,7 @@ def analyze(
     for (circuit, phase), pts in sorted(phase_series(ledger).items()):
         values = [p.value for p in pts]
         stratum_values = [p.value for p in pts if p.env_digest == stratum]
-        cps = detect_changepoints(pts, window=window, k=k, min_rel=min_rel)
+        cps = detect_changepoints(pts)
         row = {
             "circuit": circuit,
             "phase": phase,
@@ -452,9 +465,7 @@ def analyze(
             d["phase"] = phase
             all_changepoints.append(d)
     hotspots_doc = []
-    for func, pts in hotspot_series(
-        ledger, top=hotspot_top, env_digest=stratum
-    ).items():
+    for func, pts in hotspot_series(ledger, env_digest=stratum).items():
         values = [p.value for p in pts]
         hotspots_doc.append(
             {
@@ -492,7 +503,11 @@ def analyze(
     return {
         "schema": ANALYTICS_SCHEMA,
         "created_utc": _utc_now(),
-        "params": {"window": window, "k": k, "min_rel": min_rel},
+        "params": {
+            "window": CHANGEPOINT_WINDOW,
+            "k": CHANGEPOINT_K,
+            "min_rel": CHANGEPOINT_MIN_REL,
+        },
         "ledger": {
             "runs": len(ledger.runs),
             "kinds": ledger.counts(),
@@ -518,15 +533,9 @@ class RatchetError(ValueError):
     """A ratchet application that would loosen a committed threshold."""
 
 
-def _clean_tail(
-    pts: list[SeriesPoint],
-    stratum: str,
-    last_n: int,
-    window: int,
-    k: float,
-    min_rel: float,
-) -> list[float]:
-    """The last ``last_n`` values of one series usable as a noise floor.
+def _clean_tail(pts: list[SeriesPoint], stratum: str) -> list[float]:
+    """The last :data:`RATCHET_LAST_N` values of one series usable as a
+    noise floor.
 
     "Clean" means: from the current machine stratum only, and — when a
     changepoint sits inside the tail — only the runs *after* the last
@@ -535,166 +544,169 @@ def _clean_tail(
     the size of the win itself).
     """
     series = [p for p in pts if p.env_digest == stratum]
-    cps = detect_changepoints(series, window=window, k=k, min_rel=min_rel)
+    cps = detect_changepoints(series)
     start = cps[-1].index if cps else 0
-    return [p.value for p in series[start:]][-last_n:]
+    return [p.value for p in series[start:]][-RATCHET_LAST_N:]
+
+
+def _no_looser(band, committed, medians: list[float]) -> bool:
+    """Whether ``band`` allows no more than ``committed`` does: at every
+    evidence median when there are any, else component-wise."""
+    if medians:
+        return all(band.allowed(m) <= committed.allowed(m) for m in medians)
+    return band.rel <= committed.rel and band.abs_s <= committed.abs_s
 
 
 def propose_ratchet(
     history: RunHistory | str | Ledger,
     policy,
-    k: float = 5.0,
-    last_n: int = 10,
     min_runs: int = 3,
     min_rel: float = 0.05,
     min_abs_s: float = 0.0005,
     stale_factor: float = 2.0,
-    window: int = 3,
 ) -> dict:
-    """Derive tightened per-phase thresholds from the measured noise.
+    """Derive tightened per-phase bands from the measured noise.
 
     For every phase the ledger has evidence for (≥ ``min_runs`` clean
     runs on the current machine for at least one circuit), the noise
-    floor is the worst-case ``MAD/median`` across circuits; the
-    proposed band is ``k`` times that floor, clamped to ``min_rel`` /
-    ``min_abs_s`` so a perfectly-quiet series can never ratchet to an
-    unpassable zero-tolerance gate.  Each phase row carries its
-    evidence (per-circuit n/median/MAD) and an ``action``:
+    floor is the worst-case ``MAD/median`` across circuits and the
+    band's ``rel`` is :data:`RATCHET_K` times that floor, clamped to
+    ``min_rel``.  Its ``abs_s`` is ``RATCHET_K`` × the worst MAD,
+    clamped to ``min_abs_s`` and raised until every evidence run passes
+    ``allowed(median(tail))`` — a band never rejects the runs it was
+    derived from.  Each phase's ``evidence`` row carries an ``action``:
 
-    * ``tighten`` — the proposal is strictly tighter than the current
-      committed threshold (the only rows :func:`apply_ratchet` applies
-      by default);
-    * ``keep`` — already within ``stale_factor`` of the floor;
-    * ``loosen`` — the measured noise does not support the current
-      threshold (applying requires ``allow_loosen``).
+    * ``tighten`` — the band allows no more than the committed one at
+      every evidence circuit's median, so it replaces it as a whole;
+    * ``keep`` — the band equals the committed one;
+    * ``loosen`` — the measured noise does not support the committed
+      band; it stays, since loosening is a reviewed hand edit.
 
-    ``stale`` marks phases whose current threshold is ≥ ``stale_factor``
-    × the measured floor — the CI advisory check surfaces these so
-    stale-loose gates become visible on every PR.
+    ``stale`` lists phases whose committed ``rel`` is ≥
+    ``stale_factor`` × the proposed one; the CI advisory check surfaces
+    these so stale-loose gates become visible on every PR.
+
+    Returns a ``repro-thresholds/1`` document: ``policy`` with every
+    tightening applied, plus the ``evidence`` and ``stale`` blocks.
     """
-    from .regress import ThresholdPolicy, Thresholds
+    from .regress import THRESHOLDS_SCHEMA, ThresholdPolicy, Thresholds
 
     if isinstance(policy, Thresholds):
         policy = ThresholdPolicy(default=policy)
     ledger = history if isinstance(history, Ledger) else load_ledger(history)
     stratum = ledger.current_stratum()
-    series = phase_series(ledger)
-    evidence: dict[str, list[dict]] = {}
-    for (circuit, phase), pts in sorted(series.items()):
-        tail = _clean_tail(
-            pts, stratum or "", last_n, window=window, k=4.0, min_rel=0.2
-        )
-        if len(tail) < min_runs:
-            continue
-        evidence.setdefault(phase, []).append(
+    tails: dict[str, list[tuple[str, list[float]]]] = {}
+    for (circuit, phase), pts in sorted(phase_series(ledger).items()):
+        tail = _clean_tail(pts, stratum or "")
+        if len(tail) >= min_runs:
+            tails.setdefault(phase, []).append((circuit, tail))
+    overrides = dict(policy.phases)
+    evidence: dict[str, dict] = {}
+    stale: dict[str, dict] = {}
+    for phase, rows in sorted(tails.items()):
+        circuits = [
             {
                 "circuit": circuit,
                 "n": len(tail),
                 "median_s": round(median(tail), 6),
                 "mad_s": round(mad(tail), 6),
+                "max_s": round(max(tail), 6),
             }
-        )
-    phase_rows = []
-    tightened = 0
-    stale_phases = []
-    for phase, rows in sorted(evidence.items()):
+            for circuit, tail in rows
+        ]
         rel_floor = max(
-            (r["mad_s"] / r["median_s"] for r in rows if r["median_s"] > 0),
+            (r["mad_s"] / r["median_s"] for r in circuits if r["median_s"] > 0),
             default=0.0,
         )
-        abs_floor = max(r["mad_s"] for r in rows)
+        abs_floor = max(r["mad_s"] for r in circuits)
+        rel = max(min_rel, round(RATCHET_K * rel_floor, 4))
+        # the smallest abs_s under which every evidence run passes
+        admit = max(max(t) - median(t) * (1.0 + rel) for _, t in rows)
         current = policy.for_phase(phase)
-        proposed_rel = max(min_rel, round(k * rel_floor, 4))
-        proposed_abs = max(min_abs_s, round(k * abs_floor, 6))
-        if proposed_rel < current.rel or proposed_abs < current.abs_s:
-            action = "tighten"
-            tightened += 1
-        elif proposed_rel > current.rel and proposed_abs > current.abs_s:
-            action = "loosen"
-        else:
-            action = "keep"
-        stale = current.rel >= stale_factor * proposed_rel
-        if stale:
-            stale_phases.append(phase)
-        phase_rows.append(
-            {
-                "phase": phase,
-                "circuits": rows,
-                "floor_rel": round(rel_floor, 4),
-                "floor_abs_s": round(abs_floor, 6),
-                "current": {"rel": current.rel, "abs_s": current.abs_s},
-                "proposed": {"rel": proposed_rel, "abs_s": proposed_abs},
-                "action": action,
-                "stale": stale,
-            }
+        band = Thresholds(
+            rel=rel,
+            abs_s=max(
+                min_abs_s,
+                round(RATCHET_K * abs_floor, 6),
+                round(admit + 1e-6, 6),
+            ),
+            confirm_runs=current.confirm_runs,
         )
+        if band == current:
+            action = "keep"
+        elif _no_looser(band, current, [r["median_s"] for r in circuits]):
+            action = "tighten"
+            overrides[phase] = band
+        else:
+            action = "loosen"
+        evidence[phase] = {
+            "action": action,
+            "floor_rel": round(rel_floor, 4),
+            "floor_abs_s": round(abs_floor, 6),
+            "proposed": band.to_json(),
+            "circuits": circuits,
+        }
+        if current.rel >= stale_factor * rel:
+            stale[phase] = {
+                "rel": current.rel,
+                "floor_rel": round(rel_floor, 4),
+                "proposed_rel": rel,
+            }
     latest = ledger.runs[-1] if ledger.runs else None
     return {
-        "schema": RATCHET_SCHEMA,
-        "created_utc": _utc_now(),
-        "git_sha": latest.git_sha if latest else None,
-        "env_digest": stratum,
-        "params": {
-            "k": k,
-            "last_n": last_n,
-            "min_runs": min_runs,
-            "min_rel": min_rel,
-            "min_abs_s": min_abs_s,
-            "stale_factor": stale_factor,
+        "schema": THRESHOLDS_SCHEMA,
+        "updated_utc": _utc_now(),
+        **ThresholdPolicy(default=policy.default, phases=overrides).to_json(),
+        "provenance": {
+            "git_sha": latest.git_sha if latest else None,
+            "env_digest": stratum,
+            "k": RATCHET_K,
+            "last_n": RATCHET_LAST_N,
         },
-        "baseline_policy": policy.to_json(),
-        "phases": phase_rows,
-        "tightened": tightened,
-        "stale_phases": stale_phases,
+        "evidence": evidence,
+        "stale": stale,
     }
 
 
-def apply_ratchet(proposal: dict, policy, allow_loosen: bool = False):
-    """Fold a ``repro-ratchet/1`` proposal into a threshold policy.
+def apply_ratchet(doc: dict, policy):
+    """The policy of a ``repro-thresholds/1`` proposal, checked against
+    the committed ``policy``.
 
-    Returns the new :class:`~repro.obs.regress.ThresholdPolicy`.  By
-    default only ``tighten`` rows are applied, component-wise (a row
-    that tightens ``rel`` but would loosen ``abs_s`` tightens the one
-    and keeps the other) — the result is never looser than ``policy``
-    anywhere.  Rows marked ``loosen`` raise :class:`RatchetError`
-    unless ``allow_loosen`` is set, in which case the proposal is
-    applied verbatim.
+    Raises :class:`RatchetError` when any band is looser than the
+    committed one: a phase band at any evidence median of the
+    proposal's ``evidence`` block (component-wise where there is none),
+    the default band in any component.  Loosening a gate is a reviewed
+    hand edit of the committed JSON, never a ratchet.
     """
-    from .regress import ThresholdPolicy, Thresholds
+    from .regress import THRESHOLDS_SCHEMA, ThresholdPolicy, Thresholds
 
-    if proposal.get("schema") != RATCHET_SCHEMA:
+    if doc.get("schema") != THRESHOLDS_SCHEMA:
         raise ValueError(
-            f"not a {RATCHET_SCHEMA} document (got {proposal.get('schema')!r})"
+            f"not a {THRESHOLDS_SCHEMA} document (got {doc.get('schema')!r})"
         )
     if isinstance(policy, Thresholds):
         policy = ThresholdPolicy(default=policy)
-    loosening = [
-        row["phase"]
-        for row in proposal.get("phases", [])
-        if row.get("action") == "loosen"
-    ]
-    if loosening and not allow_loosen:
+    new = ThresholdPolicy.from_json(doc)
+    old_d, new_d = policy.default, new.default
+    looser = []
+    if (
+        new_d.rel > old_d.rel
+        or new_d.abs_s > old_d.abs_s
+        or new_d.confirm_runs > old_d.confirm_runs
+    ):
+        looser.append("default")
+    evidence = doc.get("evidence") or {}
+    for phase in sorted(set(new.phases) | set(policy.phases)):
+        medians = [
+            float(c["median_s"])
+            for c in (evidence.get(phase) or {}).get("circuits", [])
+        ]
+        if not _no_looser(new.for_phase(phase), policy.for_phase(phase), medians):
+            looser.append(phase)
+    if looser:
         raise RatchetError(
-            "proposal would loosen threshold(s) for: "
-            + ", ".join(loosening)
-            + " (pass allow_loosen / --allow-loosen to accept)"
+            "proposal would loosen the committed band(s) for: "
+            + ", ".join(looser)
+            + " (loosening is a reviewed edit of the committed config)"
         )
-    overrides = dict(policy.phases)
-    for row in proposal.get("phases", []):
-        action = row.get("action")
-        if action not in ("tighten", "loosen"):
-            continue
-        if action == "loosen" and not allow_loosen:
-            continue  # unreachable (raised above); defensive
-        current = policy.for_phase(row["phase"])
-        proposed = row["proposed"]
-        if allow_loosen:
-            new_rel = float(proposed["rel"])
-            new_abs = float(proposed["abs_s"])
-        else:
-            new_rel = min(float(proposed["rel"]), current.rel)
-            new_abs = min(float(proposed["abs_s"]), current.abs_s)
-        overrides[row["phase"]] = Thresholds(
-            rel=new_rel, abs_s=new_abs, confirm_runs=current.confirm_runs
-        )
-    return ThresholdPolicy(default=policy.default, phases=overrides)
+    return new

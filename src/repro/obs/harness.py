@@ -97,13 +97,9 @@ def _utc_now() -> datetime.datetime:
     return datetime.datetime.now(datetime.timezone.utc)
 
 
-def default_bench_path(directory: str = ".", tag: str | None = None) -> str:
-    """``BENCH_<UTC-date>[-tag].json`` in ``directory``."""
+def default_bench_path(directory: str = ".") -> str:
+    """``BENCH_<UTC-date>.json`` in ``directory``."""
     stamp = _utc_now().strftime("%Y-%m-%d")
-    if tag:
-        if not all(c.isalnum() or c in "-_" for c in tag):
-            raise ValueError(f"bench tag must be [-_a-zA-Z0-9], got {tag!r}")
-        stamp = f"{stamp}-{tag}"
     return os.path.join(directory, f"BENCH_{stamp}.json")
 
 
@@ -167,13 +163,12 @@ def bench_circuit(
     telemetry: bool = False,
     store=None,
     static_first: bool = False,
-) -> tuple[dict, Tracer]:
+) -> dict:
     """Measure one circuit ``runs`` times end to end.
 
     Each measured run gets a fresh enabled tracer and a fresh metrics
     registry, so per-run numbers never bleed into each other.  Returns
-    the per-circuit bench entry plus the tracer of the *last* run (for
-    Chrome-trace export).
+    the per-circuit bench entry.
 
     With ``telemetry`` the entry also carries ``telemetry`` and
     ``coverage`` blocks — ω-margins, Equation (1) delay slack,
@@ -202,7 +197,6 @@ def bench_circuit(
     cache_misses = 0
     cache_stages: dict[str, dict[str, int]] = {}
     states = 0
-    tracer = Tracer()
     prev_metrics = get_metrics()
     for k in range(runs):
         tracer = Tracer()
@@ -333,7 +327,7 @@ def bench_circuit(
                 )
         entry["telemetry"] = blocks["telemetry"]
         entry["coverage"] = blocks["coverage"]
-    return entry, tracer
+    return entry
 
 
 def run_bench(
@@ -341,12 +335,10 @@ def run_bench(
     quick: bool = False,
     runs: int | None = None,
     verify_runs: int | None = None,
-    chrome_trace: str | None = None,
     telemetry: bool = True,
     progress=None,
     store=None,
     static_first: bool = False,
-    profile_doc: str | None = None,
 ) -> dict:
     """Run the harness over ``circuits`` and return the bench document.
 
@@ -360,11 +352,6 @@ def run_bench(
     hit/miss summaries.  ``static_first`` verifies through the
     symbolic certifier, skipping Monte-Carlo on fully-proved
     certificates, and adds ``static`` blocks recording the skips.
-    ``profile_doc`` runs one extra *untimed* stage-scoped profiling
-    sweep over the same circuits, writes the full ``repro-profile/1``
-    document to that path, and embeds a per-entry ``profile`` block
-    (top hotspot functions per phase) plus a document-level summary —
-    so the timed medians stay uncontaminated by the sampler.
     """
     from ..bench.circuits import TABLE2_CIRCUITS
 
@@ -378,9 +365,8 @@ def run_bench(
         warm_up(circuits[0], static_first=static_first)
     t0 = time.perf_counter()
     entries = []
-    last_tracer: Tracer | None = None
     for name in circuits:
-        entry, tracer = bench_circuit(
+        entry = bench_circuit(
             name,
             runs=runs,
             verify_runs=verify_runs,
@@ -389,48 +375,8 @@ def run_bench(
             static_first=static_first,
         )
         entries.append(entry)
-        last_tracer = tracer
         if progress is not None:
             progress(name, entry)
-    if chrome_trace and last_tracer is not None:
-        last_tracer.write_chrome(chrome_trace)
-    profile_summary = None
-    if profile_doc:
-        from .profiling import profile_suite
-
-        # the sweep is untimed, so sample finer than the default
-        # interval — sub-10ms circuits still get attributable samples
-        pdoc = profile_suite(
-            circuits=list(circuits),
-            quick=quick,
-            runs=1,
-            verify_runs=verify_runs,
-            interval=0.001,
-        )
-        with open(profile_doc, "w") as f:
-            json.dump(pdoc, f, indent=2)
-            f.write("\n")
-        per_circuit = pdoc.get("per_circuit", {})
-        for entry in entries:
-            block = per_circuit.get(entry["name"]) or {
-                "sampled_s": 0.0,
-                "stages": {},
-            }
-            entry["profile"] = {
-                "sampled_s": block["sampled_s"],
-                "stages": {
-                    stage: info["functions"][:3]
-                    for stage, info in block["stages"].items()
-                    if info.get("functions")
-                },
-            }
-        profile_summary = {
-            "schema": pdoc["schema"],
-            "engine": pdoc["engine"],
-            "path": os.path.basename(profile_doc),
-            "wall_s": pdoc["wall_s"],
-            "attributed_pct": pdoc["attributed_pct"],
-        }
     doc = {
         "schema": BENCH_SCHEMA,
         "created_utc": _utc_now().strftime("%Y-%m-%dT%H:%M:%SZ"),
@@ -444,8 +390,6 @@ def run_bench(
             "circuits": len(entries),
         },
     }
-    if profile_summary is not None:
-        doc["profile"] = profile_summary
     if static_first:
         skipped = sum(
             1 for e in entries if e.get("static", {}).get("mc_skipped")
@@ -468,12 +412,12 @@ def run_bench(
     return doc
 
 
-def write_bench(doc: dict, path: str | None = None, tag: str | None = None) -> str:
+def write_bench(doc: dict, path: str | None = None) -> str:
     """Write the bench document (default ``BENCH_<UTC-date>.json``).
 
     An *explicit* ``path`` keeps plain overwrite semantics — the caller
     named the file, the caller owns it.  When the path is derived (no
-    ``path`` given, optionally a ``--tag``), the write is
+    ``path`` given), the write is
     **collision-aware**: a same-day document is never silently
     overwritten; the writer steps to a deterministic ``-2``, ``-3``, …
     suffix instead, so two benches on one UTC day both survive.
@@ -483,7 +427,7 @@ def write_bench(doc: dict, path: str | None = None, tag: str | None = None) -> s
             json.dump(doc, f, indent=2)
             f.write("\n")
         return path
-    base = default_bench_path(tag=tag)
+    base = default_bench_path()
     stem, ext = os.path.splitext(base)
     for n in range(1, 1000):
         candidate = base if n == 1 else f"{stem}-{n}{ext}"
@@ -600,18 +544,4 @@ def validate_bench(doc) -> list[str]:
                 problems.append(f"{where}.static: not an object")
             elif not isinstance(static.get("mc_skipped"), bool):
                 problems.append(f"{where}.static.mc_skipped: not a bool")
-        # profile is optional (only --profile-doc runs carry it) but its
-        # per-stage hotspot lists must be well-formed when present
-        prof = entry.get("profile")
-        if prof is not None:
-            if not isinstance(prof, dict):
-                problems.append(f"{where}.profile: not an object")
-            elif not isinstance(prof.get("stages"), dict):
-                problems.append(f"{where}.profile.stages: not an object")
-            else:
-                for stage, funcs in prof["stages"].items():
-                    if not isinstance(funcs, list):
-                        problems.append(
-                            f"{where}.profile.stages[{stage}]: not a list"
-                        )
     return problems

@@ -15,7 +15,7 @@ Three instrument kinds:
 
 Registries snapshot to plain dicts (:meth:`MetricsRegistry.snapshot`)
 for reports, and :meth:`export`/:meth:`merge` round-trip raw samples
-across a ``multiprocessing`` pipe so campaign workers can account work
+across a ``multiprocessing`` pipe so fuzz pool workers can account work
 into the parent's registry.
 
 The sample statistics every report shares live here too: the

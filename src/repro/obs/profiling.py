@@ -23,8 +23,8 @@ top functions, a global function table, folded stacks (collapsed-stack
 and speedscope renderings for flamegraphs), the metrics-registry work
 counters normalized to rates (cube-ops/sec, sim-events/sec …), and the
 environment fingerprint.  :func:`diff_profiles` compares two documents
-(``repro-profile-diff/1``: per-function self-time deltas, new and
-vanished frames) so a regression arrives with attribution.
+(per-function self-time deltas, new and vanished frames, per-stage
+deltas) so a regression arrives with attribution.
 
 Self-time subtraction uses the *union* of child-span intervals, not
 their sum — ``adopt``-merged spans from the fuzz executor pool overlap each other and their waiting parent, and a sum
@@ -46,7 +46,6 @@ from .trace import Span, Tracer, tracing
 
 __all__ = [
     "PROFILE_SCHEMA",
-    "PROFILE_DIFF_SCHEMA",
     "UNATTRIBUTED",
     "RATE_METRICS",
     "ProfileSession",
@@ -63,7 +62,6 @@ __all__ = [
 ]
 
 PROFILE_SCHEMA = "repro-profile/1"
-PROFILE_DIFF_SCHEMA = "repro-profile-diff/1"
 
 #: stage label for samples taken outside any open span
 UNATTRIBUTED = "<unattributed>"
@@ -175,7 +173,7 @@ class StackSampler:
     A daemon thread wakes every ``interval`` seconds, reads the target
     thread's Python stack from ``sys._current_frames()``, asks the
     tracer which span is open on that thread, and accumulates the
-    measured inter-sample delta under ``(circuit, stage, frames)``.
+    measured inter-sample delta under ``(stage, frames)``.
     Weighting by the *measured* delta (not the nominal interval) keeps
     the profile wall-time-faithful even when the sampler oversleeps.
     """
@@ -191,7 +189,7 @@ class StackSampler:
         self.interval = max(1e-4, float(interval))
         self.target_tid = target_tid
         self.max_depth = max_depth
-        #: ``{(circuit, stage, frames-tuple): seconds}``
+        #: ``{(stage, frames-tuple): seconds}``
         self.weights: dict[tuple, float] = {}
         self.sampled_s = 0.0
         self.count = 0
@@ -240,16 +238,8 @@ class StackSampler:
                     frames = frames[i:]
                     break
             stack = self.tracer.stack_of(self.target_tid)
-            stage = UNATTRIBUTED
-            circuit = ""
-            if stack:
-                stage = _stage_label(stack[-1])
-                for sp in reversed(stack):
-                    c = sp.attrs.get("circuit")
-                    if c:
-                        circuit = str(c)
-                        break
-            key = (circuit, stage, tuple(frames))
+            stage = _stage_label(stack[-1]) if stack else UNATTRIBUTED
+            key = (stage, tuple(frames))
             self.weights[key] = self.weights.get(key, 0.0) + dt
             self.sampled_s += dt
             self.count += 1
@@ -325,10 +315,9 @@ class ProfileSession:
         func_total: dict[str, float] = {}
         func_stage: dict[str, dict[str, float]] = {}
         folded: dict[str, float] = {}
-        per_circuit: dict[str, dict] = {}
         total_w = 0.0
         attributed_w = 0.0
-        for (circuit, stage, frames), w in weights.items():
+        for (stage, frames), w in weights.items():
             total_w += w
             if stage != UNATTRIBUTED:
                 attributed_w += w
@@ -340,13 +329,6 @@ class ProfileSession:
             fs[stage] = fs.get(stage, 0.0) + w
             fold_key = ";".join((stage,) + frames) if frames else stage
             folded[fold_key] = folded.get(fold_key, 0.0) + w
-            pc = per_circuit.setdefault(
-                circuit or "", {"sampled_s": 0.0, "stages": {}}
-            )
-            pc["sampled_s"] += w
-            ps = pc["stages"].setdefault(stage, {"sampled_s": 0.0, "funcs": {}})
-            ps["sampled_s"] += w
-            ps["funcs"][leaf] = ps["funcs"].get(leaf, 0.0) + w
 
         def _func_rows(stage: str, limit: int) -> list[dict]:
             rows = sorted(
@@ -399,7 +381,7 @@ class ProfileSession:
             for inst, key in RATE_METRICS.items()
             if inst in flat and self.wall_s > 0
         }
-        doc = {
+        return {
             "schema": PROFILE_SCHEMA,
             "created_utc": datetime.datetime.now(datetime.timezone.utc).strftime(
                 "%Y-%m-%dT%H:%M:%SZ"
@@ -427,40 +409,6 @@ class ProfileSession:
             "metrics": {k: flat[k] for k in sorted(flat)},
             "rates": rates,
         }
-        if per_circuit:
-            doc["per_circuit"] = {
-                circ: {
-                    "sampled_s": round(pc["sampled_s"], 6),
-                    "stages": {
-                        stage: {
-                            "sampled_s": round(ps["sampled_s"], 6),
-                            "functions": [
-                                {
-                                    "func": f,
-                                    "self_s": round(w, 6),
-                                    "pct": round(
-                                        100.0
-                                        * w
-                                        / (ps["sampled_s"] or 1e-12),
-                                        2,
-                                    ),
-                                }
-                                for f, w in sorted(
-                                    ps["funcs"].items(),
-                                    key=lambda kv: (-kv[1], kv[0]),
-                                )[:5]
-                            ],
-                        }
-                        for stage, ps in sorted(
-                            pc["stages"].items(),
-                            key=lambda kv: -kv[1]["sampled_s"],
-                        )
-                    },
-                }
-                for circ, pc in sorted(per_circuit.items())
-                if circ
-            }
-        return doc
 
 
 # ----------------------------------------------------------------------
@@ -516,7 +464,7 @@ def _func_selfs(doc: dict) -> dict[str, float]:
 
 
 def diff_profiles(a: dict, b: dict, top: int = 40, eps: float = 1e-6) -> dict:
-    """Differential profile ``b − a`` (``repro-profile-diff/1``).
+    """Differential profile ``b − a``.
 
     Per-function self-time deltas (from the untruncated folded stacks),
     functions new in ``b`` / vanished since ``a``, and per-stage wall
@@ -569,7 +517,6 @@ def diff_profiles(a: dict, b: dict, top: int = 40, eps: float = 1e-6) -> dict:
 
     moved = [r for r in rows if abs(r["delta_s"]) > eps]
     return {
-        "schema": PROFILE_DIFF_SCHEMA,
         "a": _head(a),
         "b": _head(b),
         "wall_delta_s": round(
@@ -589,8 +536,7 @@ def hotspot_summary(
     """Top-``top`` functions per stage of a profile document.
 
     ``stages`` restricts to those stage names (None = all).  Used by
-    the regress gate (suspect phases only) and the bench per-entry
-    hotspot blocks.
+    the regress gate (convicted phases only).
     """
     out: dict[str, list[dict]] = {}
     for stage, block in doc.get("stages", {}).items():

@@ -24,12 +24,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 __all__ = [
     "HISTORY_SCHEMA",
     "DEFAULT_HISTORY_DIR",
-    "PruneReport",
     "RunEntry",
     "RunHistory",
     "fingerprint_digest",
@@ -69,29 +68,6 @@ class RunEntry:
     def identity(self) -> tuple[str, str, str | None, str]:
         """The dedup key: same run recorded twice looks exactly alike."""
         return (self.kind, self.created_utc, self.git_sha, self.env_digest)
-
-
-@dataclass
-class PruneReport:
-    """What :meth:`RunHistory.prune` did (or would do, on a dry run)."""
-
-    kept: list[str] = field(default_factory=list)
-    removed: list[str] = field(default_factory=list)
-    #: prune candidates that survived because another ledger entry
-    #: references them as a baseline (regress profile baselines, bench
-    #: documents a regress run compared against)
-    protected: list[str] = field(default_factory=list)
-    dry_run: bool = False
-
-    def describe(self) -> str:
-        verb = "would remove" if self.dry_run else "removed"
-        out = (
-            f"{verb} {len(self.removed)} entr(ies), "
-            f"kept {len(self.kept)}"
-        )
-        if self.protected:
-            out += f" ({len(self.protected)} protected as referenced baselines)"
-        return out
 
 
 class RunHistory:
@@ -257,93 +233,3 @@ class RunHistory:
                 f"(got {doc.get('schema')!r})"
             )
         return doc
-
-    # ------------------------------------------------------------------
-    # compaction
-    # ------------------------------------------------------------------
-    def referenced_files(self) -> set[str]:
-        """Ledger files other entries reference as baselines.
-
-        Two reference edges exist today: a regress document's
-        ``profile_baseline`` names the profile file its hotspot deltas
-        came from, and its ``baseline`` block (created_utc + git SHA)
-        identifies the bench document it compared against.  Pruning one
-        of these out from under a kept regress run would orphan its
-        evidence, so :meth:`prune` never removes them.
-        """
-        entries = self.entries()
-        protected: set[str] = set()
-        bench_refs: set[tuple[str, str | None]] = set()
-        for entry in entries:
-            if entry.kind != "regress":
-                continue
-            try:
-                doc = self.load(entry).get("doc") or {}
-            except (OSError, ValueError):
-                continue
-            profile_file = doc.get("profile_baseline")
-            if isinstance(profile_file, str) and profile_file:
-                protected.add(profile_file)
-            base = doc.get("baseline") or {}
-            if base.get("created_utc"):
-                bench_refs.add((str(base["created_utc"]), base.get("git_sha")))
-        for entry in entries:
-            if entry.kind == "bench" and any(
-                entry.created_utc == created
-                and (sha is None or entry.git_sha == sha)
-                for created, sha in bench_refs
-            ):
-                protected.add(entry.file)
-        return protected
-
-    def prune(
-        self,
-        keep_last: int,
-        kind: str | None = None,
-        dry_run: bool = False,
-    ) -> PruneReport:
-        """Compact the ledger to the last ``keep_last`` runs per kind.
-
-        ``kind`` restricts pruning to one document kind (other kinds
-        are untouched).  Entries referenced as regress/profile baselines
-        survive regardless of age (see :meth:`referenced_files`), as
-        does the newest entry of every kind.  The index is rewritten
-        atomically (tmp file + rename) with only the surviving entries
-        — this is the one deliberate exception to append-only, and it
-        lives behind an explicit CLI, not the write path.
-        """
-        if keep_last < 1:
-            raise ValueError("keep_last must be >= 1")
-        entries = self.entries()
-        protected = self.referenced_files()
-        report = PruneReport(dry_run=dry_run)
-        by_kind: dict[str, list[RunEntry]] = {}
-        for entry in entries:
-            by_kind.setdefault(entry.kind, []).append(entry)
-        drop: set[str] = set()
-        for k, group in by_kind.items():
-            if kind is not None and k != kind:
-                continue
-            for entry in group[:-keep_last]:
-                if entry.file in protected:
-                    report.protected.append(entry.file)
-                else:
-                    drop.add(entry.file)
-        for entry in entries:
-            (report.removed if entry.file in drop else report.kept).append(
-                entry.file
-            )
-        if dry_run or not drop:
-            return report
-        survivors = [e for e in entries if e.file not in drop]
-        tmp = self.index_path + ".tmp"
-        with open(tmp, "w") as f:
-            for e in survivors:
-                f.write(json.dumps(asdict(e)) + "\n")
-        os.replace(tmp, self.index_path)
-        for name in sorted(drop):
-            try:
-                os.remove(os.path.join(self.root, name))
-            except FileNotFoundError:
-                pass  # index said it existed; the ledger heals anyway
-        return report

@@ -22,9 +22,9 @@ regression and a shrinking hazard margin are visible side by side.
 Confirmed regressions additionally get **hotspot attribution**: the
 convicted circuit is re-run under the stage-scoped sampling profiler
 (:mod:`repro.obs.profiling`) and the report names the top functions by
-self time inside the regressed phases — with baseline self-time deltas
-when the run-history registry holds a committed profile document — so
-a red number arrives with the function that caused it.  Exit contract
+self time inside the regressed phases, so a red number arrives with the
+function that caused it (``repro profile --diff`` says what moved
+between two profiles).  Exit contract
 matches ``repro lint``: 0 clean, 1 confirmed regressions, 2 internal
 error.
 """
@@ -58,6 +58,9 @@ THRESHOLDS_SCHEMA = "repro-thresholds/1"
 
 #: the committed threshold config the auto-ratchet rewrites
 DEFAULT_THRESHOLDS_PATH = os.path.join("benchmarks", "regress-thresholds.json")
+
+#: hotspot functions reported per convicted phase
+HOTSPOT_TOP = 5
 
 
 @dataclass(frozen=True)
@@ -235,12 +238,8 @@ class RegressReport:
     #: structurally instead of crashing the fresh run
     skipped_unknown: list[str] = field(default_factory=list)
     #: hotspot rows for convicted circuits: one dict per (circuit,
-    #: phase, function) with self seconds, share of the phase, and —
-    #: when a baseline profile document was available — the baseline
-    #: self seconds and the delta
+    #: phase, function) with self seconds and share of the phase
     hotspots: list[dict] = field(default_factory=list)
-    #: where the baseline profile came from (history filename), if any
-    profile_baseline: str | None = None
 
     @property
     def regressions(self) -> list[PhaseDelta]:
@@ -281,7 +280,6 @@ class RegressReport:
             "skipped_unknown": self.skipped_unknown,
             "deltas": [d.to_dict() for d in self.deltas],
             "hotspots": self.hotspots,
-            "profile_baseline": self.profile_baseline,
             "current": self.current,
         }
 
@@ -311,12 +309,9 @@ class RegressReport:
             if d.status != "ok":
                 lines.append("  " + d.render())
         for h in self.hotspots[:10]:
-            delta = h.get("delta_s")
             lines.append(
                 f"  hotspot {h['circuit']}/{h['stage']}: {h['func']} "
-                f"{h['self_s'] * 1e3:.1f} ms ({h['pct']:.0f}% of phase"
-                + (f", {delta * 1e3:+.1f} ms vs baseline" if delta is not None else "")
-                + ")"
+                f"{h['self_s'] * 1e3:.1f} ms ({h['pct']:.0f}% of phase)"
             )
         if self.skipped:
             lines.append(
@@ -368,30 +363,20 @@ class RegressReport:
                 )
             out.append("")
         if self.hotspots:
-            source = (
-                f"baseline self-times from `{self.profile_baseline}`"
-                if self.profile_baseline
-                else "no committed baseline profile — deltas unavailable"
-            )
             out += [
                 "## Hotspot attribution",
                 "",
                 "Convicted circuits re-profiled under the stage-scoped "
-                f"sampler; top functions by self time inside the regressed "
-                f"phases ({source}).",
+                "sampler; top functions by self time inside the regressed "
+                "phases.",
                 "",
-                "| circuit | phase | function | self (ms) | % of phase "
-                "| baseline (ms) | Δ (ms) |",
-                "|---|---|---|--:|--:|--:|--:|",
+                "| circuit | phase | function | self (ms) | % of phase |",
+                "|---|---|---|--:|--:|",
             ]
             for h in self.hotspots:
-                base = h.get("base_s")
-                delta = h.get("delta_s")
                 out.append(
                     f"| {h['circuit']} | {h['stage']} | `{h['func']}` "
-                    f"| {h['self_s'] * 1e3:.2f} | {h['pct']:.1f} "
-                    f"| {'—' if base is None else f'{base * 1e3:.2f}'} "
-                    f"| {'—' if delta is None else f'{delta * 1e3:+.2f}'} |"
+                    f"| {h['self_s'] * 1e3:.2f} | {h['pct']:.1f} |"
                 )
             out.append("")
         tele_rows = [
@@ -477,8 +462,6 @@ def run_regress(
     telemetry: bool = True,
     progress=None,
     hotspots: bool = True,
-    hotspot_top: int = 5,
-    history_dir: str | None = None,
 ) -> RegressReport:
     """Benchmark now, compare against ``baseline``, re-measure suspects.
 
@@ -489,10 +472,8 @@ def run_regress(
 
     ``hotspots`` (default on) re-runs each *convicted* circuit under
     the stage-scoped sampling profiler and attaches the top
-    ``hotspot_top`` functions by self time within the regressed phases
-    to the report; with ``history_dir`` the latest committed profile
-    document supplies baseline self-times so each hotspot carries a
-    delta, not just an absolute number.
+    :data:`HOTSPOT_TOP` functions by self time within the regressed
+    phases to the report.
     """
     thresholds = thresholds or ThresholdPolicy()
     if isinstance(thresholds, Thresholds):
@@ -564,7 +545,7 @@ def run_regress(
             # min-of-N over whole-circuit re-measures: one extra bench run
             # re-times every suspect phase of that circuit at once
             for _ in range(max(1, thresholds.confirm_runs)):
-                entry, _tracer = bench_circuit(
+                entry = bench_circuit(
                     name, runs=1, verify_runs=verify_runs
                 )
                 timed = dict(_comparisons(entry))
@@ -576,64 +557,18 @@ def run_regress(
                 if d.best_s <= d.allowed_s:
                     d.status = "cleared"
     if hotspots and report.regressions:
-        _attribute_hotspots(
-            report,
-            verify_runs=verify_runs,
-            top=hotspot_top,
-            history_dir=history_dir,
-        )
+        _attribute_hotspots(report, verify_runs=verify_runs)
     return report
 
 
-def _baseline_profile(history_dir: str | None) -> tuple[dict | None, str | None]:
-    """The latest committed ``repro-profile/1`` document in the
-    run-history registry, or (None, None) when there is none."""
-    if not history_dir:
-        return None, None
-    from .registry import RunHistory
-
-    history = RunHistory(history_dir)
-    entry = history.latest("profile")
-    if entry is None:
-        return None, None
-    try:
-        envelope = history.load(entry)
-    except (OSError, ValueError):
-        return None, None
-    return envelope.get("doc") or None, entry.file
-
-
-def _attribute_hotspots(
-    report: RegressReport,
-    verify_runs: int,
-    top: int,
-    history_dir: str | None,
-) -> None:
+def _attribute_hotspots(report: RegressReport, verify_runs: int) -> None:
     """Profile each convicted circuit and fill ``report.hotspots``.
 
     The profile run happens *after* conviction, on the same (possibly
     still-slow) code paths, so the function responsible for the
-    regression dominates its phase's sample weight.  Baseline self-
-    times are matched per (stage, function) against the per-circuit
-    block of the committed profile document when one exists.
+    regression dominates its phase's sample weight.
     """
     from .profiling import hotspot_summary, profile_suite
-
-    base_doc, base_file = _baseline_profile(history_dir)
-    report.profile_baseline = base_file
-
-    def base_self(circuit: str, stage: str, func: str) -> float | None:
-        if base_doc is None:
-            return None
-        blocks = [
-            (base_doc.get("per_circuit") or {}).get(circuit, {}).get("stages", {}),
-            base_doc.get("stages", {}),
-        ]
-        for stages in blocks:
-            for f in (stages.get(stage) or {}).get("functions", []):
-                if f.get("func") == func:
-                    return float(f.get("self_s", 0.0))
-        return None
 
     convicted: dict[str, set[str]] = {}
     for d in report.regressions:
@@ -643,18 +578,15 @@ def _attribute_hotspots(
         # 'total' is not a span name; a total-only conviction means the
         # slowdown is smeared, so attribute across every sampled stage
         stages = convicted[circuit] - {"total"}
-        summary = hotspot_summary(doc, stages=stages or None, top=top)
+        summary = hotspot_summary(doc, stages=stages or None, top=HOTSPOT_TOP)
         for stage, funcs in summary.items():
             for f in funcs:
-                row = {
-                    "circuit": circuit,
-                    "stage": stage,
-                    "func": f["func"],
-                    "self_s": f["self_s"],
-                    "pct": f["pct"],
-                }
-                base = base_self(circuit, stage, f["func"])
-                if base is not None:
-                    row["base_s"] = base
-                    row["delta_s"] = round(f["self_s"] - base, 6)
-                report.hotspots.append(row)
+                report.hotspots.append(
+                    {
+                        "circuit": circuit,
+                        "stage": stage,
+                        "func": f["func"],
+                        "self_s": f["self_s"],
+                        "pct": f["pct"],
+                    }
+                )

@@ -1,7 +1,7 @@
 """Span-based tracing for the N-SHOT pipeline.
 
 A *span* is one timed, named piece of work (a pipeline phase, an oracle
-run, a campaign unit) with arbitrary key/value attributes.  Spans nest:
+run, a fuzz unit) with arbitrary key/value attributes.  Spans nest:
 the tracer keeps a per-thread stack of open spans, so a ``minimize``
 span started while ``synthesize`` is open becomes its child.  The whole
 module is dependency-free (stdlib only) so every layer of the pipeline
@@ -22,9 +22,8 @@ Design rules:
   spans home as a picklable export; the parent re-parents them under
   its own span tree with :meth:`Tracer.adopt`, remapping span ids so a
   merge never collides or drops spans;
-* **stable exports** — :meth:`Tracer.to_json` emits the documented
-  ``repro-trace/1`` schema and :meth:`Tracer.to_chrome` the Chrome
-  ``trace_event`` format (open via ``about://tracing`` or Perfetto).
+* **stable export** — :meth:`Tracer.to_json` emits the documented
+  ``repro-trace/1`` schema.
 
 Typical instrumentation::
 
@@ -46,7 +45,6 @@ Enabling for one block (CLI ``--profile``, the bench harness)::
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -311,7 +309,7 @@ class Tracer:
         return len(rows)
 
     # ------------------------------------------------------------------
-    # exports
+    # export
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
         """The stable ``repro-trace/1`` document (documented in
@@ -336,31 +334,6 @@ class Tracer:
                 for s in spans
             ],
         }
-
-    def to_chrome(self) -> dict:
-        """Chrome ``trace_event`` JSON (complete 'X' events, µs)."""
-        spans = [s for s in self.spans() if s.end is not None]
-        origin = min((s.start for s in spans), default=0.0)
-        return {
-            "displayTimeUnit": "ms",
-            "traceEvents": [
-                {
-                    "name": s.name,
-                    "cat": "repro",
-                    "ph": "X",
-                    "ts": (s.start - origin) * 1e6,
-                    "dur": s.duration * 1e6,
-                    "pid": s.pid,
-                    "tid": s.tid,
-                    "args": s.attrs,
-                }
-                for s in spans
-            ],
-        }
-
-    def write_chrome(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_chrome(), f, indent=1)
 
     # ------------------------------------------------------------------
     # human rendering (``--profile``)

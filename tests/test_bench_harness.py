@@ -62,7 +62,7 @@ def quick_doc():
 # ----------------------------------------------------------------------
 class TestBenchCircuit:
     def test_entry_shape_and_phase_coverage(self):
-        entry, tracer = bench_circuit("chu172", runs=2, verify_runs=1)
+        entry = bench_circuit("chu172", runs=2, verify_runs=1)
         assert entry["name"] == "chu172"
         assert entry["runs"] == 2
         assert entry["states"] > 0
@@ -75,11 +75,11 @@ class TestBenchCircuit:
             assert p["p90_s"] >= p["median_s"]
             assert p["calls"] >= 1
         assert entry["total"]["median_s"] > 0.0
-        # the returned tracer is the last run's span set
-        assert any(s.name == "bench-run" for s in tracer.spans())
+        # every run is one bench-run span
+        assert entry["phases"]["bench-run"]["calls"] == 1
 
     def test_work_metrics_recorded(self):
-        entry, _ = bench_circuit("chu172", runs=1, verify_runs=1)
+        entry = bench_circuit("chu172", runs=1, verify_runs=1)
         metrics = entry["metrics"]
         assert set(metrics) == set(WORK_METRICS.values())
         assert metrics["sim_events"] > 0
@@ -141,13 +141,6 @@ class TestRunBench:
         )
         assert seen == ["chu172"]
 
-    def test_chrome_trace_written(self, tmp_path):
-        path = tmp_path / "trace.json"
-        run_bench(circuits=["chu172"], quick=True, chrome_trace=str(path))
-        doc = json.loads(path.read_text())
-        names = {ev["name"] for ev in doc["traceEvents"]}
-        assert "bench-run" in names and "synthesize" in names
-
 
 class TestEnvironmentAndIO:
     def test_fingerprint_keys(self):
@@ -166,16 +159,6 @@ class TestEnvironmentAndIO:
         path = write_bench(quick_doc, str(tmp_path / "BENCH_test.json"))
         assert json.loads(pathlib.Path(path).read_text()) == quick_doc
 
-    def test_default_path_tag_suffix(self):
-        assert re.fullmatch(
-            r"\./BENCH_\d{4}-\d{2}-\d{2}-static\.json",
-            default_bench_path(tag="static"),
-        )
-
-    def test_tag_validation(self):
-        with pytest.raises(ValueError, match="tag"):
-            default_bench_path(tag="../evil")
-
     def test_default_path_never_overwrites(
         self, tmp_path, quick_doc, monkeypatch
     ):
@@ -193,15 +176,6 @@ class TestEnvironmentAndIO:
             json.loads(pathlib.Path(second).read_text())["runs_per_circuit"]
             == 99
         )
-
-    def test_tagged_default_path_collision_steps(
-        self, tmp_path, quick_doc, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        first = write_bench(quick_doc, tag="static")
-        second = write_bench(quick_doc, tag="static")
-        assert "-static" in first
-        assert second == first.replace(".json", "-2.json")
 
     def test_explicit_path_keeps_overwrite_semantics(
         self, tmp_path, quick_doc

@@ -405,7 +405,7 @@ class TestStaticFirst:
     def test_bench_entry_records_skip(self):
         from repro.obs.harness import bench_circuit, validate_bench
 
-        entry, _tracer = bench_circuit(
+        entry = bench_circuit(
             "chu150", runs=1, verify_runs=1, static_first=True
         )
         assert entry["static"]["mc_skipped"] is True

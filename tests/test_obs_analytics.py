@@ -8,7 +8,8 @@ Acceptance properties:
 * a synthetic step-slowdown ledger makes the changepoint detector flag
   exactly the injected commit range — no phantom neighbours;
 * ``propose_ratchet`` only ever emits thresholds at or above the
-  clamps, and ``apply_ratchet`` never loosens without ``allow_loosen``.
+  clamps, every band it tightens admits the runs it was derived from
+  (on the committed ledger too), and ``apply_ratchet`` never loosens.
 """
 
 import json
@@ -19,7 +20,6 @@ import pytest
 from repro.obs import analytics
 from repro.obs.analytics import (
     ANALYTICS_SCHEMA,
-    RATCHET_SCHEMA,
     RatchetError,
     SeriesPoint,
     analyze,
@@ -31,7 +31,15 @@ from repro.obs.analytics import (
 )
 from repro.obs.metrics import mad, median
 from repro.obs.registry import RunHistory
-from repro.obs.regress import ThresholdPolicy, Thresholds
+from repro.obs.regress import (
+    DEFAULT_THRESHOLDS_PATH,
+    THRESHOLDS_SCHEMA,
+    ThresholdPolicy,
+    Thresholds,
+    load_threshold_config,
+)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 ENV = {
     "python": "3.12.0",
@@ -293,10 +301,11 @@ class TestProposeRatchet:
         history = RunHistory(str(tmp_path / "h"))
         _fill(history, n=8, total_s=0.010)
         proposal = propose_ratchet(history, ThresholdPolicy())
-        assert proposal["schema"] == RATCHET_SCHEMA
-        by_phase = {r["phase"]: r for r in proposal["phases"]}
+        assert proposal["schema"] == THRESHOLDS_SCHEMA
+        by_phase = proposal["evidence"]
         assert by_phase["total"]["action"] == "tighten"
-        assert proposal["tightened"] >= 1
+        # the tightened band is the policy's, as a whole
+        assert proposal["phases"]["total"] == by_phase["total"]["proposed"]
         # a dead-quiet series still never ratchets below the clamps
         assert by_phase["total"]["proposed"]["rel"] >= 0.05
         assert by_phase["total"]["proposed"]["abs_s"] >= 0.0005
@@ -310,7 +319,7 @@ class TestProposeRatchet:
         proposal = propose_ratchet(
             history, ThresholdPolicy(default=Thresholds(rel=0.5))
         )
-        assert "total" in proposal["stale_phases"]
+        assert "total" in proposal["stale"]
 
     def test_noisy_phase_proposes_loosen(self, tmp_path):
         history = RunHistory(str(tmp_path / "h"))
@@ -321,14 +330,15 @@ class TestProposeRatchet:
         proposal = propose_ratchet(
             history, ThresholdPolicy(default=Thresholds(rel=0.05, abs_s=0.0005))
         )
-        by_phase = {r["phase"]: r for r in proposal["phases"]}
-        assert by_phase["total"]["action"] == "loosen"
+        assert proposal["evidence"]["total"]["action"] == "loosen"
+        # a loosening is never proposed as a band, only reported
+        assert proposal["phases"] == {}
 
     def test_too_few_runs_no_evidence(self, tmp_path):
         history = RunHistory(str(tmp_path / "h"))
         _fill(history, n=2)
         proposal = propose_ratchet(history, ThresholdPolicy())
-        assert proposal["phases"] == []
+        assert proposal["evidence"] == {} and proposal["phases"] == {}
 
     def test_clean_tail_excludes_the_old_level(self, tmp_path):
         """A freshly-landed perf win must not widen the floor: the
@@ -337,8 +347,7 @@ class TestProposeRatchet:
         _fill(history, n=6, total_s=0.040, start=0)
         _fill(history, n=6, total_s=0.010, start=6)
         proposal = propose_ratchet(history, ThresholdPolicy())
-        by_phase = {r["phase"]: r for r in proposal["phases"]}
-        ev = by_phase["total"]["circuits"][0]
+        ev = proposal["evidence"]["total"]["circuits"][0]
         assert ev["median_s"] == pytest.approx(0.010)
         assert ev["n"] <= 6
 
@@ -363,44 +372,72 @@ class TestApplyRatchet:
             default=Thresholds(rel=0.001, abs_s=0.000001)
         )
         proposal = self._proposal(tmp_path, tight)
-        assert any(r["action"] == "loosen" for r in proposal["phases"])
+        assert proposal["evidence"]["total"]["action"] == "loosen"
+        # the proposal itself keeps the tight bands ...
+        assert apply_ratchet(proposal, tight) == tight
+        # ... and a hand edit that loosens one is refused
+        proposal["phases"]["total"] = proposal["evidence"]["total"]["proposed"]
         with pytest.raises(RatchetError, match="loosen"):
             apply_ratchet(proposal, tight)
         # and the policy is untouched on refusal
         assert tight.phases == {}
 
-    def test_allow_loosen_applies_verbatim(self, tmp_path):
-        tight = ThresholdPolicy(
-            default=Thresholds(rel=0.001, abs_s=0.000001)
-        )
-        proposal = self._proposal(tmp_path, tight)
-        new = apply_ratchet(proposal, tight, allow_loosen=True)
-        by_phase = {r["phase"]: r for r in proposal["phases"]}
-        for phase, t in new.phases.items():
-            assert t.rel == pytest.approx(by_phase[phase]["proposed"]["rel"])
-
     def test_rejects_wrong_schema(self):
-        with pytest.raises(ValueError, match="repro-ratchet/1"):
+        with pytest.raises(ValueError, match="repro-thresholds/1"):
             apply_ratchet({"schema": "nope/9"}, ThresholdPolicy())
 
     def test_never_looser_even_on_mixed_rows(self):
-        """A hand-built tighten row that sneaks in a looser abs_s must
-        tighten rel and keep the committed abs_s."""
+        """A hand-built band that tightens ``rel`` but sneaks in a looser
+        ``abs_s`` is refused as a whole: it allows more at the evidence
+        median."""
         policy = ThresholdPolicy()
         proposal = {
-            "schema": RATCHET_SCHEMA,
-            "phases": [
-                {
-                    "phase": "minimize",
-                    "action": "tighten",
-                    "proposed": {"rel": 0.10, "abs_s": 9.0},
-                }
-            ],
+            "schema": THRESHOLDS_SCHEMA,
+            **policy.to_json(),
+            "evidence": {"minimize": {"circuits": [{"median_s": 0.002}]}},
         }
-        new = apply_ratchet(proposal, policy)
-        t = new.phases["minimize"]
-        assert t.rel == pytest.approx(0.10)
-        assert t.abs_s == pytest.approx(policy.default.abs_s)
+        proposal["phases"] = {"minimize": {"rel": 0.10, "abs_s": 9.0}}
+        with pytest.raises(RatchetError, match="minimize"):
+            apply_ratchet(proposal, policy)
+        # a band looser in rel but tighter at every evidence median is
+        # no loosening
+        proposal["phases"] = {"minimize": {"rel": 1.0, "abs_s": 0.001}}
+        t = apply_ratchet(proposal, policy).phases["minimize"]
+        assert (t.rel, t.abs_s) == (1.0, 0.001)
+
+
+class TestCommittedLedgerRatchet:
+    """The ratchet on the committed ``benchmarks/history/`` ledger and
+    threshold config: a tightened band must admit every run of the
+    clean evidence tail it was derived from."""
+
+    def test_tightened_bands_admit_their_evidence(self):
+        history = os.path.join(ROOT, "benchmarks", "history")
+        policy = load_threshold_config(
+            os.path.join(ROOT, DEFAULT_THRESHOLDS_PATH)
+        )
+        ledger = load_ledger(history)
+        new = apply_ratchet(propose_ratchet(ledger, policy), policy)
+        stratum = ledger.current_stratum()
+        rejected = []
+        tightened = set()
+        for (circuit, phase), pts in sorted(phase_series(ledger).items()):
+            band = new.for_phase(phase)
+            if band == policy.for_phase(phase):
+                continue
+            tightened.add(phase)
+            series = [p for p in pts if p.env_digest == stratum]
+            cps = detect_changepoints(series)
+            tail = [p.value for p in series[cps[-1].index if cps else 0 :]]
+            tail = tail[-10:]
+            if len(tail) < 3:
+                continue
+            allowed = band.allowed(median(tail))
+            over = [v for v in tail if v > allowed]
+            if over:
+                rejected.append((phase, circuit, len(over), len(tail)))
+        assert tightened, "the committed ledger tightens nothing"
+        assert rejected == []
 
 
 class TestRoundTrip:

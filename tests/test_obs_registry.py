@@ -182,74 +182,3 @@ class TestReaderTolerance:
         entries, torn = hist.scan()
         assert len(entries) == 1
         assert torn == 2
-
-
-class TestPrune:
-    def _fill(self, hist, n, kind="bench"):
-        for i in range(n):
-            hist.append(kind, _doc(created=f"2026-08-06T12:00:{i:02d}Z"))
-
-    def test_keep_last_per_kind(self, tmp_path):
-        hist = RunHistory(str(tmp_path / "h"))
-        self._fill(hist, 5)
-        report = hist.prune(keep_last=2)
-        assert len(report.removed) == 3
-        assert len(hist.entries()) == 2
-        # the removed files are really gone
-        import os
-
-        for name in report.removed:
-            assert not os.path.exists(os.path.join(hist.root, name))
-
-    def test_kind_filter_leaves_other_kinds(self, tmp_path):
-        hist = RunHistory(str(tmp_path / "h"))
-        self._fill(hist, 4, kind="bench")
-        self._fill(hist, 4, kind="profile")
-        hist.prune(keep_last=1, kind="profile")
-        assert len(hist.entries("bench")) == 4
-        assert len(hist.entries("profile")) == 1
-
-    def test_dry_run_touches_nothing(self, tmp_path):
-        hist = RunHistory(str(tmp_path / "h"))
-        self._fill(hist, 4)
-        report = hist.prune(keep_last=1, dry_run=True)
-        assert report.dry_run and len(report.removed) == 3
-        assert len(hist.entries()) == 4
-
-    def test_keep_last_validated(self, tmp_path):
-        with pytest.raises(ValueError, match="keep_last"):
-            RunHistory(str(tmp_path / "h")).prune(keep_last=0)
-
-    def test_referenced_baselines_survive(self, tmp_path):
-        """An old bench a regress run compared against, and the profile
-        file its hotspot deltas came from, must survive any prune."""
-        hist = RunHistory(str(tmp_path / "h"))
-        old_bench = hist.append("bench", _doc(created="2026-08-06T12:00:00Z"))
-        profile = hist.append(
-            "profile",
-            {
-                "schema": "repro-profile/1",
-                "created_utc": "2026-08-06T12:00:01Z",
-                "env": ENV,
-                "functions": [],
-            },
-        )
-        self._fill(hist, 5)  # newer benches push the old one past keep-last
-        hist.append(
-            "regress",
-            {
-                "schema": "repro-regress/1",
-                "created_utc": "2026-08-06T12:01:00Z",
-                "env": ENV,
-                "baseline": {
-                    "created_utc": "2026-08-06T12:00:00Z",
-                    "git_sha": ENV["git_sha"],
-                },
-                "profile_baseline": profile.file,
-            },
-        )
-        report = hist.prune(keep_last=1)
-        kept = {e.file for e in hist.entries()}
-        assert old_bench.file in kept
-        assert profile.file in kept
-        assert old_bench.file in report.protected

@@ -110,7 +110,7 @@ class TestSlowdownConviction:
         monkeypatch.setattr(
             regress_mod,
             "bench_circuit",
-            lambda name, **_kw: (copy.deepcopy(entry), None),
+            lambda name, **_kw: copy.deepcopy(entry),
         )
         report = run_regress(
             baseline,

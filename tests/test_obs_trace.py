@@ -171,16 +171,6 @@ class TestExports:
         assert by_name["child"]["dur"] <= by_name["root"]["dur"]
         assert by_name["child"]["attrs"] == {"states": 7}
 
-    def test_chrome_trace_format(self, tmp_path):
-        tr = self._tracer_with_tree()
-        doc = tr.to_chrome()
-        assert all(ev["ph"] == "X" for ev in doc["traceEvents"])
-        assert all(ev["ts"] >= 0.0 for ev in doc["traceEvents"])
-        path = tmp_path / "trace.json"
-        tr.write_chrome(str(path))
-        loaded = json.loads(path.read_text())
-        assert {ev["name"] for ev in loaded["traceEvents"]} == {"root", "child"}
-
     def test_render_tree_indents_children(self):
         text = self._tracer_with_tree().render_tree()
         lines = text.splitlines()

@@ -66,7 +66,7 @@ def _documented_labels() -> set[str]:
 
 def test_bench_and_profile_labels_are_documented():
     documented = _documented_labels()
-    entry, _tracer = bench_circuit("converta", runs=1, verify_runs=1)
+    entry = bench_circuit("converta", runs=1, verify_runs=1)
     doc = profile_suite(circuits=["converta"])
     produced = set(entry["phases"]) | (set(doc["stages"]) - {UNATTRIBUTED})
     assert produced, "no span labels recorded"
