@@ -129,12 +129,9 @@ def trigger_obligations(spec: "SopSpec", cover: Cover) -> list[Obligation]:
                         "region": tr.label(sg),
                         "states": _states(tr)[:_WITNESS_CUBES],
                     }
+                    codes = tr.codes(sg.dense())
                     cube = next(
-                        (
-                            c
-                            for c in col
-                            if all(c.contains_minterm(sg.code(s)) for s in tr.states)
-                        ),
+                        (c for c in col if all(map(c.contains_minterm, codes))),
                         None,
                     )
                     verdict, detail = PROVED, ""

@@ -228,7 +228,7 @@ def synthesize_beerel(
                 [Pin(plane_nets["set"]), Pin(plane_nets["reset"])],
                 sig,
                 output_n=sig + "_n",
-                attrs={"init": sg.value(sg.initial, a)},
+                attrs={"init": sg.initial_code >> a & 1},
             )
         )
     return BeerelResult(

@@ -133,8 +133,8 @@ def static_one_hazard_pairs(
     Listed by ascending dense state number of the source, so the order
     does not depend on the hash seed.
     """
-    ids = sg.dense().ids
-    return [(ids[s], ids[d]) for s, _a, d in _static_one_arcs(sg, spec)]
+    label = sg.dense().label
+    return [(label(s), label(d)) for s, _a, d in _static_one_arcs(sg, spec)]
 
 
 def add_hazard_cover_cubes(
@@ -213,8 +213,8 @@ def function_hazard_states(sg: StateGraph, spec: NextStateSpec) -> list[StateId]
     glitch-free across it, whatever the cover.  The bounded-delay flow
     must mask such hazards with delay lines.
     """
-    ids = sg.dense().ids
-    return [ids[s] for s in _function_hazards(sg, spec)]
+    label = sg.dense().label
+    return [label(s) for s in _function_hazards(sg, spec)]
 
 
 def sop_plane(nl: Netlist, cover: Cover, names: Sequence[str], tag: str) -> str:

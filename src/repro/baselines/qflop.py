@@ -117,7 +117,7 @@ def synthesize_qmodule(
                 [Pin(plane), Pin(plane, inverted=True)],
                 sig,
                 output_n=sig + "_fb",
-                attrs={"init": sg.value(sg.initial, a)},
+                attrs={"init": sg.initial_code >> a & 1},
             )
         )
         done_nets.append(sig)

@@ -130,11 +130,12 @@ def build_nshot_netlist(
         cube_net[i] = net
         return net
 
+    code0 = sg.initial_code
     for a in sg.non_inputs:
         sig_name = sg.signals[a]
         q, qn = rails[a]
         req = (delay_requirements or {}).get(a)
-        init = (init_values or {}).get(a, sg.value(sg.initial, a))
+        init = (init_values or {}).get(a, code0 >> a & 1)
 
         gated: dict[str, str] = {}
         for kind in ("set", "reset"):

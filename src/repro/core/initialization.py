@@ -51,8 +51,7 @@ def analyze_initialization(spec: SopSpec, cover: Cover) -> dict[int, InitDecisio
     """
     sg = spec.sg
     view = sg.dense()
-    s0 = view.number[sg.initial]
-    code0 = view.codes[s0]
+    s0, code0 = sg.initial_number, sg.initial_code
     out: dict[int, InitDecision] = {}
     for a in sg.non_inputs:
         name = sg.signals[a]

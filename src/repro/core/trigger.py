@@ -61,14 +61,14 @@ class TriggerCheck:
 
 def _region_supercube(sg: StateGraph, region: Region) -> Cube:
     sc = supercube_of(
-        Cube.from_minterm(sg.code(s), sg.num_signals) for s in region.states
+        Cube.from_minterm(c, sg.num_signals) for c in region.codes(sg.dense())
     )
     assert sc is not None
     return sc
 
 
 def _cube_covers_region(sg: StateGraph, cube: Cube, region: Region) -> bool:
-    return all(cube.contains_minterm(sg.code(s)) for s in region.states)
+    return all(cube.contains_minterm(c) for c in region.codes(sg.dense()))
 
 
 def check_trigger_cubes(

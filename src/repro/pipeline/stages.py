@@ -51,7 +51,7 @@ __all__ = [
 #: stage and its downstream cone in every cache.
 STAGE_VERSIONS: dict[str, int] = {
     "parse": 1,
-    "sg-build": 4,
+    "sg-build": 5,
     "classify": 3,
     "regions": 4,
     "sop-derivation": 3,

@@ -50,7 +50,7 @@ def detonant_states(sg: StateGraph, signal: int) -> list[DetonantState]:
     """All detonant states w.r.t. one non-input signal (Definition 3):
     in state order and, per state, by pairs of successors in arc order."""
     view = sg.dense()
-    ids, bit = view.ids, 1 << signal
+    label, bit = view.label, 1 << signal
     hot = [(up | down) & bit for up, down in zip(view.up, view.down)]
     out = []
     for w, arcs in enumerate(view.succ):
@@ -58,7 +58,7 @@ def detonant_states(sg: StateGraph, signal: int) -> list[DetonantState]:
             continue  # the signal must be stable in w
         excited = [d for _a, _d, d in arcs if hot[d]]
         out += (
-            DetonantState(ids[w], signal, ids[u], ids[v])
+            DetonantState(label(w), signal, label(u), label(v))
             for i, u in enumerate(excited)
             for v in excited[i + 1 :]
         )

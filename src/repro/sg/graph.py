@@ -122,16 +122,24 @@ class DenseGraph:
     State ``i`` is the ``i``-th state added.  The mutators only append,
     so a state's number never changes, and insertion order survives a
     pickle round trip, so the numbering does too.  The per-state arcs
-    are the primary data; ``number``, ``pred``, ``up``, ``down`` and
-    ``nxt`` index them and are kept up to date by :meth:`add_state` and
+    are the primary data; ``pred``, ``up``, ``down`` and ``nxt`` index
+    them and are kept up to date by :meth:`add_state` and
     :meth:`add_arc`.
+
+    A graph elaborated from an STG keeps each state's marking as a
+    bitmask over one table of place names; :meth:`label` builds a
+    state's id from it, and :attr:`ids` and :attr:`number` are built on
+    first read and then memoized, so the layers that read only codes
+    and arcs never build an id.  Any other graph keeps its id list.
 
     Attributes
     ----------
-    ids, codes:
-        External state id and binary code of each state number.
-    number:
-        The state number of each external id.
+    codes:
+        Binary code of each state number.
+    places, markings:
+        For an elaborated graph, the place names and each state's
+        marking as a bitmask over them (bit ``k`` = ``places[k]``);
+        otherwise ``None``.
     succ:
         Per state, its arcs ``(signal, direction, dst)`` in insertion
         order.
@@ -148,32 +156,35 @@ class DenseGraph:
     """
 
     __slots__ = (
-        "ids", "codes", "number", "succ", "pred", "up", "down", "nxt", "num_signals"
+        "_ids", "_number", "places", "markings", "codes",
+        "succ", "pred", "up", "down", "nxt", "num_signals",
     )
 
     def __init__(
         self,
         num_signals: int,
-        ids: list[StateId],
+        states: list,
         codes: list[int],
         succ: list[list[tuple[int, int, int]]],
         pred_order: Sequence[int],
+        places: list[str] | None = None,
     ) -> None:
-        """Index the states ``ids``/``codes`` and their arcs ``succ``.
+        """Index the states ``states``/``codes`` and their arcs ``succ``.
 
-        ``pred_order`` is the concatenation of the per-state ``pred``
-        lists in state order: the arcs' order by destination cannot be
-        recovered from ``succ`` alone.
+        ``states`` are the state ids, or with ``places`` the markings
+        as bitmasks over them.  ``pred_order`` is the concatenation of
+        the per-state ``pred`` lists in state order: the arcs' order by
+        destination cannot be recovered from ``succ`` alone.
         """
         ns = self.num_signals = num_signals
-        self.ids = ids
+        self._store_states(states, places)
         self.codes = codes
         self.succ = succ
-        self.number: dict[StateId, int] = {s: i for i, s in enumerate(ids)}
-        up = self.up = [0] * len(ids)
-        down = self.down = [0] * len(ids)
-        nxt = self.nxt = [-1] * (len(ids) * ns)
-        indegree = [0] * len(ids)
+        n = len(codes)
+        up = self.up = [0] * n
+        down = self.down = [0] * n
+        nxt = self.nxt = [-1] * (n * ns)
+        indegree = [0] * n
         for i, arcs in enumerate(succ):
             for a, direction, d in arcs:
                 if direction == 1:
@@ -191,7 +202,8 @@ class DenseGraph:
     def of_tables(
         cls,
         num_signals: int,
-        ids: list[StateId],
+        places: list[str],
+        markings: list[int],
         codes: list[int],
         succ: list[list[tuple[int, int, int]]],
         pred: list[list[int]],
@@ -199,21 +211,51 @@ class DenseGraph:
         down: list[int],
         nxt: list[int],
     ) -> "DenseGraph":
-        """A storage from ready-made tables, without checks: ``pred``,
-        ``up``, ``down`` and ``nxt`` must index ``succ`` as
-        :meth:`add_arc` would."""
+        """An elaborated graph's storage from ready-made tables, without
+        checks: ``pred``, ``up``, ``down`` and ``nxt`` must index
+        ``succ`` as :meth:`add_arc` would."""
         g = cls.__new__(cls)
-        g.num_signals, g.ids, g.codes, g.succ = num_signals, ids, codes, succ
+        g._store_states(markings, places)
+        g.num_signals, g.codes, g.succ = num_signals, codes, succ
         g.pred, g.up, g.down, g.nxt = pred, up, down, nxt
-        g.number = {s: i for i, s in enumerate(ids)}
         return g
+
+    def _store_states(self, states: list, places: list[str] | None) -> None:
+        self.places, self._number = places, None
+        if places is None:
+            self._ids, self.markings = states, None
+        else:
+            self._ids, self.markings = None, states
+
+    def label(self, i: int) -> StateId:
+        """The external id of state ``i``; for an elaborated graph the
+        pair ``(Marking, code)``."""
+        if self._ids is not None:
+            return self._ids[i]
+        return (Marking(compress(self.places, bit_flags(self.markings[i]))), self.codes[i])
+
+    @property
+    def ids(self) -> list[StateId]:
+        """The external id of each state number (built on first read)."""
+        if self._ids is None:
+            self._ids = list(map(self.label, range(len(self.codes))))
+        return self._ids
+
+    @property
+    def number(self) -> dict[StateId, int]:
+        """The state number of each external id (built on first read)."""
+        if self._number is None:
+            self._number = {s: i for i, s in enumerate(self.ids)}
+        return self._number
 
     def add_state(self, state: StateId, code: int) -> int:
         """Append a state without checks; returns its number."""
-        i = len(self.ids)
-        self.ids.append(state)
-        self.codes.append(code)
+        i = len(self.codes)
         self.number[state] = i
+        self.ids.append(state)
+        # the ids list now holds every label
+        self.places = self.markings = None
+        self.codes.append(code)
         self.succ.append([])
         self.pred.append([])
         self.up.append(0)
@@ -233,12 +275,12 @@ class DenseGraph:
         self.nxt[src * self.num_signals + signal] = dst
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.codes)
 
     def bitset(self, numbers: Iterable[int]) -> int:
         """The bitset (bit ``i`` = state ``i``) of some state numbers."""
-        digits = bytearray(b"0") * (len(self.ids) + 1)
-        top = len(self.ids)
+        digits = bytearray(b"0") * (len(self.codes) + 1)
+        top = len(self.codes)
         for i in numbers:
             digits[top - i] = 49  # "1"
         return int(digits, 2)
@@ -249,19 +291,39 @@ class DenseGraph:
 
     def flags(self, bits: int) -> bytes:
         """A bitset as one 0/1 byte per state number."""
-        return bit_flags(bits).ljust(len(self.ids), b"\0")
+        return bit_flags(bits).ljust(len(self.codes), b"\0")
+
+    @staticmethod
+    def _window(bits: int) -> tuple[int, int, bytes]:
+        """``(lo, hi, flags)``: the states of a bitset lie in
+        ``lo..hi-1`` and ``flags`` has one 0/1 byte per state number
+        there, so reading a small region of a large graph costs no byte
+        per state of the graph."""
+        lo = max((bits & -bits).bit_length() - 1, 0)
+        flags = bit_flags(bits >> lo)
+        return lo, lo + len(flags), flags
 
     def numbers(self, bits: int) -> list[int]:
         """The state numbers in a bitset, ascending."""
-        return list(compress(range(len(self.ids)), bit_flags(bits)))
+        lo, hi, flags = self._window(bits)
+        return list(compress(range(lo, hi), flags))
 
     def codes_of(self, bits: int) -> set[int]:
         """The binary codes of the states in a bitset."""
-        return set(compress(self.codes, bit_flags(bits)))
+        lo, hi, flags = self._window(bits)
+        return set(compress(self.codes[lo:hi], flags))
+
+    def labels(self, bits: int) -> tuple[StateId, ...]:
+        """The external ids of the states in a bitset, in state-number
+        order (read off :attr:`ids` once that is built)."""
+        lo, hi, flags = self._window(bits)
+        if self._ids is not None:
+            return tuple(compress(self._ids[lo:hi], flags))
+        return tuple(map(self.label, compress(range(lo, hi), flags)))
 
     def states_of(self, bits: int) -> frozenset[StateId]:
         """The external ids of the states in a bitset."""
-        return frozenset(compress(self.ids, bit_flags(bits)))
+        return frozenset(self.labels(bits))
 
 
 @dataclass
@@ -278,7 +340,8 @@ class SpecAnalysis:
 
 
 #: attributes a pickle leaves out: derived from the signals, the spec analysis,
-#: or the storage, which travels as ``storage = (ids, codes, succ, pred order)``
+#: or the storage, which travels as ``storage = (states, codes, succ, pred order,
+#: places)``: the ids, or for an elaborated graph the markings and the place names
 _DERIVED = ("_index", "_transitions", "_dense", "_packed", "_spec")
 
 
@@ -307,9 +370,11 @@ class StateGraph:
     memoized on the graph: the regions of
     :func:`repro.sg.regions.signal_regions` and the :meth:`analysis`.
 
-    A pickle carries the ids, codes and arcs; the index tables are
-    rebuilt by the first :meth:`dense` call after loading, so a graph
-    that is loaded but never walked never builds them.
+    The initial state is kept as a state number.  A pickle carries the
+    ids (for an elaborated graph the markings and place names), codes
+    and arcs; the index tables are rebuilt by the first :meth:`dense`
+    call after loading, so a graph that is loaded but never walked
+    never builds them.
     """
 
     #: per-signal region analyses (see :func:`repro.sg.regions.signal_regions`)
@@ -332,7 +397,8 @@ class StateGraph:
             (a, d): Transition(a, d) for a in range(len(self.signals)) for d in (1, -1)
         }
         self._dense: DenseGraph | None = DenseGraph(len(self.signals), [], [], [], ())
-        self.initial: StateId | None = None
+        #: the state number of ``s0``
+        self._initial: int | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -345,7 +411,7 @@ class StateGraph:
         The coding rules :meth:`add_arc` enforces are not checked."""
         sg = cls(signals, inputs)
         sg._dense = storage
-        sg.initial = storage.ids[0] if storage.ids else None
+        sg._initial = 0 if len(storage) else None
         return sg
 
     def signal_index(self, name: str) -> int:
@@ -380,17 +446,18 @@ class StateGraph:
                 raise SGError(f"state {render_state(state)} re-added with a different code")
             return state
         self._regions = self._spec = None
-        g.add_state(state, code)
-        if self.initial is None:
-            self.initial = state
+        i = g.add_state(state, code)
+        if self._initial is None:
+            self._initial = i
         return state
 
     def set_initial(self, state: StateId) -> None:
         """Designate the initial state ``s0``."""
-        if state not in self.dense().number:
+        i = self.dense().number.get(state)
+        if i is None:
             raise SGError(f"unknown state {render_state(state)}")
         self._regions = self._spec = None
-        self.initial = state
+        self._initial = i
 
     def add_arc(self, src: StateId, t: Transition, dst: StateId) -> None:
         """Add the arc ``src --t--> dst``, enforcing coding consistency."""
@@ -433,12 +500,16 @@ class StateGraph:
         state = {k: v for k, v in self.__dict__.items() if k not in _DERIVED}
         g = self._dense
         state["storage"] = self._packed if g is None else (
-            g.ids, g.codes, g.succ, array("i", chain.from_iterable(g.pred))
+            g.ids if g.places is None else g.markings,
+            g.codes,
+            g.succ,
+            array("i", chain.from_iterable(g.pred)),
+            g.places,
         )
         return state
 
     def __setstate__(self, state: dict) -> None:
-        if "storage" not in state:
+        if len(state.get("storage", ())) != 5:
             raise SGError("state graph pickled in an older layout")
         self.__init__(state["signals"], state["inputs"])
         self.__dict__.update(state)
@@ -468,6 +539,21 @@ class StateGraph:
         return g, g.number[state]
 
     @property
+    def initial(self) -> StateId | None:
+        """The initial state ``s0``."""
+        return None if self._initial is None else self.dense().label(self._initial)
+
+    @property
+    def initial_number(self) -> int | None:
+        """The state number of the initial state ``s0``."""
+        return self._initial
+
+    @property
+    def initial_code(self) -> int:
+        """The binary code of the initial state ``s0``."""
+        return self.dense().codes[self._initial]
+
+    @property
     def num_signals(self) -> int:
         return len(self.signals)
 
@@ -487,16 +573,13 @@ class StateGraph:
     def is_input(self, signal: int) -> bool:
         return signal in self.inputs
 
-    def _ids(self) -> list[StateId]:
-        # read without building the index tables of a loaded graph
-        return self._packed[0] if self._dense is None else self._dense.ids
-
     def states(self) -> Iterator[StateId]:
-        return iter(self._ids())
+        return iter(self.dense().ids)
 
     @property
     def num_states(self) -> int:
-        return len(self._ids())
+        # read without building the index tables of a loaded graph
+        return len(self._packed[1] if self._dense is None else self._dense.codes)
 
     def code(self, state: StateId) -> int:
         """Binary code (bitmask) of a state."""
@@ -564,14 +647,15 @@ class StateGraph:
     # ------------------------------------------------------------------
     # reachability
     # ------------------------------------------------------------------
-    def _reach(self, start: StateId | None) -> bytearray:
-        """One 0/1 byte per state number: reachable from ``start``."""
+    def _reach(self, start: int | None) -> bytearray:
+        """One 0/1 byte per state number: reachable from state number
+        ``start``."""
         g = self.dense()
         seen = bytearray(len(g))
         if start is None:
             return seen
-        stack = [g.number[start]]
-        seen[stack[0]] = 1
+        stack = [start]
+        seen[start] = 1
         while stack:
             for _a, _d, d in g.succ[stack.pop()]:
                 if not seen[d]:
@@ -581,13 +665,13 @@ class StateGraph:
 
     def reachable(self, start: StateId | None = None) -> set[StateId]:
         """States reachable from ``start`` (default: the initial state)."""
-        if start is None:
-            start = self.initial
-        return set(compress(self.dense().ids, self._reach(start)))
+        g = self.dense()
+        i = self._initial if start is None else g.number[start]
+        return set(compress(g.ids, self._reach(i)))
 
     def restrict_to_reachable(self) -> "StateGraph":
         """A copy containing only states reachable from the initial state."""
-        return self._copy(self._reach(self.initial))
+        return self._copy(self._reach(self._initial))
 
     def subgraph(self, keep: Iterable[StateId]) -> "StateGraph":
         """A copy containing only ``keep`` states and the arcs between
@@ -617,20 +701,22 @@ class StateGraph:
         for k, i in enumerate(kept):
             new[i] = k
         out = StateGraph(self.signals, self.inputs)
+        states = g.ids if g.places is None else g.markings
         out._dense = DenseGraph(
             self.num_signals,
-            [g.ids[i] for i in kept],
+            [states[i] for i in kept],
             [g.codes[i] for i in kept],
             [
                 [(a, e, new[d]) for a, e, d in g.succ[i] if new[d] >= 0 and (i, d) != cut]
                 for i in kept
             ],
             [new[p] for d in kept for p in g.pred[d] if new[p] >= 0 and (p, d) != cut],
+            g.places,
         )
-        if self.initial is not None and new[g.number[self.initial]] >= 0:
-            out.initial = self.initial
+        if self._initial is not None and new[self._initial] >= 0:
+            out._initial = new[self._initial]
         elif kept:
-            out.initial = g.ids[kept[0]]
+            out._initial = 0
         return out
 
     # ------------------------------------------------------------------

@@ -62,12 +62,12 @@ def consistency_witnesses(sg: StateGraph) -> list[ConsistencyWitness]:
     codes = view.codes
     problems = []
     for i, arcs in enumerate(view.succ):
-        s, cs = view.ids[i], codes[i]
+        cs = codes[i]
         for a, direction, j in arcs:
             cd = codes[j]
             if cs ^ cd == 1 << a and (cs >> a & 1) == (direction == -1):
                 continue  # flips exactly its own bit, the right way
-            t, d = Transition(a, direction), view.ids[j]
+            s, t, d = view.label(i), Transition(a, direction), view.label(j)
             sv, dv = (cs >> a) & 1, (cd >> a) & 1
             expect = (0, 1) if t.rising else (1, 0)
             if (sv, dv) != expect:
@@ -124,19 +124,23 @@ def code_conflicts(sg: StateGraph) -> list[CodeConflict]:
     code once, compute each state's excited non-input set once, and
     emit every pair with its excitation sets attached.
     """
-    by_code: dict[int, list[StateId]] = {}
+    by_code: dict[int, list[int]] = {}
     view = sg.dense()
-    for s, code in zip(view.ids, view.codes):
-        by_code.setdefault(code, []).append(s)
+    for i, code in enumerate(view.codes):
+        by_code.setdefault(code, []).append(i)
+    non_inputs = sg.non_inputs
     out: list[CodeConflict] = []
     for code, states in by_code.items():
         if len(states) < 2:
             continue
-        excited = {s: sg.excited_non_inputs(s) for s in states}
+        labels = [view.label(i) for i in states]
+        excited = [
+            frozenset(a for a in non_inputs if (view.up[i] | view.down[i]) >> a & 1)
+            for i in states
+        ]
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
-                a, b = states[i], states[j]
-                out.append(CodeConflict(a, b, code, excited[a], excited[b]))
+                out.append(CodeConflict(labels[i], labels[j], code, excited[i], excited[j]))
     return out
 
 
@@ -211,7 +215,7 @@ def semimodularity_violations(sg: StateGraph) -> list[SemimodularityViolation]:
                     kind = "no-diamond"
                 out.append(
                     SemimodularityViolation(
-                        view.ids[s], Transition(a, da), Transition(b, db), kind
+                        view.label(s), Transition(a, da), Transition(b, db), kind
                     )
                 )
     return out

@@ -109,8 +109,7 @@ class Region:
         """The external state ids, in state-number order."""
         ids = self.__dict__.get("_ids")
         if ids is None:
-            view, bits = self._bits_in
-            ids = self._ids = tuple(compress(view.ids, bit_flags(bits)))
+            ids = self._ids = self._bits_in[0].labels(self._bits_in[1])
         return ids
 
     @property
@@ -138,7 +137,17 @@ class Region:
             cached = self._bits_in = (view, view.bitset_of(ids))
         return cached[1]
 
+    def codes(self, view: DenseGraph) -> set[int]:
+        """The binary codes of the states, read off ``view``."""
+        return view.codes_of(self.bits(view))
+
     def __getstate__(self) -> dict:
+        cached = self.__dict__.get("_bits_in")
+        if cached is not None:
+            # the ids of the graph's memoized list, so a state id shared
+            # by several regions pickles once
+            view, bits = cached
+            self._ids = tuple(compress(view.ids, bit_flags(bits)))
         return {
             "signal": self.signal,
             "direction": self.direction,
@@ -354,7 +363,7 @@ def check_output_trapping(sg: StateGraph, er: Region) -> list[tuple[StateId, Sta
     view = sg.dense()
     inside = view.flags(er.bits(view))
     return [
-        (view.ids[s], view.ids[d])
+        (view.label(s), view.label(d))
         for s in view.numbers(er.bits(view))
         for a, _d, d in view.succ[s]
         if a != er.signal and not inside[d]

@@ -14,8 +14,10 @@ another ``x-``) is reported as an inconsistency.
 :func:`elaborate` explores the net once, over (marking, parity) pairs,
 where the parity is the code XOR the initial values, so the states
 and arcs do not depend on values not yet known.  The first polarities
-come from a forward mask fixed point over that graph, and the state ids
-and codes are built once the values are known.  Any error met on the
+come from a forward mask fixed point over that graph, and the codes are
+built once the values are known.  The graph keeps each marking as a
+place bitmask; a state's ``(Marking, code)`` id is built only when one
+is read (see :class:`~repro.sg.graph.DenseGraph`).  Any error met on the
 way (an unsafe net, the ``max_states`` bound, a nondeterministic or
 inconsistent transition) is reported by the two passes the
 exploration stands for: :func:`infer_initial_values` over the whole
@@ -287,7 +289,8 @@ def _elaborate_traced(stg: Stg, max_states: int, sp) -> StateGraph:
     codes = [c ^ shift for c in parts.codes]
     g = DenseGraph.of_tables(
         nsig,
-        [(net.marking(m), c) for m, c in zip(parts.markings, codes)],
+        net.places,
+        parts.markings,
         codes,
         parts.succ,
         parts.pred,

@@ -5,6 +5,8 @@ from __future__ import annotations
 import copyreg
 import io
 import pickle
+from array import array
+from itertools import chain
 
 import pytest
 
@@ -50,20 +52,32 @@ def sabotage_code(sg: StateGraph, state, mask: int) -> None:
     g.codes[g.number[state]] ^= mask
 
 
-def legacy_pickle(sg: StateGraph) -> bytes:
-    """``sg`` pickled in the layout of store entries written before the
-    graph was stored as a ``DenseGraph``: rebuilt by
-    ``copyreg.__newobj__`` from a state dict that holds the id-keyed
-    ``_code``/``_succ``/``_pred`` dicts."""
-    state = {
-        "signals": sg.signals,
-        "_index": {s: i for i, s in enumerate(sg.signals)},
-        "inputs": sg.inputs,
-        "_code": {s: sg.code(s) for s in sg.states()},
-        "_succ": {s: dict(sg.successors(s)) for s in sg.states()},
-        "_pred": {s: sg.predecessors(s) for s in sg.states()},
-        "initial": sg.initial,
-    }
+def legacy_pickle(sg: StateGraph, layout: str = "dicts") -> bytes:
+    """``sg`` pickled in the layout of older store entries, rebuilt by
+    ``copyreg.__newobj__`` from a state dict that holds either the
+    id-keyed ``_code``/``_succ``/``_pred`` dicts (``"dicts"``, before
+    the graph was stored as a ``DenseGraph``) or
+    ``storage = (ids, codes, succ, pred order)`` (``"ids"``, before
+    elaborated graphs kept their markings as place bitmasks)."""
+    if layout == "dicts":
+        state = {
+            "signals": sg.signals,
+            "_index": {s: i for i, s in enumerate(sg.signals)},
+            "inputs": sg.inputs,
+            "_code": {s: sg.code(s) for s in sg.states()},
+            "_succ": {s: dict(sg.successors(s)) for s in sg.states()},
+            "_pred": {s: sg.predecessors(s) for s in sg.states()},
+            "initial": sg.initial,
+        }
+    else:
+        g = sg.dense()
+        state = {
+            "signals": sg.signals,
+            "inputs": sg.inputs,
+            "initial": sg.initial,
+            "_regions": None,
+            "storage": (g.ids, g.codes, g.succ, array("i", chain.from_iterable(g.pred))),
+        }
 
     class Pickler(pickle.Pickler):
         def reducer_override(self, obj):

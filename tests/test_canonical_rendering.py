@@ -74,7 +74,7 @@ def test_store_entries_are_byte_identical_across_seeds(tmp_path):
         _repro(["table2", *specs, "--cache-dir", str(store)], seed, str(tmp_path))
         digests.append(_payload_digests(store))
     assert digests[0].keys() == digests[1].keys()
-    stages = {"regions", "sop-derivation", "delays"}
+    stages = {"sg-build", "regions", "sop-derivation", "delays"}
     checked = {key: entry for key, entry in digests[0].items() if entry[0] in stages}
     assert len(checked) == len(stages) * len(specs)
     for key, entry in checked.items():

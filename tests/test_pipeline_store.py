@@ -155,20 +155,22 @@ class TestQuarantine:
         assert not found
 
     def test_state_graph_in_an_older_layout(self, store):
-        """A state graph pickled with the id-keyed dicts of an older
-        layout is refused, not returned half built."""
-        blob = legacy_pickle(elaborate(parse_g(C_ELEMENT_G)))
-        assert b"_succ" in blob and b"StateGraph" in blob
-        store.put(KEY_A, "payload")
-        with open(store._payload_path(KEY_A), "wb") as f:
-            f.write(blob)
-        meta_path = store._meta_path(KEY_A)
-        meta = json.load(open(meta_path))
-        meta["payload_sha256"] = sha256(blob).hexdigest()
-        json.dump(meta, open(meta_path, "w"))
-        assert store.get(KEY_A) == (False, None)
-        assert store.quarantined == 1
-        assert self._quarantine_count(store) == 2
+        """A state graph pickled in an older layout (the id-keyed dicts,
+        or a storage tuple of ids) is refused, not returned half built."""
+        sg = elaborate(parse_g(C_ELEMENT_G))
+        for n, (layout, mark) in enumerate((("dicts", b"_succ"), ("ids", b"Marking")), 1):
+            blob = legacy_pickle(sg, layout)
+            assert mark in blob and b"StateGraph" in blob
+            store.put(KEY_A, "payload")
+            with open(store._payload_path(KEY_A), "wb") as f:
+                f.write(blob)
+            meta_path = store._meta_path(KEY_A)
+            meta = json.load(open(meta_path))
+            meta["payload_sha256"] = sha256(blob).hexdigest()
+            json.dump(meta, open(meta_path, "w"))
+            assert store.get(KEY_A) == (False, None)
+            assert store.quarantined == n
+            assert self._quarantine_count(store) == 2 * n
 
 
 def _hammer(root: str, n: int, worker: int) -> None:

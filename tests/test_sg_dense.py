@@ -11,13 +11,17 @@ regions read against a differently numbered graph still name the
 right states.
 """
 
+import gc
 import pickle
+import tracemalloc
 
 import pytest
 
+from repro.analysis.certify import certify_circuit
 from repro.bench.circuits import DISTRIBUTIVE_BENCHMARKS, muller_pipeline
+from repro.core import synthesize
 from repro.core.sop_derivation import derive_sop_spec
-from repro.sg.graph import SGError, StateGraph, Transition
+from repro.sg.graph import DenseGraph, SGError, StateGraph, Transition
 from repro.sg.regions import (
     check_output_trapping,
     quiescent_region_of,
@@ -107,15 +111,17 @@ class TestDenseView:
 
 
 class TestPickle:
-    def test_pickle_carries_ids_codes_and_arcs_and_rebuilds_the_tables(self):
+    def test_pickle_carries_markings_codes_and_arcs_and_rebuilds_the_tables(self):
         sg = elaborate(muller_pipeline(5))
         regions = _regions(sg)
         old = sg.dense()
         state = sg.__getstate__()
-        assert set(state) == {"signals", "inputs", "initial", "_regions", "storage"}
-        ids, codes, succ, pred_order = state["storage"]
-        assert (ids, codes, succ) == (old.ids, old.codes, old.succ)
+        assert set(state) == {"signals", "inputs", "_initial", "_regions", "storage"}
+        markings, codes, succ, pred_order, places = state["storage"]
+        assert (markings, codes, succ) == (old.markings, old.codes, old.succ)
+        assert places == old.places and state["_initial"] == 0
         assert list(pred_order) == [p for ps in old.pred for p in ps]
+        assert b"Marking" not in pickle.dumps(state["storage"])
         blob = pickle.dumps(sg)
         assert b"DenseGraph" not in blob
         loaded = pickle.loads(blob)
@@ -137,17 +143,34 @@ class TestPickle:
         for copy in (loaded, again):
             view = copy.dense()
             assert copy.dense() is view
-            for name in ("ids", "codes", "number", "succ", "pred", "up", "down", "nxt"):
+            for name in ("places", "markings", "codes", "succ", "pred", "up", "down", "nxt"):
                 assert getattr(view, name) == getattr(old, name), name
+            # the ids are built on first read, equal to the originals
+            assert view._ids is None and view._number is None
+            for name in ("ids", "number"):
+                assert getattr(view, name) == getattr(old, name), name
+            assert copy.initial == sg.initial
         view = loaded.dense()
         for a, sr in regions.items():
             for r, q in zip(sr.excitation + sr.quiescent,
                             loaded._regions[a].excitation + loaded._regions[a].quiescent):
                 assert q.bits(view) == r.bits(old)
 
+    def test_graphs_with_id_lists_pickle_their_ids(self, celem_sg):
+        view = celem_sg.dense()
+        celem_sg.add_state("extra", 0)
+        # a mutator turns an elaborated graph's labels into its id list
+        assert view.places is view.markings is None
+        ids, *_rest, places = celem_sg.__getstate__()["storage"]
+        assert ids == view.ids and places is None
+        loaded = pickle.loads(pickle.dumps(celem_sg))
+        assert loaded.dense().ids == view.ids and loaded.initial == celem_sg.initial
+
     def test_older_layout_is_refused(self):
-        with pytest.raises(SGError, match="older layout"):
-            pickle.loads(legacy_pickle(elaborate(muller_pipeline(3))))
+        sg = elaborate(muller_pipeline(3))
+        for layout in ("dicts", "ids"):
+            with pytest.raises(SGError, match="older layout"):
+                pickle.loads(legacy_pickle(sg, layout))
 
     def test_regions_recomputed_after_loading_are_equal(self):
         sg = elaborate(muller_pipeline(5))
@@ -256,3 +279,47 @@ class TestCopies:
         ) - 1
         # an arc that is not there leaves an equal copy
         assert sg.without_arc(src, t.opposite()).describe() == sg.describe()
+
+
+class TestLabelsOnDemand:
+    """An elaborated graph keeps each marking as a place bitmask and
+    builds a state's ``(Marking, code)`` id only where one is read."""
+
+    def test_an_elaborated_graph_keeps_under_a_kilobyte_per_state(self):
+        stg = muller_pipeline(10)
+        elaborate(muller_pipeline(3))  # first-call imports and caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sg = elaborate(stg)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert sg.num_states == 2 ** 12
+        # with an id and an index entry per state it was ~1,500 B/state
+        assert kept / sg.num_states <= 1000
+
+    def test_synthesis_and_certification_build_only_the_rendered_labels(self, monkeypatch):
+        built = []
+        label = DenseGraph.label
+        monkeypatch.setattr(
+            DenseGraph, "label", lambda view, i: built.append(i) or label(view, i)
+        )
+        sg = elaborate(muller_pipeline(6))
+        cert = certify_circuit(synthesize(sg, name="pipe"))
+        assert cert.fully_proved
+        view = sg.dense()
+        assert view._ids is None and view._number is None
+        # the HZ001 witnesses render the states of every trigger region
+        rendered = [
+            i
+            for sr in sg._regions.values()
+            for trs in sr.triggers
+            for tr in trs
+            for i in view.numbers(tr.bits(view))
+        ]
+        assert rendered and sorted(built) == sorted(rendered)
+        # the labels are the ids the id-keyed API reads
+        assert [view.label(i) for i in range(len(view))] == view.ids
