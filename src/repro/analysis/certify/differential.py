@@ -29,7 +29,6 @@ from .obligations import Certificate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...core.synthesizer import NShotCircuit
-    from ...sg.graph import StateGraph
 
 __all__ = [
     "DifferentialOutcome",
@@ -83,7 +82,6 @@ def cross_check(
     name: str | None = None,
     runs: int = 3,
     max_transitions: int = 60,
-    base_seed: int = 0,
 ) -> DifferentialOutcome:
     """Certify and simulate one circuit; flag the forbidden disagreement."""
     from ...core.verify import verify_hazard_freeness
@@ -94,7 +92,6 @@ def cross_check(
         circuit,
         runs=runs,
         max_transitions=max_transitions,
-        base_seed=base_seed,
     )
     counts = cert.counts
     unsound = cert.fully_proved and not summary.ok
@@ -116,12 +113,7 @@ def cross_check(
     )
 
 
-def differential_suite(
-    names: list[str] | None = None,
-    *,
-    runs: int = 3,
-    max_transitions: int = 60,
-) -> list[DifferentialOutcome]:
+def differential_suite(names: list[str] | None = None) -> list[DifferentialOutcome]:
     """Cross-check the paper suite (all 25 circuits by default)."""
     from ...bench.circuits import TABLE2_CIRCUITS
     from ...bench.runner import sg_of
@@ -132,32 +124,21 @@ def differential_suite(
     with trace_span("certify.differential", targets=len(suite)):
         for cname in suite:
             circuit = synthesize(sg_of(cname), name=cname)
-            out.append(
-                cross_check(
-                    circuit,
-                    name=cname,
-                    runs=runs,
-                    max_transitions=max_transitions,
-                )
-            )
+            out.append(cross_check(circuit, name=cname))
     return out
 
 
-def differential_corpus(
-    corpus_dir: "Path | str | None" = None,
-    *,
-    runs: int = 2,
-    max_transitions: int = 40,
-) -> list[DifferentialOutcome]:
+def differential_corpus() -> list[DifferentialOutcome]:
     """Cross-check every committed fuzz reproducer, crash-contained."""
+    from ...core.synthesizer import synthesize
     from ...fuzz.corpus import DEFAULT_CORPUS, load_corpus
 
-    entries = load_corpus(corpus_dir if corpus_dir is not None else DEFAULT_CORPUS)
+    entries = load_corpus(DEFAULT_CORPUS)
     out: list[DifferentialOutcome] = []
     for entry in entries:
         cname = entry.path.stem
         try:
-            circuit = _synthesize_entry(entry.sg(), cname)
+            circuit = synthesize(entry.sg(), name=cname)
         except Exception as exc:  # noqa: BLE001 - corpus specs exist to fail
             out.append(
                 DifferentialOutcome(
@@ -167,23 +148,8 @@ def differential_corpus(
                 )
             )
             continue
-        out.append(
-            cross_check(
-                circuit,
-                name=cname,
-                runs=runs,
-                max_transitions=max_transitions,
-            )
-        )
+        out.append(cross_check(circuit, name=cname, runs=2, max_transitions=40))
     return out
-
-
-def _synthesize_entry(sg: "StateGraph", name: str) -> "NShotCircuit":
-    from ...core.synthesizer import synthesize
-    from ...pipeline.dag import cache_bypass
-
-    with cache_bypass():  # never publish corpus replays as cached truth
-        return synthesize(sg, name=name)
 
 
 def archive_soundness_failure(

@@ -289,7 +289,6 @@ def delay_obligations(
     circuit: "NShotCircuit",
     *,
     library: Library = DEFAULT_LIBRARY,
-    mhs_tau: float | None = None,
 ) -> list[Obligation]:
     """Re-derive Equation (1) per signal and check the implementation.
 
@@ -301,7 +300,7 @@ def delay_obligations(
     sg = circuit.sg
     arch = circuit.architecture
     spread = circuit.designed_spread
-    tau = mhs_tau if mhs_tau is not None else _design_tau(circuit)
+    tau = _design_tau(circuit)
     delay_gates = {
         g.name: g for g in circuit.netlist.gates if g.type is GateType.DELAY
     }

@@ -42,7 +42,7 @@ class LintContext:
     source:
         Path of the spec file the SG came from (drives SARIF physical
         locations); None for programmatic graphs.
-    spread / method / mhs_tau:
+    spread / method:
         Synthesis knobs of the on-demand pipeline (Equation (1) is
         evaluated at ``spread``).
     cover:
@@ -65,7 +65,6 @@ class LintContext:
         source: str | None = None,
         spread: float = 0.0,
         method: str = "espresso",
-        mhs_tau: float = 1.2,
         cover: "Cover | None" = None,
         fanout_limit: int = 32,
         pipeline: "PipelineRun | None" = None,
@@ -77,7 +76,6 @@ class LintContext:
         self.source = source
         self.spread = spread
         self.method = method
-        self.mhs_tau = mhs_tau
         self.fanout_limit = fanout_limit
         self._pipeline = pipeline
         self._netlist = netlist
@@ -96,7 +94,6 @@ class LintContext:
                 self.require_sg(),
                 name=self.name,
                 method=self.method,
-                mhs_tau=self.mhs_tau,
                 delay_spread=self.spread,
             )
         return self._pipeline

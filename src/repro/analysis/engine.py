@@ -207,7 +207,6 @@ def analyze(
     method: str = "espresso",
     select: set[str] | None = None,
     ignore: set[str] | None = None,
-    registry: RuleRegistry | None = None,
     fanout_limit: int = 32,
     pipeline: PipelineRun | None = None,
 ) -> AnalysisResult:
@@ -222,7 +221,7 @@ def analyze(
         fanout_limit=fanout_limit,
         pipeline=pipeline,
     )
-    return run_rules(ctx, registry, select=select, ignore=ignore)
+    return run_rules(ctx, select=select, ignore=ignore)
 
 
 def run_preflight(sg: StateGraph, name: str = "spec") -> AnalysisResult:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import Diagnostic
 from .engine import AnalysisResult
-from .registry import RuleRegistry, default_registry
+from .registry import default_registry
 
 __all__ = [
     "LINT_SCHEMA",
@@ -83,12 +83,9 @@ def _diag_dict(d: Diagnostic) -> dict[str, object]:
     return out
 
 
-def render_json(
-    results: list[AnalysisResult],
-    registry: RuleRegistry | None = None,
-) -> str:
+def render_json(results: list[AnalysisResult]) -> str:
     """Machine-readable ``repro-lint/1`` document."""
-    reg = registry if registry is not None else default_registry()
+    reg = default_registry()
     doc: dict[str, object] = {
         "schema": LINT_SCHEMA,
         "targets": [
@@ -149,15 +146,9 @@ def _sarif_location(r: AnalysisResult, d: Diagnostic) -> dict[str, object]:
     return logical
 
 
-def render_sarif(
-    results: list[AnalysisResult],
-    registry: RuleRegistry | None = None,
-    *,
-    tool_version: str = "1.0.0",
-) -> str:
+def render_sarif(results: list[AnalysisResult]) -> str:
     """SARIF 2.1.0 document over all targets (one run)."""
-    reg = registry if registry is not None else default_registry()
-    rules = reg.all()
+    rules = default_registry().all()
     rule_index = {rule.meta.id: i for i, rule in enumerate(rules)}
     sarif_results: list[dict[str, object]] = []
     for r in results:
@@ -179,7 +170,7 @@ def render_sarif(
                 "tool": {
                     "driver": {
                         "name": "repro-lint",
-                        "version": tool_version,
+                        "version": "1.0.0",
                         "informationUri": (
                             "https://github.com/example/repro#static-analysis"
                         ),

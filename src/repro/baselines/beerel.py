@@ -110,11 +110,9 @@ def _monotonous_cube(
 def synthesize_beerel(
     sg: StateGraph,
     name: str = "syn",
-    validate: bool = True,
 ) -> BeerelResult:
     """Run the standard-C monotonous-cover flow on a distributive SG."""
-    if validate:
-        require_valid_spec(sg, name)
+    require_valid_spec(sg, name)
     require_distributive(sg, name, "SYN/Beerel")
 
     nl = Netlist(name)

@@ -40,8 +40,6 @@ class ComplexGateResult:
 def synthesize_complex_gate(
     sg: StateGraph,
     name: str = "cg",
-    method: str = "espresso",
-    validate: bool = True,
 ) -> ComplexGateResult:
     """One complex gate per non-input signal (next-state function).
 
@@ -50,8 +48,7 @@ def synthesize_complex_gate(
     and whose delay is one level regardless of complexity — the
     complex-gate assumption taken at face value.
     """
-    if validate:
-        require_valid_spec(sg, name)
+    require_valid_spec(sg, name)
 
     nl = Netlist(name)
     for i in sorted(sg.inputs):
@@ -63,7 +60,7 @@ def synthesize_complex_gate(
     worst_fanin = 0
     for a in sg.non_inputs:
         spec = next_state_function(sg, a)
-        cover = minimize(spec.on, spec.dc, spec.off, method=method)
+        cover = minimize(spec.on, spec.dc, spec.off)
         covers[a] = cover
         sig = sg.signals[a]
         pins = []

@@ -282,8 +282,6 @@ class HazardFreeSopResult:
 def synthesize_hazard_free_sop(
     sg: StateGraph,
     name: str = "hfsop",
-    method: str = "espresso",
-    validate: bool = True,
 ) -> HazardFreeSopResult:
     """Purely combinational hazard-free SOP flow (no storage, no delays).
 
@@ -294,8 +292,7 @@ def synthesize_hazard_free_sop(
     :class:`UnmaskableHazardError` — the Lavagno flow continues from
     here by padding delay lines; this flow deliberately does not.
     """
-    if validate:
-        require_valid_spec(sg, name)
+    require_valid_spec(sg, name)
 
     specs = {a: next_state_function(sg, a) for a in sg.non_inputs}
     for a, spec in specs.items():
@@ -327,7 +324,7 @@ def synthesize_hazard_free_sop(
     hazard_added = 0
 
     for a, spec in specs.items():
-        cover = minimize(spec.on, spec.dc, spec.off, method=method)
+        cover = minimize(spec.on, spec.dc, spec.off)
         cover, added = add_hazard_cover_cubes(sg, spec, cover)
         hazard_added += added
         covers[a] = cover

@@ -81,9 +81,7 @@ class LavagnoResult:
 def synthesize_lavagno(
     sg: StateGraph,
     name: str = "sis",
-    method: str = "espresso",
     pad_levels: int = 3,
-    validate: bool = True,
 ) -> LavagnoResult:
     """Run the bounded-delay hazard-free flow on a distributive SG.
 
@@ -92,8 +90,7 @@ def synthesize_lavagno(
     combinational path; two levels — one AND, one OR — is the plane
     depth being masked plus margin).
     """
-    if validate:
-        require_valid_spec(sg, name)
+    require_valid_spec(sg, name)
     require_distributive(sg, name, "SIS/Lavagno")
 
     nl = Netlist(name)
@@ -109,7 +106,7 @@ def synthesize_lavagno(
 
     for a in sg.non_inputs:
         spec = next_state_function(sg, a)
-        cover = minimize(spec.on, spec.dc, spec.off, method=method)
+        cover = minimize(spec.on, spec.dc, spec.off)
         cover, added = add_hazard_cover_cubes(sg, spec, cover)
         hazard_added += added
         covers[a] = cover

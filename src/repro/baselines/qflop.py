@@ -56,12 +56,9 @@ class QModuleResult:
 def synthesize_qmodule(
     sg: StateGraph,
     name: str = "qmod",
-    method: str = "espresso",
-    validate: bool = True,
 ) -> QModuleResult:
     """Synthesize with the locally-clocked Q-module architecture of [9]."""
-    if validate:
-        require_valid_spec(sg, name)
+    require_valid_spec(sg, name)
 
     nl = Netlist(name)
     for i in sorted(sg.inputs):
@@ -94,7 +91,7 @@ def synthesize_qmodule(
     done_nets: list[str] = []
     for a in sg.non_inputs:
         spec = next_state_function(sg, a)
-        cover = minimize(spec.on, spec.dc, spec.off, method=method)
+        cover = minimize(spec.on, spec.dc, spec.off)
         covers[a] = cover
         sig = sg.signals[a]
         cube_nets = product_nets(nl, cover.cubes, sampled, sig)

@@ -53,17 +53,15 @@ def ring(signals: list[str], inputs: list[str], name: str = "ring") -> Stg:
 def fork_join(
     master: str,
     slaves: list[str],
-    master_is_input: bool = True,
     name: str = "forkjoin",
 ) -> Stg:
-    """Master forks to concurrent slaves, joins, and cycles.
+    """The input master forks to concurrent slaves, joins, and cycles.
 
     ``m+ → (s1+ ‖ … ‖ sn+) → m- → (s1- ‖ … ‖ sn-) → m+``.
     State count ≈ 2·2ⁿ.
     """
-    inputs = [master] if master_is_input else []
-    outputs = [s for s in [master] + slaves if s not in inputs]
-    stg = Stg(inputs, outputs, name=name)
+    outputs = [s for s in slaves if s != master]
+    stg = Stg([master], outputs, name=name)
     mp, mm = _t(master, True), _t(master, False)
     for s in slaves:
         sp, sm = _t(s, True), _t(s, False)
@@ -75,7 +73,7 @@ def fork_join(
     return stg
 
 
-def muller_pipeline(n: int, name: str = "pipe", input_ends: bool = True) -> Stg:
+def muller_pipeline(n: int, name: str = "pipe") -> Stg:
     """The classic N-stage Muller pipeline control.
 
     Stage ``i`` drives ``c_i``; ``c_i+`` requires ``c_{i-1}+`` (data
@@ -86,11 +84,9 @@ def muller_pipeline(n: int, name: str = "pipe", input_ends: bool = True) -> Stg:
     large, well-behaved SGs.
     """
     sigs = [f"c{i}" for i in range(n)]
-    inputs = ["req"] if input_ends else []
-    outputs = sigs + (["ack"] if input_ends else [])
-    stg = Stg(inputs, outputs if input_ends else sigs, name=name)
+    stg = Stg(["req"], sigs + ["ack"], name=name)
 
-    chain = (["req"] if input_ends else []) + sigs
+    chain = ["req"] + sigs
     # forward propagation: x_{i}+ -> x_{i+1}+ ; x_i- -> x_{i+1}-
     for i in range(len(chain) - 1):
         a, b = chain[i], chain[i + 1]
@@ -102,21 +98,16 @@ def muller_pipeline(n: int, name: str = "pipe", input_ends: bool = True) -> Stg:
         stg.connect(_t(b, True), _t(a, False))
         p = stg.connect(_t(b, False), _t(a, True))
         stg.mark(p)  # every stage starts empty
-    if input_ends:
-        last = chain[-1]
-        stg.connect(_t(last, True), _t("ack", True))
-        stg.connect(_t(last, False), _t("ack", False))
-        stg.connect(_t("ack", True), _t(last, False))
-        p = stg.connect(_t("ack", False), _t(last, True))
-        stg.mark(p)
+    last = chain[-1]
+    stg.connect(_t(last, True), _t("ack", True))
+    stg.connect(_t(last, False), _t("ack", False))
+    stg.connect(_t("ack", True), _t(last, False))
+    p = stg.connect(_t("ack", False), _t(last, True))
+    stg.mark(p)
     return stg
 
 
-def choice_server(
-    requests: list[str],
-    grants: list[str],
-    name: str = "choice",
-) -> Stg:
+def choice_server(requests: list[str], grants: list[str]) -> Stg:
     """Input choice: the environment raises exactly one request; the
     controller answers with the matching grant, four-phase.
 
@@ -125,7 +116,7 @@ def choice_server(
     """
     if len(requests) != len(grants):
         raise ValueError("need one grant per request")
-    stg = Stg(requests, grants, name=name)
+    stg = Stg(requests, grants, name="choice")
     free = "p_free"
     stg.add_place(free)
     for r, g in zip(requests, grants):
@@ -138,7 +129,7 @@ def choice_server(
     return stg
 
 
-def converter_2phase_4phase(name: str = "conv") -> Stg:
+def converter_2phase_4phase() -> Stg:
     """Protocol converter: two-phase side (a) to four-phase side (r/k).
 
     Shaped after the ``converta``-style interface adapters: input ``a``
@@ -146,7 +137,7 @@ def converter_2phase_4phase(name: str = "conv") -> Stg:
     the output pair ``r``/``k`` with an internal state signal ``x``
     remembering the phase.
     """
-    stg = Stg(["a"], ["r", "x"], name=name)
+    stg = Stg(["a"], ["r", "x"], name="conv")
     # a+ -> r+ -> x+ -> r- -> a- -> r+/1 ... a two-phase to four-phase
     stg.connect(_t("a", True), _t("r", True))
     stg.connect(_t("r", True), _t("x", True))

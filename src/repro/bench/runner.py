@@ -114,15 +114,8 @@ def run_benchmark(
     return row
 
 
-def run_table2(
-    names: list[str] | None = None,
-    run_baselines: bool = True,
-    cache=None,
-) -> list[BenchmarkRow]:
+def run_table2(names: list[str] | None = None, cache=None) -> list[BenchmarkRow]:
     """Regenerate Table 2 (both parts, or a subset of rows)."""
     if names is None:
         names = TABLE2_CIRCUITS
-    return [
-        run_benchmark(n, run_baselines=run_baselines, cache=cache)
-        for n in names
-    ]
+    return [run_benchmark(n, cache=cache) for n in names]

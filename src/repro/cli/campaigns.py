@@ -23,9 +23,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         traversal=args.traversal,
         jobs=args.jobs,
         flow_timeout=args.flow_timeout if args.flow_timeout > 0 else None,
-        retries=args.retries,
         oracle_runs=args.oracle_runs,
-        minimize=not args.no_minimize,
         shrink_evals=args.shrink_evals,
     )
     try:
@@ -102,21 +100,10 @@ def _parser_fuzz(sub: "argparse._SubParsersAction") -> None:
         help="wall-clock seconds per flow per spec (0 disables)",
     )
     p_fz.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="extra attempts per sample after a crash (pool mode)",
-    )
-    p_fz.add_argument(
         "--oracle-runs",
         type=int,
         default=2,
         help="Monte-Carlo oracle runs per successful N-SHOT circuit (0 disables)",
-    )
-    p_fz.add_argument(
-        "--no-minimize",
-        action="store_true",
-        help="skip delta-debugging of disagreements",
     )
     p_fz.add_argument(
         "--shrink-evals",

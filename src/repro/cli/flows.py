@@ -215,15 +215,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
             return 1
         name = target
     circuit = _synthesize(sg, name=name, delay_spread=0.0)
-    chain, info = find_filtered_chain(
-        circuit, seeds=args.seeds, probe=args.probe
-    )
+    chain, info = find_filtered_chain(circuit, seeds=args.seeds)
     if chain is None:
         print(
             f"error: no ω-filtered pulse could be demonstrated on {name} "
-            f"({args.seeds} seeds per stress corner"
-            + ("" if args.probe else ", probe injection disabled")
-            + ")",
+            f"({args.seeds} seeds per stress corner)",
             file=sys.stderr,
         )
         return 1
@@ -257,13 +253,6 @@ def _parser_explain(sub: "argparse._SubParsersAction") -> None:
         type=int,
         default=16,
         help="Monte-Carlo seeds per stress corner (default 16)",
-    )
-    p_x.add_argument(
-        "--probe",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="fall back to a causally-anchored runt injection when no "
-        "organic hazard pulse forms (--no-probe for organic only)",
     )
     _add_report_args(
         p_x,

@@ -140,7 +140,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     elif args.format == "sarif":
         rendered = render_sarif(results)
     else:
-        rendered = render_text(results, verbose=args.verbose)
+        rendered = render_text(results)
 
     _emit_report(args, rendered, args.format == "text")
 
@@ -181,12 +181,6 @@ def _parser_lint(sub: "argparse._SubParsersAction") -> None:
     )
     _add_synthesis_args(
         p_lint, "delay spread assumed by the Equation (1) rule (DL001)"
-    )
-    p_lint.add_argument(
-        "-v",
-        "--verbose",
-        action="store_true",
-        help="list clean targets in the text report too",
     )
     p_lint.add_argument(
         "--list-rules",
@@ -307,7 +301,7 @@ def _certify_differential(args: argparse.Namespace) -> int:
     outcomes += differential_corpus()
     unsound = [o for o in outcomes if not o.sound]
     for o in outcomes:
-        if args.verbose or o.status != "ok":
+        if o.status != "ok":
             print("  " + o.describe())
     for o in unsound:
         spec_text = next(
@@ -368,12 +362,6 @@ def _parser_certify(sub: "argparse._SubParsersAction") -> None:
     )
     _add_synthesis_args(
         p_cert, "delay spread assumed by the Equation (1)/Theorem 2 obligations"
-    )
-    p_cert.add_argument(
-        "-v",
-        "--verbose",
-        action="store_true",
-        help="with --differential: list sound outcomes too",
     )
     _add_profile_args(p_cert)
     _add_cache_args(p_cert)

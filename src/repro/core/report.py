@@ -24,15 +24,13 @@ def format_mode_table(sg: StateGraph, rows: Sequence[ModeRow]) -> str:
     return "\n".join(lines)
 
 
-def format_results_table(
-    rows: Sequence[tuple[str, int, str, str, str]],
-    headers: tuple[str, ...] = ("Circuit", "states", "SIS", "SYN", "ASSASSIN"),
-) -> str:
+def format_results_table(rows: Sequence[tuple[str, int, str, str, str]]) -> str:
     """Render a Table 2 style comparison.
 
     Each row is ``(name, states, sis_cell, syn_cell, assassin_cell)``
     where a cell is an ``area/delay`` string or a ``(k)`` failure code.
     """
+    headers = ("Circuit", "states", "SIS", "SYN", "ASSASSIN")
     widths = [max(len(headers[0]), *(len(r[0]) for r in rows)) if rows else len(headers[0])]
     lines = []
     header = (

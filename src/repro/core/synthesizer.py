@@ -232,8 +232,6 @@ def synthesize(
     sg: StateGraph,
     name: str = "nshot",
     method: str = "espresso",
-    library: Library = DEFAULT_LIBRARY,
-    mhs_tau: float = 1.2,
     delay_spread: float = 0.0,
     share_products: bool = True,
     validate: bool = True,
@@ -277,8 +275,6 @@ def synthesize(
         name=name,
         store=cache,
         method=method,
-        library=library,
-        mhs_tau=mhs_tau,
         delay_spread=delay_spread,
         share_products=share_products,
     ).synthesize(validate=validate)

@@ -105,25 +105,22 @@ def run_oracle(
     sg: StateGraph,
     config: SimConfig,
     *,
-    env_seed: int | None = None,
     max_time: float = 2000.0,
     max_transitions: int = 200,
     input_delay: tuple[float, float] = (0.1, 6.0),
     internal_nets: list[str] | None = None,
-    arm=None,
     observe=None,
 ) -> OracleVerdict:
     """One closed-loop conformance run, returned as a structured verdict.
 
     Never raises for in-simulation failures: watchdog trips map to
     ``timeout`` and simulation errors to ``error`` verdicts, each with
-    the structured diagnostics attached.  ``arm`` is an optional
-    callback invoked with the freshly built :class:`Simulator` before
-    the run starts — the hook transient-fault models use to schedule
-    their mid-traversal injections.  ``observe`` is invoked with
-    ``(sim, env)`` after ``arm`` — the hook for strictly observational
-    collectors that need the environment too (coverage maps register an
-    SG-advance observer, flight recorders attach to the simulator).
+    the structured diagnostics attached.  ``observe`` is an optional
+    callback invoked with the freshly built :class:`Simulator` and its
+    environment before the run starts: collectors attach through it
+    (telemetry and flight recorders to the simulator, coverage maps as
+    an SG-advance observer), and transient-fault models schedule their
+    mid-traversal injections from it.
     When a flight recorder is attached, any violation verdict carries
     causal chains (``repro-causality/1`` documents) for its offending
     events in :attr:`OracleVerdict.causes`.
@@ -135,12 +132,10 @@ def run_oracle(
             sg,
             config,
             seed,
-            env_seed=env_seed,
             max_time=max_time,
             max_transitions=max_transitions,
             input_delay=input_delay,
             internal_nets=internal_nets,
-            arm=arm,
             observe=observe,
         )
         sp.set(
@@ -163,24 +158,20 @@ def _run_oracle_inner(
     config: SimConfig,
     seed: int,
     *,
-    env_seed: int | None,
     max_time: float,
     max_transitions: int,
     input_delay: tuple[float, float],
     internal_nets: list[str] | None,
-    arm,
-    observe=None,
+    observe,
 ) -> tuple[OracleVerdict, int]:
     """The oracle body; returns (verdict, MHS pulses filtered)."""
     sim = Simulator(netlist, config)
     env = SGEnvironment(
         sg,
         sim,
-        seed=env_seed if env_seed is not None else seed ^ 0x5EED,
+        seed=seed ^ 0x5EED,
         input_delay=input_delay,
     )
-    if arm is not None:
-        arm(sim)
     if observe is not None:
         observe(sim, env)
     observable = [sg.signals[a] for a in sg.non_inputs]
@@ -279,17 +270,13 @@ class VerificationRun:
 class VerificationSummary:
     """Aggregate over all runs.
 
-    ``telemetry`` is the ``repro-telemetry/1`` summary block when the
-    sweep ran with a :class:`~repro.obs.telemetry.HazardTelemetry`
-    collector attached; ``coverage`` is the ``repro-coverage/1``
-    document when a :class:`~repro.obs.coverage.CoverageMap` was
-    attached; ``traces`` is the last run's
-    :class:`~repro.sim.waveform.TraceSet` when trace capture was
-    requested (the ``--vcd`` export path).
+    ``coverage`` is the ``repro-coverage/1`` document when a
+    :class:`~repro.obs.coverage.CoverageMap` was attached; ``traces``
+    is the last run's :class:`~repro.sim.waveform.TraceSet` when trace
+    capture was requested (the ``--vcd`` export path).
     """
 
     runs: list[VerificationRun] = field(default_factory=list)
-    telemetry: dict | None = None
     coverage: dict | None = None
     traces: "TraceSet | None" = None
     #: the ``repro-certificate/1`` document when the static certifier
@@ -363,8 +350,8 @@ def verify_hazard_freeness(
     testing a different (unsupported) operating condition.
 
     An optional ``telemetry`` collector is attached to every run's
-    simulator through the ``arm`` hook (samples accumulate across the
-    sweep; the summary block lands in ``summary.telemetry``), and
+    simulator through the ``observe`` hook (samples accumulate across the
+    sweep in the collector), and
     ``keep_traces`` retains the last run's :class:`TraceSet` for VCD
     export — both strictly observational.
 
@@ -378,19 +365,14 @@ def verify_hazard_freeness(
     summary = VerificationSummary()
     sg = circuit.sg
     sims: list = []
-    arm = None
     observe = None
-    if telemetry is not None or keep_traces:
+    if keep_traces or any(p is not None for p in (telemetry, coverage, recorder)):
 
-        def arm(sim) -> None:
+        def observe(sim, env) -> None:
             if telemetry is not None:
                 telemetry.attach(sim)
             if keep_traces:
                 sims[:] = [sim]
-
-    if coverage is not None or recorder is not None:
-
-        def observe(sim, env) -> None:
             if coverage is not None:
                 coverage.attach(env)
             if recorder is not None:
@@ -409,7 +391,6 @@ def verify_hazard_freeness(
                 max_transitions=max_transitions,
                 input_delay=input_delay,
                 internal_nets=circuit.architecture.sop_nets,
-                arm=arm,
                 observe=observe,
             )
             summary.runs.append(
@@ -424,8 +405,6 @@ def verify_hazard_freeness(
                 )
             )
         sp.set(ok=summary.ok, transitions=summary.total_transitions)
-    if telemetry is not None:
-        summary.telemetry = telemetry.summary()
     if coverage is not None:
         summary.coverage = coverage.summary()
     if sims:

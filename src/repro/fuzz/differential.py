@@ -251,19 +251,14 @@ def run_flow(
     ``refused`` is reserved for structured
     :class:`~repro.core.synthesizer.SynthesisError` — the contract the
     baselines satellite establishes; any other exception type is a
-    ``crashed`` finding by definition.
-
-    The whole flow runs under :func:`repro.pipeline.cache_bypass`: a
-    crash-contained computation — one that a watchdog may kill halfway
-    — must never publish stage artifacts into a shared pipeline cache,
-    so a crashed outcome can never be replayed as cached truth.
+    ``crashed`` finding by definition.  No flow here has an artifact
+    store, so a crashed outcome is never cached.
     """
     from ..core.synthesizer import SynthesisError
-    from ..pipeline import cache_bypass
 
     t0 = _time.perf_counter()
     try:
-        with cache_bypass(), wall_clock_guard(timeout):
+        with wall_clock_guard(timeout):
             result = _dispatch(flow, sg, name)
         stats = result.netlist.stats()
         return FlowOutcome(
@@ -603,7 +598,6 @@ class FuzzConfig:
     traversal: str = "both"
     jobs: int = 1
     flow_timeout: float | None = 20.0
-    retries: int = 0
     oracle_runs: int = 2
     minimize: bool = True
     shrink_evals: int = 200
@@ -653,7 +647,6 @@ def run_fuzz(config: FuzzConfig) -> "FuzzReport":
     policy = ExecutorPolicy(
         jobs=config.jobs,
         task_timeout=outer if config.jobs > 1 else None,
-        retries=config.retries,
     )
 
     report = FuzzReport(config=config)

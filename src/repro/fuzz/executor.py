@@ -4,8 +4,8 @@ The pool owns one pipe per worker process, so the parent can enforce
 **per-task wall clock deadlines** (a stuck worker is terminated and
 respawned, the task becomes a ``timeout`` result), survive **worker
 death** (segfault, ``os._exit``, OOM-kill — the task becomes a
-``crashed`` result), and apply **bounded retries with exponential
-backoff** for flaky tasks.
+``crashed`` result).  Tasks are not retried: fuzz samples are seeded,
+so a second attempt would replay the same outcome.
 
 Design rules, enforced for every client:
 
@@ -15,8 +15,8 @@ Design rules, enforced for every client:
   partial results with ``truncated=True`` — a long campaign interrupted
   at 90% still flushes 90% of its report;
 * ``jobs=1`` runs inline in the calling process (no pickling, spans
-  land in the caller's tracer) under the same timeout/retry policy via
-  a SIGALRM guard.
+  land in the caller's tracer) under the same timeout policy via a
+  SIGALRM guard.
 
 The task function must be a **module-level picklable callable**; its
 payloads and return values cross a pipe when ``jobs > 1``.
@@ -82,20 +82,11 @@ def wall_clock_guard(seconds: float | None):
 
 @dataclass(frozen=True)
 class ExecutorPolicy:
-    """How a batch of tasks is executed.
-
-    ``task_timeout`` is wall-clock seconds per *attempt*; ``retries``
-    is the number of extra attempts granted after an ``error`` or
-    ``crashed`` attempt (and after ``timeout`` when
-    ``retry_on_timeout``); ``backoff`` is the base of the exponential
-    delay between attempts of the same task.
-    """
+    """How a batch of tasks is executed: ``jobs`` worker processes
+    (inline when 1) and ``task_timeout`` wall-clock seconds per task."""
 
     jobs: int = 1
     task_timeout: float | None = None
-    retries: int = 0
-    backoff: float = 0.05
-    retry_on_timeout: bool = False
 
 
 @dataclass
@@ -103,7 +94,7 @@ class TaskResult:
     """Outcome of one task, whatever happened to it.
 
     ``status`` is one of :data:`TASK_STATUSES`: ``ok`` (``value`` holds
-    the return), ``error`` (the task raised), ``timeout`` (an attempt
+    the return), ``error`` (the task raised), ``timeout`` (the task
     exceeded the deadline), ``crashed`` (the worker process died under
     the task), ``cancelled`` (never ran — the batch was interrupted).
     """
@@ -112,7 +103,6 @@ class TaskResult:
     status: str
     value: Any = None
     detail: str = ""
-    attempts: int = 0
     runtime: float = 0.0
 
     @property
@@ -138,12 +128,6 @@ class ExecutorReport:
         return out
 
 
-def _retryable(status: str, policy: ExecutorPolicy) -> bool:
-    if status in ("error", "crashed"):
-        return True
-    return status == "timeout" and policy.retry_on_timeout
-
-
 # ----------------------------------------------------------------------
 # inline execution (jobs=1)
 # ----------------------------------------------------------------------
@@ -156,40 +140,23 @@ def _run_inline(
         if truncated:
             results.append(TaskResult(i, "cancelled", detail="interrupted"))
             continue
-        attempt = 0
-        res = TaskResult(i, "error")
-        while True:
-            attempt += 1
-            t0 = time.perf_counter()
-            try:
-                with wall_clock_guard(policy.task_timeout):
-                    value = fn(payload)
-                res = TaskResult(i, "ok", value=value)
-            except WallClockTimeout:
-                res = TaskResult(
-                    i,
-                    "timeout",
-                    detail=f"task exceeded {policy.task_timeout}s",
-                )
-            except KeyboardInterrupt:
-                truncated = True
-                res = TaskResult(i, "cancelled", detail="interrupted")
-            except Exception as e:
-                res = TaskResult(i, "error", detail=f"{type(e).__name__}: {e}")
-            res.attempts = attempt
-            res.runtime = time.perf_counter() - t0
-            if (
-                res.status == "ok"
-                or truncated
-                or not _retryable(res.status, policy)
-                or attempt > policy.retries
-            ):
-                break
-            try:
-                time.sleep(policy.backoff * (2 ** (attempt - 1)))
-            except KeyboardInterrupt:
-                truncated = True
-                break
+        t0 = time.perf_counter()
+        try:
+            with wall_clock_guard(policy.task_timeout):
+                value = fn(payload)
+            res = TaskResult(i, "ok", value=value)
+        except WallClockTimeout:
+            res = TaskResult(
+                i,
+                "timeout",
+                detail=f"task exceeded {policy.task_timeout}s",
+            )
+        except KeyboardInterrupt:
+            truncated = True
+            res = TaskResult(i, "cancelled", detail="interrupted")
+        except Exception as e:
+            res = TaskResult(i, "error", detail=f"{type(e).__name__}: {e}")
+        res.runtime = time.perf_counter() - t0
         results.append(res)
     return ExecutorReport(results=results, truncated=truncated)
 
@@ -231,12 +198,12 @@ class _Worker:
         self.proc = ctx.Process(target=_pool_worker, args=(fn, child), daemon=True)
         self.proc.start()
         child.close()
-        self.task: tuple[int, int] | None = None  # (index, attempt)
+        self.task: int | None = None  # index of the running task
         self.deadline: float | None = None
 
-    def assign(self, index: int, payload: Any, attempt: int, timeout: float | None) -> None:
+    def assign(self, index: int, payload: Any, timeout: float | None) -> None:
         self.conn.send((index, payload))
-        self.task = (index, attempt)
+        self.task = index
         self.deadline = (time.monotonic() + timeout) if timeout else None
 
     def kill(self) -> None:
@@ -254,53 +221,41 @@ def _run_pool(
 ) -> ExecutorReport:
     ctx = multiprocessing.get_context()
     n = len(payloads)
-    # queue entries: (not_before_monotonic, index, attempt)
-    queue: list[tuple[float, int, int]] = [(0.0, i, 1) for i in range(n)]
+    queue: list[int] = list(range(n))  # task indices not yet handed out
     started: dict[int, float] = {}
     results: dict[int, TaskResult] = {}
     workers = [_Worker(fn, ctx) for _ in range(min(policy.jobs, n))]
     truncated = False
 
-    def settle(index: int, attempt: int, status: str, value: Any, detail: str) -> None:
-        """Record an attempt's outcome: final result or a requeue."""
+    def settle(index: int, status: str, value: Any, detail: str) -> None:
         runtime = time.monotonic() - started.pop(index, time.monotonic())
-        if status != "ok" and _retryable(status, policy) and attempt <= policy.retries:
-            queue.append(
-                (time.monotonic() + policy.backoff * (2 ** (attempt - 1)), index, attempt + 1)
-            )
-            return
         results[index] = TaskResult(
-            index, status, value=value, detail=detail, attempts=attempt, runtime=runtime
+            index, status, value=value, detail=detail, runtime=runtime
         )
 
     try:
         while len(results) < n:
             now = time.monotonic()
-            # hand ready queue entries to idle workers
+            # hand queued tasks to idle workers
             for w in workers:
                 if w.task is not None or not queue:
                     continue
-                queue.sort()
-                if queue[0][0] > now:
-                    continue
-                _, index, attempt = queue.pop(0)
+                index = queue.pop(0)
                 started[index] = time.monotonic()
                 try:
-                    w.assign(index, payloads[index], attempt, policy.task_timeout)
+                    w.assign(index, payloads[index], policy.task_timeout)
                 except (OSError, BrokenPipeError):
                     # worker already gone: respawn and requeue the task
                     w.kill()
                     workers[workers.index(w)] = _Worker(fn, ctx)
-                    queue.append((now, index, attempt))
+                    queue.append(index)
 
             busy = [w for w in workers if w.task is not None]
             if not busy:
-                if queue:  # everything is backing off
-                    queue.sort()
-                    time.sleep(max(0.0, min(queue[0][0] - time.monotonic(), 0.05)))
+                if queue:  # every handoff failed: respawned workers retry it
                     continue
                 break  # nothing queued, nothing running: all settled
-            # wait for a result, but wake early for deadlines/backoffs
+            # wait for a result, but wake early for deadlines
             wait_for = 0.25
             for w in busy:
                 if w.deadline is not None:
@@ -312,7 +267,7 @@ def _run_pool(
                 w = next(x for x in busy if x.conn is conn)
                 if w.task is None:  # pragma: no cover - settled by deadline path
                     continue
-                index, attempt = w.task
+                index = w.task
                 try:
                     r_index, status, value = w.conn.recv()
                 except (EOFError, OSError):
@@ -321,26 +276,26 @@ def _run_pool(
                     w.kill()
                     workers[workers.index(w)] = _Worker(fn, ctx)
                     settle(
-                        index, attempt, "crashed", None,
+                        index, "crashed", None,
                         f"worker process died (exit code {code})",
                     )
                     continue
                 w.task = None
                 w.deadline = None
                 if status == "ok":
-                    settle(r_index, attempt, "ok", value, "")
+                    settle(r_index, "ok", value, "")
                 else:
-                    settle(r_index, attempt, "error", None, value)
+                    settle(r_index, "error", None, value)
             # enforce deadlines on workers that are still running
             now = time.monotonic()
             for w in list(workers):
                 if w.task is None or w.deadline is None or now < w.deadline:
                     continue
-                index, attempt = w.task
+                index = w.task
                 w.kill()
                 workers[workers.index(w)] = _Worker(fn, ctx)
                 settle(
-                    index, attempt, "timeout", None,
+                    index, "timeout", None,
                     f"task exceeded {policy.task_timeout}s; worker terminated",
                 )
     except KeyboardInterrupt:

@@ -317,8 +317,8 @@ def _emit(plan: _Plan, sg: StateGraph, entry, exit_, tag: int, ins, outs) -> Non
         raise GenerationError(f"unknown motif {plan.motif!r}")
 
 
-def _with_free_running_input(sg: StateGraph, clk: str = "clk") -> StateGraph:
-    """Product with a toggling input — the Figure 7(b) device.
+def _with_free_running_input(sg: StateGraph) -> StateGraph:
+    """Product with a toggling input ``clk`` — the Figure 7(b) device.
 
     Preserves consistency, semi-modularity, CSC and distributivity
     status; makes every trigger region of every non-input at least two
@@ -328,8 +328,8 @@ def _with_free_running_input(sg: StateGraph, clk: str = "clk") -> StateGraph:
     idx = sg.num_signals
     bclk = 1 << idx
     out = StateGraph(
-        list(sg.signals) + [clk],
-        [sg.signals[i] for i in sorted(sg.inputs)] + [clk],
+        list(sg.signals) + ["clk"],
+        [sg.signals[i] for i in sorted(sg.inputs)] + ["clk"],
     )
     for s in sg.states():
         out.add_state((s, 0), sg.code(s))

@@ -273,10 +273,9 @@ class Cover:
             f"{c.input_string()} {c.output_string(self.num_outputs)}" for c in self.cubes
         ]
 
-    def to_expression(self, names: Sequence[str] | None = None, output: int = 0) -> str:
-        """Human-readable SOP expression for one output."""
-        bit = 1 << output
-        terms = [c.to_expression(names) for c in self.cubes if c.outputs & bit]
+    def to_expression(self, names: Sequence[str] | None = None) -> str:
+        """Human-readable SOP expression for the first output."""
+        terms = [c.to_expression(names) for c in self.cubes if c.outputs & 1]
         if not terms:
             return "0"
         return " + ".join(terms)

@@ -123,7 +123,7 @@ class Cube:
         return Cube(len(text.strip()), mask, outputs)
 
     @staticmethod
-    def from_assignment(values: Sequence[int], outputs: int = 1) -> "Cube":
+    def from_assignment(values: Sequence[int]) -> "Cube":
         """Build a minterm cube from a 0/1 assignment vector.
 
         Values other than 0/1 (e.g. ``None`` or ``2``) become don't
@@ -138,7 +138,7 @@ class Cube:
             else:
                 field = LIT_DC
             mask |= field << (2 * var)
-        return Cube(len(values), mask, outputs)
+        return Cube(len(values), mask)
 
     @staticmethod
     def from_minterm(minterm: int, num_inputs: int, outputs: int = 1) -> "Cube":

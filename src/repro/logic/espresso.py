@@ -34,6 +34,9 @@ __all__ = [
     "make_offset",
 ]
 
+#: safety bound on the EXPAND/IRREDUNDANT/REDUCE improve loop
+MAX_ITERATIONS = 20
+
 
 def make_offset(on: Cover, dc: Cover | None = None) -> Cover:
     """Compute the multi-output OFF-set cover ``R = complement(F ∪ D)``.
@@ -210,7 +213,6 @@ def espresso(
     on: Cover,
     dc: Cover | None = None,
     off: Cover | None = None,
-    max_iterations: int = 20,
 ) -> Cover:
     """Heuristic multi-output two-level minimization.
 
@@ -226,8 +228,8 @@ def espresso(
         absent.  Supplying it (as region-derived covers do) avoids the
         complementation cost and — more importantly — pins down
         the function when ``F ∪ D ∪ R`` is not the whole space.
-    max_iterations:
-        Safety bound on the improve loop.
+
+    The improve loop stops after :data:`MAX_ITERATIONS` passes at most.
 
     Returns
     -------
@@ -236,7 +238,7 @@ def espresso(
         ``[F, F ∪ D]``.
     """
     with trace_span("espresso", inputs=on.num_inputs, outputs=on.num_outputs) as sp:
-        result, iterations = _espresso_loop(on, dc, off, max_iterations)
+        result, iterations = _espresso_loop(on, dc, off)
         sp.set(iterations=iterations, cubes=len(result))
     get_metrics().counter("espresso.iterations").add(iterations)
     return result
@@ -246,7 +248,6 @@ def _espresso_loop(
     on: Cover,
     dc: Cover | None,
     off: Cover | None,
-    max_iterations: int,
 ) -> tuple[Cover, int]:
     """The EXPAND/IRREDUNDANT/REDUCE loop; returns (cover, iterations)."""
     if off is None:
@@ -275,7 +276,7 @@ def _espresso_loop(
     best = work.copy()
     best_cost = _loop_cost(best, essential)
     iterations = 0
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         iterations += 1
         work = reduce_cover(work, dc_aug)
         work = expand(work, off) if work.cubes else work

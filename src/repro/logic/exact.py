@@ -10,7 +10,7 @@ provides that exact mode for single-output functions of modest size:
    essential-column extraction, row/column dominance reduction, and a
    depth-first branch-and-bound with a greedy incumbent.
 
-Sizes beyond ``max_minterms`` fall back to the heuristic loop — the
+Sizes beyond :data:`MAX_MINTERMS` fall back to the heuristic loop — the
 classic practical compromise.
 """
 
@@ -22,13 +22,19 @@ from .espresso import espresso
 
 __all__ = ["generate_primes", "exact_minimize", "unate_cover"]
 
+#: ON-set size above which :func:`exact_minimize` falls back to ESPRESSO
+MAX_MINTERMS = 4096
+#: working-set bound of :func:`generate_primes`
+PRIME_LIMIT = 20000
 
-def generate_primes(on: Cover, dc: Cover | None = None, limit: int = 20000) -> list[Cube]:
+
+def generate_primes(on: Cover, dc: Cover | None = None) -> list[Cube]:
     """All prime implicants of ``F ∪ D`` by iterated consensus.
 
     Starts from the given cubes (single-output), repeatedly adds
-    consensus cubes, and removes cubes contained in others.  ``limit``
-    bounds the working set to keep the worst case in check.
+    consensus cubes, and removes cubes contained in others.
+    :data:`PRIME_LIMIT` bounds the working set to keep the worst case
+    in check.
     """
     pool: set[tuple[int, int]] = set()
     n = on.num_inputs
@@ -62,7 +68,7 @@ def generate_primes(on: Cover, dc: Cover | None = None, limit: int = 20000) -> l
                     continue
                 existing.add(cons.inputs)
                 new.append(cons)
-                if len(cubes) + len(new) > limit:
+                if len(cubes) + len(new) > PRIME_LIMIT:
                     raise RuntimeError("prime generation exceeded limit")
         if new:
             cubes.extend(new)
@@ -193,7 +199,6 @@ def unate_cover(rows: list[set[int]], costs: list[int], num_cols: int) -> list[i
 def exact_minimize(
     on: Cover,
     dc: Cover | None = None,
-    max_minterms: int = 4096,
 ) -> Cover:
     """Exact single-output minimization; heuristic fallback when large.
 
@@ -206,7 +211,7 @@ def exact_minimize(
     on_minterms = sorted(on.minterms(0))
     if not on_minterms:
         return Cover.empty(on.num_inputs, 1)
-    if len(on_minterms) > max_minterms:
+    if len(on_minterms) > MAX_MINTERMS:
         return espresso(on, dc)
     try:
         primes = generate_primes(on, dc)

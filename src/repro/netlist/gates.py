@@ -97,9 +97,6 @@ class Gate:
             GateType.QFLOP,
         )
 
-    def input_nets(self) -> list[str]:
-        return [p.net for p in self.inputs]
-
     def describe(self) -> str:
         ins = ", ".join(str(p) for p in self.inputs)
         extra = f" / {self.output_n}" if self.output_n else ""

@@ -22,7 +22,7 @@ __all__ = ["build_mhs_cell", "MHS_STAGE_NAMES"]
 MHS_STAGE_NAMES = ("master", "filter", "slave")
 
 
-def build_mhs_cell(name: str = "mhs_cell") -> Netlist:
+def build_mhs_cell() -> Netlist:
     """Gate-level netlist of one MHS flip-flop (Figure 5).
 
     Ports: inputs ``set`` / ``reset``; outputs ``q`` / ``qn``.
@@ -36,7 +36,7 @@ def build_mhs_cell(name: str = "mhs_cell") -> Netlist:
     (suppressing sub-threshold master excursions) lives in the
     behavioural model's ω parameter.
     """
-    nl = Netlist(name)
+    nl = Netlist("mhs_cell")
     nl.add_input("set")
     nl.add_input("reset")
     nl.add_output("q")

@@ -186,9 +186,7 @@ class Netlist:
             worst = max(worst, arrival(po))
         return worst
 
-    def critical_path_trace(
-        self, library: Library = DEFAULT_LIBRARY
-    ) -> list[tuple[str, float]]:
+    def critical_path_trace(self) -> list[tuple[str, float]]:
         """The worst path as (gate name, arrival at its output) pairs.
 
         Follows the same path rules as :meth:`critical_path`; the list
@@ -196,6 +194,7 @@ class Netlist:
         cell or primary output that closes it).  Useful for explaining
         a Table 2 delay cell: e.g. ``and → or → ack → mhs``.
         """
+        library = DEFAULT_LIBRARY
         memo: dict[str, tuple[float, list[tuple[str, float]]]] = {}
 
         def arrival(net: str) -> tuple[float, list[tuple[str, float]]]:

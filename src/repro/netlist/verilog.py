@@ -64,9 +64,9 @@ def _id(net: str) -> str:
     return out
 
 
-def write_verilog(netlist: Netlist, module_name: str | None = None) -> str:
+def write_verilog(netlist: Netlist) -> str:
     """Serialize a netlist as structural Verilog text."""
-    name = module_name or _id(netlist.name)
+    name = _id(netlist.name)
     ins = [_id(n) for n in netlist.primary_inputs]
     outs = [_id(n) for n in netlist.primary_outputs]
     ports = ins + outs

@@ -65,6 +65,9 @@ ANALYTICS_SCHEMA = "repro-analytics/1"
 CHANGEPOINT_WINDOW = 3
 CHANGEPOINT_K = 4.0
 CHANGEPOINT_MIN_REL = 0.2
+#: absolute shift floor, so timer noise on microsecond phases never
+#: reads as drift
+CHANGEPOINT_ABS_FLOOR_S = 0.0005
 
 #: hotspot functions traced across profile documents
 HOTSPOT_TOP = 10
@@ -73,6 +76,13 @@ HOTSPOT_TOP = 10
 #: the last ``RATCHET_LAST_N`` clean runs per circuit
 RATCHET_K = 5.0
 RATCHET_LAST_N = 10
+#: clean runs a circuit needs before its phase counts as evidence
+RATCHET_MIN_RUNS = 3
+#: floors of a proposed band
+RATCHET_MIN_REL = 0.05
+RATCHET_MIN_ABS_S = 0.0005
+#: a committed ``rel`` this many times the proposed one is stale
+RATCHET_STALE_FACTOR = 2.0
 
 
 # ----------------------------------------------------------------------
@@ -191,18 +201,13 @@ def _point(run: LedgerRun, value: float) -> SeriesPoint:
     )
 
 
-def phase_series(
-    ledger: Ledger, env_digest: str | None = None
-) -> dict[tuple[str, str], list[SeriesPoint]]:
+def phase_series(ledger: Ledger) -> dict[tuple[str, str], list[SeriesPoint]]:
     """Per-(circuit, phase) wall-time medians across every bench run.
 
-    The pseudo-phase ``total`` is included.  ``env_digest`` restricts
-    the series to one machine stratum.
+    The pseudo-phase ``total`` is included.
     """
     series: dict[tuple[str, str], list[SeriesPoint]] = {}
     for run in ledger.of_kind("bench"):
-        if env_digest is not None and run.env_digest != env_digest:
-            continue
         for entry in run.doc.get("circuits", []):
             name = entry.get("name")
             if not name:
@@ -222,11 +227,11 @@ def phase_series(
 
 
 def hotspot_series(
-    ledger: Ledger, top: int = HOTSPOT_TOP, env_digest: str | None = None
+    ledger: Ledger, env_digest: str | None = None
 ) -> dict[str, list[SeriesPoint]]:
     """Self-time trends of the hottest functions across profile runs.
 
-    The function set is the top-``top`` of the *latest* profile
+    The function set is the top :data:`HOTSPOT_TOP` of the *latest* profile
     document (the current hotspot list is what the speed arc is
     chasing); each function's self seconds are then traced back
     through every older profile that sampled it.
@@ -239,7 +244,7 @@ def hotspot_series(
     if not profiles:
         return {}
     latest = profiles[-1].doc.get("functions") or []
-    wanted = [f["func"] for f in latest[:top] if f.get("func")]
+    wanted = [f["func"] for f in latest[:HOTSPOT_TOP] if f.get("func")]
     series: dict[str, list[SeriesPoint]] = {fn: [] for fn in wanted}
     for run in profiles:
         by_func = {
@@ -351,16 +356,15 @@ class Changepoint:
 def detect_changepoints(
     points: list[SeriesPoint],
     window: int = CHANGEPOINT_WINDOW,
-    k: float = CHANGEPOINT_K,
-    min_rel: float = CHANGEPOINT_MIN_REL,
-    abs_floor_s: float = 0.0005,
 ) -> list[Changepoint]:
     """Windowed median-shift detection, one env stratum at a time.
 
     A boundary ``i`` is suspect when the median of the ``window``
     points after it differs from the median of the ``window`` points
     before it by more than ``max(k·MAD_before, min_rel·median_before,
-    abs_floor_s)`` — the same three-guard shape the regress gate uses,
+    abs_floor_s)`` (:data:`CHANGEPOINT_K`, :data:`CHANGEPOINT_MIN_REL`,
+    :data:`CHANGEPOINT_ABS_FLOOR_S`) — the same three-guard shape the
+    regress gate uses,
     so timer noise on microsecond phases never reads as drift.
     Consecutive suspect boundaries describe *one* shift; the group is
     collapsed to the boundary with the best step fit (minimum summed
@@ -386,7 +390,11 @@ def detect_changepoints(
             after = values[i : i + window]
             med_b = median(before)
             shift = abs(median(after) - med_b)
-            guard = max(k * mad(before), min_rel * med_b, abs_floor_s)
+            guard = max(
+                CHANGEPOINT_K * mad(before),
+                CHANGEPOINT_MIN_REL * med_b,
+                CHANGEPOINT_ABS_FLOOR_S,
+            )
             if shift > guard:
                 suspects.append(i)
         # collapse runs of consecutive suspect boundaries to the one
@@ -503,11 +511,6 @@ def analyze(history: RunHistory | str | Ledger) -> dict:
     return {
         "schema": ANALYTICS_SCHEMA,
         "created_utc": _utc_now(),
-        "params": {
-            "window": CHANGEPOINT_WINDOW,
-            "k": CHANGEPOINT_K,
-            "min_rel": CHANGEPOINT_MIN_REL,
-        },
         "ledger": {
             "runs": len(ledger.runs),
             "kinds": ledger.counts(),
@@ -560,19 +563,16 @@ def _no_looser(band, committed, medians: list[float]) -> bool:
 def propose_ratchet(
     history: RunHistory | str | Ledger,
     policy,
-    min_runs: int = 3,
-    min_rel: float = 0.05,
-    min_abs_s: float = 0.0005,
-    stale_factor: float = 2.0,
 ) -> dict:
     """Derive tightened per-phase bands from the measured noise.
 
-    For every phase the ledger has evidence for (≥ ``min_runs`` clean
-    runs on the current machine for at least one circuit), the noise
-    floor is the worst-case ``MAD/median`` across circuits and the
-    band's ``rel`` is :data:`RATCHET_K` times that floor, clamped to
-    ``min_rel``.  Its ``abs_s`` is ``RATCHET_K`` × the worst MAD,
-    clamped to ``min_abs_s`` and raised until every evidence run passes
+    For every phase the ledger has evidence for (≥
+    :data:`RATCHET_MIN_RUNS` clean runs on the current machine for at
+    least one circuit), the noise floor is the worst-case
+    ``MAD/median`` across circuits and the band's ``rel`` is
+    :data:`RATCHET_K` times that floor, clamped to
+    :data:`RATCHET_MIN_REL`.  Its ``abs_s`` is ``RATCHET_K`` × the
+    worst MAD, clamped to :data:`RATCHET_MIN_ABS_S` and raised until every evidence run passes
     ``allowed(median(tail))`` — a band never rejects the runs it was
     derived from.  Each phase's ``evidence`` row carries an ``action``:
 
@@ -583,7 +583,7 @@ def propose_ratchet(
       band; it stays, since loosening is a reviewed hand edit.
 
     ``stale`` lists phases whose committed ``rel`` is ≥
-    ``stale_factor`` × the proposed one; the CI advisory check surfaces
+    :data:`RATCHET_STALE_FACTOR` × the proposed one; the CI advisory check surfaces
     these so stale-loose gates become visible on every PR.
 
     Returns a ``repro-thresholds/1`` document: ``policy`` with every
@@ -598,7 +598,7 @@ def propose_ratchet(
     tails: dict[str, list[tuple[str, list[float]]]] = {}
     for (circuit, phase), pts in sorted(phase_series(ledger).items()):
         tail = _clean_tail(pts, stratum or "")
-        if len(tail) >= min_runs:
+        if len(tail) >= RATCHET_MIN_RUNS:
             tails.setdefault(phase, []).append((circuit, tail))
     overrides = dict(policy.phases)
     evidence: dict[str, dict] = {}
@@ -619,14 +619,14 @@ def propose_ratchet(
             default=0.0,
         )
         abs_floor = max(r["mad_s"] for r in circuits)
-        rel = max(min_rel, round(RATCHET_K * rel_floor, 4))
+        rel = max(RATCHET_MIN_REL, round(RATCHET_K * rel_floor, 4))
         # the smallest abs_s under which every evidence run passes
         admit = max(max(t) - median(t) * (1.0 + rel) for _, t in rows)
         current = policy.for_phase(phase)
         band = Thresholds(
             rel=rel,
             abs_s=max(
-                min_abs_s,
+                RATCHET_MIN_ABS_S,
                 round(RATCHET_K * abs_floor, 6),
                 round(admit + 1e-6, 6),
             ),
@@ -646,7 +646,7 @@ def propose_ratchet(
             "proposed": band.to_json(),
             "circuits": circuits,
         }
-        if current.rel >= stale_factor * rel:
+        if current.rel >= RATCHET_STALE_FACTOR * rel:
             stale[phase] = {
                 "rel": current.rel,
                 "floor_rel": round(rel_floor, 4),

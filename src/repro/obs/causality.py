@@ -41,6 +41,9 @@ __all__ = [
 
 CAUSALITY_SCHEMA = "repro-causality/1"
 
+#: longest cause chain :meth:`FlightRecorder.explain` walks
+MAX_CHAIN_DEPTH = 10_000
+
 
 @dataclass(frozen=True)
 class RecordedEvent:
@@ -186,8 +189,8 @@ class CausalChain:
 class FlightRecorder:
     """Bounded recorder of one simulator's cause DAG.
 
-    Attach with ``sim.attach_recorder(recorder)`` (or pass
-    :meth:`attach` as/inside the ``arm`` hook of
+    Attach with ``sim.attach_recorder(recorder)`` (or call
+    :meth:`attach` from the ``observe`` hook of
     :func:`repro.core.verify.run_oracle`).  The ring buffer keeps the
     last ``budget`` events; eviction is counted in :attr:`dropped` and
     surfaces as ``truncated`` on any chain that needs the lost history.
@@ -212,7 +215,7 @@ class FlightRecorder:
         self._inputs = frozenset(sim.netlist.primary_inputs)
 
     def attach(self, sim: "Simulator") -> None:
-        """Convenience for ``arm`` hooks: attach this recorder."""
+        """Convenience for ``observe`` hooks: attach this recorder."""
         sim.attach_recorder(self)
 
     def _remember(self, ev: RecordedEvent) -> None:
@@ -304,10 +307,9 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # explanation
     # ------------------------------------------------------------------
-    def explain(
-        self, event: RecordedEvent | int, max_depth: int = 10_000
-    ) -> CausalChain:
-        """Walk the cause DAG from ``event`` back to its root.
+    def explain(self, event: RecordedEvent | int) -> CausalChain:
+        """Walk the cause DAG from ``event`` back to its root (at most
+        :data:`MAX_CHAIN_DEPTH` events).
 
         Accepts a :class:`RecordedEvent` or a seq.  Raises ``KeyError``
         for a seq the buffer does not hold (already evicted or never
@@ -319,7 +321,7 @@ class FlightRecorder:
         seen = {event.seq}
         cur = event
         truncated = False
-        while cur.cause is not None and len(chain) < max_depth:
+        while cur.cause is not None and len(chain) < MAX_CHAIN_DEPTH:
             nxt = self._events.get(cur.cause)
             if nxt is None:
                 truncated = True  # evicted: history ends here
@@ -350,6 +352,9 @@ class FlightRecorder:
 # demonstration sweep (the `repro explain` engine)
 # ----------------------------------------------------------------------
 
+#: flight-recorder event budget of each sweep run
+_SWEEP_BUDGET = 200_000
+
 #: (jitter, input_delay) stress corners, most productive first: high
 #: delay spread plus a fast-reacting environment is what makes the SOP
 #: planes race and shed sub-ω runts at the flip-flop masters
@@ -365,10 +370,7 @@ def find_filtered_chain(
     circuit,
     *,
     seeds: int = 16,
-    budget: int = 200_000,
     probe: bool = True,
-    max_time: float = 2000.0,
-    max_transitions: int = 300,
 ) -> tuple[CausalChain | None, dict]:
     """Produce one environment-rooted chain of an ω-filtered pulse.
 
@@ -391,7 +393,7 @@ def find_filtered_chain(
     sg = circuit.sg
     for jitter, input_delay in _STRESS_LADDER:
         for seed in range(seeds):
-            recorder = FlightRecorder(budget=budget)
+            recorder = FlightRecorder(budget=_SWEEP_BUDGET)
             sim = Simulator(
                 circuit.netlist,
                 SimConfig(jitter=jitter, seed=seed, max_events=500_000),
@@ -399,7 +401,7 @@ def find_filtered_chain(
             recorder.attach(sim)
             env = SGEnvironment(sg, sim, seed=seed, input_delay=input_delay)
             try:
-                env.run(max_time=max_time, max_transitions=max_transitions)
+                env.run(max_time=2000.0, max_transitions=300)
             except Exception:
                 continue  # a watchdog trip at an extreme corner: move on
             chain = recorder.explain_last_filtered()

@@ -57,6 +57,9 @@ WORK_METRICS = {
     "delays.evaluated": "delays_evaluated",
 }
 
+#: observable transitions per Monte-Carlo run of a bench pass
+_VERIFY_TRANSITIONS = 40
+
 #: small, fast circuits for ``--quick`` (CI smoke)
 _QUICK = ("chu150", "chu172", "converta", "pmcm2")
 
@@ -97,10 +100,10 @@ def _utc_now() -> datetime.datetime:
     return datetime.datetime.now(datetime.timezone.utc)
 
 
-def default_bench_path(directory: str = ".") -> str:
-    """``BENCH_<UTC-date>.json`` in ``directory``."""
+def default_bench_path() -> str:
+    """``BENCH_<UTC-date>.json`` in the working directory."""
     stamp = _utc_now().strftime("%Y-%m-%d")
-    return os.path.join(directory, f"BENCH_{stamp}.json")
+    return os.path.join(".", f"BENCH_{stamp}.json")
 
 
 # ----------------------------------------------------------------------
@@ -110,8 +113,6 @@ def run_circuit(
     name: str,
     run: int = 0,
     verify_runs: int = 3,
-    verify_transitions: int = 40,
-    seed: int = 0,
     store=None,
     static_first: bool = False,
 ):
@@ -130,8 +131,7 @@ def run_circuit(
         prun.synthesize()
         summary = prun.verify(
             runs=verify_runs,
-            max_transitions=verify_transitions,
-            base_seed=seed,
+            max_transitions=_VERIFY_TRANSITIONS,
             static_first=static_first,
         )
     return prun, summary
@@ -158,8 +158,6 @@ def bench_circuit(
     name: str,
     runs: int = 3,
     verify_runs: int = 3,
-    verify_transitions: int = 40,
-    seed: int = 0,
     telemetry: bool = False,
     store=None,
     static_first: bool = False,
@@ -180,8 +178,8 @@ def bench_circuit(
     The synthesize+verify chain is pulled through the pipeline DAG.
     With ``store`` (a :class:`~repro.pipeline.store.ArtifactStore`) its
     artifacts are content-addressed and the entry gains a ``cache``
-    block with per-stage hit/miss counts, so warm and cold documents
-    are distinguishable.
+    block with its hit/miss counts, so warm and cold documents are
+    distinguishable.
 
     With ``static_first`` the verification phase runs the symbolic
     hazard certifier first and skips the Monte-Carlo sweep on a
@@ -195,7 +193,6 @@ def bench_circuit(
     metrics_doc: dict[str, int] = {}
     cache_hits = 0
     cache_misses = 0
-    cache_stages: dict[str, dict[str, int]] = {}
     states = 0
     prev_metrics = get_metrics()
     for k in range(runs):
@@ -208,8 +205,6 @@ def bench_circuit(
                     name,
                     run=k,
                     verify_runs=verify_runs,
-                    verify_transitions=verify_transitions,
-                    seed=seed,
                     store=store,
                     static_first=static_first,
                 )
@@ -220,9 +215,6 @@ def bench_circuit(
             rep = prun.report()
             cache_hits += rep["hits"]
             cache_misses += rep["misses"]
-            for stage, outcome in rep["stages"].items():
-                tally = cache_stages.setdefault(stage, {"hit": 0, "miss": 0})
-                tally[outcome] += 1
         states = prun.sg().num_states
         for phase, agg in tracer.phase_totals().items():
             phase_runs.setdefault(phase, []).append(agg["total_s"])
@@ -252,11 +244,7 @@ def bench_circuit(
         },
     }
     if store is not None:
-        entry["cache"] = {
-            "hits": cache_hits,
-            "misses": cache_misses,
-            "stages": cache_stages,
-        }
+        entry["cache"] = {"hits": cache_hits, "misses": cache_misses}
     if static_first:
         cert = summary.certificate or {}
         entry["static"] = {
@@ -265,68 +253,27 @@ def bench_circuit(
             "counts": dict(cert.get("counts", {})),
         }
     if telemetry:
-        # The probe objects are run-local (that is why probe-laden
-        # verification bypasses the pipeline cache), but their *totals*
-        # are a deterministic function of circuit + sweep params — so
-        # the derived JSON block itself is cached, keyed through the
-        # verify chain with a probe marker.
-        blocks = None
-        tele_key = ""
-        if store is not None:
-            tele_key = prun.key_of(
-                "verify",
-                extra={
-                    "runs": verify_runs,
-                    "max_transitions": verify_transitions,
-                    "base_seed": seed,
-                    "probe": "telemetry-coverage/1",
-                },
-            )
-            found, blocks = store.get(tele_key)
-            if not found:
-                blocks = None
-            if "cache" in entry:
-                tally = entry["cache"]["stages"].setdefault(
-                    "bench-telemetry", {"hit": 0, "miss": 0}
-                )
-                tally["hit" if found else "miss"] += 1
-                entry["cache"]["hits" if found else "misses"] += 1
-        if blocks is None:
-            from ..core import verify_hazard_freeness as _verify
-            from .coverage import CoverageMap
-            from .telemetry import HazardTelemetry
+        from ..core import verify_hazard_freeness as _verify
+        from .coverage import CoverageMap
+        from .telemetry import HazardTelemetry
 
-            circuit = prun.synthesize()  # memoized by the last run
-            tele = HazardTelemetry.for_circuit(circuit)
-            cov = CoverageMap.for_circuit(circuit)
-            # keep probe runs out of caller metrics
-            set_metrics(MetricsRegistry())
-            try:
-                _verify(
-                    circuit,
-                    runs=verify_runs,
-                    max_transitions=verify_transitions,
-                    base_seed=seed,
-                    telemetry=tele,
-                    coverage=cov,
-                )
-            finally:
-                set_metrics(prev_metrics)
-            blocks = {"telemetry": tele.totals(), "coverage": cov.totals()}
-            if store is not None:
-                store.put(
-                    tele_key,
-                    blocks,
-                    meta={
-                        "stage": "bench-telemetry",
-                        "version": 1,
-                        "name": name,
-                        "root": prun.root_digest,
-                        "env": prun.env_digest,
-                    },
-                )
-        entry["telemetry"] = blocks["telemetry"]
-        entry["coverage"] = blocks["coverage"]
+        circuit = prun.synthesize()  # memoized by the last run
+        tele = HazardTelemetry.for_circuit(circuit)
+        cov = CoverageMap.for_circuit(circuit)
+        # keep probe runs out of caller metrics
+        set_metrics(MetricsRegistry())
+        try:
+            _verify(
+                circuit,
+                runs=verify_runs,
+                max_transitions=_VERIFY_TRANSITIONS,
+                telemetry=tele,
+                coverage=cov,
+            )
+        finally:
+            set_metrics(prev_metrics)
+        entry["telemetry"] = tele.totals()
+        entry["coverage"] = cov.totals()
     return entry
 
 

@@ -70,6 +70,9 @@ UNATTRIBUTED = "<unattributed>"
 #: well inside the <10% overhead contract while resolving ~ms phases
 DEFAULT_INTERVAL = 0.002
 
+#: deepest Python stack a sample records
+_MAX_STACK_DEPTH = 80
+
 #: metrics-registry counter → work-normalized rate key in the document
 RATE_METRICS = {
     "cover.cube_ops": "cube_ops_per_s",
@@ -182,13 +185,11 @@ class StackSampler:
         self,
         tracer: Tracer,
         interval: float = DEFAULT_INTERVAL,
-        target_tid: int | None = None,
-        max_depth: int = 80,
     ) -> None:
         self.tracer = tracer
         self.interval = max(1e-4, float(interval))
-        self.target_tid = target_tid
-        self.max_depth = max_depth
+        #: the sampled thread: the one that calls :meth:`start`
+        self.target_tid: int | None = None
         #: ``{(stage, frames-tuple): seconds}``
         self.weights: dict[tuple, float] = {}
         self.sampled_s = 0.0
@@ -197,8 +198,7 @@ class StackSampler:
         self._thread: threading.Thread | None = None
 
     def start(self) -> None:
-        if self.target_tid is None:
-            self.target_tid = threading.get_ident()
+        self.target_tid = threading.get_ident()
         self._stop.clear()
         self._thread = threading.Thread(
             target=self._run, name="repro-profile-sampler", daemon=True
@@ -227,7 +227,7 @@ class StackSampler:
                 continue
             frames: list[str] = []
             depth = 0
-            while frame is not None and depth < self.max_depth:
+            while frame is not None and depth < _MAX_STACK_DEPTH:
                 frames.append(_frame_label(frame.f_code))
                 frame = frame.f_back
                 depth += 1
@@ -263,10 +263,9 @@ class ProfileSession:
     def __init__(
         self,
         interval: float = DEFAULT_INTERVAL,
-        tracer: Tracer | None = None,
     ) -> None:
         self.interval = interval
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()
         self.wall_s: float | None = None
         self.metrics_snapshot: dict = {"counters": {}, "gauges": {}}
 
@@ -463,12 +462,17 @@ def _func_selfs(doc: dict) -> dict[str, float]:
     return {f: round(w, 6) for f, w in out.items()}
 
 
-def diff_profiles(a: dict, b: dict, top: int = 40, eps: float = 1e-6) -> dict:
+#: seconds below which a profile difference counts as no movement
+_DIFF_EPS = 1e-6
+
+
+def diff_profiles(a: dict, b: dict, top: int = 40) -> dict:
     """Differential profile ``b − a``.
 
     Per-function self-time deltas (from the untruncated folded stacks),
     functions new in ``b`` / vanished since ``a``, and per-stage wall
-    deltas.  ``empty`` is True when nothing moved beyond ``eps`` —
+    deltas.  ``empty`` is True when nothing moved beyond
+    :data:`_DIFF_EPS` —
     diffing a document against itself is exactly empty, which the
     round-trip test relies on.
     """
@@ -477,7 +481,7 @@ def diff_profiles(a: dict, b: dict, top: int = 40, eps: float = 1e-6) -> dict:
     for func in sorted(set(fa) | set(fb)):
         a_s, b_s = fa.get(func, 0.0), fb.get(func, 0.0)
         delta = round(b_s - a_s, 6)
-        if abs(delta) <= eps and func in fa and func in fb:
+        if abs(delta) <= _DIFF_EPS and func in fa and func in fb:
             continue
         rows.append(
             {
@@ -485,18 +489,18 @@ def diff_profiles(a: dict, b: dict, top: int = 40, eps: float = 1e-6) -> dict:
                 "a_s": a_s,
                 "b_s": b_s,
                 "delta_s": delta,
-                "ratio": round(b_s / a_s, 3) if a_s > eps else None,
+                "ratio": round(b_s / a_s, 3) if a_s > _DIFF_EPS else None,
             }
         )
     rows.sort(key=lambda r: (-abs(r["delta_s"]), r["func"]))
-    new = sorted(f for f in fb if f not in fa and fb[f] > eps)
-    vanished = sorted(f for f in fa if f not in fb and fa[f] > eps)
+    new = sorted(f for f in fb if f not in fa and fb[f] > _DIFF_EPS)
+    vanished = sorted(f for f in fa if f not in fb and fa[f] > _DIFF_EPS)
     stage_rows = []
     sa = {s: blk.get("sampled_s", 0.0) for s, blk in a.get("stages", {}).items()}
     sb = {s: blk.get("sampled_s", 0.0) for s, blk in b.get("stages", {}).items()}
     for stage in sorted(set(sa) | set(sb)):
         delta = round(sb.get(stage, 0.0) - sa.get(stage, 0.0), 6)
-        if abs(delta) > eps:
+        if abs(delta) > _DIFF_EPS:
             stage_rows.append(
                 {
                     "stage": stage,
@@ -515,7 +519,7 @@ def diff_profiles(a: dict, b: dict, top: int = 40, eps: float = 1e-6) -> dict:
             "wall_s": doc.get("wall_s"),
         }
 
-    moved = [r for r in rows if abs(r["delta_s"]) > eps]
+    moved = [r for r in rows if abs(r["delta_s"]) > _DIFF_EPS]
     return {
         "a": _head(a),
         "b": _head(b),

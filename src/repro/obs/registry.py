@@ -212,13 +212,13 @@ class RunHistory:
         found = self.entries(kind)
         return found[-1] if found else None
 
-    def for_sha(self, sha: str, kind: str | None = None) -> list[RunEntry]:
+    def for_sha(self, sha: str) -> list[RunEntry]:
         """Entries recorded at one git SHA (prefix match, ≥ 7 chars)."""
         if len(sha) < 7:
             raise ValueError("sha prefix must be at least 7 characters")
         return [
             e
-            for e in self.entries(kind)
+            for e in self.entries()
             if e.git_sha is not None and e.git_sha.startswith(sha)
         ]
 

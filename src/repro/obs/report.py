@@ -21,13 +21,19 @@ from __future__ import annotations
 
 import html
 
+from .analytics import CHANGEPOINT_K, CHANGEPOINT_MIN_REL, CHANGEPOINT_WINDOW
+
 __all__ = ["render_analytics_text", "render_html"]
 
 
 # ----------------------------------------------------------------------
 # text renderer
 # ----------------------------------------------------------------------
-def render_analytics_text(doc: dict, top: int = 10) -> str:
+#: changepoints and hotspots listed by the text summary
+_TEXT_TOP = 10
+
+
+def render_analytics_text(doc: dict) -> str:
     led = doc.get("ledger", {})
     lines = [
         f"ledger: {led.get('runs', 0)} run(s) "
@@ -69,20 +75,20 @@ def render_analytics_text(doc: dict, top: int = 10) -> str:
     cps = doc.get("changepoints", [])
     if cps:
         lines.append(f"changepoints ({len(cps)}):")
-        for c in cps[:top]:
+        for c in cps[:_TEXT_TOP]:
             lines.append(
                 f"  {c['circuit']}/{c['phase']}: {c['direction']} "
                 f"x{c['ratio']:.2f} between {(c['from_sha'] or 'nosha')[:7]} "
                 f"and {(c['to_sha'] or 'nosha')[:7]}"
             )
-        if len(cps) > top:
-            lines.append(f"  ... +{len(cps) - top} more")
+        if len(cps) > _TEXT_TOP:
+            lines.append(f"  ... +{len(cps) - _TEXT_TOP} more")
     else:
         lines.append("changepoints: none detected")
     hot = doc.get("hotspots", [])
     if hot:
-        lines.append(f"hotspot self-time trends (top {min(top, len(hot))}):")
-        for h in hot[:top]:
+        lines.append(f"hotspot self-time trends (top {min(_TEXT_TOP, len(hot))}):")
+        for h in hot[:_TEXT_TOP]:
             lines.append(
                 f"  {h['func']}: {h['latest_self_s'] * 1e3:.1f} ms "
                 f"({h['delta_s'] * 1e3:+.1f} ms over {h['n']} profile(s))"
@@ -190,13 +196,13 @@ def _ms(v: float) -> str:
     return f"{v * 1e3:.2f} ms"
 
 
-def _series_titles(row: dict, scale_ms: bool = True) -> list[str]:
+def _series_titles(row: dict) -> list[str]:
     shas = row.get("shas") or []
     values = row.get("values") or []
     out = []
     for i, v in enumerate(values):
         sha = shas[i] if i < len(shas) else "?"
-        out.append(f"{sha or 'nosha'}: {_ms(v) if scale_ms else f'{v:g}'}")
+        out.append(f"{sha or 'nosha'}: {_ms(v)}")
     return out
 
 
@@ -299,15 +305,19 @@ _PANEL_LABELS = {
 }
 
 
-def render_html(doc: dict, title: str = "repro observatory", cards: int = 48) -> str:
+#: trend cards drawn; the table below them lists every series
+_CARDS = 48
+
+
+def render_html(doc: dict) -> str:
     """The self-contained dashboard (one HTML string, no fetches)."""
     led = doc.get("ledger", {})
     out = [
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8">',
-        f"<title>{html.escape(title)}</title>",
+        "<title>repro observatory</title>",
         f"<style>{_CSS}</style></head><body>",
-        f"<h1>{html.escape(title)}</h1>",
+        "<h1>repro observatory</h1>",
         f'<p class="sub">generated {html.escape(str(doc.get("created_utc")))}'
         f" &middot; {led.get('runs', 0)} ledger run(s): "
         + ", ".join(
@@ -403,7 +413,7 @@ def render_html(doc: dict, title: str = "repro observatory", cards: int = 48) ->
         (p for p in phases if not p.get("changepoints")),
         key=lambda p: -p["latest_s"],
     )
-    chosen = (flagged + rest)[:cards]
+    chosen = (flagged + rest)[:_CARDS]
     out.append("<h2>Per-phase trends</h2>")
     if len(phases) > len(chosen):
         out.append(
@@ -474,10 +484,9 @@ def render_html(doc: dict, title: str = "repro observatory", cards: int = 48) ->
             f'<td class="num">{len(p.get("changepoints", []))}</td></tr>'
         )
     out.append("</tbody></table>")
-    params = doc.get("params", {})
     out.append(
-        f'<p class="note muted">detector: window {params.get("window")}, '
-        f'k {params.get("k")}, min_rel {params.get("min_rel")} &middot; '
+        f'<p class="note muted">detector: window {CHANGEPOINT_WINDOW}, '
+        f"k {CHANGEPOINT_K}, min_rel {CHANGEPOINT_MIN_REL} &middot; "
         "self-contained artifact: no external fetches</p>"
     )
     out.append("</body></html>")

@@ -29,8 +29,8 @@ Equation (1) reason about:
   one gate delay at each set/reset plane output, i.e. the tolerated
   internal hazards attributed to the region that produced them.
 
-Summaries serialize as the ``repro-telemetry/1`` block embedded in
-bench documents (see docs/OBSERVABILITY.md).
+:meth:`HazardTelemetry.totals` is the compact ``telemetry`` block of
+bench entries (see docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -39,34 +39,21 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..sim.hazards import omega_margins
-from .metrics import percentile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.synthesizer import NShotCircuit
     from ..sim.simulator import Simulator
 
 __all__ = [
-    "TELEMETRY_SCHEMA",
     "SignalTelemetry",
     "HazardTelemetry",
 ]
 
-TELEMETRY_SCHEMA = "repro-telemetry/1"
-
 _EPS = 1e-12
 
-
-def _width_summary(widths: list[float]) -> dict:
-    """count/min/max/p50/p90 histogram summary of pulse widths."""
-    if not widths:
-        return {"count": 0}
-    return {
-        "count": len(widths),
-        "min": round(min(widths), 6),
-        "max": round(max(widths), 6),
-        "p50": round(percentile(widths, 0.5), 6),
-        "p90": round(percentile(widths, 0.9), 6),
-    }
+#: a plane-output pulse shorter than this (ns, one gate delay) counts
+#: as a region glitch
+_GLITCH_WIDTH = 1.0
 
 
 def _round_opt(v: float | None) -> float | None:
@@ -133,37 +120,6 @@ class SignalTelemetry:
             self.filtered_widths.append(width)
         else:
             self.surviving_widths.append(width)
-
-    def to_dict(self) -> dict:
-        margin = self.omega_margin
-        return {
-            "pulses": {
-                kind: _width_summary(ws)
-                for kind, ws in sorted(self.pulse_widths.items())
-            },
-            "filtered": {
-                "count": len(self.filtered_widths),
-                "max_width": _round_opt(
-                    max(self.filtered_widths) if self.filtered_widths else None
-                ),
-            },
-            "surviving": {
-                "count": len(self.surviving_widths),
-                "min_width": _round_opt(
-                    min(self.surviving_widths) if self.surviving_widths else None
-                ),
-            },
-            "mhs_filtered": self.mhs_filtered,
-            "omega_margin": {k: _round_opt(v) for k, v in margin.items()},
-            "delay_slack": {
-                "measured_min": _round_opt(self.min_delay_slack),
-                "samples": sum(len(s) for s in self.delay_slacks.values()),
-                "static_bound": round(self.static_bound, 6),
-                "t_del": round(self.t_del, 6),
-                "static_slack": round(self.static_slack, 6),
-            },
-            "region_glitches": dict(sorted(self.region_glitches.items())),
-        }
 
     def render(self) -> str:
         """One human-readable line (the `repro synth --verify` view)."""
@@ -275,15 +231,14 @@ class _SlackMeter:
 class HazardTelemetry:
     """Per-signal hazard telemetry collected over one or more runs.
 
-    Build with :meth:`for_circuit`, pass :meth:`attach` as (or inside)
-    the ``arm`` hook of :func:`repro.core.verify.run_oracle`, read
+    Build with :meth:`for_circuit`, call :meth:`attach` from the
+    ``observe`` hook of :func:`repro.core.verify.run_oracle`, read
     :meth:`summary` afterwards.  Attaching to several simulators
     accumulates samples — a Monte-Carlo sweep produces one aggregate
     margin picture.
     """
 
-    def __init__(self, glitch_width: float = 1.0) -> None:
-        self.glitch_width = glitch_width
+    def __init__(self) -> None:
         self.omega: float | None = None
         self.signals: dict[str, SignalTelemetry] = {}
         #: (mhs gate, signal name, set net, reset net)
@@ -297,16 +252,14 @@ class HazardTelemetry:
 
     # ------------------------------------------------------------------
     @classmethod
-    def for_circuit(
-        cls, circuit: "NShotCircuit", glitch_width: float = 1.0
-    ) -> "HazardTelemetry":
+    def for_circuit(cls, circuit: "NShotCircuit") -> "HazardTelemetry":
         """Wire the collector to a synthesized N-SHOT circuit.
 
         Reads the plane structure from the circuit's
         :class:`~repro.core.architecture.ArchitectureResult` and the
         static Equation (1) evaluation from its delay requirements.
         """
-        tele = cls(glitch_width=glitch_width)
+        tele = cls()
         sg = circuit.sg
         for a in sg.non_inputs:
             sig = sg.signals[a]
@@ -330,7 +283,7 @@ class HazardTelemetry:
 
     # ------------------------------------------------------------------
     def attach(self, sim: "Simulator") -> None:
-        """Register watch hooks on one simulator (the ``arm`` hook)."""
+        """Register watch hooks on one simulator (the ``observe`` hook)."""
         omega = sim.config.mhs.omega
         if self.omega is None:
             self.omega = omega
@@ -370,7 +323,7 @@ class HazardTelemetry:
                     _st.region_glitches.__setitem__(
                         _k, _st.region_glitches[_k] + 1
                     )
-                    if t1 - t0 < self.glitch_width
+                    if t1 - t0 < _GLITCH_WIDTH
                     else None
                 )
             )
@@ -438,20 +391,6 @@ class HazardTelemetry:
                 for st in self.signals.values()
                 for n in st.region_glitches.values()
             ),
-        }
-
-    def summary(self) -> dict:
-        """The full ``repro-telemetry/1`` block."""
-        totals = self.totals()  # also folds model counts
-        return {
-            "schema": TELEMETRY_SCHEMA,
-            "omega": self.omega,
-            "glitch_width": self.glitch_width,
-            "runs": self._attached,
-            "signals": {
-                sig: st.to_dict() for sig, st in sorted(self.signals.items())
-            },
-            "totals": totals,
         }
 
     def render_text(self) -> str:

@@ -338,12 +338,8 @@ class Tracer:
     # ------------------------------------------------------------------
     # human rendering (``--profile``)
     # ------------------------------------------------------------------
-    def render_tree(self, min_fraction: float = 0.0) -> str:
-        """Indented span tree with durations and attributes.
-
-        ``min_fraction`` hides spans shorter than that fraction of the
-        longest root span (0 = show everything).
-        """
+    def render_tree(self) -> str:
+        """Indented span tree with durations and attributes."""
         spans = [s for s in self.spans() if s.end is not None]
         if not spans:
             return "(no spans recorded)"
@@ -353,14 +349,11 @@ class Tracer:
             parent = s.parent_id if s.parent_id in by_id else None
             children.setdefault(parent, []).append(s)
         roots = children.get(None, [])
-        longest = max(s.duration for s in roots) or 1e-12
         name_w = max(
             (len(s.name) + 2 * _depth(s, by_id) for s in spans), default=10
         )
         lines = [f"{'span':<{name_w}}  {'ms':>9}  attributes"]
         def emit(span: Span, depth: int) -> None:
-            if span.duration < min_fraction * longest:
-                return
             attrs = " ".join(f"{k}={_fmt(v)}" for k, v in span.attrs.items())
             label = "  " * depth + span.name
             lines.append(f"{label:<{name_w}}  {span.duration * 1e3:9.3f}  {attrs}")

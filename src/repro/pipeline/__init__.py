@@ -19,9 +19,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         ".store": "ArtifactStore CacheEntry GcReport parse_age parse_size",
         ".stages": "Classification CoverBundle STAGES STAGE_VERSIONS StageDef",
-        ".dag": (
-            "KEY_SCHEMA PipelineRun cache_bypass cache_bypassed "
-            "resolve_store"
-        ),
+        ".dag": "KEY_SCHEMA PipelineRun resolve_store",
     },
 )

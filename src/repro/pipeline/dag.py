@@ -22,11 +22,6 @@ Every stage resolution emits one ``pipeline.stage`` span (attrs:
 ``stage``, ``circuit``, ``outcome`` = ``hit``/``miss``) through
 ``obs/trace.py``; the store emits ``cache.hit``/``cache.miss``/
 ``cache.evict``/``cache.quarantine`` counters through ``obs/metrics.py``.
-
-:func:`cache_bypass` suspends store traffic on the current thread —
-the differential fuzzer wraps crash-contained flows in it so an
-outcome produced moments before a crash (or under a watchdog) is never
-recorded as cached truth.
 """
 
 from __future__ import annotations
@@ -35,10 +30,8 @@ import hashlib
 import json
 import os
 import sys
-import threading
-from contextlib import contextmanager
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 from ..netlist import DEFAULT_LIBRARY, Library
 from ..obs import trace_span
@@ -56,14 +49,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "KEY_SCHEMA",
     "PipelineRun",
-    "cache_bypass",
-    "cache_bypassed",
     "resolve_store",
 ]
 
 KEY_SCHEMA = "repro-pipeline/2"
 
-_BYPASS = threading.local()
+#: ``verify`` settings that no caller varies, kept in the stage's key
+#: document so that the keys stay those of the stores already written
+_VERIFY_KEY_CONSTANTS: dict[str, Any] = {
+    "base_seed": 0,
+    "jitter": None,
+    "max_time": 4000.0,
+    "input_delay": [0.1, 6.0],
+    "max_events": 500_000,
+}
 
 #: the machine's digest, computed once per process.  It hashes the same
 #: five machine-identity fields as the run-history fingerprint
@@ -86,26 +85,6 @@ def default_env_digest() -> str:
         blob = json.dumps(env, sort_keys=True).encode()
         _ENV_DIGEST = hashlib.sha1(blob).hexdigest()[:12]
     return _ENV_DIGEST
-
-
-@contextmanager
-def cache_bypass() -> Iterator[None]:
-    """Suspend artifact-store reads *and* writes on this thread.
-
-    Used by crash-contained flows (differential fuzzing): computations
-    that may be killed mid-flight must never publish partial
-    conclusions into a shared cache.
-    """
-    prev = getattr(_BYPASS, "on", False)
-    _BYPASS.on = True
-    try:
-        yield
-    finally:
-        _BYPASS.on = prev
-
-
-def cache_bypassed() -> bool:
-    return getattr(_BYPASS, "on", False)
 
 
 def resolve_store(
@@ -165,7 +144,6 @@ class PipelineRun:
         }
         if env_digest:
             self.env_digest = env_digest
-        self.verify_params: dict[str, Any] | None = None
         self._memo: dict[str, Any] = {}
         self._outcomes: dict[str, str] = {}  # memo key -> "hit" | "miss"
         #: stage names actually computed (cache misses), in order — the
@@ -263,18 +241,18 @@ class PipelineRun:
         )
         if memo_key in self._memo:
             return self._memo[memo_key]
-        store = None if cache_bypassed() else self.store
-        key = self.key_of(stage, extra) if store is not None else ""
+        key = self.key_of(stage, extra) if self.store is not None else ""
         with trace_span("pipeline.stage", stage=stage, circuit=self.name) as sp:
             found = False
             value: Any = None
-            if store is not None:
-                found, value = store.get(key)
+            if self.store is not None:
+                found, value = self.store.get(key)
             if not found:
-                value = STAGES[stage].fn(self)
+                fn = STAGES[stage].fn
+                value = fn(self) if extra is None else fn(self, extra)
                 self.executed.append(stage)
-                if store is not None:
-                    store.put(
+                if self.store is not None:
+                    self.store.put(
                         key,
                         value,
                         meta={
@@ -351,12 +329,7 @@ class PipelineRun:
     def verify(
         self,
         runs: int = 5,
-        jitter: float | None = None,
         max_transitions: int = 200,
-        max_time: float = 4000.0,
-        base_seed: int = 0,
-        input_delay: tuple[float, float] = (0.1, 6.0),
-        max_events: int = 500_000,
         static_first: bool = False,
         **probes: Any,
     ) -> "VerificationSummary":
@@ -388,25 +361,15 @@ class PipelineRun:
             summary = verify_hazard_freeness(
                 self.circuit(),
                 runs=runs,
-                jitter=jitter,
                 max_transitions=max_transitions,
-                max_time=max_time,
-                base_seed=base_seed,
-                input_delay=input_delay,
-                max_events=max_events,
                 **probes,
             )
         else:
             params = {
                 "runs": runs,
-                "jitter": jitter,
                 "max_transitions": max_transitions,
-                "max_time": max_time,
-                "base_seed": base_seed,
-                "input_delay": list(input_delay),
-                "max_events": max_events,
+                **_VERIFY_KEY_CONSTANTS,
             }
-            self.verify_params = params
             summary = self.artifact("verify", extra=params)
         if cert is not None and summary.certificate is None:
             summary.certificate = cert.to_json()

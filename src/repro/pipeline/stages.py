@@ -97,7 +97,9 @@ class StageDef:
     deps: tuple[str, ...]
     #: names of :attr:`PipelineRun.params` entries hashed into the key
     params: tuple[str, ...]
-    fn: Callable[["PipelineRun"], Any]
+    #: ``fn(run)``, or ``fn(run, extra)`` for a stage resolved with
+    #: per-request key parameters (``verify``)
+    fn: Callable[..., Any]
 
 
 def _stage_parse(run: "PipelineRun") -> dict:
@@ -203,13 +205,14 @@ def _stage_delays(run: "PipelineRun"):
     )
 
 
-def _stage_verify(run: "PipelineRun"):
+def _stage_verify(run: "PipelineRun", params: dict[str, Any]):
     from ..core.verify import verify_hazard_freeness
 
-    circuit = run.artifact("delays")
-    params = dict(run.verify_params or {})
-    params["input_delay"] = tuple(params.get("input_delay", (0.1, 6.0)))
-    return verify_hazard_freeness(circuit, **params)
+    return verify_hazard_freeness(
+        run.artifact("delays"),
+        runs=params["runs"],
+        max_transitions=params["max_transitions"],
+    )
 
 
 def _stage_certify(run: "PipelineRun"):

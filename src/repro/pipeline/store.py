@@ -50,6 +50,8 @@ META_SCHEMA = "repro-artifact/1"
 
 #: seconds after which another process's gc.lock is presumed dead
 _LOCK_STALE_S = 300.0
+#: seconds a gc waits for a live lock before giving up
+_LOCK_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -397,13 +399,12 @@ class ArtifactStore:
 class _LockGuard:
     """``O_EXCL`` lock file with stale-lock takeover."""
 
-    def __init__(self, path: str, timeout: float = 30.0) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.timeout = timeout
 
     def __enter__(self) -> "_LockGuard":
         os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        deadline = time.monotonic() + self.timeout
+        deadline = time.monotonic() + _LOCK_TIMEOUT_S
         while True:
             try:
                 fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)

@@ -663,11 +663,9 @@ class StateGraph:
                     stack.append(d)
         return seen
 
-    def reachable(self, start: StateId | None = None) -> set[StateId]:
-        """States reachable from ``start`` (default: the initial state)."""
-        g = self.dense()
-        i = self._initial if start is None else g.number[start]
-        return set(compress(g.ids, self._reach(i)))
+    def reachable(self) -> set[StateId]:
+        """States reachable from the initial state."""
+        return set(compress(self.dense().ids, self._reach(self._initial)))
 
     def restrict_to_reachable(self) -> "StateGraph":
         """A copy containing only states reachable from the initial state."""

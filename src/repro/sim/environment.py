@@ -28,6 +28,10 @@ from .simulator import Simulator
 
 __all__ = ["SGEnvironment", "ConformanceReport"]
 
+#: quiescence window (ns) a stalled circuit gets before a deadlock is
+#: declared
+SETTLE_NS = 60.0
+
 
 @dataclass
 class ConformanceReport:
@@ -166,12 +170,11 @@ class SGEnvironment:
         self,
         max_time: float = 2000.0,
         max_transitions: int = 400,
-        settle: float = 60.0,
     ) -> ConformanceReport:
         """Closed-loop execution until a budget is exhausted.
 
-        ``settle`` is the quiescence window used for progress checking:
-        when neither the circuit nor the environment has anything
+        :data:`SETTLE_NS` is the quiescence window used for progress
+        checking: when neither the circuit nor the environment has anything
         scheduled and the SG still enables a non-input transition, the
         run counts as deadlocked.
         """
@@ -201,7 +204,7 @@ class SGEnvironment:
                 ]
                 if expected:
                     # give it one settle window in case of in-flight events
-                    self.sim.run(now + settle)
+                    self.sim.run(now + SETTLE_NS)
                     if self.sim.next_time() is None:
                         labels = ", ".join(
                             t.label(self.sg.signals) for t in expected

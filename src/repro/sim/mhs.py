@@ -239,16 +239,16 @@ def mhs_response(
 def celement_response(
     pulses: list[tuple[float, float]],
     tau: float = 1.2,
-    initial_q: int = 0,
 ) -> list[tuple[float, int]]:
-    """A plain C-element's response to the same pulse train.
+    """A plain C-element's response to the same pulse train (from
+    ``q = 0``).
 
     A C-element has *no* ω threshold: any set pulse while ``q = 0``
     (however narrow) can commit it.  Used by the ablation bench to
     demonstrate why the MHS flip-flop is needed: under a hazardous
     pulse stream the C-element may fire on a runt pulse.
     """
-    q = initial_q
+    q = 0
     events = []
     for start, end in pulses:
         if q == 0:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..netlist.gates import Gate, GateType
-from ..netlist.library import DEFAULT_LIBRARY, Library
+from ..netlist.library import DEFAULT_LIBRARY
 from ..netlist.netlist import Netlist
 from ..obs import trace_span
 from .mhs import MhsParams, MhsState
@@ -130,11 +130,9 @@ class Simulator:
         self,
         netlist: Netlist,
         config: SimConfig | None = None,
-        library: Library = DEFAULT_LIBRARY,
     ) -> None:
         self.netlist = netlist
         self.config = config or SimConfig()
-        self.library = library
         self.rng = random.Random(self.config.seed)
         self.now = 0.0
         self.events_processed = 0
@@ -159,7 +157,7 @@ class Simulator:
                 self._fanout.setdefault(p.net, []).append(g)
         self._delay: dict[str, float] = {}
         for g in netlist.gates:
-            nominal = library.gate_delay(g)
+            nominal = DEFAULT_LIBRARY.gate_delay(g)
             if (
                 self.config.jitter > 0
                 and not g.is_sequential

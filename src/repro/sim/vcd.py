@@ -31,23 +31,17 @@ def _identifier(index: int) -> str:
 def write_vcd(
     traces: TraceSet,
     nets: Sequence[str] | None = None,
-    module: str = "circuit",
-    timescale: str = "1ps",
-    scale: float = 1000.0,
 ) -> str:
-    """Serialize selected nets' waveforms as VCD text.
-
-    ``scale`` converts simulation time (ns) into the declared
-    ``timescale`` units (default: ps).
-    """
+    """Serialize selected nets' waveforms as VCD text, in module
+    ``circuit`` with simulation time (ns) written in ps."""
     names = list(nets) if nets is not None else sorted(traces.nets())
     ids = {n: _identifier(i) for i, n in enumerate(names)}
 
     lines = [
         "$date reproduction run $end",
         "$version repro (DAC'95 N-SHOT reproduction) $end",
-        f"$timescale {timescale} $end",
-        f"$scope module {module} $end",
+        "$timescale 1ps $end",
+        "$scope module circuit $end",
     ]
     for n in names:
         safe = n.replace(" ", "_")
@@ -65,7 +59,7 @@ def write_vcd(
             continue
         lines.append(f"{wave.changes[0][1]}{ids[n]}")
         for t, v in wave.changes[1:]:
-            events.append((int(round(t * scale)), n, v))
+            events.append((int(round(t * 1000.0)), n, v))
     lines.append("$end")
 
     events.sort(key=lambda e: e[0])

@@ -94,11 +94,11 @@ class Waveform:
         ps = self.pulses()
         return [p for p in ps[1:] if p.width < max_width]
 
-    def render(self, scale: float = 1.0, width: int = 72) -> str:
+    def render(self, width: int = 72) -> str:
         """Tiny ASCII rendering (for example scripts)."""
         if not self.changes:
             return f"{self.net:>12}: (no data)"
-        t_end = self.changes[-1][0] + scale
+        t_end = self.changes[-1][0] + 1.0
         chars = []
         for col in range(width):
             t = col * t_end / width

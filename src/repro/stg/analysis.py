@@ -48,14 +48,13 @@ def _strongly_connected(sg: StateGraph) -> bool:
     return len(seen) == len(states)
 
 
-def is_live(stg: Stg, sg: StateGraph | None = None) -> bool:
+def is_live(stg: Stg) -> bool:
     """Every transition stays fireable forever (cyclic behaviour).
 
     Checked on the elaborated SG: it must be one strongly connected
     component and every net transition must label at least one arc.
     """
-    if sg is None:
-        sg = elaborate(stg)
+    sg = elaborate(stg)
     if not _strongly_connected(sg):
         return False
     fired: set[tuple[str, int]] = set()

@@ -95,10 +95,6 @@ class Stg:
         """All signals, inputs first (the SG signal order)."""
         return self.input_signals + self.output_signals + self.internal_signals
 
-    @property
-    def non_input_signals(self) -> list[str]:
-        return self.output_signals + self.internal_signals
-
     def is_input(self, signal: str) -> bool:
         return signal in self.input_signals
 

@@ -83,17 +83,17 @@ class _Net:
         return Marking(compress(self.places, bit_flags(m)))
 
 
-def infer_initial_values(stg: Stg, max_markings: int = _MAX_MARKINGS) -> dict[str, int]:
+def infer_initial_values(stg: Stg) -> dict[str, int]:
     """Infer each signal's initial value from first-transition polarity.
 
     Explores markings (ignoring signal values) recording, per signal,
     which polarity can occur first.  Mixed first polarities mean the
     STG has no consistent coding from any initial vector.
     """
-    return _infer(stg, _Net(stg), max_markings)
+    return _infer(stg, _Net(stg))
 
 
-def _infer(stg: Stg, net: _Net, max_markings: int) -> dict[str, int]:
+def _infer(stg: Stg, net: _Net) -> dict[str, int]:
     # signals whose first transition along some path is rising / falling
     first_up = first_down = 0
     # state: (mask of signals already transitioned) << places | marking
@@ -103,7 +103,7 @@ def _infer(stg: Stg, net: _Net, max_markings: int) -> dict[str, int]:
     stack = [net.initial]
     while stack:
         state = stack.pop()
-        if len(seen) > max_markings:
+        if len(seen) > _MAX_MARKINGS:
             raise ElaborationError("initial-value inference exceeded marking budget")
         marking = state & places
         done = state >> shift
@@ -282,7 +282,7 @@ def _elaborate_traced(stg: Stg, max_states: int, sp) -> StateGraph:
             raise _Retry
     except _Retry:
         with trace_span("initial-values"):
-            values = _infer(stg, net, _MAX_MARKINGS)
+            values = _infer(stg, net)
         code0 = sum(values[s] << i for i, s in enumerate(signals))
         parts = _Parts(net, nsig, code0, max_states, check=True)
     shift = code0 ^ parts.start

@@ -12,7 +12,7 @@ stays clean under identical seeds.
 import pytest
 
 from repro.core import run_oracle, synthesize
-from repro.faults import (
+from tests.fault_models import (
     DelayViolationFault,
     FaultModel,
     InvertedLiteralFault,
@@ -35,7 +35,7 @@ def verdicts(fault: FaultModel, sg, netlist, *, seeds=range(8), jitter=0.3,
         out.append(
             run_oracle(
                 faulty, sg, config, max_time=max_time,
-                max_transitions=80, arm=fault.arm,
+                max_transitions=80, observe=lambda sim, _env: fault.arm(sim),
             )
         )
     return out

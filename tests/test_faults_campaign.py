@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 from repro.core import run_oracle, synthesize
-from repro.faults import (
+from tests.fault_models import (
     DelayViolationFault,
     FaultModel,
     InvertedLiteralFault,
@@ -183,7 +183,7 @@ def _oracle(netlist, sg, fault, seed, internal_nets=None):
         max_time=1200.0,
         max_transitions=80,
         internal_nets=internal_nets,
-        arm=fault.arm,
+        observe=lambda sim, _env: fault.arm(sim),
     )
 
 

@@ -27,7 +27,7 @@ import repro.core.trigger as trigger
 from repro.analysis.certify import REFUTED, certify_circuit
 from repro.bench.runner import sg_of
 from repro.core import run_oracle, synthesize
-from repro.faults import OmegaMarginFault, rebuild_netlist
+from tests.fault_models import OmegaMarginFault, rebuild_netlist
 from repro.fuzz import FuzzConfig, load_corpus, replay_entry, run_fuzz
 from repro.logic import Cover
 from repro.netlist import GateType
@@ -255,7 +255,7 @@ class TestMutantsAreLive:
                     SimConfig(jitter=JITTER, seed=seed, max_events=100_000),
                     max_time=1200.0,
                     max_transitions=80,
-                    arm=runts.arm,
+                    observe=lambda sim, _env: runts.arm(sim),
                 ).status != "clean"
                 for seed in SEEDS
             )

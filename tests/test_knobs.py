@@ -1,0 +1,198 @@
+"""Census of settable values: no defaulted parameter that no caller sets,
+and a pinned count of CLI options.
+
+* **parameters** — an AST walk over every ``def`` under ``src/`` with
+  defaulted parameters. A parameter counts as set when some call to a
+  function of that name (``f(...)``, ``obj.f(...)``; for ``__init__``
+  the class name, ``cls(...)`` inside the class or
+  ``super().__init__(...)`` in a subclass) passes it by keyword or by
+  position, or forwards ``*args``/``**kwargs``. Calls are searched in
+  ``src/``, ``tests/``, ``benchmarks/``, ``tools/``, ``perfbench/`` and
+  ``examples/``. A parameter that no call sets is a constant dressed as
+  a knob: make it a constant, or name its hidden caller in ``ALLOWED``.
+* **options** — every option reachable from ``build_parser()``
+  (``--help`` and positionals excluded; ``-o/--output`` is one
+  option). A new option changes the count and so shows up as an edit
+  here.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import functools
+import os
+from collections import defaultdict
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CALLER_DIRS = ("src", "tests", "benchmarks", "tools", "perfbench", "examples")
+
+#: ``(relative path, function name, parameter)`` set through a name the
+#: scan cannot see; each entry cites that caller.
+ALLOWED: frozenset[tuple[str, str, str]] = frozenset()
+
+#: options reachable from ``build_parser()``
+CLI_OPTIONS = 116
+
+
+def _py_files(top: str):
+    for dirpath, dirnames, filenames in os.walk(os.path.join(ROOT, top)):
+        dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
+        for fn in sorted(filenames):
+            if fn.endswith(".py"):
+                yield os.path.join(dirpath, fn)
+
+
+def _parse(path: str) -> ast.Module:
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _call_name(func: ast.expr) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _init_key(cls: str) -> str:
+    """Index of the calls that run ``cls.__init__``: ``cls(...)`` and
+    ``self.__init__(...)`` inside the class, ``super().__init__(...)``
+    in a subclass."""
+    return f"<init {cls}>"
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in the caller directories, indexed by callee name."""
+    calls: dict[str, list[ast.Call]] = defaultdict(list)
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            inner = child if isinstance(child, ast.ClassDef) else cls
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = _call_name(func)
+                if cls is not None and isinstance(func, ast.Name) and name == "cls":
+                    calls[_init_key(cls.name)].append(child)
+                elif (
+                    cls is not None
+                    and isinstance(func, ast.Attribute)
+                    and name == "__init__"
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "self"
+                ):
+                    calls[_init_key(cls.name)].append(child)
+                elif (
+                    cls is not None
+                    and isinstance(func, ast.Attribute)
+                    and name == "__init__"
+                    and isinstance(func.value, ast.Call)
+                    and _call_name(func.value.func) == "super"
+                ):
+                    for base in cls.bases:
+                        base_name = _call_name(base)
+                        if base_name is not None:
+                            calls[_init_key(base_name)].append(child)
+                elif name is not None:
+                    calls[name].append(child)
+            visit(child, inner)
+
+    for top in CALLER_DIRS:
+        for path in _py_files(top):
+            visit(_parse(path), None)
+    return calls
+
+
+def _defs():
+    """``(path, callee names, def, is_method)`` for each def in ``src/``;
+    an ``__init__`` goes by its class's name."""
+    for path in _py_files("src"):
+        tree = _parse(path)
+        rel = os.path.relpath(path, ROOT)
+
+        def visit(node, cls):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    yield from visit(child, child)
+                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [child.name]
+                    if child.name == "__init__" and cls is not None:
+                        names = [cls.name, _init_key(cls.name)]
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in child.decorator_list
+                    )
+                    yield rel, names, child, cls is not None and not static
+                    yield from visit(child, None)
+
+        yield from visit(tree, None)
+
+
+@functools.cache
+def never_set_parameters() -> list[tuple[str, str, str]]:
+    """``(path, function, parameter)`` for each defaulted parameter that
+    no call in the repository sets."""
+    calls = _calls()
+    found = []
+    for rel, names, fn, is_method in _defs():
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        if is_method and positional:
+            positional = positional[1:]
+        pos_names = [a.arg for a in positional]
+        defaulted = pos_names[len(pos_names) - len(args.defaults):] if args.defaults else []
+        defaulted += [
+            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+        if not defaulted:
+            continue
+        set_names: set[str] = set()
+        for name in names:
+            for call in calls.get(name, ()):
+                if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    kw.arg is None for kw in call.keywords
+                ):
+                    set_names.update(defaulted)
+                    break
+                set_names.update(pos_names[: len(call.args)])
+                set_names.update(kw.arg for kw in call.keywords)
+        for param in defaulted:
+            if param not in set_names:
+                found.append((rel, fn.name, param))
+    return found
+
+
+def cli_options() -> list[str]:
+    """One ``"<prog> <first option string>"`` per option of any parser."""
+    from repro.cli import build_parser
+
+    seen: set[str] = set()
+    parsers = [build_parser()]
+    visited: set[int] = set()
+    while parsers:
+        parser = parsers.pop()
+        if id(parser) in visited:
+            continue
+        visited.add(id(parser))
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif isinstance(action, argparse._HelpAction):
+                continue
+            elif action.option_strings:
+                seen.add(f"{parser.prog} {action.option_strings[0]}")
+    return sorted(seen)
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    found = [hit for hit in never_set_parameters() if hit not in ALLOWED]
+    assert found == [], "\n".join(f"{p}: {f}({a}=) is never set" for p, f, a in found)
+
+
+def test_allowlist_is_not_stale():
+    assert ALLOWED <= set(never_set_parameters())
+
+
+def test_cli_option_count_is_pinned():
+    assert len(cli_options()) == CLI_OPTIONS

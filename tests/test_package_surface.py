@@ -3,7 +3,7 @@
 * **lazy imports** — ``import repro`` loads no subpackage, and a warm
   ``repro synth --cache-dir`` loads only the modules its cached
   artifacts unpickle and its output needs: no simulator, baseline,
-  bench, STG front-end, fuzzer, fault campaign, lint engine, minimizer,
+  bench, STG front-end, fuzzer, lint engine, minimizer,
   heavy observability module or other command's CLI module, and neither
   ``subprocess``, ``platform`` nor ``uuid``; a cold synth loads no
   certifier, simulator (MHS model) or exact minimizer;
@@ -30,7 +30,6 @@ PACKAGES = [
     "repro.baselines",
     "repro.bench",
     "repro.core",
-    "repro.faults",
     "repro.fuzz",
     "repro.logic",
     "repro.netlist",
@@ -48,7 +47,6 @@ NOT_ON_WARM_SYNTH = (
     "repro.bench.",
     "repro.stg.",
     "repro.fuzz.",
-    "repro.faults.",
     "repro.analysis.engine",
     "repro.analysis.rules_",
     "repro.logic.espresso",

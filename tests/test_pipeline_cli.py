@@ -283,26 +283,6 @@ class TestBenchCaching:
 
 
 class TestFuzzBypass:
-    def test_run_flow_is_cache_bypassed(self, monkeypatch):
-        """The fuzzer's crash-contained flows must never touch a
-        pipeline cache — record the bypass flag at dispatch time."""
-        from repro.fuzz import differential
-        from repro.pipeline import cache_bypassed
-        from repro.stg import elaborate, parse_g
-
-        seen = []
-        real = differential._dispatch
-
-        def spy(flow, sg, name):
-            seen.append(cache_bypassed())
-            return real(flow, sg, name)
-
-        monkeypatch.setattr(differential, "_dispatch", spy)
-        sg = elaborate(parse_g(CELEM_G))
-        outcome = differential.run_flow("nshot", sg, name="celem")
-        assert outcome.status == "ok"
-        assert seen == [True]
-
     def test_run_flow_leaves_ambient_cache_empty(
         self, cache_dir, monkeypatch
     ):

@@ -15,7 +15,6 @@ from repro.pipeline import (
     STAGE_VERSIONS,
     ArtifactStore,
     PipelineRun,
-    cache_bypass,
     resolve_store,
 )
 from repro.sg.sgformat import parse_sg, write_sg
@@ -297,23 +296,6 @@ class TestInvalidation:
 
 
 class TestBypass:
-    def test_bypass_neither_reads_nor_writes(self, store):
-        run_all(store)  # populate
-        hits, misses = store.hits, store.misses
-        with cache_bypass():
-            run = run_all(store)
-        assert run.executed == FULL_CONE  # read side suspended
-        assert (store.hits, store.misses) == (hits, misses)  # not consulted
-        # write side too: nothing new appeared
-        assert ArtifactStore(store.root).stats()["entries"] == len(FULL_CONE)
-
-    def test_bypass_restores_on_exit(self, store):
-        run_all(store)
-        with cache_bypass():
-            pass
-        warm = run_all(store)
-        assert warm.executed == []
-
     def test_probe_laden_verify_bypasses_cache(self, store):
         run = run_all(store)
         before = ArtifactStore(store.root).stats()["by_stage"]

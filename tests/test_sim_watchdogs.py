@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.core import run_oracle, synthesize
-from repro.faults import FaultModel, rebuild_netlist
+from tests.fault_models import FaultModel, rebuild_netlist
 from repro.netlist import Gate, GateType, Netlist, Pin
 from repro.sim import (
     SimConfig,
