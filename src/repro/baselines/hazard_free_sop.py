@@ -42,7 +42,7 @@ from ..logic.cube import LIT_DC, LIT_EMPTY, LIT_ONE, minterm_mask
 from ..logic.espresso import expand as espresso_expand
 from ..netlist import Gate, GateType, Netlist, Pin
 from ..netlist.trees import build_gate_tree
-from ..sg.encoding import bits_to_cover, unreachable_cover
+from ..sg.encoding import bits_to_covers, unreachable_cover
 from ..sg.graph import StateGraph, StateId, render_state
 from ..sg.regions import signal_regions
 from .errors import BaselineRefusal, refusal_diagnostic, require_valid_spec
@@ -98,11 +98,12 @@ def next_state_function(sg: StateGraph, signal: int) -> NextStateSpec:
     view = sg.dense()
     on_bits = sr.union_bits(view, "ER", 1) | sr.union_bits(view, "QR", 1)
     off_bits = sr.union_bits(view, "ER", -1) | sr.union_bits(view, "QR", -1)
+    on, off = bits_to_covers(sg, [on_bits, off_bits])
     return NextStateSpec(
         signal=signal,
-        on=bits_to_cover(sg, on_bits),
+        on=on,
         dc=unreachable_cover(sg),
-        off=bits_to_cover(sg, off_bits),
+        off=off,
         on_bits=on_bits,
         off_bits=off_bits,
     )

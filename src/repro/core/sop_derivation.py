@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from ..logic import Cover
 from ..obs import trace_span
-from ..sg.encoding import bits_to_cover, unreachable_cover
+from ..sg.encoding import bits_to_covers, unreachable_cover
 from ..sg.graph import StateGraph
 from ..sg.regions import SignalRegions, signal_regions
 
@@ -116,39 +116,38 @@ def _derive_functions(
     n = sg.num_signals
     on, dc, off = spec.on, spec.dc, spec.off
     view = sg.dense()
+    # per signal and kind, the (F, D, R) state bitsets
+    triples = []
     for signal in non_inputs:
         sr = spec.regions[signal]
         up_er = sr.union_bits(view, "ER", 1)
         up_qr = sr.union_bits(view, "QR", 1)
         dn_er = sr.union_bits(view, "ER", -1)
         dn_qr = sr.union_bits(view, "QR", -1)
-
-        for kind, f_bits, d_bits, r_bits in (
-            ("set", up_er, up_qr, dn_er | dn_qr),
-            ("reset", dn_er, dn_qr, up_er | up_qr),
-        ):
-            o = spec.output_index(signal, kind)
-            bit = 1 << o
-            f_cover = bits_to_cover(sg, f_bits)
-            d_cover = bits_to_cover(sg, d_bits)
-            r_cover = bits_to_cover(sg, r_bits)
-            for c in f_cover.cubes:
-                on.add(c.with_outputs(bit))
-            for c in d_cover.cubes:
-                dc.add(c.with_outputs(bit))
-            for c in unreachable.cubes:
-                dc.add(c.with_outputs(bit))
-            for c in r_cover.cubes:
-                off.add(c.with_outputs(bit))
-            spec.functions.append(
-                FunctionSpec(
-                    signal,
-                    kind,
-                    Cover(n, 1, f_cover.cubes),
-                    Cover(n, 1, d_cover.cubes + [c.with_outputs(1) for c in unreachable.cubes]),
-                    Cover(n, 1, r_cover.cubes),
-                )
+        triples.append((signal, "set", up_er, up_qr, dn_er | dn_qr))
+        triples.append((signal, "reset", dn_er, dn_qr, up_er | up_qr))
+    covers = iter(bits_to_covers(sg, [bits for t in triples for bits in t[2:]]))
+    for signal, kind, *_bits in triples:
+        o = spec.output_index(signal, kind)
+        bit = 1 << o
+        f_cover, d_cover, r_cover = next(covers), next(covers), next(covers)
+        for c in f_cover.cubes:
+            on.add(c.with_outputs(bit))
+        for c in d_cover.cubes:
+            dc.add(c.with_outputs(bit))
+        for c in unreachable.cubes:
+            dc.add(c.with_outputs(bit))
+        for c in r_cover.cubes:
+            off.add(c.with_outputs(bit))
+        spec.functions.append(
+            FunctionSpec(
+                signal,
+                kind,
+                Cover(n, 1, f_cover.cubes),
+                Cover(n, 1, d_cover.cubes + [c.with_outputs(1) for c in unreachable.cubes]),
+                Cover(n, 1, r_cover.cubes),
             )
+        )
 
 
 @dataclass(frozen=True)

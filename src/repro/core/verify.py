@@ -270,14 +270,11 @@ class VerificationRun:
 class VerificationSummary:
     """Aggregate over all runs.
 
-    ``coverage`` is the ``repro-coverage/1`` document when a
-    :class:`~repro.obs.coverage.CoverageMap` was attached; ``traces``
-    is the last run's :class:`~repro.sim.waveform.TraceSet` when trace
-    capture was requested (the ``--vcd`` export path).
+    ``traces`` is the last run's :class:`~repro.sim.waveform.TraceSet`
+    when trace capture was requested (the ``--vcd`` export path).
     """
 
     runs: list[VerificationRun] = field(default_factory=list)
-    coverage: dict | None = None
     traces: "TraceSet | None" = None
     #: the ``repro-certificate/1`` document when the static certifier
     #: ran first (``--static-first``); present whether or not the
@@ -356,7 +353,7 @@ def verify_hazard_freeness(
     export — both strictly observational.
 
     A ``coverage`` map accumulates SG state/region/trigger-cube
-    coverage across the sweep (document in ``summary.coverage``); a
+    coverage across the sweep (its document is ``coverage.summary()``); a
     ``recorder`` flight recorder makes every violating run carry causal
     chains for its offending events (``VerificationRun.causes``).
     """
@@ -405,8 +402,6 @@ def verify_hazard_freeness(
                 )
             )
         sp.set(ok=summary.ok, transitions=summary.total_transitions)
-    if coverage is not None:
-        summary.coverage = coverage.summary()
     if sims:
         summary.traces = sims[-1].traces
     return summary

@@ -289,47 +289,43 @@ def compact_minterm_cover(minterms: set[int], num_inputs: int,
     """Build a compact (not minimal) cube cover of a minterm set.
 
     Recursive Shannon construction: a sub-space entirely inside the set
-    becomes one cube; otherwise split on the next variable.  Exact and
-    fast — used to keep region covers small before minimization when
-    state graphs have thousands of states.
+    becomes one cube; otherwise split on the next variable (MSB first,
+    which aligns with how state codes cluster) and merge the halves as
+    they return: a cube both halves hold gets the variable raised, the
+    others its literal.  That is a Quine–McCluskey merge of twin cubes
+    done where it applies, since no cube of one sub-space is the twin
+    of a cube of another, and it repairs patterns misaligned with the
+    recursion order (e.g. parity-like sets aligned on low-order
+    variables).  Exact and fast — used to keep region covers small
+    before minimization when state graphs have thousands of states.
+    The sub-spaces are slices of the sorted minterms, halved by
+    bisection; :func:`repro.sg.codespace.bitmap_cover` splits a bitmap
+    instead.
     """
-    masks: list[int] = []
-    # Split on variables downward (MSB first, which aligns with how
-    # state codes cluster).  A sub-space is (prefix mask, variable,
-    # the minterm bits above it, slice of the sorted minterms); its
-    # minterms are one slice, halved by a bisection on the variable.
     ms = sorted(set(minterms))
-    stack = [(0, num_inputs - 1, 0, 0, len(ms))] if ms else []
-    while stack:
-        prefix_mask, var, base, lo, hi = stack.pop()
-        if hi - lo == 1 << (var + 1):
-            # full subcube: variables 0..var are don't care
-            masks.append(prefix_mask | ((1 << (2 * var + 2)) - 1))
-            continue
-        bit = 1 << var
-        mid = bisect_left(ms, base | bit, lo, hi)
-        if mid < hi:
-            stack.append((prefix_mask | (LIT_ONE << (2 * var)), var - 1, base | bit, mid, hi))
-        if lo < mid:
-            stack.append((prefix_mask | (LIT_ZERO << (2 * var)), var - 1, base, lo, mid))
+    masks = sorted(_split_sorted(ms, 0, len(ms), num_inputs, 0)) if ms else []
+    return Cover(num_inputs, num_outputs, [Cube(num_inputs, m, outputs) for m in masks])
 
-    # Quine–McCluskey style merge pass: cubes identical except for one
-    # variable held in complementary phases fuse into one cube with the
-    # variable raised.  Repairs patterns misaligned with the recursion
-    # order (e.g. parity-like sets aligned on low-order variables).
-    work = set(masks)
-    changed = True
-    while changed:
-        changed = False
-        for var in range(num_inputs):
-            shift = 2 * var
-            for lo in [m for m in work if (m >> shift) & 0b11 == LIT_ZERO]:
-                hi = lo ^ (0b11 << shift)  # the same cube with the variable at 1
-                if hi in work:
-                    work.discard(lo)
-                    work.discard(hi)
-                    work.add(lo | (LIT_DC << shift))
-                    changed = True
-    return Cover(
-        num_inputs, num_outputs, [Cube(num_inputs, m, outputs) for m in sorted(work)]
+
+def merge_halves(lo: frozenset[int], hi: frozenset[int], var: int) -> frozenset[int]:
+    """The cubes of a sub-space from those of its halves where ``var``
+    is 0 (``lo``) and 1 (``hi``)."""
+    shift = 2 * var
+    both = lo & hi
+    return frozenset(
+        [m | LIT_DC << shift for m in both]
+        + [m | LIT_ZERO << shift for m in lo - both]
+        + [m | LIT_ONE << shift for m in hi - both]
     )
+
+
+def _split_sorted(ms: list[int], lo: int, hi: int, k: int, base: int) -> frozenset[int]:
+    """The cubes of the minterms ``ms[lo:hi]`` (nonempty), which agree
+    with ``base`` on every variable from ``k`` up."""
+    if hi - lo == 1 << k:
+        return frozenset(((1 << 2 * k) - 1,))
+    top = base | 1 << (k - 1)
+    mid = bisect_left(ms, top, lo, hi)
+    low = _split_sorted(ms, lo, mid, k - 1, base) if lo < mid else frozenset()
+    high = _split_sorted(ms, mid, hi, k - 1, top) if mid < hi else frozenset()
+    return merge_halves(low, high, k - 1)

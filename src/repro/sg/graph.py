@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..logic import Cover
+    from .codespace import CodeSpace
     from .regions import SignalRegions
 
 __all__ = ["Transition", "StateGraph", "SGError", "DenseGraph", "Marking", "render_state"]
@@ -336,7 +337,11 @@ class SpecAnalysis:
     non_distributive: tuple[int, ...] | None = None  # .distributivity
     codes: frozenset[int] | None = None  # .encoding.reachable_codes
     unreachable: "Cover | None" = None  # .encoding.unreachable_cover
-    covers: dict[int, list[int]] = field(default_factory=dict)  # .encoding.bits_to_cover
+    covers: dict[int, list[int]] = field(default_factory=dict)  # .encoding.bits_to_covers
+    unique_codes: bool | None = None  # .codespace.unique_codes
+    arcs_agree: bool | None = None  # .codespace.arcs_agree
+    #: .codespace.code_space; False when the graph does not qualify
+    code_space: "CodeSpace | bool | None" = None
 
 
 #: attributes a pickle leaves out: derived from the signals, the spec analysis,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .codespace import arcs_agree, code_space, unique_codes
 from .graph import StateGraph, StateId, Transition, render_state
 
 __all__ = [
@@ -56,8 +57,11 @@ def consistency_witnesses(sg: StateGraph) -> list[ConsistencyWitness]:
     flips exactly bit ``x`` from 0 to 1, a ``-x`` arc from 1 to 0.
     (StateGraph.add_arc enforces this; the checker exists for graphs
     deserialized or constructed by other front-ends and as the oracle
-    for property-based tests.)
+    for property-based tests.)  A graph whose arcs pass the vectorized
+    test of :func:`~repro.sg.codespace.arcs_agree` has none.
     """
+    if arcs_agree(sg):
+        return []
     view = sg.dense()
     codes = view.codes
     problems = []
@@ -122,8 +126,11 @@ def code_conflicts(sg: StateGraph) -> list[CodeConflict]:
 
     The deduplicated core of the USC/CSC diagnostics: group states by
     code once, compute each state's excited non-input set once, and
-    emit every pair with its excitation sets attached.
+    emit every pair with its excitation sets attached.  A graph whose
+    codes are unique (:func:`~repro.sg.codespace.unique_codes`) has none.
     """
+    if unique_codes(sg):
+        return []
     by_code: dict[int, list[int]] = {}
     view = sg.dense()
     for i, code in enumerate(view.codes):
@@ -188,9 +195,15 @@ def semimodularity_violations(sg: StateGraph) -> list[SemimodularityViolation]:
     ``s -t1 t2-> s'`` and ``s -t2 t1-> s'`` must meet at the same
     state.  Input transitions may disable each other (input choice).
 
-    Runs on the dense view: excitation is a per-state mask and the
-    successor of ``s`` by signal ``a`` is ``nxt[s * n + a]``.
+    A graph with a code space first tests in code space that no
+    violation exists (:meth:`~repro.sg.codespace.CodeSpace.semimodular`);
+    the listing below runs only where one does.  It runs on the dense
+    view: excitation is a per-state mask and the successor of ``s`` by
+    signal ``a`` is ``nxt[s * n + a]``.
     """
+    cs = code_space(sg)
+    if cs is not None and cs.semimodular(sg.non_inputs):
+        return []
     view = sg.dense()
     n = view.num_signals
     nxt = view.nxt

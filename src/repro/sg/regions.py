@@ -18,10 +18,23 @@ memoizes each signal's :class:`SignalRegions` on the
 the baselines all read that memo.  Properties 1 (output trapping) and
 2 (trigger-region reachability) get explicit checkers here.
 
-The analysis runs on the graph's storage
-(:class:`~repro.sg.graph.DenseGraph`, see :meth:`StateGraph.dense`):
-states are the integers ``0..N-1`` and each pass below keeps one mask
-of signals per state, for all signals together:
+The analysis computes five bitsets per signal (its ones, ER
+membership, sinks, the backward sweep and the QR union, each over the
+state numbers ``0..N-1`` of the graph's
+:class:`~repro.sg.graph.DenseGraph`) by one of two engines:
+
+* on a graph with a code space (one state per code, at most
+  :data:`~repro.sg.codespace.MAX_CODE_SIGNALS` signals and codes that
+  agree with the arcs, see :mod:`repro.sg.codespace`), as code bitmaps:
+  the sinks of ``a`` are ``E_a & ~∪_{b≠a} pre_b(E_a)``, and the
+  backward sweep and the QR union are bitmap floods; the results are
+  renumbered to states once
+  (:meth:`~repro.sg.codespace.CodeSpace.region_columns`);
+* on any other graph (shared codes, more signals, or codes edited after
+  construction), by per-state passes that keep one mask of signals per
+  state, for all signals together (:func:`_mask_passes`).
+
+Both read the definitions the same way:
 
 * **ER membership** (Definition 5): ``a`` is rising-excited at value 0
   (``up`` and not ``codes``) or falling-excited at value 1.
@@ -37,8 +50,9 @@ of signals per state, for all signals together:
 * **QR union** (Definition 6): a forward fixed point from the ER exits
   over the states where the signal is stable at its new value.
 
-Per-signal bitsets are then read off those masks a byte column at a
-time.  The per-region walks remain only where the masks cannot decide:
+The mask passes read each signal's bitsets off their masks a byte
+column at a time.  The per-region walks remain only where the bitsets
+cannot decide:
 
 * the ER component walk (:func:`excitation_regions`), for a direction
   with more than one sink or with states the sweep does not cover, as
@@ -49,8 +63,9 @@ time.  The per-region walks remain only where the masks cannot decide:
   uncovered: there some bottom SCC has more than one state.
 
 A graph whose codes disagree with its arcs (possible only by editing
-codes after :class:`~repro.sg.graph.StateGraph` checked the arcs) gets
-no sinks, so all of its ERs take the walks.
+codes after :class:`~repro.sg.graph.StateGraph` checked the arcs) has
+no code space and gets no sinks from the mask passes, so all of its
+ERs take the walks.
 
 A :class:`Region` holds its states as a bitset over the numbers of the
 storage that built it, and builds the external ids only when they are
@@ -472,10 +487,11 @@ def _columns(masks: list[int], width: int, signals: list[int]) -> list[int]:
     return [int(raw[a >> 3 :: step].translate(_DIGITS[a & 7])[::-1], 2) for a in signals]
 
 
-def _mask_passes(view: DenseGraph, mask: int) -> tuple[list[int], ...]:
+def _mask_passes(view: DenseGraph, mask: int, agree: bool) -> tuple[list[int], ...]:
     """Per state, the masks of the signals in ``mask`` for which it is
     an ER state, an ER sink, an ER state that reaches a sink of its ER
-    (sinks included), and a QR state."""
+    (sinks included), and a QR state.  ``agree`` tells whether the codes
+    agree with the arcs (:func:`~repro.sg.codespace.arcs_agree`)."""
     codes, succ, pred = view.codes, view.succ, view.pred
     states = range(len(view))
     excited = [(u & ~c | d & c) & mask for u, d, c in zip(view.up, view.down, codes)]
@@ -483,19 +499,16 @@ def _mask_passes(view: DenseGraph, mask: int) -> tuple[list[int], ...]:
     bits = [1 << b for b in range(view.num_signals)]
     sink = [0] * len(view)
     qr = [0] * len(view)
-    consistent = True
     for s in compress(states, excited):
         e, c = excited[s], codes[s]
         held = 0  # signals still excited at the same value after another signal's arc
         for b, _d, d in succ[s]:
             x = c ^ codes[d]
-            if x != bits[b]:
-                consistent = False
             held |= excited[d] & ~x
             # the ER exit of b enters QR(b) when b is stable there
             qr[d] |= e & bits[b] & x & quiet[d]
         sink[s] = e & ~held
-    if not consistent:
+    if not agree:
         # the sweep reads an arc's signal off the codes of its ends, and
         # an edited code misleads it: leave every ER to the walks
         sink = [0] * len(view)
@@ -521,18 +534,25 @@ def _mask_passes(view: DenseGraph, mask: int) -> tuple[list[int], ...]:
     return excited, sink, reach, qr
 
 
-def _mask_columns(view: DenseGraph, signals: list[int]) -> dict[int, tuple[int, ...]]:
+def _mask_columns(
+    view: DenseGraph, signals: list[int], agree: bool
+) -> dict[int, tuple[int, ...]]:
     """Per signal, its bitsets of the codes and of the masks of
     :func:`_mask_passes`; the mask lists die here."""
-    masks = (view.codes, *_mask_passes(view, sum(1 << a for a in signals)))
+    masks = (view.codes, *_mask_passes(view, sum(1 << a for a in signals), agree))
     columns = [_columns(m, view.num_signals, signals) for m in masks]
     return dict(zip(signals, zip(*columns)))
 
 
 def _analyse(sg: StateGraph, signals: list[int]) -> dict[int, SignalRegions]:
     """The :class:`SignalRegions` of each of ``signals`` (ascending),
-    from one set of mask passes; each signal gets its own ``regions``
-    span, the first one also holding the shared passes."""
+    from one set of code-space floods where the graph has a code space
+    and one set of mask passes where not; each signal gets its own
+    ``regions`` span, the first one also holding the shared work."""
+    # imported here, not above: a warm synth unpickles regions and never
+    # computes any, so it need not load the code space
+    from .codespace import arcs_agree, code_space
+
     view = sg.dense()
     columns = None
     out: dict[int, SignalRegions] = {}
@@ -540,7 +560,11 @@ def _analyse(sg: StateGraph, signals: list[int]) -> dict[int, SignalRegions]:
     for a in signals:
         with trace_span("regions", signal=sg.signals[a]) as sp:
             if columns is None:
-                columns = _mask_columns(view, signals)
+                cs = code_space(sg)
+                if cs is None:
+                    columns = _mask_columns(view, signals, arcs_agree(sg))
+                else:
+                    columns = cs.region_columns(view, signals)
             out[a] = sr = _signal(sg, view, a, *columns[a])
             sp.set(excitation=len(sr.excitation))
         ers += len(sr.excitation)

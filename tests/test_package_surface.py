@@ -59,6 +59,7 @@ NOT_ON_WARM_SYNTH = (
     "repro.obs.analytics",
     "repro.obs.telemetry",
     "repro.obs.coverage",
+    "repro.sg.codespace",
 )
 
 #: modules a cold synth must not load: the certifier, the MHS model and

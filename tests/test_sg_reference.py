@@ -44,6 +44,7 @@ from repro.sg.properties import (
     semimodularity_violations,
 )
 import repro.sg.regions as regions_mod
+from repro.sg.codespace import CodeSpace
 from repro.sg.regions import is_single_traversal, signal_regions
 from repro.sg.sgformat import parse_sg
 from repro.stg import elaborate
@@ -394,9 +395,22 @@ def test_every_region_path_is_taken(monkeypatch):
     generated specs above, the regions come from each of the paths
     :func:`signal_regions` can take (the one-sink mask path, the ER
     component walk, the per-ER QR walk and Tarjan), and a generated
-    spec takes Tarjan, so the agreement tests judge every path."""
-    taken = {"walked": 0, "qr-walk": 0, "tarjan": 0}
+    spec takes Tarjan, so the agreement tests judge every path.  Each
+    graph's bitsets come from one of two engines, counted per graph:
+    the code-space floods ("code") or the per-state mask passes
+    ("mask")."""
+    taken = {"walked": 0, "qr-walk": 0, "tarjan": 0, "code": 0, "mask": 0}
     real = (regions_mod._components, regions_mod.quiescent_region_of, regions_mod.trigger_regions)
+    for engine, owner, attr in (
+        ("code", CodeSpace, "region_columns"), ("mask", regions_mod, "_mask_columns")
+    ):
+        columns = getattr(owner, attr)
+
+        def counted(*args, engine=engine, columns=columns):
+            taken[engine] += 1
+            return columns(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
 
     def components(view, members):
         out = real[0](view, members)
@@ -422,19 +436,26 @@ def test_every_region_path_is_taken(monkeypatch):
         out["one-sink"] = ers - out["walked"]
         return out
 
+    def paths(counts: dict[str, int]) -> dict[str, int]:
+        return {k: v for k, v in counts.items() if k not in ("code", "mask")}
+
     suite = count(build() for _, build in SUITE)
     # Table 2 pinned: 34 ERs the sweep leaves uncovered, 48 ERs from
     # walked directions, of which 14 share their direction with another ER
     assert (suite["tarjan"], suite["walked"], suite["qr-walk"]) == (34, 48, 14)
+    # all but sbuf-send-ctl, whose states share codes, take the code space
+    assert (suite["code"], suite["mask"]) == (24, 1)
     corpus = count(parse_sg(p.read_text()) for p in sorted(CORPUS.glob("*.g")))
     generated = count(
         generate_spec(derive_seed(7, i), knobs).sg
         for knobs in knob_combinations(signals=6)
         for i in range(40)
     )
-    for path in ("one-sink", "walked", "qr-walk", "tarjan"):
+    for path in ("one-sink", "walked", "qr-walk", "tarjan", "code", "mask"):
         assert suite[path] + corpus[path] + generated[path] > 0, path
     assert generated["tarjan"] > 0
+    assert (corpus["code"], corpus["mask"]) == (3, 0)
+    assert (generated["code"], generated["mask"]) == (27, 293)
     # an output re-excited as soon as it fires (empty QRs): each
     # one-state ER is a sink, its own arc aside
     flip = StateGraph(["a"], [])
@@ -442,4 +463,4 @@ def test_every_region_path_is_taken(monkeypatch):
     flip.add_state("s1", 1)
     flip.add_arc("s0", Transition(0, 1), "s1")
     flip.add_arc("s1", Transition(0, -1), "s0")
-    assert count([flip]) == {"walked": 0, "qr-walk": 0, "tarjan": 0, "one-sink": 2}
+    assert paths(count([flip])) == {"walked": 0, "qr-walk": 0, "tarjan": 0, "one-sink": 2}
