@@ -394,12 +394,7 @@ def delay_obligations(
 # ----------------------------------------------------------------------
 # HZ005 — Theorem 2 ω-margin closed form
 # ----------------------------------------------------------------------
-def omega_obligations(
-    circuit: "NShotCircuit",
-    *,
-    omega: float | None = None,
-    tau: float | None = None,
-) -> list[Obligation]:
+def omega_obligations(circuit: "NShotCircuit") -> list[Obligation]:
     """The closed-form pulse-width bound, one obligation per signal.
 
     A legitimate trigger pulse is held by the acknowledgement loop
@@ -409,8 +404,7 @@ def omega_obligations(
     between is ``unknown`` (only a measured histogram can decide).
     """
     params = MhsParams()
-    w = omega if omega is not None else params.omega
-    t = tau if tau is not None else params.tau
+    w, t = params.omega, params.tau
     spread = circuit.designed_spread
     held = t * (1.0 - spread)
     margin = held - w

@@ -66,7 +66,6 @@ class LintContext:
         spread: float = 0.0,
         method: str = "espresso",
         cover: "Cover | None" = None,
-        fanout_limit: int = 32,
         pipeline: "PipelineRun | None" = None,
     ) -> None:
         if sg is None and netlist is None:
@@ -76,7 +75,6 @@ class LintContext:
         self.source = source
         self.spread = spread
         self.method = method
-        self.fanout_limit = fanout_limit
         self._pipeline = pipeline
         self._netlist = netlist
         self._cover: "Cover | None" = cover

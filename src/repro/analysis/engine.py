@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..netlist.netlist import Netlist
 from ..obs.metrics import get_metrics
 from ..obs.trace import trace_span
 from ..sg.graph import StateGraph
@@ -198,8 +197,7 @@ def run_rules(
 
 
 def analyze(
-    sg: StateGraph | None = None,
-    netlist: Netlist | None = None,
+    sg: StateGraph,
     *,
     name: str = "spec",
     source: str | None = None,
@@ -207,18 +205,16 @@ def analyze(
     method: str = "espresso",
     select: set[str] | None = None,
     ignore: set[str] | None = None,
-    fanout_limit: int = 32,
     pipeline: PipelineRun | None = None,
 ) -> AnalysisResult:
-    """Convenience wrapper: build a context and run every rule."""
+    """Convenience wrapper: build a context over ``sg`` and run every
+    rule."""
     ctx = LintContext(
         sg,
-        netlist,
         name=name,
         source=source,
         spread=spread,
         method=method,
-        fanout_limit=fanout_limit,
         pipeline=pipeline,
     )
     return run_rules(ctx, select=select, ignore=ignore)

@@ -39,13 +39,11 @@ SARIF_SCHEMA_URI = (
 # ----------------------------------------------------------------------
 # text
 # ----------------------------------------------------------------------
-def render_text(
-    results: list[AnalysisResult], *, verbose: bool = False
-) -> str:
+def render_text(results: list[AnalysisResult]) -> str:
     """Human-readable report: per-target findings plus a summary."""
     lines: list[str] = []
     for r in results:
-        if r.diagnostics or verbose:
+        if r.diagnostics:
             lines.append(f"── {r.name} ──")
         for d in sorted(
             r.diagnostics, key=lambda d: (-d.severity.rank, d.rule_id)

@@ -117,9 +117,6 @@ class RuleRegistry:
         """Every rule, in id order (deterministic execution order)."""
         return [self._rules[i] for i in sorted(self._rules)]
 
-    def preflight_rules(self) -> list[Rule]:
-        return [r for r in self.all() if r.meta.preflight]
-
     def select(
         self,
         select: set[str] | None = None,

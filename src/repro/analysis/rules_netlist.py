@@ -17,7 +17,7 @@ tests).
   a 0/1 ``init``; each plane's ack gate must be gated by the correct
   enable rail (``qn`` for set, ``q`` for reset), possibly through the
   Equation-(1) delay line.
-* **NL006** — fanout audit beyond the context's ``fanout_limit``.
+* **NL006** — fanout audit beyond :data:`FANOUT_LIMIT`.
 * **DL001** — Equation (1) evaluated at the context's delay spread:
   a positive bound means the architecture needs the local delay line.
 """
@@ -33,6 +33,9 @@ from .diagnostics import Diagnostic, Severity
 from .registry import RuleMeta, Scope, rule
 
 __all__: list[str] = []
+
+#: NL006's bound on the gate inputs one net may drive
+FANOUT_LIMIT = 32
 
 
 def _is_path_break(g: Gate) -> bool:
@@ -264,7 +267,7 @@ def check_ack_scheme(ctx: LintContext, meta: RuleMeta) -> Iterator[Diagnostic]:
     scope=Scope.NETLIST,
 )
 def check_fanout(ctx: LintContext, meta: RuleMeta) -> Iterator[Diagnostic]:
-    """A net fanning out to more gates than the context's limit —
+    """A net fanning out to more than :data:`FANOUT_LIMIT` gates —
     the equal-gate-delay model underlying Equation (1) stops being
     credible under heavy loading."""
     nl = ctx.require_netlist()
@@ -273,12 +276,12 @@ def check_fanout(ctx: LintContext, meta: RuleMeta) -> Iterator[Diagnostic]:
         for p in g.inputs:
             readers[p.net] = readers.get(p.net, 0) + 1
     for net, count in sorted(readers.items()):
-        if count > ctx.fanout_limit:
+        if count > FANOUT_LIMIT:
             yield meta.diagnostic(
                 f"net {net!r} fans out to {count} gate inputs "
-                f"(limit {ctx.fanout_limit})",
+                f"(limit {FANOUT_LIMIT})",
                 ctx.location("net", net),
-                hint="buffer the net or raise the context's fanout_limit",
+                hint="buffer the net",
                 net=net,
                 fanout=count,
             )

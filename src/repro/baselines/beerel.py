@@ -12,7 +12,11 @@ Algorithmic model of the flow Table 2's ``SYN`` column came from:
    extend only into that ER's own quiescent region or unreachable
    codes — never into foreign don't-care territory the way the N-SHOT
    minimizer freely does).  When no such cube exists the flow needs
-   additional state signals: failure code ``(2)``.
+   additional state signals: failure code ``(2)``.  Unreachable codes
+   are open to a cube only on specs of at most
+   :data:`~repro.sg.codespace.MAX_CODE_SIGNALS` signals: on wider
+   specs the flow does not enumerate the reachable codes and counts
+   every code as used, so each cube stays inside its ER and QR.
 4. Cubes whose switch-off is *not acknowledged* by the output's own
    transition (cubes that persist into the quiescent region and are
    eventually turned off by a later input change) need **extra
@@ -30,6 +34,7 @@ from ..logic import Cover, Cube
 from ..logic.cube import spread_bits
 from ..netlist import Gate, GateType, Netlist, Pin
 from ..netlist.trees import build_gate_tree
+from ..sg.codespace import MAX_CODE_SIGNALS
 from ..sg.encoding import reachable_codes
 from ..sg.graph import StateGraph
 from ..sg.regions import signal_regions
@@ -66,10 +71,11 @@ def _monotonous_cube(
     """A single cube covering an ER, confined to its allowed codes.
 
     The cube may touch the codes in ``allowed`` (the ER, or the ER and
-    its own QR) and any code not in ``used`` (an unreachable code).  It
-    starts as the ER's supercube and greedily expands one variable at
-    a time while it stays inside those codes.  Raises when even the
-    supercube leaves them.
+    its own QR) and any code not in ``used`` (an unreachable code; past
+    :data:`~repro.sg.codespace.MAX_CODE_SIGNALS` signals ``used`` is
+    every code, so there is none).  It starts as the ER's supercube and
+    greedily expands one variable at a time while it stays inside those
+    codes.  Raises when even the supercube leaves them.
     """
     # the ER's supercube: the variables where the AND of the codes (of
     # their complements) has a 1 keep their 1 (0) literal
@@ -122,9 +128,11 @@ def synthesize_beerel(
         nl.add_output(sg.signals[a])
 
     view = sg.dense()
-    # past 16 signals every code counts as used, so cubes stay inside
-    # their allowed codes and never grow into the unreachable space
-    used = reachable_codes(sg) if sg.num_signals <= 16 else range(1 << sg.num_signals)
+    # past MAX_CODE_SIGNALS signals every code counts as used, so cubes
+    # stay inside their allowed codes and never grow into the
+    # unreachable space
+    n = sg.num_signals
+    used = reachable_codes(sg) if n <= MAX_CODE_SIGNALS else range(1 << n)
 
     covers: dict[tuple[int, str], Cover] = {}
     ack_gates = 0

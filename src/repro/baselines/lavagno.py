@@ -37,6 +37,11 @@ from .hazard_free_sop import (
     sop_plane,
 )
 
+#: gate levels of each inserted delay line (the bounded-delay analysis
+#: would compute this from the longest combinational path; two levels —
+#: one AND, one OR — is the plane depth being masked, plus margin)
+PAD_LEVELS = 3
+
 __all__ = ["LavagnoResult", "NotDistributiveError", "synthesize_lavagno"]
 
 
@@ -78,18 +83,8 @@ class LavagnoResult:
         return self.netlist.stats()
 
 
-def synthesize_lavagno(
-    sg: StateGraph,
-    name: str = "sis",
-    pad_levels: int = 3,
-) -> LavagnoResult:
-    """Run the bounded-delay hazard-free flow on a distributive SG.
-
-    ``pad_levels`` sizes each inserted delay line in gate levels (the
-    bounded-delay analysis would compute this from the longest
-    combinational path; two levels — one AND, one OR — is the plane
-    depth being masked plus margin).
-    """
+def synthesize_lavagno(sg: StateGraph, name: str = "sis") -> LavagnoResult:
+    """Run the bounded-delay hazard-free flow on a distributive SG."""
     require_valid_spec(sg, name)
     require_distributive(sg, name, "SIS/Lavagno")
 
@@ -124,7 +119,7 @@ def synthesize_lavagno(
                     GateType.DELAY,
                     [Pin(plane)],
                     sig,
-                    delay=pad_levels * 1.2,
+                    delay=PAD_LEVELS * 1.2,
                     attrs={"cut": True},
                 )
             )

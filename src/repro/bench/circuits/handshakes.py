@@ -36,13 +36,13 @@ def _t(sig: str, plus: bool, inst: int = 0) -> StgTransition:
     return StgTransition(sig, 1 if plus else -1, inst)
 
 
-def ring(signals: list[str], inputs: list[str], name: str = "ring") -> Stg:
+def ring(signals: list[str], inputs: list[str]) -> Stg:
     """Sequencer: ``s1+ → s2+ → … → sk+ → s1- → … → sk- → s1+``.
 
     2·k states; every trigger region is a singleton.
     """
     outputs = [s for s in signals if s not in inputs]
-    stg = Stg(inputs, outputs, name=name)
+    stg = Stg(inputs, outputs, name="ring")
     seq = [_t(s, True) for s in signals] + [_t(s, False) for s in signals]
     for i, t in enumerate(seq):
         stg.connect(t, seq[(i + 1) % len(seq)])

@@ -59,9 +59,7 @@ def sg_of(name: str) -> StateGraph:
     return sg
 
 
-def run_benchmark(
-    name: str, run_baselines: bool = True, cache=None
-) -> BenchmarkRow:
+def run_benchmark(name: str, cache=None) -> BenchmarkRow:
     """Run all flows on one benchmark and return its table row.
 
     ``cache`` (an :class:`~repro.pipeline.store.ArtifactStore`) routes
@@ -77,24 +75,22 @@ def run_benchmark(
         p_sis = p_syn = "(1)"
     sg = sg_of(name)
 
-    sis_cell = syn_cell = "-"
     extras: dict = {}
-    if run_baselines:
-        try:
-            sis = synthesize_lavagno(sg, name=f"sis_{name}")
-            sis_cell = sis.stats().row()
-            extras["sis_delay_lines"] = sis.delay_lines_inserted
-            extras["sis_hazard_cubes"] = sis.hazard_cubes_added
-        except NotDistributiveError:
-            sis_cell = "(1)"
-        try:
-            syn = synthesize_beerel(sg, name=f"syn_{name}")
-            syn_cell = syn.stats().row()
-            extras["syn_ack_gates"] = syn.ack_gates_added
-        except NotDistributiveError:
-            syn_cell = "(1)"
-        except StateSignalsRequiredError:
-            syn_cell = "(2)"
+    try:
+        sis = synthesize_lavagno(sg, name=f"sis_{name}")
+        sis_cell = sis.stats().row()
+        extras["sis_delay_lines"] = sis.delay_lines_inserted
+        extras["sis_hazard_cubes"] = sis.hazard_cubes_added
+    except NotDistributiveError:
+        sis_cell = "(1)"
+    try:
+        syn = synthesize_beerel(sg, name=f"syn_{name}")
+        syn_cell = syn.stats().row()
+        extras["syn_ack_gates"] = syn.ack_gates_added
+    except NotDistributiveError:
+        syn_cell = "(1)"
+    except StateSignalsRequiredError:
+        syn_cell = "(2)"
 
     ours = synthesize(sg, name=name, cache=cache)
     row = BenchmarkRow(

@@ -24,6 +24,9 @@ __all__ = ["CorpusEntry", "archive_reproducer", "load_corpus", "replay_entry"]
 #: default corpus location, relative to the repository root
 DEFAULT_CORPUS = Path("examples") / "fuzz-corpus"
 
+#: per-flow wall-clock bound of a corpus replay, in seconds
+REPLAY_TIMEOUT_S = 30.0
+
 
 @dataclass
 class CorpusEntry:
@@ -125,7 +128,7 @@ def load_corpus(corpus_dir: Path | str = DEFAULT_CORPUS) -> list[CorpusEntry]:
     return entries
 
 
-def replay_entry(entry: CorpusEntry, *, timeout: float | None = 10.0) -> list:
+def replay_entry(entry: CorpusEntry) -> list:
     """Push one reproducer through every flow, crash-contained.
 
     Returns the :class:`~repro.fuzz.differential.FlowOutcome` list.
@@ -138,6 +141,6 @@ def replay_entry(entry: CorpusEntry, *, timeout: float | None = 10.0) -> list:
 
     sg = entry.sg()
     return [
-        run_flow(flow, sg, name=entry.path.stem, timeout=timeout)
+        run_flow(flow, sg, name=entry.path.stem, timeout=REPLAY_TIMEOUT_S)
         for flow in FLOW_NAMES
     ]

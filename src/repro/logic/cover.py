@@ -47,37 +47,9 @@ class Cover:
         return Cover(num_inputs, num_outputs, [Cube.full(num_inputs, all_out)])
 
     @staticmethod
-    def from_strings(rows: Iterable[str], num_outputs: int = 1) -> "Cover":
-        """Build a cover from ESPRESSO-style rows.
-
-        Each row is either just an input part (``"1-0"``, single
-        output) or input and output parts separated by whitespace
-        (``"1-0 10"``).
-        """
-        cubes: list[Cube] = []
-        num_inputs = 0
-        for row in rows:
-            parts = row.split()
-            if not parts:
-                continue
-            inp = parts[0]
-            num_inputs = len(inp)
-            if len(parts) > 1:
-                out_bits = 0
-                for o, ch in enumerate(parts[1]):
-                    if ch in "14":
-                        out_bits |= 1 << o
-                cubes.append(Cube.from_string(inp, out_bits))
-            else:
-                cubes.append(Cube.from_string(inp, 1))
-        return Cover(num_inputs, num_outputs, cubes)
-
-    @staticmethod
-    def from_minterms(minterms: Iterable[int], num_inputs: int, outputs: int = 1,
-                      num_outputs: int = 1) -> "Cover":
-        """Build a cover of single-minterm cubes."""
-        cubes = [Cube.from_minterm(m, num_inputs, outputs) for m in minterms]
-        return Cover(num_inputs, num_outputs, cubes)
+    def from_minterms(minterms: Iterable[int], num_inputs: int) -> "Cover":
+        """Build a single-output cover of single-minterm cubes."""
+        return Cover(num_inputs, 1, [Cube.from_minterm(m, num_inputs) for m in minterms])
 
     # ------------------------------------------------------------------
     # basic container protocol
@@ -164,15 +136,6 @@ class Cover:
     # ------------------------------------------------------------------
     # semantic queries
     # ------------------------------------------------------------------
-    def evaluate(self, minterm: int) -> int:
-        """Output bitmask produced by the cover for an input minterm."""
-        get_metrics().counter("cover.cube_ops").add(len(self.cubes))
-        result = 0
-        for c in self.cubes:
-            if c.contains_minterm(minterm):
-                result |= c.outputs
-        return result
-
     def contains_minterm(self, minterm: int, output: int = 0) -> bool:
         """True when some cube feeding ``output`` covers the minterm."""
         bit = 1 << output
@@ -226,15 +189,6 @@ class Cover:
                 pos += 1
         return neg, pos
 
-    def is_unate_in(self, var: int) -> bool:
-        """True when the cover is unate in the given variable."""
-        neg, pos = self.var_usage(var)
-        return neg == 0 or pos == 0
-
-    def is_unate(self) -> bool:
-        """True when the cover is unate in every input variable."""
-        return all(self.is_unate_in(v) for v in range(self.num_inputs))
-
     def most_binate_var(self) -> int | None:
         """Select the best splitting variable for unate recursion.
 
@@ -284,9 +238,9 @@ class Cover:
         return "\n".join(self.to_strings())
 
 
-def compact_minterm_cover(minterms: set[int], num_inputs: int,
-                          outputs: int = 1, num_outputs: int = 1) -> Cover:
-    """Build a compact (not minimal) cube cover of a minterm set.
+def compact_minterm_cover(minterms: set[int], num_inputs: int) -> Cover:
+    """Build a compact (not minimal) single-output cube cover of a
+    minterm set.
 
     Recursive Shannon construction: a sub-space entirely inside the set
     becomes one cube; otherwise split on the next variable (MSB first,
@@ -304,7 +258,7 @@ def compact_minterm_cover(minterms: set[int], num_inputs: int,
     """
     ms = sorted(set(minterms))
     masks = sorted(_split_sorted(ms, 0, len(ms), num_inputs, 0)) if ms else []
-    return Cover(num_inputs, num_outputs, [Cube(num_inputs, m, outputs) for m in masks])
+    return Cover(num_inputs, 1, [Cube(num_inputs, m, 1) for m in masks])
 
 
 def merge_halves(lo: frozenset[int], hi: frozenset[int], var: int) -> frozenset[int]:

@@ -123,30 +123,12 @@ class Cube:
         return Cube(len(text.strip()), mask, outputs)
 
     @staticmethod
-    def from_assignment(values: Sequence[int]) -> "Cube":
-        """Build a minterm cube from a 0/1 assignment vector.
-
-        Values other than 0/1 (e.g. ``None`` or ``2``) become don't
-        cares.
-        """
-        mask = 0
-        for var, v in enumerate(values):
-            if v == 0:
-                field = LIT_ZERO
-            elif v == 1:
-                field = LIT_ONE
-            else:
-                field = LIT_DC
-            mask |= field << (2 * var)
-        return Cube(len(values), mask)
-
-    @staticmethod
-    def from_minterm(minterm: int, num_inputs: int, outputs: int = 1) -> "Cube":
-        """Build the cube of a single minterm given as an integer.
+    def from_minterm(minterm: int, num_inputs: int) -> "Cube":
+        """Build the single-output cube of a minterm given as an integer.
 
         Bit ``i`` of ``minterm`` is the value of variable ``i``.
         """
-        return Cube(num_inputs, minterm_mask(minterm, num_inputs), outputs)
+        return Cube(num_inputs, minterm_mask(minterm, num_inputs))
 
     # ------------------------------------------------------------------
     # inspection

@@ -107,11 +107,10 @@ def parse_pla(text: str) -> Pla:
 
 def write_pla(
     on: Cover,
-    dc: Cover | None = None,
     input_names: list[str] | None = None,
     output_names: list[str] | None = None,
 ) -> str:
-    """Serialize covers as ``fd``-type PLA text."""
+    """Serialize an ON-set cover as ``fd``-type PLA text."""
     n, m = on.num_inputs, on.num_outputs
     lines = [f".i {n}", f".o {m}"]
     if input_names:
@@ -119,13 +118,7 @@ def write_pla(
     if output_names:
         lines.append(".ob " + " ".join(output_names))
     lines.append(".type fd")
-    body: list[str] = []
-    for c in on.cubes:
-        body.append(f"{c.input_string()} {c.output_string(m)}")
-    if dc is not None:
-        for c in dc.cubes:
-            out = "".join("-" if (c.outputs >> o) & 1 else "0" for o in range(m))
-            body.append(f"{c.input_string()} {out}")
+    body = [f"{c.input_string()} {c.output_string(m)}" for c in on.cubes]
     lines.append(f".p {len(body)}")
     lines.extend(body)
     lines.append(".e")

@@ -17,8 +17,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "set_metrics percentile"
         ),
         ".trace": (
-            "TRACE_SCHEMA Span Tracer get_tracer set_tracer trace_span "
-            "traced tracing"
+            "TRACE_SCHEMA Span Tracer get_tracer set_tracer trace_span tracing"
         ),
     },
 )

@@ -353,16 +353,13 @@ class Changepoint:
         )
 
 
-def detect_changepoints(
-    points: list[SeriesPoint],
-    window: int = CHANGEPOINT_WINDOW,
-) -> list[Changepoint]:
+def detect_changepoints(points: list[SeriesPoint]) -> list[Changepoint]:
     """Windowed median-shift detection, one env stratum at a time.
 
-    A boundary ``i`` is suspect when the median of the ``window``
-    points after it differs from the median of the ``window`` points
-    before it by more than ``max(k·MAD_before, min_rel·median_before,
-    abs_floor_s)`` (:data:`CHANGEPOINT_K`, :data:`CHANGEPOINT_MIN_REL`,
+    A boundary ``i`` is suspect when the median of the
+    :data:`CHANGEPOINT_WINDOW` points after it differs from the median
+    of as many points before it by more than ``max(k·MAD_before,
+    min_rel·median_before, abs_floor_s)`` (:data:`CHANGEPOINT_K`, :data:`CHANGEPOINT_MIN_REL`,
     :data:`CHANGEPOINT_ABS_FLOOR_S`) — the same three-guard shape the
     regress gate uses,
     so timer noise on microsecond phases never reads as drift.
@@ -375,6 +372,7 @@ def detect_changepoints(
     partitioned by ``env_digest`` first, so swapping CI runners cannot
     masquerade as a code-caused changepoint.
     """
+    window = CHANGEPOINT_WINDOW
     found: list[Changepoint] = []
     strata: dict[str, list[SeriesPoint]] = {}
     for p in points:

@@ -66,10 +66,6 @@ class RecordedEvent:
     gate: str | None = None
     width: float | None = None
 
-    @property
-    def is_root(self) -> bool:
-        return self.cause is None
-
     def describe(self) -> str:
         head = f"t={self.time:.3f}"
         if self.kind == "net":
@@ -273,14 +269,6 @@ class FlightRecorder:
     def __len__(self) -> int:
         return len(self._events)
 
-    def events(self, kind: str | None = None) -> list[RecordedEvent]:
-        """Recorded events in arrival order, optionally one kind."""
-        return [
-            ev
-            for ev in self._events.values()
-            if kind is None or ev.kind == kind
-        ]
-
     def filtered_pulses(self) -> list[RecordedEvent]:
         """The ``mhs-filtered`` derived events still in the buffer."""
         return [
@@ -367,10 +355,7 @@ _STRESS_LADDER: tuple[tuple[float, tuple[float, float]], ...] = (
 
 
 def find_filtered_chain(
-    circuit,
-    *,
-    seeds: int = 16,
-    probe: bool = True,
+    circuit, *, seeds: int = 16
 ) -> tuple[CausalChain | None, dict]:
     """Produce one environment-rooted chain of an ω-filtered pulse.
 
@@ -379,9 +364,9 @@ def find_filtered_chain(
     MHS absorbing a hazard pulse, then explains it.  Circuits whose SOP
     planes are exactly their trigger cubes (single-cube planes, e.g.
     chu133) can never organically produce a sub-ω runt — every plane
-    assertion is a level held until acknowledged — so with ``probe`` a
-    causally-anchored runt injection demonstrates the filtering instead
-    (see :func:`_probe_chain`).
+    assertion is a level held until acknowledged — so when the sweep
+    comes back empty, a causally-anchored runt injection demonstrates
+    the filtering instead (see :func:`_probe_chain`).
 
     Returns ``(chain, info)``; ``info`` says which mode and stress
     corner produced the chain (``mode`` is ``organic``, ``probe``, or
@@ -412,9 +397,7 @@ def find_filtered_chain(
                     "input_delay": list(input_delay),
                     "seed": seed,
                 }
-    if probe:
-        return _probe_chain(circuit)
-    return None, {"mode": "none"}
+    return _probe_chain(circuit)
 
 
 def _probe_chain(circuit) -> tuple[CausalChain | None, dict]:

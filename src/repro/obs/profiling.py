@@ -566,7 +566,7 @@ def to_collapsed(doc: dict) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def to_speedscope(doc: dict, name: str | None = None) -> dict:
+def to_speedscope(doc: dict) -> dict:
     """Speedscope ``sampled`` profile of the folded stacks (open at
     https://www.speedscope.app or with a local copy)."""
     frame_index: dict[str, int] = {}
@@ -585,13 +585,13 @@ def to_speedscope(doc: dict, name: str | None = None) -> dict:
     total = round(sum(weights), 6)
     return {
         "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "name": name or f"repro profile ({doc.get('engine', '?')})",
+        "name": f"repro profile ({doc.get('engine', '?')})",
         "exporter": PROFILE_SCHEMA,
         "shared": {"frames": frames},
         "profiles": [
             {
                 "type": "sampled",
-                "name": name or "repro pipeline",
+                "name": "repro pipeline",
                 "unit": "seconds",
                 "startValue": 0,
                 "endValue": total,

@@ -208,20 +208,6 @@ class RunHistory:
         """Index entries in append order (oldest first)."""
         return self.scan(kind)[0]
 
-    def latest(self, kind: str | None = None) -> RunEntry | None:
-        found = self.entries(kind)
-        return found[-1] if found else None
-
-    def for_sha(self, sha: str) -> list[RunEntry]:
-        """Entries recorded at one git SHA (prefix match, ≥ 7 chars)."""
-        if len(sha) < 7:
-            raise ValueError("sha prefix must be at least 7 characters")
-        return [
-            e
-            for e in self.entries()
-            if e.git_sha is not None and e.git_sha.startswith(sha)
-        ]
-
     def load(self, entry: RunEntry | str) -> dict:
         """Read one stored run back; returns the full envelope dict."""
         name = entry.file if isinstance(entry, RunEntry) else entry

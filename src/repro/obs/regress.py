@@ -459,7 +459,6 @@ def run_regress(
     quick: bool = False,
     thresholds: Thresholds | ThresholdPolicy | None = None,
     remeasure: bool = True,
-    telemetry: bool = True,
     progress=None,
     hotspots: bool = True,
 ) -> RegressReport:
@@ -507,7 +506,6 @@ def run_regress(
         circuits=targets,
         runs=runs,
         verify_runs=verify_runs,
-        telemetry=telemetry,
         progress=progress,
     )
     report = RegressReport(

@@ -108,12 +108,6 @@ class SignalTelemetry:
         samples = self.delay_slacks["set"] + self.delay_slacks["reset"]
         return min(samples) if samples else None
 
-    @property
-    def static_slack(self) -> float:
-        """Static distance to the Equation (1) bound: inserted delay
-        minus required delay (≥ 0 whenever synthesis compensated)."""
-        return self.t_del - self.static_bound
-
     def record_pulse(self, kind: str, width: float) -> None:
         self.pulse_widths[kind].append(width)
         if width < self.omega - _EPS:

@@ -49,7 +49,6 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import wraps
 
 __all__ = [
     "Span",
@@ -104,9 +103,6 @@ class _NullSpan:
     def set(self, **attrs) -> None:
         pass
 
-    def add(self, key: str, n: float = 1) -> None:
-        pass
-
     @property
     def id(self) -> None:
         return None
@@ -131,10 +127,6 @@ class _SpanHandle:
     def set(self, **attrs) -> None:
         """Attach/overwrite attributes on the span."""
         self._span.attrs.update(attrs)
-
-    def add(self, key: str, n: float = 1) -> None:
-        """Accumulate a numeric attribute (e.g. items processed)."""
-        self._span.attrs[key] = self._span.attrs.get(key, 0) + n
 
     def __enter__(self) -> "_SpanHandle":
         self._tracer._push(self._span)
@@ -400,22 +392,6 @@ def set_tracer(tracer: Tracer) -> Tracer:
 def trace_span(name: str, **attrs):
     """Open a span on the current global tracer (no-op when disabled)."""
     return _TRACER.span(name, **attrs)
-
-
-def traced(name: str | None = None, **attrs):
-    """Decorator wrapping a function call in a span."""
-
-    def deco(fn):
-        span_name = name or fn.__name__
-
-        @wraps(fn)
-        def wrapper(*args, **kwargs):
-            with _TRACER.span(span_name, **attrs):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return deco
 
 
 class tracing:

@@ -101,7 +101,7 @@ def resolve_store(
 class PipelineRun:
     """One spec's demand-driven walk of the stage DAG.
 
-    Construct with :meth:`from_file`, :meth:`from_text` or
+    Construct over spec text, or with :meth:`from_file` or
     :meth:`from_sg`; pull artifacts with :meth:`artifact` or the named
     conveniences (:meth:`sg`, :meth:`synthesize`, :meth:`verify`, …).
     Artifacts are memoized per run, so e.g. ``repro compare`` sharing
@@ -153,10 +153,6 @@ class PipelineRun:
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
-    @classmethod
-    def from_text(cls, text: str, **kw: Any) -> "PipelineRun":
-        return cls(text, **kw)
-
     @classmethod
     def from_file(cls, path: str, **kw: Any) -> "PipelineRun":
         with open(path) as f:

@@ -99,16 +99,13 @@ def sg_from_trace_spec(
     signals: Sequence[str],
     inputs: Iterable[str],
     arcs: Iterable[str],
-    initial: str | None = None,
 ) -> StateGraph:
     """Build an SG from textual arcs like ``"000 +a 100"``.
 
     Each arc line has ``src transition [dst]``; when ``dst`` is omitted
     it is inferred by flipping the transition's signal bit.  The first
-    listed source state is the initial state unless ``initial`` names
-    another.
+    listed source state is the initial state.
     """
-    b: SGBuilder | None = None
     first: str | None = None
     b = SGBuilder(signals, inputs)
     for line in arcs:
@@ -127,5 +124,5 @@ def sg_from_trace_spec(
         b.arc(src, tr, dst)
     if first is None:
         raise SGError("no arcs given")
-    b.initial(initial if initial is not None else first)
+    b.initial(first)
     return b.build()

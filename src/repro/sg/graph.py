@@ -322,10 +322,6 @@ class DenseGraph:
             return tuple(compress(self._ids[lo:hi], flags))
         return tuple(map(self.label, compress(range(lo, hi), flags)))
 
-    def states_of(self, bits: int) -> frozenset[StateId]:
-        """The external ids of the states in a bitset."""
-        return frozenset(self.labels(bits))
-
 
 @dataclass
 class SpecAnalysis:
@@ -591,11 +587,6 @@ class StateGraph:
         g, i = self._at(state)
         return g.codes[i]
 
-    def code_vector(self, state: StateId) -> tuple[int, ...]:
-        """Binary code as a tuple indexed by signal."""
-        c = self.code(state)
-        return tuple((c >> i) & 1 for i in range(len(self.signals)))
-
     def value(self, state: StateId, signal: int) -> int:
         """Value of one signal in a state."""
         return (self.code(state) >> signal) & 1
@@ -627,11 +618,6 @@ class StateGraph:
             for p in g.pred[j]
         ]
 
-    def is_excited(self, state: StateId, signal: int) -> bool:
-        """True when some transition of ``signal`` is enabled in ``state``."""
-        g, i = self._at(state)
-        return bool((g.up[i] | g.down[i]) >> signal & 1)
-
     def excitation(self, state: StateId, signal: int) -> Transition | None:
         """The enabled transition of ``signal`` in ``state``, if any."""
         g, i = self._at(state)
@@ -640,14 +626,6 @@ class StateGraph:
         if g.down[i] >> signal & 1:
             return self._transitions[signal, -1]
         return None
-
-    def excited_non_inputs(self, state: StateId) -> frozenset[int]:
-        """Set of excited non-input signals (used by the CSC check)."""
-        g, i = self._at(state)
-        hot = g.up[i] | g.down[i]
-        return frozenset(
-            a for a in range(len(self.signals)) if hot >> a & 1 and a not in self.inputs
-        )
 
     # ------------------------------------------------------------------
     # reachability

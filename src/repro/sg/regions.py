@@ -419,10 +419,6 @@ class SignalRegions:
     triggers: list[list[Region]] = field(default_factory=list)  # parallel to excitation
 
     @property
-    def up_excitation(self) -> list[Region]:
-        return [r for r in self.excitation if r.rising]
-
-    @property
     def single_traversal(self) -> bool:
         """Definition 9 for this signal: every trigger region is one state."""
         return all(len(tr) == 1 for trs in self.triggers for tr in trs)
@@ -441,10 +437,6 @@ class SignalRegions:
         for r in self._select(kind, direction):
             out |= r.bits(view)
         return out
-
-    def union_states(self, kind: str, direction: int) -> set[StateId]:
-        """Union of all region states of one kind and direction."""
-        return set().union(*(r.states for r in self._select(kind, direction)))
 
 
 def signal_regions(sg: StateGraph, signal: int) -> SignalRegions:

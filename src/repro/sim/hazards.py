@@ -24,6 +24,10 @@ from .waveform import TraceSet
 
 __all__ = ["HazardReport", "analyze_hazards", "omega_margins"]
 
+#: widest level counted as a glitch pulse: one gate delay, what the MHS
+#: flip-flop must be robust against
+GLITCH_WIDTH = 1.0
+
 
 def omega_margins(
     filtered_widths: Sequence[float],
@@ -89,16 +93,14 @@ def analyze_hazards(
     traces: TraceSet,
     observable_nets: Sequence[str],
     internal_nets: Iterable[str] | None = None,
-    glitch_width: float = 1.0,
 ) -> HazardReport:
     """Count glitch pulses, split into internal vs observable nets.
 
-    A *glitch pulse* is a level held for less than ``glitch_width``
-    (excluding the initial and final levels of the run) — the pulse
-    streams of Figure 3.  The default width of one gate delay is what
-    the MHS flip-flop must be robust against.
+    A *glitch pulse* is a level held for less than
+    :data:`GLITCH_WIDTH` (excluding the initial and final levels of the
+    run) — the pulse streams of Figure 3.
     """
-    report = HazardReport(glitch_width=glitch_width)
+    report = HazardReport(glitch_width=GLITCH_WIDTH)
     observable = set(observable_nets)
     nets = set(internal_nets) if internal_nets is not None else set(traces.nets())
     nets |= observable
@@ -106,7 +108,7 @@ def analyze_hazards(
         wave = traces.get(net)
         if wave is None:
             continue
-        count = len(wave.glitch_pulses(glitch_width))
+        count = len(wave.glitch_pulses(GLITCH_WIDTH))
         if net in observable:
             report.observable_glitches[net] = count
         else:

@@ -206,19 +206,18 @@ class MhsState:
 def mhs_response(
     pulses: list[tuple[float, float]],
     params: MhsParams | None = None,
-    initial_q: int = 0,
 ) -> list[tuple[float, int]]:
     """Output transitions of the set input driven by a pulse train.
 
     ``pulses`` is a list of (start, end) high intervals on the *set*
-    input with the flip-flop initially at ``initial_q = 0``; the
+    input with the flip-flop initially reset (``q = 0``); the
     returned list contains the resulting output transitions.  This is
     the Figure 4 experiment: pulses narrower than ω produce nothing;
     the first pulse of width ≥ ω produces a single ``+q`` at
     ``start + τ``.
     """
     p = params or MhsParams()
-    st = MhsState(params=p, q=initial_q)
+    st = MhsState(params=p)
     events: list[tuple[float, int]] = []
     for start, end in pulses:
         if end <= start:

@@ -113,24 +113,23 @@ def measure_performance(
     netlist,
     sg: StateGraph,
     runs: int = 3,
-    jitter: float = 0.0,
     max_transitions: int = 150,
     max_time: float = 6000.0,
     input_delay: tuple[float, float] = (0.05, 0.2),
-    base_seed: int = 0,
 ) -> PerformanceReport:
     """Measure dynamic response/cycle times of a synthesized netlist.
 
     The environment is eager (near-zero input delays) so the measured
-    response is dominated by the circuit, not the driver.
+    response is dominated by the circuit, not the driver; gate delays
+    are nominal (no jitter) and run ``k`` uses seed ``k``.
     """
     report = PerformanceReport()
     for k in range(runs):
-        sim = Simulator(netlist, SimConfig(jitter=jitter, seed=base_seed + k))
+        sim = Simulator(netlist, SimConfig(seed=k))
         env = _ResponseTracker(
             sg,
             sim,
-            seed=base_seed + k,
+            seed=k,
             input_delay=input_delay,
             report=report,
         )

@@ -315,9 +315,6 @@ class Simulator:
             (time, self._KIND_CALL, self._seq, "", 0, self._cause_ctx, None),
         )
 
-    def pending(self) -> bool:
-        return bool(self._queue)
-
     def next_time(self) -> float | None:
         return self._queue[0][0] if self._queue else None
 

@@ -10,7 +10,7 @@ compared against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = ["Waveform", "Pulse", "TraceSet"]
 
@@ -57,32 +57,13 @@ class Waveform:
             v = val
         return v
 
-    @property
-    def initial(self) -> int:
-        return self.changes[0][1] if self.changes else 0
-
-    @property
-    def final(self) -> int:
-        return self.changes[-1][1] if self.changes else 0
-
-    def num_transitions(self) -> int:
-        """Number of value changes after the initial assignment."""
-        return max(0, len(self.changes) - 1)
-
-    def transitions(self) -> list[tuple[float, int]]:
-        """Changes excluding the initial value record."""
-        return self.changes[1:]
-
-    def pulses(self, end_time: float | None = None) -> list[Pulse]:
-        """Decompose the history into held-level intervals."""
-        out: list[Pulse] = []
-        for i in range(len(self.changes)):
-            t, v = self.changes[i]
-            end = self.changes[i + 1][0] if i + 1 < len(self.changes) else end_time
-            if end is None:
-                continue
-            out.append(Pulse(t, end, v))
-        return out
+    def pulses(self) -> list[Pulse]:
+        """Decompose the history into held-level intervals (the final
+        level, still held when the run ends, is not one)."""
+        return [
+            Pulse(t, end, v)
+            for (t, v), (end, _) in zip(self.changes, self.changes[1:])
+        ]
 
     def glitch_pulses(self, max_width: float) -> list[Pulse]:
         """Non-initial, non-final level intervals narrower than ``max_width``.
@@ -126,8 +107,3 @@ class TraceSet:
 
     def nets(self) -> Iterator[str]:
         return iter(self._waves)
-
-    def total_transitions(self, nets: Iterable[str] | None = None) -> int:
-        if nets is None:
-            nets = list(self._waves)
-        return sum(self._waves[n].num_transitions() for n in nets if n in self._waves)

@@ -18,7 +18,7 @@ come from a forward mask fixed point over that graph, and the codes are
 built once the values are known.  The graph keeps each marking as a
 place bitmask; a state's ``(Marking, code)`` id is built only when one
 is read (see :class:`~repro.sg.graph.DenseGraph`).  Any error met on the
-way (an unsafe net, the ``max_states`` bound, a nondeterministic or
+way (an unsafe net, the :data:`MAX_STATES` bound, a nondeterministic or
 inconsistent transition) is reported by the two passes the
 exploration stands for: :func:`infer_initial_values` over the whole
 net, then an exploration with the codes, so every broken net gets the
@@ -39,6 +39,9 @@ __all__ = ["infer_initial_values", "elaborate", "ElaborationError"]
 
 #: default (marking, fired-signals) budget of initial-value inference
 _MAX_MARKINGS = 200000
+
+#: state budget of :func:`elaborate`
+MAX_STATES = 200000
 
 
 class ElaborationError(StgError):
@@ -138,7 +141,7 @@ class _Parts:
     :func:`elaborate` reports it; without, the first error raises
     :class:`_Retry`."""
 
-    def __init__(self, net: _Net, nsig: int, start: int, max_states: int, check: bool):
+    def __init__(self, net: _Net, nsig: int, start: int, check: bool):
         self.start, self.nsig = start, nsig
         markings, codes = self.markings, self.codes = [net.initial], [start]
         succ, pred = self.succ, self.pred = [[]], [[]]
@@ -170,7 +173,7 @@ class _Parts:
                 key = new_marking << nsig | new_code
                 j = visited.get(key)
                 if j is None:
-                    if len(visited) >= max_states:
+                    if len(visited) >= MAX_STATES:
                         if check:
                             raise ElaborationError("state graph exceeded max_states")
                         raise _Retry
@@ -257,24 +260,24 @@ def _values(stg: Stg, first_up: int, first_down: int) -> dict[str, int]:
     return values
 
 
-def elaborate(stg: Stg, max_states: int = 200000) -> StateGraph:
+def elaborate(stg: Stg) -> StateGraph:
     """Build the state graph of an STG by token flow.
 
     Raises :class:`ElaborationError` on unsafe nets, inconsistent
     codings (``x+`` enabled while ``x = 1``) or state explosion beyond
-    ``max_states``.
+    :data:`MAX_STATES`.
     """
     with trace_span("reachability", stg=getattr(stg, "name", "?")) as sp:
-        sg = _elaborate_traced(stg, max_states, sp)
+        sg = _elaborate_traced(stg, sp)
     return sg
 
 
-def _elaborate_traced(stg: Stg, max_states: int, sp) -> StateGraph:
+def _elaborate_traced(stg: Stg, sp) -> StateGraph:
     net = _Net(stg)
     signals = stg.signals
     nsig = len(signals)
     try:
-        parts = _Parts(net, nsig, 0, max_states, check=False)
+        parts = _Parts(net, nsig, 0, check=False)
         with trace_span("initial-values"):
             values = _values(stg, *parts.first_polarities())
         code0 = sum(values[s] << i for i, s in enumerate(signals))
@@ -284,7 +287,7 @@ def _elaborate_traced(stg: Stg, max_states: int, sp) -> StateGraph:
         with trace_span("initial-values"):
             values = _infer(stg, net)
         code0 = sum(values[s] << i for i, s in enumerate(signals))
-        parts = _Parts(net, nsig, code0, max_states, check=True)
+        parts = _Parts(net, nsig, code0, check=True)
     shift = code0 ^ parts.start
     codes = [c ^ shift for c in parts.codes]
     g = DenseGraph.of_tables(

@@ -6,11 +6,14 @@ replaced, kept as the reference it is tested against
 minimized cover, decided by cover containment (a cofactor tautology per
 cube and output) and pairwise cube intersection.
 :func:`code_partition_check` is the oracle the SOP derivation tests use.
+:func:`from_rows` builds the covers the logic tests start from.
 """
 
 from __future__ import annotations
 
-from repro.logic import Cover, is_tautology
+from collections.abc import Iterable
+
+from repro.logic import Cover, Cube, is_tautology
 from repro.logic.minimize import CoverCheck
 from repro.logic.tautology import cover_covers_cube_multi, covers_cover
 
@@ -39,3 +42,21 @@ def code_partition_check(on: Cover, dc: Cover, off: Cover, num_signals: int) -> 
             if any(ca.intersects(cb) for ca in a.cubes for cb in b.cubes):
                 return False
     return True
+
+
+def from_rows(rows: Iterable[str]) -> Cover:
+    """A cover from ESPRESSO-style rows: an input part (``"1-0"``,
+    single output) or input and output parts (``"1-0 10"``); the output
+    count is the width of the output parts."""
+    cubes: list[Cube] = []
+    num_inputs = num_outputs = 1
+    for row in rows:
+        inp, *out = row.split()
+        num_inputs = len(inp)
+        if out:
+            num_outputs = len(out[0])
+            bits = sum(1 << o for o, ch in enumerate(out[0]) if ch in "14")
+        else:
+            bits = 1
+        cubes.append(Cube.from_string(inp, bits))
+    return Cover(num_inputs, num_outputs, cubes)

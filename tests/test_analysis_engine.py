@@ -82,7 +82,7 @@ class TestPhasing:
         nl.add_input("x")
         nl.add(Gate("g", GateType.BUF, [Pin("x")], output="y"))
         nl.add_output("y")
-        result = analyze(netlist=nl, name="n")
+        result = run_rules(LintContext(netlist=nl, name="n"))
         assert result.scopes_run == ["netlist"]
 
 
@@ -115,7 +115,7 @@ class TestPreflight:
         result = run_preflight(celem_sg, name="celem")
         assert result.ok
         preflight_ids = {
-            r.meta.id for r in default_registry().preflight_rules()
+            r.meta.id for r in default_registry().all() if r.meta.preflight
         }
         assert preflight_ids == {"SG001", "SG002", "SG004"}
         assert result.rules_run == 3

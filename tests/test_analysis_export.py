@@ -32,10 +32,7 @@ class TestText:
         assert "celem: clean" in text
         assert "figure1: 4 error(s)" in text
         assert "total: 4 error(s)" in text
-
-    def test_verbose_lists_clean_targets(self, celem_sg):
-        text = render_text([analyze(celem_sg, name="celem")], verbose=True)
-        assert "── celem ──" in text
+        assert "── figure1 ──" in text and "── celem ──" not in text
 
 
 class TestJson:

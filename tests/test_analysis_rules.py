@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis import (
     LintContext,
+    rules_netlist,
     Severity,
     analyze,
     default_registry,
@@ -258,7 +259,7 @@ class TestNetlistRules:
         nl = Netlist("loop")
         nl.add(Gate("g1", GateType.INV, [Pin("b")], output="a"))
         nl.add(Gate("g2", GateType.INV, [Pin("a")], output="b"))
-        result = analyze(netlist=nl, name="loop", select={"NL001"})
+        result = run_rules(LintContext(netlist=nl, name="loop"), select={"NL001"})
         (diag,) = result.by_rule()["NL001"]
         assert "combinational cycle" in diag.message
         assert result.exit_code() == 1
@@ -280,14 +281,14 @@ class TestNetlistRules:
         )
         nl.add(Gate("rp", GateType.AND, [Pin("x", True), Pin("q")], output="r"))
         nl.add_output("q")
-        result = analyze(netlist=nl, name="ok", select={"NL001"})
+        result = run_rules(LintContext(netlist=nl, name="ok"), select={"NL001"})
         assert result.by_rule().get("NL001", []) == []
 
     def test_nl002_undriven_net(self):
         nl = Netlist("undriven")
         nl.add(Gate("g", GateType.BUF, [Pin("ghost")], output="y"))
         nl.add_output("y")
-        result = analyze(netlist=nl, name="undriven", select={"NL002"})
+        result = run_rules(LintContext(netlist=nl, name="undriven"), select={"NL002"})
         (diag,) = result.by_rule()["NL002"]
         assert "'ghost'" in diag.message
         assert result.exit_code() == 1
@@ -298,7 +299,7 @@ class TestNetlistRules:
         nl.add(Gate("g", GateType.BUF, [Pin("x")], output="unused"))
         nl.add(Gate("h", GateType.BUF, [Pin("x")], output="y"))
         nl.add_output("y")
-        result = analyze(netlist=nl, name="dangling", select={"NL003"})
+        result = run_rules(LintContext(netlist=nl, name="dangling"), select={"NL003"})
         (diag,) = result.by_rule()["NL003"]
         assert "'unused'" in diag.message
         assert result.exit_code() == 0  # warning
@@ -316,7 +317,7 @@ class TestNetlistRules:
         nl.add(ff)
         ff.output_n = "q"  # both rails on one net, behind add()'s check
         nl.add_output("q")
-        result = analyze(netlist=nl, name="badff", select={"NL004"})
+        result = run_rules(LintContext(netlist=nl, name="badff"), select={"NL004"})
         messages = [d.message for d in result.by_rule()["NL004"]]
         assert any("needs exactly [set, reset]" in m for m in messages)
         assert any("same net on both rails" in m for m in messages)
@@ -340,20 +341,19 @@ class TestNetlistRules:
             )
         )
         nl.add_output("q")
-        result = analyze(netlist=nl, name="badack", select={"NL005"})
+        result = run_rules(LintContext(netlist=nl, name="badack"), select={"NL005"})
         (diag,) = result.by_rule()["NL005"]
         assert "set input" in diag.message
         assert result.exit_code() == 1
 
-    def test_nl006_excessive_fanout(self):
+    def test_nl006_excessive_fanout(self, monkeypatch):
+        monkeypatch.setattr(rules_netlist, "FANOUT_LIMIT", 2)
         nl = Netlist("fanout")
         nl.add_input("x")
         for i in range(3):
             nl.add(Gate(f"g{i}", GateType.BUF, [Pin("x")], output=f"y{i}"))
             nl.add_output(f"y{i}")
-        result = analyze(
-            netlist=nl, name="fanout", select={"NL006"}, fanout_limit=2
-        )
+        result = run_rules(LintContext(netlist=nl, name="fanout"), select={"NL006"})
         (diag,) = result.by_rule()["NL006"]
         assert "fans out to 3" in diag.message
         assert result.exit_code() == 0  # warning

@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.baselines.lavagno as lavagno
+
 from repro.baselines import (
     NotDistributiveError,
     add_hazard_cover_cubes,
@@ -13,13 +15,14 @@ from repro.baselines import (
     synthesize_lavagno,
 )
 from repro.bench.circuits import TABLE2_CIRCUITS, figure1_csc_sg, figure1_sg
-from repro.bench.circuits.handshakes import fork_join, muller_pipeline
+from repro.bench.circuits.handshakes import fork_join, muller_pipeline, ring
 from repro.bench.runner import sg_of
 from repro.fuzz.generator import derive_seed, generate_spec, knob_combinations
 from repro.logic import Cover, Cube, covers_cube, minimize
 from repro.logic.cube import LIT_DC, minterm_mask
 from repro.logic.espresso import expand as espresso_expand
 from repro.netlist import GateType
+from repro.sg.codespace import MAX_CODE_SIGNALS
 from repro.stg import elaborate
 
 
@@ -36,8 +39,8 @@ class TestNextStateFunction:
         for sg in (celem_sg, xyz_sg):
             for a in sg.non_inputs:
                 spec = next_state_function(sg, a)
-                on = sg.dense().states_of(spec.on_bits)
-                off = sg.dense().states_of(spec.off_bits)
+                on = set(sg.dense().labels(spec.on_bits))
+                off = set(sg.dense().labels(spec.off_bits))
                 assert not on & off
                 assert on | off == set(sg.states())
 
@@ -98,10 +101,11 @@ class TestLavagno:
         assert len(pads) == res.delay_lines_inserted
         assert all(g.attrs.get("cut") for g in pads)
 
-    def test_padding_slows_critical_path(self):
+    def test_padding_slows_critical_path(self, monkeypatch):
         sg = elaborate(muller_pipeline(3))
         padded = synthesize_lavagno(sg).stats().delay
-        unpadded = synthesize_lavagno(sg, pad_levels=0).stats().delay
+        monkeypatch.setattr(lavagno, "PAD_LEVELS", 0)
+        unpadded = synthesize_lavagno(sg).stats().delay
         assert padded > unpadded
 
     def test_no_storage_elements(self, celem_sg):
@@ -110,6 +114,14 @@ class TestLavagno:
 
 
 class TestBeerel:
+    def test_wide_spec_cell_pinned(self):
+        """Past MAX_CODE_SIGNALS signals every code counts as used, so no
+        cube grows into an unreachable code: the SYN cell of the
+        17-signal, 34-state ring as that cap gives it."""
+        sg = elaborate(ring([f"s{i}" for i in range(MAX_CODE_SIGNALS + 1)], ["s0"]))
+        assert (sg.num_signals, sg.num_states) == (17, 34)
+        assert synthesize_beerel(sg).stats().row() == "6912/6.0"
+
     def test_rejects_nondistributive(self):
         with pytest.raises(NotDistributiveError):
             synthesize_beerel(figure1_csc_sg())

@@ -8,6 +8,7 @@ from repro.bench import (
     run_benchmark,
     sg_of,
 )
+from repro.core import synthesize
 from repro.sg import is_distributive, validate_for_synthesis
 from repro.stg import elaborate
 
@@ -57,11 +58,6 @@ class TestRunner:
         assert row.syn == "(1)"
         assert "/" in row.assassin
 
-    def test_skip_baselines(self):
-        row = run_benchmark("full", run_baselines=False)
-        assert row.sis == "-" and row.syn == "-"
-        assert "/" in row.assassin
-
     def test_cells_shape(self):
         row = run_benchmark("hazard")
         name, states, *cells = row.cells()
@@ -90,8 +86,7 @@ class TestTable2Shape:
     def test_delay_compensation_never_required(self):
         """Section V: 'delay compensation … was never required'."""
         for name in SMALL_DISTRIBUTIVE + list(NONDISTRIBUTIVE_BENCHMARKS):
-            row = run_benchmark(name, run_baselines=False)
-            assert not row.compensation_required, name
+            assert not synthesize(sg_of(name), name=name).compensation_required, name
 
     def test_only_assassin_handles_nondistributive(self):
         for name in NONDISTRIBUTIVE_BENCHMARKS:

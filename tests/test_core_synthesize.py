@@ -32,16 +32,17 @@ class TestSynthesize:
         for sg in (celem_sg, xyz_sg, or_element_sg):
             circuit = synthesize(sg)
             spec = circuit.spec
+            view = sg.dense()
             for a in sg.non_inputs:
                 sr = spec.regions[a]
                 for kind, direction in (("set", 1), ("reset", -1)):
                     o = spec.output_index(a, kind)
-                    for s in sr.union_states("ER", direction):
-                        assert circuit.cover.contains_minterm(sg.code(s), o)
-                    for s in sr.union_states("ER", -direction):
-                        assert not circuit.cover.contains_minterm(sg.code(s), o)
-                    for s in sr.union_states("QR", -direction):
-                        assert not circuit.cover.contains_minterm(sg.code(s), o)
+                    for m in view.codes_of(sr.union_bits(view, "ER", direction)):
+                        assert circuit.cover.contains_minterm(m, o)
+                    for m in view.codes_of(sr.union_bits(view, "ER", -direction)):
+                        assert not circuit.cover.contains_minterm(m, o)
+                    for m in view.codes_of(sr.union_bits(view, "QR", -direction)):
+                        assert not circuit.cover.contains_minterm(m, o)
 
     def test_rejects_invalid_sg(self):
         with pytest.raises(SynthesisError):

@@ -126,7 +126,7 @@ def _c_element():
 def _xyz_ring():
     from repro.bench.circuits import ring
 
-    return elaborate(ring(["x", "y", "z"], ["x"], name="xyz"))
+    return elaborate(ring(["x", "y", "z"], ["x"]))
 
 
 def _handshake():

@@ -93,7 +93,7 @@ class TestRepoCorpus:
         "entry", REPO_CORPUS, ids=[e.path.stem for e in REPO_CORPUS]
     )
     def test_replays_green(self, entry):
-        outcomes = replay_entry(entry, timeout=30.0)
+        outcomes = replay_entry(entry)
         statuses = {o.flow: o for o in outcomes}
         # containment: every flow answers with a structured verdict
         for o in outcomes:

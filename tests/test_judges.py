@@ -171,7 +171,7 @@ def corpus_judge() -> bool:
     """The corpus replay's assertions: every flow answers with a
     structured verdict, and an archived crash stays fixed."""
     for entry in load_corpus():
-        outcomes = replay_entry(entry, timeout=30.0)
+        outcomes = replay_entry(entry)
         if any(o.status not in ("ok", "refused", "timeout") for o in outcomes):
             return True
     return False

@@ -1,5 +1,6 @@
-"""Census of settable values: no defaulted parameter that no caller sets,
-and a pinned count of CLI options.
+"""Census of settable values and reachable defs: no defaulted
+parameter and no def that only tests use, and a pinned count of CLI
+options.
 
 * **parameters** — an AST walk over every ``def`` under ``src/`` with
   defaulted parameters. A parameter counts as set when some call to a
@@ -7,9 +8,17 @@ and a pinned count of CLI options.
   the class name, ``cls(...)`` inside the class or
   ``super().__init__(...)`` in a subclass) passes it by keyword or by
   position, or forwards ``*args``/``**kwargs``. Calls are searched in
-  ``src/``, ``tests/``, ``benchmarks/``, ``tools/``, ``perfbench/`` and
-  ``examples/``. A parameter that no call sets is a constant dressed as
-  a knob: make it a constant, or name its hidden caller in ``ALLOWED``.
+  ``src/``, ``benchmarks/``, ``tools/``, ``perfbench/`` and
+  ``examples/``, not in ``tests/``: a value only tests set is a
+  constant dressed as a knob. Make it a constant (a module constant a
+  test may monkeypatch, for a work bound), or list it in ``ALLOWED``
+  with its reason.
+* **defs** — every ``def`` under ``src/`` whose name no code outside
+  ``tests/`` mentions: as a name, an attribute, an import, or a word
+  of a string other than a docstring (the lazy export tables, ``__all__``).
+  Such a def serves only tests; delete it and test through the API
+  that remains. Protocol hooks (:func:`_is_protocol_hook`) are
+  reached without being named and are exempt.
 * **options** — every option reachable from ``build_parser()``
   (``--help`` and positionals excluded; ``-o/--output`` is one
   option). A new option changes the count and so shows up as an edit
@@ -25,11 +34,33 @@ import os
 from collections import defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CALLER_DIRS = ("src", "tests", "benchmarks", "tools", "perfbench", "examples")
+CALLER_DIRS = ("src", "benchmarks", "tools", "perfbench", "examples")
 
-#: ``(relative path, function name, parameter)`` set through a name the
-#: scan cannot see; each entry cites that caller.
-ALLOWED: frozenset[tuple[str, str, str]] = frozenset()
+#: ``(relative path, function name, parameter)`` that only tests set,
+#: kept on purpose: a seam through which a test substitutes a fake, or
+#: a path
+ALLOWED: dict[tuple[str, str, str], str] = {
+    ("src/repro/analysis/context.py", "__init__", "cover"): (
+        "seam: a hand-built cover for the hazard rules to judge"
+    ),
+    ("src/repro/analysis/context.py", "__init__", "netlist"): (
+        "seam: a hand-built netlist for the netlist rules to judge"
+    ),
+    ("src/repro/analysis/engine.py", "run_rules", "registry"): (
+        "seam: a registry of fake rules"
+    ),
+    ("src/repro/analysis/registry.py", "rule", "registry"): (
+        "seam: registers a fake rule into a test registry"
+    ),
+    ("src/repro/pipeline/store.py", "gc", "now"): (
+        "seam: the clock the age policy reads"
+    ),
+    (
+        "src/repro/analysis/certify/differential.py",
+        "archive_soundness_failure",
+        "corpus_dir",
+    ): "path: where a soundness failure is archived",
+}
 
 #: options reachable from ``build_parser()``
 CLI_OPTIONS = 116
@@ -132,7 +163,7 @@ def _defs():
 @functools.cache
 def never_set_parameters() -> list[tuple[str, str, str]]:
     """``(path, function, parameter)`` for each defaulted parameter that
-    no call in the repository sets."""
+    no call outside ``tests/`` sets."""
     calls = _calls()
     found = []
     for rel, names, fn, is_method in _defs():
@@ -163,6 +194,68 @@ def never_set_parameters() -> list[tuple[str, str, str]]:
     return found
 
 
+def _is_protocol_hook(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """True when code reaches ``fn`` without naming it: a dunder the
+    interpreter calls, a lint rule its ``@rule`` decorator registers,
+    or a ``_parser_<command>`` builder ``build_parser`` looks up."""
+    return (
+        (fn.name.startswith("__") and fn.name.endswith("__"))
+        or any(
+            isinstance(d, ast.Call) and _call_name(d.func) == "rule"
+            for d in fn.decorator_list
+        )
+        or fn.name.startswith("_parser_")
+    )
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        )
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def _mentioned_names() -> set[str]:
+    """Every name the caller directories mention outside docstrings."""
+    names: set[str] = set()
+    for top in CALLER_DIRS:
+        for path in _py_files(top):
+            tree = _parse(path)
+            docs = _docstrings(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rsplit(".", 1)[-1])
+                elif (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and id(node) not in docs
+                ):
+                    names.update(node.value.split())
+    return names
+
+
+@functools.cache
+def defs_only_tests_use() -> list[tuple[str, str]]:
+    """``(path, name)`` for each def in ``src/`` that no code outside
+    ``tests/`` mentions, protocol hooks aside."""
+    mentioned = _mentioned_names()
+    return [
+        (rel, fn.name)
+        for rel, _names, fn, _is_method in _defs()
+        if fn.name not in mentioned and not _is_protocol_hook(fn)
+    ]
+
+
 def cli_options() -> list[str]:
     """One ``"<prog> <first option string>"`` per option of any parser."""
     from repro.cli import build_parser
@@ -187,11 +280,18 @@ def cli_options() -> list[str]:
 
 def test_every_defaulted_parameter_has_a_caller():
     found = [hit for hit in never_set_parameters() if hit not in ALLOWED]
-    assert found == [], "\n".join(f"{p}: {f}({a}=) is never set" for p, f, a in found)
+    assert found == [], "\n".join(
+        f"{p}: {f}({a}=) is set only by tests" for p, f, a in found
+    )
 
 
 def test_allowlist_is_not_stale():
-    assert ALLOWED <= set(never_set_parameters())
+    assert set(ALLOWED) <= set(never_set_parameters())
+
+
+def test_every_def_is_reached_outside_tests():
+    found = defs_only_tests_use()
+    assert found == [], "\n".join(f"{p}: {f} is only used by tests" for p, f in found)
 
 
 def test_cli_option_count_is_pinned():

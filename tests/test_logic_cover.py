@@ -6,23 +6,25 @@ from hypothesis import given, strategies as st
 
 from repro.logic import Cover, Cube
 from repro.logic.cover import compact_minterm_cover
+from tests.cover_reference import from_rows
 
 
 class TestConstruction:
     def test_empty_and_universe(self):
         assert Cover.empty(3).is_empty()
         u = Cover.universe(3, 2)
-        assert u.evaluate(0b101) == 0b11
+        assert u.contains_minterm(0b101, 0) and u.contains_minterm(0b101, 1)
 
     def test_from_strings_single_output(self):
-        c = Cover.from_strings(["1-", "01"])
+        c = from_rows(["1-", "01"])
         assert len(c) == 2
         assert c.contains_minterm(0b01)   # var0=1 matches "1-"
         assert c.contains_minterm(0b10)   # var0=0,var1=1 matches "01"
         assert not c.contains_minterm(0b00)
 
     def test_from_strings_with_outputs(self):
-        c = Cover.from_strings(["1- 10", "-1 01"], num_outputs=2)
+        c = from_rows(["1- 10", "-1 01"])
+        assert c.num_outputs == 2
         assert c.contains_minterm(0b01, output=0)
         assert not c.contains_minterm(0b01, output=1)
 
@@ -37,9 +39,12 @@ class TestQueries:
         c = Cover.empty(2, 2)
         c.add(Cube.from_string("1-", 0b01))
         c.add(Cube.from_string("-1", 0b10))
-        assert c.evaluate(0b11) == 0b11
-        assert c.evaluate(0b01) == 0b01
-        assert c.evaluate(0b00) == 0
+        def outputs(m):
+            return [o for o in range(2) if c.contains_minterm(m, o)]
+
+        assert outputs(0b11) == [0, 1]
+        assert outputs(0b01) == [0]
+        assert outputs(0b00) == []
 
     def test_projection(self):
         c = Cover.empty(2, 2)
@@ -56,21 +61,21 @@ class TestQueries:
         assert len(r) == 1
 
     def test_minterms(self):
-        c = Cover.from_strings(["1-", "-1"])
+        c = from_rows(["1-", "-1"])
         assert c.minterms() == {0b01, 0b10, 0b11}
 
     def test_supercube(self):
-        c = Cover.from_strings(["10", "11"])
+        c = from_rows(["10", "11"])
         assert c.supercube().input_string() == "1-"
 
     def test_cost(self):
-        c = Cover.from_strings(["10", "1-"])
+        c = from_rows(["10", "1-"])
         assert c.cost() == (2, 3)
 
 
 class TestRewrites:
     def test_single_cube_containment(self):
-        c = Cover.from_strings(["1-", "10", "11"])
+        c = from_rows(["1-", "10", "11"])
         r = c.single_cube_containment()
         assert len(r) == 1
         assert r.cubes[0].input_string() == "1-"
@@ -87,28 +92,27 @@ class TestRewrites:
         assert len(c.drop_empty()) == 1
 
     def test_cofactor(self):
-        c = Cover.from_strings(["1-", "00"])
+        c = from_rows(["1-", "00"])
         cf = c.cofactor(Cube.from_string("1-"))
         assert len(cf) == 1  # "00" dropped (disjoint)
 
 
 class TestUnateness:
     def test_unate_cover(self):
-        c = Cover.from_strings(["1-", "11"])
-        assert c.is_unate()
+        c = from_rows(["1-", "11"])
+        assert c.most_binate_var() is None
 
     def test_binate_cover(self):
-        c = Cover.from_strings(["1-", "0-"])
-        assert not c.is_unate()
+        c = from_rows(["1-", "0-"])
         assert c.most_binate_var() == 0
 
     def test_most_binate_prefers_balanced(self):
-        c = Cover.from_strings(["10", "01", "0-"])
+        c = from_rows(["10", "01", "0-"])
         # var0: neg 2 / pos 1 ; var1: neg 1 / pos 1
         assert c.most_binate_var() in (0, 1)
 
     def test_var_usage(self):
-        c = Cover.from_strings(["10", "0-"])
+        c = from_rows(["10", "0-"])
         assert c.var_usage(0) == (1, 1)
         assert c.var_usage(1) == (1, 0)
 

@@ -67,13 +67,13 @@ def reference_cover(minterms: set[int], num_inputs: int) -> list[int]:
 
 
 def assert_same(minterms: set[int], n: int) -> None:
-    got = compact_minterm_cover(minterms, n, outputs=3, num_outputs=2)
+    got = compact_minterm_cover(minterms, n)
     want = reference_cover(minterms, n)
     assert [c.inputs for c in got.cubes] == want
     if n <= 12:
         assert bitmap_cover(sum(1 << m for m in set(minterms)), n) == want
-    assert all(c.outputs == 3 and c.num_inputs == n for c in got.cubes)
-    assert got.num_outputs == 2
+    assert all(c.outputs == 1 and c.num_inputs == n for c in got.cubes)
+    assert got.num_outputs == 1
 
 
 @pytest.mark.parametrize("n", range(3, 15))
@@ -134,7 +134,7 @@ RING_COVERS = {
 def test_wide_ring_covers_pinned(k):
     """Wider than the code space: these specs keep the minterm path,
     and their region covers stay the same bytes."""
-    sg = elaborate(ring([f"s{i}" for i in range(k)], ["s0"], name=f"ring{k}"))
+    sg = elaborate(ring([f"s{i}" for i in range(k)], ["s0"]))
     assert code_space(sg) is None
     spec = derive_sop_spec(sg)
     text = "\n|\n".join("\n".join(c.to_strings()) for c in (spec.on, spec.dc, spec.off))

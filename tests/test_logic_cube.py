@@ -37,10 +37,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Cube.from_string("1q0")
 
-    def test_from_assignment(self):
-        c = Cube.from_assignment([1, 0, None])
-        assert c.input_string() == "10-"
-
     def test_from_minterm(self):
         c = Cube.from_minterm(0b101, 3)
         assert c.input_string() == "101"

@@ -41,7 +41,7 @@ def random_multi_fdr(seed: int, max_inputs: int = 4, max_outputs: int = 3):
         col = [rng.choice([0, 1, 2]) for _ in range(1 << n)]
         truth.append(col)
         for mt, v in enumerate(col):
-            {1: on, 2: dc, 0: off}[v].add(Cube.from_minterm(mt, n, 1 << o))
+            {1: on, 2: dc, 0: off}[v].add(Cube.from_minterm(mt, n).with_outputs(1 << o))
     return truth, on, dc, off
 
 
@@ -141,8 +141,8 @@ class TestMakeOffset:
 
     def test_merges_identical_input_parts(self):
         on = Cover.empty(2, 2)
-        on.add(Cube.from_minterm(0, 2, 0b01))
-        on.add(Cube.from_minterm(0, 2, 0b10))
+        on.add(Cube.from_minterm(0, 2).with_outputs(0b01))
+        on.add(Cube.from_minterm(0, 2).with_outputs(0b10))
         off = make_offset(on)
         # the three complementary minterms appear once each with both
         # output bits, not twice

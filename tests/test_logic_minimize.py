@@ -30,6 +30,7 @@ from repro.logic import (
     unate_cover,
     verify_cover,
 )
+from tests.cover_reference import from_rows
 
 
 def random_fdr(rng, n):
@@ -49,12 +50,12 @@ class TestTautology:
         assert not is_tautology(Cover.empty(3))
 
     def test_split_pair(self):
-        assert is_tautology(Cover.from_strings(["1-", "0-"]))
-        assert not is_tautology(Cover.from_strings(["1-", "00"]))
+        assert is_tautology(from_rows(["1-", "0-"]))
+        assert not is_tautology(from_rows(["1-", "00"]))
 
     def test_classic_three_cube_tautology(self):
         # x + x'y + x'y' = 1
-        assert is_tautology(Cover.from_strings(["1--", "01-", "00-"]))
+        assert is_tautology(from_rows(["1--", "01-", "00-"]))
 
     @given(st.integers(1, 6), st.integers(0, 10**9))
     @settings(max_examples=60)
@@ -73,7 +74,7 @@ class TestTautology:
         assert is_tautology(cover) == expect
 
     def test_covers_cube(self):
-        cover = Cover.from_strings(["1-", "01"])
+        cover = from_rows(["1-", "01"])
         assert covers_cube(cover, Cube.from_string("1-"))
         assert not covers_cube(cover, Cube.from_string("--"))
 
@@ -99,7 +100,7 @@ class TestComplement:
 
     def test_cube_sharp(self):
         cube = Cube.full(2)
-        cover = Cover.from_strings(["1-"])
+        cover = from_rows(["1-"])
         rest = cube_sharp(cube, cover)
         assert {m for c in rest.cubes for m in c.minterms()} == {0b00, 0b10}
 
@@ -115,19 +116,20 @@ class TestEspressoLoop:
 
     def test_irredundant_removes_consensus_cube(self):
         # x y' + x' z + (redundant) y' z  over (x,y,z)
-        on = Cover.from_strings(["10-", "0-1", "-01"])
+        on = from_rows(["10-", "0-1", "-01"])
         r = irredundant(on)
         assert len(r) == 2
 
     def test_reduce_shrinks_overlap(self):
-        on = Cover.from_strings(["1-", "-1"])
+        on = from_rows(["1-", "-1"])
         r = reduce_cover(on)
         total = {m for c in r.cubes for m in c.minterms()}
         assert total == {0b01, 0b10, 0b11}
 
     def test_make_offset(self):
-        on = Cover.from_minterms([0], 2, outputs=1, num_outputs=2)
-        on.add(Cube.from_minterm(3, 2, 0b10))
+        on = Cover.empty(2, 2)
+        on.add(Cube.from_minterm(0, 2).with_outputs(0b01))
+        on.add(Cube.from_minterm(3, 2).with_outputs(0b10))
         off = make_offset(on)
         assert off.contains_minterm(3, output=0)
         assert not off.contains_minterm(0, output=0)
@@ -157,7 +159,7 @@ class TestEspressoLoop:
         for o in range(m):
             for mt, v in enumerate(truth[o]):
                 target = {1: on, 2: dc, 0: off}[v]
-                target.add(Cube.from_minterm(mt, n, 1 << o))
+                target.add(Cube.from_minterm(mt, n).with_outputs(1 << o))
         result = espresso(on, dc, off)
         assert verify_cover(result, on, dc, off).ok
         for o in range(m):
@@ -228,8 +230,8 @@ class TestMinimizeApi:
 
     def test_exact_dispatch_multi_output(self):
         on = Cover.empty(2, 2)
-        on.add(Cube.from_minterm(0, 2, 0b01))
-        on.add(Cube.from_minterm(3, 2, 0b10))
+        on.add(Cube.from_minterm(0, 2).with_outputs(0b01))
+        on.add(Cube.from_minterm(3, 2).with_outputs(0b10))
         result = minimize(on, method="exact")
         assert result.contains_minterm(0, 0)
         assert result.contains_minterm(3, 1)
@@ -239,8 +241,8 @@ class TestMinimizeApi:
             minimize(Cover.empty(1), method="zap")
 
     def test_covers_cover(self):
-        big = Cover.from_strings(["--"])
-        small = Cover.from_strings(["10", "01"])
+        big = from_rows(["--"])
+        small = from_rows(["10", "01"])
         assert covers_cover(big, small)
         assert not covers_cover(small, big)
 

@@ -109,9 +109,7 @@ class TestTraceSpecBuilder:
         assert validate_for_synthesis(sg).ok
 
     def test_explicit_initial(self):
-        sg = sg_from_trace_spec(
-            ["a"], ["a"], ["0 +a", "1 -a"], initial="1"
-        )
+        sg = sg_from_trace_spec(["a"], ["a"], ["1 -a", "0 +a"])
         assert sg.initial == "1"
 
 
@@ -146,11 +144,10 @@ class TestBeerelCovers:
         sr = signal_regions(celem_sg, c)
         reachable = {celem_sg.code(s) for s in celem_sg.states()}
         for kind, direction in (("set", 1), ("reset", -1)):
-            allowed = {
-                celem_sg.code(s)
-                for s in sr.union_states("ER", direction)
-                | sr.union_states("QR", direction)
-            }
+            view = celem_sg.dense()
+            allowed = view.codes_of(
+                sr.union_bits(view, "ER", direction) | sr.union_bits(view, "QR", direction)
+            )
             for cube in res.covers[(c, kind)].cubes:
                 for m in cube.minterms():
                     if m in reachable:

@@ -209,7 +209,7 @@ class TestChangepoints:
         """Six quiet runs, then six at 2x: one changepoint, attributed
         to the boundary pair (run5 -> run6) and nothing else."""
         pts = _series([0.010] * 6 + [0.020] * 6)
-        cps = detect_changepoints(pts, window=3)
+        cps = detect_changepoints(pts)
         assert len(cps) == 1
         cp = cps[0]
         assert cp.index == 6
@@ -220,11 +220,11 @@ class TestChangepoints:
 
     def test_quiet_series_is_quiet(self):
         pts = _series([0.010, 0.0101, 0.0099, 0.010, 0.0102, 0.0098, 0.010])
-        assert detect_changepoints(pts, window=3) == []
+        assert detect_changepoints(pts) == []
 
     def test_speedup_detected_as_faster(self):
         pts = _series([0.020] * 5 + [0.010] * 5)
-        cps = detect_changepoints(pts, window=3)
+        cps = detect_changepoints(pts)
         assert len(cps) == 1
         assert cps[0].direction == "faster"
 
@@ -233,10 +233,10 @@ class TestChangepoints:
         change — per-stratum partitioning must stay silent."""
         slow = _series([0.010] * 6, env="a" * 12)
         fast = _series([0.020] * 6, env="b" * 12)
-        assert detect_changepoints(slow + fast, window=3) == []
+        assert detect_changepoints(slow + fast) == []
 
     def test_short_series_never_flags(self):
-        assert detect_changepoints(_series([0.01, 0.09, 0.01]), window=3) == []
+        assert detect_changepoints(_series([0.01, 0.09, 0.01])) == []
 
     def test_end_to_end_through_analyze(self, tmp_path):
         """The full pipeline: ledger -> analyze -> flagged commit range."""

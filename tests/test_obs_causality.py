@@ -53,10 +53,6 @@ class TestRecordedEvent:
         assert "net" not in d
         assert d["width"] == pytest.approx(0.2)
 
-    def test_root(self):
-        assert _ev(1).is_root
-        assert not _ev(2, cause=1).is_root
-
 
 class TestCausalChain:
     def _chain(self, inputs=("a",), truncated=False):
@@ -167,9 +163,9 @@ class TestRecorderWiring:
         rec = FlightRecorder()
         summary = verify_hazard_freeness(circuit, runs=1, recorder=rec)
         assert summary.ok
-        nets = rec.events("net")
+        nets = [ev for ev in rec._events.values() if ev.kind == "net"]
         assert nets, "a closed-loop run must record net events"
-        roots = [ev for ev in nets if ev.is_root]
+        roots = [ev for ev in nets if ev.cause is None]
         assert roots and all(ev.net in ("a", "b") for ev in roots)
         # any derived-net change must explain back to an input transition
         derived = [ev for ev in nets if ev.net not in ("a", "b")]
@@ -189,7 +185,7 @@ class TestFindFilteredChain:
         """The stress ladder catches a real runt being absorbed."""
         circuit = synthesize(sg_of("converta"), name="converta",
                              delay_spread=0.0)
-        chain, info = find_filtered_chain(circuit, seeds=8, probe=False)
+        chain, info = find_filtered_chain(circuit, seeds=8)
         assert chain is not None
         assert info["mode"] == "organic"
         assert chain.environment_rooted
@@ -208,15 +204,13 @@ class TestFindFilteredChain:
         assert chain.target.kind == "mhs-filtered"
         assert chain.target.width == pytest.approx(info["runt_width"])
 
-    def test_no_probe_no_chain_reports_none(self, handshake_sg):
+    def test_empty_sweep_falls_back_to_probe(self, handshake_sg):
         # chu133-class physics: planes are exactly the trigger cubes,
-        # so without the probe the sweep must come back empty-handed
+        # so the sweep comes back empty-handed and the probe answers
         circuit = synthesize(handshake_sg, name="hs", delay_spread=0.0)
-        chain, info = find_filtered_chain(circuit, seeds=2, probe=False)
-        if chain is None:
-            assert info["mode"] == "none"
-        else:  # pragma: no cover - corner found a runt: also fine
-            assert chain.environment_rooted
+        chain, info = find_filtered_chain(circuit, seeds=2)
+        assert chain is not None and chain.environment_rooted
+        assert info["mode"] in ("organic", "probe")
 
 
 @pytest.mark.slow

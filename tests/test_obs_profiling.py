@@ -406,7 +406,7 @@ class TestExports:
 
     def test_speedscope_document(self):
         doc = _mini_doc({"espresso;a.py:f": 0.5, "espresso;a.py:f;b.py:g": 0.25})
-        ss = to_speedscope(doc, name="unit")
+        ss = to_speedscope(doc)
         assert ss["$schema"].endswith("file-format-schema.json")
         prof = ss["profiles"][0]
         assert prof["type"] == "sampled" and prof["unit"] == "seconds"
@@ -497,7 +497,6 @@ class TestRegressHotspots:
         report = run_regress(
             baseline,
             thresholds=Thresholds(rel=0.30, abs_s=0.005, confirm_runs=1),
-            telemetry=False,
         )
         assert not report.ok
         assert {d.phase for d in report.regressions} >= {"minimize"}
@@ -529,7 +528,6 @@ class TestRegressHotspots:
         report = run_regress(
             baseline,
             thresholds=Thresholds(rel=0.30, abs_s=0.005, confirm_runs=1),
-            telemetry=False,
             hotspots=False,
         )
         assert not report.ok
@@ -539,7 +537,7 @@ class TestRegressHotspots:
     def test_clean_run_profiles_nothing(self, baseline):
         from repro.obs.regress import run_regress
 
-        report = run_regress(baseline, telemetry=False)
+        report = run_regress(baseline)
         assert report.ok
         assert report.hotspots == []
 

@@ -126,8 +126,8 @@ class TestAppend:
         hist.append("bench", _doc(created="2026-08-06T10:00:00Z"))
         last = hist.append("regress", _doc(created="2026-08-06T11:00:00Z"))
         assert [e.kind for e in hist.entries("regress")] == ["regress"]
-        assert hist.latest().file == last.file
-        assert hist.latest("bench").kind == "bench"
+        assert hist.entries()[-1].file == last.file
+        assert hist.entries("bench")[-1].kind == "bench"
 
     def test_regress_doc_env_under_current(self, tmp_path):
         """Regress documents nest env inside ``current``."""
@@ -143,20 +143,11 @@ class TestAppend:
         with pytest.raises(ValueError):
             hist.append("../escape", _doc())
 
-    def test_for_sha(self, tmp_path):
-        hist = RunHistory(str(tmp_path / "h"))
-        hist.append("bench", _doc(sha="aaaaaaaaaaaa"))
-        hist.append("bench", _doc(sha="bbbbbbbbbbbb"))
-        assert len(hist.for_sha("aaaaaaa")) == 1
-        with pytest.raises(ValueError):
-            hist.for_sha("aaa")  # too short to be unambiguous
-
 
 class TestReaderTolerance:
     def test_empty_store(self, tmp_path):
         hist = RunHistory(str(tmp_path / "missing"))
         assert hist.entries() == []
-        assert hist.latest() is None
 
     def test_torn_index_line_skipped(self, tmp_path):
         hist = RunHistory(str(tmp_path / "h"))

@@ -55,7 +55,7 @@ class TestSameShaStability:
     @pytest.mark.slow
     def test_no_false_positives_twice(self, baseline):
         for _ in range(2):
-            report = run_regress(baseline, telemetry=False)
+            report = run_regress(baseline)
             assert report.ok, [d.render() for d in report.regressions]
             assert report.exit_code() == 0
             assert report.env_match
@@ -66,7 +66,7 @@ class TestSameShaStability:
         monkeypatch.setattr(
             regress_mod, "run_bench", lambda **_kw: copy.deepcopy(baseline)
         )
-        report = run_regress(baseline, telemetry=False, remeasure=False)
+        report = run_regress(baseline, remeasure=False)
         doc = report.to_json_doc()
         assert doc["schema"] == REGRESS_SCHEMA
         assert doc["current"]["schema"] == "repro-bench/1"
@@ -85,7 +85,6 @@ class TestSlowdownConviction:
         report = run_regress(
             baseline,
             thresholds=Thresholds(rel=0.30, abs_s=0.005, confirm_runs=1),
-            telemetry=False,
         )
         assert not report.ok
         assert report.exit_code() == 1
@@ -115,7 +114,6 @@ class TestSlowdownConviction:
         report = run_regress(
             baseline,
             thresholds=Thresholds(rel=0.30, abs_s=0.005, confirm_runs=2),
-            telemetry=False,
         )
         assert report.ok
         assert all(d.status in ("ok", "cleared") for d in report.deltas)
@@ -143,7 +141,7 @@ class TestReporting:
             regress_mod, "run_bench", lambda **_kw: copy.deepcopy(baseline)
         )
         report = run_regress(
-            baseline, circuits=[CIRCUIT, "no-such"], telemetry=False,
+            baseline, circuits=[CIRCUIT, "no-such"],
             remeasure=False,
         )
         assert report.skipped == ["no-such"]
@@ -166,7 +164,7 @@ class TestReporting:
         ghost = copy.deepcopy(doc["circuits"][0])
         ghost["name"] = "ghost-renamed-away"
         doc["circuits"].append(ghost)
-        report = run_regress(doc, telemetry=False, remeasure=False)
+        report = run_regress(doc, remeasure=False)
         assert report.skipped_unknown == ["ghost-renamed-away"]
         assert report.ok and report.exit_code() == 0
         assert "ghost-renamed-away" in report.render_text()
@@ -183,7 +181,7 @@ class TestReporting:
         for entry in doc["circuits"]:
             entry["name"] = "ghost-renamed-away"
         with pytest.raises(ValueError, match="known to the current"):
-            run_regress(doc, telemetry=False, remeasure=False)
+            run_regress(doc, remeasure=False)
 
     def test_load_baseline_rejects_invalid(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -259,7 +257,7 @@ class TestThresholdPolicy:
             phases={"minimize": Thresholds(rel=4.0, abs_s=0.9)},
         )
         report = run_regress(
-            baseline, thresholds=policy, telemetry=False, remeasure=False
+            baseline, thresholds=policy, remeasure=False
         )
         assert report.ok
         doc = report.to_json_doc()

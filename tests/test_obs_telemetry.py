@@ -70,7 +70,6 @@ class TestForCircuit:
         # celem's Equation (1) bound is negative: no compensation
         assert st.static_bound == pytest.approx(-1.2)
         assert st.t_del == 0.0
-        assert st.static_slack == pytest.approx(1.2)
 
     def test_totals_empty_before_runs(self, celem_circuit):
         t = HazardTelemetry.for_circuit(celem_circuit).totals()
@@ -96,7 +95,7 @@ class TestClosedLoop:
         assert totals["region_glitches"] == 0
         # captured traces include the internal SOP nets
         assert "set_c_g1" in summary.traces
-        assert summary.traces["c"].num_transitions() > 0
+        assert len(summary.traces["c"].changes[1:]) > 0
 
     def test_render_text(self, celem_circuit):
         tele = HazardTelemetry.for_circuit(celem_circuit)

@@ -18,7 +18,6 @@ from repro.obs import (
     get_tracer,
     set_tracer,
     trace_span,
-    traced,
     tracing,
 )
 from repro.obs.trace import _NULL_SPAN
@@ -34,7 +33,6 @@ class TestSpanBasics:
         assert sp is _NULL_SPAN
         with sp as inner:
             inner.set(x=1)
-            inner.add("y")
         assert inner.id is None
         assert tr.spans() == []
 
@@ -47,9 +45,7 @@ class TestSpanBasics:
         tr = Tracer()
         with tr.span("outer", circuit="c") as outer:
             with tr.span("inner") as inner:
-                inner.set(states=20)
-                inner.add("arcs", 5)
-                inner.add("arcs", 3)
+                inner.set(states=20, arcs=8)
         spans = {s.name: s for s in tr.spans()}
         assert spans["inner"].parent_id == spans["outer"].span_id
         assert spans["outer"].parent_id is None
@@ -70,19 +66,6 @@ class TestSpanBasics:
         assert by_name["b"].parent_id == by_name["root"].span_id
         ids = [s.span_id for s in tr.spans()]
         assert len(ids) == len(set(ids))
-
-    def test_traced_decorator(self):
-        tr = Tracer()
-
-        @traced("wrapped", kind="test")
-        def fn(x):
-            return x + 1
-
-        with tracing(tr):
-            assert fn(1) == 2
-        (sp,) = tr.spans()
-        assert sp.name == "wrapped"
-        assert sp.attrs == {"kind": "test"}
 
     def test_tracing_restores_previous_tracer(self):
         before = get_tracer()

@@ -48,7 +48,7 @@ def store(tmp_path) -> ArtifactStore:
 
 def run_all(store, text=CELEM_G, **kw) -> PipelineRun:
     """One full cold-or-warm pass: synthesize then verify."""
-    run = PipelineRun.from_text(text, name="celem", store=store, **kw)
+    run = PipelineRun(text, name="celem", store=store, **kw)
     run.synthesize()
     run.verify(runs=2)
     return run
@@ -56,21 +56,21 @@ def run_all(store, text=CELEM_G, **kw) -> PipelineRun:
 
 class TestKeys:
     def test_key_is_deterministic(self, store):
-        a = PipelineRun.from_text(CELEM_G, name="celem")
-        b = PipelineRun.from_text(CELEM_G, name="celem")
+        a = PipelineRun(CELEM_G, name="celem")
+        b = PipelineRun(CELEM_G, name="celem")
         for stage in STAGES:
             assert a.key_of(stage) == b.key_of(stage)
 
     def test_all_stage_keys_distinct(self):
-        run = PipelineRun.from_text(CELEM_G, name="celem")
+        run = PipelineRun(CELEM_G, name="celem")
         keys = [run.key_of(s) for s in STAGES]
         assert len(set(keys)) == len(keys)
 
     def test_param_scoping(self):
         """A parameter reaches only the stages that declare it: the
         minimizer method feeds ``covers`` but not ``sop-derivation``."""
-        esp = PipelineRun.from_text(CELEM_G, name="celem", method="espresso")
-        qm = PipelineRun.from_text(CELEM_G, name="celem", method="qm")
+        esp = PipelineRun(CELEM_G, name="celem", method="espresso")
+        qm = PipelineRun(CELEM_G, name="celem", method="qm")
         assert esp.key_of("sop-derivation") == qm.key_of("sop-derivation")
         assert esp.key_of("covers") != qm.key_of("covers")
         # and the change propagates through the downstream cone
@@ -78,15 +78,15 @@ class TestKeys:
 
     def test_cosmetic_edit_preserves_keys(self):
         cosmetic = CELEM_G.replace(".graph", "# a comment\n.graph")
-        a = PipelineRun.from_text(CELEM_G, name="celem")
-        b = PipelineRun.from_text(cosmetic, name="celem")
+        a = PipelineRun(CELEM_G, name="celem")
+        b = PipelineRun(cosmetic, name="celem")
         assert a.key_of("delays") == b.key_of("delays")
 
     def test_from_sg_matches_serialized_text(self):
         sg = parse_sg(write_sg(parse_sg(write_sg(
             _celem_sg(), "celem")), "celem"))
         by_sg = PipelineRun.from_sg(sg, name="celem")
-        by_text = PipelineRun.from_text(write_sg(sg, "celem"), name="celem")
+        by_text = PipelineRun(write_sg(sg, "celem"), name="celem")
         assert by_sg.root_digest == by_text.root_digest
 
     def test_storeless_from_sg_never_renders_the_spec(self, monkeypatch):
@@ -158,12 +158,12 @@ class TestResolution:
         )
 
     def test_storeless_run_matches_direct_synthesis(self):
-        run = PipelineRun.from_text(CELEM_G, name="celem")
+        run = PipelineRun(CELEM_G, name="celem")
         direct = synthesize(_celem_sg(), name="celem")
         assert run.synthesize().describe() == direct.describe()
 
     def test_memoized_single_resolution(self, store):
-        run = PipelineRun.from_text(CELEM_G, name="celem", store=store)
+        run = PipelineRun(CELEM_G, name="celem", store=store)
         assert run.sg() is run.sg()
         assert run.executed.count("sg-build") == 1
 
@@ -171,12 +171,12 @@ class TestResolution:
         from repro.bench.circuits import figure1_sg
 
         bad = write_sg(figure1_sg(), name="figure1")  # CSC conflict
-        run = PipelineRun.from_text(bad, name="figure1", store=store)
+        run = PipelineRun(bad, name="figure1", store=store)
         with pytest.raises(SynthesisError) as exc:
             run.synthesize()
         assert "Theorem 2" in str(exc.value)
         # the verdict itself is cached: a warm run raises from a hit
-        warm = PipelineRun.from_text(bad, name="figure1", store=store)
+        warm = PipelineRun(bad, name="figure1", store=store)
         with pytest.raises(SynthesisError):
             warm.synthesize()
         assert warm.executed == []
@@ -289,7 +289,7 @@ class TestInvalidation:
 
     def test_verify_params_are_part_of_the_key(self, store):
         run_all(store)  # cached verify used runs=2
-        warm = PipelineRun.from_text(CELEM_G, name="celem", store=store)
+        warm = PipelineRun(CELEM_G, name="celem", store=store)
         warm.synthesize()
         warm.verify(runs=3)
         assert warm.executed == ["verify"]

@@ -71,7 +71,7 @@ def pattern_stgs(draw):
     if kind == "ring":
         n = draw(st.integers(2, 5))
         sigs = _NAMES[:n]
-        return ring(sigs, [sigs[0]], name="prop")
+        return ring(sigs, [sigs[0]])
     if kind == "fork":
         n = draw(st.integers(1, 4))
         return fork_join("m", _NAMES[:n], name="prop")
@@ -100,16 +100,16 @@ class TestRandomSpecs:
         sg = elaborate(stg)
         circuit = synthesize(sg, name="prop")
         spec = circuit.spec
+        view = sg.dense()
         for a in sg.non_inputs:
             sr = spec.regions[a]
             for kind, direction in (("set", 1), ("reset", -1)):
                 o = spec.output_index(a, kind)
-                for s in sr.union_states("ER", direction):
-                    assert circuit.cover.contains_minterm(sg.code(s), o)
-                for s in sr.union_states("ER", -direction) | sr.union_states(
-                    "QR", -direction
-                ):
-                    assert not circuit.cover.contains_minterm(sg.code(s), o)
+                for m in view.codes_of(sr.union_bits(view, "ER", direction)):
+                    assert circuit.cover.contains_minterm(m, o)
+                off = sr.union_bits(view, "ER", -direction) | sr.union_bits(view, "QR", -direction)
+                for m in view.codes_of(off):
+                    assert not circuit.cover.contains_minterm(m, o)
 
     @given(pattern_stgs())
     @SETTINGS

@@ -85,7 +85,7 @@ class TestDenseView:
             bits = view.bitset(numbers)
             assert bits == sum(1 << i for i in numbers)
             assert view.numbers(bits) == numbers
-            assert view.states_of(bits) == frozenset(view.ids[i] for i in numbers)
+            assert list(view.labels(bits)) == [view.ids[i] for i in numbers]
             assert view.codes_of(bits) == {view.codes[i] for i in numbers}
 
     def test_region_bits_match_states(self):
@@ -93,7 +93,7 @@ class TestDenseView:
         view = sg.dense()
         for sr in _regions(sg).values():
             for r in sr.excitation + sr.quiescent + [t for ts in sr.triggers for t in ts]:
-                assert view.states_of(r.bits(view)) == r.states
+                assert set(view.labels(r.bits(view))) == r.states
 
     def test_regions_listed_by_lowest_state_number(self):
         sg = elaborate(muller_pipeline(4))
@@ -221,7 +221,7 @@ class TestForeignNumbering:
             ours = signal_regions(sg, a)
             assert set(sr.excitation) == set(ours.excitation)
             for er in sr.excitation:
-                assert view.states_of(er.bits(view)) == er.states
+                assert set(view.labels(er.bits(view))) == er.states
                 assert quiescent_region_of(sg, er) == ours.quiescent_after(er)
                 assert set(trigger_regions(sg, er)) == set(
                     ours.triggers[ours.excitation.index(er)]

@@ -84,10 +84,8 @@ class TestStateGraph:
 
     def test_excitation_queries(self):
         sg = self.make()
-        assert sg.is_excited("10", 1)
         assert sg.excitation("10", 1) == Transition(1, 1)
-        assert sg.excited_non_inputs("10") == frozenset({1})
-        assert sg.excited_non_inputs("00") == frozenset()
+        assert sg.excitation("00", 1) is None
 
     def test_predecessors(self):
         sg = self.make()
@@ -108,7 +106,7 @@ class TestStateGraph:
     def test_value_and_vector(self):
         sg = self.make()
         assert sg.value("11", 0) == 1
-        assert sg.code_vector("11") == (1, 1)
+        assert sg.value("10", 1) == 0
 
     def test_describe_smoke(self):
         assert "signals" in self.make().describe()

@@ -139,7 +139,7 @@ def assert_baseline_predicates_agree(sg) -> None:
     g = ref.Explicit.of(sg)
     for a in sg.non_inputs:
         spec = next_state_function(sg, a)
-        on, off = (sg.dense().states_of(bits) for bits in (spec.on_bits, spec.off_bits))
+        on, off = (set(sg.dense().labels(bits)) for bits in (spec.on_bits, spec.off_bits))
         want = {v: {s for s in g.states if ref.next_state(g, s, a) == v} for v in (0, 1)}
         assert on == want[1]
         if any(g.excited(s, a) for s in g.states):

@@ -47,7 +47,8 @@ class TestPulseResponse:
         assert mhs_response(train, P) == []
 
     def test_already_set_ignores_pulses(self):
-        assert mhs_response([(1.0, 3.0)], P, initial_q=1) == []
+        # the first pulse sets q; the second finds it set and does nothing
+        assert mhs_response([(1.0, 3.0), (5.0, 7.0)], P) == [(1.0 + P.tau, 1)]
 
     def test_bad_pulse_rejected(self):
         with pytest.raises(ValueError):

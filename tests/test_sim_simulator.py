@@ -23,13 +23,13 @@ class TestWaveform:
         assert w.value_at(0.5) == 0
         assert w.value_at(1.0) == 1
         assert w.value_at(3.0) == 0
-        assert w.num_transitions() == 2
+        assert len(w.changes[1:]) == 2
 
     def test_idempotent_record(self):
         w = Waveform("n")
         w.record(0.0, 1)
         w.record(1.0, 1)
-        assert w.num_transitions() == 0
+        assert len(w.changes[1:]) == 0
 
     def test_non_monotonic_rejected(self):
         w = Waveform("n")
@@ -41,7 +41,7 @@ class TestWaveform:
         w = Waveform("n")
         for t, v in [(0.0, 0), (1.0, 1), (1.2, 0), (5.0, 1)]:
             w.record(t, v)
-        ps = w.pulses(end_time=6.0)
+        ps = w.pulses()
         assert ps[1] == Pulse(1.0, 1.2, 1)
 
     def test_glitch_pulses_exclude_endpoints(self):
@@ -62,7 +62,7 @@ class TestWaveform:
         ts.record("a", 0.0, 0)
         ts.record("a", 1.0, 1)
         assert "a" in ts
-        assert ts.total_transitions(["a"]) == 1
+        assert len(ts.get("a").changes[1:]) == 1
         assert ts.get("zzz") is None
 
 
@@ -94,7 +94,7 @@ class TestSimulator:
         sim.run(10.0)
         w = sim.traces["w1"]
         # two inverter delays after the edge; w1 follows `in` (double inversion)
-        [(t, v)] = w.transitions()
+        [(t, v)] = w.changes[1:]
         assert t == pytest.approx(1.0 + 2.4)
         assert v == 1
 
@@ -106,7 +106,7 @@ class TestSimulator:
         sim.drive("in", 1, at=1.0)
         sim.drive("in", 0, at=1.1)   # 0.1 pulse < 1.2 gate delay
         sim.run(10.0)
-        assert sim.traces["w0"].num_transitions() == 2
+        assert len(sim.traces["w0"].changes[1:]) == 2
 
     def test_and_or_evaluation(self):
         nl = Netlist()
@@ -151,7 +151,7 @@ class TestSimulator:
         sim.drive("s", 1, at=30.0)
         sim.run(60.0)
         assert sim.value("q") == 1
-        assert sim.traces["q"].transitions() == [(30.0 + 1.2, 1)]
+        assert sim.traces["q"].changes[1:] == [(30.0 + 1.2, 1)]
 
     def test_mhsff_dual_rail(self):
         nl = Netlist()

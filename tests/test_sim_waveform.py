@@ -11,15 +11,12 @@ class TestEmptyWaveform:
 
     def test_defaults(self):
         w = Waveform("idle")
-        assert w.initial == 0
-        assert w.final == 0
-        assert w.num_transitions() == 0
-        assert w.transitions() == []
+        assert w.changes == []
+        assert w.value_at(0.0) == 0 and w.value_at(1e9) == 0
 
     def test_pulses_empty(self):
         w = Waveform("idle")
         assert w.pulses() == []
-        assert w.pulses(end_time=10.0) == []
         assert w.glitch_pulses(1.0) == []
 
     def test_value_at(self):
@@ -48,7 +45,7 @@ class TestOutOfOrderEvents:
         w = Waveform("n")
         w.record(1.0, 0)
         w.record(1.0, 1)
-        assert w.num_transitions() == 1
+        assert len(w.changes[1:]) == 1
 
     def test_redundant_value_ignored(self):
         w = Waveform("n")
@@ -70,12 +67,6 @@ class TestUnknownNet:
         ts.record("real", 0.0, 0)
         assert "real" in ts
         assert "ghost" not in ts
-
-    def test_total_transitions_skips_unknown(self):
-        ts = TraceSet()
-        ts.record("a", 0.0, 0)
-        ts.record("a", 1.0, 1)
-        assert ts.total_transitions(["a", "ghost"]) == 1
 
     def test_nets_iterates(self):
         ts = TraceSet()

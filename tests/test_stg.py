@@ -12,6 +12,7 @@ from repro.stg import (
     parse_g,
     write_g,
 )
+from repro.stg import reachability
 from tests.conftest import C_ELEMENT_G, XYZ_RING_G
 
 
@@ -178,9 +179,10 @@ class TestElaboration:
         sg = elaborate(parse_g(C_ELEMENT_G))
         assert sg.code(sg.initial) == 0
 
-    def test_state_budget(self):
+    def test_state_budget(self, monkeypatch):
+        monkeypatch.setattr(reachability, "MAX_STATES", 3)
         with pytest.raises(ElaborationError):
-            elaborate(parse_g(C_ELEMENT_G), max_states=3)
+            elaborate(parse_g(C_ELEMENT_G))
 
     def test_inconsistent_stg_detected(self):
         text = """
