@@ -30,7 +30,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         ".errors": "BaselineRefusal require_valid_spec",
         ".hazard_free_sop": (
-            "NextStateSpec next_state_function static_one_hazard_pairs "
+            "NextStateSpec next_state_function "
             "add_hazard_cover_cubes function_hazard_states "
             "HazardFreeSopResult UnmaskableHazardError "
             "synthesize_hazard_free_sop"

@@ -7,11 +7,11 @@ architecture removes.  This module provides the shared machinery:
 * :func:`next_state_function` — the classical next-state spec of a
   non-input signal: ``f_a = 1`` on ``ER(+a) ∪ QR(+a)``
   (up-excitation: drive toward 1; up-quiescent: hold 1);
-* :func:`static_one_hazard_pairs` — SG arcs along which the function
-  holds 1 while an input changes; each pair must be covered by a
-  single cube or the AND-OR plane can emit a 1-0-1 glitch;
-* :func:`add_hazard_cover_cubes` — the classical fix: add consensus
-  cubes so every such transition pair is single-cube covered (the
+* :func:`add_hazard_cover_cubes` — the classical fix for static-1
+  hazards: the SG arcs along which the function holds 1 while another
+  signal changes must each be covered by a single cube, or the AND-OR
+  plane can emit a 1-0-1 glitch, so consensus cubes are added until
+  every such transition pair is single-cube covered (the
   hazard-free-cover condition of Eggan/Unger/Nowick, as used by
   Lavagno's bounded-delay flow);
 * :func:`function_hazard_states` — states where ≥2 concurrently
@@ -50,7 +50,6 @@ from .errors import BaselineRefusal, refusal_diagnostic, require_valid_spec
 __all__ = [
     "NextStateSpec",
     "next_state_function",
-    "static_one_hazard_pairs",
     "add_hazard_cover_cubes",
     "function_hazard_states",
     "UnmaskableHazardError",
@@ -110,8 +109,16 @@ def next_state_function(sg: StateGraph, signal: int) -> NextStateSpec:
 
 
 def _static_one_arcs(sg: StateGraph, spec: NextStateSpec) -> list[tuple[int, int, int]]:
-    """The static-1 arcs ``(s, signal, d)``: by ascending dense state
-    number of ``s``, and per ``s`` in insertion order."""
+    """The static-1 arcs ``(s, signal, d)``: SG arcs where the function
+    stays 1 while another signal flips, by ascending dense state number
+    of ``s`` and per ``s`` in insertion order, so the order does not
+    depend on the hash seed.
+
+    In a two-level AND-OR plane a single-variable change between two
+    ON minterms glitches unless one cube covers both (static-1 hazard).
+    0-1-0 static hazards do not occur in AND-OR SOP with input
+    inversions (the paper makes the same observation in Section IV-A).
+    """
     view = sg.dense()
     on, succ, own = view.flags(spec.on_bits), view.succ, spec.signal
     return [
@@ -120,22 +127,6 @@ def _static_one_arcs(sg: StateGraph, spec: NextStateSpec) -> list[tuple[int, int
         for a, _dir, d in succ[s]
         if a != own and on[d]
     ]
-
-
-def static_one_hazard_pairs(
-    sg: StateGraph, spec: NextStateSpec
-) -> list[tuple[StateId, StateId]]:
-    """SG arcs where the function stays 1 while another signal flips.
-
-    In a two-level AND-OR plane a single-variable change between two
-    ON minterms glitches unless one cube covers both (static-1 hazard).
-    0-1-0 static hazards do not occur in AND-OR SOP with input
-    inversions (the paper makes the same observation in Section IV-A).
-    Listed by ascending dense state number of the source, so the order
-    does not depend on the hash seed.
-    """
-    label = sg.dense().label
-    return [(label(s), label(d)) for s, _a, d in _static_one_arcs(sg, spec)]
 
 
 def add_hazard_cover_cubes(

@@ -86,8 +86,10 @@ def derive_sop_spec(
 
     Follows Section IV-A exactly; the unreachable binary codes join
     every function's don't-care set (step 3).  ``regions`` may supply
-    the per-signal region analyses (the pipeline's ``regions`` stage
-    artifact); by default they are read from ``sg``'s memo.
+    the per-signal region analyses, computed by the caller outside
+    this function's ``sop-derivation`` span (the pipeline's
+    ``sop-derivation`` stage does); by default they are read from
+    ``sg``'s memo.
     """
     non_inputs = sg.non_inputs
     m = 2 * len(non_inputs)

@@ -13,7 +13,7 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".corpus": "CorpusEntry archive_reproducer load_corpus replay_entry",
+        ".corpus": "CorpusEntry archive_reproducer load_corpus",
         ".differential": (
             "DISAGREEMENT_KINDS FLOW_NAMES Disagreement FlowOutcome "
             "FuzzConfig SpecResult judge run_flow run_fuzz"

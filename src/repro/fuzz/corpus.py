@@ -19,13 +19,10 @@ from pathlib import Path
 from ..sg.graph import StateGraph
 from ..sg.sgformat import parse_sg
 
-__all__ = ["CorpusEntry", "archive_reproducer", "load_corpus", "replay_entry"]
+__all__ = ["CorpusEntry", "archive_reproducer", "load_corpus"]
 
 #: default corpus location, relative to the repository root
 DEFAULT_CORPUS = Path("examples") / "fuzz-corpus"
-
-#: per-flow wall-clock bound of a corpus replay, in seconds
-REPLAY_TIMEOUT_S = 30.0
 
 
 @dataclass
@@ -126,21 +123,3 @@ def load_corpus(corpus_dir: Path | str = DEFAULT_CORPUS) -> list[CorpusEntry]:
                 meta[key] = value
         entries.append(CorpusEntry(path=p, meta=meta, text=raw))
     return entries
-
-
-def replay_entry(entry: CorpusEntry) -> list:
-    """Push one reproducer through every flow, crash-contained.
-
-    Returns the :class:`~repro.fuzz.differential.FlowOutcome` list.
-    The regression guarantee the corpus test asserts is *containment*:
-    whatever the reproducer provokes, every flow answers with a
-    structured verdict — the campaign-killing behaviour it once
-    witnessed must never come back.
-    """
-    from .differential import FLOW_NAMES, run_flow
-
-    sg = entry.sg()
-    return [
-        run_flow(flow, sg, name=entry.path.stem, timeout=REPLAY_TIMEOUT_S)
-        for flow in FLOW_NAMES
-    ]

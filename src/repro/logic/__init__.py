@@ -15,10 +15,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         ".cube": "Cube supercube_of",
         ".cover": "Cover",
-        ".tautology": (
-            "is_tautology covers_cube cover_covers_cube_multi "
-            "covers_cover"
-        ),
+        ".tautology": "is_tautology covers_cube cover_covers_cube_multi",
         ".complement": "complement complement_cube cube_sharp",
         ".espresso": "espresso expand irredundant reduce_cover make_offset",
         ".exact": "exact_minimize generate_primes unate_cover",

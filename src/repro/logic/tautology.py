@@ -24,7 +24,7 @@ from __future__ import annotations
 from .cube import LIT_DC, LIT_ONE, LIT_ZERO, Cube
 from .cover import Cover
 
-__all__ = ["is_tautology", "covers_cube", "cover_covers_cube_multi", "covers_cover"]
+__all__ = ["is_tautology", "covers_cube", "cover_covers_cube_multi"]
 
 
 def _unate_reduced(cover: Cover) -> Cover:
@@ -142,8 +142,3 @@ def cover_covers_cube_multi(cover: Cover, cube: Cube) -> bool:
         o >>= 1
         idx += 1
     return True
-
-
-def covers_cover(big: Cover, small: Cover) -> bool:
-    """True when ``big`` covers every cube of ``small`` (multi-output)."""
-    return all(cover_covers_cube_multi(big, c) for c in small.cubes)

@@ -5,7 +5,7 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".gates": "Gate GateType Pin and_gate or_gate",
+        ".gates": "Gate GateType Pin",
         ".library": "Library DEFAULT_LIBRARY LEVEL_DELAY_NS",
         ".netlist": "Netlist NetlistError NetlistStats",
         ".verilog": "write_verilog",

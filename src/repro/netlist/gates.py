@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 __all__ = ["GateType", "Pin", "Gate"]
 
@@ -101,13 +100,3 @@ class Gate:
         ins = ", ".join(str(p) for p in self.inputs)
         extra = f" / {self.output_n}" if self.output_n else ""
         return f"{self.name}: {self.type.value}({ins}) -> {self.output}{extra}"
-
-
-def and_gate(name: str, pins: Sequence[Pin], output: str) -> Gate:
-    """Convenience constructor for an AND gate with inversion bubbles."""
-    return Gate(name, GateType.AND, list(pins), output)
-
-
-def or_gate(name: str, pins: Sequence[Pin], output: str) -> Gate:
-    """Convenience constructor for an OR gate."""
-    return Gate(name, GateType.OR, list(pins), output)

@@ -170,12 +170,6 @@ class MetricsRegistry:
                 inst = self._histograms[name] = Histogram()
             return inst
 
-    def reset(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Plain-dict view: counters/gauges as values, histograms as

@@ -147,8 +147,8 @@ def stage_totals_from_spans(spans: list[Span]) -> dict[str, dict]:
         if label != s.name and any(
             c.name == label for c in children.get(s.span_id, ())
         ):
-            # the stage's own code opened spans of that name (regions,
-            # sop-derivation, verify, certify): they are the work, the
+            # the stage's own code opened spans of that name
+            # (sop-derivation, verify, certify): they are the work, the
             # wrapper is pipeline bookkeeping around it
             label = s.name
         agg = out.setdefault(

@@ -1,8 +1,8 @@
 """Content-addressed pipeline DAG with a persistent artifact cache.
 
-The synthesis flow is modeled as an explicit DAG of stages (``parse →
-sg-build → classify / regions → sop-derivation → covers → netlist →
-delays → verify``), each keyed on
+The synthesis flow is modeled as an explicit DAG of stages (``sg-build
+→ classify / sop-derivation → covers → delays → verify / certify``),
+each keyed on
 ``sha256(spec canonical digest + upstream artifact keys + stage
 version + env fingerprint)`` and serialized to an on-disk
 :class:`ArtifactStore` with atomic rename writes, corrupt-entry

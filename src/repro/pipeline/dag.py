@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any
 from ..netlist import DEFAULT_LIBRARY, Library
 from ..obs import trace_span
 from ..sg.graph import StateGraph
-from ..sg.sgformat import canonicalize_spec, write_sg
+from ..sg.sgformat import spec_digest, write_sg
 from .stages import STAGES, STAGE_VERSIONS, Classification, CoverBundle
 from .store import ArtifactStore
 
@@ -189,7 +189,7 @@ class PipelineRun:
         return cls(None, name=name, dialect="sg", source_sg=sg, **kw)
 
     # ------------------------------------------------------------------
-    # keys — computed on first use (a store key, or the parse stage)
+    # keys — computed on first use (only a store needs one)
     # ------------------------------------------------------------------
     @property
     def root_text(self) -> str:
@@ -198,12 +198,8 @@ class PipelineRun:
         return self._text
 
     @cached_property
-    def canonical_text(self) -> str:
-        return canonicalize_spec(self.root_text)
-
-    @cached_property
     def root_digest(self) -> str:
-        return hashlib.sha256(self.canonical_text.encode()).hexdigest()
+        return spec_digest(self.root_text)
 
     @cached_property
     def env_digest(self) -> str:
@@ -273,17 +269,11 @@ class PipelineRun:
     def classification(self) -> Classification:
         return self.artifact("classify")
 
-    def regions(self):
-        return self.artifact("regions")
-
     def sop(self) -> "SopSpec":
         return self.artifact("sop-derivation")
 
     def covers(self) -> CoverBundle:
         return self.artifact("covers")
-
-    def architecture(self):
-        return self.artifact("netlist")
 
     def certify(self) -> "Certificate":
         """The circuit's static hazard certificate (``certify`` stage)."""

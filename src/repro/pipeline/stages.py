@@ -12,14 +12,20 @@ code change) have one obvious switchboard.  Bumping a version changes
 that stage's cache key and therefore the keys of its whole downstream
 cone — the content-addressed equivalent of "rebuild from here".
 
-The DAG::
+No stage passes through: work that only one stage reads, keyed on
+nothing that reader's key lacks, runs inside that reader instead of
+being stored apart (the regions inside ``sop-derivation``, the
+netlist inside ``delays``).
 
-    parse ──► sg-build ──► classify          (lint gate; off the synthesis cone)
-                 │
-                 ├──► regions ──► sop-derivation ──► covers ──► netlist
-                 │                     │                │          │
-                 └─────────────────────┴────────────────┴──────────┴─► delays ─► verify
-                                                                          └────► certify
+The DAG (``covers`` also reads ``sg-build``)::
+
+    sg-build ──► classify          (lint gate; off the synthesis cone)
+       │
+       ├──► sop-derivation ──► covers
+       │          │              │
+       └──────────┴──────────────┴──► delays ──► verify
+                                 │      │
+                                 └──────┴──► certify
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.diagnostics import Diagnostic
     from ..logic import Cover
     from ..sg.graph import StateGraph
-    from ..sg.regions import SignalRegions
     from .dag import PipelineRun
 
 __all__ = [
@@ -50,13 +55,10 @@ __all__ = [
 #: code it calls) changes meaning; the bump invalidates exactly that
 #: stage and its downstream cone in every cache.
 STAGE_VERSIONS: dict[str, int] = {
-    "parse": 1,
     "sg-build": 5,
     "classify": 3,
-    "regions": 4,
     "sop-derivation": 3,
     "covers": 1,
-    "netlist": 1,
     "delays": 2,
     "verify": 1,
     "certify": 1,
@@ -102,18 +104,9 @@ class StageDef:
     fn: Callable[..., Any]
 
 
-def _stage_parse(run: "PipelineRun") -> dict:
-    return {
-        "dialect": run.dialect,
-        "canonical": run.canonical_text,
-        "digest": run.root_digest,
-    }
-
-
 def _stage_sg_build(run: "PipelineRun") -> "StateGraph":
     if run.source_sg is not None:
         return run.source_sg
-    run.artifact("parse")
     if run.dialect == "sg":
         from ..sg.sgformat import parse_sg
 
@@ -138,18 +131,15 @@ def _stage_classify(run: "PipelineRun") -> Classification:
     )
 
 
-def _stage_regions(run: "PipelineRun") -> "dict[int, SignalRegions]":
+def _stage_sop(run: "PipelineRun"):
+    from ..core.sop_derivation import derive_sop_spec
     from ..sg.regions import signal_regions
 
     sg = run.artifact("sg-build")
-    return {a: signal_regions(sg, a) for a in sg.non_inputs}
-
-
-def _stage_sop(run: "PipelineRun"):
-    from ..core.sop_derivation import derive_sop_spec
-
-    sg = run.artifact("sg-build")
-    return derive_sop_spec(sg, regions=run.artifact("regions"))
+    # outside derive_sop_spec's own span, so that ``regions`` and
+    # ``sop-derivation`` time the two steps apart
+    regions = {a: signal_regions(sg, a) for a in sg.non_inputs}
+    return derive_sop_spec(sg, regions)
 
 
 def _stage_covers(run: "PipelineRun") -> CoverBundle:
@@ -172,21 +162,13 @@ def _stage_covers(run: "PipelineRun") -> CoverBundle:
     )
 
 
-def _stage_netlist(run: "PipelineRun"):
-    from ..core.synthesizer import build_architecture
-
-    spec = run.artifact("sop-derivation")
-    bundle: CoverBundle = run.artifact("covers")
-    return build_architecture(spec, bundle.cover, name=run.name)
-
-
 def _stage_delays(run: "PipelineRun"):
-    from ..core.synthesizer import finalize_circuit
+    from ..core.synthesizer import build_architecture, finalize_circuit
 
     sg = run.artifact("sg-build")
     spec = run.artifact("sop-derivation")
     bundle: CoverBundle = run.artifact("covers")
-    arch = run.artifact("netlist")
+    arch = build_architecture(spec, bundle.cover, name=run.name)
     lib = run.params["library"]
     return finalize_circuit(
         sg,
@@ -233,13 +215,9 @@ def _stage_certify(run: "PipelineRun"):
 STAGES: dict[str, StageDef] = {
     s.name: s
     for s in (
-        StageDef("parse", (), (), _stage_parse),
-        StageDef("sg-build", ("parse",), (), _stage_sg_build),
+        StageDef("sg-build", (), (), _stage_sg_build),
         StageDef("classify", ("sg-build",), ("name",), _stage_classify),
-        StageDef("regions", ("sg-build",), (), _stage_regions),
-        StageDef(
-            "sop-derivation", ("sg-build", "regions"), (), _stage_sop
-        ),
+        StageDef("sop-derivation", ("sg-build",), (), _stage_sop),
         StageDef(
             "covers",
             ("sg-build", "sop-derivation"),
@@ -247,11 +225,8 @@ STAGES: dict[str, StageDef] = {
             _stage_covers,
         ),
         StageDef(
-            "netlist", ("sop-derivation", "covers"), ("name",), _stage_netlist
-        ),
-        StageDef(
             "delays",
-            ("sg-build", "sop-derivation", "covers", "netlist"),
+            ("sg-build", "sop-derivation", "covers"),
             ("name", "method", "spread", "mhs_tau", "library"),
             _stage_delays,
         ),

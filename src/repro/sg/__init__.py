@@ -12,7 +12,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".graph": "StateGraph Transition SGError",
-        ".builder": "SGBuilder sg_from_trace_spec",
+        ".builder": "SGBuilder",
         ".properties": (
             "check_consistency csc_violations satisfies_csc "
             "usc_violations semimodularity_violations "
@@ -20,8 +20,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "validate_for_synthesis SGValidationReport"
         ),
         ".distributivity": (
-            "DetonantState detonant_states is_distributive_for "
-            "is_distributive non_distributive_signals"
+            "DetonantState detonant_states is_distributive "
+            "non_distributive_signals"
         ),
         ".regions": (
             "Region SignalRegions excitation_regions quiescent_region_of "

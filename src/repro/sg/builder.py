@@ -1,12 +1,8 @@
-"""Convenience builders for state graphs.
+"""Convenience builder for state graphs.
 
-Two entry points:
-
-* :class:`SGBuilder` — incremental construction where states are named
-  by their binary code strings (the common case for small hand-written
-  examples such as the paper's Figure 1);
-* :func:`sg_from_trace_spec` — build an SG from a compact textual arc
-  list, e.g. ``"000 +a 100"`` one arc per line.
+:class:`SGBuilder` — incremental construction where states are named
+by their binary code strings (the common case for small hand-written
+examples such as the paper's Figure 1).
 """
 
 from __future__ import annotations
@@ -15,7 +11,7 @@ from typing import Iterable, Sequence
 
 from .graph import SGError, StateGraph
 
-__all__ = ["SGBuilder", "sg_from_trace_spec"]
+__all__ = ["SGBuilder"]
 
 
 class SGBuilder:
@@ -93,36 +89,3 @@ class SGBuilder:
     def build(self) -> StateGraph:
         """Return the constructed state graph (reachable part only)."""
         return self.sg.restrict_to_reachable()
-
-
-def sg_from_trace_spec(
-    signals: Sequence[str],
-    inputs: Iterable[str],
-    arcs: Iterable[str],
-) -> StateGraph:
-    """Build an SG from textual arcs like ``"000 +a 100"``.
-
-    Each arc line has ``src transition [dst]``; when ``dst`` is omitted
-    it is inferred by flipping the transition's signal bit.  The first
-    listed source state is the initial state.
-    """
-    first: str | None = None
-    b = SGBuilder(signals, inputs)
-    for line in arcs:
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) == 2:
-            src, tr = parts
-            dst = None
-        elif len(parts) == 3:
-            src, tr, dst = parts
-        else:
-            raise SGError(f"bad arc spec {line!r}")
-        if first is None:
-            first = src
-        b.arc(src, tr, dst)
-    if first is None:
-        raise SGError("no arcs given")
-    b.initial(first)
-    return b.build()

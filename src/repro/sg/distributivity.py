@@ -26,7 +26,6 @@ from .graph import StateGraph, StateId
 __all__ = [
     "DetonantState",
     "detonant_states",
-    "is_distributive_for",
     "is_distributive",
     "non_distributive_signals",
 ]
@@ -63,11 +62,6 @@ def detonant_states(sg: StateGraph, signal: int) -> list[DetonantState]:
             for v in excited[i + 1 :]
         )
     return out
-
-
-def is_distributive_for(sg: StateGraph, signal: int) -> bool:
-    """Distributivity w.r.t. one non-input signal (Definition 4)."""
-    return signal not in non_distributive_signals(sg)
 
 
 def non_distributive_signals(sg: StateGraph) -> list[int]:

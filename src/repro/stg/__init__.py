@@ -12,7 +12,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         ".petrinet": "Stg StgTransition StgError",
         ".parser": "parse_g write_g",
-        ".reachability": "elaborate infer_initial_values ElaborationError",
+        ".reachability": "elaborate ElaborationError",
         ".analysis": (
             "StgReport is_live is_safe free_choice_conflicts classify"
         ),

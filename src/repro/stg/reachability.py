@@ -20,9 +20,9 @@ place bitmask; a state's ``(Marking, code)`` id is built only when one
 is read (see :class:`~repro.sg.graph.DenseGraph`).  Any error met on the
 way (an unsafe net, the :data:`MAX_STATES` bound, a nondeterministic or
 inconsistent transition) is reported by the two passes the
-exploration stands for: :func:`infer_initial_values` over the whole
-net, then an exploration with the codes, so every broken net gets the
-error of the first pass that meets one.
+exploration stands for: the initial-value inference (:func:`_infer`)
+over the whole net, then an exploration with the codes, so every
+broken net gets the error of the first pass that meets one.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from ..sg.graph import (
 )
 from .petrinet import Stg, StgError, StgTransition
 
-__all__ = ["infer_initial_values", "elaborate", "ElaborationError"]
+__all__ = ["elaborate", "ElaborationError"]
 
 #: default (marking, fired-signals) budget of initial-value inference
 _MAX_MARKINGS = 200000
@@ -86,17 +86,13 @@ class _Net:
         return Marking(compress(self.places, bit_flags(m)))
 
 
-def infer_initial_values(stg: Stg) -> dict[str, int]:
+def _infer(stg: Stg, net: _Net) -> dict[str, int]:
     """Infer each signal's initial value from first-transition polarity.
 
     Explores markings (ignoring signal values) recording, per signal,
     which polarity can occur first.  Mixed first polarities mean the
     STG has no consistent coding from any initial vector.
     """
-    return _infer(stg, _Net(stg))
-
-
-def _infer(stg: Stg, net: _Net) -> dict[str, int]:
     # signals whose first transition along some path is rising / falling
     first_up = first_down = 0
     # state: (mask of signals already transitioned) << places | marking

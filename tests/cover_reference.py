@@ -5,7 +5,8 @@ replaced, kept as the reference it is tested against
 (``test_cover_check.py``): the same three soundness conditions of a
 minimized cover, decided by cover containment (a cofactor tautology per
 cube and output) and pairwise cube intersection.
-:func:`code_partition_check` is the oracle the SOP derivation tests use.
+:func:`code_partition_check` is the oracle the SOP derivation tests use,
+and :func:`covers_cover` the containment the minimizer tests assert.
 :func:`from_rows` builds the covers the logic tests start from.
 """
 
@@ -15,7 +16,12 @@ from collections.abc import Iterable
 
 from repro.logic import Cover, Cube, is_tautology
 from repro.logic.minimize import CoverCheck
-from repro.logic.tautology import cover_covers_cube_multi, covers_cover
+from repro.logic.tautology import cover_covers_cube_multi
+
+
+def covers_cover(big: Cover, small: Cover) -> bool:
+    """True when ``big`` covers every cube of ``small`` (multi-output)."""
+    return all(cover_covers_cube_multi(big, c) for c in small.cubes)
 
 
 def verify_cover(

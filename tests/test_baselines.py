@@ -4,12 +4,13 @@ import pytest
 
 import repro.baselines.lavagno as lavagno
 
+from repro.baselines.hazard_free_sop import _static_one_arcs
+
 from repro.baselines import (
     NotDistributiveError,
     add_hazard_cover_cubes,
     function_hazard_states,
     next_state_function,
-    static_one_hazard_pairs,
     synthesize_beerel,
     synthesize_complex_gate,
     synthesize_lavagno,
@@ -49,20 +50,19 @@ class TestHazardCovers:
     def test_static_pairs_detected(self, celem_sg):
         c = celem_sg.signal_index("c")
         spec = next_state_function(celem_sg, c)
-        pairs = static_one_hazard_pairs(celem_sg, spec)
-        assert pairs  # e.g. 111 -> 011 keeps f=1 while a falls
+        arcs = _static_one_arcs(celem_sg, spec)
+        assert arcs  # e.g. 111 -> 011 keeps f=1 while a falls
 
     def test_hazard_cover_fixes_all_pairs(self, celem_sg):
         c = celem_sg.signal_index("c")
         spec = next_state_function(celem_sg, c)
         cover = minimize(spec.on, spec.dc, spec.off)
         fixed, added = add_hazard_cover_cubes(celem_sg, spec, cover)
-        for s, d in static_one_hazard_pairs(celem_sg, spec):
+        codes, n = celem_sg.dense().codes, celem_sg.num_signals
+        for s, _a, d in _static_one_arcs(celem_sg, spec):
             from repro.logic import Cube
 
-            pair = Cube.from_minterm(celem_sg.code(s), celem_sg.num_signals).supercube(
-                Cube.from_minterm(celem_sg.code(d), celem_sg.num_signals)
-            )
+            pair = Cube.from_minterm(codes[s], n).supercube(Cube.from_minterm(codes[d], n))
             assert any(cu.contains(pair) for cu in fixed.cubes)
 
     def test_function_hazards_on_concurrent_spec(self):

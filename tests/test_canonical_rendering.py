@@ -74,7 +74,8 @@ def test_store_entries_are_byte_identical_across_seeds(tmp_path):
         _repro(["table2", *specs, "--cache-dir", str(store)], seed, str(tmp_path))
         digests.append(_payload_digests(store))
     assert digests[0].keys() == digests[1].keys()
-    stages = {"sg-build", "regions", "sop-derivation", "delays"}
+    # the signal regions are checked inside the sop-derivation entry
+    stages = {"sg-build", "sop-derivation", "delays"}
     checked = {key: entry for key, entry in digests[0].items() if entry[0] in stages}
     assert len(checked) == len(stages) * len(specs)
     for key, entry in checked.items():
@@ -119,7 +120,8 @@ def test_baseline_pairs_and_covers_are_identical_across_seeds(tmp_path):
     number, so neither their order nor the covers the repair builds
     from them depend on the hash seed."""
     code = (
-        "from repro.baselines import next_state_function, static_one_hazard_pairs\n"
+        "from repro.baselines import next_state_function\n"
+        "from repro.baselines.hazard_free_sop import _static_one_arcs\n"
         "from repro.baselines import synthesize_lavagno\n"
         "from repro.bench.circuits import DISTRIBUTIVE_BENCHMARKS\n"
         "from repro.bench.circuits.handshakes import muller_pipeline\n"
@@ -128,8 +130,9 @@ def test_baseline_pairs_and_covers_are_identical_across_seeds(tmp_path):
         "for stg in (muller_pipeline(3), DISTRIBUTIVE_BENCHMARKS['chu133'][0]()):\n"
         "    sg = elaborate(stg)\n"
         "    for a in sg.non_inputs:\n"
-        "        pairs = static_one_hazard_pairs(sg, next_state_function(sg, a))\n"
-        "        print(a, [(render_state(s), render_state(d)) for s, d in pairs])\n"
+        "        label = sg.dense().label\n"
+        "        arcs = _static_one_arcs(sg, next_state_function(sg, a))\n"
+        "        print(a, [(render_state(label(s)), render_state(label(d))) for s, _b, d in arcs])\n"
         "    for a, cover in synthesize_lavagno(sg).covers.items():\n"
         "        print(a, [c.input_string() for c in cover.cubes])\n"
     )

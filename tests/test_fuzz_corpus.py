@@ -17,12 +17,24 @@ from repro.fuzz import (
     archive_reproducer,
     generate_spec,
     load_corpus,
-    replay_entry,
 )
-from repro.fuzz.corpus import DEFAULT_CORPUS
+from repro.fuzz.corpus import DEFAULT_CORPUS, CorpusEntry
+from repro.fuzz.differential import FLOW_NAMES, FlowOutcome, run_flow
 from repro.sg.sgformat import write_sg
 
 REPO_CORPUS = load_corpus()
+
+#: per-flow wall-clock bound of a corpus replay, in seconds
+REPLAY_TIMEOUT_S = 30.0
+
+
+def replay_entry(entry: CorpusEntry) -> list[FlowOutcome]:
+    """One reproducer through every flow, crash-contained."""
+    sg = entry.sg()
+    return [
+        run_flow(flow, sg, name=entry.path.stem, timeout=REPLAY_TIMEOUT_S)
+        for flow in FLOW_NAMES
+    ]
 
 
 def _disagreement(seed=3) -> Disagreement:

@@ -28,7 +28,8 @@ from repro.analysis.certify import REFUTED, certify_circuit
 from repro.bench.runner import sg_of
 from repro.core import run_oracle, synthesize
 from tests.fault_models import OmegaMarginFault, rebuild_netlist
-from repro.fuzz import FuzzConfig, load_corpus, replay_entry, run_fuzz
+from tests.test_fuzz_corpus import replay_entry
+from repro.fuzz import FuzzConfig, load_corpus, run_fuzz
 from repro.logic import Cover
 from repro.netlist import GateType
 from repro.sim import MhsParams, SimConfig

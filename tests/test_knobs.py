@@ -15,10 +15,12 @@ options.
   with its reason.
 * **defs** — every ``def`` under ``src/`` whose name no code outside
   ``tests/`` mentions: as a name, an attribute, an import, or a word
-  of a string other than a docstring (the lazy export tables, ``__all__``).
-  Such a def serves only tests; delete it and test through the API
-  that remains. Protocol hooks (:func:`_is_protocol_hook`) are
-  reached without being named and are exempt.
+  of a string other than a docstring. A word of an export list (a
+  lazy export table or ``__all__``) is not a use: exporting a def
+  calls nothing. Such a def serves only tests; delete it and test
+  through the API that remains. Protocol hooks
+  (:func:`_is_protocol_hook`) are reached without being named and are
+  exempt.
 * **options** — every option reachable from ``build_parser()``
   (``--help`` and positionals excluded; ``-o/--output`` is one
   option). A new option changes the count and so shows up as an edit
@@ -221,13 +223,31 @@ def _docstrings(tree: ast.Module) -> set[int]:
     }
 
 
+def _export_lists(tree: ast.Module) -> set[int]:
+    """The string constants of ``__all__ = …`` assignments, the lazy
+    export tables (``__all__, … = lazy_exports(…)``) included."""
+    out: set[int] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        if any(
+            isinstance(n, ast.Name) and n.id == "__all__"
+            for t in targets
+            for n in ast.walk(t)
+        ):
+            out.update(id(c) for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return out
+
+
 def _mentioned_names() -> set[str]:
-    """Every name the caller directories mention outside docstrings."""
+    """Every name the caller directories mention outside docstrings and
+    export lists."""
     names: set[str] = set()
     for top in CALLER_DIRS:
         for path in _py_files(top):
             tree = _parse(path)
-            docs = _docstrings(tree)
+            skipped = _docstrings(tree) | _export_lists(tree)
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
@@ -238,7 +258,7 @@ def _mentioned_names() -> set[str]:
                 elif (
                     isinstance(node, ast.Constant)
                     and isinstance(node.value, str)
-                    and id(node) not in docs
+                    and id(node) not in skipped
                 ):
                     names.update(node.value.split())
     return names

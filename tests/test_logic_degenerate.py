@@ -14,10 +14,10 @@ from repro.logic.cover import Cover
 from repro.logic.cube import Cube
 from repro.logic.tautology import (
     cover_covers_cube_multi,
-    covers_cover,
     covers_cube,
     is_tautology,
 )
+from tests.cover_reference import covers_cover
 
 
 class TestZeroVariableSpace:

@@ -21,12 +21,12 @@ from repro.logic import (
     Cover,
     Cube,
     cover_covers_cube_multi,
-    covers_cover,
     expand,
     irredundant,
     make_offset,
     reduce_cover,
 )
+from tests.cover_reference import covers_cover
 
 SETTINGS = settings(max_examples=60, deadline=None)
 

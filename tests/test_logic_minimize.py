@@ -15,7 +15,6 @@ from repro.logic import (
     MinimizationError,
     complement,
     complement_cube,
-    covers_cover,
     covers_cube,
     cube_sharp,
     espresso,
@@ -30,7 +29,7 @@ from repro.logic import (
     unate_cover,
     verify_cover,
 )
-from tests.cover_reference import from_rows
+from tests.cover_reference import covers_cover, from_rows
 
 
 def random_fdr(rng, n):

@@ -12,7 +12,7 @@ from repro.netlist import (
     Pin,
     write_verilog,
 )
-from repro.sg import sg_from_trace_spec
+from repro.sg import SGBuilder
 from repro.stg import parse_g, write_g
 from tests.conftest import C_ELEMENT_G
 
@@ -95,22 +95,21 @@ class TestStgWriter:
 
 class TestTraceSpecBuilder:
     def test_multi_signal_cycle(self):
-        sg = sg_from_trace_spec(
-            ["a", "b", "c"],
-            ["a"],
-            [
-                "000 +a", "100 +b", "110 +c", "111 -a",
-                "011 -b", "001 -c",
-            ],
-        )
+        b = SGBuilder(["a", "b", "c"], ["a"])
+        b.chain("000", "+a", "+b", "+c", "-a", "-b", "-c")
+        b.initial("000")
+        sg = b.build()
         assert sg.num_states == 6
         from repro.sg import validate_for_synthesis
 
         assert validate_for_synthesis(sg).ok
 
     def test_explicit_initial(self):
-        sg = sg_from_trace_spec(["a"], ["a"], ["1 -a", "0 +a"])
-        assert sg.initial == "1"
+        b = SGBuilder(["a"], ["a"])
+        b.arc("0", "+a")
+        b.arc("1", "-a")
+        b.initial("1")
+        assert b.build().initial == "1"
 
 
 class TestLibraryEdgeCases:

@@ -9,8 +9,6 @@ from repro.netlist import (
     Netlist,
     NetlistError,
     Pin,
-    and_gate,
-    or_gate,
     write_verilog,
 )
 from repro.netlist.trees import build_gate_tree
@@ -22,9 +20,9 @@ def simple_sop() -> Netlist:
     for n in "abc":
         nl.add_input(n)
     nl.add_output("q")
-    nl.add(and_gate("p0", [Pin("a"), Pin("b", inverted=True)], "n0"))
-    nl.add(or_gate("o0", [Pin("n0"), Pin("c")], "n1"))
-    nl.add(and_gate("p1", [Pin("a", inverted=True), Pin("b")], "n2"))
+    nl.add(Gate("p0", GateType.AND, [Pin("a"), Pin("b", inverted=True)], "n0"))
+    nl.add(Gate("o0", GateType.OR, [Pin("n0"), Pin("c")], "n1"))
+    nl.add(Gate("p1", GateType.AND, [Pin("a", inverted=True), Pin("b")], "n2"))
     nl.add(
         Gate("ff", GateType.MHSFF, [Pin("n1"), Pin("n2")], "q", output_n="q_n")
     )
@@ -33,9 +31,9 @@ def simple_sop() -> Netlist:
 
 class TestLibrary:
     def test_and_area_scales_with_fanin(self):
-        a2 = DEFAULT_LIBRARY.gate_area(and_gate("g", [Pin("a"), Pin("b")], "o"))
+        a2 = DEFAULT_LIBRARY.gate_area(Gate("g", GateType.AND, [Pin("a"), Pin("b")], "o"))
         a3 = DEFAULT_LIBRARY.gate_area(
-            and_gate("g", [Pin("a"), Pin("b"), Pin("c")], "o")
+            Gate("g", GateType.AND, [Pin("a"), Pin("b"), Pin("c")], "o")
         )
         assert a3 > a2
 
@@ -59,27 +57,27 @@ class TestLibrary:
         assert rs == 2 * mhs
 
     def test_unit_level_delay(self):
-        g = and_gate("g", [Pin("a")], "o")
+        g = Gate("g", GateType.AND, [Pin("a")], "o")
         assert DEFAULT_LIBRARY.gate_delay(g) == 1.2
 
 
 class TestNetlistStructure:
     def test_single_driver_enforced(self):
         nl = Netlist()
-        nl.add(and_gate("g1", [Pin("a")], "n"))
+        nl.add(Gate("g1", GateType.AND, [Pin("a")], "n"))
         with pytest.raises(NetlistError):
-            nl.add(and_gate("g2", [Pin("b")], "n"))
+            nl.add(Gate("g2", GateType.AND, [Pin("b")], "n"))
 
     def test_cannot_drive_primary_input(self):
         nl = Netlist()
         nl.add_input("a")
         with pytest.raises(NetlistError):
-            nl.add(and_gate("g", [Pin("b")], "a"))
+            nl.add(Gate("g", GateType.AND, [Pin("b")], "a"))
 
     def test_validate_finds_undriven(self):
         nl = Netlist()
         nl.add_output("q")
-        nl.add(and_gate("g", [Pin("ghost")], "x"))
+        nl.add(Gate("g", GateType.AND, [Pin("ghost")], "x"))
         problems = nl.validate()
         assert any("ghost" in p for p in problems)
         assert any("'q'" in p for p in problems)
@@ -119,16 +117,16 @@ class TestMetrics:
     def test_combinational_cycle_detected(self):
         nl = Netlist()
         nl.add_output("q")
-        nl.add(and_gate("g1", [Pin("q")], "x"))
-        nl.add(or_gate("g2", [Pin("x")], "q"))
+        nl.add(Gate("g1", GateType.AND, [Pin("q")], "x"))
+        nl.add(Gate("g2", GateType.OR, [Pin("x")], "q"))
         with pytest.raises(NetlistError):
             nl.critical_path()
 
     def test_cut_attribute_breaks_cycle(self):
         nl = Netlist()
         nl.add_output("q")
-        nl.add(and_gate("g1", [Pin("q")], "x"))
-        g2 = or_gate("g2", [Pin("x")], "q")
+        nl.add(Gate("g1", GateType.AND, [Pin("q")], "x"))
+        g2 = Gate("g2", GateType.OR, [Pin("x")], "q")
         g2.attrs["cut"] = True
         nl.add(g2)
         assert nl.critical_path() == pytest.approx(2.4)
@@ -138,7 +136,7 @@ class TestMetrics:
         nl.add_input("a")
         nl.add_output("y")
         nl.add(Gate("ff", GateType.MHSFF, [Pin("a"), Pin("a")], "q", output_n="qn"))
-        nl.add(and_gate("g", [Pin("q")], "y"))
+        nl.add(Gate("g", GateType.AND, [Pin("q")], "y"))
         # a->ff (1.2) ends a path; q->AND->y (1.2) is separate
         assert nl.critical_path() == pytest.approx(1.2)
 
@@ -183,6 +181,6 @@ class TestVerilog:
         nl = Netlist("weird-name")
         nl.add_input("in.0")
         nl.add_output("q")
-        nl.add(and_gate("g", [Pin("in.0")], "q"))
+        nl.add(Gate("g", GateType.AND, [Pin("in.0")], "q"))
         text = write_verilog(nl)
         assert "in_0" in text and "weird_name" in text

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import synthesize
-from repro.netlist import Gate, GateType, Netlist, Pin, and_gate, or_gate
+from repro.netlist import Gate, GateType, Netlist, Pin
 
 
 class TestCriticalPathTrace:
@@ -35,11 +35,11 @@ class TestCriticalPathTrace:
         for n in "abc":
             nl.add_input(n)
         nl.add_output("q")
-        nl.add(and_gate("and_p1", [Pin("a"), Pin("b")], "p1"))
-        nl.add(and_gate("and_p2", [Pin("a"), Pin("c")], "p2"))
-        nl.add(or_gate("or_set", [Pin("p1"), Pin("p2")], "s"))
-        nl.add(and_gate("ack_set", [Pin("s"), Pin("qn")], "sg_"))
-        nl.add(and_gate("ack_rst", [Pin("a", True), Pin("q")], "rg"))
+        nl.add(Gate("and_p1", GateType.AND, [Pin("a"), Pin("b")], "p1"))
+        nl.add(Gate("and_p2", GateType.AND, [Pin("a"), Pin("c")], "p2"))
+        nl.add(Gate("or_set", GateType.OR, [Pin("p1"), Pin("p2")], "s"))
+        nl.add(Gate("ack_set", GateType.AND, [Pin("s"), Pin("qn")], "sg_"))
+        nl.add(Gate("ack_rst", GateType.AND, [Pin("a", True), Pin("q")], "rg"))
         nl.add(Gate("mhs", GateType.MHSFF, [Pin("sg_"), Pin("rg")], "q", output_n="qn"))
         trace = nl.critical_path_trace()
         names = [n for n, _ in trace]
@@ -58,7 +58,7 @@ class TestCriticalPathTrace:
         nl = Netlist("cut")
         nl.add_input("a")
         nl.add_output("y")
-        nl.add(and_gate("g1", [Pin("a")], "x"))
+        nl.add(Gate("g1", GateType.AND, [Pin("a")], "x"))
         pad = Gate("pad", GateType.DELAY, [Pin("x")], "y", delay=2.4,
                    attrs={"cut": True})
         nl.add(pad)

@@ -102,14 +102,6 @@ class TestRegistry:
         assert snap["gauges"] == {"states": 20}
         assert snap["histograms"]["lat"]["count"] == 1
 
-    def test_reset(self):
-        reg = MetricsRegistry()
-        reg.counter("c").add(5)
-        reg.reset()
-        assert reg.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
-
     def test_merge_semantics(self):
         """Counters add, gauges last-write-wins, histograms concatenate —
         the contract the campaign's worker merge relies on."""

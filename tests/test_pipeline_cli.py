@@ -123,19 +123,16 @@ class TestCompareSpans:
         return tr.spans()
 
     def test_compare_builds_the_sg_exactly_once(self, gfile, capsys):
-        """Six flows, one run object: the parse/SG-build stage resolves
-        once and every flow reuses the memoized artifact."""
+        """Six flows, one run object: the SG-build stage, which parses
+        and elaborates the spec, resolves once and every flow reuses the
+        memoized artifact."""
         spans = self._spans(["compare", str(gfile)])
         builds = [
             s for s in spans
             if s.name == "pipeline.stage" and s.attrs.get("stage") == "sg-build"
         ]
         assert len(builds) == 1
-        parses = [
-            s for s in spans
-            if s.name == "pipeline.stage" and s.attrs.get("stage") == "parse"
-        ]
-        assert len(parses) <= 1
+        assert [s.name for s in spans].count("reachability") == 1
 
     def test_synth_stage_spans_carry_outcomes(self, gfile, cache_dir, capsys):
         cold = self._spans(["synth", str(gfile), "--cache-dir", cache_dir])

@@ -36,8 +36,7 @@ c- a+ b+
 
 #: every stage a cold synthesize()+verify() computes, in order
 FULL_CONE = [
-    "parse", "sg-build", "classify", "regions", "sop-derivation",
-    "covers", "netlist", "delays", "verify",
+    "sg-build", "classify", "sop-derivation", "covers", "delays", "verify",
 ]
 
 
@@ -99,7 +98,7 @@ class TestKeys:
 
         sg = _celem_sg()
         monkeypatch.setattr(dag, "write_sg", refuse)
-        monkeypatch.setattr(dag, "canonicalize_spec", refuse)
+        monkeypatch.setattr(dag, "spec_digest", refuse)
         monkeypatch.setattr(dag, "default_env_digest", refuse)
         run = PipelineRun.from_sg(sg, name="celem")
         run.synthesize()
@@ -121,6 +120,27 @@ class TestKeys:
         monkeypatch.setattr(dag, "_ENV_DIGEST", None)
         assert dag.default_env_digest() == first
         assert len(first) == 12 and int(first, 16) >= 0
+
+
+class TestCatalog:
+    def test_no_stage_passes_through(self):
+        """A stage read by exactly one other stage, whose key
+        parameters that reader declares too, is never read on its own:
+        its work belongs inside the reader."""
+        readers = {name: [] for name in STAGES}
+        for sdef in STAGES.values():
+            for dep in sdef.deps:
+                readers[dep].append(sdef)
+        passing = [
+            name
+            for name, sdef in STAGES.items()
+            if len(readers[name]) == 1
+            and set(sdef.params) <= set(readers[name][0].params)
+        ]
+        assert passing == []
+
+    def test_versions_name_exactly_the_stages(self):
+        assert set(STAGE_VERSIONS) == set(STAGES)
 
 
 def _celem_sg():
@@ -192,28 +212,40 @@ class TestInvalidation:
         run_all(store)
         monkeypatch.setitem(STAGE_VERSIONS, "covers", 2)
         warm = run_all(store)
-        assert warm.executed == ["covers", "netlist", "delays", "verify"]
+        assert warm.executed == ["covers", "delays", "verify"]
         # upstream stages were served from cache, not recomputed
-        for stage in ("parse", "sg-build", "classify", "regions",
-                      "sop-derivation"):
+        for stage in ("sg-build", "classify", "sop-derivation"):
             assert stage not in warm.executed
 
-    def test_regions_bump_reruns_exactly_downstream_cone(
+    def test_sop_derivation_bump_reruns_exactly_downstream_cone(
         self, store, monkeypatch
     ):
-        # an entry written by the previous regions stage (no trigger
-        # regions in its SignalRegions) must never be unpickled again
+        # the sop-derivation entry carries the signal regions; one
+        # written by a previous sop-derivation stage (its SignalRegions
+        # in a stale layout) must never be unpickled again
+        from repro.sg.regions import Region
+
         with monkeypatch.context() as old:
-            old.setitem(STAGE_VERSIONS, "regions", STAGE_VERSIONS["regions"] - 1)
+            old.setitem(
+                STAGE_VERSIONS, "sop-derivation", STAGE_VERSIONS["sop-derivation"] - 1
+            )
             run_all(store)
+        loaded = []
+
+        def spy(self, state):
+            loaded.append(state)
+            self.__dict__.update(state)
+
+        monkeypatch.setattr(Region, "__setstate__", spy, raising=False)
         warm = run_all(store)
-        assert warm.executed == [
-            "regions", "sop-derivation", "covers", "netlist", "delays", "verify",
-        ]
+        assert warm.executed == ["sop-derivation", "covers", "delays", "verify"]
+        assert loaded == []
         assert all(
             len(sr.triggers) == len(sr.excitation)
-            for sr in warm.regions().values()
+            for sr in warm.sop().regions.values()
         )
+        # the spy does see a region that is read back from the store
+        assert run_all(store).circuit().spec.regions and loaded
 
     def test_sg_build_entry_carrying_a_region_memo(self, store, monkeypatch):
         # synthesizing a graph whose regions were already analysed (as
@@ -263,7 +295,7 @@ class TestInvalidation:
             STAGE_VERSIONS, "sg-build", STAGE_VERSIONS["sg-build"] + 1
         )
         warm = run_all(store)
-        assert warm.executed == FULL_CONE[1:]  # parse's key is unchanged
+        assert warm.executed == FULL_CONE  # sg-build is the root
 
     def test_env_change_invalidates_everything(self, store):
         run_all(store, env_digest="machine-a")

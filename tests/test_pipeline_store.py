@@ -31,7 +31,7 @@ def store(tmp_path) -> ArtifactStore:
 
 class TestPutGet:
     def test_roundtrip(self, store):
-        store.put(KEY_A, {"x": [1, 2, 3]}, meta={"stage": "parse"})
+        store.put(KEY_A, {"x": [1, 2, 3]}, meta={"stage": "sg-build"})
         found, value = store.get(KEY_A)
         assert found and value == {"x": [1, 2, 3]}
         assert store.hits == 1 and store.misses == 0
@@ -178,7 +178,7 @@ def _hammer(root: str, n: int, worker: int) -> None:
     for i in range(n):
         key = f"{i % 7:02d}" + f"{i % 7:062d}"
         st.put(key, {"i": i % 7, "payload": list(range(200))},
-               meta={"stage": "parse"})
+               meta={"stage": "sg-build"})
         st.get(key)
 
 
@@ -211,7 +211,7 @@ class TestGc:
     def _fill(self, store, n=6):
         for i in range(n):
             key = f"{i:02d}" + "e" * 62
-            store.put(key, "x" * 1000, meta={"stage": "parse", "name": f"c{i}"})
+            store.put(key, "x" * 1000, meta={"stage": "sg-build", "name": f"c{i}"})
             # deterministic, well-separated ages (i=0 oldest)
             t = 1_000_000.0 + i * 100
             os.utime(store._payload_path(key), (t, t))
@@ -295,14 +295,14 @@ class TestGc:
 
 class TestStats:
     def test_stats_shape(self, store):
-        store.put(KEY_A, "x", meta={"stage": "parse"})
+        store.put(KEY_A, "x", meta={"stage": "sg-build"})
         store.put(KEY_B, "y", meta={"stage": "covers"})
         store.get(KEY_A)
         s = store.stats()
         assert s["entries"] == 2
         assert s["bytes"] > 0
-        assert set(s["by_stage"]) == {"covers", "parse"}
-        assert s["by_stage"]["parse"]["count"] == 1
+        assert set(s["by_stage"]) == {"covers", "sg-build"}
+        assert s["by_stage"]["sg-build"]["count"] == 1
         assert s["session"]["hits"] == 1
         assert s["session"]["misses"] == 0
         json.dumps(s)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sg import SGBuilder, SGError, StateGraph, Transition, sg_from_trace_spec
+from repro.sg import SGBuilder, SGError, StateGraph, Transition
 
 
 class TestTransition:
@@ -149,18 +149,16 @@ class TestSGBuilder:
 
 class TestTraceSpec:
     def test_basic(self):
-        sg = sg_from_trace_spec(
-            ["r", "y"],
-            ["r"],
-            ["00 +r", "10 +y", "11 -r", "01 -y"],
-        )
+        b = SGBuilder(["r", "y"], ["r"])
+        assert b.chain("00", "+r", "+y", "-r", "-y") == "00"
+        b.initial("00")
+        sg = b.build()
         assert sg.num_states == 4
         assert sg.initial == "00"
 
     def test_explicit_destination(self):
-        sg = sg_from_trace_spec(["a"], ["a"], ["0 +a 1", "1 -a 0"])
-        assert sg.num_states == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(SGError):
-            sg_from_trace_spec(["a"], ["a"], [])
+        b = SGBuilder(["a"], ["a"])
+        b.arc("0", "+a", "1")
+        b.arc("1", "-a", "0")
+        b.initial("0")
+        assert b.build().num_states == 2

@@ -27,9 +27,9 @@ from repro.bench.circuits import (
     figure7b_sg,
 )
 from repro.baselines.hazard_free_sop import (
+    _static_one_arcs,
     function_hazard_states,
     next_state_function,
-    static_one_hazard_pairs,
 )
 from repro.bench.circuits.handshakes import muller_pipeline
 from repro.fuzz.generator import derive_seed, generate_spec, knob_combinations
@@ -148,7 +148,8 @@ def assert_baseline_predicates_agree(sg) -> None:
             # ``a`` never fires, so it has no ER or QR and the spec
             # assigns no state (the one-state corpus reproducer)
             assert off == set()
-        pairs = static_one_hazard_pairs(sg, spec)
+        label = sg.dense().label
+        pairs = [(label(s), label(d)) for s, _a, d in _static_one_arcs(sg, spec)]
         assert len(pairs) == len(set(pairs))
         assert set(pairs) == ref.static_one_pairs(g, a)
         exposed = function_hazard_states(sg, spec)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netlist import Gate, GateType, Netlist, Pin, and_gate, or_gate
+from repro.netlist import Gate, GateType, Netlist, Pin
 from repro.sim import (
     Pulse,
     SGEnvironment,
@@ -113,8 +113,8 @@ class TestSimulator:
         nl.add_input("a")
         nl.add_input("b")
         nl.add_output("y")
-        nl.add(and_gate("g1", [Pin("a"), Pin("b", inverted=True)], "x"))
-        nl.add(or_gate("g2", [Pin("x"), Pin("b")], "y"))
+        nl.add(Gate("g1", GateType.AND, [Pin("a"), Pin("b", inverted=True)], "x"))
+        nl.add(Gate("g2", GateType.OR, [Pin("x"), Pin("b")], "y"))
         sim = Simulator(nl)
         sim.initialize({"a": 1, "b": 0})
         assert sim.value("y") == 1     # a·b' = 1

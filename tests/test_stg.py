@@ -8,7 +8,6 @@ from repro.stg import (
     StgError,
     StgTransition,
     elaborate,
-    infer_initial_values,
     parse_g,
     write_g,
 )
@@ -136,9 +135,15 @@ class TestParser:
         assert stg.initial_values == {"a": 0, "b": 0}
 
 
+def _initial_values(stg: Stg) -> dict[str, int]:
+    """Each signal's value in the elaborated graph's initial state."""
+    sg = elaborate(stg)
+    return {s: sg.value(sg.initial, i) for i, s in enumerate(sg.signals)}
+
+
 class TestInference:
     def test_celem_inference(self):
-        values = infer_initial_values(parse_g(C_ELEMENT_G))
+        values = _initial_values(parse_g(C_ELEMENT_G))
         assert values == {"a": 0, "b": 0, "c": 0}
 
     def test_falling_first(self):
@@ -154,13 +159,13 @@ class TestInference:
         .marking { <b+,a-> }
         .end
         """
-        values = infer_initial_values(parse_g(text))
+        values = _initial_values(parse_g(text))
         assert values == {"a": 1, "b": 1}
 
     def test_explicit_override(self):
         stg = parse_g(C_ELEMENT_G)
         stg.set_initial_value("a", 0)
-        assert infer_initial_values(stg)["a"] == 0
+        assert _initial_values(stg)["a"] == 0
 
 
 class TestElaboration:
