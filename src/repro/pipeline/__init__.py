@@ -18,7 +18,10 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".store": "ArtifactStore CacheEntry GcReport parse_age parse_size",
-        ".stages": "Classification CoverBundle STAGES STAGE_VERSIONS StageDef",
-        ".dag": "KEY_SCHEMA PipelineRun resolve_store",
+        ".stages": (
+            "Classification CoverBundle STAGES STAGE_VERSIONS StageDef "
+            "SynthesisResult"
+        ),
+        ".dag": "KEY_SCHEMA PipelineRun canonicalize_spec resolve_store spec_digest",
     },
 )

@@ -3,8 +3,8 @@
 A :class:`PipelineRun` is one specification's session with the
 pipeline, and the only way the synthesis flow runs.  With a store
 attached it canonicalizes the spec text into a root digest
-(:func:`repro.sg.sgformat.spec_digest`) and derives one sha256 cache
-key per stage by hashing ::
+(:func:`spec_digest`) and derives one sha256 cache key per stage by
+hashing ::
 
     {schema, stage, STAGE_VERSIONS[stage], root digest,
      env fingerprint digest, stage params, upstream stage keys}
@@ -33,11 +33,14 @@ import sys
 from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
-from ..netlist import DEFAULT_LIBRARY, Library
 from ..obs import trace_span
-from ..sg.graph import StateGraph
-from ..sg.sgformat import spec_digest, write_sg
-from .stages import STAGES, STAGE_VERSIONS, Classification, CoverBundle
+from .stages import (
+    STAGES,
+    STAGE_VERSIONS,
+    Classification,
+    CoverBundle,
+    SynthesisResult,
+)
 from .store import ArtifactStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,11 +48,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.sop_derivation import SopSpec
     from ..core.synthesizer import NShotCircuit
     from ..core.verify import VerificationSummary
+    from ..netlist import Library
+    from ..sg.graph import StateGraph
 
 __all__ = [
     "KEY_SCHEMA",
     "PipelineRun",
+    "canonicalize_spec",
     "resolve_store",
+    "spec_digest",
 ]
 
 KEY_SCHEMA = "repro-pipeline/2"
@@ -87,6 +94,136 @@ def default_env_digest() -> str:
     return _ENV_DIGEST
 
 
+def canonicalize_spec(text: str) -> str:
+    """Canonical form of a ``.g`` STG or ``.sg`` state-graph spec.
+
+    The canonical form is invariant under the *cosmetic* freedoms of
+    the formats — the things an author can change without changing
+    what circuit is specified:
+
+    * ``#`` comments and blank lines;
+    * whitespace runs and indentation;
+    * the order of names in (possibly repeated) ``.inputs`` /
+      ``.outputs`` / ``.internal`` declarations;
+    * the order of graph lines, and for ``.g`` the grouping of
+      successors on one line (``a+ b+ c+`` ≡ ``a+ b+`` + ``a+ c+``);
+    * the order of ``.marking`` tokens, ``.coding`` lines and
+      ``.initial`` assignments.
+
+    Semantic content — which arcs exist, the marking, the model name
+    (it names the synthesized module), signal polarity — survives into
+    the canonical text, so any edit that changes the specified behavior
+    changes the canonical form.  Implicit defaults are made explicit
+    (an ``.sg`` file without a ``.marking`` takes its first arc's
+    source as the initial state, which the arc *order* pins down —
+    canonicalization freezes that choice before sorting the arcs).
+
+    This is the content-addressed pipeline's root: the cache key of
+    every derived artifact starts from :func:`spec_digest`.
+    """
+    model = ""
+    decls: dict[str, set[str]] = {".inputs": set(), ".outputs": set(), ".internal": set()}
+    graph_pairs: list[str] = []  # .g dialect: one "src dst" pair per arc
+    sg_arcs: list[str] = []  # .sg dialect: "src label dst" triples
+    codings: list[str] = []
+    markings: list[str] = []
+    initials: list[str] = []
+    is_sg = False
+    in_graph = False
+    first_sg_src: str | None = None
+
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if line.startswith("."):
+            key = parts[0]
+            if key in (".model", ".name"):
+                model = parts[1] if len(parts) > 1 else model
+                in_graph = False
+            elif key in decls:
+                decls[key].update(parts[1:])
+                in_graph = False
+            elif key == ".graph":
+                in_graph = True
+            elif key == ".state":
+                is_sg = True  # ".state graph"
+                in_graph = True
+            elif key == ".coding":
+                codings.append(" ".join(parts[1:]))
+                in_graph = False
+            elif key == ".marking":
+                body = line[len(".marking"):].strip().strip("{} \t")
+                markings.extend(_split_marking_tokens(body))
+                in_graph = False
+            elif key == ".initial":
+                initials.extend(parts[1:])
+                in_graph = False
+            else:  # .end, .dummy, unknown: parser rejects or ignores
+                in_graph = False
+            continue
+        if in_graph:
+            if is_sg:
+                if first_sg_src is None:
+                    first_sg_src = parts[0]
+                sg_arcs.append(" ".join(parts))
+            else:
+                src = parts[0]
+                for dst in parts[1:]:
+                    graph_pairs.append(f"{src} {dst}")
+
+    if is_sg and not markings and first_sg_src is not None:
+        # freeze the implicit "first arc's source" initial state before
+        # the arc lines lose their order below
+        markings.append(first_sg_src)
+
+    lines = [f".model {model}"]
+    for key in (".inputs", ".outputs", ".internal"):
+        if decls[key]:
+            lines.append(key + " " + " ".join(sorted(decls[key])))
+    lines.append(".state graph" if is_sg else ".graph")
+    lines.extend(sorted(sg_arcs if is_sg else graph_pairs))
+    for c in sorted(codings):
+        lines.append(".coding " + c)
+    lines.append(".marking { " + " ".join(sorted(markings)) + " }")
+    if initials:
+        lines.append(".initial " + " ".join(sorted(initials)))
+    lines.append(".end")
+    return "\n".join(lines) + "\n"
+
+
+def _split_marking_tokens(body: str) -> list[str]:
+    """Marking tokens, keeping ``<a+,b+>`` pairs together and
+    normalizing the whitespace inside them."""
+    tokens: list[str] = []
+    i = 0
+    while i < len(body):
+        ch = body[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "<":
+            j = body.index(">", i)
+            inner = body[i + 1 : j]
+            tokens.append("<" + ",".join(p.strip() for p in inner.split(",")) + ">")
+            i = j + 1
+        else:
+            j = i
+            while j < len(body) and not body[j].isspace():
+                j += 1
+            tokens.append(body[i:j])
+            i = j
+    return tokens
+
+
+def spec_digest(text: str) -> str:
+    """sha256 hex digest of :func:`canonicalize_spec` — the pipeline's
+    content-addressed root key.  Cosmetic edits (comments, whitespace,
+    declaration order) preserve it; semantic edits change it."""
+    return hashlib.sha256(canonicalize_spec(text).encode()).hexdigest()
+
+
 def resolve_store(
     cache_dir: str | None = None, no_cache: bool = False
 ) -> ArtifactStore | None:
@@ -117,12 +254,16 @@ class PipelineRun:
         dialect: str | None = None,
         source_sg: StateGraph | None = None,
         method: str = "espresso",
-        library: Library = DEFAULT_LIBRARY,
+        library: "Library | None" = None,
         mhs_tau: float = 1.2,
         delay_spread: float = 0.0,
         share_products: bool = True,
         env_digest: str | None = None,
     ) -> None:
+        if library is None:
+            from ..netlist import DEFAULT_LIBRARY
+
+            library = DEFAULT_LIBRARY
         self._text = text
         self.dialect = dialect or (
             "sg" if ".state graph" in text else "g"
@@ -194,6 +335,8 @@ class PipelineRun:
     @property
     def root_text(self) -> str:
         if self._text is None:
+            from ..sg.sgformat import write_sg
+
             self._text = write_sg(self.source_sg, self.name)
         return self._text
 
@@ -239,6 +382,8 @@ class PipelineRun:
             value: Any = None
             if self.store is not None:
                 found, value = self.store.get(key)
+                if found and isinstance(value, SynthesisResult):
+                    value.recompute = lambda: self._recompute(stage, key)
             if not found:
                 fn = STAGES[stage].fn
                 value = fn(self) if extra is None else fn(self, extra)
@@ -259,6 +404,13 @@ class PipelineRun:
         self._outcomes[memo_key] = "hit" if found else "miss"
         self._memo[memo_key] = value
         return value
+
+    def _recompute(self, stage: str, key: str) -> Any:
+        """Quarantine the stored entry of ``stage`` whose lazily decoded
+        part failed to decode, and resolve the stage again."""
+        self.store.quarantine(key)
+        del self._memo[stage]
+        return self.artifact(stage)
 
     # ------------------------------------------------------------------
     # named pulls
@@ -293,8 +445,13 @@ class PipelineRun:
         return self.synthesize(validate=False)
 
     def synthesize(self, validate: bool = True) -> "NShotCircuit":
-        """The N-SHOT circuit, gated on :meth:`ensure_valid` unless
-        ``validate=False``; one ``synthesize`` span covers both."""
+        """The N-SHOT circuit of :meth:`synthesis_result`."""
+        return self.synthesis_result(validate).circuit
+
+    def synthesis_result(self, validate: bool = True) -> SynthesisResult:
+        """The ``delays`` artifact, gated on :meth:`ensure_valid` unless
+        ``validate=False``; one ``synthesize`` span covers both.  Its
+        counts and text need no decoding of a stored circuit."""
         if "delays" in self._memo:
             if validate:
                 self.ensure_valid()
@@ -304,13 +461,9 @@ class PipelineRun:
         ) as sp:
             if validate:
                 self.ensure_valid()
-            c = self.artifact("delays")
-            sp.set(
-                states=c.sg.num_states,
-                cubes=len(c.cover),
-                gates=len(c.netlist.gates),
-            )
-        return c
+            result = self.artifact("delays")
+            sp.set(states=result.states, cubes=result.cubes, gates=result.gates)
+        return result
 
     def verify(
         self,

@@ -17,6 +17,11 @@ nothing that reader's key lacks, runs inside that reader instead of
 being stored apart (the regions inside ``sop-derivation``, the
 netlist inside ``delays``).
 
+The ``delays`` artifact is a :class:`SynthesisResult`: the circuit plus
+the text ``repro synth`` prints of it.  Stored, the circuit is pickled
+bytes inside it, decoded the first time :attr:`SynthesisResult.circuit`
+is read, so a warm synth prints without importing the engine.
+
 The DAG (``covers`` also reads ``sg-build``)::
 
     sg-build ──► classify          (lint gate; off the synthesis cone)
@@ -30,15 +35,17 @@ The DAG (``covers`` also reads ``sg-build``)::
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..netlist import Library
 from ..obs import trace_span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.diagnostics import Diagnostic
+    from ..core.synthesizer import NShotCircuit
     from ..logic import Cover
+    from ..netlist import Library
     from ..sg.graph import StateGraph
     from .dag import PipelineRun
 
@@ -48,6 +55,7 @@ __all__ = [
     "Classification",
     "CoverBundle",
     "StageDef",
+    "SynthesisResult",
 ]
 
 
@@ -59,7 +67,7 @@ STAGE_VERSIONS: dict[str, int] = {
     "classify": 3,
     "sop-derivation": 3,
     "covers": 1,
-    "delays": 2,
+    "delays": 3,
     "verify": 1,
     "certify": 1,
 }
@@ -89,6 +97,81 @@ class CoverBundle:
     cover: "Cover"
     single_traversal: bool
     trigger_cubes_added: int
+
+
+class SynthesisResult:
+    """The ``delays`` stage artifact: the N-SHOT circuit, plus what
+    ``repro synth`` prints of it.
+
+    A computed result holds the live circuit and renders its text
+    (:attr:`description`, :attr:`pla`) on first use, so a storeless
+    caller never renders it.  Pickled, it becomes the text, the counts
+    the ``synthesize`` span reports, and the circuit as pickled bytes;
+    a result read back decodes those bytes only when :attr:`circuit` is
+    first read, so printing it imports none of the engine.
+    """
+
+    def __init__(self, circuit: "NShotCircuit") -> None:
+        self._circuit: "NShotCircuit | None" = circuit
+        self._blob: bytes | None = None
+        self._text: tuple[str, str] | None = None
+        self.states = circuit.sg.num_states
+        self.cubes = len(circuit.cover)
+        self.gates = len(circuit.netlist.gates)
+        #: set by the run that read this result from a store: resolves
+        #: the stage again when the circuit bytes fail to decode
+        self.recompute: "Callable[[], SynthesisResult] | None" = None
+
+    @property
+    def circuit(self) -> "NShotCircuit":
+        if self._circuit is None:
+            try:
+                self._circuit = pickle.loads(self._blob)
+            except Exception:
+                if self.recompute is None:
+                    raise
+                self._circuit = self.recompute().circuit
+            self._blob = None
+        return self._circuit
+
+    @property
+    def description(self) -> str:
+        """:meth:`NShotCircuit.describe`."""
+        return self._rendered()[0]
+
+    @property
+    def pla(self) -> str:
+        """The final cover as PLA text."""
+        return self._rendered()[1]
+
+    def _rendered(self) -> tuple[str, str]:
+        if self._text is None:
+            from ..logic.pla import write_pla
+
+            c = self.circuit
+            names = [c.spec.output_name(o) for o in range(c.spec.num_outputs)]
+            self._text = (
+                c.describe(),
+                write_pla(c.cover, input_names=c.sg.signals, output_names=names),
+            )
+        return self._text
+
+    def __getstate__(self) -> dict[str, Any]:
+        blob = self._blob
+        if blob is None:
+            blob = pickle.dumps(self._circuit, protocol=pickle.HIGHEST_PROTOCOL)
+        return {
+            "text": self._rendered(),
+            "counts": (self.states, self.cubes, self.gates),
+            "circuit": blob,
+        }
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self._circuit = None
+        self._blob = state["circuit"]
+        self._text = state["text"]
+        self.states, self.cubes, self.gates = state["counts"]
+        self.recompute = None
 
 
 @dataclass(frozen=True)
@@ -162,36 +245,41 @@ def _stage_covers(run: "PipelineRun") -> CoverBundle:
     )
 
 
-def _stage_delays(run: "PipelineRun"):
+def _library(run: "PipelineRun") -> "Library":
+    from ..netlist import Library
+
+    lib = run.params["library"]
+    return Library(level_delay=lib["level_delay"], pair_area=lib["pair_area"])
+
+
+def _stage_delays(run: "PipelineRun") -> SynthesisResult:
     from ..core.synthesizer import build_architecture, finalize_circuit
 
     sg = run.artifact("sg-build")
     spec = run.artifact("sop-derivation")
     bundle: CoverBundle = run.artifact("covers")
     arch = build_architecture(spec, bundle.cover, name=run.name)
-    lib = run.params["library"]
-    return finalize_circuit(
+    circuit = finalize_circuit(
         sg,
         spec,
         bundle.cover,
         arch,
         name=run.name,
         method=run.params["method"],
-        library=Library(
-            level_delay=lib["level_delay"], pair_area=lib["pair_area"]
-        ),
+        library=_library(run),
         mhs_tau=run.params["mhs_tau"],
         delay_spread=run.params["spread"],
         single_traversal=bundle.single_traversal,
         trigger_cubes_added=bundle.trigger_cubes_added,
     )
+    return SynthesisResult(circuit)
 
 
 def _stage_verify(run: "PipelineRun", params: dict[str, Any]):
     from ..core.verify import verify_hazard_freeness
 
     return verify_hazard_freeness(
-        run.artifact("delays"),
+        run.artifact("delays").circuit,
         runs=params["runs"],
         max_transitions=params["max_transitions"],
     )
@@ -200,14 +288,8 @@ def _stage_verify(run: "PipelineRun", params: dict[str, Any]):
 def _stage_certify(run: "PipelineRun"):
     from ..analysis.certify import certify_circuit
 
-    circuit = run.artifact("delays")
-    lib = run.params["library"]
     return certify_circuit(
-        circuit,
-        library=Library(
-            level_delay=lib["level_delay"], pair_area=lib["pair_area"]
-        ),
-        name=run.name,
+        run.artifact("delays").circuit, library=_library(run), name=run.name
     )
 
 

@@ -33,6 +33,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         ".csc": "CscConflict csc_report insert_state_signal",
         ".dot": "sg_to_dot netlist_to_dot",
-        ".sgformat": "canonicalize_spec parse_sg spec_digest write_sg",
+        ".sgformat": "parse_sg write_sg",
     },
 )

@@ -35,8 +35,8 @@ def bits_to_covers(sg: StateGraph, bitsets: list[int]) -> list[Cover]:
     two flows build it once.  The bitsets are taken to code space
     together, so pass all a caller needs in one call.
     """
-    # imported here, not above: a warm synth loads this module but builds
-    # no cover, so it need not load the code space
+    # imported here, not above: decoding a stored circuit loads this
+    # module but builds no cover, so it need not load the code space
     from .codespace import bitmap_cover, code_space
 
     n, memo = sg.num_signals, sg.analysis().covers

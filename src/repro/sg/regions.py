@@ -541,8 +541,8 @@ def _analyse(sg: StateGraph, signals: list[int]) -> dict[int, SignalRegions]:
     from one set of code-space floods where the graph has a code space
     and one set of mask passes where not; each signal gets its own
     ``regions`` span, the first one also holding the shared work."""
-    # imported here, not above: a warm synth unpickles regions and never
-    # computes any, so it need not load the code space
+    # imported here, not above: decoding a stored circuit unpickles
+    # regions and computes none, so it need not load the code space
     from .codespace import arcs_agree, code_space
 
     view = sg.dense()

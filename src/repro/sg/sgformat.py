@@ -26,11 +26,9 @@ ambiguous.
 
 from __future__ import annotations
 
-import hashlib
-
 from .graph import SGError, StateGraph, Transition
 
-__all__ = ["canonicalize_spec", "parse_sg", "spec_digest", "write_sg"]
+__all__ = ["parse_sg", "write_sg"]
 
 
 def _parse_label(text: str) -> tuple[str, int]:
@@ -185,136 +183,6 @@ def parse_sg(text: str) -> StateGraph:
         if code[name] != want:
             raise SGError(f".coding of {name!r} contradicts propagation")
     return sg
-
-
-def canonicalize_spec(text: str) -> str:
-    """Canonical form of a ``.g`` STG or ``.sg`` state-graph spec.
-
-    The canonical form is invariant under the *cosmetic* freedoms of
-    the formats — the things an author can change without changing
-    what circuit is specified:
-
-    * ``#`` comments and blank lines;
-    * whitespace runs and indentation;
-    * the order of names in (possibly repeated) ``.inputs`` /
-      ``.outputs`` / ``.internal`` declarations;
-    * the order of graph lines, and for ``.g`` the grouping of
-      successors on one line (``a+ b+ c+`` ≡ ``a+ b+`` + ``a+ c+``);
-    * the order of ``.marking`` tokens, ``.coding`` lines and
-      ``.initial`` assignments.
-
-    Semantic content — which arcs exist, the marking, the model name
-    (it names the synthesized module), signal polarity — survives into
-    the canonical text, so any edit that changes the specified behavior
-    changes the canonical form.  Implicit defaults are made explicit
-    (an ``.sg`` file without a ``.marking`` takes its first arc's
-    source as the initial state, which the arc *order* pins down —
-    canonicalization freezes that choice before sorting the arcs).
-
-    This is the content-addressed pipeline's root: the cache key of
-    every derived artifact starts from :func:`spec_digest`.
-    """
-    model = ""
-    decls: dict[str, set[str]] = {".inputs": set(), ".outputs": set(), ".internal": set()}
-    graph_pairs: list[str] = []  # .g dialect: one "src dst" pair per arc
-    sg_arcs: list[str] = []  # .sg dialect: "src label dst" triples
-    codings: list[str] = []
-    markings: list[str] = []
-    initials: list[str] = []
-    is_sg = False
-    in_graph = False
-    first_sg_src: str | None = None
-
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if line.startswith("."):
-            key = parts[0]
-            if key in (".model", ".name"):
-                model = parts[1] if len(parts) > 1 else model
-                in_graph = False
-            elif key in decls:
-                decls[key].update(parts[1:])
-                in_graph = False
-            elif key == ".graph":
-                in_graph = True
-            elif key == ".state":
-                is_sg = True  # ".state graph"
-                in_graph = True
-            elif key == ".coding":
-                codings.append(" ".join(parts[1:]))
-                in_graph = False
-            elif key == ".marking":
-                body = line[len(".marking"):].strip().strip("{} \t")
-                markings.extend(_split_marking_tokens(body))
-                in_graph = False
-            elif key == ".initial":
-                initials.extend(parts[1:])
-                in_graph = False
-            else:  # .end, .dummy, unknown: parser rejects or ignores
-                in_graph = False
-            continue
-        if in_graph:
-            if is_sg:
-                if first_sg_src is None:
-                    first_sg_src = parts[0]
-                sg_arcs.append(" ".join(parts))
-            else:
-                src = parts[0]
-                for dst in parts[1:]:
-                    graph_pairs.append(f"{src} {dst}")
-
-    if is_sg and not markings and first_sg_src is not None:
-        # freeze the implicit "first arc's source" initial state before
-        # the arc lines lose their order below
-        markings.append(first_sg_src)
-
-    lines = [f".model {model}"]
-    for key in (".inputs", ".outputs", ".internal"):
-        if decls[key]:
-            lines.append(key + " " + " ".join(sorted(decls[key])))
-    lines.append(".state graph" if is_sg else ".graph")
-    lines.extend(sorted(sg_arcs if is_sg else graph_pairs))
-    for c in sorted(codings):
-        lines.append(".coding " + c)
-    lines.append(".marking { " + " ".join(sorted(markings)) + " }")
-    if initials:
-        lines.append(".initial " + " ".join(sorted(initials)))
-    lines.append(".end")
-    return "\n".join(lines) + "\n"
-
-
-def _split_marking_tokens(body: str) -> list[str]:
-    """Marking tokens, keeping ``<a+,b+>`` pairs together and
-    normalizing the whitespace inside them."""
-    tokens: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "<":
-            j = body.index(">", i)
-            inner = body[i + 1 : j]
-            tokens.append("<" + ",".join(p.strip() for p in inner.split(",")) + ">")
-            i = j + 1
-        else:
-            j = i
-            while j < len(body) and not body[j].isspace():
-                j += 1
-            tokens.append(body[i:j])
-            i = j
-    return tokens
-
-
-def spec_digest(text: str) -> str:
-    """sha256 hex digest of :func:`canonicalize_spec` — the pipeline's
-    content-addressed root key.  Cosmetic edits (comments, whitespace,
-    declaration order) preserve it; semantic edits change it."""
-    return hashlib.sha256(canonicalize_spec(text).encode()).hexdigest()
 
 
 def write_sg(sg: StateGraph, name: str = "sg") -> str:

@@ -1,12 +1,14 @@
 """Contracts of the lazy package surface.
 
 * **lazy imports** — ``import repro`` loads no subpackage, and a warm
-  ``repro synth --cache-dir`` loads only the modules its cached
-  artifacts unpickle and its output needs: no simulator, baseline,
-  bench, STG front-end, fuzzer, lint engine, minimizer,
-  heavy observability module or other command's CLI module, and neither
-  ``subprocess``, ``platform`` nor ``uuid``; a cold synth loads no
-  certifier, simulator (MHS model) or exact minimizer;
+  ``repro synth --cache-dir --pla`` prints and writes from the stored
+  text of the ``delays`` entry without decoding its circuit, so it
+  loads none of the engine: no ``core``, ``logic`` or ``analysis``
+  module, no state graph, regions or netlist container, no simulator,
+  baseline, bench, STG front-end, fuzzer, heavy observability module or
+  other command's CLI module, and neither ``subprocess``, ``platform``
+  nor ``uuid``; a cold synth loads no certifier, simulator (MHS model)
+  or exact minimizer;
 * **public surface** — every ``__all__`` name of ``repro`` and of each
   subpackage resolves, is listed by ``dir()`` and star-imports;
 * **rule catalogue** — the built-in lint rules register on the first
@@ -47,12 +49,12 @@ NOT_ON_WARM_SYNTH = (
     "repro.bench.",
     "repro.stg.",
     "repro.fuzz.",
-    "repro.analysis.engine",
-    "repro.analysis.rules_",
-    "repro.logic.espresso",
-    "repro.logic.exact",
-    "repro.core.trigger",
-    "repro.core.verify",
+    "repro.core.",
+    "repro.logic.",
+    "repro.analysis.",
+    "repro.sg.graph",
+    "repro.sg.regions",
+    "repro.netlist.netlist",
     "repro.obs.profiling",
     "repro.obs.harness",
     "repro.obs.regress",

@@ -84,6 +84,15 @@ class TestSynthCaching:
         assert capsys.readouterr().out == plain
 
 
+def _sg_spec(tmp_path, name="combuf1") -> pathlib.Path:
+    from repro.bench import sg_of
+    from repro.sg.sgformat import write_sg
+
+    spec = tmp_path / f"{name}.sg"
+    spec.write_text(write_sg(sg_of(name), name=name))
+    return spec
+
+
 @pytest.mark.parametrize(
     "spec", [*EXAMPLE_SPECS, "combuf1.sg"], ids=lambda p: pathlib.Path(p).name
 )
@@ -92,11 +101,7 @@ def test_warm_synth_files_match_cold_and_storeless(spec, tmp_path, cache_dir,
     """stdout, ``--pla`` and ``-o`` Verilog of a warm synth are the
     bytes of the cold and the storeless run, for .g and .sg specs."""
     if spec == "combuf1.sg":
-        from repro.bench import sg_of
-        from repro.sg.sgformat import write_sg
-
-        spec = tmp_path / "combuf1.sg"
-        spec.write_text(write_sg(sg_of("combuf1"), name="combuf1"))
+        spec = _sg_spec(tmp_path)
     pla, verilog = tmp_path / "out.pla", tmp_path / "out.v"
 
     def synth(*store_args):
@@ -109,6 +114,74 @@ def test_warm_synth_files_match_cold_and_storeless(spec, tmp_path, cache_dir,
     warm = synth("--cache-dir", cache_dir)
     assert "N-SHOT circuit" in warm[0]
     assert warm == cold == storeless
+
+
+@pytest.mark.parametrize(
+    "spec", [*EXAMPLE_SPECS, "combuf1.sg"], ids=lambda p: pathlib.Path(p).name
+)
+def test_store_filled_through_the_library_serves_synth(spec, tmp_path,
+                                                       cache_dir, capsys):
+    """A store filled only by ``PipelineRun`` pulls of the SG, the
+    classification and the circuit (the perfbench ``cli-hit`` set-up)
+    serves ``repro synth --pla -o`` without writing an entry, and the
+    run prints and writes the bytes of a storeless run."""
+    from repro.pipeline import PipelineRun
+
+    if spec == "combuf1.sg":
+        spec = _sg_spec(tmp_path)
+    run = PipelineRun.from_file(
+        str(spec), store=ArtifactStore(cache_dir), method="espresso",
+        delay_spread=0.0,
+    )
+    run.sg()
+    run.classification()
+    run.circuit()
+    pla, verilog = tmp_path / "out.pla", tmp_path / "out.v"
+
+    def synth(*store_args):
+        argv = ["synth", str(spec), "--pla", str(pla), "-o", str(verilog)]
+        assert main([*argv, *store_args]) == 0
+        return capsys.readouterr().out, pla.read_bytes(), verilog.read_bytes()
+
+    storeless = synth("--no-cache")
+    entries = ArtifactStore(cache_dir).stats()["entries"]
+    warm = synth("--cache-dir", cache_dir)
+    assert ArtifactStore(cache_dir).stats()["entries"] == entries
+    assert warm == storeless
+
+
+def test_undecodable_circuit_bytes_are_quarantined(tmp_path, gfile, cache_dir,
+                                                    capsys):
+    """A ``delays`` entry whose envelope and checksum are sound but
+    whose circuit bytes do not unpickle costs a recompute when the
+    circuit is first needed: the entry is quarantined, never a
+    traceback."""
+    import pickle
+    from hashlib import sha256
+
+    verilog = tmp_path / "out.v"
+    argv = ["synth", str(gfile), "--cache-dir", cache_dir, "-o", str(verilog)]
+    assert main(argv) == 0
+    cold = capsys.readouterr(), verilog.read_bytes()
+    store = ArtifactStore(cache_dir)
+    (entry,) = [e for e in store.entries() if e.stage == "delays"]
+    payload = pathlib.Path(store._payload_path(entry.key))
+    result = pickle.loads(payload.read_bytes())
+    result._blob = b"\x80\x05garbage-not-a-pickle"
+    blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    payload.write_bytes(blob)
+    meta_path = pathlib.Path(store._meta_path(entry.key))
+    meta = json.loads(meta_path.read_text())
+    meta["payload_sha256"] = sha256(blob).hexdigest()
+    meta_path.write_text(json.dumps(meta))
+
+    assert main(argv) == 0
+    assert (capsys.readouterr(), verilog.read_bytes()) == cold
+    assert len(list((pathlib.Path(cache_dir) / "quarantine").iterdir())) == 2
+    # the recomputed entry replaced the bad one and decodes
+    assert main(argv) == 0
+    assert (capsys.readouterr(), verilog.read_bytes()) == cold
+    assert len(list((pathlib.Path(cache_dir) / "quarantine").iterdir())) == 2
 
 
 class TestCompareSpans:

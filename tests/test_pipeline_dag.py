@@ -90,16 +90,20 @@ class TestKeys:
 
     def test_storeless_from_sg_never_renders_the_spec(self, monkeypatch):
         """Without a store nothing needs a key, so the SG is never
-        serialized, canonicalized or hashed."""
+        serialized, canonicalized or hashed, and nothing pickles the
+        ``delays`` artifact, so its printout is never rendered."""
         import repro.pipeline.dag as dag
+        import repro.sg.sgformat as sgformat
+        from repro.pipeline import SynthesisResult
 
         def refuse(*_a, **_kw):
             raise AssertionError("spec rendered without a store")
 
         sg = _celem_sg()
-        monkeypatch.setattr(dag, "write_sg", refuse)
+        monkeypatch.setattr(sgformat, "write_sg", refuse)
         monkeypatch.setattr(dag, "spec_digest", refuse)
         monkeypatch.setattr(dag, "default_env_digest", refuse)
+        monkeypatch.setattr(SynthesisResult, "_rendered", refuse)
         run = PipelineRun.from_sg(sg, name="celem")
         run.synthesize()
         run.certify()

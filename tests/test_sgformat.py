@@ -122,7 +122,7 @@ class TestSpecDigest:
     the digest, semantic edits change it."""
 
     def digest(self, text):
-        from repro.sg import spec_digest
+        from repro.pipeline import spec_digest
 
         return spec_digest(text)
 
