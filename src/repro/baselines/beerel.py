@@ -14,7 +14,7 @@ Algorithmic model of the flow Table 2's ``SYN`` column came from:
    minimizer freely does).  When no such cube exists the flow needs
    additional state signals: failure code ``(2)``.  Unreachable codes
    are open to a cube only on specs of at most
-   :data:`~repro.sg.codespace.MAX_CODE_SIGNALS` signals: on wider
+   :data:`~repro.logic.cover.MAX_CODE_SIGNALS` signals: on wider
    specs the flow does not enumerate the reachable codes and counts
    every code as used, so each cube stays inside its ER and QR.
 4. Cubes whose switch-off is *not acknowledged* by the output's own
@@ -31,10 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..logic import Cover, Cube
+from ..logic.cover import MAX_CODE_SIGNALS
 from ..logic.cube import spread_bits
 from ..netlist import Gate, GateType, Netlist, Pin
 from ..netlist.trees import build_gate_tree
-from ..sg.codespace import MAX_CODE_SIGNALS
 from ..sg.encoding import reachable_codes
 from ..sg.graph import StateGraph
 from ..sg.regions import signal_regions
@@ -72,7 +72,7 @@ def _monotonous_cube(
 
     The cube may touch the codes in ``allowed`` (the ER, or the ER and
     its own QR) and any code not in ``used`` (an unreachable code; past
-    :data:`~repro.sg.codespace.MAX_CODE_SIGNALS` signals ``used`` is
+    :data:`~repro.logic.cover.MAX_CODE_SIGNALS` signals ``used`` is
     every code, so there is none).  It starts as the ER's supercube and
     greedily expands one variable at a time while it stays inside those
     codes.  Raises when even the supercube leaves them.

@@ -56,6 +56,10 @@ __all__ = [
     "verify_hazard_freeness",
 ]
 
+#: per run of :func:`verify_hazard_freeness`: the simulated time (ns),
+#: the event watchdog, and the window (ns) the environment answers in
+MAX_TIME, MAX_EVENTS, INPUT_DELAY = 4000.0, 500_000, (0.1, 6.0)
+
 
 @dataclass
 class OracleVerdict:
@@ -320,12 +324,7 @@ class VerificationSummary:
 def verify_hazard_freeness(
     circuit: NShotCircuit,
     runs: int = 5,
-    jitter: float | None = None,
     max_transitions: int = 200,
-    max_time: float = 4000.0,
-    base_seed: int = 0,
-    input_delay: tuple[float, float] = (0.1, 6.0),
-    max_events: int | None = 500_000,
     telemetry: "HazardTelemetry | None" = None,
     keep_traces: bool = False,
     coverage: "CoverageMap | None" = None,
@@ -333,15 +332,15 @@ def verify_hazard_freeness(
 ) -> VerificationSummary:
     """Monte-Carlo closed-loop verification of a synthesized circuit.
 
-    Each run draws fresh per-gate delays (±``jitter`` relative spread)
-    and fresh environment timing, then simulates until
-    ``max_transitions`` observable transitions or ``max_time`` ns.
-    A run that trips the ``max_events`` watchdog or crashes is recorded
-    as a failing run with the structured diagnostic — the sweep itself
-    never aborts.
+    Run ``k`` (seed ``k``) draws fresh per-gate delays (± the jitter)
+    and fresh environment timing (:data:`INPUT_DELAY`), then simulates
+    until ``max_transitions`` observable transitions or
+    :data:`MAX_TIME` ns.  A run that trips the :data:`MAX_EVENTS`
+    watchdog or crashes is recorded as a failing run with the
+    structured diagnostic — the sweep itself never aborts.
 
-    ``jitter`` defaults to the delay uncertainty the circuit was
-    *designed for* (``circuit.designed_spread``): Theorem 2 guarantees
+    The jitter is the delay uncertainty the circuit was *designed for*
+    (``circuit.designed_spread``): Theorem 2 guarantees
     hazard-freeness only under the delay bounds Equation (1) was
     evaluated with — verifying under wider variation than designed is
     testing a different (unsupported) operating condition.
@@ -357,8 +356,7 @@ def verify_hazard_freeness(
     ``recorder`` flight recorder makes every violating run carry causal
     chains for its offending events (``VerificationRun.causes``).
     """
-    if jitter is None:
-        jitter = circuit.designed_spread
+    jitter = circuit.designed_spread
     summary = VerificationSummary()
     sg = circuit.sg
     sims: list = []
@@ -378,15 +376,14 @@ def verify_hazard_freeness(
     with trace_span(
         "verify", circuit=circuit.netlist.name, runs=runs, jitter=jitter
     ) as sp:
-        for k in range(runs):
-            seed = base_seed + k
+        for seed in range(runs):
             verdict = run_oracle(
                 circuit.netlist,
                 sg,
-                SimConfig(jitter=jitter, seed=seed, max_events=max_events),
-                max_time=max_time,
+                SimConfig(jitter=jitter, seed=seed, max_events=MAX_EVENTS),
+                max_time=MAX_TIME,
                 max_transitions=max_transitions,
-                input_delay=input_delay,
+                input_delay=INPUT_DELAY,
                 internal_nets=circuit.architecture.sop_nets,
                 observe=observe,
             )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from .cube import LIT_ONE, LIT_ZERO, Cube
 from .cover import Cover
+from .tautology import cofactor, most_binate_var, most_used_var
 
 __all__ = ["complement", "complement_cube", "cube_sharp"]
 
@@ -64,16 +65,16 @@ def complement(cover: Cover) -> Cover:
         return complement_cube(cubes[0])
 
     work = Cover(n, 1, cubes)
-    var = work.most_binate_var()
+    var = most_binate_var(work)
     if var is None:
-        var = work.most_used_var()
+        var = most_used_var(work)
     if var is None:  # all cubes universal was handled; defensive
         return Cover.empty(n, 1)
 
     pos_half = Cube.full(n).with_literal(var, LIT_ONE)
     neg_half = Cube.full(n).with_literal(var, LIT_ZERO)
-    comp_pos = complement(work.cofactor(pos_half))
-    comp_neg = complement(work.cofactor(neg_half))
+    comp_pos = complement(cofactor(work, pos_half))
+    comp_neg = complement(cofactor(work, neg_half))
 
     merged = Cover.empty(n, 1)
     for c in comp_pos.cubes:
@@ -95,7 +96,7 @@ def cube_sharp(cube: Cube, cover: Cover) -> Cover:
     ``cover``.  Implemented as ``cube ∩ complement(cofactor(cover, cube))``
     which keeps the recursion over the small cofactored space.
     """
-    remainder = complement(cover.cofactor(cube))
+    remainder = complement(cofactor(cover, cube))
     out = Cover.empty(cube.num_inputs, 1)
     for c in remainder.cubes:
         i = c.intersect(cube.with_outputs(c.outputs))

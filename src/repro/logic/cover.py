@@ -4,7 +4,9 @@ A :class:`Cover` is an ordered collection of :class:`~repro.logic.cube.Cube`
 objects sharing the same number of input variables and output
 functions.  It provides the set-algebraic operations that the
 minimization algorithms (tautology, complement, ESPRESSO loop, exact
-covering) are built on.
+covering) are built on, and the one reading of a cube as a 2ⁿ-bit code
+bitmap (:func:`cube_codes`) that the ESPRESSO loop, ``verify_cover``
+and the code space of :mod:`repro.sg.codespace` share.
 
 Multi-output semantics follow ESPRESSO: a cube with output part
 ``outputs`` asserts its product term for every output whose bit is
@@ -15,13 +17,19 @@ cover onto that output covers the cube's input part.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from ..obs import get_metrics
 from .cube import LIT_DC, LIT_ONE, LIT_ZERO, Cube, supercube_of
 
 __all__ = ["Cover", "compact_minterm_cover"]
+
+#: the widest cover whose code space is enumerated: beyond it a 2ⁿ-bit
+#: set of codes costs more than the cubes or states it stands for
+MAX_CODE_SIGNALS = 16
 
 
 @dataclass
@@ -143,21 +151,6 @@ class Cover:
             (c.outputs & bit) and c.contains_minterm(minterm) for c in self.cubes
         )
 
-    def cofactor(self, cube: Cube) -> "Cover":
-        """Input-part cofactor of the whole cover w.r.t. ``cube``.
-
-        Only cubes whose input parts intersect ``cube`` survive.  The
-        output parts are preserved; callers project per output when
-        multi-output semantics are needed.
-        """
-        get_metrics().counter("cover.cube_ops").add(len(self.cubes))
-        out = []
-        for c in self.cubes:
-            cf = c.cofactor(cube)
-            if cf is not None:
-                out.append(cf)
-        return Cover(self.num_inputs, self.num_outputs, out)
-
     def intersects_cube(self, cube: Cube) -> bool:
         """True when any cube of the cover intersects ``cube``."""
         return any(c.intersects(cube) for c in self.cubes)
@@ -174,49 +167,6 @@ class Cover:
             if c.outputs & bit:
                 out.update(c.minterms())
         return out
-
-    # ------------------------------------------------------------------
-    # unateness
-    # ------------------------------------------------------------------
-    def var_usage(self, var: int) -> tuple[int, int]:
-        """Count (negative, positive) literal occurrences of variable."""
-        neg = pos = 0
-        for c in self.cubes:
-            f = c.literal(var)
-            if f == 0b01:
-                neg += 1
-            elif f == 0b10:
-                pos += 1
-        return neg, pos
-
-    def most_binate_var(self) -> int | None:
-        """Select the best splitting variable for unate recursion.
-
-        Returns the variable that appears in both phases in the most
-        cubes (ties broken by total occurrences), or ``None`` when the
-        cover is unate.
-        """
-        best_var = None
-        best_key = None
-        for var in range(self.num_inputs):
-            neg, pos = self.var_usage(var)
-            if neg and pos:
-                key = (min(neg, pos), neg + pos)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best_var = var
-        return best_var
-
-    def most_used_var(self) -> int | None:
-        """The variable with the most literal occurrences (any phase)."""
-        best_var = None
-        best = 0
-        for var in range(self.num_inputs):
-            neg, pos = self.var_usage(var)
-            if neg + pos > best:
-                best = neg + pos
-                best_var = var
-        return best_var
 
     # ------------------------------------------------------------------
     # formatting
@@ -259,6 +209,52 @@ def compact_minterm_cover(minterms: set[int], num_inputs: int) -> Cover:
     ms = sorted(set(minterms))
     masks = sorted(_split_sorted(ms, 0, len(ms), num_inputs, 0)) if ms else []
     return Cover(num_inputs, 1, [Cube(num_inputs, m, 1) for m in masks])
+
+
+def cube_codes(inputs: int, n: int) -> int:
+    """The codes in a cube's input part, as a bitset over the ``2**n``
+    codes (bit ``x`` = code ``x``): built one variable at a time,
+    doubling the set where the variable is free and shifting it where
+    the variable is 1."""
+    bits = 1
+    for v in range(n):
+        field = inputs >> (2 * v) & LIT_DC
+        if field == LIT_DC:
+            bits |= bits << (1 << v)
+        elif field == LIT_ONE:
+            bits <<= 1 << v
+        elif field != LIT_ZERO:
+            return 0  # an empty cube
+    return bits
+
+
+def output_codes(cubes: Iterable[Cube], n: int) -> defaultdict[int, int]:
+    """Per output, the codes (:func:`cube_codes`) of the cubes feeding
+    it, reading each distinct input part once."""
+    feeds: defaultdict[int, int] = defaultdict(int)  # input part -> outputs fed
+    for c in cubes:
+        feeds[c.inputs] |= c.outputs
+    out: defaultdict[int, int] = defaultdict(int)
+    for inputs, outputs in feeds.items():
+        bits = cube_codes(inputs, n)
+        while outputs:
+            low = outputs & -outputs
+            out[low.bit_length() - 1] |= bits
+            outputs ^= low
+    return out
+
+
+@cache
+def code_halves(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per variable ``v``, the bitsets of the ``n``-bit codes with bit
+    ``v`` clear and with it set."""
+    size = 1 << n
+    full = (1 << size) - 1
+    ones = []
+    for v in range(n):
+        block = ((1 << (1 << v)) - 1) << (1 << v)
+        ones.append(full // ((1 << (2 << v)) - 1) * block)
+    return tuple(full & ~o for o in ones), tuple(ones)
 
 
 def merge_halves(lo: frozenset[int], hi: frozenset[int], var: int) -> frozenset[int]:

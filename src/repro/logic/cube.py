@@ -273,33 +273,6 @@ class Cube:
         """Return a copy with the given output part."""
         return Cube(self.num_inputs, self.inputs, outputs)
 
-    def cofactor(self, other: "Cube") -> "Cube | None":
-        """Input-part Shannon cofactor of this cube w.r.t. ``other``.
-
-        Implements the ESPRESSO cofactor on the input part: ``None``
-        when the input parts do not intersect, otherwise every variable
-        bound in ``other`` becomes don't care in the result while the
-        remaining fields of ``self`` are kept.  The output part of
-        ``self`` is preserved unchanged — callers that need multi-output
-        semantics filter/project by output first (see
-        :mod:`repro.logic.cover`).
-        """
-        m = self.inputs & other.inputs
-        probe = m
-        for _ in range(self.num_inputs):
-            if probe & 0b11 == LIT_EMPTY:
-                return None
-            probe >>= 2
-        result = 0
-        sm, om = self.inputs, other.inputs
-        for var in range(self.num_inputs):
-            sfield = sm & 0b11
-            ofield = om & 0b11
-            result |= (LIT_DC if ofield != LIT_DC else sfield) << (2 * var)
-            sm >>= 2
-            om >>= 2
-        return Cube(self.num_inputs, result, self.outputs)
-
     def consensus(self, other: "Cube") -> "Cube | None":
         """Consensus (resolvent) of two cubes, ``None`` when undefined.
 

@@ -13,12 +13,10 @@ minimizer must satisfy.  Tests and the synthesis flow both lean on it.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from ..obs import get_metrics, trace_span
-from .cover import Cover
-from .cube import LIT_DC, LIT_ONE, LIT_ZERO
+from .cover import Cover, cube_codes, output_codes
 from .espresso import espresso
 
 __all__ = ["minimize", "verify_cover", "MinimizationError"]
@@ -53,7 +51,7 @@ def minimize(
     Cover
         A prime irredundant cover ``C`` with ``F ⊆ C ⊆ F ∪ D``.
     """
-    if off is not None and _overlaps(on, off):
+    if off is not None and any(off.intersects_cube(c) for c in on.cubes):
         raise MinimizationError("ON-set and OFF-set overlap")
     with trace_span("minimize", method=method, outputs=on.num_outputs) as sp:
         result = _dispatch(on, dc, off, method)
@@ -84,14 +82,6 @@ def _dispatch(
                 merged.add(c.with_outputs(1 << o))
         return merged.single_cube_containment()
     raise ValueError(f"unknown minimization method {method!r}")
-
-
-def _overlaps(a: Cover, b: Cover) -> bool:
-    for ca in a.cubes:
-        for cb in b.cubes:
-            if ca.intersects(cb):
-                return True
-    return False
 
 
 @dataclass
@@ -126,38 +116,13 @@ def verify_cover(
     checks (``tests/cover_reference.py`` keeps that reading).
     """
     n = on.num_inputs
-
-    def per_output(cover: Cover | None) -> defaultdict[int, int]:
-        feeds: defaultdict[int, int] = defaultdict(int)  # input part -> outputs fed
-        for c in cover.cubes if cover is not None else ():
-            feeds[c.inputs] |= c.outputs
-        out: defaultdict[int, int] = defaultdict(int)
-        for inputs, outputs in feeds.items():
-            bits = _cube_codes(inputs, n)
-            for o in range(outputs.bit_length()):
-                out[o] |= bits if outputs >> o & 1 else 0
-        return out
-
-    mine = [(_cube_codes(c.inputs, n), c.output_list()) for c in result.cubes]
-    f, d, r, covered = per_output(on), per_output(dc), per_output(off), per_output(result)
+    mine = [(cube_codes(c.inputs, n), c.output_list()) for c in result.cubes]
+    f, d, r, covered = (
+        output_codes(c.cubes if c is not None else (), n) for c in (on, dc, off, result)
+    )
     return CoverCheck(
         covers_on=all(not bits & ~covered[o] for o, bits in f.items()),
         within_on_dc=all(not bits & ~(f[o] | d[o]) for bits, outs in mine for o in outs),
         disjoint_from_off=not any(bits & r[o] for bits, outs in mine for o in outs),
     )
 
-
-def _cube_codes(inputs: int, n: int) -> int:
-    """The codes in a cube's input part, as a bitset over the ``2**n``
-    codes: built one variable at a time, doubling the set where the
-    variable is free and shifting it where the variable is 1."""
-    bits = 1
-    for v in range(n):
-        field = inputs >> (2 * v) & LIT_DC
-        if field == LIT_DC:
-            bits |= bits << (1 << v)
-        elif field == LIT_ONE:
-            bits <<= 1 << v
-        elif field != LIT_ZERO:
-            return 0  # an empty cube
-    return bits

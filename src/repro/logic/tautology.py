@@ -16,15 +16,81 @@ cofactored cover.  We implement the classic unate recursive paradigm
 
 All functions here treat covers as *single-output* (the input parts
 only).  Multi-output queries project per output first; see
-:func:`covers_cube` and :func:`cover_covers_cube_multi`.
+:func:`covers_cube` and :func:`cover_covers_cube_multi`.  The cofactor
+and the choice of splitting variable are shared with
+:mod:`repro.logic.complement`.
 """
 
 from __future__ import annotations
 
+from ..obs import get_metrics
 from .cube import LIT_DC, LIT_ONE, LIT_ZERO, Cube
 from .cover import Cover
 
 __all__ = ["is_tautology", "covers_cube", "cover_covers_cube_multi"]
+
+
+def cofactor(cover: Cover, cube: Cube) -> Cover:
+    """Input-part cofactor of ``cover`` w.r.t. ``cube``.
+
+    Only cubes whose input parts intersect ``cube`` survive, with every
+    variable bound in ``cube`` raised to don't care.  The output parts
+    are preserved; callers project per output when multi-output
+    semantics are needed.
+    """
+    get_metrics().counter("cover.cube_ops").add(len(cover.cubes))
+    low = ((1 << 2 * cover.num_inputs) - 1) // 3  # the low bit of every field
+    bound = cube.inputs ^ cube.inputs >> 1 | ~cube.inputs & ~cube.inputs >> 1
+    raised = (bound & low) * LIT_DC  # both bits of every field ``cube`` does not leave free
+    out = []
+    for c in cover.cubes:
+        meet = c.inputs & cube.inputs
+        if (meet | meet >> 1) & low == low:  # no empty field
+            out.append(Cube(cover.num_inputs, c.inputs | raised, c.outputs))
+    return Cover(cover.num_inputs, cover.num_outputs, out)
+
+
+def var_usage(cover: Cover, var: int) -> tuple[int, int]:
+    """Count (negative, positive) literal occurrences of variable."""
+    neg = pos = 0
+    for c in cover.cubes:
+        f = c.literal(var)
+        if f == LIT_ZERO:
+            neg += 1
+        elif f == LIT_ONE:
+            pos += 1
+    return neg, pos
+
+
+def most_binate_var(cover: Cover) -> int | None:
+    """Select the best splitting variable for unate recursion.
+
+    Returns the variable that appears in both phases in the most cubes
+    (ties broken by total occurrences), or ``None`` when the cover is
+    unate.
+    """
+    best_var = None
+    best_key = None
+    for var in range(cover.num_inputs):
+        neg, pos = var_usage(cover, var)
+        if neg and pos:
+            key = (min(neg, pos), neg + pos)
+            if best_key is None or key > best_key:
+                best_key = key
+                best_var = var
+    return best_var
+
+
+def most_used_var(cover: Cover) -> int | None:
+    """The variable with the most literal occurrences (any phase)."""
+    best_var = None
+    best = 0
+    for var in range(cover.num_inputs):
+        neg, pos = var_usage(cover, var)
+        if neg + pos > best:
+            best = neg + pos
+            best_var = var
+    return best_var
 
 
 def _unate_reduced(cover: Cover) -> Cover:
@@ -105,15 +171,13 @@ def is_tautology(cover: Cover) -> bool:
         if c.is_full_inputs():
             return True
 
-    var = work.most_binate_var()
+    var = most_binate_var(work)
     if var is None:
         # unate cover: tautology iff it has a universal row (checked above)
         return False
     pos_half = Cube.full(cover.num_inputs).with_literal(var, LIT_ONE)
     neg_half = Cube.full(cover.num_inputs).with_literal(var, LIT_ZERO)
-    return is_tautology(work.cofactor(pos_half)) and is_tautology(
-        work.cofactor(neg_half)
-    )
+    return is_tautology(cofactor(work, pos_half)) and is_tautology(cofactor(work, neg_half))
 
 
 def covers_cube(cover: Cover, cube: Cube) -> bool:
@@ -124,7 +188,7 @@ def covers_cube(cover: Cover, cube: Cube) -> bool:
     """
     if cube.is_empty():
         return True
-    return is_tautology(cover.cofactor(cube))
+    return is_tautology(cofactor(cover, cube))
 
 
 def cover_covers_cube_multi(cover: Cover, cube: Cube) -> bool:

@@ -48,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.sop_derivation import SopSpec
     from ..core.synthesizer import NShotCircuit
     from ..core.verify import VerificationSummary
-    from ..netlist import Library
     from ..sg.graph import StateGraph
 
 __all__ = [
@@ -254,16 +253,12 @@ class PipelineRun:
         dialect: str | None = None,
         source_sg: StateGraph | None = None,
         method: str = "espresso",
-        library: "Library | None" = None,
-        mhs_tau: float = 1.2,
         delay_spread: float = 0.0,
         share_products: bool = True,
         env_digest: str | None = None,
     ) -> None:
-        if library is None:
-            from ..netlist import DEFAULT_LIBRARY
+        from ..netlist import DEFAULT_LIBRARY
 
-            library = DEFAULT_LIBRARY
         self._text = text
         self.dialect = dialect or (
             "sg" if ".state graph" in text else "g"
@@ -277,10 +272,11 @@ class PipelineRun:
             "method": method,
             "share_products": bool(share_products),
             "spread": float(delay_spread),
-            "mhs_tau": float(mhs_tau),
+            # fixed, but part of the keys: the MHS response delay τ, the library
+            "mhs_tau": 1.2,
             "library": {
-                "level_delay": library.level_delay,
-                "pair_area": library.pair_area,
+                "level_delay": DEFAULT_LIBRARY.level_delay,
+                "pair_area": DEFAULT_LIBRARY.pair_area,
             },
         }
         if env_digest:

@@ -28,12 +28,11 @@ are edited behind its back must be edited before it is first analysed.
 from __future__ import annotations
 
 from collections import deque
-from functools import cache
 from itertools import compress, repeat
 from operator import and_, invert, itemgetter, or_, xor
 from typing import Callable, Iterable, Sequence
 
-from ..logic.cover import merge_halves
+from ..logic.cover import MAX_CODE_SIGNALS, code_halves, merge_halves
 from .graph import DenseGraph, StateGraph, bit_flags
 from .regions import _DIGITS, _columns
 
@@ -46,10 +45,6 @@ __all__ = [
     "code_space",
     "unique_codes",
 ]
-
-#: the widest graph whose code space is enumerated: beyond it a 2ⁿ-bit
-#: set costs more than the states it holds
-MAX_CODE_SIGNALS = 16
 
 def unique_codes(sg: StateGraph) -> bool:
     """True when no two states share a binary code (memoized on ``sg``)."""
@@ -104,19 +99,6 @@ def code_bitmap(codes: Iterable[int], n: int) -> int:
     for c in codes:
         flags[c] = 1
     return int(flags.translate(_DIGITS[0])[::-1], 2)
-
-
-@cache
-def _halves(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per signal ``b``, the bitmaps of the ``n``-bit codes with bit
-    ``b`` clear and with it set."""
-    size = 1 << n
-    full = (1 << size) - 1
-    ones = []
-    for b in range(n):
-        block = ((1 << (1 << b)) - 1) << (1 << b)
-        ones.append(full // ((1 << (2 << b)) - 1) * block)
-    return tuple(full & ~o for o in ones), tuple(ones)
 
 
 def _pick(indices: list[int]) -> Callable[[Sequence], tuple]:
@@ -207,7 +189,7 @@ class CodeSpace:
         hot = map(or_, map(or_, view.up, view.down), repeat(1 << n))
         deque(map(rows.__setitem__, codes, hot), maxlen=0)
         *self.excited, self.used = _columns(rows, n + 1, range(n + 1))
-        zeros, ones = self._zeros, self._ones = _halves(n)
+        zeros, ones = self._zeros, self._ones = code_halves(n)
         # the codes where each signal rises / falls, and the codes those arcs enter
         self._rise = [x & z for x, z in zip(self.excited, zeros)]
         self._fall = [x & o for x, o in zip(self.excited, ones)]

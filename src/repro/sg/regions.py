@@ -24,7 +24,7 @@ state numbers ``0..N-1`` of the graph's
 :class:`~repro.sg.graph.DenseGraph`) by one of two engines:
 
 * on a graph with a code space (one state per code, at most
-  :data:`~repro.sg.codespace.MAX_CODE_SIGNALS` signals and codes that
+  :data:`~repro.logic.cover.MAX_CODE_SIGNALS` signals and codes that
   agree with the arcs, see :mod:`repro.sg.codespace`), as code bitmaps:
   the sinks of ``a`` are ``E_a & ~∪_{b≠a} pre_b(E_a)``, and the
   backward sweep and the QR union are bitmap floods; the results are

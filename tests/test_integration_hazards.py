@@ -5,6 +5,8 @@ against their specifications under randomized delays; internal SOP
 nets may glitch, observable non-input signals must not.
 """
 
+import importlib
+
 import pytest
 
 from repro.bench.circuits import (
@@ -20,8 +22,10 @@ from repro.sim import SGEnvironment, SimConfig, Simulator
 from repro.stg import elaborate, parse_g
 from tests.conftest import C_ELEMENT_G, XYZ_RING_G
 
+VERIFY = importlib.import_module("repro.core.verify")
 
-FAST = dict(runs=3, max_transitions=80, max_time=2500.0)
+
+FAST = dict(runs=3, max_transitions=80)
 
 
 class TestHazardFreeness:
@@ -55,29 +59,25 @@ class TestHazardFreeness:
         """The point of the architecture: the planes DO glitch (the OR
         element's set plane is a+b with staggered input arrivals), yet
         nothing escapes."""
-        circuit = synthesize(figure1_csc_sg(), delay_spread=0.45)
-        summary = verify_hazard_freeness(
-            circuit, runs=6, max_transitions=120, jitter=0.45
-        )
+        circuit = synthesize(figure1_csc_sg(), delay_spread=0.45)  # jitter 0.45
+        summary = verify_hazard_freeness(circuit, runs=6, max_transitions=120)
         assert summary.ok
         assert summary.total_internal_glitches > 0
         assert summary.total_observable_glitches == 0
 
-    def test_extreme_environment_speed(self):
+    def test_extreme_environment_speed(self, monkeypatch):
         """The environment may react (almost) immediately — no
         fundamental-mode assumption."""
+        monkeypatch.setattr(VERIFY, "INPUT_DELAY", (0.01, 0.4))
         circuit = synthesize(figure1_csc_sg(), delay_spread=0.45)
-        summary = verify_hazard_freeness(
-            circuit, runs=3, max_transitions=80, input_delay=(0.01, 0.4)
-        )
+        summary = verify_hazard_freeness(circuit, runs=3, max_transitions=80)
         assert summary.ok
 
-    def test_slow_environment(self):
+    def test_slow_environment(self, monkeypatch):
+        monkeypatch.setattr(VERIFY, "INPUT_DELAY", (10.0, 30.0))
+        monkeypatch.setattr(VERIFY, "MAX_TIME", 8000.0)
         circuit = synthesize(figure1_csc_sg(), delay_spread=0.45)
-        summary = verify_hazard_freeness(
-            circuit, runs=2, max_transitions=40, input_delay=(10.0, 30.0),
-            max_time=8000.0,
-        )
+        summary = verify_hazard_freeness(circuit, runs=2, max_transitions=40)
         assert summary.ok
 
 

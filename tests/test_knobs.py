@@ -7,7 +7,12 @@ options.
   function of that name (``f(...)``, ``obj.f(...)``; for ``__init__``
   the class name, ``cls(...)`` inside the class or
   ``super().__init__(...)`` in a subclass) passes it by keyword or by
-  position, or forwards ``*args``/``**kwargs``. Calls are searched in
+  position, or forwards ``*args``. A ``**kw`` argument passes only the
+  keys ``kw`` can hold: when ``kw`` is the calling def's own ``**kw``
+  parameter, the keywords that def's callers pass it (followed through
+  their own forwards) and the keys the def stores into it; when ``kw``
+  is a dict the def builds (``dict(a=…)`` or ``{"a": …}``), its keys;
+  anything else may pass every parameter. Calls are searched in
   ``src/``, ``benchmarks/``, ``tools/``, ``perfbench/`` and
   ``examples/``, not in ``tests/``: a value only tests set is a
   constant dressed as a knob. Make it a constant (a module constant a
@@ -62,6 +67,12 @@ ALLOWED: dict[tuple[str, str, str], str] = {
         "archive_soundness_failure",
         "corpus_dir",
     ): "path: where a soundness failure is archived",
+    ("src/repro/core/verify.py", "verify_hazard_freeness", "recorder"): (
+        "seam: a flight recorder that watches the verifier's runs"
+    ),
+    ("src/repro/pipeline/dag.py", "__init__", "env_digest"): (
+        "seam: the machine digest in a key, so two runs model two machines"
+    ),
 }
 
 #: options reachable from ``build_parser()``
@@ -96,18 +107,25 @@ def _init_key(cls: str) -> str:
     return f"<init {cls}>"
 
 
-def _calls() -> dict[str, list[ast.Call]]:
-    """Every call in the caller directories, indexed by callee name."""
-    calls: dict[str, list[ast.Call]] = defaultdict(list)
+def _calls() -> dict[str, list[tuple[ast.Call, ast.FunctionDef | None, list[str]]]]:
+    """Every call in the caller directories, indexed by callee name,
+    with the def it sits in and that def's callee names."""
+    calls: dict[str, list] = defaultdict(list)
 
-    def visit(node, cls):
+    def visit(node, cls, fn, names):
         for child in ast.iter_child_nodes(node):
             inner = child if isinstance(child, ast.ClassDef) else cls
+            inner_fn, inner_names = fn, names
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner_fn, inner_names = child, [child.name]
+                if child.name == "__init__" and cls is not None:
+                    inner_names = [cls.name, _init_key(cls.name)]
             if isinstance(child, ast.Call):
                 func = child.func
                 name = _call_name(func)
+                site = (child, fn, names)
                 if cls is not None and isinstance(func, ast.Name) and name == "cls":
-                    calls[_init_key(cls.name)].append(child)
+                    calls[_init_key(cls.name)].append(site)
                 elif (
                     cls is not None
                     and isinstance(func, ast.Attribute)
@@ -115,7 +133,7 @@ def _calls() -> dict[str, list[ast.Call]]:
                     and isinstance(func.value, ast.Name)
                     and func.value.id == "self"
                 ):
-                    calls[_init_key(cls.name)].append(child)
+                    calls[_init_key(cls.name)].append(site)
                 elif (
                     cls is not None
                     and isinstance(func, ast.Attribute)
@@ -126,15 +144,76 @@ def _calls() -> dict[str, list[ast.Call]]:
                     for base in cls.bases:
                         base_name = _call_name(base)
                         if base_name is not None:
-                            calls[_init_key(base_name)].append(child)
+                            calls[_init_key(base_name)].append(site)
                 elif name is not None:
-                    calls[name].append(child)
-            visit(child, inner)
+                    calls[name].append(site)
+            visit(child, inner, inner_fn, inner_names)
 
     for top in CALLER_DIRS:
         for path in _py_files(top):
-            visit(_parse(path), None)
+            visit(_parse(path), None, None, [])
     return calls
+
+
+def _dict_keys(fn: ast.FunctionDef | None, var: str) -> set[str] | None:
+    """The string keys the def ``fn`` gives its dict ``var`` (built as
+    ``dict(a=…)`` or ``{"a": …}``, or its ``**`` parameter) and stores
+    into it (``var["a"] = …``); None when ``var`` is no such dict."""
+    if fn is None:
+        return None
+    built = fn.args.kwarg is not None and fn.args.kwarg.arg == var
+    keys: set[str] = set()
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Name) and target.id == var:
+                value = node.value
+                if isinstance(value, ast.Dict) and all(
+                    isinstance(k, ast.Constant) for k in value.keys
+                ):
+                    keys.update(k.value for k in value.keys)
+                elif (
+                    isinstance(value, ast.Call)
+                    and _call_name(value.func) == "dict"
+                    and not value.args
+                    and all(kw.arg is not None for kw in value.keywords)
+                ):
+                    keys.update(kw.arg for kw in value.keywords)
+                else:
+                    return None
+                built = True
+            elif (
+                isinstance(target, ast.Subscript)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == var
+                and isinstance(target.slice, ast.Constant)
+            ):
+                keys.add(target.slice.value)
+    return keys if built else None
+
+
+def _passed(call: ast.Call, fn, fn_names, calls, seen=frozenset()) -> set[str] | None:
+    """The keywords ``call`` (made inside the def ``fn``, which goes by
+    ``fn_names`` in ``calls``) can pass; None when it can pass any."""
+    names = {kw.arg for kw in call.keywords if kw.arg is not None}
+    for kw in call.keywords:
+        if kw.arg is not None:
+            continue
+        var = kw.value.id if isinstance(kw.value, ast.Name) else None
+        keys = _dict_keys(fn, var) if var is not None else None
+        if keys is None:
+            return None
+        names |= keys
+        if fn.args.kwarg is not None and fn.args.kwarg.arg == var and id(fn) not in seen:
+            # the def's own ``**kw`` also holds what its callers pass it
+            for callee in fn_names:
+                for site, outer, outer_names in calls.get(callee, ()):
+                    got = _passed(site, outer, outer_names, calls, seen | {id(fn)})
+                    if got is None:
+                        return None
+                    names |= got
+    return names
 
 
 def _defs():
@@ -182,14 +261,13 @@ def never_set_parameters() -> list[tuple[str, str, str]]:
             continue
         set_names: set[str] = set()
         for name in names:
-            for call in calls.get(name, ()):
-                if any(isinstance(a, ast.Starred) for a in call.args) or any(
-                    kw.arg is None for kw in call.keywords
-                ):
+            for call, outer, outer_names in calls.get(name, ()):
+                passed = _passed(call, outer, outer_names, calls)
+                if passed is None or any(isinstance(a, ast.Starred) for a in call.args):
                     set_names.update(defaulted)
                     break
                 set_names.update(pos_names[: len(call.args)])
-                set_names.update(kw.arg for kw in call.keywords)
+                set_names.update(passed)
         for param in defaulted:
             if param not in set_names:
                 found.append((rel, fn.name, param))

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.logic import Cover, Cube
 from repro.logic.cover import compact_minterm_cover
+from repro.logic.tautology import cofactor, most_binate_var, var_usage
 from tests.cover_reference import from_rows
 
 
@@ -93,28 +94,28 @@ class TestRewrites:
 
     def test_cofactor(self):
         c = from_rows(["1-", "00"])
-        cf = c.cofactor(Cube.from_string("1-"))
+        cf = cofactor(c, Cube.from_string("1-"))
         assert len(cf) == 1  # "00" dropped (disjoint)
 
 
 class TestUnateness:
     def test_unate_cover(self):
         c = from_rows(["1-", "11"])
-        assert c.most_binate_var() is None
+        assert most_binate_var(c) is None
 
     def test_binate_cover(self):
         c = from_rows(["1-", "0-"])
-        assert c.most_binate_var() == 0
+        assert most_binate_var(c) == 0
 
     def test_most_binate_prefers_balanced(self):
         c = from_rows(["10", "01", "0-"])
         # var0: neg 2 / pos 1 ; var1: neg 1 / pos 1
-        assert c.most_binate_var() in (0, 1)
+        assert most_binate_var(c) in (0, 1)
 
     def test_var_usage(self):
         c = from_rows(["10", "0-"])
-        assert c.var_usage(0) == (1, 1)
-        assert c.var_usage(1) == (1, 0)
+        assert var_usage(c, 0) == (1, 1)
+        assert var_usage(c, 1) == (1, 0)
 
 
 class TestCompactMintermCover:

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.logic import Cube
+from repro.logic import Cover, Cube
 from repro.logic.cube import LIT_DC, LIT_ONE, LIT_ZERO, full_input_mask, supercube_of
+from repro.logic.tautology import cofactor
 
 
 def cubes(num_inputs=st.integers(1, 6)):
@@ -130,11 +131,11 @@ class TestOperators:
     def test_cofactor_basic(self):
         c = Cube.from_string("1-0")
         p = Cube.from_string("1--")
-        cf = c.cofactor(p)
-        assert cf is not None and cf.input_string() == "--0"
+        (cf,) = cofactor(Cover(3, 1, [c]), p).cubes
+        assert cf.input_string() == "--0"
 
     def test_cofactor_disjoint(self):
-        assert Cube.from_string("1").cofactor(Cube.from_string("0")) is None
+        assert cofactor(Cover(1, 1, [Cube.from_string("1")]), Cube.from_string("0")).cubes == []
 
     def test_consensus_distance1(self):
         a = Cube.from_string("10-")

@@ -7,8 +7,8 @@
   module, no state graph, regions or netlist container, no simulator,
   baseline, bench, STG front-end, fuzzer, heavy observability module or
   other command's CLI module, and neither ``subprocess``, ``platform``
-  nor ``uuid``; a cold synth loads no certifier, simulator (MHS model)
-  or exact minimizer;
+  nor ``uuid``; a cold synth loads no certifier, simulator (MHS model),
+  exact minimizer, tautology or complement;
 * **public surface** — every ``__all__`` name of ``repro`` and of each
   subpackage resolves, is listed by ``dir()`` and star-imports;
 * **rule catalogue** — the built-in lint rules register on the first
@@ -65,8 +65,16 @@ NOT_ON_WARM_SYNTH = (
 )
 
 #: modules a cold synth must not load: the certifier, the MHS model and
-#: the rest of the simulator, and the exact minimizer
-NOT_ON_COLD_SYNTH = ("repro.analysis.certify.", "repro.sim.", "repro.logic.exact")
+#: the rest of the simulator, the exact minimizer, and the unate-recursive
+#: tautology and complement (ESPRESSO works on code bitmaps and is given
+#: its OFF-set)
+NOT_ON_COLD_SYNTH = (
+    "repro.analysis.certify.",
+    "repro.sim.",
+    "repro.logic.exact",
+    "repro.logic.tautology",
+    "repro.logic.complement",
+)
 
 #: `repro lint --list-rules`, the built-in catalogue
 RULE_IDS = [
