@@ -129,7 +129,7 @@ def trigger_obligations(spec: "SopSpec", cover: Cover) -> list[Obligation]:
                         "region": tr.label(sg),
                         "states": _states(tr)[:_WITNESS_CUBES],
                     }
-                    codes = tr.codes(sg.dense())
+                    codes = tr.codes()
                     cube = next(
                         (c for c in col if all(map(c.contains_minterm, codes))),
                         None,
@@ -169,11 +169,11 @@ def coverage_obligations(spec: "SopSpec", cover: Cover) -> list[Obligation]:
     """One obligation per ON-set transition cube: held by the column."""
     sg = spec.sg
     out: list[Obligation] = []
-    for f in spec.functions:
-        sig_name = sg.signals[f.signal]
-        o = spec.output_index(f.signal, f.kind)
+    for o in range(spec.num_outputs):
+        signal, kind = spec.output_function(o)
+        sig_name = sg.signals[signal]
         col = cover.projection(o)
-        for cube in f.on.cubes:
+        for cube in spec.on.projection(o).cubes:
             if cube.is_empty():
                 continue
             subject = f"ON cube {cube.input_string()} covered by column"
@@ -182,7 +182,7 @@ def coverage_obligations(spec: "SopSpec", cover: Cover) -> list[Obligation]:
                     Obligation(
                         rule="HZ002",
                         signal=sig_name,
-                        kind=f.kind,
+                        kind=kind,
                         subject=subject,
                         verdict=PROVED,
                         witness={
@@ -197,7 +197,7 @@ def coverage_obligations(spec: "SopSpec", cover: Cover) -> list[Obligation]:
                     Obligation(
                         rule="HZ002",
                         signal=sig_name,
-                        kind=f.kind,
+                        kind=kind,
                         subject=subject,
                         verdict=REFUTED,
                         witness={
@@ -227,10 +227,11 @@ def disjointness_obligations(
     """One obligation per cover product: disjoint from the OFF-set."""
     sg = spec.sg
     out: list[Obligation] = []
-    for f in spec.functions:
-        sig_name = sg.signals[f.signal]
-        o = spec.output_index(f.signal, f.kind)
+    for o in range(spec.num_outputs):
+        signal, kind = spec.output_function(o)
+        sig_name = sg.signals[signal]
         col = cover.projection(o)
+        off = spec.off.projection(o)
         for product in col.cubes:
             if product.is_empty():
                 continue
@@ -238,19 +239,19 @@ def disjointness_obligations(
                 f"product {product.input_string()} disjoint from OFF-set"
             )
             clash = next(
-                (r for r in f.off.cubes if product.intersects(r)), None
+                (r for r in off.cubes if product.intersects(r)), None
             )
             if clash is None:
                 out.append(
                     Obligation(
                         rule="HZ003",
                         signal=sig_name,
-                        kind=f.kind,
+                        kind=kind,
                         subject=subject,
                         verdict=PROVED,
                         witness={
                             "product": product.input_string(),
-                            "off_cubes": len(f.off),
+                            "off_cubes": len(off),
                         },
                     )
                 )
@@ -260,7 +261,7 @@ def disjointness_obligations(
                     Obligation(
                         rule="HZ003",
                         signal=sig_name,
-                        kind=f.kind,
+                        kind=kind,
                         subject=subject,
                         verdict=REFUTED,
                         witness={

@@ -127,7 +127,6 @@ def synthesize_beerel(
     for a in sg.non_inputs:
         nl.add_output(sg.signals[a])
 
-    view = sg.dense()
     # past MAX_CODE_SIGNALS signals every code counts as used, so cubes
     # stay inside their allowed codes and never grow into the
     # unreachable space
@@ -149,8 +148,8 @@ def synthesize_beerel(
                 if er.direction != direction:
                     continue
                 qr = sr.quiescent_after(er)
-                er_codes = view.codes_of(er.bits(view))
-                qr_codes = view.codes_of(qr.bits(view))
+                er_codes = er.codes()
+                qr_codes = qr.codes()
                 tag = f"{'+' if direction == 1 else '-'}{sig}"
                 try:
                     # preferred: the cube stays inside the excitation

@@ -94,9 +94,8 @@ def next_state_function(sg: StateGraph, signal: int) -> NextStateSpec:
     unreachable codes are don't care.
     """
     sr = signal_regions(sg, signal)
-    view = sg.dense()
-    on_bits = sr.union_bits(view, "ER", 1) | sr.union_bits(view, "QR", 1)
-    off_bits = sr.union_bits(view, "ER", -1) | sr.union_bits(view, "QR", -1)
+    on_bits = sr.union_bits("ER", 1) | sr.union_bits("QR", 1)
+    off_bits = sr.union_bits("ER", -1) | sr.union_bits("QR", -1)
     on, off = bits_to_covers(sg, [on_bits, off_bits])
     return NextStateSpec(
         signal=signal,

@@ -13,10 +13,7 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".sop_derivation": (
-            "FunctionSpec SopSpec derive_sop_spec region_mode_table "
-            "ModeRow"
-        ),
+        ".sop_derivation": "SopSpec derive_sop_spec region_mode_table ModeRow",
         ".trigger": (
             "TriggerCheck check_trigger_cubes enforce_trigger_cubes "
             "TriggerRequirementError"

@@ -50,7 +50,6 @@ def analyze_initialization(spec: SopSpec, cover: Cover) -> dict[int, InitDecisio
     cares may have been resolved either way).
     """
     sg = spec.sg
-    view = sg.dense()
     s0, code0 = sg.initial_number, sg.initial_code
     out: dict[int, InitDecision] = {}
     for a in sg.non_inputs:
@@ -63,7 +62,7 @@ def analyze_initialization(spec: SopSpec, cover: Cover) -> dict[int, InitDecisio
         reset_val = int(cover.contains_minterm(code0, reset_o))
 
         up_er, dn_er, up_qr, dn_qr = (
-            sr.union_bits(view, kind, direction) >> s0 & 1
+            sr.union_bits(kind, direction) >> s0 & 1
             for kind, direction in (("ER", 1), ("ER", -1), ("QR", 1), ("QR", -1))
         )
         if up_er:

@@ -14,7 +14,9 @@ paper's Table 1, reproduced by :func:`region_mode_table`.
 All set and reset functions of all non-input signals are packed into a
 single multi-output cover, so the minimizer may share product terms
 between them ("including the sharing of product terms (AND-gates)
-between different functions").
+between different functions").  One function's (F, D, R) is the
+projection of the three covers on its output
+(``spec.on.projection(o)`` and so on), cube for cube.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from ..sg.graph import StateGraph
 from ..sg.regions import SignalRegions, signal_regions
 
 __all__ = [
-    "FunctionSpec",
     "SopSpec",
     "derive_sop_spec",
     "region_mode_table",
@@ -37,31 +38,21 @@ __all__ = [
 
 
 @dataclass
-class FunctionSpec:
-    """(F, D, R) triple of one set or reset function (single-output)."""
-
-    signal: int
-    kind: str  # "set" or "reset"
-    on: Cover
-    dc: Cover
-    off: Cover
-
-
-@dataclass
 class SopSpec:
     """The complete multi-output minimization problem of an SG.
 
     Output order: ``set(a0), reset(a0), set(a1), reset(a1), …`` over
-    the non-input signals in index order.  ``regions`` keeps the
-    per-signal region decomposition for later trigger-cube checks and
-    initialization analysis.
+    the non-input signals in index order; one function's (F, D, R) is
+    the projection of ``on``, ``dc`` and ``off`` on its output.
+    ``regions`` keeps the per-signal region decomposition, computed on
+    ``sg``, for later trigger-cube checks and initialization analysis;
+    a pickle holds ``sg`` once, with the regions as bitsets over it.
     """
 
     sg: StateGraph
     on: Cover
     dc: Cover
     off: Cover
-    functions: list[FunctionSpec] = field(default_factory=list)
     regions: dict[int, SignalRegions] = field(default_factory=dict)
 
     @property
@@ -73,9 +64,12 @@ class SopSpec:
         pos = self.sg.non_inputs.index(signal)
         return 2 * pos + (0 if kind == "set" else 1)
 
+    def output_function(self, index: int) -> tuple[int, str]:
+        """The ``(signal, kind)`` of one column of the multi-output cover."""
+        return self.sg.non_inputs[index // 2], ("set", "reset")[index % 2]
+
     def output_name(self, index: int) -> str:
-        signal = self.sg.non_inputs[index // 2]
-        kind = "set" if index % 2 == 0 else "reset"
+        signal, kind = self.output_function(index)
         return f"{kind}_{self.sg.signals[signal]}"
 
 
@@ -86,7 +80,7 @@ def derive_sop_spec(
 
     Follows Section IV-A exactly; the unreachable binary codes join
     every function's don't-care set (step 3).  ``regions`` may supply
-    the per-signal region analyses, computed by the caller outside
+    the per-signal region analyses of ``sg``, computed by the caller outside
     this function's ``sop-derivation`` span (the pipeline's
     ``sop-derivation`` stage does); by default they are read from
     ``sg``'s memo.
@@ -114,18 +108,15 @@ def _derive_functions(
     spec: SopSpec,
     unreachable: Cover,
 ) -> None:
-    non_inputs = sg.non_inputs
-    n = sg.num_signals
     on, dc, off = spec.on, spec.dc, spec.off
-    view = sg.dense()
     # per signal and kind, the (F, D, R) state bitsets
     triples = []
-    for signal in non_inputs:
+    for signal in sg.non_inputs:
         sr = spec.regions[signal]
-        up_er = sr.union_bits(view, "ER", 1)
-        up_qr = sr.union_bits(view, "QR", 1)
-        dn_er = sr.union_bits(view, "ER", -1)
-        dn_qr = sr.union_bits(view, "QR", -1)
+        up_er = sr.union_bits("ER", 1)
+        up_qr = sr.union_bits("QR", 1)
+        dn_er = sr.union_bits("ER", -1)
+        dn_qr = sr.union_bits("QR", -1)
         triples.append((signal, "set", up_er, up_qr, dn_er | dn_qr))
         triples.append((signal, "reset", dn_er, dn_qr, up_er | up_qr))
     covers = iter(bits_to_covers(sg, [bits for t in triples for bits in t[2:]]))
@@ -141,15 +132,6 @@ def _derive_functions(
             dc.add(c.with_outputs(bit))
         for c in r_cover.cubes:
             off.add(c.with_outputs(bit))
-        spec.functions.append(
-            FunctionSpec(
-                signal,
-                kind,
-                Cover(n, 1, f_cover.cubes),
-                Cover(n, 1, d_cover.cubes + [c.with_outputs(1) for c in unreachable.cubes]),
-                Cover(n, 1, r_cover.cubes),
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -174,7 +156,7 @@ def region_mode_table(sg: StateGraph, signal: int) -> list[ModeRow]:
     sr = signal_regions(sg, signal)
     view = sg.dense()
     up_er, up_qr, dn_er, dn_qr = (
-        view.flags(sr.union_bits(view, kind, direction))
+        view.flags(sr.union_bits(kind, direction))
         for kind, direction in (("ER", 1), ("QR", 1), ("ER", -1), ("QR", -1))
     )
     rows: list[ModeRow] = []

@@ -61,14 +61,14 @@ class TriggerCheck:
 
 def _region_supercube(sg: StateGraph, region: Region) -> Cube:
     sc = supercube_of(
-        Cube.from_minterm(c, sg.num_signals) for c in region.codes(sg.dense())
+        Cube.from_minterm(c, sg.num_signals) for c in region.codes()
     )
     assert sc is not None
     return sc
 
 
 def _cube_covers_region(sg: StateGraph, cube: Cube, region: Region) -> bool:
-    return all(cube.contains_minterm(c) for c in region.codes(sg.dense()))
+    return all(cube.contains_minterm(c) for c in region.codes())
 
 
 def check_trigger_cubes(

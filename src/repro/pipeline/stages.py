@@ -22,15 +22,18 @@ the text ``repro synth`` prints of it.  Stored, the circuit is pickled
 bytes inside it, decoded the first time :attr:`SynthesisResult.circuit`
 is read, so a warm synth prints without importing the engine.
 
-The DAG (``covers`` also reads ``sg-build``)::
+The DAG (``delays`` also reads ``sop-derivation``)::
 
     sg-build ──► classify          (lint gate; off the synthesis cone)
        │
-       ├──► sop-derivation ──► covers
-       │          │              │
-       └──────────┴──────────────┴──► delays ──► verify
-                                 │      │
-                                 └──────┴──► certify
+       └──► sop-derivation ──► covers ──► delays ──► verify
+                  │              │          ▲ │
+                  └──────────────┼──────────┘ │
+                                 └────────────┴──► certify
+
+``covers`` and ``delays`` read the graph as ``spec.sg``, the one the
+``sop-derivation`` artifact holds its regions over, so a circuit holds
+one graph (``circuit.sg is circuit.spec.sg``) however warm the run.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ __all__ = [
 STAGE_VERSIONS: dict[str, int] = {
     "sg-build": 5,
     "classify": 3,
-    "sop-derivation": 3,
+    "sop-derivation": 4,
     "covers": 1,
     "delays": 3,
     "verify": 1,
@@ -228,7 +231,6 @@ def _stage_sop(run: "PipelineRun"):
 def _stage_covers(run: "PipelineRun") -> CoverBundle:
     from ..core.synthesizer import apply_trigger_requirement, minimize_cover
 
-    sg = run.artifact("sg-build")
     spec = run.artifact("sop-derivation")
     minimized = minimize_cover(
         spec,
@@ -236,7 +238,7 @@ def _stage_covers(run: "PipelineRun") -> CoverBundle:
         share_products=run.params["share_products"],
         name=run.name,
     )
-    cover, single, added = apply_trigger_requirement(sg, spec, minimized)
+    cover, single, added = apply_trigger_requirement(spec.sg, spec, minimized)
     return CoverBundle(
         minimized=minimized,
         cover=cover,
@@ -255,12 +257,11 @@ def _library(run: "PipelineRun") -> "Library":
 def _stage_delays(run: "PipelineRun") -> SynthesisResult:
     from ..core.synthesizer import build_architecture, finalize_circuit
 
-    sg = run.artifact("sg-build")
     spec = run.artifact("sop-derivation")
     bundle: CoverBundle = run.artifact("covers")
     arch = build_architecture(spec, bundle.cover, name=run.name)
     circuit = finalize_circuit(
-        sg,
+        spec.sg,
         spec,
         bundle.cover,
         arch,
@@ -301,14 +302,11 @@ STAGES: dict[str, StageDef] = {
         StageDef("classify", ("sg-build",), ("name",), _stage_classify),
         StageDef("sop-derivation", ("sg-build",), (), _stage_sop),
         StageDef(
-            "covers",
-            ("sg-build", "sop-derivation"),
-            ("method", "share_products"),
-            _stage_covers,
+            "covers", ("sop-derivation",), ("method", "share_products"), _stage_covers
         ),
         StageDef(
             "delays",
-            ("sg-build", "sop-derivation", "covers"),
+            ("sop-derivation", "covers"),
             ("name", "method", "spread", "mhs_tau", "library"),
             _stage_delays,
         ),

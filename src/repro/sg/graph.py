@@ -286,10 +286,6 @@ class DenseGraph:
             digits[top - i] = 49  # "1"
         return int(digits, 2)
 
-    def bitset_of(self, states: Iterable[StateId]) -> int:
-        """The bitset of some external state ids."""
-        return self.bitset(map(self.number.__getitem__, states))
-
     def flags(self, bits: int) -> bytes:
         """A bitset as one 0/1 byte per state number."""
         return bit_flags(bits).ljust(len(self.codes), b"\0")

@@ -67,13 +67,13 @@ codes after :class:`~repro.sg.graph.StateGraph` checked the arcs) has
 no code space and gets no sinks from the mask passes, so all of its
 ERs take the walks.
 
-A :class:`Region` holds its states as a bitset over the numbers of the
-storage that built it, and builds the external ids only when they are
-read (:attr:`Region.states`) or pickled; read against any other
-storage (another graph, or the same graph rebuilt with a different
-numbering) the bitset is recomputed from the ids.  Regions are listed
-in order of their lowest state number, so the order does not depend on
-the hash seed.
+A :class:`Region` holds the graph it was computed on and its states as
+a bitset over that graph's state numbers, and builds the external ids
+only when they are read (:attr:`Region.states`).  It pickles the
+bitset and a reference to its graph, which a pickle of a graph, a
+:class:`~repro.core.sop_derivation.SopSpec` or a circuit holds once.
+Regions are listed in order of their lowest state number, so the order
+does not depend on the hash seed.
 """
 
 from __future__ import annotations
@@ -81,10 +81,11 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 
 from ..obs import get_metrics, trace_span
-from .graph import DenseGraph, StateGraph, StateId, bit_flags
+from .graph import DenseGraph, SGError, StateGraph, StateId
 
 __all__ = [
     "Region",
@@ -99,6 +100,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, repr=False)
 class Region:
     """A connected set of states associated with one signal transition.
 
@@ -106,86 +108,47 @@ class Region:
     region of a rising transition (``ER(+a)`` / ``QR(+a)``) and ``-1``
     for a falling one.  For an ER the signal's value inside is
     ``0`` if rising; for a QR it is the post-transition value
-    (``1`` if rising).  :meth:`bits` gives the states as a bitset over
-    a graph's state numbers; :attr:`ids` and :attr:`states` give their
-    external ids, built on first read.  A pickle carries the ids in
-    state-number order, so it does not depend on the hash seed.
+    (``1`` if rising).  ``bits`` is the set of states as a bitset over
+    the state numbers of ``graph``, the graph the region was computed
+    on (bit ``i`` = state ``i``; still valid as that graph grows, since
+    its mutators only append); :attr:`ids` and :attr:`states` give
+    their external ids, built on first read.  Regions compare by
+    signal, direction, kind and bitset, so compare regions of one
+    graph, or of copies numbered alike such as a pickle round trip.
     """
 
-    def __init__(self, signal: int, direction: int, kind: str, view: DenseGraph, bits: int):
-        self.signal = signal
-        self.direction = direction
-        self.kind = kind
-        #: ``(view, bitset)`` of the storage last read; never pickled
-        self._bits_in = (view, bits)
+    signal: int
+    direction: int
+    kind: str
+    graph: StateGraph = field(compare=False)
+    bits: int
 
-    @property
+    @cached_property
     def ids(self) -> tuple[StateId, ...]:
         """The external state ids, in state-number order."""
-        ids = self.__dict__.get("_ids")
-        if ids is None:
-            ids = self._ids = self._bits_in[0].labels(self._bits_in[1])
-        return ids
+        return self.graph.dense().labels(self.bits)
 
-    @property
+    @cached_property
     def states(self) -> frozenset[StateId]:
         """The external state ids, as a set."""
-        states = self.__dict__.get("_states")
-        if states is None:
-            states = self._states = frozenset(self.ids)
-        return states
+        return frozenset(self.ids)
 
-    def bits(self, view: DenseGraph) -> int:
-        """The states as a bitset over ``view``'s state numbers (bit
-        ``i`` = state ``i``).
+    def codes(self) -> set[int]:
+        """The binary codes of the states."""
+        return self.graph.dense().codes_of(self.bits)
 
-        Kept for the graph storage it was last computed on (still
-        valid as that graph grows: its mutators only append, so state
-        numbers never change) and recomputed from :attr:`ids` for any
-        other, so a region read against another graph, or against a
-        graph rebuilt with a different numbering, still names the
-        right states.
-        """
-        cached = self.__dict__.get("_bits_in")
-        if cached is None or cached[0] is not view:
-            ids = self.ids  # read off the old storage before replacing it
-            cached = self._bits_in = (view, view.bitset_of(ids))
-        return cached[1]
+    def __getstate__(self) -> tuple:
+        return (self.signal, self.direction, self.kind, self.graph, self.bits)
 
-    def codes(self, view: DenseGraph) -> set[int]:
-        """The binary codes of the states, read off ``view``."""
-        return view.codes_of(self.bits(view))
-
-    def __getstate__(self) -> dict:
-        cached = self.__dict__.get("_bits_in")
-        if cached is not None:
-            # the ids of the graph's memoized list, so a state id shared
-            # by several regions pickles once
-            view, bits = cached
-            self._ids = tuple(compress(view.ids, bit_flags(bits)))
-        return {
-            "signal": self.signal,
-            "direction": self.direction,
-            "kind": self.kind,
-            "_ids": self.ids,
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Region):
-            return NotImplemented
-        if (self.signal, self.direction, self.kind) != (other.signal, other.direction, other.kind):
-            return False
-        mine, theirs = self.__dict__.get("_bits_in"), other.__dict__.get("_bits_in")
-        if mine is not None and theirs is not None and mine[0] is theirs[0]:
-            return mine[1] == theirs[1]
-        return self.states == other.states
-
-    def __hash__(self) -> int:
-        return hash((self.signal, self.direction, self.kind, self.states))
+    def __setstate__(self, state: tuple) -> None:
+        # the graph may still be half-built here (its region memo is
+        # restored inside it), so it is only referenced
+        if type(state) is not tuple:
+            raise SGError("region pickled in an older layout")
+        self.__dict__.update(zip(("signal", "direction", "kind", "graph", "bits"), state))
 
     def __len__(self) -> int:
-        cached = self.__dict__.get("_bits_in")
-        return len(self.ids) if cached is None else cached[1].bit_count()
+        return self.bits.bit_count()
 
     def __contains__(self, state: StateId) -> bool:
         return state in self.states
@@ -251,7 +214,7 @@ def excitation_regions(sg: StateGraph, signal: int) -> list[Region]:
             s for s, m in enumerate(excited) if m & bit and codes[s] & bit == value
         ]
         regions += [
-            Region(signal, direction, "ER", view, bits) for bits in _components(view, members)
+            Region(signal, direction, "ER", sg, bits) for bits in _components(view, members)
         ]
     return regions
 
@@ -275,7 +238,7 @@ def quiescent_region_of(sg: StateGraph, er: Region) -> Region:
     seen = bytearray(len(view))
     members: list[int] = []
     stack: list[int] = []
-    for s in view.numbers(er.bits(view)):
+    for s in view.numbers(er.bits):
         if excited[s] & bit:
             d = view.nxt[s * n + signal]
             if not seen[d]:
@@ -290,7 +253,7 @@ def quiescent_region_of(sg: StateGraph, er: Region) -> Region:
                 if codes[d] & bit == post and not (up[d] | down[d]) & bit:
                     members.append(d)
                     stack.append(d)
-    return Region(signal, direction, "QR", view, view.bitset(members))
+    return Region(signal, direction, "QR", sg, view.bitset(members))
 
 
 def trigger_regions(sg: StateGraph, er: Region) -> list[Region]:
@@ -304,9 +267,9 @@ def trigger_regions(sg: StateGraph, er: Region) -> list[Region]:
     """
     view = sg.dense()
     signal = er.signal
-    states = view.numbers(er.bits(view))
+    states = view.numbers(er.bits)
     succ = view.succ
-    inside = bytearray(view.flags(er.bits(view)))
+    inside = bytearray(view.flags(er.bits))
 
     # iterative Tarjan over the ER's arcs of other signals
     index = [-1] * len(view)
@@ -364,7 +327,7 @@ def trigger_regions(sg: StateGraph, er: Region) -> list[Region]:
                         inside[x] = 2
     bottoms.sort(key=min)
     return [
-        Region(signal, er.direction, "ER", view, view.bitset(comp)) for comp in bottoms
+        Region(signal, er.direction, "ER", sg, view.bitset(comp)) for comp in bottoms
     ]
 
 
@@ -376,10 +339,10 @@ def check_output_trapping(sg: StateGraph, er: Region) -> list[tuple[StateId, Sta
     choices never have any.
     """
     view = sg.dense()
-    inside = view.flags(er.bits(view))
+    inside = view.flags(er.bits)
     return [
         (view.label(s), view.label(d))
-        for s in view.numbers(er.bits(view))
+        for s in view.numbers(er.bits)
         for a, _d, d in view.succ[s]
         if a != er.signal and not inside[d]
     ]
@@ -390,12 +353,12 @@ def trigger_region_reachable_from_all(sg: StateGraph, er: Region) -> bool:
     view = sg.dense()
     reach = 0
     for tr in trigger_regions(sg, er):
-        reach |= tr.bits(view)
+        reach |= tr.bits
     if not reach:
         return False
     # reverse reachability inside the ER via non-signal arcs
     reached = bytearray(view.flags(reach))
-    states = view.numbers(er.bits(view))
+    states = view.numbers(er.bits)
     changed = True
     while changed:
         changed = False
@@ -430,12 +393,12 @@ class SignalRegions:
         regions = self.excitation if kind == "ER" else self.quiescent
         return [r for r in regions if r.direction == direction]
 
-    def union_bits(self, view: DenseGraph, kind: str, direction: int) -> int:
+    def union_bits(self, kind: str, direction: int) -> int:
         """Union of all regions of one kind and direction, as a bitset
-        over ``view``'s state numbers."""
+        over their graph's state numbers."""
         out = 0
         for r in self._select(kind, direction):
-            out |= r.bits(view)
+            out |= r.bits
         return out
 
 
@@ -583,17 +546,17 @@ def _signal(
         else:
             ers = [members]
         for bits in ers:
-            er = Region(a, direction, "ER", view, bits)
+            er = Region(a, direction, "ER", sg, bits)
             sr.excitation.append(er)
             if len(ers) == 1:
-                sr.quiescent.append(Region(a, direction, "QR", view, quiescent))
+                sr.quiescent.append(Region(a, direction, "QR", sg, quiescent))
             else:
                 sr.quiescent.append(quiescent_region_of(sg, er))
             if bits & ~reach:
                 sr.triggers.append(trigger_regions(sg, er))
             else:
                 sr.triggers.append(
-                    [Region(a, direction, "ER", view, 1 << s) for s in view.numbers(sinks & bits)]
+                    [Region(a, direction, "ER", sg, 1 << s) for s in view.numbers(sinks & bits)]
                 )
     return sr
 

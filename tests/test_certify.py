@@ -185,10 +185,9 @@ class TestStatic0Disjointness:  # HZ003
 
     def test_refuted_on_off_set_trespass(self, celem_circuit):
         spec = celem_circuit.spec
-        f = spec.functions[0]
-        o = spec.output_index(f.signal, f.kind)
+        off = spec.off.projection(0)
         # seed a product that *is* an OFF cube of the same function
-        trespass = Cube.from_string(f.off.cubes[0].input_string(), 1 << o)
+        trespass = Cube.from_string(off.cubes[0].input_string(), 1)
         mutated = Cover(
             spec.sg.num_signals,
             spec.num_outputs,
@@ -198,7 +197,7 @@ class TestStatic0Disjointness:  # HZ003
         bad = [ob for ob in obs if ob.refuted]
         assert bad
         assert any(
-            ob.witness["off_cube"] == f.off.cubes[0].input_string()
+            ob.witness["off_cube"] == off.cubes[0].input_string()
             for ob in bad
         )
 
@@ -308,9 +307,7 @@ class TestHazardRules:
 
     def test_hz003_errors_on_trespassing_product(self, celem_sg):
         spec = derive_sop_spec(celem_sg)
-        f = spec.functions[0]
-        o = spec.output_index(f.signal, f.kind)
-        trespass = Cube.from_string(f.off.cubes[0].input_string(), 1 << o)
+        trespass = Cube.from_string(spec.off.projection(0).cubes[0].input_string(), 1)
         cover = Cover(celem_sg.num_signals, spec.num_outputs, [trespass])
         ctx = LintContext(celem_sg, name="trespass", cover=cover)
         result = run_rules(ctx, select={"HZ003"})

@@ -34,9 +34,13 @@ class TestDeriveSopSpec:
 
     def test_functions_parallel_structure(self, xyz_sg):
         spec = derive_sop_spec(xyz_sg)
-        assert len(spec.functions) == 2 * len(xyz_sg.non_inputs)
-        kinds = [f.kind for f in spec.functions]
-        assert kinds == ["set", "reset"] * len(xyz_sg.non_inputs)
+        assert spec.num_outputs == 2 * len(xyz_sg.non_inputs)
+        assert [spec.output_function(o) for o in range(spec.num_outputs)] == [
+            (a, kind) for a in xyz_sg.non_inputs for kind in ("set", "reset")
+        ]
+        for o in range(spec.num_outputs):
+            assert spec.output_index(*spec.output_function(o)) == o
+            assert spec.on.projection(o).cubes
 
     def test_unreachable_codes_are_dc(self, handshake_sg):
         spec = derive_sop_spec(handshake_sg)

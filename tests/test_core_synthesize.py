@@ -37,11 +37,11 @@ class TestSynthesize:
                 sr = spec.regions[a]
                 for kind, direction in (("set", 1), ("reset", -1)):
                     o = spec.output_index(a, kind)
-                    for m in view.codes_of(sr.union_bits(view, "ER", direction)):
+                    for m in view.codes_of(sr.union_bits("ER", direction)):
                         assert circuit.cover.contains_minterm(m, o)
-                    for m in view.codes_of(sr.union_bits(view, "ER", -direction)):
+                    for m in view.codes_of(sr.union_bits("ER", -direction)):
                         assert not circuit.cover.contains_minterm(m, o)
-                    for m in view.codes_of(sr.union_bits(view, "QR", -direction)):
+                    for m in view.codes_of(sr.union_bits("QR", -direction)):
                         assert not circuit.cover.contains_minterm(m, o)
 
     def test_rejects_invalid_sg(self):

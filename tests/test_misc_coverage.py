@@ -145,7 +145,7 @@ class TestBeerelCovers:
         for kind, direction in (("set", 1), ("reset", -1)):
             view = celem_sg.dense()
             allowed = view.codes_of(
-                sr.union_bits(view, "ER", direction) | sr.union_bits(view, "QR", direction)
+                sr.union_bits("ER", direction) | sr.union_bits("QR", direction)
             )
             for cube in res.covers[(c, kind)].cubes:
                 for m in cube.minterms():

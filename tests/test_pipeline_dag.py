@@ -220,6 +220,26 @@ class TestInvalidation:
         # upstream stages were served from cache, not recomputed
         for stage in ("sg-build", "classify", "sop-derivation"):
             assert stage not in warm.executed
+        # covers and delays read the graph off the SOP spec: sg-build
+        # is not even looked up
+        assert "sg-build" not in warm.report()["stages"]
+
+    def test_spread_change_reruns_delays_on_the_spec_graph(self, store, tmp_path):
+        # a store filled at spread 0, then a run at spread 0.4 (the
+        # table2 then certify --spread 0.4 pair): only delays re-runs,
+        # on the graph the stored SOP spec holds, so the circuit holds
+        # one graph, and sg-build is never read
+        path = tmp_path / "celem.g"
+        path.write_text(CELEM_G)
+        PipelineRun.from_file(str(path), store=store).circuit()
+        run = PipelineRun.from_file(str(path), store=store, delay_spread=0.4)
+        circuit = run.circuit()
+        assert circuit.sg is circuit.spec.sg
+        assert run.executed == ["delays"]
+        assert "sg-build" not in run.report()["stages"]
+        warm = PipelineRun.from_file(str(path), store=store, delay_spread=0.4)
+        circuit = warm.circuit()
+        assert warm.executed == [] and circuit.sg is circuit.spec.sg
 
     def test_sop_derivation_bump_reruns_exactly_downstream_cone(
         self, store, monkeypatch
@@ -254,11 +274,11 @@ class TestInvalidation:
     def test_sg_build_entry_carrying_a_region_memo(self, store, monkeypatch):
         # synthesizing a graph whose regions were already analysed (as
         # ``repro table2`` does after its baselines) pickles the region
-        # memo into the sg-build entry, in the Region layout of the time
-        # (ids in state-number order, no bitsets).  An entry of the previous sg-build version is
-        # never read again, and a graph loaded from one still
-        # synthesizes the same circuit.
-        from repro.sg.regions import signal_regions
+        # memo into the sg-build entry, as bitsets over that graph.  An
+        # entry under the same key whose regions carry their state ids
+        # (the Region layout earlier code wrote) is quarantined and
+        # recomputed, never loaded as a graph with broken regions.
+        from repro.sg.regions import Region, signal_regions
 
         def analysed():
             sg = _celem_sg()
@@ -266,26 +286,25 @@ class TestInvalidation:
                 signal_regions(sg, a)
             return sg
 
-        with monkeypatch.context() as old:
-            old.setitem(STAGE_VERSIONS, "sg-build", STAGE_VERSIONS["sg-build"] - 1)
-            old_sg = analysed()
-            stale_key = PipelineRun.from_sg(old_sg, name="celem", store=store).key_of(
-                "sg-build"
-            )
-            synthesize(old_sg, name="celem", cache=store)
-        found, stale = store.get(stale_key)
-        assert found and stale._regions
-        assert all(
-            set(r.__dict__) == {"signal", "direction", "kind", "_ids"}
-            for sr in stale._regions.values()
-            for r in sr.excitation + sr.quiescent
-        )
-        want = synthesize(_celem_sg(), name="celem").describe()
-        assert synthesize(stale, name="celem").describe() == want
+        def ids_layout(r):
+            return {"signal": r.signal, "direction": r.direction, "kind": r.kind, "_ids": r.ids}
 
+        with monkeypatch.context() as old:
+            old.setattr(Region, "__getstate__", ids_layout)
+            PipelineRun.from_sg(analysed(), name="celem", store=store).sg()
+        want = synthesize(_celem_sg(), name="celem").describe()
         run = PipelineRun.from_sg(analysed(), name="celem", store=store)
         assert run.synthesize().describe() == want
-        assert "sg-build" in run.executed
+        assert "sg-build" in run.executed and store.quarantined == 1
+
+        found, stored = store.get(run.key_of("sg-build"))
+        assert found and stored._regions
+        assert all(
+            r.graph is stored
+            for sr in stored._regions.values()
+            for r in sr.excitation + sr.quiescent
+        )
+        assert synthesize(stored, name="celem").describe() == want
 
     def test_leaf_stage_bump_reruns_only_itself(self, store, monkeypatch):
         run_all(store)

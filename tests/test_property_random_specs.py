@@ -105,9 +105,9 @@ class TestRandomSpecs:
             sr = spec.regions[a]
             for kind, direction in (("set", 1), ("reset", -1)):
                 o = spec.output_index(a, kind)
-                for m in view.codes_of(sr.union_bits(view, "ER", direction)):
+                for m in view.codes_of(sr.union_bits("ER", direction)):
                     assert circuit.cover.contains_minterm(m, o)
-                off = sr.union_bits(view, "ER", -direction) | sr.union_bits(view, "QR", -direction)
+                off = sr.union_bits("ER", -direction) | sr.union_bits("QR", -direction)
                 for m in view.codes_of(off):
                     assert not circuit.cover.contains_minterm(m, o)
 

@@ -2,13 +2,12 @@
 
 :meth:`StateGraph.dense` returns the :class:`DenseGraph` the graph is
 stored in: states numbered ``0..N-1`` in insertion order, which the
-mutators extend in place.  A region's :meth:`~repro.sg.regions.Region.bits`
-are a bitset over those numbers, kept for the storage that built them
-and recomputed for any other.  A pickle carries the ids, codes and
-arcs; the index tables are rebuilt by the first ``dense()`` after
-loading, with the same numbering, so the region bitsets are equal, and
-regions read against a differently numbered graph still name the
-right states.
+mutators extend in place.  A region's :attr:`~repro.sg.regions.Region.bits`
+are a bitset over the numbers of the graph it was computed on.  A
+pickle carries the ids, codes and arcs; the index tables are rebuilt
+by the first ``dense()`` after loading, with the same numbering, so a
+region pickles as its bitset and a reference to its graph, and still
+names the same states after loading.
 """
 
 import gc
@@ -20,15 +19,9 @@ import pytest
 from repro.analysis.certify import certify_circuit
 from repro.bench.circuits import DISTRIBUTIVE_BENCHMARKS, muller_pipeline
 from repro.core import synthesize
-from repro.core.sop_derivation import derive_sop_spec
-from repro.sg.graph import DenseGraph, SGError, StateGraph, Transition
-from repro.sg.regions import (
-    check_output_trapping,
-    quiescent_region_of,
-    signal_regions,
-    trigger_region_reachable_from_all,
-    trigger_regions,
-)
+from repro.pipeline import ArtifactStore, PipelineRun
+from repro.sg.graph import DenseGraph, SGError, Transition
+from repro.sg.regions import Region, signal_regions
 from repro.stg import elaborate
 
 from tests.conftest import legacy_pickle
@@ -57,7 +50,7 @@ class TestDenseView:
         ns, n = celem_sg.num_signals, len(view)
         c = celem_sg.signal_index("c")
         er = signal_regions(celem_sg, c).excitation[0]
-        bits = er.bits(view)
+        bits, states = er.bits, er.states
         celem_sg.set_initial(celem_sg.initial)
         assert celem_sg.dense() is view and celem_sg._regions is None
         celem_sg.add_state("extra", 0)
@@ -67,7 +60,7 @@ class TestDenseView:
         assert view.up[n] == view.down[n] == 0
         assert view.nxt[n * ns:] == [-1] * ns
         # numbers never change, so a region's bitset stays valid
-        assert er.bits(view) == bits == view.bitset_of(er.states)
+        assert er.bits == bits == view.bitset(map(view.number.__getitem__, states))
         signal_regions(celem_sg, c)
         dst = next(s for s in celem_sg.states() if celem_sg.code(s) == 1 << c)
         j = view.number[dst]
@@ -93,20 +86,20 @@ class TestDenseView:
         view = sg.dense()
         for sr in _regions(sg).values():
             for r in sr.excitation + sr.quiescent + [t for ts in sr.triggers for t in ts]:
-                assert set(view.labels(r.bits(view))) == r.states
+                assert set(view.labels(r.bits)) == r.states
 
     def test_regions_listed_by_lowest_state_number(self):
         sg = elaborate(muller_pipeline(4))
         view = sg.dense()
         for sr in _regions(sg).values():
             for direction in (1, -1):
-                firsts = [min(view.numbers(r.bits(view))) for r in sr.excitation if r.direction == direction]
+                firsts = [min(view.numbers(r.bits)) for r in sr.excitation if r.direction == direction]
                 assert firsts == sorted(firsts)
             assert [r.direction for r in sr.excitation] == sorted(
                 (r.direction for r in sr.excitation), reverse=True
             )
             for trs in sr.triggers:
-                firsts = [min(view.numbers(t.bits(view))) for t in trs]
+                firsts = [min(view.numbers(t.bits)) for t in trs]
                 assert firsts == sorted(firsts)
 
 
@@ -129,16 +122,17 @@ class TestPickle:
         assert loaded._dense is None
         again = pickle.loads(pickle.dumps(loaded))
         assert loaded._dense is None
-        # the region memo travels with the graph, without its bitsets ...
+        # the region memo travels with the graph, as bitsets over it,
+        # without its ids ...
         assert loaded._regions == regions
         assert all(
-            "_bits_in" not in r.__dict__
+            r.graph is loaded and "ids" not in r.__dict__
             for sr in loaded._regions.values()
             for r in sr.excitation + sr.quiescent
         )
         # ... and the rebuilt tables equal the originals, predecessors
         # in arc insertion order (which is not state order here), so
-        # the recomputed bitsets are equal
+        # the bitsets name the same states
         assert any(p != sorted(p) for p in old.pred)
         for copy in (loaded, again):
             view = copy.dense()
@@ -150,11 +144,10 @@ class TestPickle:
             for name in ("ids", "number"):
                 assert getattr(view, name) == getattr(old, name), name
             assert copy.initial == sg.initial
-        view = loaded.dense()
         for a, sr in regions.items():
             for r, q in zip(sr.excitation + sr.quiescent,
                             loaded._regions[a].excitation + loaded._regions[a].quiescent):
-                assert q.bits(view) == r.bits(old)
+                assert q.states == r.states
 
     def test_graphs_with_id_lists_pickle_their_ids(self, celem_sg):
         view = celem_sg.dense()
@@ -179,67 +172,56 @@ class TestPickle:
         loaded._regions = None
         assert _regions(loaded) == regions
         for a, sr in regions.items():
-            assert [r.bits(loaded.dense()) for r in loaded._regions[a].excitation] == [
-                r.bits(sg.dense()) for r in sr.excitation
+            assert [r.bits for r in loaded._regions[a].excitation] == [
+                r.bits for r in sr.excitation
             ]
 
     def test_regions_artifact_round_trip(self):
         sg = elaborate(muller_pipeline(4))
         regions = _regions(sg)
-        assert pickle.loads(pickle.dumps(regions)) == regions
-        # a region pickles its ids in state-number order, not as a set
-        view = sg.dense()
+        loaded = pickle.loads(pickle.dumps(regions))
+        assert loaded == regions
+        # a region pickles its bitset and its graph, which the regions
+        # of one pickle share
+        graphs = {id(r.graph) for sr in loaded.values() for r in sr.excitation + sr.quiescent}
+        assert len(graphs) == 1
         for sr in regions.values():
             for r in sr.excitation + sr.quiescent:
-                ids = r.__getstate__()["_ids"]
-                assert ids == tuple(view.ids[i] for i in view.numbers(r.bits(view)))
+                assert r.__getstate__() == (r.signal, r.direction, r.kind, sg, r.bits)
 
+    def test_region_in_an_older_layout_is_refused(self, celem_sg):
+        er = signal_regions(celem_sg, celem_sg.signal_index("c")).excitation[0]
+        with pytest.raises(SGError, match="older layout"):
+            Region.__new__(Region).__setstate__(
+                {"signal": er.signal, "direction": er.direction, "kind": er.kind, "_ids": er.ids}
+            )
 
-class TestForeignNumbering:
-    """Regions computed on a copy of a graph whose states were inserted
-    in another order (as when a reordered spec file rebuilds the graph
-    while the regions come from the store)."""
+    def test_stored_spec_and_circuit_hold_no_state_ids(self, tmp_path):
+        """The ``sop-derivation`` payload and the circuit bytes inside
+        the ``delays`` payload hold the graph once and its regions as
+        bitsets, so no ``(Marking, code)`` id is pickled, and the
+        regions read back name the same states."""
+        store = ArtifactStore(str(tmp_path / "cache"))
+        run = PipelineRun.from_sg(elaborate(muller_pipeline(4)), name="m4", store=store)
+        circuit = run.synthesize()
+        spec = circuit.spec
 
-    @staticmethod
-    def _reordered(sg: StateGraph) -> StateGraph:
-        copy = StateGraph(sg.signals, sg.input_names)
-        states = list(sg.states())[::-1]
-        for s in states:
-            copy.add_state(s, sg.code(s))
-        for s in states:
-            for t, d in sg.successors(s)[::-1]:
-                copy.add_arc(s, t, d)
-        copy.set_initial(sg.initial)
-        return copy
+        def payload(stage):
+            with open(store._payload_path(run.key_of(stage)), "rb") as f:
+                return f.read()
 
-    def test_region_walks_read_the_states_not_foreign_bits(self):
-        sg = elaborate(muller_pipeline(4))
-        copy = self._reordered(sg)
-        assert copy.dense().ids != sg.dense().ids
-        view = sg.dense()
-        for a, sr in _regions(copy).items():
-            ours = signal_regions(sg, a)
-            assert set(sr.excitation) == set(ours.excitation)
-            for er in sr.excitation:
-                assert set(view.labels(er.bits(view))) == er.states
-                assert quiescent_region_of(sg, er) == ours.quiescent_after(er)
-                assert set(trigger_regions(sg, er)) == set(
-                    ours.triggers[ours.excitation.index(er)]
-                )
-                assert check_output_trapping(sg, er) == []
-                assert trigger_region_reachable_from_all(sg, er)
-
-    def test_sop_spec_from_foreign_regions(self):
-        sg = elaborate(muller_pipeline(4))
-        theirs = _regions(self._reordered(sg))
-
-        def covers(spec):
-            return [
-                (f.signal, f.kind, f.on.cubes, f.dc.cubes, f.off.cubes)
-                for f in spec.functions
-            ]
-
-        assert covers(derive_sop_spec(sg, regions=theirs)) == covers(derive_sop_spec(sg))
+        sop = payload("sop-derivation")
+        blob = pickle.loads(payload("delays")).__getstate__()["circuit"]
+        assert b"Marking" not in sop and b"Marking" not in blob
+        for loaded in (pickle.loads(sop), pickle.loads(blob).spec):
+            assert loaded.regions.keys() == spec.regions.keys()
+            for a, sr in spec.regions.items():
+                mine, theirs = loaded.regions[a], sr
+                for r, q in zip(
+                    theirs.excitation + theirs.quiescent + sum(theirs.triggers, []),
+                    mine.excitation + mine.quiescent + sum(mine.triggers, []),
+                ):
+                    assert q.graph is loaded.sg and q.states == r.states
 
 
 class TestCopies:
@@ -318,7 +300,7 @@ class TestLabelsOnDemand:
             for sr in sg._regions.values()
             for trs in sr.triggers
             for tr in trs
-            for i in view.numbers(tr.bits(view))
+            for i in view.numbers(tr.bits)
         ]
         assert rendered and sorted(built) == sorted(rendered)
         # the labels are the ids the id-keyed API reads

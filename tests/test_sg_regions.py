@@ -18,6 +18,7 @@ from repro.bench.circuits import (
     figure2_sg,
     figure7a_sg,
     figure7b_sg,
+    muller_pipeline,
 )
 from repro.core import synthesize
 from repro.obs import MetricsRegistry, Tracer, get_metrics, set_metrics, tracing
@@ -100,10 +101,10 @@ class TestQuiescentRegions:
         sr = signal_regions(celem_sg, c)
         view = celem_sg.dense()
         total = (
-            sr.union_bits(view, "ER", 1)
-            | sr.union_bits(view, "ER", -1)
-            | sr.union_bits(view, "QR", 1)
-            | sr.union_bits(view, "QR", -1)
+            sr.union_bits("ER", 1)
+            | sr.union_bits("ER", -1)
+            | sr.union_bits("QR", 1)
+            | sr.union_bits("QR", -1)
         )
         assert set(view.labels(total)) == set(celem_sg.states())
 
@@ -144,16 +145,21 @@ class TestTriggerRegions:
 
 
 class TestProperties1And2:
+    """On the walked regions and on the memoized analysis of a Muller
+    pipeline, whose ERs all take the one-sink path."""
+
     def test_output_trapping(self, celem_sg, or_element_sg):
-        for sg in (celem_sg, or_element_sg):
+        muller = elaborate(muller_pipeline(4))
+        for sg in (celem_sg, or_element_sg, muller):
             for a in sg.non_inputs:
-                for er in excitation_regions(sg, a):
+                for er in excitation_regions(sg, a) + signal_regions(sg, a).excitation:
                     assert check_output_trapping(sg, er) == []
 
     def test_trigger_reachability(self, celem_sg, or_element_sg):
-        for sg in (celem_sg, or_element_sg, figure7b_sg()):
+        muller = elaborate(muller_pipeline(4))
+        for sg in (celem_sg, or_element_sg, figure7b_sg(), muller):
             for a in sg.non_inputs:
-                for er in excitation_regions(sg, a):
+                for er in excitation_regions(sg, a) + signal_regions(sg, a).excitation:
                     assert trigger_region_reachable_from_all(sg, er)
 
 
