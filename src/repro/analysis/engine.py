@@ -22,7 +22,7 @@ from ..obs.trace import trace_span
 from ..sg.graph import StateGraph
 from .context import LintContext
 from .diagnostics import Diagnostic, Location, Severity
-from .registry import Rule, RuleRegistry, Scope, default_registry
+from .registry import Rule, RuleRegistry, Scope, default_registry, preflight_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
     from ..pipeline.dag import PipelineRun
@@ -223,10 +223,11 @@ def analyze(
 def run_preflight(sg: StateGraph, name: str = "spec") -> AnalysisResult:
     """The synthesizer's pre-flight pass: only the Theorem-2
     precondition rules (``preflight=True``), all SG-scope, so nothing
-    is minimized or mapped.  The verdict is memoized on ``sg`` (see
-    :meth:`StateGraph.analysis`) for :func:`preflight_failure`."""
+    is minimized or mapped, and only their rule module is loaded.  The
+    verdict is memoized on ``sg`` (see :meth:`StateGraph.analysis`) for
+    :func:`preflight_failure`."""
     ctx = LintContext(sg, name=name)
-    result = run_rules(ctx, preflight_only=True)
+    result = run_rules(ctx, preflight_registry(), preflight_only=True)
     sg.analysis().preflight_ok = result.ok
     return result
 

@@ -134,7 +134,8 @@ class RuleRegistry:
 
 
 _DEFAULT = RuleRegistry()
-#: the modules whose ``@rule`` bodies make up the built-in catalog
+#: the modules whose ``@rule`` bodies make up the built-in catalog; the
+#: first holds every ``preflight`` rule
 _BUILTIN_RULES = ("rules_sg", "rules_trigger", "rules_netlist", "rules_hazard")
 
 
@@ -146,6 +147,14 @@ def default_registry() -> RuleRegistry:
     """
     for name in _BUILTIN_RULES:
         import_module(f"{__package__}.{name}")
+    return _DEFAULT
+
+
+def preflight_registry() -> RuleRegistry:
+    """The process-wide registry with every ``preflight`` rule
+    registered: only the module that holds them is imported, so the
+    synthesizer's preflight loads none of the other rules."""
+    import_module(f"{__package__}.{_BUILTIN_RULES[0]}")
     return _DEFAULT
 
 

@@ -67,7 +67,7 @@ def arcs_agree(sg: StateGraph) -> bool:
             not any(map(and_, view.up, codes))
             and not any(map(and_, view.down, map(invert, codes)))
             # one arc per (state, signal), so ``nxt`` holds every arc
-            and len(nxt) - nxt.count(-1) == sum(map(len, view.succ))
+            and len(nxt) - nxt.count(-1) == len(view.arc_src)
         )
         # per arc of ``a``, the code of its end against its start's code
         # with the bit of ``a`` flipped

@@ -67,11 +67,14 @@ codes after :class:`~repro.sg.graph.StateGraph` checked the arcs) has
 no code space and gets no sinks from the mask passes, so all of its
 ERs take the walks.
 
-A :class:`Region` holds the graph it was computed on and its states as
-a bitset over that graph's state numbers, and builds the external ids
-only when they are read (:attr:`Region.states`).  It pickles the
-bitset and a reference to its graph, which a pickle of a graph, a
-:class:`~repro.core.sop_derivation.SopSpec` or a circuit holds once.
+A :class:`Region` holds the storage (:class:`~repro.sg.graph.DenseGraph`)
+of the graph it was computed on and its states as a bitset over that
+storage's state numbers, and builds the external ids only when they are
+read (:attr:`Region.states`).  The storage holds no reference back, so
+a graph whose regions are memoized on it is freed without the cyclic
+garbage collector.  A region pickles the bitset and a reference to the
+storage, which a pickle of a :class:`~repro.core.sop_derivation.SopSpec`
+or a circuit holds once, shared with the graph.
 Regions are listed in order of their lowest state number, so the order
 does not depend on the hash seed.
 """
@@ -109,9 +112,9 @@ class Region:
     for a falling one.  For an ER the signal's value inside is
     ``0`` if rising; for a QR it is the post-transition value
     (``1`` if rising).  ``bits`` is the set of states as a bitset over
-    the state numbers of ``graph``, the graph the region was computed
-    on (bit ``i`` = state ``i``; still valid as that graph grows, since
-    its mutators only append); :attr:`ids` and :attr:`states` give
+    the state numbers of ``graph``, the storage of the graph the region
+    was computed on (bit ``i`` = state ``i``; still valid as that graph
+    grows, since its mutators only append); :attr:`ids` and :attr:`states` give
     their external ids, built on first read.  Regions compare by
     signal, direction, kind and bitset, so compare regions of one
     graph, or of copies numbered alike such as a pickle round trip.
@@ -120,13 +123,13 @@ class Region:
     signal: int
     direction: int
     kind: str
-    graph: StateGraph = field(compare=False)
+    graph: DenseGraph = field(compare=False)
     bits: int
 
     @cached_property
     def ids(self) -> tuple[StateId, ...]:
         """The external state ids, in state-number order."""
-        return self.graph.dense().labels(self.bits)
+        return self.graph.labels(self.bits)
 
     @cached_property
     def states(self) -> frozenset[StateId]:
@@ -135,14 +138,12 @@ class Region:
 
     def codes(self) -> set[int]:
         """The binary codes of the states."""
-        return self.graph.dense().codes_of(self.bits)
+        return self.graph.codes_of(self.bits)
 
     def __getstate__(self) -> tuple:
         return (self.signal, self.direction, self.kind, self.graph, self.bits)
 
     def __setstate__(self, state: tuple) -> None:
-        # the graph may still be half-built here (its region memo is
-        # restored inside it), so it is only referenced
         if type(state) is not tuple:
             raise SGError("region pickled in an older layout")
         self.__dict__.update(zip(("signal", "direction", "kind", "graph", "bits"), state))
@@ -214,7 +215,7 @@ def excitation_regions(sg: StateGraph, signal: int) -> list[Region]:
             s for s, m in enumerate(excited) if m & bit and codes[s] & bit == value
         ]
         regions += [
-            Region(signal, direction, "ER", sg, bits) for bits in _components(view, members)
+            Region(signal, direction, "ER", view, bits) for bits in _components(view, members)
         ]
     return regions
 
@@ -253,7 +254,7 @@ def quiescent_region_of(sg: StateGraph, er: Region) -> Region:
                 if codes[d] & bit == post and not (up[d] | down[d]) & bit:
                     members.append(d)
                     stack.append(d)
-    return Region(signal, direction, "QR", sg, view.bitset(members))
+    return Region(signal, direction, "QR", view, view.bitset(members))
 
 
 def trigger_regions(sg: StateGraph, er: Region) -> list[Region]:
@@ -327,7 +328,7 @@ def trigger_regions(sg: StateGraph, er: Region) -> list[Region]:
                         inside[x] = 2
     bottoms.sort(key=min)
     return [
-        Region(signal, er.direction, "ER", sg, view.bitset(comp)) for comp in bottoms
+        Region(signal, er.direction, "ER", view, view.bitset(comp)) for comp in bottoms
     ]
 
 
@@ -339,11 +340,11 @@ def check_output_trapping(sg: StateGraph, er: Region) -> list[tuple[StateId, Sta
     choices never have any.
     """
     view = sg.dense()
-    inside = view.flags(er.bits)
+    inside, succ = view.flags(er.bits), view.succ
     return [
         (view.label(s), view.label(d))
         for s in view.numbers(er.bits)
-        for a, _d, d in view.succ[s]
+        for a, _d, d in succ[s]
         if a != er.signal and not inside[d]
     ]
 
@@ -358,13 +359,13 @@ def trigger_region_reachable_from_all(sg: StateGraph, er: Region) -> bool:
         return False
     # reverse reachability inside the ER via non-signal arcs
     reached = bytearray(view.flags(reach))
-    states = view.numbers(er.bits)
+    states, succ = view.numbers(er.bits), view.succ
     changed = True
     while changed:
         changed = False
         for s in states:
             if not reached[s] and any(
-                a != er.signal and reached[d] for a, _d, d in view.succ[s]
+                a != er.signal and reached[d] for a, _d, d in succ[s]
             ):
                 reached[s] = 1
                 changed = True
@@ -546,17 +547,17 @@ def _signal(
         else:
             ers = [members]
         for bits in ers:
-            er = Region(a, direction, "ER", sg, bits)
+            er = Region(a, direction, "ER", view, bits)
             sr.excitation.append(er)
             if len(ers) == 1:
-                sr.quiescent.append(Region(a, direction, "QR", sg, quiescent))
+                sr.quiescent.append(Region(a, direction, "QR", view, quiescent))
             else:
                 sr.quiescent.append(quiescent_region_of(sg, er))
             if bits & ~reach:
                 sr.triggers.append(trigger_regions(sg, er))
             else:
                 sr.triggers.append(
-                    [Region(a, direction, "ER", sg, 1 << s) for s in view.numbers(sinks & bits)]
+                    [Region(a, direction, "ER", view, 1 << s) for s in view.numbers(sinks & bits)]
                 )
     return sr
 

@@ -54,11 +54,13 @@ def sabotage_code(sg: StateGraph, state, mask: int) -> None:
 
 def legacy_pickle(sg: StateGraph, layout: str = "dicts") -> bytes:
     """``sg`` pickled in the layout of older store entries, rebuilt by
-    ``copyreg.__newobj__`` from a state dict that holds either the
-    id-keyed ``_code``/``_succ``/``_pred`` dicts (``"dicts"``, before
-    the graph was stored as a ``DenseGraph``) or
+    ``copyreg.__newobj__`` from a state dict that holds the id-keyed
+    ``_code``/``_succ``/``_pred`` dicts (``"dicts"``, before the graph
+    was stored as a ``DenseGraph``),
     ``storage = (ids, codes, succ, pred order)`` (``"ids"``, before
-    elaborated graphs kept their markings as place bitmasks)."""
+    elaborated graphs kept their markings as place bitmasks) or
+    ``storage = (markings, codes, succ, pred order, places)``
+    (``"lists"``, before the arcs were stored as one flat table)."""
     if layout == "dicts":
         state = {
             "signals": sg.signals,
@@ -69,7 +71,7 @@ def legacy_pickle(sg: StateGraph, layout: str = "dicts") -> bytes:
             "_pred": {s: sg.predecessors(s) for s in sg.states()},
             "initial": sg.initial,
         }
-    else:
+    elif layout == "ids":
         g = sg.dense()
         state = {
             "signals": sg.signals,
@@ -77,6 +79,17 @@ def legacy_pickle(sg: StateGraph, layout: str = "dicts") -> bytes:
             "initial": sg.initial,
             "_regions": None,
             "storage": (g.ids, g.codes, g.succ, array("i", chain.from_iterable(g.pred))),
+        }
+    else:
+        g = sg.dense()
+        state = {
+            "signals": sg.signals,
+            "inputs": sg.inputs,
+            "_initial": sg.initial_number,
+            "_regions": None,
+            "storage": (
+                g.markings, g.codes, g.succ, array("i", chain.from_iterable(g.pred)), g.places
+            ),
         }
 
     class Pickler(pickle.Pickler):

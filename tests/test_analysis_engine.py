@@ -118,6 +118,10 @@ class TestPreflight:
             r.meta.id for r in default_registry().all() if r.meta.preflight
         }
         assert preflight_ids == {"SG001", "SG002", "SG004"}
+        # all in the one module the preflight loads
+        assert {
+            r.body.__module__ for r in default_registry().all() if r.meta.preflight
+        } == {"repro.analysis.rules_sg"}
         assert result.rules_run == 3
         # SG-scope only: nothing minimized or mapped
         assert result.scopes_run == ["sg"]

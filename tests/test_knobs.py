@@ -53,9 +53,6 @@ ALLOWED: dict[tuple[str, str, str], str] = {
     ("src/repro/analysis/context.py", "__init__", "netlist"): (
         "seam: a hand-built netlist for the netlist rules to judge"
     ),
-    ("src/repro/analysis/engine.py", "run_rules", "registry"): (
-        "seam: a registry of fake rules"
-    ),
     ("src/repro/analysis/registry.py", "rule", "registry"): (
         "seam: registers a fake rule into a test registry"
     ),

@@ -8,7 +8,8 @@
   baseline, bench, STG front-end, fuzzer, heavy observability module or
   other command's CLI module, and neither ``subprocess``, ``platform``
   nor ``uuid``; a cold synth loads no certifier, simulator (MHS model),
-  exact minimizer, tautology or complement;
+  exact minimizer, tautology or complement, and of the lint rules only
+  the module that holds the preflight's;
 * **public surface** — every ``__all__`` name of ``repro`` and of each
   subpackage resolves, is listed by ``dir()`` and star-imports;
 * **rule catalogue** — the built-in lint rules register on the first
@@ -65,15 +66,18 @@ NOT_ON_WARM_SYNTH = (
 )
 
 #: modules a cold synth must not load: the certifier, the MHS model and
-#: the rest of the simulator, the exact minimizer, and the unate-recursive
+#: the rest of the simulator, the exact minimizer, the unate-recursive
 #: tautology and complement (ESPRESSO works on code bitmaps and is given
-#: its OFF-set)
+#: its OFF-set), and the lint rules the preflight does not run
 NOT_ON_COLD_SYNTH = (
     "repro.analysis.certify.",
     "repro.sim.",
     "repro.logic.exact",
     "repro.logic.tautology",
     "repro.logic.complement",
+    "repro.analysis.rules_trigger",
+    "repro.analysis.rules_netlist",
+    "repro.analysis.rules_hazard",
 )
 
 #: `repro lint --list-rules`, the built-in catalogue
@@ -137,7 +141,7 @@ def test_warm_synth_loads_only_what_it_unpickles(tmp_path):
 def test_cold_synth_loads_no_certifier_simulator_or_exact_minimizer(tmp_path):
     argv = ["synth", CELEM, "--cache-dir", str(tmp_path / "store")]
     loaded = _loaded_after(f"from repro.cli import main\nassert main({argv!r}) == 0")
-    assert "repro.analysis.rules_hazard" in loaded  # the catalogue did register
+    assert "repro.analysis.rules_sg" in loaded  # the preflight rules did register
     assert _banned(loaded, NOT_ON_COLD_SYNTH) == []
 
 

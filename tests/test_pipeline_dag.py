@@ -271,14 +271,19 @@ class TestInvalidation:
         # the spy does see a region that is read back from the store
         assert run_all(store).circuit().spec.regions and loaded
 
-    def test_sg_build_entry_carrying_a_region_memo(self, store, monkeypatch):
+    def test_sg_build_entry_carrying_a_region_memo(self, store):
         # synthesizing a graph whose regions were already analysed (as
-        # ``repro table2`` does after its baselines) pickles the region
-        # memo into the sg-build entry, as bitsets over that graph.  An
-        # entry under the same key whose regions carry their state ids
-        # (the Region layout earlier code wrote) is quarantined and
-        # recomputed, never loaded as a graph with broken regions.
-        from repro.sg.regions import Region, signal_regions
+        # ``repro table2`` does after its baselines) stores the same
+        # sg-build payload as a fresh graph: the memo stays behind.  An
+        # entry under the same key in the layout earlier code wrote
+        # (per-state arc lists) is quarantined and recomputed, never
+        # loaded as a broken graph.
+        import json
+        from hashlib import sha256
+
+        from repro.sg.regions import signal_regions
+
+        from tests.conftest import legacy_pickle
 
         def analysed():
             sg = _celem_sg()
@@ -286,25 +291,48 @@ class TestInvalidation:
                 signal_regions(sg, a)
             return sg
 
-        def ids_layout(r):
-            return {"signal": r.signal, "direction": r.direction, "kind": r.kind, "_ids": r.ids}
+        def payload(key):
+            with open(store._payload_path(key), "rb") as f:
+                return f.read()
 
-        with monkeypatch.context() as old:
-            old.setattr(Region, "__getstate__", ids_layout)
-            PipelineRun.from_sg(analysed(), name="celem", store=store).sg()
+        fresh = PipelineRun.from_sg(_celem_sg(), name="celem", store=store)
+        fresh.sg()
+        key = fresh.key_of("sg-build")
+        want_payload = payload(key)
+        blob = legacy_pickle(analysed(), "lists")
+        with open(store._payload_path(key), "wb") as f:
+            f.write(blob)
+        meta = json.load(open(store._meta_path(key)))
+        meta["payload_sha256"] = sha256(blob).hexdigest()
+        json.dump(meta, open(store._meta_path(key), "w"))
+
         want = synthesize(_celem_sg(), name="celem").describe()
         run = PipelineRun.from_sg(analysed(), name="celem", store=store)
         assert run.synthesize().describe() == want
         assert "sg-build" in run.executed and store.quarantined == 1
-
-        found, stored = store.get(run.key_of("sg-build"))
-        assert found and stored._regions
-        assert all(
-            r.graph is stored
-            for sr in stored._regions.values()
-            for r in sr.excitation + sr.quiescent
-        )
+        assert payload(key) == want_payload
+        found, stored = store.get(key)
+        assert found and stored._regions is None
         assert synthesize(stored, name="celem").describe() == want
+
+    def test_sg_build_payload_does_not_depend_on_the_baselines(self, tmp_path):
+        # ``repro table2`` runs the baselines on a graph before it
+        # synthesizes it; its sg-build payload is the storeless synth's
+        from hashlib import sha256
+
+        from repro.bench.runner import run_benchmark, sg_of
+
+        digests = []
+        for baselines_first in (True, False):
+            store = ArtifactStore(str(tmp_path / str(baselines_first)))
+            if baselines_first:
+                run_benchmark("chu150", cache=store)
+            else:
+                synthesize(sg_of("chu150"), name="chu150", cache=store)
+            key = PipelineRun.from_sg(sg_of("chu150"), name="chu150").key_of("sg-build")
+            with open(store._payload_path(key), "rb") as f:
+                digests.append(sha256(f.read()).hexdigest())
+        assert digests[0] == digests[1]
 
     def test_leaf_stage_bump_reruns_only_itself(self, store, monkeypatch):
         run_all(store)

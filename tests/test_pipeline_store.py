@@ -156,9 +156,11 @@ class TestQuarantine:
 
     def test_state_graph_in_an_older_layout(self, store):
         """A state graph pickled in an older layout (the id-keyed dicts,
-        or a storage tuple of ids) is refused, not returned half built."""
+        a storage tuple of ids, or one of per-state arc lists) is
+        refused and quarantined, not returned half built."""
         sg = elaborate(parse_g(C_ELEMENT_G))
-        for n, (layout, mark) in enumerate((("dicts", b"_succ"), ("ids", b"Marking")), 1):
+        layouts = (("dicts", b"_succ"), ("ids", b"Marking"), ("lists", b"storage"))
+        for n, (layout, mark) in enumerate(layouts, 1):
             blob = legacy_pickle(sg, layout)
             assert mark in blob and b"StateGraph" in blob
             store.put(KEY_A, "payload")

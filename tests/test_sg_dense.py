@@ -2,29 +2,44 @@
 
 :meth:`StateGraph.dense` returns the :class:`DenseGraph` the graph is
 stored in: states numbered ``0..N-1`` in insertion order, which the
-mutators extend in place.  A region's :attr:`~repro.sg.regions.Region.bits`
-are a bitset over the numbers of the graph it was computed on.  A
-pickle carries the ids, codes and arcs; the index tables are rebuilt
-by the first ``dense()`` after loading, with the same numbering, so a
-region pickles as its bitset and a reference to its graph, and still
-names the same states after loading.
+mutators extend in place.  The arcs are one flat table, in insertion
+order; the per-state ``succ``/``pred`` lists are derived from it on
+first read, and the code-space paths never read them.  A region's
+:attr:`~repro.sg.regions.Region.bits` are a bitset over the numbers of
+the storage it was computed on.  A pickle carries the ids (or markings),
+codes and arc table; the index tables are rebuilt on loading, with the
+same numbering, so a region pickles as its bitset and a reference to
+the storage, and still names the same states after loading.
 """
 
 import gc
 import pickle
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.certify import certify_circuit
-from repro.bench.circuits import DISTRIBUTIVE_BENCHMARKS, muller_pipeline
+from repro.bench.circuits import (
+    DISTRIBUTIVE_BENCHMARKS,
+    NONDISTRIBUTIVE_BENCHMARKS,
+    muller_pipeline,
+)
+from repro.bench.runner import sg_of
 from repro.core import synthesize
+from repro.fuzz.generator import derive_seed, generate_spec, knob_combinations
 from repro.pipeline import ArtifactStore, PipelineRun
-from repro.sg.graph import DenseGraph, SGError, Transition
+from repro.sg.graph import DenseGraph, SGError, StateGraph, Transition
 from repro.sg.regions import Region, signal_regions
+from repro.sg.sgformat import parse_sg
 from repro.stg import elaborate
 
+from tests import sg_reference as ref
 from tests.conftest import legacy_pickle
+from tests.test_elaborate_reference import state_machine_stg
+
+CORPUS = Path(__file__).resolve().parent.parent / "examples" / "fuzz-corpus"
 
 
 def _regions(sg) -> dict:
@@ -109,59 +124,63 @@ class TestPickle:
         regions = _regions(sg)
         old = sg.dense()
         state = sg.__getstate__()
-        assert set(state) == {"signals", "inputs", "_initial", "_regions", "storage"}
-        markings, codes, succ, pred_order, places = state["storage"]
-        assert (markings, codes, succ) == (old.markings, old.codes, old.succ)
-        assert places == old.places and state["_initial"] == 0
-        assert list(pred_order) == [p for ps in old.pred for p in ps]
-        assert b"Marking" not in pickle.dumps(state["storage"])
+        # the memoized analyses stay behind: a stored graph does not
+        # depend on what was asked of it before
+        assert set(state) == {"signals", "inputs", "_initial", "_dense"}
+        assert state["_dense"] is old and state["_initial"] == 0
+        ns, markings, codes, srcs, signals, dsts, places = old.__getstate__()
+        assert (ns, markings, codes, places) == (5 + 2, old.markings, old.codes, old.places)
+        # per arc, in insertion order: its source, its signal with the
+        # direction in bit 0, and its destination
+        assert list(srcs) == list(old.arc_src)
+        assert [(a, d) for a, d in zip(signals, dsts)] == [
+            (a << 1 | (direction == -1), d)
+            for s, a in zip(old.arc_src, old.arc_signal)
+            for b, direction, d in old.succ[s]
+            if b == a
+        ]
         blob = pickle.dumps(sg)
-        assert b"DenseGraph" not in blob
+        assert b"Marking" not in blob and b"succ" not in blob
         loaded = pickle.loads(blob)
-        # loading builds no index table; pickling again needs none
-        assert loaded._dense is None
         again = pickle.loads(pickle.dumps(loaded))
-        assert loaded._dense is None
-        # the region memo travels with the graph, as bitsets over it,
-        # without its ids ...
-        assert loaded._regions == regions
-        assert all(
-            r.graph is loaded and "ids" not in r.__dict__
-            for sr in loaded._regions.values()
-            for r in sr.excitation + sr.quiescent
-        )
-        # ... and the rebuilt tables equal the originals, predecessors
-        # in arc insertion order (which is not state order here), so
-        # the bitsets name the same states
+        assert loaded._regions is None and loaded.dense()._succ is None
+        # the rebuilt tables equal the originals, predecessors in arc
+        # insertion order (which is not state order here), so the
+        # bitsets name the same states
         assert any(p != sorted(p) for p in old.pred)
         for copy in (loaded, again):
             view = copy.dense()
-            assert copy.dense() is view
-            for name in ("places", "markings", "codes", "succ", "pred", "up", "down", "nxt"):
+            for name in (
+                "places", "markings", "codes", "arc_src", "arc_signal",
+                "up", "down", "nxt", "succ", "pred",
+            ):
                 assert getattr(view, name) == getattr(old, name), name
             # the ids are built on first read, equal to the originals
             assert view._ids is None and view._number is None
             for name in ("ids", "number"):
                 assert getattr(view, name) == getattr(old, name), name
             assert copy.initial == sg.initial
-        for a, sr in regions.items():
-            for r, q in zip(sr.excitation + sr.quiescent,
-                            loaded._regions[a].excitation + loaded._regions[a].quiescent):
-                assert q.states == r.states
+            assert _regions(copy) == regions
 
     def test_graphs_with_id_lists_pickle_their_ids(self, celem_sg):
         view = celem_sg.dense()
         celem_sg.add_state("extra", 0)
         # a mutator turns an elaborated graph's labels into its id list
         assert view.places is view.markings is None
-        ids, *_rest, places = celem_sg.__getstate__()["storage"]
+        _ns, ids, *_rest, places = view.__getstate__()
         assert ids == view.ids and places is None
         loaded = pickle.loads(pickle.dumps(celem_sg))
         assert loaded.dense().ids == view.ids and loaded.initial == celem_sg.initial
 
+    def test_a_2_14_state_graph_pickles_in_under_600_kb(self):
+        # 1.21 MB when every arc pickled as a tuple in a per-state list
+        sg = elaborate(muller_pipeline(12))
+        assert sg.num_states == 2 ** 14
+        assert len(pickle.dumps(sg, pickle.HIGHEST_PROTOCOL)) <= 600_000
+
     def test_older_layout_is_refused(self):
         sg = elaborate(muller_pipeline(3))
-        for layout in ("dicts", "ids"):
+        for layout in ("dicts", "ids", "lists"):
             with pytest.raises(SGError, match="older layout"):
                 pickle.loads(legacy_pickle(sg, layout))
 
@@ -181,13 +200,13 @@ class TestPickle:
         regions = _regions(sg)
         loaded = pickle.loads(pickle.dumps(regions))
         assert loaded == regions
-        # a region pickles its bitset and its graph, which the regions
-        # of one pickle share
+        # a region pickles its bitset and its graph's storage, which the
+        # regions of one pickle share
         graphs = {id(r.graph) for sr in loaded.values() for r in sr.excitation + sr.quiescent}
         assert len(graphs) == 1
         for sr in regions.values():
             for r in sr.excitation + sr.quiescent:
-                assert r.__getstate__() == (r.signal, r.direction, r.kind, sg, r.bits)
+                assert r.__getstate__() == (r.signal, r.direction, r.kind, sg.dense(), r.bits)
 
     def test_region_in_an_older_layout_is_refused(self, celem_sg):
         er = signal_regions(celem_sg, celem_sg.signal_index("c")).excitation[0]
@@ -221,7 +240,7 @@ class TestPickle:
                     theirs.excitation + theirs.quiescent + sum(theirs.triggers, []),
                     mine.excitation + mine.quiescent + sum(mine.triggers, []),
                 ):
-                    assert q.graph is loaded.sg and q.states == r.states
+                    assert q.graph is loaded.sg.dense() and q.states == r.states
 
 
 class TestCopies:
@@ -280,8 +299,9 @@ class TestLabelsOnDemand:
         finally:
             tracemalloc.stop()
         assert sg.num_states == 2 ** 12
-        # with an id and an index entry per state it was ~1,500 B/state
-        assert kept / sg.num_states <= 1000
+        # with an id and an index entry per state it was ~1,500 B/state,
+        # with a list per state and a tuple per arc ~680 B/state
+        assert kept / sg.num_states <= 500
 
     def test_synthesis_and_certification_build_only_the_rendered_labels(self, monkeypatch):
         built = []
@@ -305,3 +325,110 @@ class TestLabelsOnDemand:
         assert rendered and sorted(built) == sorted(rendered)
         # the labels are the ids the id-keyed API reads
         assert [view.label(i) for i in range(len(view))] == view.ids
+
+
+def _stgs() -> list:
+    """The STGs the arc-table checks elaborate: the 25 Table 2 specs
+    (the non-distributive ones, built as state graphs, through a
+    state-machine STG), the fuzz corpus, Muller pipelines 2-8 and
+    generated 6- and 8-signal specs."""
+    out = [(n, lambda b=b: b()) for n, (b, *_r) in DISTRIBUTIVE_BENCHMARKS.items()]
+    out += [
+        (n, lambda b=b: state_machine_stg(b())) for n, (b, *_r) in NONDISTRIBUTIVE_BENCHMARKS.items()
+    ]
+    out += [
+        (p.stem, lambda p=p: state_machine_stg(parse_sg(p.read_text())))
+        for p in sorted(CORPUS.glob("*.g"))
+    ]
+    out += [(f"muller{k}", lambda k=k: muller_pipeline(k)) for k in range(2, 9)]
+    for signals, seeds in ((6, 10), (8, 3)):
+        out += [
+            (
+                f"{knobs.short()}{signals}-{i}",
+                lambda knobs=knobs, i=i: state_machine_stg(
+                    generate_spec(derive_seed(11, i), knobs).sg
+                ),
+            )
+            for knobs in knob_combinations(signals=signals)
+            for i in range(seeds)
+        ]
+    return out
+
+
+STGS = _stgs()
+
+
+class TestArcTable:
+    """The flat arc table against an independent reading: the tables
+    an elaborated graph derives from it (``succ``, ``pred``) and keeps
+    (``up``, ``down``, ``nxt``), and its arc count, equal those computed
+    straight from the reference token game's arc list, and those of a
+    graph built from that list by ``add_state``/``add_arc``.  The error
+    texts of broken nets are pinned in ``test_elaborate_reference.py``."""
+
+    @pytest.mark.parametrize("build", [b for _, b in STGS], ids=[n for n, _ in STGS])
+    def test_tables_match_an_add_arc_build(self, build):
+        stg = build()
+        states, code, arcs = ref.elaborate(stg)
+        sg = elaborate(stg)
+        built = StateGraph(sg.signals, sg.inputs)
+        for s in states:
+            built.add_state(s, code[s])
+        for src, a, direction, dst in arcs:
+            built.add_arc(src, Transition(a, direction), dst)
+        number = {s: i for i, s in enumerate(states)}
+        n, ns = len(states), sg.num_signals
+        succ, pred = [[] for _ in range(n)], [[] for _ in range(n)]
+        up, down, nxt = [0] * n, [0] * n, [-1] * (n * ns)
+        for src, a, direction, dst in arcs:
+            i, j = number[src], number[dst]
+            succ[i].append((a, direction, j))
+            pred[j].append(i)
+            (up if direction == 1 else down)[i] |= 1 << a
+            nxt[i * ns + a] = j
+        want = (code, succ, pred, up, down, nxt, len(arcs))
+        for graph in (sg, built, pickle.loads(pickle.dumps(sg))):
+            view = graph.dense()
+            got = (
+                {s: view.codes[i] for s, i in number.items()},
+                view.succ, view.pred, view.up, view.down, view.nxt, len(view.arc_src),
+            )
+            assert got == want
+            assert view.ids == states
+
+    def test_synthesis_and_certification_build_no_arc_lists(self, monkeypatch):
+        """On a graph with a code space, synthesis and certification
+        read the codes and ``up``/``down``/``nxt`` alone."""
+        reads = []
+        for name in ("succ", "pred"):
+            table = getattr(DenseGraph, name)
+            monkeypatch.setattr(
+                DenseGraph,
+                name,
+                property(lambda view, t=table, n=name: reads.append(n) or t.fget(view)),
+            )
+        sg = elaborate(muller_pipeline(6))
+        cert = certify_circuit(synthesize(sg, name="pipe"))
+        assert cert.fully_proved and reads == []
+        assert sg.dense()._succ is None and sg.dense()._pred is None
+        # the id-keyed API derives them on first read
+        small = elaborate(muller_pipeline(2))
+        assert small.successors(small.initial) and small.predecessors(small.initial)
+        assert set(reads) == {"succ", "pred"}
+        assert small.dense()._succ is not None and small.dense()._pred is not None
+
+    def test_a_synthesized_graph_is_freed_without_the_cyclic_gc(self):
+        """The regions memoized on a graph reference its storage, not
+        the graph, so dropping the last reference frees it at once."""
+        sg = sg_of("chu150")
+        gc.collect()
+        gc.disable()
+        try:
+            circuit = synthesize(sg, name="chu150")
+            memoized = bool(sg._regions)
+            alive = weakref.ref(sg)
+            del sg, circuit
+            freed = alive() is None
+        finally:
+            gc.enable()
+        assert memoized and freed
