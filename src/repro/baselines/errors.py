@@ -59,6 +59,10 @@ def require_valid_spec(sg: StateGraph, name: str) -> None:
     attached — the same structured surface the N-SHOT synthesizer
     presents, so campaign harnesses see one error shape everywhere.
     """
+    from ..sg.properties import preconditions_hold
+
+    if preconditions_hold(sg):
+        return
     from ..analysis.engine import preflight_failure
 
     failure = preflight_failure(sg, name)

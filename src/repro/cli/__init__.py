@@ -202,6 +202,7 @@ def _with_profile(args: argparse.Namespace, body) -> int:
     if not getattr(args, "profile", False) and not profile_out:
         return body()
     from ..obs import Tracer, tracing
+    from .measure import render_tree, trace_document
 
     with tracing(Tracer()) as tracer:
         code = body()
@@ -209,12 +210,12 @@ def _with_profile(args: argparse.Namespace, body) -> int:
         import json as json_mod
 
         with open(profile_out, "w") as f:
-            json_mod.dump(tracer.to_json(), f, indent=2)
+            json_mod.dump(trace_document(tracer), f, indent=2)
             f.write("\n")
         print(f"wrote {profile_out} (repro-trace/1)", file=sys.stderr)
     if getattr(args, "profile", False):
         print("\n── profile (spans, wall-clock) ──", file=sys.stderr)
-        print(tracer.render_tree(), file=sys.stderr)
+        print(render_tree(tracer), file=sys.stderr)
     return code
 
 

@@ -13,7 +13,7 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".sop_derivation": "SopSpec derive_sop_spec region_mode_table ModeRow",
+        ".sop_derivation": "SopSpec derive_sop_spec",
         ".trigger": (
             "TriggerCheck check_trigger_cubes enforce_trigger_cubes "
             "TriggerRequirementError"
@@ -26,6 +26,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "OracleVerdict VerificationRun VerificationSummary run_oracle "
             "verify_hazard_freeness"
         ),
-        ".report": "format_mode_table format_results_table",
+        ".report": (
+            "ModeRow region_mode_table format_mode_table format_results_table"
+        ),
     },
 )

@@ -1,13 +1,55 @@
-"""Reporting helpers: Table 1 / Table 2 style formatting."""
+"""Reporting: the paper's Table 1 (region ↔ SET/RESET ↔ MHS mode) and
+Table 2 style formatting."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..sg.graph import StateGraph
-from .sop_derivation import ModeRow
+from ..sg.regions import signal_regions
 
-__all__ = ["format_mode_table", "format_results_table"]
+__all__ = ["ModeRow", "format_mode_table", "format_results_table", "region_mode_table"]
+
+
+@dataclass(frozen=True)
+class ModeRow:
+    """One row of the paper's Table 1 for a concrete state."""
+
+    state: object
+    region: str  # "ER(+a)", "QR(+a)", "ER(-a)", "QR(-a)", "unreachable"
+    set_value: str  # "0", "1" or "*"
+    reset_value: str
+    mode: str  # "+a", "a = 1", "-a", "a = 0", "memory"
+
+
+def region_mode_table(sg: StateGraph, signal: int) -> list[ModeRow]:
+    """Reproduce Table 1: region ↔ SET/RESET levels ↔ MHS mode.
+
+    Enumerates every reachable state of the SG, classifies it into the
+    signal's region structure and emits the specified SET/RESET values
+    and the flip-flop operation mode.
+    """
+    name = sg.signals[signal]
+    sr = signal_regions(sg, signal)
+    view = sg.dense()
+    up_er, up_qr, dn_er, dn_qr = (
+        view.flags(sr.union_bits(kind, direction))
+        for kind, direction in (("ER", 1), ("QR", 1), ("ER", -1), ("QR", -1))
+    )
+    rows: list[ModeRow] = []
+    for i, s in enumerate(view.ids):
+        if up_er[i]:
+            rows.append(ModeRow(s, f"ER(+{name})", "1", "0", f"+{name}"))
+        elif up_qr[i]:
+            rows.append(ModeRow(s, f"QR(+{name})", "*", "0", f"{name} = 1"))
+        elif dn_er[i]:
+            rows.append(ModeRow(s, f"ER(-{name})", "0", "1", f"-{name}"))
+        elif dn_qr[i]:
+            rows.append(ModeRow(s, f"QR(-{name})", "0", "*", f"{name} = 0"))
+        else:
+            rows.append(ModeRow(s, "unreachable", "*", "*", "memory"))
+    return rows
 
 
 def format_mode_table(sg: StateGraph, rows: Sequence[ModeRow]) -> str:

@@ -9,7 +9,7 @@ signal ``a``:
 * **Reset function**: the mirror image.
 
 The correspondence with the MHS flip-flop's operation modes is the
-paper's Table 1, reproduced by :func:`region_mode_table`.
+paper's Table 1, reproduced by :func:`repro.core.report.region_mode_table`.
 
 All set and reset functions of all non-input signals are packed into a
 single multi-output cover, so the minimizer may share product terms
@@ -32,8 +32,6 @@ from ..sg.regions import SignalRegions, signal_regions
 __all__ = [
     "SopSpec",
     "derive_sop_spec",
-    "region_mode_table",
-    "ModeRow",
 ]
 
 
@@ -132,43 +130,3 @@ def _derive_functions(
             dc.add(c.with_outputs(bit))
         for c in r_cover.cubes:
             off.add(c.with_outputs(bit))
-
-
-@dataclass(frozen=True)
-class ModeRow:
-    """One row of the paper's Table 1 for a concrete state."""
-
-    state: object
-    region: str  # "ER(+a)", "QR(+a)", "ER(-a)", "QR(-a)", "unreachable"
-    set_value: str  # "0", "1" or "*"
-    reset_value: str
-    mode: str  # "+a", "a = 1", "-a", "a = 0", "memory"
-
-
-def region_mode_table(sg: StateGraph, signal: int) -> list[ModeRow]:
-    """Reproduce Table 1: region ↔ SET/RESET levels ↔ MHS mode.
-
-    Enumerates every reachable state of the SG, classifies it into the
-    signal's region structure and emits the specified SET/RESET values
-    and the flip-flop operation mode.
-    """
-    name = sg.signals[signal]
-    sr = signal_regions(sg, signal)
-    view = sg.dense()
-    up_er, up_qr, dn_er, dn_qr = (
-        view.flags(sr.union_bits(kind, direction))
-        for kind, direction in (("ER", 1), ("QR", 1), ("ER", -1), ("QR", -1))
-    )
-    rows: list[ModeRow] = []
-    for i, s in enumerate(view.ids):
-        if up_er[i]:
-            rows.append(ModeRow(s, f"ER(+{name})", "1", "0", f"+{name}"))
-        elif up_qr[i]:
-            rows.append(ModeRow(s, f"QR(+{name})", "*", "0", f"{name} = 1"))
-        elif dn_er[i]:
-            rows.append(ModeRow(s, f"ER(-{name})", "0", "1", f"-{name}"))
-        elif dn_qr[i]:
-            rows.append(ModeRow(s, f"QR(-{name})", "0", "*", f"{name} = 0"))
-        else:
-            rows.append(ModeRow(s, "unreachable", "*", "*", "memory"))
-    return rows

@@ -22,8 +22,9 @@ Three judges turn outcomes into :class:`Disagreement` records:
   any conformance violation or hazard on a generator-certified spec is
   a finding;
 * the **lint catalog** — ``run_preflight`` must agree with the
-  generator's ground-truth labels, and the full rule catalog must not
-  crash on any generated spec.
+  generator's ground-truth labels and with the pipeline's ``classify``
+  verdict (which decides a passing graph without the rule engine), and
+  the full rule catalog must not crash on any generated spec.
 
 Disagreements carry a stable ``signature`` so the shrinker
 (:mod:`repro.fuzz.shrink`) and corpus (:mod:`repro.fuzz.corpus`) can
@@ -38,6 +39,7 @@ from dataclasses import dataclass, field
 
 from ..obs import (
     MetricsRegistry,
+    Span,
     Tracer,
     get_metrics,
     get_tracer,
@@ -88,7 +90,7 @@ DISAGREEMENT_KINDS = (
     "unexpected-refusal",  # a flow refused a spec it must accept
     "unexpected-success",  # a flow accepted a spec it must refuse
     "oracle-violation",    # the simulated N-SHOT circuit broke conformance
-    "lint-mismatch",       # preflight verdict contradicts ground-truth labels
+    "lint-mismatch",       # preflight verdict contradicts the labels or classify
     "lint-crash",          # a lint rule raised an internal error
     "generator-error",     # the generator failed its own label contract
 )
@@ -394,15 +396,27 @@ def _oracle_outcome(
 def _lint_findings(
     sg: StateGraph, labels: SpecLabels, name: str
 ) -> list[tuple[str, str, str]]:
-    """Cross-check the lint catalog against the generator's labels."""
+    """Cross-check the lint catalog against the generator's labels and
+    the pipeline's ``classify`` verdict."""
     from ..analysis.engine import analyze, run_preflight
+    from ..pipeline import PipelineRun
 
     findings: list[tuple[str, str, str]] = []
     expected_ok = labels.consistent and labels.csc and labels.semimodular
     try:
+        # before run_preflight, which memoizes its own verdict on sg
+        classified = PipelineRun.from_sg(sg, name=name).classification().ok
         preflight = run_preflight(sg, name=name)
     except Exception as e:
         return [("lint-crash", "preflight", f"{type(e).__name__}: {e}")]
+    if classified != preflight.ok:
+        findings.append(
+            (
+                "lint-mismatch",
+                "classify",
+                f"classify ok={classified} but preflight ok={preflight.ok}",
+            )
+        )
     if preflight.ok != expected_ok:
         rules = sorted({d.rule_id for d in preflight.diagnostics})
         findings.append(
@@ -430,6 +444,92 @@ def _lint_findings(
 
 
 # ----------------------------------------------------------------------
+# a pool worker's spans and counters, shipped home
+# ----------------------------------------------------------------------
+def export_spans(tracer: Tracer) -> dict:
+    """Picklable snapshot of a worker tracer's completed spans."""
+    return {
+        "pid": tracer.pid,
+        "spans": [
+            {
+                "name": s.name,
+                "id": s.span_id,
+                "parent": s.parent_id,
+                "t0": s.start,
+                "t1": s.end,
+                "pid": s.pid,
+                "tid": s.tid,
+                "attrs": s.attrs,
+            }
+            for s in tracer.spans()
+            if s.end is not None
+        ],
+    }
+
+
+def adopt_spans(
+    tracer: Tracer, exported: dict | None, parent_id: int | None = None
+) -> int:
+    """Merge a worker's :func:`export_spans` into ``tracer``.
+
+    Worker span ids are remapped to fresh local ids (no collisions,
+    no drops); spans that were roots in the worker are re-parented
+    under ``parent_id`` (default: this thread's current open span).
+    Returns the number of spans adopted.
+    """
+    if not tracer.enabled or not exported:
+        return 0
+    if parent_id is None:
+        parent_id = tracer.current_span_id()
+    rows = exported.get("spans", [])
+    with tracer._lock:
+        mapping = {}
+        for d in rows:
+            mapping[d["id"]] = tracer._next_id
+            tracer._next_id += 1
+        for d in rows:
+            tracer._spans.append(
+                Span(
+                    name=d["name"],
+                    span_id=mapping[d["id"]],
+                    parent_id=mapping.get(d["parent"], parent_id),
+                    start=d["t0"],
+                    end=d["t1"],
+                    pid=d["pid"],
+                    tid=d["tid"],
+                    attrs=dict(d["attrs"]),
+                )
+            )
+    return len(rows)
+
+
+def export_metrics(registry: MetricsRegistry) -> dict:
+    """Picklable raw snapshot of a worker registry (histogram
+    *samples*, not summaries), for :func:`merge_metrics`."""
+    return {
+        "counters": {k: c.value for k, c in registry._counters.items()},
+        "gauges": {k: g.value for k, g in registry._gauges.items()},
+        "histograms": {k: list(h.samples) for k, h in registry._histograms.items()},
+    }
+
+
+def merge_metrics(registry: MetricsRegistry, exported: dict | None) -> None:
+    """Fold a worker's :func:`export_metrics` into ``registry``:
+    counters add, gauges last-write-wins, histogram samples
+    concatenate."""
+    if not exported:
+        return
+    for k, v in exported.get("counters", {}).items():
+        registry.counter(k).add(v)
+    for k, v in exported.get("gauges", {}).items():
+        registry.gauge(k).set(v)
+    for k, samples in exported.get("histograms", {}).items():
+        hist = registry.histogram(k)
+        with hist._lock:
+            hist.samples.extend(samples)
+
+
+# ----------------------------------------------------------------------
 # one sample end to end (the pool task function)
 # ----------------------------------------------------------------------
 def run_fuzz_unit(payload) -> tuple[SpecResult, dict | None, dict | None]:
@@ -453,8 +553,8 @@ def run_fuzz_unit(payload) -> tuple[SpecResult, dict | None, dict | None]:
         result = _run_fuzz_unit_inner(seed, knobs, flow_timeout, oracle_runs)
     finally:
         if foreign:
-            trace_export = get_tracer().export()
-            metrics_export = get_metrics().export()
+            trace_export = export_spans(get_tracer())
+            metrics_export = export_metrics(get_metrics())
             set_tracer(prev_tracer)
             set_metrics(prev_metrics)
     if foreign:
@@ -659,8 +759,8 @@ def run_fuzz(config: FuzzConfig) -> "FuzzReport":
         for tr in batch.results:
             if tr.ok:
                 result, trace_export, metrics_export = tr.value
-                tracer.adopt(trace_export, parent_id=sp.id)
-                get_metrics().merge(metrics_export)
+                adopt_spans(tracer, trace_export, parent_id=sp.id)
+                merge_metrics(get_metrics(), metrics_export)
                 report.samples.append(result)
                 continue
             if tr.status == "cancelled":

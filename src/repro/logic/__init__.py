@@ -5,7 +5,7 @@ logic machinery the paper borrows from SIS/ESPRESSO: positional-cube
 covers, the unate-recursive tautology and complement operators, the
 heuristic ESPRESSO loop (EXPAND / IRREDUNDANT / REDUCE) with
 multi-output term sharing, an exact Quine–McCluskey + unate-covering
-minimizer (footnote 6 of the paper), and PLA text I/O.
+minimizer (footnote 6 of the paper), and PLA text output.
 """
 
 from .._lazy import lazy_exports
@@ -20,6 +20,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".espresso": "espresso expand irredundant reduce_cover make_offset",
         ".exact": "exact_minimize generate_primes unate_cover",
         ".minimize": "minimize verify_cover MinimizationError",
-        ".pla": "Pla parse_pla write_pla",
+        ".pla": "write_pla",
     },
 )

@@ -53,7 +53,6 @@ LIT_DC = 0b11     # don't care : variable absent from the product
 LIT_EMPTY = 0b00  # contradiction : empty cube
 
 _FIELD_CHARS = {LIT_EMPTY: "#", LIT_ZERO: "0", LIT_ONE: "1", LIT_DC: "-"}
-_CHAR_FIELDS = {"0": LIT_ZERO, "1": LIT_ONE, "-": LIT_DC, "2": LIT_DC, "x": LIT_DC, "#": LIT_EMPTY}
 
 
 def full_input_mask(num_inputs: int) -> int:
@@ -105,22 +104,6 @@ class Cube:
     def full(num_inputs: int, outputs: int = 1) -> "Cube":
         """The universal cube (tautology product) over ``num_inputs``."""
         return Cube(num_inputs, full_input_mask(num_inputs), outputs)
-
-    @staticmethod
-    def from_string(text: str, outputs: int = 1) -> "Cube":
-        """Parse a cube from an ESPRESSO-style string such as ``"1-0"``.
-
-        ``1`` means positive literal, ``0`` negative literal and ``-``
-        (or ``2``/``x``) don't care.
-        """
-        mask = 0
-        for var, ch in enumerate(text.strip()):
-            try:
-                field = _CHAR_FIELDS[ch]
-            except KeyError:
-                raise ValueError(f"bad cube character {ch!r} in {text!r}") from None
-            mask |= field << (2 * var)
-        return Cube(len(text.strip()), mask, outputs)
 
     @staticmethod
     def from_minterm(minterm: int, num_inputs: int) -> "Cube":

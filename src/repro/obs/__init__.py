@@ -13,9 +13,9 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".metrics": (
-            "Counter Gauge Histogram MetricsRegistry get_metrics "
-            "set_metrics percentile"
+            "Counter Gauge Histogram MetricsRegistry get_metrics set_metrics"
         ),
+        ".harness": "percentile",
         ".trace": (
             "TRACE_SCHEMA Span Tracer get_tracer set_tracer trace_span tracing"
         ),

@@ -10,23 +10,18 @@ Three instrument kinds:
 
 * :class:`Counter` — monotonically accumulating total (``add``);
 * :class:`Gauge` — last-written value (``set``);
-* :class:`Histogram` — sample collection with percentile summaries
-  (``observe`` → ``summary()`` with count/min/max/mean/p50/p90/p99).
+* :class:`Histogram` — sample collection (``observe``).
 
-Registries snapshot to plain dicts (:meth:`MetricsRegistry.snapshot`)
-for reports, and :meth:`export`/:meth:`merge` round-trip raw samples
-across a ``multiprocessing`` pipe so fuzz pool workers can account work
-into the parent's registry.
-
-The sample statistics every report shares live here too: the
-nearest-rank :func:`percentile` of bench documents and histograms, and
-the averaging :func:`median` and :func:`mad` of the analytics noise
-floors.
+The registry only records; reports over it live with their readers:
+the bench harness snapshots a registry to plain dicts and summarizes
+histograms with its nearest-rank :func:`~repro.obs.harness.percentile`
+(:func:`repro.obs.harness.snapshot`), and the fuzz campaign ships a
+pool worker's raw samples home and merges them into the parent's
+registry (:func:`repro.fuzz.differential.merge_metrics`).
 """
 
 from __future__ import annotations
 
-import math
 import threading
 
 __all__ = [
@@ -36,49 +31,7 @@ __all__ = [
     "MetricsRegistry",
     "get_metrics",
     "set_metrics",
-    "percentile",
-    "median",
-    "mad",
 ]
-
-
-def percentile(values: list[float], q: float) -> float:
-    """The ``q``-quantile (0..1) of ``values`` by nearest-rank.
-
-    Nearest-rank keeps the result an actually-observed sample, which
-    is what a benchmark trajectory wants (no interpolation artefacts).
-    """
-    if not values:
-        raise ValueError("percentile of empty sample")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile {q} outside [0, 1]")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
-
-
-def median(values: list[float]) -> float:
-    """Plain median: the mean of the two middle samples on an even
-    count (unlike ``percentile(values, 0.5)``, which is nearest-rank)."""
-    if not values:
-        raise ValueError("median of an empty series")
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def mad(values: list[float]) -> float:
-    """Median absolute deviation — the noise floor's spread statistic.
-
-    Robust where stddev is not: a single GC pause or scheduler stall
-    in the series barely moves the MAD, so thresholds ratcheted from
-    it do not inherit one bad run's jitter.
-    """
-    m = median(values)
-    return median([abs(v - m) for v in values])
 
 
 class Counter:
@@ -124,21 +77,6 @@ class Histogram:
         with self._lock:
             self.samples.append(v)
 
-    def summary(self) -> dict:
-        with self._lock:
-            vals = list(self.samples)
-        if not vals:
-            return {"count": 0}
-        return {
-            "count": len(vals),
-            "min": min(vals),
-            "max": max(vals),
-            "mean": sum(vals) / len(vals),
-            "p50": percentile(vals, 0.50),
-            "p90": percentile(vals, 0.90),
-            "p99": percentile(vals, 0.99),
-        }
-
 
 class MetricsRegistry:
     """Named instruments, created on first use."""
@@ -169,43 +107,6 @@ class MetricsRegistry:
             if inst is None:
                 inst = self._histograms[name] = Histogram()
             return inst
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """Plain-dict view: counters/gauges as values, histograms as
-        percentile summaries."""
-        return {
-            "counters": {k: c.value for k, c in sorted(self._counters.items())},
-            "gauges": {k: g.value for k, g in sorted(self._gauges.items())},
-            "histograms": {
-                k: h.summary() for k, h in sorted(self._histograms.items())
-            },
-        }
-
-    def export(self) -> dict:
-        """Picklable raw snapshot (histogram *samples*, not summaries)
-        suitable for :meth:`merge` in another process."""
-        return {
-            "counters": {k: c.value for k, c in self._counters.items()},
-            "gauges": {k: g.value for k, g in self._gauges.items()},
-            "histograms": {
-                k: list(h.samples) for k, h in self._histograms.items()
-            },
-        }
-
-    def merge(self, exported: dict | None) -> None:
-        """Fold a worker's :meth:`export` into this registry: counters
-        add, gauges last-write-wins, histogram samples concatenate."""
-        if not exported:
-            return
-        for k, v in exported.get("counters", {}).items():
-            self.counter(k).add(v)
-        for k, v in exported.get("gauges", {}).items():
-            self.gauge(k).set(v)
-        for k, samples in exported.get("histograms", {}).items():
-            hist = self.histogram(k)
-            with hist._lock:
-                hist.samples.extend(samples)
 
 
 # ----------------------------------------------------------------------

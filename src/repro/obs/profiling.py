@@ -27,7 +27,7 @@ environment fingerprint.  :func:`diff_profiles` compares two documents
 deltas) so a regression arrives with attribution.
 
 Self-time subtraction uses the *union* of child-span intervals, not
-their sum — ``adopt``-merged spans from the fuzz executor pool overlap each other and their waiting parent, and a sum
+their sum — ``adopt_spans``-merged spans from the fuzz executor pool overlap each other and their waiting parent, and a sum
 would double-count worker wall time in the folded totals
 (:func:`stage_totals_from_spans`).
 """
@@ -41,6 +41,13 @@ import sys
 import threading
 import time
 
+from .harness import (
+    environment_fingerprint,
+    quick_circuits,
+    run_circuit,
+    snapshot,
+    warm_up,
+)
 from .metrics import MetricsRegistry, get_metrics, set_metrics
 from .trace import Span, Tracer, tracing
 
@@ -289,7 +296,7 @@ class ProfileSession:
         self.wall_s = time.perf_counter() - self._t0
         sys.setswitchinterval(self._prev_switch)
         self._sampler.stop()
-        self.metrics_snapshot = self.metrics.snapshot()
+        self.metrics_snapshot = snapshot(self.metrics)
         set_metrics(self._prev_metrics)
         self._ctx.__exit__(None, None, None)
         return False
@@ -305,8 +312,6 @@ class ProfileSession:
         """Render the finished session as a ``repro-profile/1`` doc."""
         if self.wall_s is None:
             raise RuntimeError("ProfileSession still open: exit it first")
-        from .harness import environment_fingerprint
-
         weights = self._sampler.weights
         span_totals = stage_totals_from_spans(self.tracer.spans())
         stage_sampled: dict[str, float] = {}
@@ -431,7 +436,6 @@ def profile_suite(
     pipeline the bench numbers measure.
     """
     from ..bench.circuits import TABLE2_CIRCUITS
-    from .harness import quick_circuits, run_circuit, warm_up
 
     if circuits is None:
         circuits = quick_circuits() if quick else list(TABLE2_CIRCUITS)

@@ -20,10 +20,16 @@ Design rules:
 * **multiprocessing-safe** — a worker process records into its own
   local tracer (spans carry the recording pid) and ships the completed
   spans home as a picklable export; the parent re-parents them under
-  its own span tree with :meth:`Tracer.adopt`, remapping span ids so a
-  merge never collides or drops spans;
-* **stable export** — :meth:`Tracer.to_json` emits the documented
-  ``repro-trace/1`` schema.
+  its own span tree, remapping span ids so a merge never collides or
+  drops spans (:func:`repro.fuzz.differential.adopt_spans`, the one
+  pool that ships spans);
+* **stable export** — ``--profile-out`` writes the documented
+  ``repro-trace/1`` schema (:func:`repro.cli.measure.trace_document`).
+
+The tracer only records and lists spans; every report over them lives
+with its reader (the CLI's span tree and trace document, the bench
+harness's per-phase totals), so a run that reports nothing compiles
+none of it.
 
 Typical instrumentation::
 
@@ -40,7 +46,7 @@ Enabling for one block (CLI ``--profile``, the bench harness)::
 
     with tracing(Tracer()) as tracer:
         synthesize(sg)
-    print(tracer.render_tree())
+    print([(sp.name, sp.duration) for sp in tracer.spans()])
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "trace_span",
-    "traced",
     "tracing",
 ]
 
@@ -228,147 +233,6 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self._spans.clear()
-
-    def phase_totals(self) -> dict[str, dict]:
-        """Aggregate completed spans by name.
-
-        Returns ``{name: {"calls": n, "total_s": seconds}}``.  Nested
-        spans each contribute to their own name — a parent's total
-        *includes* its children's time (it is wall time of that phase,
-        not self time).
-        """
-        out: dict[str, dict] = {}
-        for sp in self.spans():
-            agg = out.setdefault(sp.name, {"calls": 0, "total_s": 0.0})
-            agg["calls"] += 1
-            agg["total_s"] += sp.duration
-        return out
-
-    # ------------------------------------------------------------------
-    # multiprocessing merge
-    # ------------------------------------------------------------------
-    def export(self) -> dict:
-        """Picklable snapshot of the completed spans (for pool workers)."""
-        return {
-            "pid": self.pid,
-            "spans": [
-                {
-                    "name": s.name,
-                    "id": s.span_id,
-                    "parent": s.parent_id,
-                    "t0": s.start,
-                    "t1": s.end,
-                    "pid": s.pid,
-                    "tid": s.tid,
-                    "attrs": s.attrs,
-                }
-                for s in self.spans()
-                if s.end is not None
-            ],
-        }
-
-    def adopt(self, exported: dict | None, parent_id: int | None = None) -> int:
-        """Merge a worker's exported spans into this tracer.
-
-        Worker span ids are remapped to fresh local ids (no collisions,
-        no drops); spans that were roots in the worker are re-parented
-        under ``parent_id`` (default: this thread's current open span).
-        Returns the number of spans adopted.
-        """
-        if not self.enabled or not exported:
-            return 0
-        if parent_id is None:
-            parent_id = self.current_span_id()
-        rows = exported.get("spans", [])
-        with self._lock:
-            mapping = {}
-            for d in rows:
-                mapping[d["id"]] = self._next_id
-                self._next_id += 1
-            for d in rows:
-                self._spans.append(
-                    Span(
-                        name=d["name"],
-                        span_id=mapping[d["id"]],
-                        parent_id=mapping.get(d["parent"], parent_id),
-                        start=d["t0"],
-                        end=d["t1"],
-                        pid=d["pid"],
-                        tid=d["tid"],
-                        attrs=dict(d["attrs"]),
-                    )
-                )
-        return len(rows)
-
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-    def to_json(self) -> dict:
-        """The stable ``repro-trace/1`` document (documented in
-        docs/OBSERVABILITY.md).  Span times are seconds relative to the
-        trace origin (the earliest span start)."""
-        spans = [s for s in self.spans() if s.end is not None]
-        origin = min((s.start for s in spans), default=0.0)
-        return {
-            "schema": TRACE_SCHEMA,
-            "origin_unix": round(origin, 6),
-            "spans": [
-                {
-                    "name": s.name,
-                    "id": s.span_id,
-                    "parent": s.parent_id,
-                    "t0": round(s.start - origin, 9),
-                    "dur": round(s.duration, 9),
-                    "pid": s.pid,
-                    "tid": s.tid,
-                    "attrs": s.attrs,
-                }
-                for s in spans
-            ],
-        }
-
-    # ------------------------------------------------------------------
-    # human rendering (``--profile``)
-    # ------------------------------------------------------------------
-    def render_tree(self) -> str:
-        """Indented span tree with durations and attributes."""
-        spans = [s for s in self.spans() if s.end is not None]
-        if not spans:
-            return "(no spans recorded)"
-        by_id = {s.span_id: s for s in spans}
-        children: dict[int | None, list[Span]] = {}
-        for s in spans:
-            parent = s.parent_id if s.parent_id in by_id else None
-            children.setdefault(parent, []).append(s)
-        roots = children.get(None, [])
-        name_w = max(
-            (len(s.name) + 2 * _depth(s, by_id) for s in spans), default=10
-        )
-        lines = [f"{'span':<{name_w}}  {'ms':>9}  attributes"]
-        def emit(span: Span, depth: int) -> None:
-            attrs = " ".join(f"{k}={_fmt(v)}" for k, v in span.attrs.items())
-            label = "  " * depth + span.name
-            lines.append(f"{label:<{name_w}}  {span.duration * 1e3:9.3f}  {attrs}")
-            for child in children.get(span.span_id, []):
-                emit(child, depth + 1)
-        for root in roots:
-            emit(root, 0)
-        return "\n".join(lines)
-
-
-def _depth(span: Span, by_id: dict[int, Span]) -> int:
-    d = 0
-    cur = span
-    while cur.parent_id in by_id:
-        cur = by_id[cur.parent_id]
-        d += 1
-    return d
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.4g}"
-    return str(v)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,9 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".store": "ArtifactStore CacheEntry GcReport parse_age parse_size",
+        ".store": "ArtifactStore",
+        # the store's maintenance lives with `repro cache`
+        "..cli.cache": "CacheEntry GcReport parse_age parse_size",
         ".stages": (
             "Classification CoverBundle STAGES STAGE_VERSIONS StageDef "
             "SynthesisResult"

@@ -203,11 +203,16 @@ def _stage_sg_build(run: "PipelineRun") -> "StateGraph":
 
 
 def _stage_classify(run: "PipelineRun") -> Classification:
-    from ..analysis.engine import preflight_failure
+    from ..sg.properties import preconditions_hold
 
     sg = run.artifact("sg-build")
     with trace_span("validate"):
-        failure = preflight_failure(sg, run.name)
+        failure = None
+        if not preconditions_hold(sg):
+            # only a refusal needs the rule engine, to render it
+            from ..analysis.engine import preflight_failure
+
+            failure = preflight_failure(sg, run.name)
     message, diagnostics = failure or ("", [])
     return Classification(
         ok=failure is None,

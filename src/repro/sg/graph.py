@@ -368,7 +368,7 @@ class SpecAnalysis:
     :class:`StateGraph` by :meth:`StateGraph.analysis`; each is filled
     by the function named beside it, on first request."""
 
-    preflight_ok: bool | None = None  # repro.analysis.engine.run_preflight
+    preflight_ok: bool | None = None  # .properties.preconditions_hold
     non_distributive: tuple[int, ...] | None = None  # .distributivity
     codes: frozenset[int] | None = None  # .encoding.reachable_codes
     unreachable: "Cover | None" = None  # .encoding.unreachable_cover

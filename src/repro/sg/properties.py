@@ -14,6 +14,8 @@
   same state.
 * :func:`usc_violations` — the stronger Unique State Coding, reported
   for diagnostics.
+* :func:`preconditions_hold` — all three of Theorem 2's preconditions,
+  the verdict a synthesis flow gates on.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "semimodularity_violations",
     "is_semimodular_with_input_choices",
     "SemimodularityViolation",
+    "preconditions_hold",
     "validate_for_synthesis",
     "SGValidationReport",
 ]
@@ -237,6 +240,33 @@ def semimodularity_violations(sg: StateGraph) -> list[SemimodularityViolation]:
 def is_semimodular_with_input_choices(sg: StateGraph) -> bool:
     """True when the SG is semi-modular with input choices (Definition 2)."""
     return not semimodularity_violations(sg)
+
+
+def preconditions_hold(sg: StateGraph) -> bool:
+    """True when Theorem 2's preconditions hold: no consistency
+    witness, no CSC conflict and no semi-modularity violation.
+
+    These are the checks the preflight rules (SG001, SG002, SG004)
+    wrap, so a graph passes here exactly when
+    :func:`~repro.analysis.engine.run_preflight` finds nothing.  A pass
+    is memoized on ``sg`` as ``preflight_ok``; a graph that fails, or
+    whose check raises, returns False and leaves the refusal to the
+    rule engine, which renders it and memoizes the failing verdict.
+    """
+    memo = sg.analysis()
+    if memo.preflight_ok is not None:
+        return memo.preflight_ok
+    try:
+        ok = not (
+            consistency_witnesses(sg)
+            or any(c.csc for c in code_conflicts(sg))
+            or semimodularity_violations(sg)
+        )
+    except Exception:
+        return False
+    if ok:
+        memo.preflight_ok = True
+    return ok
 
 
 @dataclass

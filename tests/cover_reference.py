@@ -7,7 +7,8 @@ minimized cover, decided by cover containment (a cofactor tautology per
 cube and output) and pairwise cube intersection.
 :func:`code_partition_check` is the oracle the SOP derivation tests use,
 and :func:`covers_cover` the containment the minimizer tests assert.
-:func:`from_rows` builds the covers the logic tests start from.
+:func:`from_rows` builds the covers the logic tests start from, and
+:func:`cube_from_string` their cubes.
 """
 
 from __future__ import annotations
@@ -15,8 +16,28 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.logic import Cover, Cube, is_tautology
+from repro.logic.cube import LIT_DC, LIT_EMPTY, LIT_ONE, LIT_ZERO
 from repro.logic.minimize import CoverCheck
 from repro.logic.tautology import cover_covers_cube_multi
+
+
+_CHAR_FIELDS = {"0": LIT_ZERO, "1": LIT_ONE, "-": LIT_DC, "2": LIT_DC, "x": LIT_DC, "#": LIT_EMPTY}
+
+
+def cube_from_string(text: str, outputs: int = 1) -> Cube:
+    """Parse a cube from an ESPRESSO-style string such as ``"1-0"``.
+
+    ``1`` means positive literal, ``0`` negative literal and ``-``
+    (or ``2``/``x``) don't care.
+    """
+    mask = 0
+    for var, ch in enumerate(text.strip()):
+        try:
+            field = _CHAR_FIELDS[ch]
+        except KeyError:
+            raise ValueError(f"bad cube character {ch!r} in {text!r}") from None
+        mask |= field << (2 * var)
+    return Cube(len(text.strip()), mask, outputs)
 
 
 def covers_cover(big: Cover, small: Cover) -> bool:
@@ -64,5 +85,5 @@ def from_rows(rows: Iterable[str]) -> Cover:
             bits = sum(1 << o for o, ch in enumerate(out[0]) if ch in "14")
         else:
             bits = 1
-        cubes.append(Cube.from_string(inp, bits))
+        cubes.append(cube_from_string(inp, bits))
     return Cover(num_inputs, num_outputs, cubes)

@@ -22,6 +22,7 @@ from repro.obs.harness import (
     environment_fingerprint,
     quick_circuits,
     run_bench,
+    snapshot,
     validate_bench,
     warm_up,
     write_bench,
@@ -94,23 +95,23 @@ class TestBenchCircuit:
     def test_bench_restores_global_tracer_and_metrics(self):
         tracer_before = get_tracer()
         metrics_before = get_metrics()
-        runs_before = metrics_before.snapshot()["counters"].get("sim.runs", 0)
+        runs_before = snapshot(metrics_before)["counters"].get("sim.runs", 0)
         bench_circuit("chu172", runs=1, verify_runs=1)
         assert get_tracer() is tracer_before
         assert get_tracer().enabled is False
         # the caller's registry comes back untouched by bench noise
         assert get_metrics() is metrics_before
         assert (
-            get_metrics().snapshot()["counters"].get("sim.runs", 0)
+            snapshot(get_metrics())["counters"].get("sim.runs", 0)
             == runs_before
         )
 
     def test_warm_up_leaves_no_spans_or_metrics(self):
-        metrics_before = get_metrics().snapshot()
+        metrics_before = snapshot(get_metrics())
         with tracing(Tracer()) as outer:
             warm_up("chu172")
         assert outer.spans() == []
-        assert get_metrics().snapshot() == metrics_before
+        assert snapshot(get_metrics()) == metrics_before
 
 
 class TestRunBench:

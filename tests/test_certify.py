@@ -38,10 +38,12 @@ from repro.analysis.certify import engine as certify_engine
 from repro.analysis.certify.engine import _guarded
 from repro.bench.circuits import figure7b_sg
 from repro.cli import main
+from repro.cli.cache import entries
 from repro.core import synthesize
 from repro.core.sop_derivation import derive_sop_spec
 from repro.logic import Cover, Cube
 from repro.netlist.gates import GateType
+from tests.cover_reference import cube_from_string
 
 CELEM_G = """
 .model celem
@@ -187,7 +189,7 @@ class TestStatic0Disjointness:  # HZ003
         spec = celem_circuit.spec
         off = spec.off.projection(0)
         # seed a product that *is* an OFF cube of the same function
-        trespass = Cube.from_string(off.cubes[0].input_string(), 1)
+        trespass = cube_from_string(off.cubes[0].input_string(), 1)
         mutated = Cover(
             spec.sg.num_signals,
             spec.num_outputs,
@@ -307,7 +309,7 @@ class TestHazardRules:
 
     def test_hz003_errors_on_trespassing_product(self, celem_sg):
         spec = derive_sop_spec(celem_sg)
-        trespass = Cube.from_string(spec.off.projection(0).cubes[0].input_string(), 1)
+        trespass = cube_from_string(spec.off.projection(0).cubes[0].input_string(), 1)
         cover = Cover(celem_sg.num_signals, spec.num_outputs, [trespass])
         ctx = LintContext(celem_sg, name="trespass", cover=cover)
         result = run_rules(ctx, select={"HZ003"})
@@ -380,7 +382,7 @@ class TestStaticFirst:
         assert "certify" in store.stats()["by_stage"]
         assert any(
             e.describe().split()[1:3] == ["certify", "v1"]
-            for e in store.entries()
+            for e in entries(store)
         )
         # verify itself was never pulled: no verify-stage artifact
         assert "verify" not in store.stats()["by_stage"]

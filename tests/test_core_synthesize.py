@@ -6,6 +6,7 @@ from repro.bench.circuits import figure1_sg, figure7a_sg, figure7b_sg
 from repro.core import SynthesisError, analyze_initialization, synthesize
 from repro.netlist import GateType
 from repro.sg import SGBuilder
+from tests.cover_reference import cube_from_string
 
 
 class TestSynthesize:
@@ -120,7 +121,7 @@ class TestInitialization:
         """Force the don't care at s0 to 0: the flip-flop then needs an
         explicit initialization term (Section IV-F case 2)."""
         from repro.core import derive_sop_spec
-        from repro.logic import Cover, Cube
+        from repro.logic import Cover
 
         spec = derive_sop_spec(celem_sg)
         c = celem_sg.signal_index("c")
@@ -130,8 +131,8 @@ class TestInitialization:
         # hand-built cover: set = a b c', reset = a' b' c (minterms only:
         # reset(s0 = 000) = 0)
         cover = Cover(n, spec.num_outputs, [
-            Cube.from_string("110", 1 << so),
-            Cube.from_string("001", 1 << ro),
+            cube_from_string("110", 1 << so),
+            cube_from_string("001", 1 << ro),
         ])
         decisions = analyze_initialization(spec, cover)
         assert decisions[c].explicit_reset_required

@@ -17,7 +17,9 @@ from repro.fuzz import (
     run_flow,
     run_fuzz,
 )
+from repro.fuzz.differential import _lint_findings
 from repro.fuzz.generator import SpecLabels
+from repro.sg import properties
 
 
 def _labels(**over) -> SpecLabels:
@@ -125,6 +127,23 @@ class TestRunFlow:
         out = run_flow("nshot", sg, timeout=15.0)
         assert out.status == "refused"
         assert out.error_type == "SynthesisError"
+
+
+
+class TestLintJudge:
+    """The lint judge holds the preflight to the labels and to the
+    pipeline's ``classify`` verdict."""
+
+    def test_clean_on_a_valid_and_a_csc_broken_spec(self):
+        for csc in (True, False):
+            spec = generate_spec(1, SpecKnobs(signals=6, csc=csc))
+            assert _lint_findings(spec.sg, spec.labels, spec.name) == []
+
+    def test_classify_passing_what_the_preflight_refuses_is_a_finding(self, monkeypatch):
+        spec = generate_spec(1, SpecKnobs(signals=6, csc=False))
+        monkeypatch.setattr(properties, "code_conflicts", lambda sg: [])
+        findings = _lint_findings(spec.sg, spec.labels, spec.name)
+        assert ("lint-mismatch", "classify") in [f[:2] for f in findings]
 
 
 class TestCampaign:

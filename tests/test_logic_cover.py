@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from repro.logic import Cover, Cube
 from repro.logic.cover import compact_minterm_cover
 from repro.logic.tautology import cofactor, most_binate_var, var_usage
-from tests.cover_reference import from_rows
+from tests.cover_reference import cube_from_string, from_rows
 
 
 class TestConstruction:
@@ -38,8 +38,8 @@ class TestConstruction:
 class TestQueries:
     def test_evaluate_multi_output(self):
         c = Cover.empty(2, 2)
-        c.add(Cube.from_string("1-", 0b01))
-        c.add(Cube.from_string("-1", 0b10))
+        c.add(cube_from_string("1-", 0b01))
+        c.add(cube_from_string("-1", 0b10))
         def outputs(m):
             return [o for o in range(2) if c.contains_minterm(m, o)]
 
@@ -49,15 +49,15 @@ class TestQueries:
 
     def test_projection(self):
         c = Cover.empty(2, 2)
-        c.add(Cube.from_string("1-", 0b11))
-        c.add(Cube.from_string("01", 0b10))
+        c.add(cube_from_string("1-", 0b11))
+        c.add(cube_from_string("01", 0b10))
         p0, p1 = c.projection(0), c.projection(1)
         assert len(p0) == 1 and len(p1) == 2
 
     def test_restrict_outputs(self):
         c = Cover.empty(1, 2)
-        c.add(Cube.from_string("1", 0b11))
-        c.add(Cube.from_string("0", 0b10))
+        c.add(cube_from_string("1", 0b11))
+        c.add(cube_from_string("0", 0b10))
         r = c.restrict_outputs(0b01)
         assert len(r) == 1
 
@@ -83,18 +83,18 @@ class TestRewrites:
 
     def test_sccc_respects_outputs(self):
         c = Cover.empty(1, 2)
-        c.add(Cube.from_string("1", 0b01))
-        c.add(Cube.from_string("1", 0b11))
+        c.add(cube_from_string("1", 0b01))
+        c.add(cube_from_string("1", 0b11))
         r = c.single_cube_containment()
         assert len(r) == 1 and r.cubes[0].outputs == 0b11
 
     def test_drop_empty(self):
-        c = Cover(2, 1, [Cube(2, 0), Cube.from_string("1-")])
+        c = Cover(2, 1, [Cube(2, 0), cube_from_string("1-")])
         assert len(c.drop_empty()) == 1
 
     def test_cofactor(self):
         c = from_rows(["1-", "00"])
-        cf = cofactor(c, Cube.from_string("1-"))
+        cf = cofactor(c, cube_from_string("1-"))
         assert len(cf) == 1  # "00" dropped (disjoint)
 
 

@@ -17,7 +17,7 @@ from repro.logic.tautology import (
     covers_cube,
     is_tautology,
 )
-from tests.cover_reference import covers_cover
+from tests.cover_reference import cube_from_string, covers_cover
 
 
 class TestZeroVariableSpace:
@@ -70,9 +70,9 @@ class TestEmptyCoverPositiveArity:
 
     def test_cover_of_empty_cubes_is_not_tautology(self):
         # rows that are themselves empty cubes contribute nothing
-        empty_cube = Cube.from_string("1-0").intersect(Cube.from_string("0-0"))
+        empty_cube = cube_from_string("1-0").intersect(cube_from_string("0-0"))
         assert empty_cube is None
-        raised = Cube.from_string("10")
+        raised = cube_from_string("10")
         dropped = Cover(2, 1, [raised]).drop_empty()
         assert is_tautology(complement(dropped)) is False
 
@@ -90,10 +90,10 @@ class TestEmptyCoverPositiveArity:
     def test_multi_output_empty_column(self):
         # a cube asserting an output whose column is empty is uncovered
         cover = Cover.empty(2, 2)
-        probe = Cube.from_string("1-", 0b10)
+        probe = cube_from_string("1-", 0b10)
         assert not cover_covers_cube_multi(cover, probe)
         # ... but a cube asserting *no* outputs is vacuously covered
-        silent = Cube.from_string("1-", 0b00)
+        silent = cube_from_string("1-", 0b00)
         assert cover_covers_cube_multi(cover, silent)
 
     def test_covers_cover_empty_small(self):

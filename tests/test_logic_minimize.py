@@ -29,7 +29,7 @@ from repro.logic import (
     unate_cover,
     verify_cover,
 )
-from tests.cover_reference import covers_cover, from_rows
+from tests.cover_reference import cube_from_string, covers_cover, from_rows
 
 
 def random_fdr(rng, n):
@@ -74,15 +74,15 @@ class TestTautology:
 
     def test_covers_cube(self):
         cover = from_rows(["1-", "01"])
-        assert covers_cube(cover, Cube.from_string("1-"))
-        assert not covers_cube(cover, Cube.from_string("--"))
+        assert covers_cube(cover, cube_from_string("1-"))
+        assert not covers_cube(cover, cube_from_string("--"))
 
 
 class TestComplement:
     def test_complement_cube_demorgan(self):
-        comp = complement_cube(Cube.from_string("10-"))
+        comp = complement_cube(cube_from_string("10-"))
         got = {m for c in comp.cubes for m in c.minterms()}
-        expect = set(range(8)) - set(Cube.from_string("10-").minterms())
+        expect = set(range(8)) - set(cube_from_string("10-").minterms())
         assert got == expect
 
     @given(st.integers(1, 6), st.integers(0, 10**9))

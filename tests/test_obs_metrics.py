@@ -13,6 +13,8 @@ from repro.obs import (
     percentile,
     set_metrics,
 )
+from repro.fuzz.differential import export_metrics, merge_metrics
+from repro.obs.harness import histogram_summary, snapshot
 
 
 class TestPercentile:
@@ -57,7 +59,7 @@ class TestInstruments:
         h = Histogram()
         for v in range(1, 101):
             h.observe(float(v))
-        s = h.summary()
+        s = histogram_summary(h)
         assert s["count"] == 100
         assert s["min"] == 1.0 and s["max"] == 100.0
         assert s["mean"] == pytest.approx(50.5)
@@ -66,7 +68,7 @@ class TestInstruments:
         assert s["p99"] == 99.0
 
     def test_empty_histogram_summary(self):
-        assert Histogram().summary() == {"count": 0}
+        assert histogram_summary(Histogram()) == {"count": 0}
 
     def test_counter_thread_safety(self):
         c = Counter()
@@ -97,7 +99,7 @@ class TestRegistry:
         reg.counter("sim.events").add(10)
         reg.gauge("states").set(20)
         reg.histogram("lat").observe(1.0)
-        snap = reg.snapshot()
+        snap = snapshot(reg)
         assert snap["counters"] == {"sim.events": 10}
         assert snap["gauges"] == {"states": 20}
         assert snap["histograms"]["lat"]["count"] == 1
@@ -116,8 +118,8 @@ class TestRegistry:
         b.gauge("states").set(9)
         b.histogram("lat").observe(2.0)
 
-        a.merge(b.export())
-        snap = a.snapshot()
+        merge_metrics(a, export_metrics(b))
+        snap = snapshot(a)
         assert snap["counters"] == {"events": 13, "only_b": 1}
         assert snap["gauges"] == {"states": 9}
         assert snap["histograms"]["lat"]["count"] == 2
@@ -126,15 +128,15 @@ class TestRegistry:
     def test_merge_none_is_noop(self):
         reg = MetricsRegistry()
         reg.counter("c").add(1)
-        reg.merge(None)
-        assert reg.snapshot()["counters"] == {"c": 1}
+        merge_metrics(reg, None)
+        assert snapshot(reg)["counters"] == {"c": 1}
 
     def test_export_is_picklable_raw_samples(self):
         import pickle
 
         reg = MetricsRegistry()
         reg.histogram("lat").observe(1.5)
-        exported = reg.export()
+        exported = export_metrics(reg)
         assert exported["histograms"] == {"lat": [1.5]}
         assert pickle.loads(pickle.dumps(exported)) == exported
 

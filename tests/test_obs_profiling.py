@@ -23,6 +23,7 @@ import time
 
 import pytest
 
+from repro.fuzz.differential import adopt_spans
 from repro.obs.profiling import (
     PROFILE_SCHEMA,
     UNATTRIBUTED,
@@ -161,7 +162,7 @@ class TestStageTotals:
                     },
                 ],
             }
-            assert tracer.adopt(exported) == 2
+            assert adopt_spans(tracer, exported) == 2
         totals = stage_totals_from_spans(tracer.spans())
         parent = totals["fuzz-sweep"]
         # 60ms of worker wall time inside a ~50ms parent: the sum would

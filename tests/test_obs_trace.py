@@ -20,6 +20,9 @@ from repro.obs import (
     trace_span,
     tracing,
 )
+from repro.cli.measure import render_tree, trace_document
+from repro.fuzz.differential import adopt_spans, export_spans
+from repro.obs.harness import phase_totals, snapshot
 from repro.obs.trace import _NULL_SPAN
 
 
@@ -90,7 +93,7 @@ class TestSpanBasics:
         for _ in range(3):
             with tr.span("phase"):
                 time.sleep(0.001)
-        totals = tr.phase_totals()
+        totals = phase_totals(tr)
         assert totals["phase"]["calls"] == 3
         assert totals["phase"]["total_s"] >= 0.003
 
@@ -142,7 +145,7 @@ class TestExports:
         return tr
 
     def test_json_schema(self):
-        doc = self._tracer_with_tree().to_json()
+        doc = trace_document(self._tracer_with_tree())
         assert doc["schema"] == TRACE_SCHEMA == "repro-trace/1"
         assert len(doc["spans"]) == 2
         json.dumps(doc)  # serializable
@@ -155,14 +158,14 @@ class TestExports:
         assert by_name["child"]["attrs"] == {"states": 7}
 
     def test_render_tree_indents_children(self):
-        text = self._tracer_with_tree().render_tree()
+        text = render_tree(self._tracer_with_tree())
         lines = text.splitlines()
         assert any(line.startswith("root") for line in lines)
         assert any(line.startswith("  child") for line in lines)
         assert "circuit=c" in text
 
     def test_render_tree_empty(self):
-        assert "no spans" in Tracer().render_tree()
+        assert "no spans" in render_tree(Tracer())
 
 
 # ----------------------------------------------------------------------
@@ -174,11 +177,11 @@ class TestAdopt:
         with worker.span("unit"):
             with worker.span("oracle"):
                 pass
-        exported = worker.export()
+        exported = export_spans(worker)
 
         parent = Tracer()
         with parent.span("campaign") as camp:
-            adopted = parent.adopt(exported, parent_id=camp.id)
+            adopted = adopt_spans(parent, exported, parent_id=camp.id)
         assert adopted == 2
         spans = parent.spans()
         assert len(spans) == 3
@@ -194,16 +197,16 @@ class TestAdopt:
             pass
         parent = Tracer()
         with parent.span("p") as p:
-            parent.adopt(worker.export())
+            adopt_spans(parent, export_spans(worker))
             expected_parent = p.id
         by_name = {s.name: s for s in parent.spans()}
         assert by_name["w"].parent_id == expected_parent
 
     def test_adopt_none_and_disabled_are_noops(self):
         tr = Tracer()
-        assert tr.adopt(None) == 0
+        assert adopt_spans(tr, None) == 0
         disabled = Tracer(enabled=False)
-        assert disabled.adopt({"spans": [{"id": 1}]}) == 0
+        assert adopt_spans(disabled, {"spans": [{"id": 1}]}) == 0
 
     def test_export_survives_pickle(self):
         import pickle
@@ -211,7 +214,7 @@ class TestAdopt:
         tr = Tracer()
         with tr.span("x", k=1):
             pass
-        assert pickle.loads(pickle.dumps(tr.export())) == tr.export()
+        assert pickle.loads(pickle.dumps(export_spans(tr))) == export_spans(tr)
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +281,7 @@ class TestCampaignTraceMerge:
         assert all(o.parent_id in unit_ids for o in oracles)
 
         # worker metrics merged too: one sim.runs tick per oracle run
-        counters = registry.snapshot()["counters"]
+        counters = snapshot(registry)["counters"]
         assert counters["sim.runs"] == runs
         assert counters["sim.events"] > 0
 

@@ -7,9 +7,11 @@
   module, no state graph, regions or netlist container, no simulator,
   baseline, bench, STG front-end, fuzzer, heavy observability module or
   other command's CLI module, and neither ``subprocess``, ``platform``
-  nor ``uuid``; a cold synth loads no certifier, simulator (MHS model),
-  exact minimizer, tautology or complement, and of the lint rules only
-  the module that holds the preflight's;
+  nor ``uuid``; a cold synth of a valid spec loads no certifier,
+  simulator (MHS model), exact minimizer, tautology or complement, and
+  nothing of ``repro.analysis`` (the ``classify`` stage decides a
+  passing graph without the lint engine), and stays under a line
+  budget (``tools/census.py``);
 * **public surface** — every ``__all__`` name of ``repro`` and of each
   subpackage resolves, is listed by ``dir()`` and star-imports;
 * **rule catalogue** — the built-in lint rules register on the first
@@ -68,17 +70,18 @@ NOT_ON_WARM_SYNTH = (
 #: modules a cold synth must not load: the certifier, the MHS model and
 #: the rest of the simulator, the exact minimizer, the unate-recursive
 #: tautology and complement (ESPRESSO works on code bitmaps and is given
-#: its OFF-set), and the lint rules the preflight does not run
+#: its OFF-set), and the lint engine and rules (a passing spec is
+#: classified by the three Theorem 2 checks alone)
 NOT_ON_COLD_SYNTH = (
-    "repro.analysis.certify.",
+    "repro.analysis.",  # the certifier and every rule module included
     "repro.sim.",
     "repro.logic.exact",
     "repro.logic.tautology",
     "repro.logic.complement",
-    "repro.analysis.rules_trigger",
-    "repro.analysis.rules_netlist",
-    "repro.analysis.rules_hazard",
 )
+
+#: ``repro`` source lines a cold synth of ``celem.g`` may load
+COLD_SYNTH_MAX_LINES = 8000
 
 #: `repro lint --list-rules`, the built-in catalogue
 RULE_IDS = [
@@ -141,8 +144,23 @@ def test_warm_synth_loads_only_what_it_unpickles(tmp_path):
 def test_cold_synth_loads_no_certifier_simulator_or_exact_minimizer(tmp_path):
     argv = ["synth", CELEM, "--cache-dir", str(tmp_path / "store")]
     loaded = _loaded_after(f"from repro.cli import main\nassert main({argv!r}) == 0")
-    assert "repro.analysis.rules_sg" in loaded  # the preflight rules did register
+    assert "repro.analysis.rules_sg" not in loaded  # no preflight rule ran
     assert _banned(loaded, NOT_ON_COLD_SYNTH) == []
+
+
+def test_cold_synth_stays_under_its_line_budget():
+    """The census of ``tools/census.py``: the ``repro`` source lines a
+    cold synth of ``celem.g`` loads, each compiled from source in a
+    fresh process."""
+    out = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "census.py"), CELEM],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    cold = next(line for line in out.splitlines() if line.startswith("cold"))
+    lines = int(cold.split(", ")[1].split()[0])
+    assert lines <= COLD_SYNTH_MAX_LINES, cold
 
 
 @pytest.mark.parametrize("name", PACKAGES)

@@ -9,6 +9,7 @@ import pathlib
 import pytest
 
 from repro.cli import main
+from repro.cli.cache import entries
 from repro.obs import get_tracer
 from repro.obs.trace import Tracer, set_tracer
 from repro.pipeline import ArtifactStore
@@ -164,7 +165,7 @@ def test_undecodable_circuit_bytes_are_quarantined(tmp_path, gfile, cache_dir,
     assert main(argv) == 0
     cold = capsys.readouterr(), verilog.read_bytes()
     store = ArtifactStore(cache_dir)
-    (entry,) = [e for e in store.entries() if e.stage == "delays"]
+    (entry,) = [e for e in entries(store) if e.stage == "delays"]
     payload = pathlib.Path(store._payload_path(entry.key))
     result = pickle.loads(payload.read_bytes())
     result._blob = b"\x80\x05garbage-not-a-pickle"

@@ -14,8 +14,10 @@ from hashlib import sha256
 
 import pytest
 
+from repro.cli.cache import clear, entries, gc, parse_age, parse_size
 from repro.obs import get_metrics
-from repro.pipeline import ArtifactStore, GcReport, parse_age, parse_size
+from repro.obs.harness import snapshot
+from repro.pipeline import ArtifactStore
 from repro.stg import elaborate, parse_g
 
 from tests.conftest import C_ELEMENT_G, legacy_pickle
@@ -52,11 +54,11 @@ class TestPutGet:
         assert store.get(KEY_A) == (True, "second")
 
     def test_counters_mirrored_to_metrics(self, store):
-        before = get_metrics().snapshot()["counters"]
+        before = snapshot(get_metrics())["counters"]
         store.get(KEY_A)  # miss
         store.put(KEY_A, 1)
         store.get(KEY_A)  # hit
-        after = get_metrics().snapshot()["counters"]
+        after = snapshot(get_metrics())["counters"]
         assert after.get("cache.miss", 0) == before.get("cache.miss", 0) + 1
         assert after.get("cache.hit", 0) == before.get("cache.hit", 0) + 1
 
@@ -201,9 +203,9 @@ class TestConcurrentWriters:
             p.join(timeout=60)
             assert p.exitcode == 0
         st = ArtifactStore(root)
-        entries = list(st.entries())
-        assert len(entries) == 7
-        for e in entries:
+        listed = list(entries(st))
+        assert len(listed) == 7
+        for e in listed:
             found, value = st.get(e.key)
             assert found and value["i"] == int(e.key[:2])
         assert st.quarantined == 0
@@ -222,50 +224,50 @@ class TestGc:
 
     def test_size_bound_evicts_oldest_first(self, store):
         self._fill(store, 6)
-        sizes = [e.size for e in store.entries()]
+        sizes = [e.size for e in entries(store)]
         keep = sum(sizes[:2]) + 1  # room for two entries
-        report = store.gc(max_bytes=keep)
+        report = gc(store, max_bytes=keep)
         assert report.scanned == 6
         assert report.evicted == 4
         assert report.kept == 2
         assert report.by_reason == {"size": 4}
-        survivors = sorted(e.key[:2] for e in store.entries())
+        survivors = sorted(e.key[:2] for e in entries(store))
         assert survivors == ["04", "05"]  # the two newest
 
     def test_age_bound(self, store):
         newest = self._fill(store, 6)
-        report = store.gc(max_age_s=250.0, now=newest)
+        report = gc(store, max_age_s=250.0, now=newest)
         # entries older than 250s relative to the newest: i=0..2
         assert report.by_reason == {"expired": 3}
         assert report.kept == 3
 
     def test_combined_bounds(self, store):
         newest = self._fill(store, 6)
-        report = store.gc(max_bytes=1, max_age_s=250.0, now=newest)
+        report = gc(store, max_bytes=1, max_age_s=250.0, now=newest)
         assert report.evicted == 6
         assert report.kept == 0
         assert sorted(report.by_reason) == ["expired", "size"]
 
     def test_gc_report_json(self, store):
         self._fill(store, 2)
-        doc = store.gc(max_bytes=0).to_json()
+        doc = gc(store, max_bytes=0).to_json()
         assert doc["evicted"] == 2 and doc["kept"] == 0
         assert doc["evicted_bytes"] > 0
         json.dumps(doc)  # must be serializable as-is
 
     def test_no_bounds_evicts_nothing(self, store):
         self._fill(store, 3)
-        report = store.gc()
+        report = gc(store)
         assert report.evicted == 0 and report.kept == 3
 
     def test_hit_refreshes_lru_age(self, store):
         self._fill(store, 3)
         oldest_key = "00" + "e" * 62
         store.get(oldest_key)  # refresh: now the newest
-        one_entry = max(e.size for e in store.entries())
-        report = store.gc(max_bytes=one_entry)  # keep exactly one
+        one_entry = max(e.size for e in entries(store))
+        report = gc(store, max_bytes=one_entry)  # keep exactly one
         assert report.kept == 1
-        (survivor,) = store.entries()
+        (survivor,) = entries(store)
         assert survivor.key == oldest_key
 
     def test_clear_removes_everything(self, store):
@@ -274,7 +276,7 @@ class TestGc:
         with open(store._meta_path(KEY_A), "w") as f:
             f.write("junk")
         store.get(KEY_A)  # quarantines
-        removed = store.clear()
+        removed = clear(store)
         assert removed == 4
         stats = store.stats()
         assert stats["entries"] == 0
@@ -282,7 +284,7 @@ class TestGc:
 
     def test_gc_lock_released(self, store):
         self._fill(store, 1)
-        store.gc(max_bytes=0)
+        gc(store, max_bytes=0)
         assert not os.path.exists(os.path.join(store.root, "gc.lock"))
 
     def test_stale_lock_takeover(self, store):
@@ -291,7 +293,7 @@ class TestGc:
         with open(lock, "w") as f:
             f.write("99999 0\n")
         os.utime(lock, (1.0, 1.0))  # ancient: presumed-dead owner
-        report = store.gc(max_bytes=0)  # must not dead-lock
+        report = gc(store, max_bytes=0)  # must not dead-lock
         assert report.evicted == 1
 
 

@@ -11,6 +11,7 @@ read it, and a failing spec still gets each flow's full refusal.
 from __future__ import annotations
 
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -33,10 +34,14 @@ from repro.bench.circuits import (
 from repro.bench.runner import sg_of
 from repro.core import synthesize
 from repro.core.synthesizer import SynthesisError
+from repro.fuzz.generator import SpecKnobs, generate_spec, knob_combinations
+from repro.pipeline import PipelineRun
+from repro.sg import properties
 from repro.sg.distributivity import detonant_states, non_distributive_signals
 from repro.sg.encoding import reachable_codes, unreachable_cover
 from repro.sg.graph import StateGraph, Transition, render_state
 from repro.sg.regions import signal_regions
+from repro.sg.sgformat import parse_sg
 from repro.stg import elaborate
 
 from tests.conftest import sabotage_code
@@ -109,9 +114,19 @@ def test_pickle_never_carries_the_memo(name):
     assert pickle.loads(before)._spec is None
 
 
+PRECONDITION_CHECKS = ("consistency_witnesses", "code_conflicts", "semimodularity_violations")
+
+
 def test_three_flows_check_preconditions_once(monkeypatch):
-    """Table 2's three flows run the preflight of a valid spec once."""
-    preflights = []
+    """Table 2's three flows check a valid spec's preconditions once:
+    the first flow runs the three Theorem 2 checks, the other two read
+    the memoized verdict, and the rule engine never runs."""
+    checks, preflights = [], []
+    for check in PRECONDITION_CHECKS:
+        real = getattr(properties, check)
+        monkeypatch.setattr(
+            properties, check, lambda sg, real=real, check=check: checks.append(check) or real(sg)
+        )
     run_preflight = engine.run_preflight
     monkeypatch.setattr(
         engine, "run_preflight", lambda sg, name: preflights.append(name) or run_preflight(sg, name)
@@ -120,7 +135,8 @@ def test_three_flows_check_preconditions_once(monkeypatch):
     synthesize(sg, name="nshot")
     synthesize_lavagno(sg, name="sis")
     synthesize_beerel(sg, name="syn")
-    assert preflights == ["nshot"]
+    assert checks == list(PRECONDITION_CHECKS)
+    assert preflights == []
 
 
 def test_baselines_read_the_memoized_distributivity():
@@ -226,3 +242,55 @@ def test_invalid_spec_refusals(build, rules, monkeypatch):
             assert (message, rendered) == FIGURE1
     assert names == list(FLOWS)
     assert sg.analysis().preflight_ok is False
+
+
+# ----------------------------------------------------------------------
+# the classify stage's verdict, checked against the rule engine
+# ----------------------------------------------------------------------
+CORPUS = sorted((Path(__file__).resolve().parents[1] / "examples" / "fuzz-corpus").glob("*.g"))
+
+
+def _verdicts(build) -> tuple[bool, bool]:
+    """``(classify, run_preflight)`` on two fresh copies of one graph,
+    so neither reads the other's memoized verdict."""
+    classified = PipelineRun.from_sg(build(), name="spec").classification().ok
+    return classified, engine.run_preflight(build(), name="spec").ok
+
+
+@pytest.mark.parametrize(
+    "build",
+    [figure1_sg, inconsistent, semimodularity_broken],
+    ids=["csc", "consistency", "semimodularity"],
+)
+def test_classify_refuses_what_the_preflight_refuses(build):
+    """One fixture per Theorem 2 precondition.  The inconsistent graph
+    is sabotaged in memory: the ``.sg`` reader derives codes from the
+    arcs and refuses text whose codes contradict them."""
+    assert _verdicts(build) == (False, False)
+
+
+@pytest.mark.parametrize("name", TABLE2_CIRCUITS)
+def test_classify_agrees_with_the_preflight_on_the_suite(name):
+    assert _verdicts(lambda: sg_of(name)) == (True, True)
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
+def test_classify_agrees_with_the_preflight_on_the_corpus(path):
+    text = path.read_text()
+    classified, preflight = _verdicts(lambda: parse_sg(text))
+    assert classified == preflight
+
+
+@pytest.mark.parametrize("signals", [6, 8])
+@pytest.mark.parametrize("knobs", knob_combinations(), ids=lambda k: k.short())
+def test_classify_agrees_with_the_preflight_on_generated_specs(signals, knobs):
+    for seed in range(3):
+        knobs_n = SpecKnobs(
+            signals=signals,
+            csc=knobs.csc,
+            distributive=knobs.distributive,
+            single_traversal=knobs.single_traversal,
+        )
+        spec = generate_spec(seed, knobs_n)
+        classified, preflight = _verdicts(lambda: generate_spec(seed, knobs_n).sg)
+        assert classified == preflight == spec.labels.csc, (seed, knobs_n)
