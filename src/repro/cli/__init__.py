@@ -202,7 +202,7 @@ def _with_profile(args: argparse.Namespace, body) -> int:
     if not getattr(args, "profile", False) and not profile_out:
         return body()
     from ..obs import Tracer, tracing
-    from .measure import render_tree, trace_document
+    from ..obs.readout import render_tree, trace_document
 
     with tracing(Tracer()) as tracer:
         code = body()

@@ -1,14 +1,11 @@
 """``repro bench``, ``profile``, ``regress``, ``report`` and
-``history``: measurement, the perf gate and the run-history ledger;
-also the span tree and ``repro-trace/1`` document any command's
-``--profile``/``--profile-out`` reports."""
+``history``: measurement, the perf gate and the run-history ledger."""
 
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from . import (
     _add_cache_args,
@@ -17,9 +14,6 @@ from . import (
     _emit_report,
     _store_from,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.trace import Span, Tracer
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -120,72 +114,6 @@ def _parser_bench(sub: "argparse._SubParsersAction") -> None:
     _add_history_args(p_b)
     _add_cache_args(p_b)
     p_b.set_defaults(func=cmd_bench)
-
-
-# ----------------------------------------------------------------------
-# any command's --profile / --profile-out: its tracer, reported
-# ----------------------------------------------------------------------
-def trace_document(tracer: "Tracer") -> dict:
-    """The stable ``repro-trace/1`` document of a tracer's completed
-    spans (documented in docs/OBSERVABILITY.md).  Span times are
-    seconds relative to the trace origin (the earliest span start)."""
-    from ..obs import TRACE_SCHEMA
-
-    spans = [s for s in tracer.spans() if s.end is not None]
-    origin = min((s.start for s in spans), default=0.0)
-    return {
-        "schema": TRACE_SCHEMA,
-        "origin_unix": round(origin, 6),
-        "spans": [
-            {
-                "name": s.name,
-                "id": s.span_id,
-                "parent": s.parent_id,
-                "t0": round(s.start - origin, 9),
-                "dur": round(s.duration, 9),
-                "pid": s.pid,
-                "tid": s.tid,
-                "attrs": s.attrs,
-            }
-            for s in spans
-        ],
-    }
-
-
-def render_tree(tracer: "Tracer") -> str:
-    """Indented span tree with durations and attributes."""
-    spans = [s for s in tracer.spans() if s.end is not None]
-    if not spans:
-        return "(no spans recorded)"
-    by_id = {s.span_id: s for s in spans}
-    children: dict[int | None, list[Span]] = {}
-    for s in spans:
-        parent = s.parent_id if s.parent_id in by_id else None
-        children.setdefault(parent, []).append(s)
-
-    def depth(span: "Span") -> int:
-        d = 0
-        while span.parent_id in by_id:
-            span = by_id[span.parent_id]
-            d += 1
-        return d
-
-    def fmt(v) -> str:
-        return f"{v:.4g}" if isinstance(v, float) else str(v)
-
-    name_w = max(len(s.name) + 2 * depth(s) for s in spans)
-    lines = [f"{'span':<{name_w}}  {'ms':>9}  attributes"]
-
-    def emit(span: "Span", level: int) -> None:
-        attrs = " ".join(f"{k}={fmt(v)}" for k, v in span.attrs.items())
-        label = "  " * level + span.name
-        lines.append(f"{label:<{name_w}}  {span.duration * 1e3:9.3f}  {attrs}")
-        for child in children.get(span.span_id, []):
-            emit(child, level + 1)
-
-    for root in children.get(None, []):
-        emit(root, 0)
-    return "\n".join(lines)
 
 
 def cmd_profile(args: argparse.Namespace) -> int:

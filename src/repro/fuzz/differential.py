@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 
 from ..obs import (
     MetricsRegistry,
-    Span,
     Tracer,
     get_metrics,
     get_tracer,
@@ -47,6 +46,7 @@ from ..obs import (
     set_tracer,
     trace_span,
 )
+from ..obs.readout import adopt_spans, export_metrics, export_spans, merge_metrics
 from ..sg.graph import StateGraph
 from ..sg.sgformat import write_sg
 from .executor import ExecutorPolicy, WallClockTimeout, run_tasks, wall_clock_guard
@@ -441,92 +441,6 @@ def _lint_findings(
     except Exception as e:
         findings.append(("lint-crash", "catalog", f"{type(e).__name__}: {e}"))
     return findings
-
-
-# ----------------------------------------------------------------------
-# a pool worker's spans and counters, shipped home
-# ----------------------------------------------------------------------
-def export_spans(tracer: Tracer) -> dict:
-    """Picklable snapshot of a worker tracer's completed spans."""
-    return {
-        "pid": tracer.pid,
-        "spans": [
-            {
-                "name": s.name,
-                "id": s.span_id,
-                "parent": s.parent_id,
-                "t0": s.start,
-                "t1": s.end,
-                "pid": s.pid,
-                "tid": s.tid,
-                "attrs": s.attrs,
-            }
-            for s in tracer.spans()
-            if s.end is not None
-        ],
-    }
-
-
-def adopt_spans(
-    tracer: Tracer, exported: dict | None, parent_id: int | None = None
-) -> int:
-    """Merge a worker's :func:`export_spans` into ``tracer``.
-
-    Worker span ids are remapped to fresh local ids (no collisions,
-    no drops); spans that were roots in the worker are re-parented
-    under ``parent_id`` (default: this thread's current open span).
-    Returns the number of spans adopted.
-    """
-    if not tracer.enabled or not exported:
-        return 0
-    if parent_id is None:
-        parent_id = tracer.current_span_id()
-    rows = exported.get("spans", [])
-    with tracer._lock:
-        mapping = {}
-        for d in rows:
-            mapping[d["id"]] = tracer._next_id
-            tracer._next_id += 1
-        for d in rows:
-            tracer._spans.append(
-                Span(
-                    name=d["name"],
-                    span_id=mapping[d["id"]],
-                    parent_id=mapping.get(d["parent"], parent_id),
-                    start=d["t0"],
-                    end=d["t1"],
-                    pid=d["pid"],
-                    tid=d["tid"],
-                    attrs=dict(d["attrs"]),
-                )
-            )
-    return len(rows)
-
-
-def export_metrics(registry: MetricsRegistry) -> dict:
-    """Picklable raw snapshot of a worker registry (histogram
-    *samples*, not summaries), for :func:`merge_metrics`."""
-    return {
-        "counters": {k: c.value for k, c in registry._counters.items()},
-        "gauges": {k: g.value for k, g in registry._gauges.items()},
-        "histograms": {k: list(h.samples) for k, h in registry._histograms.items()},
-    }
-
-
-def merge_metrics(registry: MetricsRegistry, exported: dict | None) -> None:
-    """Fold a worker's :func:`export_metrics` into ``registry``:
-    counters add, gauges last-write-wins, histogram samples
-    concatenate."""
-    if not exported:
-        return
-    for k, v in exported.get("counters", {}).items():
-        registry.counter(k).add(v)
-    for k, v in exported.get("gauges", {}).items():
-        registry.gauge(k).set(v)
-    for k, samples in exported.get("histograms", {}).items():
-        hist = registry.histogram(k)
-        with hist._lock:
-            hist.samples.extend(samples)
 
 
 # ----------------------------------------------------------------------

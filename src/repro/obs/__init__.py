@@ -15,7 +15,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".metrics": (
             "Counter Gauge Histogram MetricsRegistry get_metrics set_metrics"
         ),
-        ".harness": "percentile",
+        ".readout": "percentile",
         ".trace": (
             "TRACE_SCHEMA Span Tracer get_tracer set_tracer trace_span tracing"
         ),

@@ -32,6 +32,7 @@ from __future__ import annotations
 import datetime
 from dataclasses import dataclass, field
 
+from .readout import mad, median
 from .registry import RunHistory
 
 __all__ = [
@@ -51,8 +52,6 @@ __all__ = [
     "detect_changepoints",
     "hotspot_series",
     "load_ledger",
-    "mad",
-    "median",
     "panel_series",
     "phase_series",
     "propose_ratchet",
@@ -69,31 +68,6 @@ CHANGEPOINT_MIN_REL = 0.2
 #: absolute shift floor, so timer noise on microsecond phases never
 #: reads as drift
 CHANGEPOINT_ABS_FLOOR_S = 0.0005
-
-
-def median(values: list[float]) -> float:
-    """Plain median: the mean of the two middle samples on an even
-    count (unlike the bench's nearest-rank
-    :func:`~repro.obs.harness.percentile` at 0.5)."""
-    if not values:
-        raise ValueError("median of an empty series")
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def mad(values: list[float]) -> float:
-    """Median absolute deviation — the noise floor's spread statistic.
-
-    Robust where stddev is not: a single GC pause or scheduler stall
-    in the series barely moves the MAD, so thresholds ratcheted from
-    it do not inherit one bad run's jitter.
-    """
-    m = median(values)
-    return median([abs(v - m) for v in values])
 
 #: hotspot functions traced across profile documents
 HOTSPOT_TOP = 10

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import datetime
 import json
-import math
 import os
 import platform
 import subprocess
 import sys
 import time
 
-from .metrics import Histogram, MetricsRegistry, get_metrics, set_metrics
+from .metrics import MetricsRegistry, get_metrics, set_metrics
+from .readout import percentile, phase_totals, snapshot
 from .trace import Tracer, trace_span, tracing
 
 __all__ = [
@@ -34,12 +34,9 @@ __all__ = [
     "bench_circuit",
     "default_bench_path",
     "environment_fingerprint",
-    "percentile",
-    "phase_totals",
     "quick_circuits",
     "run_bench",
     "run_circuit",
-    "snapshot",
     "validate_bench",
     "write_bench",
 ]
@@ -70,69 +67,6 @@ _QUICK = ("chu150", "chu172", "converta", "pmcm2")
 
 def quick_circuits() -> list[str]:
     return list(_QUICK)
-
-
-# ----------------------------------------------------------------------
-# reports over one run's tracer and metrics registry
-# ----------------------------------------------------------------------
-def percentile(values: list[float], q: float) -> float:
-    """The ``q``-quantile (0..1) of ``values`` by nearest-rank.
-
-    Nearest-rank keeps the result an actually-observed sample, which
-    is what a benchmark trajectory wants (no interpolation artefacts).
-    """
-    if not values:
-        raise ValueError("percentile of empty sample")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile {q} outside [0, 1]")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
-
-
-def histogram_summary(hist: Histogram) -> dict:
-    """count/min/max/mean and nearest-rank p50/p90/p99 of a histogram."""
-    with hist._lock:
-        vals = list(hist.samples)
-    if not vals:
-        return {"count": 0}
-    return {
-        "count": len(vals),
-        "min": min(vals),
-        "max": max(vals),
-        "mean": sum(vals) / len(vals),
-        "p50": percentile(vals, 0.50),
-        "p90": percentile(vals, 0.90),
-        "p99": percentile(vals, 0.99),
-    }
-
-
-def snapshot(registry: MetricsRegistry) -> dict:
-    """Plain-dict view of a registry: counters/gauges as values,
-    histograms as percentile summaries."""
-    return {
-        "counters": {k: c.value for k, c in sorted(registry._counters.items())},
-        "gauges": {k: g.value for k, g in sorted(registry._gauges.items())},
-        "histograms": {
-            k: histogram_summary(h) for k, h in sorted(registry._histograms.items())
-        },
-    }
-
-
-def phase_totals(tracer: Tracer) -> dict[str, dict]:
-    """Aggregate a tracer's completed spans by name.
-
-    Returns ``{name: {"calls": n, "total_s": seconds}}``.  Nested
-    spans each contribute to their own name — a parent's total
-    *includes* its children's time (it is wall time of that phase,
-    not self time).
-    """
-    out: dict[str, dict] = {}
-    for sp in tracer.spans():
-        agg = out.setdefault(sp.name, {"calls": 0, "total_s": 0.0})
-        agg["calls"] += 1
-        agg["total_s"] += sp.duration
-    return out
 
 
 def _git_sha() -> str | None:

@@ -12,12 +12,11 @@ Three instrument kinds:
 * :class:`Gauge` — last-written value (``set``);
 * :class:`Histogram` — sample collection (``observe``).
 
-The registry only records; reports over it live with their readers:
-the bench harness snapshots a registry to plain dicts and summarizes
-histograms with its nearest-rank :func:`~repro.obs.harness.percentile`
-(:func:`repro.obs.harness.snapshot`), and the fuzz campaign ships a
-pool worker's raw samples home and merges them into the parent's
-registry (:func:`repro.fuzz.differential.merge_metrics`).
+The registry only records; reports over it live in
+:mod:`repro.obs.readout`: a plain-dict snapshot with nearest-rank
+histogram summaries, the raw export a fuzz pool worker ships home to be
+merged into the parent's registry, and the sample statistics
+(``percentile``, ``median``, ``mad``) every report shares.
 """
 
 from __future__ import annotations
@@ -77,6 +76,11 @@ class Histogram:
         with self._lock:
             self.samples.append(v)
 
+    def values(self) -> list[float]:
+        """A copy of the samples."""
+        with self._lock:
+            return list(self.samples)
+
 
 class MetricsRegistry:
     """Named instruments, created on first use."""
@@ -107,6 +111,13 @@ class MetricsRegistry:
             if inst is None:
                 inst = self._histograms[name] = Histogram()
             return inst
+
+    def instruments(
+        self,
+    ) -> tuple[dict[str, Counter], dict[str, Gauge], dict[str, Histogram]]:
+        """Copies of the counter, gauge and histogram tables."""
+        with self._lock:
+            return dict(self._counters), dict(self._gauges), dict(self._histograms)
 
 
 # ----------------------------------------------------------------------

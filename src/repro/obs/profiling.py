@@ -41,14 +41,8 @@ import sys
 import threading
 import time
 
-from .harness import (
-    environment_fingerprint,
-    quick_circuits,
-    run_circuit,
-    snapshot,
-    warm_up,
-)
 from .metrics import MetricsRegistry, get_metrics, set_metrics
+from .readout import snapshot
 from .trace import Span, Tracer, tracing
 
 __all__ = [
@@ -312,6 +306,8 @@ class ProfileSession:
         """Render the finished session as a ``repro-profile/1`` doc."""
         if self.wall_s is None:
             raise RuntimeError("ProfileSession still open: exit it first")
+        from .harness import environment_fingerprint
+
         weights = self._sampler.weights
         span_totals = stage_totals_from_spans(self.tracer.spans())
         stage_sampled: dict[str, float] = {}
@@ -436,6 +432,7 @@ def profile_suite(
     pipeline the bench numbers measure.
     """
     from ..bench.circuits import TABLE2_CIRCUITS
+    from .harness import quick_circuits, run_circuit, warm_up
 
     if circuits is None:
         circuits = quick_circuits() if quick else list(TABLE2_CIRCUITS)

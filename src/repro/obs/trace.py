@@ -21,15 +21,13 @@ Design rules:
   local tracer (spans carry the recording pid) and ships the completed
   spans home as a picklable export; the parent re-parents them under
   its own span tree, remapping span ids so a merge never collides or
-  drops spans (:func:`repro.fuzz.differential.adopt_spans`, the one
-  pool that ships spans);
+  drops spans (:func:`repro.obs.readout.adopt_spans`);
 * **stable export** — ``--profile-out`` writes the documented
-  ``repro-trace/1`` schema (:func:`repro.cli.measure.trace_document`).
+  ``repro-trace/1`` schema (:func:`repro.obs.readout.trace_document`).
 
 The tracer only records and lists spans; every report over them lives
-with its reader (the CLI's span tree and trace document, the bench
-harness's per-phase totals), so a run that reports nothing compiles
-none of it.
+in :mod:`repro.obs.readout`, so a run that reports nothing compiles none
+of it.
 
 Typical instrumentation::
 
@@ -187,12 +185,9 @@ class Tracer:
             return _NULL_SPAN
         stack = self._stack()
         parent = stack[-1].span_id if stack else None
-        with self._lock:
-            sid = self._next_id
-            self._next_id += 1
         sp = Span(
             name=name,
-            span_id=sid,
+            span_id=self.reserve_ids(1),
             parent_id=parent,
             start=self._now(),
             pid=self.pid,
@@ -216,6 +211,19 @@ class Tracer:
                 pass
         with self._lock:
             self._spans.append(span)
+
+    def reserve_ids(self, n: int) -> int:
+        """The first of ``n`` fresh consecutive span ids."""
+        with self._lock:
+            first = self._next_id
+            self._next_id += n
+        return first
+
+    def record(self, spans: list[Span]) -> None:
+        """Add completed spans recorded elsewhere (a pool worker's,
+        numbered by :meth:`reserve_ids`)."""
+        with self._lock:
+            self._spans.extend(spans)
 
     def current_span_id(self) -> int | None:
         """Id of the innermost open span on this thread (None outside)."""

@@ -18,8 +18,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".store": "ArtifactStore",
-        # the store's maintenance lives with `repro cache`
-        "..cli.cache": "CacheEntry GcReport parse_age parse_size",
+        ".maintenance": "CacheEntry GcReport parse_age parse_size",
         ".stages": (
             "Classification CoverBundle STAGES STAGE_VERSIONS StageDef "
             "SynthesisResult"

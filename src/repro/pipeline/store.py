@@ -20,11 +20,8 @@ Concurrency discipline:
   checksum-mismatching entry is *quarantined* (moved under
   ``quarantine/``) and reported as a miss, so one bad byte on disk
   costs a recompute, not a traceback;
-* **gc holds a lock file** — eviction is the only multi-file mutation,
-  guarded by an ``O_EXCL`` lock with stale-lock takeover so a crashed
-  collector cannot wedge the store.  Listing and eviction live with
-  ``repro cache`` (:mod:`repro.cli.cache`), the command that runs them:
-  a synthesis run only reads and writes entries.
+* **gc holds a lock file** — see :mod:`repro.pipeline.maintenance`,
+  which lists and evicts entries off the synthesis path.
 
 The store counts its own session traffic (``hits``/``misses``/
 ``evictions``/``quarantined``) and mirrors the counts into the ambient
@@ -170,7 +167,7 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Disk inventory plus this process's session counters
-        (:func:`repro.cli.cache.stats`, with the store's maintenance)."""
-        from ..cli.cache import stats
+        (:func:`repro.pipeline.maintenance.stats`)."""
+        from .maintenance import stats
 
         return stats(self)

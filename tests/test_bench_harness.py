@@ -22,11 +22,11 @@ from repro.obs.harness import (
     environment_fingerprint,
     quick_circuits,
     run_bench,
-    snapshot,
     validate_bench,
     warm_up,
     write_bench,
 )
+from repro.obs.readout import snapshot
 
 CELEM_G = """
 .model celem

@@ -38,7 +38,7 @@ from repro.analysis.certify import engine as certify_engine
 from repro.analysis.certify.engine import _guarded
 from repro.bench.circuits import figure7b_sg
 from repro.cli import main
-from repro.cli.cache import entries
+from repro.pipeline.maintenance import entries
 from repro.core import synthesize
 from repro.core.sop_derivation import derive_sop_spec
 from repro.logic import Cover, Cube

@@ -56,7 +56,7 @@ ALLOWED: dict[tuple[str, str, str], str] = {
     ("src/repro/analysis/registry.py", "rule", "registry"): (
         "seam: registers a fake rule into a test registry"
     ),
-    ("src/repro/cli/cache.py", "gc", "now"): (
+    ("src/repro/pipeline/maintenance.py", "gc", "now"): (
         "seam: the clock the age policy reads"
     ),
     (

@@ -26,11 +26,10 @@ from repro.obs.analytics import (
     apply_ratchet,
     detect_changepoints,
     load_ledger,
-    mad,
-    median,
     phase_series,
     propose_ratchet,
 )
+from repro.obs.readout import mad, median
 from repro.obs.registry import RunHistory
 from repro.obs.regress import (
     DEFAULT_THRESHOLDS_PATH,

@@ -13,8 +13,7 @@ from repro.obs import (
     percentile,
     set_metrics,
 )
-from repro.fuzz.differential import export_metrics, merge_metrics
-from repro.obs.harness import histogram_summary, snapshot
+from repro.obs.readout import export_metrics, histogram_summary, merge_metrics, snapshot
 
 
 class TestPercentile:

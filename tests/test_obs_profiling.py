@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.fuzz.differential import adopt_spans
+from repro.obs.readout import adopt_spans
 from repro.obs.profiling import (
     PROFILE_SCHEMA,
     UNATTRIBUTED,

@@ -20,9 +20,14 @@ from repro.obs import (
     trace_span,
     tracing,
 )
-from repro.cli.measure import render_tree, trace_document
-from repro.fuzz.differential import adopt_spans, export_spans
-from repro.obs.harness import phase_totals, snapshot
+from repro.obs.readout import (
+    adopt_spans,
+    export_spans,
+    phase_totals,
+    render_tree,
+    snapshot,
+    trace_document,
+)
 from repro.obs.trace import _NULL_SPAN
 
 

@@ -9,7 +9,7 @@ import pathlib
 import pytest
 
 from repro.cli import main
-from repro.cli.cache import entries
+from repro.pipeline.maintenance import entries
 from repro.obs import get_tracer
 from repro.obs.trace import Tracer, set_tracer
 from repro.pipeline import ArtifactStore

@@ -14,9 +14,9 @@ from hashlib import sha256
 
 import pytest
 
-from repro.cli.cache import clear, entries, gc, parse_age, parse_size
+from repro.pipeline.maintenance import clear, entries, gc, parse_age, parse_size
 from repro.obs import get_metrics
-from repro.obs.harness import snapshot
+from repro.obs.readout import snapshot
 from repro.pipeline import ArtifactStore
 from repro.stg import elaborate, parse_g
 

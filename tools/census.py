@@ -3,16 +3,16 @@
 A fresh ``repro synth`` process is mostly import: every module it loads
 is compiled from source (no bytecode cache under
 ``PYTHONDONTWRITEBYTECODE=1``) and every dataclass it defines is built
-at import time.  This script synthesizes a spec twice through one
-artifact store, each time in a new interpreter: first on an empty store
-(cold: the whole engine runs) and then on the store the first run
-filled (warm: the stored text is printed).  For each it prints the
-``repro`` modules loaded, their source lines and the dataclasses they
-define::
+at import time.  This script synthesizes ``examples/specs/celem.g``
+twice through one artifact store, each time in a new interpreter: first
+on an empty store (cold: the whole engine runs) and then on the store
+the first run filled (warm: the stored text is printed).  For each it
+prints the ``repro`` modules loaded, their source lines and the
+dataclasses they define::
 
-    python tools/census.py [SPEC.g]
+    python tools/census.py
 
-SPEC defaults to ``examples/specs/celem.g``; run from anywhere.
+Run it from anywhere.
 """
 
 from __future__ import annotations
@@ -45,13 +45,12 @@ print(len(mods), lines, classes)
 """
 
 
-def census(spec: str) -> dict[str, tuple[int, int, int]]:
-    """``{"cold": (modules, lines, dataclasses), "warm": (...)}``."""
+def main() -> int:
+    spec = os.path.join(ROOT, "examples", "specs", "celem.g")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     env.pop("REPRO_CACHE_DIR", None)
     work = tempfile.mkdtemp(prefix="census-")
     try:
-        out = {}
         for leg in ("cold", "warm"):
             argv = ["synth", spec, "--cache-dir", "store", "--pla", f"{leg}.pla"]
             proc = subprocess.run(
@@ -62,19 +61,12 @@ def census(spec: str) -> dict[str, tuple[int, int, int]]:
                 text=True,
                 check=True,
             )
-            modules, lines, classes = map(int, proc.stdout.split()[-3:])
-            out[leg] = (modules, lines, classes)
-        return out
+            modules, lines, classes = proc.stdout.split()[-3:]
+            print(f"{leg} synth: {modules} modules, {lines} lines, {classes} dataclasses")
     finally:
         shutil.rmtree(work, ignore_errors=True)
-
-
-def main(argv: list[str]) -> int:
-    spec = argv[0] if argv else os.path.join(ROOT, "examples", "specs", "celem.g")
-    for leg, (modules, lines, classes) in census(os.path.abspath(spec)).items():
-        print(f"{leg} synth: {modules} modules, {lines} lines, {classes} dataclasses")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
